@@ -126,7 +126,7 @@ func main() {
 		case "ingest":
 			runArtifact(name, *out, func() (artifact, error) { return bench.RunIngest(dbp(), *short) })
 		case "shard":
-			// Modeled scaling on the paper-scale dataset, then the measured
+			// In-process scaling on the paper-scale dataset, then the
 			// multi-process section: real subprocess shard servers behind
 			// the HTTP coordinator on the generated large world.
 			runArtifact(name, *out, func() (artifact, error) {

@@ -63,7 +63,7 @@
 // rename) whenever the graph changed. On SIGTERM/SIGINT the server
 // stops replication and drains in-flight requests up to -drain-timeout.
 //
-// Distributed sharding (see DESIGN.md, "Distributed sharding") splits
+// Distributed sharding (see DESIGN.md, "Scatter-gather") splits
 // the scatter-gather pipeline across processes:
 //
 //	semkgd -graph g.tsv -shards 4 -save-shards dir/        # write shard files, exit
@@ -258,16 +258,12 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			// Rebuilds replace the engine wholesale; keep the expvar
-			// counters monotonic across generations.
-			var prev *core.ShardedEngine
+			// Rebuilds replace the engine wholesale; the new partition
+			// inherits the serving one's counters, keeping the expvar
+			// monotonic across generations.
+			var prev core.Queryer
 			if cur := currentServe.Load(); cur != nil {
-				switch e := cur.Engine().(type) {
-				case *core.ShardedEngine:
-					prev = e
-				case *core.ReshardingEngine:
-					prev = e.Sharded()
-				}
+				prev = cur.Engine()
 			}
 			log.Printf("semkgd: re-partitioning %d shards in the background; serving unsharded until ready", shardCfg.Shards)
 			return core.NewResharding(base, prev, core.ReshardConfig{
@@ -287,15 +283,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("semkgd: %v", err)
 	}
-	if sharded, ok := eng.(*core.ShardedEngine); ok {
-		publishShardStats()
-		st := sharded.Stats()
+	deployed := core.DeploymentOf(eng)
+	if st := deployed.Sharded; st != nil {
 		log.Printf("semkgd: sharded scatter-gather: %d shards, halo %d, replication factor %.2f",
 			st.Shards, st.Halo, st.ReplicationFactor)
 	}
-	if de, ok := eng.(*core.DistEngine); ok {
-		publishDistStats()
-		st := de.Stats()
+	if st := deployed.Dist; st != nil {
 		log.Printf("semkgd: distributed coordinator: %d shards, halo %d, replicas %v (read-only)",
 			st.Shards, st.Halo, st.Replicas)
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"semkg/internal/api"
@@ -54,46 +53,21 @@ func init() {
 		}
 		return nil
 	}))
+	// The partition shape and counters of whichever engine is serving
+	// now: reads go through the current serving engine, so the numbers
+	// track generation swaps from live ingestion and the background
+	// re-partition that follows each. null when the deployment is not of
+	// that kind.
+	expvar.Publish("semkgd_shard", expvar.Func(func() any { return currentDeployment().Sharded }))
+	expvar.Publish("semkgd_dist", expvar.Func(func() any { return currentDeployment().Dist }))
 }
 
-// publishShardOnce guards the "semkgd_shard" expvar registration
-// (expvar.Publish panics on duplicates; tests build many muxes).
-var publishShardOnce sync.Once
-
-// publishShardStats exports the sharded engine's partition shape and
-// counters under the "semkgd_shard" expvar key. Reads go through the
-// current serving engine, so the numbers track generation swaps from live
-// ingestion (each Apply re-partitions the committed graph).
-func publishShardStats() {
-	publishShardOnce.Do(func() {
-		expvar.Publish("semkgd_shard", expvar.Func(func() any {
-			if s := currentServe.Load(); s != nil {
-				if se, ok := s.Engine().(*core.ShardedEngine); ok {
-					return se.Stats()
-				}
-			}
-			return nil
-		}))
-	})
-}
-
-// publishDistOnce guards the "semkgd_dist" expvar registration.
-var publishDistOnce sync.Once
-
-// publishDistStats exports the distributed coordinator's replica policy
-// counters (hedges, retries, failovers, shard errors) under the
-// "semkgd_dist" expvar key.
-func publishDistStats() {
-	publishDistOnce.Do(func() {
-		expvar.Publish("semkgd_dist", expvar.Func(func() any {
-			if s := currentServe.Load(); s != nil {
-				if de, ok := s.Engine().(*core.DistEngine); ok {
-					return de.Stats()
-				}
-			}
-			return nil
-		}))
-	})
+// currentDeployment describes the serving engine's source set.
+func currentDeployment() core.Deployment {
+	if s := currentServe.Load(); s != nil {
+		return core.DeploymentOf(s.Engine())
+	}
+	return core.Deployment{}
 }
 
 // defaultMaxIngestBytes caps one /v1/ingest request body: the whole
@@ -373,7 +347,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// A distributed coordinator serves immutable remote shard snapshots;
 	// committing a delta here would fork the coordinator's graph from the
 	// shards' and silently break search exactness.
-	if _, ok := s.srv.Engine().(*core.DistEngine); ok {
+	if core.DeploymentOf(s.srv.Engine()).Dist != nil {
 		writeJSON(w, http.StatusForbidden, map[string]string{
 			"error": "read-only coordinator; rebuild shard snapshots from the new graph and restart"})
 		return
@@ -470,18 +444,15 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"predicates": g.NumPredicates(),
 		"generation": s.srv.Generation(),
 	}
-	switch e := eng.(type) {
-	case *core.ShardedEngine:
-		resp["shards"] = e.Set().Len()
-	case *core.DistEngine:
-		resp["shards"] = len(e.Hosts())
+	d := core.DeploymentOf(eng)
+	if d.Shards > 0 {
+		resp["shards"] = d.Shards
+	}
+	if d.Dist != nil {
 		resp["distributed"] = true
-	case *core.ReshardingEngine:
-		if se := e.Sharded(); se != nil {
-			resp["shards"] = se.Set().Len()
-		} else {
-			resp["resharding"] = true
-		}
+	}
+	if d.Resharding {
+		resp["resharding"] = true
 	}
 	if s.repl != nil {
 		resp["replication"] = s.repl.healthz()

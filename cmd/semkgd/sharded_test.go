@@ -178,3 +178,103 @@ func TestShardedHealthz(t *testing.T) {
 		t.Fatalf("healthz shards = %v, want 2", body["shards"])
 	}
 }
+
+// TestShardedStatsSurviveIngest is the regression test for the monitoring
+// surface going blind after the first ingest: every commit on a sharded
+// semkgd installs a resharding engine, and once its background partition
+// is ready the semkgd_shard expvar and /healthz must describe it — with
+// the search counters inherited, so they stay monotonic across
+// generations, however many ingests deep.
+func TestShardedStatsSurviveIngest(t *testing.T) {
+	base := testEngine(t).(*core.Engine)
+	initial, err := core.NewShardedEngine(base, core.ShardConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready := make(chan struct{}, 2)
+	var sv *serve.Engine
+	build := func(g2 *kg.Graph) (core.Queryer, error) {
+		eng, err := testEngineBuilder(t)(g2)
+		if err != nil {
+			return nil, err
+		}
+		// As in main.go: the serving engine donates its counters.
+		return core.NewResharding(eng.(*core.Engine), sv.Engine(), core.ReshardConfig{
+			Shard:   core.ShardConfig{Shards: 2},
+			OnReady: func(*core.ShardedEngine) { ready <- struct{}{} },
+			OnError: func(err error) { t.Errorf("background repartition failed: %v", err) },
+		}), nil
+	}
+	sv = serve.New(initial, serve.Config{Build: build})
+	srv := httptest.NewServer(newMux(sv))
+	t.Cleanup(srv.Close)
+
+	getJSON := func(path string) map[string]any {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// shardVar reads one semkgd_shard counter, failing if the expvar has
+	// gone null.
+	shardVar := func(when, key string) float64 {
+		t.Helper()
+		st, ok := getJSON("/debug/vars")["semkgd_shard"].(map[string]any)
+		if !ok {
+			t.Fatalf("%s: semkgd_shard expvar is null", when)
+		}
+		v, ok := st[key].(float64)
+		if !ok {
+			t.Fatalf("%s: semkgd_shard.%s missing from %v", when, key, st)
+		}
+		return v
+	}
+
+	searchEntities(t, srv)
+	searches := shardVar("at start", "sharded_searches")
+	if searches < 1 || shardVar("at start", "shards") != 2 {
+		t.Fatalf("at start: %v sharded searches over %v shards, want >= 1 over 2",
+			searches, shardVar("at start", "shards"))
+	}
+
+	for i, entity := range []string{"BMW_i8", "BMW_iX"} {
+		when := "after ingest " + entity
+		resp := post(t, srv, "/v1/ingest",
+			`{"s":"`+entity+`","p":"type","o":"Automobile"}`+"\n"+`{"s":"`+entity+`","p":"assembly","o":"Germany"}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", when, resp.StatusCode)
+		}
+		select {
+		case <-ready:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: background repartition never completed", when)
+		}
+		if got := shardVar(when, "shards"); got != 2 {
+			t.Fatalf("%s: semkgd_shard.shards = %v, want 2", when, got)
+		}
+		if got := shardVar(when, "sharded_searches"); got < searches {
+			t.Fatalf("%s: sharded_searches fell from %v to %v", when, searches, got)
+		}
+		if h := getJSON("/healthz"); h["shards"] != float64(2) || h["resharding"] != nil {
+			t.Fatalf("%s: healthz = %v, want 2 shards and no resharding flag", when, h)
+		}
+		// The new generation's first search misses every cache and runs
+		// the sharded pipeline: the inherited counter keeps counting.
+		if !searchEntities(t, srv)[entity] {
+			t.Fatalf("%s: ingested entity not findable", when)
+		}
+		next := shardVar(when, "sharded_searches")
+		if next <= searches {
+			t.Fatalf("%s (generation %d): sharded_searches stuck at %v after a search", when, i+1, next)
+		}
+		searches = next
+	}
+}

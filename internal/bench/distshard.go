@@ -1,15 +1,12 @@
-// Distributed shard experiment: the MEASURED multi-process section of
-// BENCH_shard.json. Where shard.go's rows model a one-worker-per-shard
-// deployment from single-process runs, this section actually builds the
-// deployment — shard snapshot files on disk, one REAL shard server
-// process per shard (semkgd -serve-shard, launched from a binary built
-// on the spot), and the HTTP scatter-gather coordinator (core.DistEngine)
-// driving them through the serving layer under a closed-loop load — and
-// reports what the wall clock says.
+// Distributed shard experiment: the multi-process section of
+// BENCH_shard.json. Where shard.go's rows measure the partition inside
+// one process, this section builds the deployment — shard snapshot files
+// on disk, one REAL shard server process per shard (semkgd -serve-shard,
+// launched from a binary built on the spot), and the HTTP scatter-gather
+// coordinator (core.DistEngine) driving them through the serving layer
+// under a closed-loop load — and reports what the wall clock says.
 //
-// The distinction is carried in the artifact itself: the modeled rows
-// keep their "speedup" fields and methodology sentence; the distributed
-// section has its own methodology string, its own env block (the
+// The section carries its own methodology string, its own env block (the
 // coordinator's GOMAXPROCS is forced above 1 so the gather path can
 // overlap the per-shard streams), and a launcher label saying whether
 // the servers were real subprocesses or in-process stand-ins (tests).
@@ -39,15 +36,15 @@ import (
 )
 
 // distShardMethodology is embedded in the distributed section so the
-// artifact is self-describing about measured vs modeled numbers.
+// artifact says how its numbers were taken.
 const distShardMethodology = "every number in this section is measured wall-clock: shard snapshot " +
 	"files are partitioned to disk, one shard server per shard answers /v1/shard/search over real " +
 	"HTTP (see launcher for whether servers are subprocesses or in-process test stand-ins), and the " +
 	"scatter-gather coordinator serves a closed-loop agent load; qps_gain_vs_1 and p50_gain_vs_1 " +
 	"compare against the 1-shard distributed run so process and wire overhead are charged to both " +
-	"sides, local_* fields are the same load on the plain in-process engine; unlike the modeled " +
-	"speedup fields above, nothing here extrapolates — on a single-CPU host (see cpus) the " +
-	"multi-shard rows can only show coordination overhead, not parallel speedup"
+	"sides, local_* fields are the same load on the plain in-process engine; nothing here " +
+	"extrapolates — on a single-CPU host (see cpus) the multi-shard rows can only show " +
+	"coordination overhead, not parallel speedup"
 
 // DistShardConfig sizes the measured distributed run.
 type DistShardConfig struct {

@@ -73,7 +73,7 @@ func TestRunDistShardShape(t *testing.T) {
 
 	// The section must survive the artifact round trip and render as part
 	// of the shard table.
-	res := &ShardResult{Methodology: shardMethodology, Distributed: sec}
+	res := &ShardResult{Distributed: sec}
 	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)

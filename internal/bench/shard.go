@@ -3,26 +3,17 @@
 // the sharding axis the ROADMAP's production north star calls for. Run via
 // `go run ./cmd/kgbench -exp shard` (writes BENCH_shard.json).
 //
-// Two families of numbers, both from real executions:
-//
-//   - Measured: end-to-end per-query latency of the sharded engine on this
-//     host, against the single-engine baseline. On a single-core host the
-//     sharded run cannot be faster — A* path enumeration over the
-//     partitioned first hops is essentially conserved (reported as
-//     work_vs_single, ~1.0) — so the measured delta *is* the cross-shard
-//     machinery cost: partition lookups, match remapping, the k-way
-//     merge. That overhead is reported as MeasuredOverheadPct.
-//
-//   - Modeled speedup: the work-distribution (critical-path) speedup with
-//     one worker per shard, computed from the same runs: the search
-//     component of the measured sharded latency parallelizes to the
-//     heaviest shard's share (makespan, from the per-shard A* expansion
-//     counts), the merge/assembly tail stays serial (Amdahl), and the
-//     modeled latency is compared against the measured single-engine
-//     baseline — so the cross-shard overhead is charged in full before
-//     the partition earns anything back. Balance = makespan/total work:
-//     1/N is a perfect partition, 1.0 means one shard owns all the work
-//     and sharding buys nothing.
+// Every number is measured, from real executions: end-to-end per-query
+// latency of the sharded engine on this host against the single-engine
+// baseline, and the per-shard A* expansion counts of the same runs. On a
+// single-core host the sharded run cannot be faster — A* path enumeration
+// over the partitioned first hops is essentially conserved (reported as
+// work_vs_single, ~1.0) — so the measured delta *is* the cross-shard
+// machinery cost: projection, match remapping, the k-way merge. That
+// overhead is reported as MeasuredOverheadPct. Balance = makespan/total
+// work says how evenly the partition spread the search: 1/N is a perfect
+// partition, 1.0 means one shard owns all the work. Every sharded answer
+// is checked against the single engine's as it is measured.
 package bench
 
 import (
@@ -35,15 +26,6 @@ import (
 	"semkg/internal/core"
 	"semkg/internal/datagen"
 )
-
-// shardMethodology documents how the modeled speedup is computed; it is
-// embedded in the artifact so the JSON is self-describing.
-const shardMethodology = "measured_* fields are wall-clock on this host; speedup fields are " +
-	"modeled for a one-worker-per-shard deployment from the same runs: the search component " +
-	"of the measured sharded latency (search_share=0.9, including every per-shard cost the " +
-	"partition added) parallelizes to the heaviest shard's work share (balance, from per-shard " +
-	"A* expansion counts), the merge/assembly tail stays serial (Amdahl), and the result is " +
-	"compared against the measured single-engine baseline"
 
 // ShardRow is one shard-count configuration.
 type ShardRow struct {
@@ -69,12 +51,9 @@ type ShardRow struct {
 	WorkVsSingle float64 `json:"work_vs_single"`
 	// Balance = WorkMakespan/WorkTotal (1/Shards is ideal).
 	Balance float64 `json:"balance"`
-	// SearchSpeedup = WorkTotal/WorkMakespan: the scatter phase's
-	// critical-path speedup with one worker per shard.
-	SearchSpeedup float64 `json:"search_speedup"`
-	// Speedup is the modeled end-to-end speedup vs the single engine:
-	// baseline / (search·balance + serial remainder).
-	Speedup float64 `json:"speedup"`
+	// Fallbacks counts searches the partition could not serve (MaxHops
+	// beyond the halo); the rows only price scatter-gather when it is 0.
+	Fallbacks uint64 `json:"halo_fallbacks"`
 }
 
 // ShardResult is the experiment artifact (BENCH_shard.json).
@@ -85,12 +64,10 @@ type ShardResult struct {
 	K           int        `json:"k"`
 	Queries     int        `json:"queries"`
 	Repetitions int        `json:"repetitions"`
-	Methodology string     `json:"methodology"`
 	BaselineUs  float64    `json:"baseline_mean_us"`
 	Rows        []ShardRow `json:"configs"`
 	// Distributed is the measured multi-process section: real shard
 	// server processes behind the HTTP coordinator (see distshard.go).
-	// Its rows are wall-clock, never modeled.
 	Distributed *DistShardSection `json:"distributed,omitempty"`
 }
 
@@ -125,12 +102,15 @@ func RunShard(env *Env, short bool) (*ShardResult, error) {
 		K:           k,
 		Queries:     len(qs),
 		Repetitions: reps,
-		Methodology: shardMethodology,
 	}
 
-	// Baseline: the single engine on the same queries.
+	// Baseline: the single engine on the same queries. Its answers are
+	// the reference every sharded answer is held to.
+	want := make(map[*datagen.GenQuery]*core.Result, len(qs))
 	baselineLat, singleWork, err := runShardWorkload(ctx, reps, qs, func(q *datagen.GenQuery) (*core.Result, error) {
-		return env.Engine.Search(ctx, q.Graph, opts)
+		r, err := env.Engine.Search(ctx, q.Graph, opts)
+		want[q] = r
+		return r, err
 	})
 	if err != nil {
 		return nil, err
@@ -150,6 +130,12 @@ func RunShard(env *Env, short bool) (*ShardResult, error) {
 			r, err := se.Search(ctx, q.Graph, opts)
 			if err != nil {
 				return nil, err
+			}
+			if err := sameScores(r, want[q]); err != nil {
+				return nil, fmt.Errorf("%d shards diverge from the single engine: %w", n, err)
+			}
+			if len(r.ShardEffort) != n {
+				return nil, fmt.Errorf("%d shards reported effort for %d", n, len(r.ShardEffort))
 			}
 			sum, max := 0, 0
 			for _, st := range r.ShardEffort {
@@ -174,6 +160,7 @@ func RunShard(env *Env, short bool) (*ShardResult, error) {
 			MeasuredP50Us:     percentile(sortedLatencies(lat), 0.5),
 			WorkTotal:         totalWork / runs,
 			WorkMakespan:      makespanWork / runs,
+			Fallbacks:         se.Stats().Fallbacks,
 		}
 		if singleWork > 0 {
 			row.WorkVsSingle = shardedWork / singleWork
@@ -181,35 +168,25 @@ func RunShard(env *Env, short bool) (*ShardResult, error) {
 		row.MeasuredOverheadPct = 100 * (row.MeasuredMeanUs - res.BaselineUs) / res.BaselineUs
 		if row.WorkTotal > 0 {
 			row.Balance = row.WorkMakespan / row.WorkTotal
-			row.SearchSpeedup = row.WorkTotal / row.WorkMakespan
-		}
-		// Modeled end-to-end latency with one worker per shard: the search
-		// component of the *measured sharded run* — which includes every
-		// per-shard cost the partition added (per-shard weighters, m(u)
-		// recomputation, searcher setup; the CPU profile places the
-		// measured overhead there, not in the coordinator's merge) —
-		// parallelizes to the heaviest shard's work share; the remaining
-		// tail (k-way merge, TA assembly, rendering) stays serial. The
-		// speedup is measured-vs-modeled against the single-engine
-		// baseline, so the cross-shard overhead is charged in full before
-		// the partition earns anything back.
-		searchUs := row.MeasuredMeanUs * searchShare
-		tailUs := row.MeasuredMeanUs - searchUs
-		modeledUs := searchUs*row.Balance + tailUs
-		if modeledUs > 0 {
-			row.Speedup = res.BaselineUs / modeledUs
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// searchShare is the fraction of single-engine query latency spent
-// producing matches (A* expansion inside the searchers), as opposed to the
-// serial TA bookkeeping and answer rendering. The expansion loop dominates
-// the profile; 0.9 is a deliberately conservative attribution (a larger
-// serial tail lowers every modeled speedup).
-const searchShare = 0.9
+// sameScores reports how got's ranked score vector differs from want's.
+// Entities may legally differ inside a tie group; the scores may not.
+func sameScores(got, want *core.Result) error {
+	if len(got.Answers) != len(want.Answers) {
+		return fmt.Errorf("%d answers, want %d", len(got.Answers), len(want.Answers))
+	}
+	for i := range want.Answers {
+		if d := got.Answers[i].Score - want.Answers[i].Score; d > 1e-9 || d < -1e-9 {
+			return fmt.Errorf("rank %d scores %v, want %v", i, got.Answers[i].Score, want.Answers[i].Score)
+		}
+	}
+	return nil
+}
 
 // runShardWorkload runs reps passes over the workload, returning the
 // per-query latencies and the accumulated A* expansions.
@@ -259,7 +236,7 @@ func (r *ShardResult) Render() *Table {
 		Title: fmt.Sprintf("Sharded scatter-gather (%s, %s, k=%d, baseline %.0f µs/query, %d CPUs)",
 			r.Dataset, r.Scale, r.K, r.BaselineUs, r.CPUs),
 		Header: []string{"shards", "partition ms", "repl", "measured µs", "overhead",
-			"balance", "search speedup", "e2e speedup"},
+			"balance", "work vs single", "fallbacks"},
 	}
 	for _, row := range r.Rows {
 		t.AddRow(
@@ -269,8 +246,8 @@ func (r *ShardResult) Render() *Table {
 			fmt.Sprintf("%.0f", row.MeasuredMeanUs),
 			fmt.Sprintf("%+.1f%%", row.MeasuredOverheadPct),
 			fmt.Sprintf("%.2f", row.Balance),
-			fmt.Sprintf("%.1fx", row.SearchSpeedup),
-			fmt.Sprintf("%.1fx", row.Speedup),
+			fmt.Sprintf("%.2fx", row.WorkVsSingle),
+			fmt.Sprintf("%d", row.Fallbacks),
 		)
 	}
 	if r.Distributed != nil {

@@ -1,0 +1,163 @@
+package core
+
+import (
+	"context"
+	"testing"
+	"time"
+)
+
+// TestOneEventContract pins the single pipeline's contract across every
+// deployment shape: the same generated queries, exact and time-bounded,
+// run through the whole-graph engine, an in-process partition, a
+// coordinator over httptest shard servers, and a resharding engine on
+// both sides of its swap. Every shape must return the reference result
+// (answers, pivot, approximate flag, per-sub collected counts) and emit
+// the same event skeleton:
+//
+//	search → per-source progress, exactly one Done each → assemble with
+//	per-sub-query counts → at least one topk → result
+func TestOneEventContract(t *testing.T) {
+	ctx := context.Background()
+	ds, e := tinyWorld(t, 17)
+
+	gate := make(chan struct{})
+	ready := make(chan struct{})
+	resharding := NewResharding(e, nil, ReshardConfig{
+		Shard:   ShardConfig{Shards: 3},
+		Gate:    func() { <-gate },
+		OnReady: func(*ShardedEngine) { close(ready) },
+		OnError: func(err error) { t.Errorf("background partition failed: %v", err) },
+	})
+	shapes := []struct {
+		name   string
+		q      Queryer
+		shards int    // partition size progress events may name; 0 = whole graph
+		before func() // runs once before the shape's queries
+	}{
+		{name: "single", q: e},
+		{name: "sharded", q: shardedOver(t, e, 3), shards: 3},
+		{name: "distributed", q: distOver(t, e, 3, 1, DistConfig{}).de, shards: 3},
+		{name: "resharding/before", q: resharding},
+		{name: "resharding/after", q: resharding, shards: 3, before: func() {
+			close(gate)
+			select {
+			case <-ready:
+			case <-time.After(30 * time.Second):
+				t.Fatal("background partition never became ready")
+			}
+		}},
+	}
+	modes := []struct {
+		name string
+		opts Options
+	}{
+		{"sgq", Options{K: 5, Tau: 0.5, MaxHops: 3}},
+		{"tbq", Options{K: 5, Tau: 0.5, MaxHops: 3, TimeBound: time.Hour}},
+	}
+
+	for _, shape := range shapes {
+		if shape.before != nil {
+			shape.before()
+		}
+		for _, mode := range modes {
+			for _, q := range shardedWorkload(ds)[:4] {
+				name := shape.name + "/" + mode.name + "/" + q.Name
+				want, err := e.Search(ctx, q.Graph, mode.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := shape.q.Stream(ctx, q.Graph, mode.opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				events, got := drainStream(t, st)
+				if err := st.Err(); err != nil {
+					t.Fatalf("%s: stream failed: %v", name, err)
+				}
+
+				assertTopKEquivalent(t, name, got, want)
+				if got.Approximate != want.Approximate {
+					t.Errorf("%s: approximate %v, want %v", name, got.Approximate, want.Approximate)
+				}
+				if len(got.SearchStats) != len(want.SearchStats) {
+					t.Errorf("%s: %d search stats, want %d", name, len(got.SearchStats), len(want.SearchStats))
+				}
+				if len(got.Collected) != len(want.Collected) {
+					t.Fatalf("%s: collected %v, want %v", name, got.Collected, want.Collected)
+				}
+				for i := range want.Collected {
+					if got.Collected[i] != want.Collected[i] {
+						t.Errorf("%s: collected %v, want %v", name, got.Collected, want.Collected)
+						break
+					}
+				}
+				if (got.ShardEffort != nil) != (shape.shards > 0) || shape.shards > 0 && len(got.ShardEffort) != shape.shards {
+					t.Errorf("%s: %d shard-effort entries over a %d-shard deployment", name, len(got.ShardEffort), shape.shards)
+				}
+				checkEventOrdering(t, name, events, got)
+				checkEventSkeleton(t, name, events, len(want.SearchStats), shape.shards)
+			}
+		}
+	}
+}
+
+// checkEventSkeleton asserts the part of the contract checkEventOrdering
+// leaves open: the first event opens the search phase; every source that
+// reports progress — a (shard, sub-query) pair — closes with exactly one
+// Done update, its last, before the assemble phase; and the assemble event
+// carries one count per sub-query.
+func checkEventSkeleton(t *testing.T, name string, events []Event, subs, shards int) {
+	t.Helper()
+	if pe, ok := events[0].(PhaseEvent); !ok || pe.Phase != PhaseSearch {
+		t.Fatalf("%s: first event %+v, want the search phase", name, events[0])
+	}
+	type source struct{ shard, sub int }
+	done := make(map[source]int)
+	assembled, topks := false, 0
+	for _, ev := range events {
+		switch ev := ev.(type) {
+		case ProgressEvent:
+			src := source{ev.Shard, ev.Sub}
+			if assembled {
+				t.Errorf("%s: progress for %+v after the assemble phase", name, src)
+			}
+			if (shards == 0) != (ev.Shard == 0) || ev.Shard > shards {
+				t.Errorf("%s: progress names shard %d of %d", name, ev.Shard, shards)
+			}
+			if done[src] > 0 {
+				t.Errorf("%s: source %+v reported progress after its Done", name, src)
+			}
+			if ev.Done {
+				done[src]++
+			} else if _, seen := done[src]; !seen {
+				done[src] = 0
+			}
+		case PhaseEvent:
+			if ev.Phase != PhaseAssemble {
+				continue
+			}
+			assembled = true
+			if ev.Collected == nil || len(ev.Collected) != subs {
+				t.Errorf("%s: assemble phase carries counts %v, want one per %d sub-queries", name, ev.Collected, subs)
+			}
+		case TopKEvent:
+			if !assembled {
+				t.Errorf("%s: topk before the assemble phase", name)
+			}
+			topks++
+		}
+	}
+	if !assembled || topks == 0 {
+		t.Errorf("%s: assemble phase seen %v, %d topk events", name, assembled, topks)
+	}
+	seenSubs := make(map[int]bool)
+	for src, n := range done {
+		if n != 1 {
+			t.Errorf("%s: source %+v reported Done %d times, want exactly once", name, src, n)
+		}
+		seenSubs[src.sub] = true
+	}
+	if len(seenSubs) != subs {
+		t.Errorf("%s: progress covered %d of %d sub-queries", name, len(seenSubs), subs)
+	}
+}

@@ -1,31 +1,28 @@
 // Distributed scatter-gather execution: a DistEngine is the coordinator
-// half of the multi-process sharded pipeline (semkgd -shard-hosts). It
-// compiles queries once, globally, against its own base engine — exactly
-// as ShardedEngine does — but scatters the per-(shard, sub-query)
-// searches over HTTP to shard servers (shard.Server, semkgd
-// -serve-shard) instead of goroutines, gathers the sorted remote match
-// streams through the same demand-driven k-way merger, and assembles
-// them in the unchanged TA assembly. It implements Queryer, so the
-// serving layer's caches, singleflight and admission control work over
-// it unchanged.
+// half of the multi-process sharded pipeline (semkgd -shard-hosts). It is
+// the engine's one gather pipeline run over remote match sources:
+// queries compile once, globally, against the coordinator's own base
+// graph — exactly as for an in-process partition — and each (shard,
+// sub-query) search streams over HTTP from a shard server (shard.Server,
+// semkgd -serve-shard) instead of a goroutine-local searcher.
 //
 // Exactness across the process boundary rests on the same three
 // invariants as the in-process sharded engine (see sharded.go and
-// DESIGN.md, "Distributed sharding"): first-hop ownership partitions the
-// path space, semantics are resolved once globally and only *projected*
+// DESIGN.md, "Scatter-gather"): first-hop ownership partitions the path
+// space, semantics are resolved once globally and only *projected*
 // remotely, and the gather is deterministically tie-broken. The wire
 // adds a fourth: exact-mode shard streams are deterministic per (shard
 // snapshot, request), so replicas are interchangeable mid-stream — a
 // consumed prefix of one replica's stream plus the Offset-resumed
 // suffix of another's is byte-identical to either stream whole.
 //
-// Failure policy: requests to a shard's replicas are hedged after a
-// per-replica latency-EWMA threshold, failed attempts are retried with
-// capped jittered backoff on the next replica (resuming mid-stream via
-// Offset), and a shard whose every replica is dead fails the search
-// with a typed *ShardUnavailableError — never a silently partial (and
-// therefore possibly wrong) top-k, never a hang past the caller's
-// deadline.
+// Failure policy, all of it behind the remote source: requests to a
+// shard's replicas are hedged after a per-replica latency-EWMA threshold,
+// failed attempts are retried with capped jittered backoff on the next
+// replica (resuming mid-stream via Offset), and a shard whose every
+// replica is dead fails the search with a typed *ShardUnavailableError —
+// never a silently partial (and therefore possibly wrong) top-k, never a
+// hang past the caller's deadline.
 
 package core
 
@@ -33,11 +30,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,10 +43,8 @@ import (
 
 	"semkg/internal/astar"
 	"semkg/internal/kg"
-	"semkg/internal/merge"
-	"semkg/internal/query"
 	"semkg/internal/shardwire"
-	"semkg/internal/ta"
+	"semkg/internal/tbq"
 )
 
 // DistConfig tunes the coordinator's replica policy. The zero value is
@@ -141,9 +137,18 @@ type DistStats struct {
 }
 
 // DistEngine is the scatter-gather coordinator over remote shard
-// servers. Construct with NewDistEngine; safe for concurrent use.
+// servers: the embedded Engine shares the base engine's world (global
+// compilation, answer rendering, halo fallbacks) and gathers its runs
+// from one remote source per (shard, sub-query). Construct with
+// NewDistEngine; safe for concurrent use.
 type DistEngine struct {
-	base  *Engine
+	*Engine
+	remote *distBackend
+}
+
+// distBackend opens one HTTP match source per (shard, sub-query) and holds
+// the replica policy state they share.
+type distBackend struct {
 	hosts [][]string // hosts[shard] = replica base URLs
 	halo  int
 	cfg   DistConfig
@@ -153,20 +158,18 @@ type DistEngine struct {
 	ewmaNs [][]atomic.Int64
 	rr     atomic.Uint64 // round-robin start replica, for load spread
 
-	searches    atomic.Uint64
-	fallbacks   atomic.Uint64
 	hedges      atomic.Uint64
 	retries     atomic.Uint64
 	failovers   atomic.Uint64
 	shardErrors atomic.Uint64
 }
 
-// NewDistEngine wraps base (the coordinator's own whole-graph engine,
-// used for global compilation, answer rendering and halo fallbacks) over
-// remote shard servers. hosts[s] lists the replica base URLs serving
-// shard s; every replica must be reachable and must validate against the
-// base graph at construction (shard count, halo, and sampled node names
-// must agree — a stale or foreign shard snapshot is rejected rather than
+// NewDistEngine derives a coordinator from base (whose whole graph serves
+// global compilation, answer rendering and halo fallbacks) over remote
+// shard servers. hosts[s] lists the replica base URLs serving shard s;
+// every replica must be reachable and must validate against the base
+// graph at construction (shard count, halo, and sampled node names must
+// agree — a stale or foreign shard snapshot is rejected rather than
 // silently producing wrong search results). Replicas may die later;
 // searches then hedge, retry and fail over.
 func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*DistEngine, error) {
@@ -176,50 +179,48 @@ func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*DistEngine,
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("core: no shard hosts")
 	}
-	cfg = cfg.withDefaults()
-	de := &DistEngine{base: base, hosts: make([][]string, len(hosts)), halo: -1, cfg: cfg}
+	b := &distBackend{hosts: make([][]string, len(hosts)), halo: -1, cfg: cfg.withDefaults()}
+	b.ewmaNs = make([][]atomic.Int64, len(hosts))
 	for s, reps := range hosts {
 		if len(reps) == 0 {
 			return nil, fmt.Errorf("core: shard %d has no replicas", s)
 		}
 		for _, h := range reps {
-			de.hosts[s] = append(de.hosts[s], strings.TrimRight(h, "/"))
+			b.hosts[s] = append(b.hosts[s], strings.TrimRight(h, "/"))
 		}
-	}
-	de.ewmaNs = make([][]atomic.Int64, len(hosts))
-	for s := range de.hosts {
-		de.ewmaNs[s] = make([]atomic.Int64, len(de.hosts[s]))
+		b.ewmaNs[s] = make([]atomic.Int64, len(reps))
 	}
 	// Validate every replica once, caching per distinct URL (one process
 	// may serve several shards, and a URL may replicate several shards).
 	metas := make(map[string]*shardwire.Meta)
-	for s, reps := range de.hosts {
+	for s, reps := range b.hosts {
 		for _, h := range reps {
 			meta, ok := metas[h]
 			if !ok {
 				var err error
-				meta, err = de.fetchMeta(h)
+				meta, err = b.fetchMeta(h)
 				if err != nil {
 					return nil, fmt.Errorf("core: shard %d replica %s: %w", s, h, err)
 				}
 				metas[h] = meta
 			}
-			if err := de.validateReplica(meta, s, h); err != nil {
+			if err := b.validateReplica(base.Graph(), meta, s, h); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return de, nil
+	ss := &sourceSet{backend: b, shards: len(b.hosts), workers: runtime.GOMAXPROCS(0)}
+	return &DistEngine{Engine: base.over(ss), remote: b}, nil
 }
 
-func (de *DistEngine) fetchMeta(host string) (*shardwire.Meta, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), de.cfg.MetaTimeout)
+func (b *distBackend) fetchMeta(host string) (*shardwire.Meta, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), b.cfg.MetaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, host+shardwire.PathMeta, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := de.cfg.Client.Do(req)
+	resp, err := b.cfg.Client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -235,22 +236,21 @@ func (de *DistEngine) fetchMeta(host string) (*shardwire.Meta, error) {
 }
 
 // validateReplica cross-checks one replica's claim to serve shard s of
-// this coordinator's world.
-func (de *DistEngine) validateReplica(meta *shardwire.Meta, s int, host string) error {
-	g := de.base.Graph()
+// the coordinator's world g.
+func (b *distBackend) validateReplica(g *kg.Graph, meta *shardwire.Meta, s int, host string) error {
 	for i := range meta.Shards {
 		info := &meta.Shards[i]
 		if info.Index != s {
 			continue
 		}
-		if info.Shards != len(de.hosts) {
+		if info.Shards != len(b.hosts) {
 			return fmt.Errorf("core: replica %s partitions into %d shards, coordinator expects %d",
-				host, info.Shards, len(de.hosts))
+				host, info.Shards, len(b.hosts))
 		}
-		if de.halo == -1 {
-			de.halo = info.Halo
-		} else if info.Halo != de.halo {
-			return fmt.Errorf("core: replica %s has halo %d, other replicas have %d", host, info.Halo, de.halo)
+		if b.halo == -1 {
+			b.halo = info.Halo
+		} else if info.Halo != b.halo {
+			return fmt.Errorf("core: replica %s has halo %d, other replicas have %d", host, info.Halo, b.halo)
 		}
 		if int(info.MaxGlobalNode) >= g.NumNodes() {
 			return fmt.Errorf("core: replica %s shard %d maps node %d beyond the base graph's %d nodes (stale shard snapshot?)",
@@ -267,442 +267,100 @@ func (de *DistEngine) validateReplica(meta *shardwire.Meta, s int, host string) 
 	return fmt.Errorf("core: replica %s does not hold shard %d", host, s)
 }
 
-// Base returns the local whole-graph engine used for compilation,
-// rendering and fallbacks.
-func (de *DistEngine) Base() *Engine { return de.base }
-
-// Graph implements Queryer.
-func (de *DistEngine) Graph() *kg.Graph { return de.base.Graph() }
-
-// PerMatchCost implements Queryer; distribution does not change the TA
-// assembly cost model (the assembly runs on the coordinator).
-func (de *DistEngine) PerMatchCost() time.Duration { return de.base.PerMatchCost() }
-
 // Halo returns the remote partition's replication radius.
-func (de *DistEngine) Halo() int { return de.halo }
-
-// Hosts returns the per-shard replica URL lists.
-func (de *DistEngine) Hosts() [][]string {
-	out := make([][]string, len(de.hosts))
-	for s := range de.hosts {
-		out[s] = append([]string(nil), de.hosts[s]...)
-	}
-	return out
-}
+func (de *DistEngine) Halo() int { return de.remote.halo }
 
 // Stats snapshots the coordinator's counters.
-func (de *DistEngine) Stats() DistStats {
+func (de *DistEngine) Stats() DistStats { return de.remote.stats(de.sources.Load()) }
+
+func (b *distBackend) stats(ss *sourceSet) DistStats {
 	st := DistStats{
-		Shards:      len(de.hosts),
-		Halo:        de.halo,
-		Searches:    de.searches.Load(),
-		Fallbacks:   de.fallbacks.Load(),
-		Hedges:      de.hedges.Load(),
-		Retries:     de.retries.Load(),
-		Failovers:   de.failovers.Load(),
-		ShardErrors: de.shardErrors.Load(),
+		Shards:      ss.shards,
+		Halo:        b.halo,
+		Searches:    ss.searches.Load(),
+		Fallbacks:   ss.fallbacks.Load(),
+		Hedges:      b.hedges.Load(),
+		Retries:     b.retries.Load(),
+		Failovers:   b.failovers.Load(),
+		ShardErrors: b.shardErrors.Load(),
 	}
-	for _, reps := range de.hosts {
+	for _, reps := range b.hosts {
 		st.Replicas = append(st.Replicas, len(reps))
 	}
 	return st
 }
 
-// DistPlan is a compiled query for the coordinator: the base plan plus
-// its global blueprints in wire form, ready to ship to any shard.
-// Immutable and safe for concurrent reuse.
-type DistPlan struct {
-	de   *DistEngine
-	base *Plan
-	wire []shardwire.Blueprint
+// serves: the remote shard graphs cannot contain paths longer than the
+// halo, and a test Clock cannot cross a process boundary.
+func (b *distBackend) serves(opts Options) bool {
+	return opts.MaxHops <= b.halo && opts.Clock == nil
 }
 
-// Pivot implements CompiledPlan.
-func (p *DistPlan) Pivot() string { return p.base.Pivot() }
-
-// Compiled implements CompiledPlan.
-func (p *DistPlan) Compiled() bool { return p.base.Compiled() }
-
-// PlannedBy implements CompiledPlan.
-func (p *DistPlan) PlannedBy(q Queryer) bool {
-	d, ok := q.(*DistEngine)
-	return ok && p != nil && p.de == d
+// project: every shard server takes the same wire blueprint and projects
+// it into its own id space itself.
+func (b *distBackend) project(p *Plan) error {
+	_, err := p.WireBlueprints()
+	return err
 }
 
-// WireBlueprints projects the plan's sub-query blueprints into wire form:
-// base-graph ids and predicate-name→weight rows, resolved once globally.
-// This is the distributed twin of ShardedEngine's per-shard projection —
-// except the id projection happens server-side, so one wire blueprint
-// serves every shard.
-func (p *Plan) WireBlueprints() ([]shardwire.Blueprint, error) {
-	if !p.compiled {
-		return nil, nil
-	}
-	g := p.eng.Graph()
-	out := make([]shardwire.Blueprint, len(p.subs))
-	for i, ps := range p.subs {
-		bp := shardwire.Blueprint{Anchors: make([]uint32, len(ps.sub.Anchors))}
-		for j, a := range ps.sub.Anchors {
-			bp.Anchors[j] = uint32(a)
-		}
-		bp.EndSets = make([][]uint32, len(ps.sub.EndSets))
-		for j, set := range ps.sub.EndSets {
-			es := make([]uint32, 0, len(set))
-			for u := range set {
-				es = append(es, uint32(u))
-			}
-			sort.Slice(es, func(a, b int) bool { return es[a] < es[b] })
-			bp.EndSets[j] = es
-		}
-		rows, err := p.eng.rows.Rows(ps.preds)
-		if err != nil {
-			return nil, err
-		}
-		bp.Rows = make([]map[string]float64, len(rows))
-		for seg, row := range rows {
-			named := make(map[string]float64, len(row))
-			for pid, w := range row {
-				named[g.PredName(kg.PredID(pid))] = w
-			}
-			bp.Rows[seg] = named
-		}
-		out[i] = bp
-	}
-	return out, nil
-}
-
-// Compile resolves q once against the base graph and projects the
-// blueprints into wire form. One plan serves any K or time budget.
-func (de *DistEngine) Compile(q *query.Graph, opts Options) (*DistPlan, error) {
-	bp, err := de.base.Compile(q, opts)
+// open starts one remote source per (shard, sub-query). Exact-mode
+// sources stream ahead of the assembly from the moment they open; eager
+// sources fetch when the pipeline collects them. Each server runs its
+// eager search under a local estimator whose per-match cost is pre-scaled
+// by the shard count (it only sees its own collection count; scaling t by
+// N keeps the distributed alert at least as conservative as the
+// in-process shared estimator).
+func (b *distBackend) open(ctx context.Context, p *Plan, opts Options) ([][]matchSource, func() error, error) {
+	wire, err := p.WireBlueprints()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	wire, err := bp.WireBlueprints()
-	if err != nil {
-		return nil, err
-	}
-	return &DistPlan{de: de, base: bp, wire: wire}, nil
-}
-
-// CompileQuery implements Queryer.
-func (de *DistEngine) CompileQuery(q *query.Graph, opts Options) (CompiledPlan, error) {
-	p, err := de.Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Search implements Queryer: the batch form of Stream, same pipeline.
-func (de *DistEngine) Search(ctx context.Context, q *query.Graph, opts Options) (*Result, error) {
-	p, err := de.Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return de.searchPlan(ctx, p, opts)
-}
-
-// Stream implements Queryer.
-func (de *DistEngine) Stream(ctx context.Context, q *query.Graph, opts Options) (*Stream, error) {
-	p, err := de.Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return de.streamPlan(ctx, p, opts, false)
-}
-
-// SearchCompiled implements Queryer.
-func (de *DistEngine) SearchCompiled(ctx context.Context, p CompiledPlan, opts Options) (*Result, error) {
-	dp, err := de.plan(p)
-	if err != nil {
-		return nil, err
-	}
-	return de.searchPlan(ctx, dp, opts)
-}
-
-// StreamCompiled implements Queryer.
-func (de *DistEngine) StreamCompiled(ctx context.Context, p CompiledPlan, opts Options) (*Stream, error) {
-	dp, err := de.plan(p)
-	if err != nil {
-		return nil, err
-	}
-	return de.streamPlan(ctx, dp, opts, false)
-}
-
-func (de *DistEngine) searchPlan(ctx context.Context, dp *DistPlan, opts Options) (*Result, error) {
-	s, err := de.streamPlan(ctx, dp, opts, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return s.Result(), nil
-}
-
-func (de *DistEngine) plan(p CompiledPlan) (*DistPlan, error) {
-	dp, ok := p.(*DistPlan)
-	if !ok {
-		return nil, fmt.Errorf("core: plan of type %T was not compiled by a distributed coordinator", p)
-	}
-	if dp.de != de {
-		return nil, fmt.Errorf("core: plan was compiled by a different coordinator")
-	}
-	return dp, nil
-}
-
-// streamPlan validates, then runs the distributed pipeline — or the
-// local base pipeline when the remote partition cannot serve the request
-// (MaxHops beyond the halo, or a test Clock, which cannot cross a
-// process boundary).
-func (de *DistEngine) streamPlan(ctx context.Context, dp *DistPlan, opts Options, quiet bool) (*Stream, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, badRequest(err)
-	}
-	opts = opts.withDefaults()
-	if err := dp.base.check(de.base, opts); err != nil {
-		return nil, err
-	}
-	if opts.MaxHops > de.halo || opts.Clock != nil {
-		de.fallbacks.Add(1)
-		return de.base.startStream(ctx, dp.base, opts, quiet)
-	}
-	if opts.TimeBound > 0 {
-		de.base.perMatchCost() // calibrate outside the timed window
-	}
-	de.searches.Add(1)
-	start := time.Now()
-	buffer := streamBuffer
-	if quiet {
-		buffer = 0
-	}
-	s := &Stream{events: make(chan Event, buffer), done: make(chan struct{}), quiet: quiet}
-	if quiet {
-		de.runDist(ctx, s, dp, opts, start)
-	} else {
-		go de.runDist(ctx, s, dp, opts, start)
-	}
-	return s, nil
-}
-
-// runDist is the pipeline goroutine behind the coordinator's Stream; it
-// mirrors ShardedEngine.runSharded with remote sources.
-func (de *DistEngine) runDist(ctx context.Context, s *Stream, dp *DistPlan, opts Options, start time.Time) {
-	d := dp.base.d
-	res := &Result{Decomposition: d}
-	if dp.base.compiled {
-		var finals []ta.Final
-		var err error
-		if opts.TimeBound > 0 {
-			finals, err = de.gatherTBQ(ctx, s, dp, opts, res)
-		} else {
-			finals, err = de.gatherSGQ(ctx, s, dp, opts, res)
-		}
-		if err != nil {
-			de.shardErrors.Add(1)
-			s.fail(err)
-			return
-		}
-		res.Answers = de.base.renderAnswers(finals, d)
-		lk, umax, round := s.lastBounds()
-		s.emit(TopKEvent{Answers: res.Answers, LowerK: lk, UpperMax: umax, Round: round})
-	}
-	res.Elapsed = time.Since(start)
-	s.res = res
-	s.emit(ResultEvent{Result: res})
-	close(s.events)
-	close(s.done)
-}
-
-// gatherState is the shared failure slot of one scatter: the first
-// source to exhaust its retries records the typed error and cancels the
-// whole fetch, so the query fails fast instead of finishing a doomed
-// assembly.
-type gatherState struct {
-	cancel context.CancelFunc
-	mu     sync.Mutex
-	err    error
-}
-
-func (gs *gatherState) fail(err error) {
-	gs.mu.Lock()
-	if gs.err == nil {
-		gs.err = err
-	}
-	gs.mu.Unlock()
-	gs.cancel()
-}
-
-func (gs *gatherState) failure() error {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	return gs.err
-}
-
-// baseRequest assembles the wire request for one (shard, sub) search.
-func (dp *DistPlan) baseRequest(shard, sub int, opts Options) shardwire.SearchRequest {
-	return shardwire.SearchRequest{
-		Shard:        shard,
-		Sub:          sub,
-		Blueprint:    dp.wire[sub],
-		Tau:          dp.base.copts.tau,
-		MaxHops:      dp.base.copts.maxHops,
-		NoHeuristic:  dp.base.copts.noHeuristic,
-		PruneVisited: dp.base.copts.pruneVisited,
-	}
-}
-
-// gatherSGQ is the exact-mode distributed scatter-gather: one remote
-// source per (shard, sub) streams sorted matches into a buffered
-// channel; per-sub-query sorted mergers (shard-major source order, the
-// same deterministic tie-break as in-process) feed the TA assembly,
-// which consumes on demand while the sources fill their buffers
-// concurrently.
-func (de *DistEngine) gatherSGQ(ctx context.Context, s *Stream, dp *DistPlan, opts Options, res *Result) ([]ta.Final, error) {
-	nsub := len(dp.base.subs)
-	nshard := len(de.hosts)
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	gs := &gatherState{cancel: cancel}
-
-	s.emit(PhaseEvent{Phase: PhaseSearch})
-	sources := make([][]merge.Source, nsub)
-	var all []*remoteSource
+	// The scatter's context doubles as its failure slot: the first source
+	// to exhaust its retries cancels it with the typed error as the cause,
+	// so the query fails fast instead of finishing a doomed assembly.
+	fctx, cancel := context.WithCancelCause(ctx)
+	sources := make([][]matchSource, len(p.subs))
 	var wg sync.WaitGroup
-	for shard := 0; shard < nshard; shard++ {
-		for sub := 0; sub < nsub; sub++ {
-			src := &remoteSource{
-				de: de, s: s, gs: gs, ctx: fctx,
-				shard: shard, sub: sub,
-				req: dp.baseRequest(shard, sub, opts),
-				ch:  make(chan astar.Match, remoteSourceBuffer),
+	for shard := range b.hosts { // shard-major: the merger's tie-break order
+		for sub := range p.subs {
+			src := &remoteSource{b: b, ctx: fctx, fail: cancel, shard: shard, sub: sub,
+				req: shardwire.SearchRequest{
+					Shard:        shard,
+					Sub:          sub,
+					Blueprint:    wire[sub],
+					Tau:          p.copts.tau,
+					MaxHops:      p.copts.maxHops,
+					NoHeuristic:  p.copts.noHeuristic,
+					PruneVisited: p.copts.pruneVisited,
+				}}
+			sources[sub] = append(sources[sub], src)
+			if opts.TimeBound > 0 {
+				src.req.Eager = true
+				src.req.TimeBoundNs = int64(opts.TimeBound)
+				src.req.AlertRatio = opts.AlertRatio
+				src.req.PerMatchNs = int64(p.eng.perMatchCost()) * int64(len(b.hosts))
+				continue
 			}
-			all = append(all, src)
-			sources[sub] = append(sources[sub], src) // shard-major order per sub
+			src.ch = make(chan astar.Match, remoteSourceBuffer)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				src.run()
+				defer close(src.ch)
+				src.retryLoop(src.attempt)
 			}()
 		}
 	}
-	// The gather is fully streaming — there is no prefetch barrier whose
-	// counts could label this event, so the assemble phase begins
-	// immediately with the sources still filling.
-	s.emit(PhaseEvent{Phase: PhaseAssemble})
-
-	streams := make([]ta.Stream, nsub)
-	for i := range streams {
-		streams[i] = merge.Sorted(sources[i]...)
-	}
-	asm := ta.NewAssembler(streams, opts.K)
-	var onRound func(int)
-	if !s.quiet {
-		onRound = func(r int) {
-			lk, umax := asm.Bounds()
-			s.emitProvisional(de.base, dp.base.d, asm.Provisional(), lk, umax, r)
+	finish := func() error {
+		cancel(nil) // release sources the assembly never drained
+		wg.Wait()   // all source goroutines stopped: safe to read their state
+		var unavail *ShardUnavailableError
+		if errors.As(context.Cause(fctx), &unavail) {
+			b.shardErrors.Add(1)
+			return unavail
 		}
+		return nil // finished, or the caller cancelled: an anytime result
 	}
-	finals := asm.Run(onRound)
-	cancel()  // release sources the assembly never drained
-	wg.Wait() // all source goroutines stopped: safe to read their state and close the stream
-	if err := gs.failure(); err != nil {
-		return nil, err
-	}
-	de.collectStats(all, res, nsub, nshard)
-	return finals, nil
-}
-
-// collectStats aggregates the per-source remote A* stats. Sources
-// cancelled before their terminal line report zeros — the remote search
-// was abandoned mid-stream and its true effort never crossed the wire.
-func (de *DistEngine) collectStats(all []*remoteSource, res *Result, nsub, nshard int) {
-	res.SearchStats = make([]astar.Stats, nsub)
-	res.ShardEffort = make([]astar.Stats, nshard)
-	for _, src := range all {
-		st := src.stats
-		for _, agg := range []*astar.Stats{&res.SearchStats[src.sub], &res.ShardEffort[src.shard]} {
-			agg.Popped += st.Popped
-			agg.Pushed += st.Pushed
-			agg.Pruned += st.Pruned
-			agg.Emitted += st.Emitted
-		}
-	}
-}
-
-// gatherTBQ is the time-bounded distributed pipeline: every (shard, sub)
-// search runs eagerly on its shard server under a local estimator whose
-// per-match cost is pre-scaled by the shard count (each server only sees
-// its own collection count; scaling t by N keeps the distributed alert
-// at least as conservative as the in-process shared estimator — see
-// shardedTBQ). The collected sets merge best-per-end across shards and
-// assemble exactly as in-process.
-func (de *DistEngine) gatherTBQ(ctx context.Context, s *Stream, dp *DistPlan, opts Options, res *Result) ([]ta.Final, error) {
-	nsub := len(dp.base.subs)
-	nshard := len(de.hosts)
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	gs := &gatherState{cancel: cancel}
-
-	s.emit(PhaseEvent{Phase: PhaseSearch})
-	perMatch := de.base.perMatchCost() * time.Duration(nshard)
-	all := make([]*remoteSource, 0, nshard*nsub)
-	var wg sync.WaitGroup
-	for shard := 0; shard < nshard; shard++ {
-		for sub := 0; sub < nsub; sub++ {
-			req := dp.baseRequest(shard, sub, opts)
-			req.Eager = true
-			req.TimeBoundNs = int64(opts.TimeBound)
-			req.AlertRatio = opts.AlertRatio
-			req.PerMatchNs = int64(perMatch)
-			src := &remoteSource{
-				de: de, s: s, gs: gs, ctx: fctx,
-				shard: shard, sub: sub, req: req,
-			}
-			all = append(all, src)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				src.runEager()
-			}()
-		}
-	}
-	wg.Wait()
-	if err := gs.failure(); err != nil {
-		return nil, err
-	}
-
-	perSub := make([][]map[kg.NodeID]astar.Match, nsub)
-	allExhausted := true
-	for _, src := range all { // shard-major: deterministic equal-PSS winner
-		perSub[src.sub] = append(perSub[src.sub], src.eager)
-		if !src.exhausted {
-			allExhausted = false
-		}
-	}
-	streams := make([]ta.Stream, nsub)
-	counts := make([]int, nsub)
-	for i := range streams {
-		ms := merge.BestByEnd(perSub[i]...)
-		counts[i] = len(ms)
-		streams[i] = &ta.SliceStream{Matches: ms}
-	}
-	res.Approximate = !allExhausted
-	res.Collected = counts
-	s.emit(PhaseEvent{Phase: PhaseAssemble, Collected: counts})
-
-	asm := ta.NewAssembler(streams, opts.K)
-	var onRound func(int)
-	if !s.quiet {
-		onRound = func(r int) {
-			lk, umax := asm.Bounds()
-			s.emitProvisional(de.base, dp.base.d, asm.Provisional(), lk, umax, r)
-		}
-	}
-	finals := asm.Run(onRound)
-	de.collectStats(all, res, nsub, nshard)
-	return finals, nil
+	return sources, finish, nil
 }
 
 // remoteSourceBuffer is the per-source match channel capacity: the
@@ -710,60 +368,64 @@ func (de *DistEngine) gatherTBQ(ctx context.Context, s *Stream, dp *DistPlan, op
 // of the assembly by up to this many matches.
 const remoteSourceBuffer = 64
 
-// remoteSource is one (shard, sub) stream: a background goroutine
-// fetches matches over HTTP — hedging, retrying and failing over across
-// the shard's replicas — into a buffered channel that the sorted merger
-// consumes via Next. On unrecoverable failure it records a typed error
-// in the shared gatherState and cancels the scatter.
+// remoteSource is the HTTP match source: one (shard, sub-query) stream
+// fetched from the shard's replicas — hedging, retrying and failing over
+// across them. In the exact mode a background goroutine pumps matches
+// into a buffered channel that Next drains; in the time-bounded mode
+// Collect fetches the server's eager set in one request. On unrecoverable
+// failure it cancels the whole scatter with a typed error.
 type remoteSource struct {
-	de  *DistEngine
-	s   *Stream
-	gs  *gatherState
-	ctx context.Context
+	b    *distBackend
+	ctx  context.Context
+	fail context.CancelCauseFunc
 
 	shard, sub int
 	req        shardwire.SearchRequest
 	ch         chan astar.Match
 
 	// pushed counts matches delivered downstream: the Offset resume point
-	// for mid-stream failover. Owned by the run goroutine.
+	// for mid-stream failover. Owned by the pump goroutine.
 	pushed int
 
-	// Terminal state, read only after the source goroutine exits.
+	// Terminal state, read only after the fetch ended (the pump goroutine
+	// exited, or Collect returned).
 	stats     astar.Stats
 	exhausted bool
 	eager     map[kg.NodeID]astar.Match
 }
 
-// Next implements merge.Source for the exact mode.
+// Next implements matchSource for the exact mode.
 func (src *remoteSource) Next() (astar.Match, bool) {
 	m, ok := <-src.ch
 	return m, ok
 }
 
-// run drives the exact-mode stream to its terminal line, retrying with
-// capped jittered backoff and rotating replicas on failure.
-func (src *remoteSource) run() {
-	defer close(src.ch)
-	src.retryLoop(func(rep int) error { return src.attempt(rep) })
+// Collect implements matchSource for the time-bounded mode. Eager
+// responses are timing-dependent (the server's estimator stops on wall
+// clock), so a retry restarts collection from scratch instead of resuming
+// by offset — every attempt's set is a valid collection, and only a
+// completed attempt's set is kept. The coordinator's estimator goes
+// unused: the server collects under its own, configured in the request.
+func (src *remoteSource) Collect(*tbq.Estimator, func(int)) (map[kg.NodeID]astar.Match, bool) {
+	src.retryLoop(src.attemptEager)
+	return src.eager, src.exhausted
 }
 
-// runEager drives one eager (TBQ) fetch. Eager responses are
-// timing-dependent (the estimator stops on wall clock), so a retry
-// restarts collection from scratch instead of resuming by offset —
-// every attempt's set is a valid collection, and only a completed
-// attempt's set is kept.
-func (src *remoteSource) runEager() {
-	src.retryLoop(func(rep int) error { return src.attemptEager(rep) })
-}
+// Stats implements matchSource. A source cancelled before its terminal
+// line reports zeros — the remote search was abandoned mid-stream and its
+// true effort never crossed the wire.
+func (src *remoteSource) Stats() astar.Stats { return src.stats }
+
+// Shard implements matchSource.
+func (src *remoteSource) Shard() int { return src.shard + 1 }
 
 // retryLoop runs attempts until one succeeds, the context dies (the
 // caller cancelled or another source failed — not this source's fault),
 // or the retry budget is spent, which records the typed shard failure.
 func (src *remoteSource) retryLoop(attempt func(rep int) error) {
-	reps := src.de.hosts[src.shard]
-	rep := int(src.de.rr.Add(1)) % len(reps)
-	backoff := src.de.cfg.RetryBackoff
+	reps := src.b.hosts[src.shard]
+	rep := int(src.b.rr.Add(1)) % len(reps)
+	backoff := src.b.cfg.RetryBackoff
 	attempts := 0
 	for {
 		if src.ctx.Err() != nil {
@@ -774,20 +436,20 @@ func (src *remoteSource) retryLoop(attempt func(rep int) error) {
 			return
 		}
 		attempts++
-		if attempts > src.de.cfg.Retries {
-			src.gs.fail(&ShardUnavailableError{Shard: src.shard, Sub: src.sub, Attempts: attempts, Err: err})
+		if attempts > src.b.cfg.Retries {
+			src.fail(&ShardUnavailableError{Shard: src.shard, Sub: src.sub, Attempts: attempts, Err: err})
 			return
 		}
-		src.de.retries.Add(1)
+		src.b.retries.Add(1)
 		if !sleepCtx(src.ctx, jitterDuration(backoff)) {
 			return
 		}
-		if backoff < src.de.cfg.RetryBackoff*32 {
+		if backoff < src.b.cfg.RetryBackoff*32 {
 			backoff *= 2
 		}
 		if len(reps) > 1 {
 			rep = (rep + 1) % len(reps)
-			src.de.failovers.Add(1)
+			src.b.failovers.Add(1)
 		}
 	}
 }
@@ -797,7 +459,7 @@ func (src *remoteSource) retryLoop(attempt func(rep int) error) {
 func (src *remoteSource) attempt(rep int) error {
 	req := src.req
 	req.Offset = src.pushed
-	ws, err := src.de.openStream(src.ctx, src.shard, rep, &req)
+	ws, err := src.b.openStream(src.ctx, src.shard, rep, &req)
 	if err != nil {
 		return err
 	}
@@ -818,9 +480,6 @@ func (src *remoteSource) attempt(rep int) error {
 		select {
 		case src.ch <- lineMatch(line):
 			src.pushed++
-			if !src.s.quiet {
-				src.s.emit(ProgressEvent{Shard: src.shard + 1, Sub: src.sub, Collected: src.pushed})
-			}
 		case <-src.ctx.Done():
 			return nil // cancelled: retryLoop sees ctx.Err and exits cleanly
 		}
@@ -829,7 +488,7 @@ func (src *remoteSource) attempt(rep int) error {
 
 // attemptEager fetches one complete eager response.
 func (src *remoteSource) attemptEager(rep int) error {
-	ws, err := src.de.openStream(src.ctx, src.shard, rep, &src.req)
+	ws, err := src.b.openStream(src.ctx, src.shard, rep, &src.req)
 	if err != nil {
 		return err
 	}
@@ -847,9 +506,6 @@ func (src *remoteSource) attemptEager(rep int) error {
 			src.eager = best
 			src.stats = wireStats(line.Stats)
 			src.exhausted = line.Exhausted
-			if !src.s.quiet {
-				src.s.emit(ProgressEvent{Shard: src.shard + 1, Sub: src.sub, Collected: len(best), Done: true})
-			}
 			return nil
 		}
 		m := lineMatch(line)
@@ -883,11 +539,11 @@ func (ws *wireStream) Close() {
 // openStream opens the search on replica rep, hedging onto the next
 // replica when the first response line has not arrived within the hedge
 // threshold. The winner's stream is returned; the loser is cancelled.
-func (de *DistEngine) openStream(ctx context.Context, shard, rep int, req *shardwire.SearchRequest) (*wireStream, error) {
-	reps := de.hosts[shard]
-	delay := de.hedgeDelay(shard, rep)
+func (b *distBackend) openStream(ctx context.Context, shard, rep int, req *shardwire.SearchRequest) (*wireStream, error) {
+	reps := b.hosts[shard]
+	delay := b.hedgeDelay(shard, rep)
 	if len(reps) < 2 || delay <= 0 {
-		return de.openOne(ctx, shard, rep, req)
+		return b.openOne(ctx, shard, rep, req)
 	}
 	type opened struct {
 		ws  *wireStream
@@ -896,7 +552,7 @@ func (de *DistEngine) openStream(ctx context.Context, shard, rep int, req *shard
 	launch := func(r int) chan opened {
 		ch := make(chan opened, 1)
 		go func() {
-			ws, err := de.openOne(ctx, shard, r, req)
+			ws, err := b.openOne(ctx, shard, r, req)
 			ch <- opened{ws, err}
 		}()
 		return ch
@@ -935,7 +591,7 @@ func (de *DistEngine) openStream(ctx context.Context, shard, rep int, req *shard
 			}
 			second = nil // hedge failed; keep waiting on the primary
 		case <-timer.C:
-			de.hedges.Add(1)
+			b.hedges.Add(1)
 			second = launch((rep + 1) % len(reps))
 		case <-ctx.Done():
 			abandon(first)
@@ -950,21 +606,21 @@ func (de *DistEngine) openStream(ctx context.Context, shard, rep int, req *shard
 // openOne issues one search request and blocks until the first response
 // line (so hedging covers server-side compute stalls, not just connect
 // latency), recording the replica's first-line latency EWMA.
-func (de *DistEngine) openOne(ctx context.Context, shard, rep int, req *shardwire.SearchRequest) (*wireStream, error) {
+func (b *distBackend) openOne(ctx context.Context, shard, rep int, req *shardwire.SearchRequest) (*wireStream, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
 	actx, cancel := context.WithCancel(ctx)
 	hr, err := http.NewRequestWithContext(actx, http.MethodPost,
-		de.hosts[shard][rep]+shardwire.PathSearch, bytes.NewReader(body))
+		b.hosts[shard][rep]+shardwire.PathSearch, bytes.NewReader(body))
 	if err != nil {
 		cancel()
 		return nil, err
 	}
 	hr.Header.Set("Content-Type", "application/json")
 	start := time.Now()
-	resp, err := de.cfg.Client.Do(hr)
+	resp, err := b.cfg.Client.Do(hr)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -973,7 +629,7 @@ func (de *DistEngine) openOne(ctx context.Context, shard, rep int, req *shardwir
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 		cancel()
-		return nil, fmt.Errorf("HTTP %d from %s: %s", resp.StatusCode, de.hosts[shard][rep], strings.TrimSpace(string(msg)))
+		return nil, fmt.Errorf("HTTP %d from %s: %s", resp.StatusCode, b.hosts[shard][rep], strings.TrimSpace(string(msg)))
 	}
 	lr := shardwire.NewLineReader(resp.Body)
 	line, err := lr.Next()
@@ -982,14 +638,14 @@ func (de *DistEngine) openOne(ctx context.Context, shard, rep int, req *shardwir
 		cancel()
 		return nil, fmt.Errorf("reading first response line: %w", err)
 	}
-	de.observeLatency(shard, rep, time.Since(start))
+	b.observeLatency(shard, rep, time.Since(start))
 	return &wireStream{lr: lr, body: resp.Body, cancel: cancel, pending: &line}, nil
 }
 
 // observeLatency folds one first-line latency into the replica's EWMA
 // (α = 1/4).
-func (de *DistEngine) observeLatency(shard, rep int, d time.Duration) {
-	slot := &de.ewmaNs[shard][rep]
+func (b *distBackend) observeLatency(shard, rep int, d time.Duration) {
+	slot := &b.ewmaNs[shard][rep]
 	for {
 		old := slot.Load()
 		var next int64
@@ -1010,11 +666,11 @@ func (de *DistEngine) observeLatency(shard, rep int, d time.Duration) {
 // hedgeDelay is the wait before duplicating a request onto the next
 // replica: the configured threshold, or (adaptively) twice the replica's
 // first-line EWMA clamped to [1ms, 100ms]. <= 0 disables hedging.
-func (de *DistEngine) hedgeDelay(shard, rep int) time.Duration {
-	if de.cfg.HedgeAfter != 0 {
-		return de.cfg.HedgeAfter // negative disables
+func (b *distBackend) hedgeDelay(shard, rep int) time.Duration {
+	if b.cfg.HedgeAfter != 0 {
+		return b.cfg.HedgeAfter // negative disables
 	}
-	e := time.Duration(de.ewmaNs[shard][rep].Load())
+	e := time.Duration(b.ewmaNs[shard][rep].Load())
 	if e == 0 {
 		return 25 * time.Millisecond // no observation yet
 	}
@@ -1050,7 +706,7 @@ func wireStats(st *shardwire.SearchStats) astar.Stats {
 	if st == nil {
 		return astar.Stats{}
 	}
-	return astar.Stats{Popped: st.Popped, Pushed: st.Pushed, Pruned: st.Pruned, Emitted: st.Emitted}
+	return astar.Stats(*st)
 }
 
 // sleepCtx sleeps d or until ctx dies; reports false on cancellation.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"semkg/internal/astar"
@@ -27,8 +28,12 @@ import (
 )
 
 // Engine answers query graphs over one knowledge graph using one trained
-// predicate semantic space. It is safe for concurrent use: all mutable
-// search state lives per call.
+// predicate semantic space. It is the one implementation of the pipeline
+// (and of Queryer): queries compile globally against the whole graph, and
+// the run gathers its matches from the engine's source set — the whole
+// graph for a plain Engine, a partition of it for the engines derived
+// from one (ShardedEngine, DistEngine, ReshardingEngine; see source.go).
+// It is safe for concurrent use: all mutable search state lives per call.
 type Engine struct {
 	g       *kg.Graph
 	space   *embed.Space
@@ -37,9 +42,19 @@ type Engine struct {
 	// across concurrent searchers and repeated queries for the engine's
 	// lifetime; the rows are query-independent (see semgraph.RowCache).
 	rows *semgraph.RowCache
+	// cal is shared by every engine derived from this one, so a world
+	// calibrates once.
+	cal *calibration
 
-	calOnce    sync.Once
-	perMatchTA time.Duration
+	// sources is the partitioned source set runs scatter over; nil
+	// searches the whole graph.
+	sources atomic.Pointer[sourceSet]
+}
+
+// calibration lazily measures Algorithm 3's per-match TA time.
+type calibration struct {
+	once     sync.Once
+	perMatch time.Duration
 }
 
 // NewEngine builds an engine over g with the predicate space (usually
@@ -56,7 +71,17 @@ func NewEngine(g *kg.Graph, space *embed.Space, lib *transform.Library) (*Engine
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{g: g, space: space, matcher: transform.NewMatcher(g, lib), rows: rows}, nil
+	return &Engine{g: g, space: space, matcher: transform.NewMatcher(g, lib), rows: rows, cal: new(calibration)}, nil
+}
+
+// over derives an engine sharing e's world — graph, space, matcher, weight
+// rows, calibration — that scatters its runs over ss (nil: the whole
+// graph). The derived engine has its own identity: plans do not cross
+// between it and e.
+func (e *Engine) over(ss *sourceSet) *Engine {
+	d := &Engine{g: e.g, space: e.space, matcher: e.matcher, rows: e.rows, cal: e.cal}
+	d.sources.Store(ss)
+	return d
 }
 
 // Graph returns the engine's knowledge graph.
@@ -204,9 +229,9 @@ type Result struct {
 	// SearchStats aggregates per-sub-query search effort.
 	SearchStats []astar.Stats
 	// ShardEffort aggregates per-shard search effort, indexed by shard
-	// (sharded engine runs only; nil on the single engine and on halo
-	// fallbacks). The popped/pushed counters are the work-distribution
-	// measure the shard benchmark's critical-path speedup model uses.
+	// (runs over a partition only; nil on the whole graph, halo fallbacks
+	// included). The popped/pushed counters measure how the partition
+	// distributed the work.
 	ShardEffort []astar.Stats
 	// Collected is |M̂_i| per sub-query (TBQ mode only).
 	Collected []int
@@ -264,7 +289,7 @@ func (e *Engine) Search(ctx context.Context, q *query.Graph, opts Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return s.Result(), nil
+	return s.outcome()
 }
 
 func (e *Engine) decompose(q *query.Graph, opts Options, memo *transform.Memo) (*query.Decomposition, error) {
@@ -285,9 +310,9 @@ func (e *Engine) decompose(q *query.Graph, opts Options, memo *transform.Memo) (
 
 // resumeStream serves prefetched matches first, then resumes the underlying
 // search ("we repeat the A* semantic search for each g_i until sufficient
-// final matches for G_Q are returned") — a private searcher or a shared
-// enumeration cursor, both sorted. Context cancellation ends the stream,
-// turning the assembly into an anytime operation.
+// final matches for G_Q are returned") — any sorted match source. Context
+// cancellation ends the stream, turning the assembly into an anytime
+// operation.
 type resumeStream struct {
 	ctx    context.Context
 	buf    []astar.Match
@@ -349,8 +374,8 @@ func (e *Engine) renderAnswers(finals []ta.Final, d *query.Decomposition) []Answ
 
 // perMatchCost lazily calibrates Algorithm 3's empirical per-match TA time.
 func (e *Engine) perMatchCost() time.Duration {
-	e.calOnce.Do(func() { e.perMatchTA = tbq.Calibrate() })
-	return e.perMatchTA
+	e.cal.once.Do(func() { e.cal.perMatch = tbq.Calibrate() })
+	return e.cal.perMatch
 }
 
 // PerMatchCost exposes the calibrated per-match TA assembly time t of

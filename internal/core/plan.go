@@ -14,11 +14,14 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"slices"
+	"sync"
 
 	"semkg/internal/astar"
 	"semkg/internal/kg"
 	"semkg/internal/query"
 	"semkg/internal/semgraph"
+	"semkg/internal/shard"
+	"semkg/internal/shardwire"
 	"semkg/internal/transform"
 )
 
@@ -58,7 +61,11 @@ type planSub struct {
 }
 
 // Plan is a compiled query: the decomposition and per-sub-query searcher
-// blueprints. A Plan is immutable, tied to the engine that compiled it,
+// blueprints, resolved once against the whole graph. It is the only
+// CompiledPlan: a partitioned source set runs the same plan through a
+// projection of the blueprints it memoises here (wire form, per-shard
+// form), so a plan-cache hit skips projection as well as compilation. A
+// Plan is immutable to its users, tied to the engine that compiled it,
 // and safe for concurrent reuse — every StreamPlan/SearchPlan call builds
 // fresh searchers from the blueprints.
 type Plan struct {
@@ -67,6 +74,18 @@ type Plan struct {
 	subs     []planSub
 	compiled bool
 	copts    compileOpts
+
+	// wire memoises WireBlueprints.
+	wireOnce sync.Once
+	wire     []shardwire.Blueprint
+	wireErr  error
+	// projected memoises the blueprints projected into one shard set
+	// (shardedBackend.project): projected[shard][sub], nil where the shard
+	// cannot contribute. Keyed by the set, so a plan compiled before a
+	// resharding swap projects on its first run after it.
+	projMu    sync.Mutex
+	projSet   *shard.Set
+	projected [][]*shard.Projection
 }
 
 // Pivot returns the decomposition's pivot query node ID.
@@ -76,10 +95,6 @@ func (p *Plan) Pivot() string { return p.d.Pivot }
 // entity. A non-compiled plan is still runnable — it yields the empty
 // answer set (the paper's G1_Q mismatch case), not an error.
 func (p *Plan) Compiled() bool { return p.compiled }
-
-// CompiledBy reports whether e compiled this plan. The serving layer's
-// plan cache uses it to discard entries that survived an engine swap.
-func (p *Plan) CompiledBy(e *Engine) bool { return p != nil && p.eng == e }
 
 // Compile resolves q into a reusable Plan under the compile-relevant
 // options (Tau, MaxHops, Strategy/PivotNode, NoHeuristic, PruneVisited).
@@ -110,6 +125,11 @@ func (e *Engine) compileMemo(q *query.Graph, opts Options, memo *transform.Memo)
 		return nil, err
 	}
 	p.subs, p.compiled = subs, compiled
+	if ss := e.sources.Load(); ss != nil {
+		if err := ss.project(p); err != nil {
+			return nil, err
+		}
+	}
 	return p, nil
 }
 
@@ -155,44 +175,74 @@ func (e *Engine) compileSubs(q *query.Graph, d *query.Decomposition, memo *trans
 	return subs, true, nil
 }
 
-// searchersWith instantiates fresh searchers from the plan's blueprints,
-// skipping (leaving nil) the slots covered by a shared source. Weighters
-// and searchers hold per-run mutable state, so every run gets its own;
-// the φ sets and weight rows are shared. Pass shared == nil for a fully
-// private run.
-func (e *Engine) searchersWith(p *Plan, shared []SubSource) ([]*astar.Searcher, error) {
-	if !p.compiled {
-		return nil, nil
-	}
-	searchers := make([]*astar.Searcher, len(p.subs))
-	for i := range p.subs {
-		if shared != nil && shared[i] != nil {
-			continue
-		}
-		sr, err := e.subSearcher(p, i)
-		if err != nil {
-			return nil, err
-		}
-		searchers[i] = sr
-	}
-	return searchers, nil
-}
-
-// subSearcher instantiates one fresh searcher for the i-th sub-query
-// blueprint of p.
+// subSearcher instantiates one fresh whole-graph searcher for the i-th
+// sub-query blueprint of p.
 func (e *Engine) subSearcher(p *Plan, i int) (*astar.Searcher, error) {
 	ps := p.subs[i]
 	w, err := semgraph.NewWeighterCached(e.rows, ps.preds)
 	if err != nil {
 		return nil, err
 	}
-	sopts := astar.Options{
-		Tau:          p.copts.tau,
-		MaxHops:      p.copts.maxHops,
-		NoHeuristic:  p.copts.noHeuristic,
-		PruneVisited: p.copts.pruneVisited,
+	return astar.NewSearcher(e.g, w, ps.sub, p.copts.searchOptions()), nil
+}
+
+// searchOptions are the compile options every searcher over the plan's
+// blueprints runs under, whichever graph it searches.
+func (c compileOpts) searchOptions() astar.Options {
+	return astar.Options{
+		Tau:          c.tau,
+		MaxHops:      c.maxHops,
+		NoHeuristic:  c.noHeuristic,
+		PruneVisited: c.pruneVisited,
 	}
-	return astar.NewSearcher(e.g, w, ps.sub, sopts), nil
+}
+
+// WireBlueprints projects the plan's sub-query blueprints into wire form:
+// base-graph ids and predicate-name→weight rows, resolved once globally.
+// It is what every partitioned source set starts from — a remote shard
+// server receives it verbatim, an in-process shard projects it through
+// the same shard.Shard.Project the server runs — and is computed once per
+// plan. A non-compiled plan has none.
+func (p *Plan) WireBlueprints() ([]shardwire.Blueprint, error) {
+	p.wireOnce.Do(func() { p.wire, p.wireErr = p.wireBlueprints() })
+	return p.wire, p.wireErr
+}
+
+func (p *Plan) wireBlueprints() ([]shardwire.Blueprint, error) {
+	if !p.compiled {
+		return nil, nil
+	}
+	g := p.eng.g
+	out := make([]shardwire.Blueprint, len(p.subs))
+	for i, ps := range p.subs {
+		bp := shardwire.Blueprint{Anchors: make([]uint32, len(ps.sub.Anchors))}
+		for j, a := range ps.sub.Anchors {
+			bp.Anchors[j] = uint32(a)
+		}
+		bp.EndSets = make([][]uint32, len(ps.sub.EndSets))
+		for j, set := range ps.sub.EndSets {
+			es := make([]uint32, 0, len(set))
+			for u := range set {
+				es = append(es, uint32(u))
+			}
+			slices.Sort(es)
+			bp.EndSets[j] = es
+		}
+		rows, err := p.eng.rows.Rows(ps.preds)
+		if err != nil {
+			return nil, err
+		}
+		bp.Rows = make([]map[string]float64, len(rows))
+		for seg, row := range rows {
+			named := make(map[string]float64, len(row))
+			for pid, w := range row {
+				named[g.PredName(kg.PredID(pid))] = w
+			}
+			bp.Rows[seg] = named
+		}
+		out[i] = bp
+	}
+	return out, nil
 }
 
 // Subqueries returns the number of compiled sub-query blueprints (0 for a
@@ -250,16 +300,16 @@ func (p *Plan) SubqueryKey(i int) string {
 // decomposition and φ resolution skipped. The plan must come from this
 // engine's Compile, under options whose compile-relevant fields match.
 func (e *Engine) SearchPlan(ctx context.Context, p *Plan, opts Options) (*Result, error) {
-	s, err := e.streamPlan(ctx, p, opts, true)
+	s, err := e.streamPlan(ctx, p, opts, nil, true)
 	if err != nil {
 		return nil, err
 	}
-	return s.Result(), nil
+	return s.outcome()
 }
 
 // StreamPlan is Stream over a pre-compiled plan; see SearchPlan.
 func (e *Engine) StreamPlan(ctx context.Context, p *Plan, opts Options) (*Stream, error) {
-	return e.streamPlan(ctx, p, opts, false)
+	return e.streamPlan(ctx, p, opts, nil, false)
 }
 
 // planMismatch explains a plan/options incompatibility.

@@ -1,8 +1,10 @@
-// Queryer is the execution surface shared by the single-graph Engine and
-// the scatter-gather ShardedEngine. The serving layer (internal/serve) is
-// written against this interface, so its result cache, plan cache,
-// singleflight and admission control work unchanged over either engine
-// kind — swapping -shards on in semkgd changes nothing above this line.
+// Queryer is the execution surface the serving layer (internal/serve) is
+// written against, so its result cache, plan cache, singleflight and
+// admission control work unchanged over every deployment shape —
+// swapping -shards or -shard-hosts on in semkgd changes nothing above
+// this line. *Engine is the one implementation; ShardedEngine, DistEngine
+// and ReshardingEngine embed an Engine running over their source set and
+// inherit it.
 
 package core
 
@@ -18,7 +20,7 @@ import (
 // Queryer answers query graphs: batch (Search), streaming (Stream), and
 // the compile/run split the serving layer's plan cache relies on
 // (CompileQuery + SearchCompiled/StreamCompiled). Implementations are
-// safe for concurrent use. *Engine and *ShardedEngine implement it.
+// safe for concurrent use.
 type Queryer interface {
 	// Search runs the pipeline to completion and returns the top-k result.
 	Search(ctx context.Context, q *query.Graph, opts Options) (*Result, error)
@@ -41,7 +43,7 @@ type Queryer interface {
 
 // CompiledPlan is an opaque compiled query: the output of
 // Queryer.CompileQuery, runnable only by the Queryer that produced it.
-// *Plan and *ShardedPlan implement it.
+// *Plan is the one implementation.
 type CompiledPlan interface {
 	// Pivot returns the decomposition's pivot query node ID.
 	Pivot() string
@@ -83,23 +85,46 @@ func (e *Engine) StreamCompiled(ctx context.Context, p CompiledPlan, opts Option
 	return e.StreamPlan(ctx, pp, opts)
 }
 
-// enginePlan unwraps a CompiledPlan produced by Engine.CompileQuery.
+// enginePlan unwraps a CompiledPlan produced by CompileQuery.
 func enginePlan(p CompiledPlan) (*Plan, error) {
 	pp, ok := p.(*Plan)
 	if !ok {
-		return nil, fmt.Errorf("core: plan of type %T was not compiled by a single-graph engine", p)
+		return nil, fmt.Errorf("core: plan of type %T was not compiled by an engine of this package", p)
 	}
 	return pp, nil
 }
 
-// PlannedBy implements CompiledPlan: it reports whether q is the engine
-// that compiled this plan. A ReshardingEngine counts when its base
-// engine compiled the plan — pre-upgrade plans stay cacheable across
-// the background upgrade.
-func (p *Plan) PlannedBy(q Queryer) bool {
-	if r, ok := q.(*ReshardingEngine); ok {
-		return p.CompiledBy(r.base)
+// pipeline returns the engine itself. The engines that embed an *Engine —
+// and facade wrappers around any of them — promote it, which is how
+// PlannedBy and WholeGraph recognize a Queryer of this package whatever
+// its static type.
+func (e *Engine) pipeline() *Engine { return e }
+
+func pipelineOf(q Queryer) *Engine {
+	if p, ok := q.(interface{ pipeline() *Engine }); ok {
+		return p.pipeline()
 	}
-	e, ok := q.(*Engine)
-	return ok && p.CompiledBy(e)
+	return nil
+}
+
+// PlannedBy implements CompiledPlan: it reports whether q's engine
+// compiled this plan. An engine derived from another (a sharded engine
+// and its base) is a different engine; a resharding engine stays the same
+// one across its source-set swap, so its plans stay cacheable through the
+// background upgrade.
+func (p *Plan) PlannedBy(q Queryer) bool { return p != nil && p.eng == pipelineOf(q) }
+
+// WholeGraph returns q's engine when q is currently answering from the
+// unpartitioned graph with local searchers — a plain Engine, or a
+// resharding engine still in its unsharded phase. It is the condition for
+// the whole-graph-only entry points (NewSubSearch/StreamPlanShared
+// sub-query sharing, CompileBatch group compilation): over a partition
+// one sub-query is many per-shard enumerations, each keyed by that
+// partition, so there is no single enumeration to share.
+func WholeGraph(q Queryer) (*Engine, bool) {
+	e := pipelineOf(q)
+	if e == nil || e.sources.Load() != nil {
+		return nil, false
+	}
+	return e, true
 }

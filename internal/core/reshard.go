@@ -1,7 +1,8 @@
 // Background resharding: a ReshardingEngine serves a freshly committed
-// graph immediately through a whole-graph Engine while the shard
-// partition rebuilds in a background goroutine, then upgrades itself
-// atomically once the ShardedEngine is ready.
+// graph immediately from the whole graph while the shard partition
+// rebuilds in a background goroutine, then swaps the partition in as its
+// source set — atomically, inside the one engine, so plans compiled
+// before the swap keep running after it.
 //
 // This exists for semkgd -shards ingest: partitioning is a full-graph
 // BFS plus one subgraph index build per shard, which at millions of
@@ -9,7 +10,7 @@
 // Rebuilding the partition synchronously inside every ingest commit
 // would make ingest latency scale with *graph* size instead of *delta*
 // size. The resharding engine decouples them — commits return as soon
-// as the base engine is up, and scatter-gather resumes when the
+// as the whole-graph engine is up, and scatter-gather resumes when the
 // background partition lands. Both phases answer from the same
 // committed graph, so results are correct throughout; only the
 // execution strategy (and its speedup) lags.
@@ -17,13 +18,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
-
-	"semkg/internal/kg"
-	"semkg/internal/query"
 )
 
 // ReshardConfig configures a background reshard.
@@ -41,42 +37,44 @@ type ReshardConfig struct {
 	OnError func(error)
 }
 
-// ReshardingEngine is a Queryer that starts as a plain Engine and
-// becomes a ShardedEngine when its background partition completes.
-// Construct with NewResharding; safe for concurrent use.
+// ReshardingEngine is an engine that starts out searching the whole
+// graph and scatters over a partition of it once the background build
+// completes. Construct with NewResharding; safe for concurrent use.
 type ReshardingEngine struct {
-	base *Engine
-	cfg  ReshardConfig
-	se   atomic.Pointer[ShardedEngine]
+	*Engine
+	se atomic.Pointer[ShardedEngine]
 }
 
-// NewResharding returns an engine serving from base immediately and
-// kicks off the background partition. prev, when non-nil, donates its
-// monotone serving counters to the upgraded engine (the same stats
-// inheritance a synchronous rebuild performs).
-func NewResharding(base *Engine, prev *ShardedEngine, cfg ReshardConfig) *ReshardingEngine {
-	r := &ReshardingEngine{base: base, cfg: cfg}
-	go r.build(prev)
+// NewResharding returns an engine over base's world serving from the
+// whole graph immediately, and kicks off the background partition. prev,
+// when it is (or has become) a sharded engine, donates its monotone
+// serving counters to the new partition — the same stats inheritance a
+// synchronous rebuild performs.
+func NewResharding(base *Engine, prev Queryer, cfg ReshardConfig) *ReshardingEngine {
+	r := &ReshardingEngine{Engine: base.over(nil)}
+	go r.build(base, prev, cfg)
 	return r
 }
 
-func (r *ReshardingEngine) build(prev *ShardedEngine) {
-	if r.cfg.Gate != nil {
-		r.cfg.Gate()
+func (r *ReshardingEngine) build(base *Engine, prev Queryer, cfg ReshardConfig) {
+	if cfg.Gate != nil {
+		cfg.Gate()
 	}
-	se, err := r.buildSharded()
+	se, err := buildSharded(base, cfg.Shard)
 	if err != nil {
-		if r.cfg.OnError != nil {
-			r.cfg.OnError(err)
+		if cfg.OnError != nil {
+			cfg.OnError(err)
 		}
 		return
 	}
-	if prev != nil {
-		se.InheritStats(prev)
+	ss := se.sources.Load()
+	if pe := pipelineOf(prev); pe != nil {
+		ss.inherit(pe.sources.Load())
 	}
+	r.sources.Store(ss)
 	r.se.Store(se)
-	if r.cfg.OnReady != nil {
-		r.cfg.OnReady(se)
+	if cfg.OnReady != nil {
+		cfg.OnReady(se)
 	}
 }
 
@@ -84,79 +82,17 @@ func (r *ReshardingEngine) build(prev *ShardedEngine) {
 // shard counts are rejected here rather than silently defaulted —
 // ShardConfig.withDefaults only fills zeros for the synchronous path,
 // where the caller sees the config it passed.
-func (r *ReshardingEngine) buildSharded() (*ShardedEngine, error) {
-	if r.cfg.Shard.Shards < 0 {
-		return nil, fmt.Errorf("core: reshard: %d shards out of range", r.cfg.Shard.Shards)
+func buildSharded(base *Engine, cfg ShardConfig) (*ShardedEngine, error) {
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("core: reshard: %d shards out of range", cfg.Shards)
 	}
-	return NewShardedEngine(r.base, r.cfg.Shard)
+	return NewShardedEngine(base, cfg)
 }
 
-// Base returns the whole-graph engine that serves until (and under) the
-// upgrade.
-func (r *ReshardingEngine) Base() *Engine { return r.base }
-
-// Sharded returns the upgraded scatter-gather engine, or nil while the
-// background partition is still building (or after it failed).
+// Sharded returns the partition as a scatter-gather engine of its own
+// (same source set and counters), or nil while the background partition
+// is still building (or after it failed).
 func (r *ReshardingEngine) Sharded() *ShardedEngine { return r.se.Load() }
 
 // Ready reports whether the upgrade has landed.
 func (r *ReshardingEngine) Ready() bool { return r.se.Load() != nil }
-
-// current is the Queryer answering right now.
-func (r *ReshardingEngine) current() Queryer {
-	if se := r.se.Load(); se != nil {
-		return se
-	}
-	return r.base
-}
-
-// Graph implements Queryer.
-func (r *ReshardingEngine) Graph() *kg.Graph { return r.base.Graph() }
-
-// PerMatchCost implements Queryer.
-func (r *ReshardingEngine) PerMatchCost() time.Duration { return r.base.PerMatchCost() }
-
-// Search implements Queryer.
-func (r *ReshardingEngine) Search(ctx context.Context, q *query.Graph, opts Options) (*Result, error) {
-	return r.current().Search(ctx, q, opts)
-}
-
-// Stream implements Queryer.
-func (r *ReshardingEngine) Stream(ctx context.Context, q *query.Graph, opts Options) (*Stream, error) {
-	return r.current().Stream(ctx, q, opts)
-}
-
-// CompileQuery implements Queryer: plans compile against whichever
-// engine is current, and SearchCompiled routes each plan back to the
-// engine that produced it — a pre-upgrade *Plan stays valid after the
-// upgrade (both engines serve the same committed graph), so the serving
-// layer's plan cache survives the transition without a purge.
-func (r *ReshardingEngine) CompileQuery(q *query.Graph, opts Options) (CompiledPlan, error) {
-	return r.current().CompileQuery(q, opts)
-}
-
-// SearchCompiled implements Queryer.
-func (r *ReshardingEngine) SearchCompiled(ctx context.Context, p CompiledPlan, opts Options) (*Result, error) {
-	return r.route(p).SearchCompiled(ctx, p, opts)
-}
-
-// StreamCompiled implements Queryer.
-func (r *ReshardingEngine) StreamCompiled(ctx context.Context, p CompiledPlan, opts Options) (*Stream, error) {
-	return r.route(p).StreamCompiled(ctx, p, opts)
-}
-
-// route picks the engine that can run p: sharded plans go to the
-// upgraded engine, base plans to the base engine. A plan neither can run
-// falls through to the current engine, whose own check produces the
-// error.
-func (r *ReshardingEngine) route(p CompiledPlan) Queryer {
-	switch p.(type) {
-	case *ShardedPlan:
-		if se := r.se.Load(); se != nil {
-			return se
-		}
-	case *Plan:
-		return r.base
-	}
-	return r.current()
-}

@@ -82,8 +82,8 @@ func TestReshardingServesWhileBuilding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := postPlan.(*ShardedPlan); !ok {
-		t.Fatalf("post-upgrade plan is %T, want *ShardedPlan", postPlan)
+	if _, ok := postPlan.(*Plan); !ok {
+		t.Fatalf("post-upgrade plan is %T, want *Plan", postPlan)
 	}
 	if !postPlan.PlannedBy(r) {
 		t.Fatal("post-upgrade plan not recognized by the resharding engine")

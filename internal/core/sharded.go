@@ -1,13 +1,11 @@
-// Sharded scatter-gather execution: a ShardedEngine partitions the
-// knowledge graph into N shard graphs (internal/shard), fans every
-// sub-query search out across the shards, and gathers the per-shard match
-// streams through a bounds-aware merger (internal/merge) into the same TA
-// assembly the single-graph engine runs. It satisfies the Queryer surface,
-// so the serving layer's caches, singleflight and admission control work
-// over it unchanged.
+// In-process sharded execution: a ShardedEngine partitions the knowledge
+// graph into N shard graphs (internal/shard) and runs the engine's one
+// gather pipeline over them — every sub-query search fans out across the
+// shards as local match sources, and the per-shard streams gather through
+// a bounds-aware merger (internal/merge) into the same TA assembly the
+// whole-graph engine runs.
 //
-// Correctness rests on three invariants (see DESIGN.md, "Sharded
-// execution"):
+// Correctness rests on three invariants (see DESIGN.md, "Scatter-gather"):
 //
 //  1. First-hop ownership partitions the work: every match is a path of
 //     at least one edge, and each shard enumerates exactly the paths whose
@@ -37,19 +35,10 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"semkg/internal/astar"
 	"semkg/internal/embed"
 	"semkg/internal/kg"
-	"semkg/internal/merge"
-	"semkg/internal/query"
-	"semkg/internal/semgraph"
 	"semkg/internal/shard"
-	"semkg/internal/ta"
-	"semkg/internal/tbq"
 	"semkg/internal/transform"
 )
 
@@ -60,7 +49,7 @@ type ShardConfig struct {
 	Shards int
 	// Halo is the replication radius in hops (shard.Options.Halo); it
 	// bounds the MaxHops a sharded search can serve — deeper searches
-	// transparently fall back to the base engine. 0 = shard.DefaultHalo.
+	// transparently fall back to the whole graph. 0 = shard.DefaultHalo.
 	Halo int
 	// Workers bounds the concurrent per-shard searches of the exact-mode
 	// scatter phase. 0 = GOMAXPROCS. Time-bounded searches always run all
@@ -83,30 +72,18 @@ func (c ShardConfig) withDefaults() ShardConfig {
 }
 
 // ShardedEngine answers query graphs by scatter-gather over a partitioned
-// knowledge graph. It embeds a base single-graph engine for global
-// compilation (decomposition, φ matching, predicate resolution) and answer
-// rendering; only the searches themselves run per shard. Safe for
-// concurrent use. Results are equivalent to the base engine's: same
-// answer set and scores for SGQ, same time-bound contract for TBQ.
+// knowledge graph: the embedded Engine shares the base engine's world
+// (global compilation, answer rendering) and gathers its runs from one
+// local source per (shard, sub-query). Safe for concurrent use. Results
+// are equivalent to the base engine's: same answer set and scores for
+// SGQ, same time-bound contract for TBQ.
 type ShardedEngine struct {
-	base    *Engine
-	set     *shard.Set
-	workers int
-	// predGlobal[s][localPred] maps shard s's predicate ids to base ids,
-	// for projecting globally-resolved weight rows into shard spaces.
-	predGlobal [][]kg.PredID
-	// locals[s][globalNode] is the shard-local id of the base node in
-	// shard s, or kg.NoNode when not replicated there — the O(1) form of
-	// shard.Shard.LocalNode, precomputed once so plan projection does not
-	// binary-search per φ candidate.
-	locals [][]kg.NodeID
-
-	searches  atomic.Uint64
-	fallbacks atomic.Uint64
+	*Engine
+	set *shard.Set
 }
 
-// NewShardedEngine partitions base's graph and wraps base in a
-// scatter-gather engine. The partition is deterministic; building it costs
+// NewShardedEngine partitions base's graph and derives a scatter-gather
+// engine from base. The partition is deterministic; building it costs
 // one BFS plus one subgraph index build per shard.
 func NewShardedEngine(base *Engine, cfg ShardConfig) (*ShardedEngine, error) {
 	if base == nil {
@@ -120,9 +97,9 @@ func NewShardedEngine(base *Engine, cfg ShardConfig) (*ShardedEngine, error) {
 	return NewShardedEngineFromSet(base, set, cfg)
 }
 
-// NewShardedEngineFromSet wraps base with an existing partition of its
-// graph — the cold-start path when shards were loaded individually from
-// shard snapshots (shard.ReadShard + shard.Assemble).
+// NewShardedEngineFromSet derives the engine from an existing partition of
+// base's graph — the cold-start path when shards were loaded individually
+// from shard snapshots (shard.ReadShard + shard.Assemble).
 func NewShardedEngineFromSet(base *Engine, set *shard.Set, cfg ShardConfig) (*ShardedEngine, error) {
 	if base == nil || set == nil {
 		return nil, fmt.Errorf("core: nil base engine or shard set")
@@ -130,36 +107,12 @@ func NewShardedEngineFromSet(base *Engine, set *shard.Set, cfg ShardConfig) (*Sh
 	if set.Base() != base.Graph() {
 		return nil, fmt.Errorf("core: shard set partitions a different graph than the base engine serves")
 	}
-	cfg = cfg.withDefaults()
-	se := &ShardedEngine{
-		base:       base,
-		set:        set,
-		workers:    cfg.Workers,
-		predGlobal: make([][]kg.PredID, set.Len()),
-		locals:     make([][]kg.NodeID, set.Len()),
+	ss := &sourceSet{
+		backend: shardedBackend{set},
+		shards:  set.Len(),
+		workers: cfg.withDefaults().Workers,
 	}
-	for s := 0; s < set.Len(); s++ {
-		sh := set.Shard(s)
-		g := sh.Graph
-		pm := make([]kg.PredID, g.NumPredicates())
-		for p := range pm {
-			gp := base.Graph().PredByName(g.PredName(kg.PredID(p)))
-			if gp < 0 {
-				return nil, fmt.Errorf("core: shard %d predicate %q is not in the base graph", s, g.PredName(kg.PredID(p)))
-			}
-			pm[p] = gp
-		}
-		se.predGlobal[s] = pm
-		loc := make([]kg.NodeID, base.Graph().NumNodes())
-		for i := range loc {
-			loc[i] = kg.NoNode
-		}
-		for l := 0; l < g.NumNodes(); l++ {
-			loc[sh.GlobalNode(kg.NodeID(l))] = kg.NodeID(l)
-		}
-		se.locals[s] = loc
-	}
-	return se, nil
+	return &ShardedEngine{Engine: base.over(ss), set: set}, nil
 }
 
 // BuildShardedEngine is BuildEngine plus partitioning: the construction
@@ -181,22 +134,11 @@ func ShardedEngineFromSnapshot(r io.Reader, model *embed.Model, lib *transform.L
 	return NewShardedEngine(base, cfg)
 }
 
-// Base returns the whole-graph engine used for compilation, rendering and
-// halo fallbacks.
-func (se *ShardedEngine) Base() *Engine { return se.base }
-
 // Set returns the shard partition.
 func (se *ShardedEngine) Set() *shard.Set { return se.set }
 
-// Graph implements Queryer: the base knowledge graph.
-func (se *ShardedEngine) Graph() *kg.Graph { return se.set.Base() }
-
-// PerMatchCost implements Queryer; sharding does not change the TA
-// assembly cost model.
-func (se *ShardedEngine) PerMatchCost() time.Duration { return se.base.PerMatchCost() }
-
-// ShardedStats is a point-in-time summary of the sharded engine, exported
-// by semkgd under the "semkgd_shard" expvar key.
+// ShardedStats is a point-in-time summary of an in-process partition,
+// exported by semkgd under the "semkgd_shard" expvar key.
 type ShardedStats struct {
 	// Shards and Halo echo the partition configuration.
 	Shards int `json:"shards"`
@@ -204,7 +146,7 @@ type ShardedStats struct {
 	// Workers is the exact-mode scatter pool size.
 	Workers int `json:"workers"`
 	// Searches counts sharded pipeline executions; Fallbacks counts
-	// searches answered by the base engine because MaxHops exceeded Halo.
+	// searches answered from the whole graph because MaxHops exceeded Halo.
 	Searches  uint64 `json:"sharded_searches"`
 	Fallbacks uint64 `json:"halo_fallbacks"`
 	// ReplicationFactor is (sum of shard nodes) / (base nodes): 1.0 means
@@ -216,538 +158,98 @@ type ShardedStats struct {
 
 // InheritStats carries the cumulative search counters over from the
 // engine this one replaces (live-ingestion rebuilds construct a fresh
-// ShardedEngine per generation), keeping the monitoring surface —
-// semkgd's "semkgd_shard" expvar — monotonic across generations instead
-// of resetting to zero on every commit. Call it on the new engine before
+// partition per generation), keeping the monitoring surface — semkgd's
+// "semkgd_shard" expvar — monotonic across generations instead of
+// resetting to zero on every commit. Call it on the new engine before
 // publishing it; a nil prev is a no-op.
 func (se *ShardedEngine) InheritStats(prev *ShardedEngine) {
-	if prev == nil {
-		return
+	if prev != nil {
+		se.sources.Load().inherit(prev.sources.Load())
 	}
-	se.searches.Add(prev.searches.Load())
-	se.fallbacks.Add(prev.fallbacks.Load())
 }
 
 // Stats snapshots the engine's counters and partition shape.
 func (se *ShardedEngine) Stats() ShardedStats {
+	return shardedBackend{se.set}.stats(se.sources.Load())
+}
+
+// shardedBackend opens one local match source per (shard, sub-query) of an
+// in-process partition.
+type shardedBackend struct{ set *shard.Set }
+
+// serves: the shard graphs cannot contain paths longer than the halo.
+func (b shardedBackend) serves(opts Options) bool { return opts.MaxHops <= b.set.Halo() }
+
+func (b shardedBackend) project(p *Plan) error {
+	_, err := b.projections(p)
+	return err
+}
+
+// projections maps the plan's wire blueprints into every shard, once per
+// (plan, partition).
+func (b shardedBackend) projections(p *Plan) ([][]*shard.Projection, error) {
+	if !p.compiled {
+		return nil, nil
+	}
+	p.projMu.Lock()
+	defer p.projMu.Unlock()
+	if p.projSet == b.set {
+		return p.projected, nil
+	}
+	wire, err := p.WireBlueprints()
+	if err != nil {
+		return nil, err
+	}
+	projected := make([][]*shard.Projection, b.set.Len())
+	for s := range projected {
+		projected[s] = make([]*shard.Projection, len(wire))
+		for i := range wire {
+			if projected[s][i], err = b.set.Shard(s).Project(&wire[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	p.projSet, p.projected = b.set, projected
+	return projected, nil
+}
+
+func (b shardedBackend) open(_ context.Context, p *Plan, _ Options) ([][]matchSource, func() error, error) {
+	projected, err := b.projections(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	sources := make([][]matchSource, len(p.subs))
+	sopts := p.copts.searchOptions()
+	for s, subs := range projected { // shard-major: the merger's tie-break order
+		for i, proj := range subs {
+			if proj == nil {
+				continue // this shard cannot contribute to sub-query i
+			}
+			src, err := b.set.Shard(s).NewSource(proj, sopts)
+			if err != nil {
+				return nil, nil, err
+			}
+			sources[i] = append(sources[i], src)
+		}
+	}
+	return sources, nil, nil
+}
+
+func (b shardedBackend) stats(ss *sourceSet) ShardedStats {
 	st := ShardedStats{
-		Shards:    se.set.Len(),
-		Halo:      se.set.Halo(),
-		Workers:   se.workers,
-		Searches:  se.searches.Load(),
-		Fallbacks: se.fallbacks.Load(),
-		PerShard:  se.set.AllStats(),
+		Shards:    ss.shards,
+		Halo:      b.set.Halo(),
+		Workers:   ss.workers,
+		Searches:  ss.searches.Load(),
+		Fallbacks: ss.fallbacks.Load(),
+		PerShard:  b.set.AllStats(),
 	}
 	total := 0
 	for _, s := range st.PerShard {
 		total += s.Nodes
 	}
-	if n := se.set.Base().NumNodes(); n > 0 {
+	if n := b.set.Base().NumNodes(); n > 0 {
 		st.ReplicationFactor = float64(total) / float64(n)
 	}
 	return st
-}
-
-// shardPlanSub is one (shard, sub-query) searcher blueprint: the base
-// blueprint's φ sets projected into the shard's id space (anchors
-// restricted to owned nodes) plus the globally-resolved weight rows
-// projected onto the shard's predicate vocabulary. active is false when
-// the shard cannot contribute matches for this sub-query — it owns none
-// of the anchors, or some segment's end set has no replica here (any
-// in-halo match would need one, so none exists).
-type shardPlanSub struct {
-	active bool
-	sub    astar.SubQuery
-	rows   [][]float64
-}
-
-// ShardedPlan is a compiled query for a sharded engine: the base plan
-// (decomposition + global blueprints) plus its per-shard projections.
-// Immutable and safe for concurrent reuse, like Plan.
-type ShardedPlan struct {
-	se   *ShardedEngine
-	base *Plan
-	// shards[s][i] is sub-query i's blueprint projected into shard s.
-	shards [][]shardPlanSub
-}
-
-// Pivot implements CompiledPlan.
-func (p *ShardedPlan) Pivot() string { return p.base.Pivot() }
-
-// Compiled implements CompiledPlan; the global φ decides (a query node
-// with no match anywhere yields the empty answer set).
-func (p *ShardedPlan) Compiled() bool { return p.base.Compiled() }
-
-// PlannedBy implements CompiledPlan. A ReshardingEngine counts when its
-// upgraded sharded engine compiled the plan.
-func (p *ShardedPlan) PlannedBy(q Queryer) bool {
-	if r, ok := q.(*ReshardingEngine); ok {
-		return p != nil && p.se == r.se.Load()
-	}
-	s, ok := q.(*ShardedEngine)
-	return ok && p != nil && p.se == s
-}
-
-// Compile resolves q once against the base graph — decomposition, φ
-// matching, predicate resolution, exactly as Engine.Compile — and projects
-// the resulting blueprints into every shard. One sharded plan serves any K
-// or time budget, like Plan.
-func (se *ShardedEngine) Compile(q *query.Graph, opts Options) (*ShardedPlan, error) {
-	bp, err := se.base.Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	sp := &ShardedPlan{se: se, base: bp}
-	if !bp.compiled {
-		return sp, nil
-	}
-	globalRows := make([][][]float64, len(bp.subs))
-	for i, ps := range bp.subs {
-		rows, err := se.base.rows.Rows(ps.preds)
-		if err != nil {
-			return nil, err
-		}
-		globalRows[i] = rows
-	}
-	sp.shards = make([][]shardPlanSub, se.set.Len())
-	for s := range sp.shards {
-		subs := make([]shardPlanSub, len(bp.subs))
-		for i, ps := range bp.subs {
-			subs[i] = se.projectSub(s, ps, globalRows[i])
-		}
-		sp.shards[s] = subs
-	}
-	return sp, nil
-}
-
-// projectSub maps one global searcher blueprint into shard s. The shard
-// searches from every replicated anchor but only through first-hop nodes
-// it owns (astar.SubQuery.FirstHop): matches are at least one edge long,
-// so first hops partition the path space exactly — and because anchor
-// fan-out spreads over many neighbors, the work balances across shards
-// even when φ(anchor) is a single entity, the common case for the paper's
-// specific query nodes.
-func (se *ShardedEngine) projectSub(s int, ps planSub, gRows [][]float64) shardPlanSub {
-	sh := se.set.Shard(s)
-	toLocal := se.locals[s]
-	var anchors []kg.NodeID
-	for _, a := range ps.sub.Anchors {
-		// An anchor absent from this shard has no owned neighbor here:
-		// every path from it starts through a hop some other shard owns.
-		if la := toLocal[a]; la != kg.NoNode {
-			anchors = append(anchors, la)
-		}
-	}
-	if len(anchors) == 0 {
-		return shardPlanSub{}
-	}
-	endSets := make([]map[kg.NodeID]bool, len(ps.sub.EndSets))
-	for i, set := range ps.sub.EndSets {
-		local := make(map[kg.NodeID]bool, len(set))
-		for g := range set {
-			if lg := toLocal[g]; lg != kg.NoNode {
-				local[lg] = true
-			}
-		}
-		if len(local) == 0 {
-			return shardPlanSub{}
-		}
-		endSets[i] = local
-	}
-	pm := se.predGlobal[s]
-	rows := make([][]float64, len(gRows))
-	for seg, gr := range gRows {
-		r := make([]float64, len(pm))
-		for lp, gp := range pm {
-			r[lp] = gr[gp]
-		}
-		rows[seg] = r
-	}
-	return shardPlanSub{
-		active: true,
-		sub:    astar.SubQuery{Anchors: anchors, EndSets: endSets, FirstHop: sh.Owned},
-		rows:   rows,
-	}
-}
-
-// CompileQuery implements Queryer.
-func (se *ShardedEngine) CompileQuery(q *query.Graph, opts Options) (CompiledPlan, error) {
-	p, err := se.Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Search implements Queryer: the batch form of Stream, same pipeline.
-func (se *ShardedEngine) Search(ctx context.Context, q *query.Graph, opts Options) (*Result, error) {
-	p, err := se.Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	s, err := se.streamPlan(ctx, p, opts, true)
-	if err != nil {
-		return nil, err
-	}
-	return s.Result(), nil
-}
-
-// Stream implements Queryer; the emitted events carry the shard that
-// produced each progress update (ProgressEvent.Shard, 1-based).
-func (se *ShardedEngine) Stream(ctx context.Context, q *query.Graph, opts Options) (*Stream, error) {
-	p, err := se.Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return se.streamPlan(ctx, p, opts, false)
-}
-
-// SearchCompiled implements Queryer over a plan from this engine's
-// Compile/CompileQuery.
-func (se *ShardedEngine) SearchCompiled(ctx context.Context, p CompiledPlan, opts Options) (*Result, error) {
-	sp, err := se.plan(p)
-	if err != nil {
-		return nil, err
-	}
-	s, err := se.streamPlan(ctx, sp, opts, true)
-	if err != nil {
-		return nil, err
-	}
-	return s.Result(), nil
-}
-
-// StreamCompiled implements Queryer; see SearchCompiled.
-func (se *ShardedEngine) StreamCompiled(ctx context.Context, p CompiledPlan, opts Options) (*Stream, error) {
-	sp, err := se.plan(p)
-	if err != nil {
-		return nil, err
-	}
-	return se.streamPlan(ctx, sp, opts, false)
-}
-
-func (se *ShardedEngine) plan(p CompiledPlan) (*ShardedPlan, error) {
-	sp, ok := p.(*ShardedPlan)
-	if !ok {
-		return nil, fmt.Errorf("core: plan of type %T was not compiled by a sharded engine", p)
-	}
-	if sp.se != se {
-		return nil, fmt.Errorf("core: plan was compiled by a different sharded engine")
-	}
-	return sp, nil
-}
-
-// streamPlan validates, then runs the scatter-gather pipeline — or the
-// base engine's pipeline when the requested MaxHops exceeds the
-// partition's halo (the shard graphs cannot contain such paths; falling
-// back preserves correctness at the cost of sharding's benefit).
-func (se *ShardedEngine) streamPlan(ctx context.Context, sp *ShardedPlan, opts Options, quiet bool) (*Stream, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, badRequest(err)
-	}
-	opts = opts.withDefaults()
-	if err := sp.base.check(se.base, opts); err != nil {
-		return nil, err
-	}
-	if opts.MaxHops > se.set.Halo() {
-		se.fallbacks.Add(1)
-		return se.base.startStream(ctx, sp.base, opts, quiet)
-	}
-	if opts.TimeBound > 0 {
-		se.base.perMatchCost() // calibrate outside the timed window
-	}
-	se.searches.Add(1)
-	start := time.Now()
-	tasks, err := se.tasksFor(sp)
-	if err != nil {
-		return nil, err
-	}
-	buffer := streamBuffer
-	if quiet {
-		buffer = 0
-	}
-	s := &Stream{events: make(chan Event, buffer), done: make(chan struct{}), quiet: quiet}
-	if quiet {
-		se.runSharded(ctx, s, sp, tasks, opts, start)
-	} else {
-		go se.runSharded(ctx, s, sp, tasks, opts, start)
-	}
-	return s, nil
-}
-
-// shardTask is one (shard, sub-query) search of a run: fresh per run, like
-// single-engine searchers (arenas and weighter slabs are mutable).
-type shardTask struct {
-	shard int
-	sub   int
-	sh    *shard.Shard
-	sr    *astar.Searcher
-}
-
-// tasksFor instantiates fresh searchers for every active (shard, sub)
-// blueprint, in shard-major order (the deterministic source order of the
-// merger's tie-break).
-func (se *ShardedEngine) tasksFor(sp *ShardedPlan) ([]shardTask, error) {
-	if !sp.base.compiled {
-		return nil, nil
-	}
-	sopts := astar.Options{
-		Tau:          sp.base.copts.tau,
-		MaxHops:      sp.base.copts.maxHops,
-		NoHeuristic:  sp.base.copts.noHeuristic,
-		PruneVisited: sp.base.copts.pruneVisited,
-	}
-	var tasks []shardTask
-	for s, subs := range sp.shards {
-		sh := se.set.Shard(s)
-		for i, pss := range subs {
-			if !pss.active {
-				continue
-			}
-			w, err := semgraph.NewWeighterFromRows(sh.Graph, pss.rows)
-			if err != nil {
-				return nil, err
-			}
-			tasks = append(tasks, shardTask{
-				shard: s, sub: i, sh: sh,
-				sr: astar.NewSearcher(sh.Graph, w, pss.sub, sopts),
-			})
-		}
-	}
-	return tasks, nil
-}
-
-// remapMatch rewrites a shard-local match into base-graph ids, in place
-// (searchers materialize fresh slices per match).
-func remapMatch(sh *shard.Shard, m astar.Match) astar.Match {
-	for i, u := range m.Nodes {
-		m.Nodes[i] = sh.GlobalNode(u)
-	}
-	for i, e := range m.Edges {
-		m.Edges[i] = sh.GlobalEdge(e)
-	}
-	return m
-}
-
-// runSharded is the pipeline goroutine behind the sharded Stream; it
-// mirrors Engine.runStream with the search phase scattered across shards.
-func (se *ShardedEngine) runSharded(ctx context.Context, s *Stream, sp *ShardedPlan,
-	tasks []shardTask, opts Options, start time.Time) {
-	d := sp.base.d
-	res := &Result{Decomposition: d}
-	if sp.base.compiled {
-		var finals []ta.Final
-		if opts.TimeBound > 0 {
-			finals = se.shardedTBQ(ctx, s, sp, tasks, opts, res)
-		} else {
-			finals = se.shardedSGQ(ctx, s, sp, tasks, opts)
-		}
-		res.SearchStats = make([]astar.Stats, len(sp.base.subs))
-		res.ShardEffort = make([]astar.Stats, se.set.Len())
-		for _, t := range tasks {
-			st := t.sr.Stats()
-			for _, agg := range []*astar.Stats{&res.SearchStats[t.sub], &res.ShardEffort[t.shard]} {
-				agg.Popped += st.Popped
-				agg.Pushed += st.Pushed
-				agg.Pruned += st.Pruned
-				agg.Emitted += st.Emitted
-			}
-		}
-		res.Answers = se.base.renderAnswers(finals, d)
-		lk, umax, round := s.lastBounds()
-		s.emit(TopKEvent{Answers: res.Answers, LowerK: lk, UpperMax: umax, Round: round})
-	}
-	res.Elapsed = time.Since(start)
-	s.res = res
-	s.emit(ResultEvent{Result: res})
-	close(s.events)
-	close(s.done)
-}
-
-// shardStream resumes one (shard, sub) search behind its prefetched
-// matches, remapping lazily pulled matches to base ids. It is a sorted
-// merge.Source.
-type shardStream struct {
-	ctx context.Context
-	buf []astar.Match // prefetched, already base-mapped
-	pos int
-	sh  *shard.Shard
-	sr  *astar.Searcher
-}
-
-func (r *shardStream) Next() (astar.Match, bool) {
-	if r.pos < len(r.buf) {
-		m := r.buf[r.pos]
-		r.pos++
-		return m, true
-	}
-	if r.ctx.Err() != nil {
-		return astar.Match{}, false
-	}
-	m, ok := r.sr.Next()
-	if !ok {
-		return astar.Match{}, false
-	}
-	return remapMatch(r.sh, m), true
-}
-
-// shardedSGQ is the exact-mode scatter-gather: every (shard, sub) searcher
-// prefetches its per-shard share of k on the worker pool, then one
-// demand-driven sorted merger per sub-query feeds the TA assembly, which
-// pulls further matches from individual shards only when its L_k/U_max
-// bounds require them.
-func (se *ShardedEngine) shardedSGQ(ctx context.Context, s *Stream, sp *ShardedPlan,
-	tasks []shardTask, opts Options) []ta.Final {
-	s.emit(PhaseEvent{Phase: PhaseSearch})
-	nsub := len(sp.base.subs)
-	k := opts.K
-	// Scatter: each (shard, sub) searcher prefetches its proportional
-	// share of k concurrently on the worker pool — if the top-k
-	// distributes evenly across shards, each source contributes about k/N.
-	// The gather stays demand-driven past the prefetch: the TA assembly
-	// pulls further matches through the sorted mergers only when its
-	// L_k/U_max bounds require them, and only from the shard whose head is
-	// actually competitive — skew (all candidates in one shard) costs lazy
-	// pulls, never a restart.
-	prefetch := 1 + (k-1)/se.set.Len()
-	bufs := make([][]astar.Match, len(tasks))
-	quiet := s.quiet
-	sem := make(chan struct{}, se.workers)
-	var wg sync.WaitGroup
-	for ti := range tasks {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			t := tasks[ti]
-			for len(bufs[ti]) < prefetch && ctx.Err() == nil {
-				m, ok := t.sr.Next()
-				if !ok {
-					break
-				}
-				bufs[ti] = append(bufs[ti], remapMatch(t.sh, m))
-				if !quiet {
-					s.emit(ProgressEvent{Shard: t.shard + 1, Sub: t.sub, Collected: len(bufs[ti])})
-				}
-			}
-			if !quiet {
-				s.emit(ProgressEvent{Shard: t.shard + 1, Sub: t.sub, Collected: len(bufs[ti]), Done: true})
-			}
-		}(ti)
-	}
-	wg.Wait()
-
-	counts := make([]int, nsub)
-	sources := make([][]merge.Source, nsub)
-	for ti, t := range tasks { // shard-major order: deterministic merge tie-break
-		counts[t.sub] += len(bufs[ti])
-		sources[t.sub] = append(sources[t.sub], &shardStream{
-			ctx: ctx, buf: bufs[ti], sh: t.sh, sr: t.sr,
-		})
-	}
-	s.emit(PhaseEvent{Phase: PhaseAssemble, Collected: counts})
-
-	streams := make([]ta.Stream, nsub)
-	for i := range streams {
-		streams[i] = merge.Sorted(sources[i]...)
-	}
-	asm := ta.NewAssembler(streams, k)
-	var onRound func(int)
-	if !quiet {
-		onRound = func(r int) {
-			lk, umax := asm.Bounds()
-			s.emitProvisional(se.base, sp.base.d, asm.Provisional(), lk, umax, r)
-		}
-	}
-	return asm.Run(onRound)
-}
-
-// shardedTBQ is the time-bounded scatter-gather (Algorithms 2 and 3 across
-// shards): every (shard, sub) search runs eagerly and concurrently under
-// one shared tbq.Estimator — T̂ = elapsed + Σ|M̂|·t, where the Σ counts
-// distinct entities per (shard, sub) set — until the alert threshold
-// T·r%; the collected sets are then merged per sub-query (best match per
-// end node across shards) and assembled exactly as the single engine
-// assembles its own eager sets. Entities reachable through first hops in
-// several shards are counted once per shard by the estimator, so the
-// sharded alert can only fire earlier than the single-engine one — the
-// time bound is never loosened by sharding.
-func (se *ShardedEngine) shardedTBQ(ctx context.Context, s *Stream, sp *ShardedPlan,
-	tasks []shardTask, opts Options, res *Result) []ta.Final {
-	nsub := len(sp.base.subs)
-	s.emit(PhaseEvent{Phase: PhaseSearch})
-	quiet := s.quiet
-
-	var onAlert func(elapsed, projected time.Duration)
-	if !quiet {
-		onAlert = func(elapsed, projected time.Duration) {
-			s.emit(PhaseEvent{Phase: PhaseAlert, Elapsed: elapsed, Projected: projected})
-		}
-	}
-	est := tbq.NewEstimator(ctx, tbq.Config{
-		Bound:      opts.TimeBound,
-		AlertRatio: opts.AlertRatio,
-		PerMatchTA: se.base.perMatchCost(),
-		Clock:      opts.Clock,
-	}, onAlert)
-
-	collected := make([]map[kg.NodeID]astar.Match, len(tasks))
-	exhausted := make([]bool, len(tasks))
-	var wg sync.WaitGroup
-	for ti := range tasks {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			t := tasks[ti]
-			best := make(map[kg.NodeID]astar.Match)
-			ex := t.sr.RunEager(est.Stop, func(m astar.Match) bool {
-				m = remapMatch(t.sh, m)
-				if old, ok := best[m.End()]; !ok || m.PSS > old.PSS {
-					if !ok {
-						est.Collected()
-						if !quiet {
-							s.emit(ProgressEvent{Shard: t.shard + 1, Sub: t.sub, Collected: len(best) + 1})
-						}
-					}
-					best[m.End()] = m
-				}
-				return true
-			})
-			collected[ti] = best
-			exhausted[ti] = ex
-			if !quiet {
-				s.emit(ProgressEvent{Shard: t.shard + 1, Sub: t.sub, Collected: len(best), Done: true})
-			}
-		}(ti)
-	}
-	wg.Wait()
-
-	perSub := make([][]map[kg.NodeID]astar.Match, nsub)
-	allExhausted := true
-	for ti, t := range tasks { // shard-major: deterministic equal-PSS winner
-		perSub[t.sub] = append(perSub[t.sub], collected[ti])
-		if !exhausted[ti] {
-			allExhausted = false
-		}
-	}
-	streams := make([]ta.Stream, nsub)
-	counts := make([]int, nsub)
-	for i := range streams {
-		ms := merge.BestByEnd(perSub[i]...)
-		counts[i] = len(ms)
-		streams[i] = &ta.SliceStream{Matches: ms}
-	}
-	res.Approximate = !allExhausted
-	res.Collected = counts
-	s.emit(PhaseEvent{Phase: PhaseAssemble, Collected: counts})
-
-	asm := ta.NewAssembler(streams, opts.K)
-	var onRound func(int)
-	if !quiet {
-		onRound = func(r int) {
-			lk, umax := asm.Bounds()
-			s.emitProvisional(se.base, sp.base.d, asm.Provisional(), lk, umax, r)
-		}
-	}
-	return asm.Run(onRound)
 }

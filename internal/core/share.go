@@ -145,41 +145,45 @@ func (e *Engine) NewSubSearch(p *Plan, i int) (*SharedSearch, error) {
 // is exact-mode only — a TimeBound > 0 is rejected as a bad request, the
 // caller routes time-bounded runs through StreamPlan instead.
 //
-// A run with shared sources emits the identical event sequence and
-// terminal result (answers, scores, order, TA bounds) as StreamPlan with
-// the same arguments; only Result.SearchStats differs, reporting the
-// shared enumerations' cumulative effort.
+// A shared cursor is just another local match source of the pipeline, read
+// from the whole graph whatever source set the engine otherwise scatters
+// over — callers gate on WholeGraph. A run with shared sources emits the
+// identical event sequence and terminal result (answers, scores, order,
+// TA bounds) as StreamPlan with the same arguments; only
+// Result.SearchStats differs, reporting the shared enumerations'
+// cumulative effort.
 func (e *Engine) StreamPlanShared(ctx context.Context, p *Plan, opts Options, sources []SubSource) (*Stream, error) {
-	return e.streamShared(ctx, p, opts, sources, false)
-}
-
-// streamShared validates and runs a shared-source plan execution.
-func (e *Engine) streamShared(ctx context.Context, p *Plan, opts Options, sources []SubSource, quiet bool) (*Stream, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, badRequest(err)
-	}
-	opts = opts.withDefaults()
-	if err := p.check(e, opts); err != nil {
-		return nil, err
-	}
-	if opts.TimeBound > 0 {
-		return nil, badRequest(fmt.Errorf("core: sub-query sharing requires the exact mode (TimeBound = 0)"))
-	}
-	if want := p.Subqueries(); len(sources) != want {
-		return nil, fmt.Errorf("core: %d sub-query sources for a plan with %d sub-queries", len(sources), want)
-	}
-	return e.startStreamWith(ctx, p, opts, sources, quiet)
+	return e.streamPlan(ctx, p, opts, sharedOrNone(sources), false)
 }
 
 // SearchPlanShared is Search over a pre-compiled plan with shared
 // sub-query sources; see StreamPlanShared.
 func (e *Engine) SearchPlanShared(ctx context.Context, p *Plan, opts Options, sources []SubSource) (*Result, error) {
-	s, err := e.streamShared(ctx, p, opts, sources, true)
+	s, err := e.streamPlan(ctx, p, opts, sharedOrNone(sources), true)
 	if err != nil {
 		return nil, err
 	}
-	return s.Result(), nil
+	return s.outcome()
 }
+
+// sharedOrNone keeps a shared run distinguishable from a private one
+// (nil) when the plan has no sub-queries to share.
+func sharedOrNone(sources []SubSource) []SubSource {
+	if sources == nil {
+		return []SubSource{}
+	}
+	return sources
+}
+
+// cursorSearch adapts one reader of a SubSource to the pull surface a
+// local match source wraps (shard.SharedSource): a fresh cursor plus the
+// shared enumeration's effort counters.
+type cursorSearch struct {
+	MatchStream
+	src SubSource
+}
+
+func (c cursorSearch) Stats() astar.Stats { return c.src.SearchStats() }
 
 // BatchSpec is one (query, options) pair of a batch compilation group.
 type BatchSpec struct {

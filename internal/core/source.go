@@ -1,0 +1,177 @@
+// The match-source seam: the one place the deployment shapes differ.
+// Every engine — whole-graph, in-process sharded, distributed
+// coordinator, resharding — runs the single gather pipeline of stream.go;
+// what varies is only where a (shard, sub-query) stream of matches comes
+// from. See DESIGN.md, "Scatter-gather".
+
+package core
+
+import (
+	"context"
+	"sync/atomic"
+
+	"semkg/internal/astar"
+	"semkg/internal/kg"
+	"semkg/internal/shard"
+	"semkg/internal/tbq"
+)
+
+// matchSource is one (shard, sub-query) search of a run, yielding matches
+// in base-graph ids. There are exactly two implementations: the local
+// *shard.Source (an A* searcher over the whole graph or over one shard —
+// the same source a shard server streams over the wire) and the HTTP
+// *remoteSource (one shard server's stream, with hedging, retry, failover
+// and offset-resume entirely behind it).
+type matchSource interface {
+	// Next is the exact mode's sorted pull: the next match in
+	// non-increasing pss order.
+	Next() (astar.Match, bool)
+	// Collect is the time-bounded mode's eager collection: the best match
+	// per end node found before the estimator stopped the search, and
+	// whether the search ran dry. Local sources collect under est itself
+	// (shared by every source of the run) and report each newly seen
+	// entity through onNew; a remote source collects under its server's
+	// own estimator, configured from the same bound.
+	Collect(est *tbq.Estimator, onNew func(total int)) (map[kg.NodeID]astar.Match, bool)
+	// Stats reports the search's A* effort.
+	Stats() astar.Stats
+	// Shard is the 1-based shard the source searches; 0 for the whole
+	// graph.
+	Shard() int
+}
+
+// backend supplies the sources of a partitioned deployment: in-process
+// shards (shardedBackend) or remote shard servers (distBackend). The
+// whole graph needs none — Engine.wholeGraphSources is the fallback every
+// backend shares.
+type backend interface {
+	// serves reports whether the partition can answer a run under opts;
+	// otherwise the run falls back to the whole graph (counted).
+	serves(opts Options) bool
+	// project memoises on p the form of its blueprints this backend's
+	// sources start from. Compile calls it, so a plan-cache hit skips the
+	// projection; open calls it again for a plan compiled before a
+	// source-set swap.
+	project(p *Plan) error
+	// open instantiates one run's sources: sources[sub] lists sub-query
+	// sub's sources in shard order — the merge tie-break order. finish,
+	// when non-nil, must be called once the assembly is done: it stops
+	// sources still running and reports the scatter's failure, if any.
+	open(ctx context.Context, p *Plan, opts Options) (sources [][]matchSource, finish func() error, err error)
+}
+
+// sourceSet is the swappable half of an engine: a partitioned backend,
+// its shape, and the counters the monitoring surfaces export. An engine
+// without one searches the whole graph; resharding swaps one in
+// atomically.
+type sourceSet struct {
+	backend
+	shards int
+	// workers bounds the concurrent source prefetches of the exact-mode
+	// scatter.
+	workers int
+
+	searches  atomic.Uint64
+	fallbacks atomic.Uint64
+}
+
+// inherit carries prev's cumulative counters over (live-ingestion
+// rebuilds construct a fresh source set per generation; the monitoring
+// surface stays monotonic). A nil prev is a no-op.
+func (ss *sourceSet) inherit(prev *sourceSet) {
+	if prev == nil {
+		return
+	}
+	ss.searches.Add(prev.searches.Load())
+	ss.fallbacks.Add(prev.fallbacks.Load())
+}
+
+// Deployment is a point-in-time description of where an engine's runs get
+// their matches: the one shape/stats accessor the monitoring surfaces
+// (semkgd's expvars and /healthz) read, whatever the engine's static
+// type and however often its source set has been swapped.
+type Deployment struct {
+	// Shards is the partition size; 0 when searching the whole graph.
+	Shards int
+	// Resharding reports a whole-graph phase whose background partition
+	// has not landed (yet, or ever — see ReshardConfig.OnError).
+	Resharding bool
+	// Sharded is set over an in-process partition, Dist over remote shard
+	// servers.
+	Sharded *ShardedStats
+	Dist    *DistStats
+}
+
+// DeploymentOf describes q's current source set. A Queryer from outside
+// this package describes as the zero Deployment.
+func DeploymentOf(q Queryer) Deployment {
+	var d Deployment
+	e := pipelineOf(q)
+	if e == nil {
+		return d
+	}
+	ss := e.sources.Load()
+	if ss == nil {
+		_, d.Resharding = q.(*ReshardingEngine)
+		return d
+	}
+	d.Shards = ss.shards
+	switch b := ss.backend.(type) {
+	case shardedBackend:
+		st := b.stats(ss)
+		d.Sharded = &st
+	case *distBackend:
+		st := b.stats(ss)
+		d.Dist = &st
+	}
+	return d
+}
+
+// scatter is one run's opened sources.
+type scatter struct {
+	// sources[sub] lists sub-query sub's sources in shard order.
+	sources [][]matchSource
+	// shards is the partition size, 0 over the whole graph; workers bounds
+	// the exact mode's concurrent prefetches across a partition.
+	shards, workers int
+	// finish is the backend's (see backend.open); nil for local sources.
+	finish func() error
+}
+
+// openSources picks where this run's matches come from: the shared
+// enumerations the caller supplied (whole-graph, exact mode), the
+// engine's partitioned source set when it can serve opts, or the whole
+// graph.
+func (e *Engine) openSources(ctx context.Context, p *Plan, opts Options, shared []SubSource) (*scatter, error) {
+	if ss := e.sources.Load(); ss != nil && shared == nil {
+		if ss.serves(opts) {
+			ss.searches.Add(1)
+			sources, finish, err := ss.open(ctx, p, opts)
+			return &scatter{sources: sources, shards: ss.shards, workers: ss.workers, finish: finish}, err
+		}
+		ss.fallbacks.Add(1)
+	}
+	sources, err := e.wholeGraphSources(p, shared)
+	return &scatter{sources: sources}, err
+}
+
+// wholeGraphSources instantiates one local source per sub-query over the
+// unpartitioned graph: a fresh private searcher, or — where shared[i] is
+// non-nil — a new cursor over a shared enumeration. Weighters and
+// searchers hold per-run mutable state, so every run gets its own; the φ
+// sets and weight rows are shared.
+func (e *Engine) wholeGraphSources(p *Plan, shared []SubSource) ([][]matchSource, error) {
+	sources := make([][]matchSource, len(p.subs))
+	for i := range p.subs {
+		if shared != nil && shared[i] != nil {
+			sources[i] = []matchSource{shard.SharedSource(cursorSearch{shared[i].Cursor(), shared[i]})}
+			continue
+		}
+		sr, err := e.subSearcher(p, i)
+		if err != nil {
+			return nil, err
+		}
+		sources[i] = []matchSource{shard.WholeGraphSource(sr)}
+	}
+	return sources, nil
+}

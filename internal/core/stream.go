@@ -9,11 +9,15 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"semkg/internal/astar"
 	"semkg/internal/kg"
+	"semkg/internal/merge"
 	"semkg/internal/query"
 	"semkg/internal/ta"
 	"semkg/internal/tbq"
@@ -32,7 +36,7 @@ const (
 	// KindResult is the terminal event carrying the final Result.
 	KindResult
 	// KindError is the terminal event of a pipeline that failed mid-run;
-	// only the distributed coordinator emits it (a shard with no live
+	// only runs over remote shard servers emit it (a shard with no live
 	// replica), after which the stream closes without a ResultEvent.
 	KindError
 )
@@ -57,13 +61,14 @@ const (
 	PhaseAssemble Phase = "assemble"
 )
 
-// ProgressEvent reports per-sub-query search effort: Collected counts the
-// matches gathered so far for sub-query Sub (prefetched in the exact mode,
-// eager-collected distinct entities in TBQ mode). Done marks the end of
-// the sub-query's search phase. Shard identifies the shard that produced
-// the update when the pipeline is sharded (1-based, so shard 1 is the
-// first); it is 0 for the single-graph pipeline, whose progress is not
-// per-shard.
+// ProgressEvent reports one match source's search effort: Collected counts
+// the matches the source gathered so far for sub-query Sub (prefetched in
+// the exact mode, eager-collected distinct entities in TBQ mode). Done
+// marks the end of the source's search phase; every source reports it
+// exactly once. Shard identifies the source's shard when the run scatters
+// over a partition (1-based, so shard 1 is the first); it is 0 over the
+// whole graph, which has one source per sub-query. A remote shard
+// collecting eagerly reports only its Done update.
 type ProgressEvent struct {
 	Sub       int
 	Collected int
@@ -176,6 +181,13 @@ func (s *Stream) Err() error {
 	return s.err
 }
 
+// outcome blocks until the stream terminates and returns its result or
+// failure: the batch entry points' view of a quiet run.
+func (s *Stream) outcome() (*Result, error) {
+	<-s.done
+	return s.res, s.err
+}
+
 // fail terminates the stream with err instead of a result.
 func (s *Stream) fail(err error) {
 	s.err = err
@@ -209,13 +221,14 @@ func (s *Stream) emit(ev Event) {
 }
 
 // Stream starts the search pipeline and returns immediately with a Stream
-// emitting typed events: phase transitions, per-sub-query progress,
+// emitting typed events: phase transitions, per-source progress,
 // provisional top-k snapshots with TA bounds, and a terminal result.
 // Option and query validation errors are returned synchronously (wrapped
 // as BadRequestError — the caller's fault, not the engine's); after a nil
-// error the stream always terminates with a ResultEvent. Consuming a
-// Stream to completion yields a Result identical to Engine.Search with
-// the same arguments.
+// error the stream always terminates with a ResultEvent, or — only over
+// remote shard servers, when a shard lost every replica — an ErrorEvent.
+// Consuming a Stream to completion yields a Result identical to
+// Engine.Search with the same arguments.
 func (e *Engine) Stream(ctx context.Context, q *query.Graph, opts Options) (*Stream, error) {
 	return e.stream(ctx, q, opts, false)
 }
@@ -224,20 +237,20 @@ func (e *Engine) Stream(ctx context.Context, q *query.Graph, opts Options) (*Str
 // run. In quiet mode (the batch Search path) no events are emitted and the
 // pipeline runs synchronously — same search, none of the event or
 // goroutine overhead. Compile already validated and normalized the
-// options, so the run skips straight to startStream.
+// options, so the run skips straight to start.
 func (e *Engine) stream(ctx context.Context, q *query.Graph, opts Options, quiet bool) (*Stream, error) {
 	p, err := e.Compile(q, opts)
 	if err != nil {
 		return nil, err
 	}
-	return e.startStream(ctx, p, opts.withDefaults(), quiet)
+	return e.start(ctx, p, opts.withDefaults(), nil, quiet)
 }
 
 // streamPlan is the externally-compiled-plan entry (SearchPlan /
-// StreamPlan): the plan comes from an earlier Compile — possibly another
-// engine's, possibly under different options — so validate and check
-// before running.
-func (e *Engine) streamPlan(ctx context.Context, p *Plan, opts Options, quiet bool) (*Stream, error) {
+// StreamPlan and their shared-source forms): the plan comes from an
+// earlier Compile — possibly another engine's, possibly under different
+// options — so validate and check before running.
+func (e *Engine) streamPlan(ctx context.Context, p *Plan, opts Options, shared []SubSource, quiet bool) (*Stream, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, badRequest(err)
 	}
@@ -245,68 +258,98 @@ func (e *Engine) streamPlan(ctx context.Context, p *Plan, opts Options, quiet bo
 	if err := p.check(e, opts); err != nil {
 		return nil, err
 	}
-	return e.startStream(ctx, p, opts, quiet)
+	if shared != nil {
+		if opts.TimeBound > 0 {
+			return nil, badRequest(fmt.Errorf("core: sub-query sharing requires the exact mode (TimeBound = 0)"))
+		}
+		if want := p.Subqueries(); len(shared) != want {
+			return nil, fmt.Errorf("core: %d sub-query sources for a plan with %d sub-queries", len(shared), want)
+		}
+	}
+	return e.start(ctx, p, opts, shared, quiet)
 }
 
-// startStream runs the pipeline from a compiled plan with normalized,
-// validated options; see Compile. The timed window (Result.Elapsed)
-// covers the run, not the compilation — a plan-cache hit in the serving
-// layer pays neither.
-func (e *Engine) startStream(ctx context.Context, p *Plan, opts Options, quiet bool) (*Stream, error) {
-	return e.startStreamWith(ctx, p, opts, nil, quiet)
-}
-
-// startStreamWith is startStream with optional shared sub-query sources:
-// shared[i], when non-nil, feeds sub-query i from a shared enumeration
-// and no private searcher is built for it (exact mode only — the
-// StreamPlanShared entry points enforce that gate).
-func (e *Engine) startStreamWith(ctx context.Context, p *Plan, opts Options, shared []SubSource, quiet bool) (*Stream, error) {
+// start runs the pipeline from a compiled plan with normalized, validated
+// options. shared[i], when non-nil, feeds sub-query i from a shared
+// whole-graph enumeration instead of a private searcher. The timed window
+// (Result.Elapsed) covers the run, not the compilation — a plan-cache hit
+// in the serving layer pays neither.
+func (e *Engine) start(ctx context.Context, p *Plan, opts Options, shared []SubSource, quiet bool) (*Stream, error) {
 	if opts.TimeBound > 0 {
 		e.perMatchCost() // calibrate outside the timed window
 	}
 	start := time.Now()
-	searchers, err := e.searchersWith(p, shared)
-	if err != nil {
-		return nil, err
+	var sc *scatter // a non-compiled plan has nothing to search
+	if p.compiled {
+		var err error
+		if sc, err = e.openSources(ctx, p, opts, shared); err != nil {
+			return nil, err
+		}
 	}
-
 	buffer := streamBuffer
 	if quiet {
 		buffer = 0 // no events will be emitted
 	}
 	s := &Stream{events: make(chan Event, buffer), done: make(chan struct{}), quiet: quiet}
 	if quiet {
-		e.runStream(ctx, s, p.d, searchers, shared, p.compiled, opts, start)
+		e.run(ctx, s, p, sc, opts, start)
 	} else {
-		go e.runStream(ctx, s, p.d, searchers, shared, p.compiled, opts, start)
+		go e.run(ctx, s, p, sc, opts, start)
 	}
 	return s, nil
 }
 
-// runStream is the pipeline goroutine behind Stream.
-func (e *Engine) runStream(ctx context.Context, s *Stream, d *query.Decomposition,
-	searchers []*astar.Searcher, shared []SubSource, compiled bool, opts Options, start time.Time) {
-	res := &Result{Decomposition: d}
-	if compiled {
-		var finals []ta.Final
+// run is the one gather pipeline behind every engine's Stream: scatter the
+// search phase over the run's sources (exact: each prefetches its share of
+// k, then feeds a demand-driven sorted stream; time-bounded: each collects
+// eagerly under Algorithm 3's estimator), merge the sources of each
+// sub-query, run the TA assembly over the merged streams, and close with
+// the stats, the final ranking and the terminal event. A sub-query with
+// one source — the whole-graph engine always, a one-shard partition —
+// skips the merger.
+func (e *Engine) run(ctx context.Context, s *Stream, p *Plan, sc *scatter, opts Options, start time.Time) {
+	res := &Result{Decomposition: p.d}
+	if p.compiled {
+		s.emit(PhaseEvent{Phase: PhaseSearch})
+		var streams []ta.Stream
 		if opts.TimeBound > 0 {
-			finals = e.streamTBQ(ctx, s, searchers, opts, res, d)
+			streams = e.collectEager(ctx, s, sc, opts, res)
 		} else {
-			finals = e.streamOptimal(ctx, s, searchers, shared, opts.K, d)
+			streams = prefetchSorted(ctx, s, sc, opts.K)
 		}
-		for i, sr := range searchers {
-			if sr != nil {
-				res.SearchStats = append(res.SearchStats, sr.Stats())
-			} else {
-				res.SearchStats = append(res.SearchStats, shared[i].SearchStats())
+		asm := ta.NewAssembler(streams, opts.K)
+		var onRound func(int)
+		if !s.quiet {
+			onRound = func(r int) {
+				lk, umax := asm.Bounds()
+				s.emitProvisional(e, p.d, asm.Provisional(), lk, umax, r)
 			}
 		}
-		res.Answers = e.renderAnswers(finals, d)
+		finals := asm.Run(onRound)
+		if sc.finish != nil {
+			if err := sc.finish(); err != nil {
+				s.fail(err)
+				return
+			}
+		}
+		res.SearchStats = make([]astar.Stats, len(sc.sources))
+		if sc.shards > 0 {
+			res.ShardEffort = make([]astar.Stats, sc.shards)
+		}
+		for sub, srcs := range sc.sources {
+			for _, src := range srcs {
+				st := src.Stats()
+				addStats(&res.SearchStats[sub], st)
+				if sh := src.Shard(); sh > 0 {
+					addStats(&res.ShardEffort[sh-1], st)
+				}
+			}
+		}
+		res.Answers = e.renderAnswers(finals, p.d)
 		// The closing top-k snapshot: guaranteed even when no provisional
 		// round changed the ranking, so consumers always see the final
 		// ranking as the last TopKEvent before the terminal result.
-		lk, umax, round := s.lastBounds()
-		s.emit(TopKEvent{Answers: res.Answers, LowerK: lk, UpperMax: umax, Round: round})
+		s.emit(TopKEvent{Answers: res.Answers, LowerK: s.lk, UpperMax: s.umax, Round: s.round})
 	}
 	res.Elapsed = time.Since(start)
 	s.res = res
@@ -315,10 +358,147 @@ func (e *Engine) runStream(ctx context.Context, s *Stream, d *query.Decompositio
 	close(s.done)
 }
 
-// lastBounds returns the bounds of the most recent assembly round observed
-// by emitProvisional (zero values when the assembly never ran a round).
-func (s *Stream) lastBounds() (lk, umax float64, round int) {
-	return s.lk, s.umax, s.round
+func addStats(agg *astar.Stats, st astar.Stats) {
+	agg.Popped += st.Popped
+	agg.Pushed += st.Pushed
+	agg.Pruned += st.Pruned
+	agg.Emitted += st.Emitted
+}
+
+// prefetchSorted is the exact mode's search phase: every source
+// prefetches its proportional share of k concurrently — if the top-k
+// distributes evenly across a partition, each shard contributes about k/N
+// — then resumes lazily behind its buffer. The gather stays demand-driven
+// past the prefetch: the TA assembly pulls further matches through the
+// sorted mergers only when its L_k/U_max bounds require them, and only
+// from the source whose head is actually competitive — skew (all
+// candidates in one shard) costs lazy pulls, never a restart.
+func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int) []ta.Stream {
+	share := k
+	var sem chan struct{}
+	if sc.shards > 1 {
+		share = 1 + (k-1)/sc.shards
+		sem = make(chan struct{}, sc.workers)
+	}
+	quiet := s.quiet // hoisted: the per-match emit would otherwise box an event just to drop it
+	resumes := make([][]*resumeStream, len(sc.sources))
+	var wg sync.WaitGroup
+	for sub, srcs := range sc.sources {
+		resumes[sub] = make([]*resumeStream, len(srcs))
+		for i, src := range srcs {
+			r := &resumeStream{ctx: ctx, search: src}
+			resumes[sub][i] = r
+			wg.Add(1)
+			go func(sub int, src matchSource) {
+				defer wg.Done()
+				if sem != nil {
+					sem <- struct{}{}
+					defer func() { <-sem }()
+				}
+				for len(r.buf) < share && ctx.Err() == nil {
+					m, ok := src.Next()
+					if !ok {
+						break
+					}
+					r.buf = append(r.buf, m)
+					if !quiet {
+						s.emit(ProgressEvent{Shard: src.Shard(), Sub: sub, Collected: len(r.buf)})
+					}
+				}
+				if !quiet {
+					s.emit(ProgressEvent{Shard: src.Shard(), Sub: sub, Collected: len(r.buf), Done: true})
+				}
+			}(sub, src)
+		}
+	}
+	wg.Wait()
+
+	// Gather: a single source is already the sorted, per-entity-deduplicated
+	// stream the assembly wants; several go through the k-way merger in
+	// shard order.
+	counts := make([]int, len(sc.sources))
+	streams := make([]ta.Stream, len(sc.sources))
+	for sub, rs := range resumes {
+		if len(rs) == 1 {
+			counts[sub], streams[sub] = len(rs[0].buf), rs[0]
+			continue
+		}
+		srcs := make([]merge.Source, len(rs))
+		for i, r := range rs {
+			counts[sub] += len(r.buf)
+			srcs[i] = r
+		}
+		streams[sub] = merge.Sorted(srcs...)
+	}
+	s.emit(PhaseEvent{Phase: PhaseAssemble, Collected: counts})
+	return streams
+}
+
+// collectEager is the time-bounded mode's search phase (Algorithms 2 and
+// 3): every source collects eagerly and concurrently — all of them, as
+// the estimator requires — until the alert threshold T·r%; the collected
+// sets are then merged per sub-query (best match per end node across
+// shards) into the slices the assembly consumes. Local sources share the
+// one estimator created here, T̂ = elapsed + Σ|M̂|·t with Σ counting
+// distinct entities per (shard, sub-query) set: an entity reachable
+// through first hops in several shards counts once per shard, so a
+// partitioned alert can only fire earlier than the whole-graph one — the
+// time bound is never loosened by sharding.
+func (e *Engine) collectEager(ctx context.Context, s *Stream, sc *scatter, opts Options, res *Result) []ta.Stream {
+	quiet := s.quiet
+	var onAlert func(elapsed, projected time.Duration)
+	if !quiet {
+		onAlert = func(elapsed, projected time.Duration) {
+			s.emit(PhaseEvent{Phase: PhaseAlert, Elapsed: elapsed, Projected: projected})
+		}
+	}
+	est := tbq.NewEstimator(ctx, tbq.Config{
+		Bound:      opts.TimeBound,
+		AlertRatio: opts.AlertRatio,
+		PerMatchTA: e.perMatchCost(),
+		Clock:      opts.Clock,
+	}, onAlert)
+
+	sets := make([][]map[kg.NodeID]astar.Match, len(sc.sources))
+	var dry atomic.Bool
+	dry.Store(true)
+	var wg sync.WaitGroup
+	for sub, srcs := range sc.sources {
+		sets[sub] = make([]map[kg.NodeID]astar.Match, len(srcs))
+		for i, src := range srcs {
+			wg.Add(1)
+			go func(sub, i int, src matchSource) {
+				defer wg.Done()
+				var onNew func(total int)
+				if !quiet {
+					onNew = func(total int) {
+						s.emit(ProgressEvent{Shard: src.Shard(), Sub: sub, Collected: total})
+					}
+				}
+				best, exhausted := src.Collect(est, onNew)
+				sets[sub][i] = best
+				if !exhausted {
+					dry.Store(false)
+				}
+				if !quiet {
+					s.emit(ProgressEvent{Shard: src.Shard(), Sub: sub, Collected: len(best), Done: true})
+				}
+			}(sub, i, src)
+		}
+	}
+	wg.Wait()
+
+	streams := make([]ta.Stream, len(sc.sources))
+	counts := make([]int, len(sc.sources))
+	for sub := range streams {
+		ms := merge.BestByEnd(sets[sub]...) // shard order: deterministic equal-PSS winner
+		counts[sub] = len(ms)
+		streams[sub] = &ta.SliceStream{Matches: ms}
+	}
+	res.Approximate = !dry.Load()
+	res.Collected = counts
+	s.emit(PhaseEvent{Phase: PhaseAssemble, Collected: counts})
+	return streams
 }
 
 // emitProvisional emits a TopKEvent when the provisional ranking changed
@@ -329,113 +509,11 @@ func (s *Stream) emitProvisional(e *Engine, d *query.Decomposition, finals []ta.
 	for i, f := range finals {
 		sig[i] = provisionalKey{pivot: f.Pivot, score: f.Score}
 	}
-	if provisionalEqual(sig, s.lastTopK) {
+	if slices.Equal(sig, s.lastTopK) {
 		return
 	}
 	s.lastTopK = sig
 	s.emit(TopKEvent{Answers: e.renderAnswers(finals, d), LowerK: lk, UpperMax: umax, Round: round})
-}
-
-// streamOptimal is the exact pipeline (the former assembleOptimal) with
-// events threaded through: each searcher prefetches its first k matches
-// concurrently (one goroutine per sub-query graph, as in the paper), then
-// the TA assembly pulls further matches on demand, emitting a provisional
-// top-k snapshot whenever a round changes the ranking.
-func (e *Engine) streamOptimal(ctx context.Context, s *Stream, searchers []*astar.Searcher, shared []SubSource, k int, d *query.Decomposition) []ta.Final {
-	s.emit(PhaseEvent{Phase: PhaseSearch})
-	// One pull stream per sub-query: the private searcher, or a fresh
-	// cursor over the shared enumeration. The cursor doubles as the
-	// continuation after prefetch — its position survives into the
-	// assembly's on-demand pulls.
-	pulls := make([]ta.Stream, len(searchers))
-	for i := range searchers {
-		if searchers[i] != nil {
-			pulls[i] = searchers[i]
-		} else {
-			pulls[i] = shared[i].Cursor()
-		}
-	}
-	prefetched := make([][]astar.Match, len(pulls))
-	var wg sync.WaitGroup
-	quiet := s.quiet // hoisted: the per-match emit would otherwise box an event just to drop it
-	for i, pull := range pulls {
-		wg.Add(1)
-		go func(i int, pull ta.Stream) {
-			defer wg.Done()
-			for len(prefetched[i]) < k && ctx.Err() == nil {
-				m, ok := pull.Next()
-				if !ok {
-					break
-				}
-				prefetched[i] = append(prefetched[i], m)
-				if !quiet {
-					s.emit(ProgressEvent{Sub: i, Collected: len(prefetched[i])})
-				}
-			}
-			if !quiet {
-				s.emit(ProgressEvent{Sub: i, Collected: len(prefetched[i]), Done: true})
-			}
-		}(i, pull)
-	}
-	wg.Wait()
-
-	counts := make([]int, len(pulls))
-	streams := make([]ta.Stream, len(pulls))
-	for i := range pulls {
-		counts[i] = len(prefetched[i])
-		streams[i] = &resumeStream{
-			ctx:    ctx,
-			buf:    prefetched[i],
-			search: pulls[i],
-		}
-	}
-	s.emit(PhaseEvent{Phase: PhaseAssemble, Collected: counts})
-
-	asm := ta.NewAssembler(streams, k)
-	var onRound func(int)
-	if !s.quiet {
-		onRound = func(r int) {
-			lk, umax := asm.Bounds()
-			s.emitProvisional(e, d, asm.Provisional(), lk, umax, r)
-		}
-	}
-	return asm.Run(onRound)
-}
-
-// streamTBQ runs the time-bounded pipeline with tbq's phases threaded
-// through the event channel.
-func (e *Engine) streamTBQ(ctx context.Context, s *Stream, searchers []*astar.Searcher, opts Options, res *Result, d *query.Decomposition) []ta.Final {
-	cfg := tbq.Config{
-		Bound:      opts.TimeBound,
-		AlertRatio: opts.AlertRatio,
-		PerMatchTA: e.perMatchCost(),
-		Clock:      opts.Clock,
-	}
-	s.emit(PhaseEvent{Phase: PhaseSearch})
-	var hooks tbq.Hooks
-	if !s.quiet {
-		hooks = tbq.Hooks{
-			OnCollected: func(sub, total int) {
-				s.emit(ProgressEvent{Sub: sub, Collected: total})
-			},
-			OnSubDone: func(sub, total int) {
-				s.emit(ProgressEvent{Sub: sub, Collected: total, Done: true})
-			},
-			OnAlert: func(elapsed, projected time.Duration) {
-				s.emit(PhaseEvent{Phase: PhaseAlert, Elapsed: elapsed, Projected: projected})
-			},
-			OnAssembly: func(collected []int) {
-				s.emit(PhaseEvent{Phase: PhaseAssemble, Collected: collected})
-			},
-			OnProvisional: func(finals []ta.Final, lk, umax float64, round int) {
-				s.emitProvisional(e, d, finals, lk, umax, round)
-			},
-		}
-	}
-	out := tbq.RunHooked(ctx, searchers, opts.K, cfg, hooks)
-	res.Approximate = !out.Exhausted
-	res.Collected = out.Collected
-	return out.Finals
 }
 
 // provisionalKey identifies one provisional ranking entry for change
@@ -443,16 +521,4 @@ func (e *Engine) streamTBQ(ctx context.Context, s *Stream, searchers []*astar.Se
 type provisionalKey struct {
 	pivot kg.NodeID
 	score float64
-}
-
-func provisionalEqual(a, b []provisionalKey) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,7 +1,7 @@
 // Package merge implements the gather half of the sharded scatter-gather
 // pipeline: combining per-shard sub-query match streams into one globally
 // sorted stream, and per-shard eager-collected match sets into one
-// deduplicated set (see DESIGN.md, "Sharded execution").
+// deduplicated set (see DESIGN.md, "Scatter-gather").
 //
 // Sorted is demand-driven: it pulls one match ahead per source and yields
 // the global maximum, so the TA assembly's L_k >= U_max early termination
@@ -114,11 +114,16 @@ func (m *Merged) Next() (astar.Match, bool) {
 // the same end node, the earlier set (lower shard index) wins,
 // deterministically.
 func BestByEnd(sets ...map[kg.NodeID]astar.Match) []astar.Match {
-	merged := make(map[kg.NodeID]astar.Match)
-	for _, set := range sets {
-		for end, m := range set {
-			if cur, ok := merged[end]; !ok || m.PSS > cur.PSS {
-				merged[end] = m
+	var merged map[kg.NodeID]astar.Match
+	if len(sets) == 1 {
+		merged = sets[0] // one source (the whole-graph engine): nothing to dedupe
+	} else {
+		merged = make(map[kg.NodeID]astar.Match)
+		for _, set := range sets {
+			for end, m := range set {
+				if cur, ok := merged[end]; !ok || m.PSS > cur.PSS {
+					merged[end] = m
+				}
 			}
 		}
 	}

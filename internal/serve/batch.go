@@ -58,16 +58,20 @@ func (e *Engine) SearchBatch(ctx context.Context, items []BatchItem) []BatchOutc
 }
 
 // WarmPlans group-compiles the batch's distinct, cacheable plan-cache
-// misses on a single-graph engine, under one shared φ memo. Compilation
-// failures are dropped here: the failing item recompiles on its own
-// Search path and surfaces the identical error with per-item
-// attribution. On a sharded engine or a disabled plan cache this is a
-// no-op — items still share whatever the per-item path shares.
-// SearchBatch calls it automatically; the streaming batch endpoint calls
-// it before fanning items out as individual streams.
+// misses under one shared φ memo, on an engine currently answering from
+// the whole graph (core.WholeGraph — the same condition as sub-search
+// sharing). Compilation failures are dropped here: the failing item
+// recompiles on its own Search path and surfaces the identical error
+// with per-item attribution. On a partitioned engine or a disabled plan
+// cache this is a no-op — items still share whatever the per-item path
+// shares: over a partition compilation is dominated by projecting the
+// plan into every shard, which the items' own concurrent compiles
+// overlap, whereas the group compile is serial and runs before the first
+// item starts. SearchBatch calls it automatically; the streaming batch
+// endpoint calls it before fanning items out as individual streams.
 func (e *Engine) WarmPlans(items []BatchItem) {
 	eng, gen := e.engineGen()
-	ce, ok := eng.(*core.Engine)
+	ce, ok := core.WholeGraph(eng)
 	if !ok {
 		return
 	}

@@ -1,7 +1,7 @@
 // Package serve is the engine-level serving layer: it turns one engine —
-// a single-graph *core.Engine or a scatter-gather *core.ShardedEngine,
-// anything satisfying core.Queryer — into a component fit for heavy
-// concurrent traffic.
+// a whole-graph *core.Engine or any engine derived from one (sharded,
+// distributed, resharding), anything satisfying core.Queryer — into a
+// component fit for heavy concurrent traffic.
 //
 //   - Result cache: an LRU keyed by a canonical hash of (query graph,
 //     normalized options). A hit skips the whole pipeline — including the
@@ -171,8 +171,8 @@ func New(eng core.Queryer, cfg Config) *Engine {
 	}
 }
 
-// Engine returns the currently-served engine (a *core.Engine or
-// *core.ShardedEngine, whichever the layer was built over).
+// Engine returns the currently-served engine (whichever the layer was
+// built over, or Build last produced).
 func (e *Engine) Engine() core.Queryer {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

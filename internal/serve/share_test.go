@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"semkg/internal/core"
 	"semkg/internal/kg"
@@ -398,5 +399,94 @@ func TestSearchBatchConcurrentWithApply(t *testing.T) {
 		if !slices.Contains(out[0].Result.Entities(), fmt.Sprintf("BatchAuto_%d", a)) {
 			t.Fatalf("BatchAuto_%d missing after interleaved batches: %v", a, out[0].Result.Entities())
 		}
+	}
+}
+
+// TestShareOverReshardingEngine: the sharing and group-compile gates ask
+// what the engine answers from right now (core.WholeGraph), not what type
+// it is. A resharding engine still in its unsharded phase shares
+// sub-searches and warms batch plans exactly like a plain engine; once
+// the partition lands it takes the private path — and the plans cached
+// before the swap keep hitting after it. Answers match solo execution on
+// both sides.
+func TestShareOverReshardingEngine(t *testing.T) {
+	ctx := context.Background()
+	base := testEngine(t)
+	gate := make(chan struct{})
+	ready := make(chan struct{})
+	r := core.NewResharding(base, nil, core.ReshardConfig{
+		Shard:   core.ShardConfig{Shards: 2},
+		Gate:    func() { <-gate },
+		OnReady: func(*core.ShardedEngine) { close(ready) },
+		OnError: func(err error) { t.Errorf("background partition failed: %v", err) },
+	})
+	srv := New(r, Config{})
+
+	want := func(q *query.Graph, opts core.Options) []byte {
+		t.Helper()
+		res, err := base.Search(ctx, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answersJSON(t, res)
+	}
+	// Two Ks over one shape: the second run joins the first's sub-searches.
+	batch := []BatchItem{{Query: q117(), Opts: testOpts()}, {Query: clubQuery(), Opts: testOpts()}}
+	srv.WarmPlans(batch)
+	if st := srv.Stats(); st.PlanEntries != 2 {
+		t.Fatalf("unsharded phase did not group-compile the batch: %+v", st)
+	}
+	for _, k := range []int{3, 5} {
+		opts := testOpts()
+		opts.K = k
+		res, err := srv.Search(ctx, q117(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(answersJSON(t, res), want(q117(), opts)) {
+			t.Fatalf("K=%d: unsharded-phase answers differ from solo execution", k)
+		}
+	}
+	before := srv.Stats()
+	if before.SubMisses == 0 || before.SubHits == 0 {
+		t.Fatalf("unsharded phase did not share sub-searches: %+v", before)
+	}
+	if before.PlanHits == 0 {
+		t.Fatalf("warmed plans never hit: %+v", before)
+	}
+
+	close(gate)
+	select {
+	case <-ready:
+	case <-time.After(30 * time.Second):
+		t.Fatal("background partition never became ready")
+	}
+	if _, ok := core.WholeGraph(r); ok {
+		t.Fatal("engine still reports whole-graph after the partition landed")
+	}
+	// A new K misses the result cache, hits the pre-swap plan, and runs
+	// over the partition: no sub-search traffic, no group compile.
+	opts := testOpts()
+	opts.K = 7
+	res, err := srv.Search(ctx, q117(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(answersJSON(t, res), want(q117(), opts)) {
+		t.Fatal("partitioned-phase answers differ from solo execution")
+	}
+	if res.ShardEffort == nil {
+		t.Fatal("post-swap run did not scatter over the partition")
+	}
+	srv.WarmPlans([]BatchItem{{Query: manufacturerQuery(), Opts: testOpts()}})
+	after := srv.Stats()
+	if after.SubHits != before.SubHits || after.SubMisses != before.SubMisses {
+		t.Fatalf("partitioned phase still shares sub-searches: before %+v, after %+v", before, after)
+	}
+	if after.PlanEntries != before.PlanEntries {
+		t.Fatalf("partitioned phase group-compiled: %d plan entries, was %d", after.PlanEntries, before.PlanEntries)
+	}
+	if after.PlanHits <= before.PlanHits {
+		t.Fatalf("pre-swap plan did not survive the swap: before %+v, after %+v", before, after)
 	}
 }

@@ -17,10 +17,14 @@
 // blueprint share a single search — the sub-query-level singleflight.
 //
 // Sharing is invisible by construction (same match sequence, same TA
-// assembly) and gated to deterministic exact-mode requests; anything
-// else — time-bounded, random pivot, test hooks, sharded engines —
-// takes the private path. See DESIGN.md, "Cross-query sharing and batch
-// execution".
+// assembly) and gated to deterministic exact-mode requests answered from
+// the whole graph (core.WholeGraph); anything else — time-bounded, random
+// pivot, test hooks — takes the private path. So does a partitioned
+// engine: there a sub-query is one enumeration per shard, each a function
+// of that partition's ownership and halo, so an entry would have to be
+// keyed and invalidated by partition as well as generation, for searches
+// that are already 1/N the size. See DESIGN.md, "Cross-query sharing and
+// batch execution".
 
 package serve
 
@@ -54,13 +58,14 @@ func (e *Engine) sharing() bool { return e.subs.max > 0 }
 
 // streamFor starts the pipeline for one admitted request, routing
 // through the sub-query sharing layer when the request qualifies:
-// deterministic (shareable == cacheable), exact mode, a single-graph
-// engine, and a fully compiled plan. Any sharing setup failure falls
-// back to the private path — sharing is an optimization, never a new
-// way to fail a request.
+// deterministic (shareable == cacheable), exact mode, an engine
+// currently answering from the whole graph (a resharding engine
+// qualifies until its partition lands), and a fully compiled plan. Any
+// sharing setup failure falls back to the private path — sharing is an
+// optimization, never a new way to fail a request.
 func (e *Engine) streamFor(ctx context.Context, eng core.Queryer, gen uint64, plan core.CompiledPlan, opts core.Options, shareable bool) (*core.Stream, error) {
 	if shareable && e.sharing() && opts.TimeBound == 0 {
-		if ce, ok := eng.(*core.Engine); ok {
+		if ce, ok := core.WholeGraph(eng); ok {
 			if cp, ok := plan.(*core.Plan); ok && cp.Compiled() {
 				if sources := e.subSourcesFor(ce, gen, cp); sources != nil {
 					if st, err := ce.StreamPlanShared(ctx, cp, opts, sources); err == nil {

@@ -2,12 +2,12 @@
 // pipeline (semkgd -serve-shard). A Server holds one or more loaded
 // shards and answers per-(shard, sub-query) searches over the
 // shardwire protocol; the coordinator (core.DistEngine) is its only
-// intended client. See DESIGN.md, "Distributed sharding".
+// intended client. See DESIGN.md, "Scatter-gather".
 //
 // The server is deliberately dumb: it projects a globally-resolved
-// blueprint into its shard's id space, runs exactly the searcher the
-// in-process sharded engine would have run, and remaps matches back to
-// base ids. All semantics — decomposition, φ matching, predicate
+// blueprint into its shard's id space (Shard.Project) and streams the
+// very local Source the in-process sharded engine would have pulled from
+// directly. All semantics — decomposition, φ matching, predicate
 // resolution, merging, TA assembly — stay on the coordinator, which is
 // how the cross-process pipeline inherits the in-process one's
 // exactness proof unchanged.
@@ -24,7 +24,6 @@ import (
 	"semkg/internal/astar"
 	"semkg/internal/kg"
 	"semkg/internal/merge"
-	"semkg/internal/semgraph"
 	"semkg/internal/shardwire"
 	"semkg/internal/tbq"
 )
@@ -157,7 +156,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sub, rows, active, err := projectRequest(sh, req)
+	proj, err := sh.Project(&req.Blueprint)
 	if err != nil {
 		s.errors.Add(1)
 		writeWireJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
@@ -169,144 +168,80 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	out := &lineWriter{w: w}
+	out.flusher, _ = w.(http.Flusher)
 
-	if !active {
-		// No owned anchor or an empty projected end set: this shard cannot
-		// contribute matches, exactly like an inactive shardPlanSub. The
-		// empty stream is complete, hence exhausted.
+	if proj == nil {
+		// This shard cannot contribute matches; the empty stream is
+		// complete, hence exhausted.
 		out.line(shardwire.Line{Done: true, Exhausted: true, Stats: &shardwire.SearchStats{}})
 		return
 	}
-	weighter, err := semgraph.NewWeighterFromRows(sh.Graph, rows)
-	if err != nil {
-		s.errors.Add(1)
-		out.line(shardwire.Line{Error: err.Error()})
-		return
-	}
-	sr := astar.NewSearcher(sh.Graph, weighter, sub, astar.Options{
+	src, err := sh.NewSource(proj, astar.Options{
 		Tau:          req.Tau,
 		MaxHops:      req.MaxHops,
 		NoHeuristic:  req.NoHeuristic,
 		PruneVisited: req.PruneVisited,
 	})
-	if req.Eager {
-		s.runEager(r, out, sh, sr, req)
+	if err != nil {
+		s.errors.Add(1)
+		out.line(shardwire.Line{Error: err.Error()})
 		return
 	}
-	s.runExact(r, out, sh, sr, req.Offset)
+	exhausted := true
+	if req.Eager {
+		exhausted = s.streamEager(r, out, src, req)
+	} else if !s.streamExact(r, out, src, req.Offset) {
+		return // client gone or cancelled: no terminal line
+	}
+	st := shardwire.SearchStats(src.Stats())
+	out.line(shardwire.Line{Done: true, Exhausted: exhausted, Stats: &st})
 }
 
-// runExact streams the sorted match sequence, skipping the first offset
-// matches (the deterministic failover resume), flushing per line so the
-// coordinator's demand-driven merge sees matches as they surface.
-func (s *Server) runExact(r *http.Request, out *lineWriter, sh *Shard, sr *astar.Searcher, offset int) {
+// streamExact streams the source's sorted match sequence, skipping the
+// first offset matches (the deterministic failover resume), flushing per
+// line so the coordinator's demand-driven merge sees matches as they
+// surface. It reports whether the sequence was streamed to its end.
+func (s *Server) streamExact(r *http.Request, out *lineWriter, src *Source, offset int) bool {
 	ctx := r.Context()
-	skipped := 0
-	for ctx.Err() == nil {
-		m, ok := sr.Next()
+	for skipped := 0; ctx.Err() == nil; {
+		m, ok := src.Next()
 		if !ok {
-			st := sr.Stats()
-			out.line(shardwire.Line{Done: true, Exhausted: true, Stats: &shardwire.SearchStats{
-				Popped: st.Popped, Pushed: st.Pushed, Pruned: st.Pruned, Emitted: st.Emitted,
-			}})
-			return
+			return true
 		}
 		if skipped < offset {
 			skipped++
 			continue
 		}
-		if !out.line(matchLine(sh, m)) {
-			return // client gone
+		if !out.line(matchLine(m)) {
+			return false
 		}
 		s.matches.Add(1)
 	}
+	return false
 }
 
-// runEager is the time-bounded collection (Algorithm 2) on the server
-// side: collect best-per-end under a local estimator, then send the
-// sorted set in one burst with the exhaustion flag.
-func (s *Server) runEager(r *http.Request, out *lineWriter, sh *Shard, sr *astar.Searcher, req *shardwire.SearchRequest) {
+// streamEager is the time-bounded collection (Algorithm 2) on the server
+// side: the source collects best-per-end under a local estimator, then
+// the sorted set goes out in one burst. It reports whether the search ran
+// dry before the estimator stopped it.
+func (s *Server) streamEager(r *http.Request, out *lineWriter, src *Source, req *shardwire.SearchRequest) bool {
 	est := tbq.NewEstimator(r.Context(), tbq.Config{
 		Bound:      time.Duration(req.TimeBoundNs),
 		AlertRatio: req.AlertRatio,
 		PerMatchTA: time.Duration(req.PerMatchNs),
 	}, nil)
-	best := make(map[kg.NodeID]astar.Match)
-	exhausted := sr.RunEager(est.Stop, func(m astar.Match) bool {
-		m = remapServerMatch(sh, m)
-		if old, ok := best[m.End()]; !ok || m.PSS > old.PSS {
-			if !ok {
-				est.Collected()
-			}
-			best[m.End()] = m
-		}
-		return true
-	})
+	best, exhausted := src.Collect(est, nil)
 	for _, m := range merge.BestByEnd(best) {
-		if !out.line(matchLineGlobal(m)) {
-			return
+		if !out.line(matchLine(m)) {
+			break
 		}
 		s.matches.Add(1)
 	}
-	st := sr.Stats()
-	out.line(shardwire.Line{Done: true, Exhausted: exhausted, Stats: &shardwire.SearchStats{
-		Popped: st.Popped, Pushed: st.Pushed, Pruned: st.Pruned, Emitted: st.Emitted,
-	}})
+	return exhausted
 }
 
-// projectRequest maps the request's global blueprint into the shard's id
-// space — the wire twin of core.ShardedEngine.projectSub. active=false
-// means the shard provably has no matches for this sub-query.
-func projectRequest(sh *Shard, req *shardwire.SearchRequest) (sub astar.SubQuery, rows [][]float64, active bool, err error) {
-	var anchors []kg.NodeID
-	for _, a := range req.Anchors {
-		if la, ok := sh.LocalNode(kg.NodeID(a)); ok {
-			anchors = append(anchors, la)
-		}
-	}
-	if len(anchors) == 0 {
-		return sub, nil, false, nil
-	}
-	endSets := make([]map[kg.NodeID]bool, len(req.EndSets))
-	for i, set := range req.EndSets {
-		local := make(map[kg.NodeID]bool, len(set))
-		for _, g := range set {
-			if lg, ok := sh.LocalNode(kg.NodeID(g)); ok {
-				local[lg] = true
-			}
-		}
-		if len(local) == 0 {
-			return sub, nil, false, nil
-		}
-		endSets[i] = local
-	}
-	g := sh.Graph
-	rows = make([][]float64, len(req.Rows))
-	for seg, named := range req.Rows {
-		row := make([]float64, g.NumPredicates())
-		for p := range row {
-			w, ok := named[g.PredName(kg.PredID(p))]
-			if !ok {
-				// The coordinator's rows cover its whole base vocabulary; a
-				// shard predicate it has never heard of means the snapshot
-				// outlived the graph it was cut from.
-				return sub, nil, false, fmt.Errorf("shard: predicate %q not in the request's weight rows (stale shard snapshot?)",
-					g.PredName(kg.PredID(p)))
-			}
-			row[p] = w
-		}
-		rows[seg] = row
-	}
-	return astar.SubQuery{Anchors: anchors, EndSets: endSets, FirstHop: sh.Owned}, rows, true, nil
-}
-
-// matchLine remaps a shard-local match to base ids and renders it.
-func matchLine(sh *Shard, m astar.Match) shardwire.Line {
-	return matchLineGlobal(remapServerMatch(sh, m))
-}
-
-// matchLineGlobal renders an already base-mapped match.
-func matchLineGlobal(m astar.Match) shardwire.Line {
+// matchLine renders a base-id match as its wire line.
+func matchLine(m astar.Match) shardwire.Line {
 	l := shardwire.Line{
 		Nodes:   make([]uint32, len(m.Nodes)),
 		Edges:   make([]uint32, len(m.Edges)),
@@ -322,30 +257,13 @@ func matchLineGlobal(m astar.Match) shardwire.Line {
 	return l
 }
 
-// remapServerMatch rewrites a shard-local match into base-graph ids, in
-// place (searchers materialize fresh slices per match).
-func remapServerMatch(sh *Shard, m astar.Match) astar.Match {
-	for i, u := range m.Nodes {
-		m.Nodes[i] = sh.GlobalNode(u)
-	}
-	for i, e := range m.Edges {
-		m.Edges[i] = sh.GlobalEdge(e)
-	}
-	return m
-}
-
 // lineWriter streams NDJSON lines with a per-line flush.
 type lineWriter struct {
 	w       http.ResponseWriter
-	flusher http.Flusher
-	init    bool
+	flusher http.Flusher // nil when w cannot flush
 }
 
 func (lw *lineWriter) line(l shardwire.Line) bool {
-	if !lw.init {
-		lw.flusher, _ = lw.w.(http.Flusher)
-		lw.init = true
-	}
 	b, err := shardwire.EncodeLine(l)
 	if err != nil {
 		return false

@@ -1,5 +1,5 @@
 // Package shard partitions one immutable kg.Graph into N shard graphs for
-// scatter-gather search (see DESIGN.md, "Sharded execution").
+// scatter-gather search (see DESIGN.md, "Scatter-gather").
 //
 // The partition is by *node ownership with halo replication*: every node is
 // owned by exactly one shard (deterministically, by node id modulo the

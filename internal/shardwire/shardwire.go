@@ -1,7 +1,6 @@
 // Package shardwire defines the internal wire protocol between the
 // scatter-gather coordinator (core.DistEngine) and shard servers
-// (shard.Server, semkgd -serve-shard). See DESIGN.md, "Distributed
-// sharding".
+// (shard.Server, semkgd -serve-shard). See DESIGN.md, "Scatter-gather".
 //
 // Two routes:
 //
@@ -101,6 +100,8 @@ func (r *SearchRequest) Validate() error {
 	switch {
 	case r.Shard < 0:
 		return fmt.Errorf("shardwire: shard = %d out of range", r.Shard)
+	case r.Sub < 0:
+		return fmt.Errorf("shardwire: sub = %d out of range", r.Sub)
 	case r.Tau <= 0 || r.Tau > 1:
 		return fmt.Errorf("shardwire: tau = %v out of range (0,1]", r.Tau)
 	case r.MaxHops < 1:
@@ -109,8 +110,14 @@ func (r *SearchRequest) Validate() error {
 		return fmt.Errorf("shardwire: offset = %d out of range", r.Offset)
 	case len(r.Rows) != len(r.EndSets):
 		return fmt.Errorf("shardwire: %d weight rows for %d segments", len(r.Rows), len(r.EndSets))
-	case r.Eager && r.TimeBoundNs <= 0:
-		return fmt.Errorf("shardwire: eager mode requires time_bound_ns > 0")
+	case r.TimeBoundNs < 0 || r.Eager && r.TimeBoundNs == 0:
+		return fmt.Errorf("shardwire: time_bound_ns = %d out of range (eager mode requires > 0)", r.TimeBoundNs)
+	case r.AlertRatio < 0 || r.AlertRatio > 1:
+		return fmt.Errorf("shardwire: alert_ratio = %v out of range [0,1]", r.AlertRatio)
+	case r.PerMatchNs < 0:
+		return fmt.Errorf("shardwire: per_match_ns = %d out of range", r.PerMatchNs)
+	case r.Eager && r.Offset != 0:
+		return fmt.Errorf("shardwire: offset resume is exact-mode only (eager collections are not deterministic)")
 	}
 	return nil
 }
@@ -151,6 +158,38 @@ type Line struct {
 // Terminal reports whether the line ends the stream.
 func (l *Line) Terminal() bool { return l.Done || l.Error != "" }
 
+// Validate rejects lines a coordinator could not safely merge: a line is
+// either terminal and matchless, or one well-formed match — a path of at
+// least one edge whose segment ends index into it. The coordinator reads
+// End() and the SegEnds positions of every match it gathers, so a
+// malformed line from a skewed or broken server must fail the stream
+// here, not panic the assembly.
+func (l *Line) Validate() error {
+	if l.Terminal() {
+		if len(l.Nodes) != 0 || len(l.Edges) != 0 || len(l.SegEnds) != 0 {
+			return fmt.Errorf("shardwire: terminal line carries a match")
+		}
+		return nil
+	}
+	if len(l.Nodes) < 2 || len(l.Edges) != len(l.Nodes)-1 {
+		return fmt.Errorf("shardwire: match line with %d nodes and %d edges is not a path", len(l.Nodes), len(l.Edges))
+	}
+	prev := 0
+	for _, pos := range l.SegEnds {
+		if pos <= prev || pos >= len(l.Nodes) {
+			return fmt.Errorf("shardwire: segment end %d out of order or outside the %d-node path", pos, len(l.Nodes))
+		}
+		prev = pos
+	}
+	if prev != len(l.Nodes)-1 {
+		return fmt.Errorf("shardwire: last segment ends at %d, not at the path's end %d", prev, len(l.Nodes)-1)
+	}
+	if !(l.PSS > 0 && l.PSS <= 1) {
+		return fmt.Errorf("shardwire: pss = %v out of range (0,1]", l.PSS)
+	}
+	return nil
+}
+
 // Sample is one (base id, name) probe of a shard's node mapping.
 type Sample struct {
 	ID   uint32 `json:"id"`
@@ -183,14 +222,18 @@ type Meta struct {
 }
 
 // DecodeSearchRequest parses and validates a request body. Unknown
-// fields are rejected: the protocol is internal and version skew should
-// fail loudly, not truncate semantics silently.
+// fields and anything after the one JSON object are rejected: the
+// protocol is internal and version skew should fail loudly, not truncate
+// semantics silently.
 func DecodeSearchRequest(r io.Reader) (*SearchRequest, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var req SearchRequest
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("shardwire: parsing search request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("shardwire: trailing data after the search request")
 	}
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -217,8 +260,9 @@ func NewLineReader(r io.Reader) *LineReader {
 	return &LineReader{sc: sc}
 }
 
-// Next returns the next line. io.EOF after the last line; a stream that
-// ends without a terminal line is the caller's signal of truncation.
+// Next returns the next line, validated (Line.Validate). io.EOF after the
+// last line; a stream that ends without a terminal line is the caller's
+// signal of truncation.
 func (lr *LineReader) Next() (Line, error) {
 	for lr.sc.Scan() {
 		b := lr.sc.Bytes()
@@ -228,6 +272,9 @@ func (lr *LineReader) Next() (Line, error) {
 		var l Line
 		if err := json.Unmarshal(b, &l); err != nil {
 			return Line{}, fmt.Errorf("shardwire: parsing response line: %w", err)
+		}
+		if err := l.Validate(); err != nil {
+			return Line{}, err
 		}
 		return l, nil
 	}

@@ -115,38 +115,13 @@ type Result struct {
 	Collected []int
 }
 
-// Hooks receives phase notifications during a time-bounded run, so a
-// streaming consumer can observe the run as it unfolds. Every field is
-// optional (nil = no notification). OnCollected is invoked from the
-// per-sub-query search goroutines and must be safe for concurrent use;
-// the remaining hooks fire from at most one goroutine at a time.
-type Hooks struct {
-	// OnCollected fires when sub-query sub's eager set M̂_sub grows to
-	// total distinct answer entities.
-	OnCollected func(sub, total int)
-	// OnSubDone fires when sub-query sub's eager search ends (exhausted
-	// or stopped), with the final |M̂_sub|. Like OnCollected it is
-	// invoked from the search goroutines.
-	OnSubDone func(sub, total int)
-	// OnAlert fires once, when Algorithm 3's estimate T̂ = elapsed +
-	// Σ|M̂_i|·t first reaches the alert threshold Bound·AlertRatio.
-	// It does not fire on context cancellation or exhaustion.
-	OnAlert func(elapsed, projected time.Duration)
-	// OnAssembly fires when the search phase has ended and the TA
-	// assembly of the collected sets begins; collected holds |M̂_i|.
-	OnAssembly func(collected []int)
-	// OnProvisional fires after every TA assembly round with the current
-	// provisional top-k and its L_k/U_max bounds (Theorem 3's state).
-	OnProvisional func(finals []ta.Final, lk, umax float64, round int)
-}
-
 // Estimator is Algorithm 3's synchronized time estimate for a set of
 // concurrent eager searches: T̂ = elapsed search time (the searches run
 // concurrently, so max{T_A*} is the shared wall elapsed) plus the
 // projected assembly cost Σ|M̂_i|·t over every match counted so far. It
-// is shared by the single-engine run (one searcher per sub-query) and
-// the sharded run (one searcher per shard and sub-query), so the alert
-// policy cannot diverge between the two. Safe for concurrent use.
+// is shared by every local match source of a run — one per sub-query on
+// the whole graph, one per (shard, sub-query) on a partition — so the
+// alert policy cannot diverge between the two. Safe for concurrent use.
 type Estimator struct {
 	cfg     Config
 	ctx     context.Context
@@ -195,59 +170,64 @@ func (e *Estimator) Stop() bool {
 // configured clock.
 func (e *Estimator) Elapsed() time.Duration { return e.cfg.Clock.Now().Sub(e.start) }
 
+// Collect is Algorithm 2's eager collection for one searcher — the one
+// best-per-end loop every time-bounded path shares (the Run oracle, the
+// engines' local match sources, the shard server). It runs sr eagerly
+// until est says stop, keeping the best match per end entity; each newly
+// seen entity raises est's projection by one match and fires onNew (when
+// non-nil) with the set's new size. remap, when non-nil, rewrites every
+// match before it is keyed — a shard-local searcher's matches must reach
+// base-graph ids first, since the sets of different shards merge by End.
+// The second result reports whether the search ran dry.
+func Collect(sr *astar.Searcher, est *Estimator, remap func(astar.Match) astar.Match,
+	onNew func(total int)) (map[kg.NodeID]astar.Match, bool) {
+	best := make(map[kg.NodeID]astar.Match)
+	exhausted := sr.RunEager(est.Stop, func(m astar.Match) bool {
+		if remap != nil {
+			m = remap(m)
+		}
+		if old, ok := best[m.End()]; !ok || m.PSS > old.PSS {
+			if !ok {
+				est.Collected()
+				if onNew != nil {
+					onNew(len(best) + 1)
+				}
+			}
+			best[m.End()] = m
+		}
+		return true
+	})
+	return best, exhausted
+}
+
 // Run executes the time-bounded query: searchers (one per sub-query graph,
 // already positioned at their anchors) run concurrently in eager mode until
 // Algorithm 3's estimate reaches the alert threshold, then the collected
-// match sets are assembled into the approximate top-k.
+// match sets are assembled into the approximate top-k. The engines run the
+// same phases inside their event pipeline (core.Stream); Run is the
+// free-standing form the equivalence tests use as their oracle.
 //
 // ctx cancellation stops the search phase early (the assembly still runs on
 // whatever was collected).
 func Run(ctx context.Context, searchers []*astar.Searcher, k int, cfg Config) Result {
-	return RunHooked(ctx, searchers, k, cfg, Hooks{})
-}
-
-// RunHooked is Run with phase notifications threaded through hooks. With
-// the zero Hooks it behaves exactly like Run.
-func RunHooked(ctx context.Context, searchers []*astar.Searcher, k int, cfg Config, hooks Hooks) Result {
-	est := NewEstimator(ctx, cfg, hooks.OnAlert)
-	stop := est.Stop
-
-	type collected struct {
-		best      map[kg.NodeID]astar.Match
-		exhausted bool
-	}
-	results := make([]collected, len(searchers))
+	est := NewEstimator(ctx, cfg, nil)
+	sets := make([]map[kg.NodeID]astar.Match, len(searchers))
+	exhausted := make([]bool, len(searchers))
 	var wg sync.WaitGroup
 	for i, s := range searchers {
 		wg.Add(1)
 		go func(i int, s *astar.Searcher) {
 			defer wg.Done()
-			best := make(map[kg.NodeID]astar.Match)
-			exhausted := s.RunEager(stop, func(m astar.Match) bool {
-				if old, ok := best[m.End()]; !ok || m.PSS > old.PSS {
-					if !ok {
-						est.Collected()
-						if hooks.OnCollected != nil {
-							hooks.OnCollected(i, len(best)+1)
-						}
-					}
-					best[m.End()] = m
-				}
-				return true
-			})
-			results[i] = collected{best: best, exhausted: exhausted}
-			if hooks.OnSubDone != nil {
-				hooks.OnSubDone(i, len(best))
-			}
+			sets[i], exhausted[i] = Collect(s, est, nil, nil)
 		}(i, s)
 	}
 	wg.Wait()
 
 	res := Result{Exhausted: true, Collected: make([]int, len(searchers))}
 	streams := make([]ta.Stream, len(searchers))
-	for i, c := range results {
-		ms := make([]astar.Match, 0, len(c.best))
-		for _, m := range c.best {
+	for i, best := range sets {
+		ms := make([]astar.Match, 0, len(best))
+		for _, m := range best {
 			ms = append(ms, m)
 		}
 		sort.Slice(ms, func(a, b int) bool {
@@ -258,22 +238,11 @@ func RunHooked(ctx context.Context, searchers []*astar.Searcher, k int, cfg Conf
 		})
 		streams[i] = &ta.SliceStream{Matches: ms}
 		res.Collected[i] = len(ms)
-		if !c.exhausted {
+		if !exhausted[i] {
 			res.Exhausted = false
 		}
 	}
-	if hooks.OnAssembly != nil {
-		hooks.OnAssembly(res.Collected)
-	}
-	asm := ta.NewAssembler(streams, k)
-	var onRound func(int)
-	if hooks.OnProvisional != nil {
-		onRound = func(r int) {
-			lk, umax := asm.Bounds()
-			hooks.OnProvisional(asm.Provisional(), lk, umax, r)
-		}
-	}
-	res.Finals = asm.Run(onRound)
+	res.Finals, _ = ta.Assemble(streams, k)
 	res.Elapsed = est.Elapsed()
 	return res
 }

@@ -182,10 +182,10 @@ const (
 	PhaseAssemble = core.PhaseAssemble
 )
 
-// Queryer is the query-execution surface shared by Engine and
-// ShardedEngine: Search/Stream, the compile/run split, and the graph and
-// cost accessors the serving layer needs. Anything satisfying it can be
-// wrapped by NewServing.
+// Queryer is the query-execution surface every engine shares — Engine
+// implements it, ShardedEngine and DistEngine inherit it: Search/Stream,
+// the compile/run split, and the graph and cost accessors the serving
+// layer needs. Anything satisfying it can be wrapped by NewServing.
 type Queryer = core.Queryer
 
 // CompiledPlan is an opaque compiled query returned by
@@ -200,9 +200,9 @@ type CompiledPlan = core.CompiledPlan
 type ShardConfig = core.ShardConfig
 
 // ShardedEngine answers queries by scatter-gather over a partitioned
-// knowledge graph: one plan per shard, fanned-out sub-query searches, and
-// a bounds-aware top-k merge that preserves the paper's L_k/U_max early
-// termination. Results are equivalent to the single engine's (same top-k
+// knowledge graph: one globally compiled plan, sub-query searches fanned
+// out across the shards, and a bounds-aware top-k merge that preserves
+// the paper's L_k/U_max early termination. Results are equivalent to the single engine's (same top-k
 // set and scores for SGQ; same time-bound contract for TBQ). Create one
 // with NewShardedEngine; it satisfies Queryer, so NewServing and the
 // semkgd daemon (-shards) serve it unchanged.
@@ -307,19 +307,11 @@ type BatchItem = serve.BatchItem
 // it shouldn't.
 type BatchOutcome = serve.BatchOutcome
 
-// NewServing wraps an engine — single-graph (*Engine) or sharded
-// (*ShardedEngine), anything satisfying Queryer — in a serving layer
-// sized by cfg. The zero ServeConfig gives production-ready defaults.
-// The facade Engine wrapper is unwrapped first: compiled plans carry the
-// identity of the engine that produced them (the inner core engine, via
-// the promoted CompileQuery), and serving the wrapper itself would make
-// every plan-cache identity check miss.
-func NewServing(e Queryer, cfg ServeConfig) *Serving {
-	if w, ok := e.(*Engine); ok {
-		return serve.New(w.Engine, cfg)
-	}
-	return serve.New(e, cfg)
-}
+// NewServing wraps an engine — single-graph (*Engine), sharded
+// (*ShardedEngine) or distributed (*DistEngine), anything satisfying
+// Queryer — in a serving layer sized by cfg. The zero ServeConfig gives
+// production-ready defaults.
+func NewServing(e Queryer, cfg ServeConfig) *Serving { return serve.New(e, cfg) }
 
 // KeywordFrontend turns bare keywords into ranked answers: it tokenizes
 // the input, maps keywords to graph elements through the name indexes,
