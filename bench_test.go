@@ -1,9 +1,9 @@
-// Benchmark entry points: one testing.B benchmark per table and figure of
-// the paper's evaluation (Section VII), plus micro-benchmarks of the core
-// building blocks and the hot-path before/after pairs (legacy seed
-// implementation vs the index/arena engine). Each experiment benchmark
-// regenerates its artifact on a cached environment; run the full suite
-// with
+// Benchmark entry points: one sub-benchmark per table and figure of the
+// paper's evaluation (Section VII), iterated from the kgbench experiment
+// registry, plus micro-benchmarks of the core building blocks and the
+// hot-path before/after pairs (legacy seed implementation vs the
+// index/arena engine). Each experiment benchmark regenerates its artifact
+// on a cached environment; run the full suite with
 //
 //	go test -bench=. -benchmem
 //
@@ -36,129 +36,29 @@ func benchEnv(b *testing.B, p datagen.Profile) *bench.Env {
 	return env
 }
 
-// BenchmarkTable1 regenerates Table I: P/R of all 8 methods on the four
-// Q117 query-graph variants.
-func BenchmarkTable1(b *testing.B) {
-	env := benchEnv(b, datagen.DBpediaLike(benchScale))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := bench.RunTable1(env); len(res.Rows) != 8 {
-			b.Fatal("unexpected Table I shape")
+// BenchmarkExperiment regenerates every paper artifact of the registry
+// (Tables I-X, Figures 12-17, the ablation) as one sub-benchmark each:
+// `-bench 'Experiment/table1'` is Table I. The system artifacts
+// (hotpath, serve, ...) are wall-clock experiments of their own and run
+// through kgbench only.
+func BenchmarkExperiment(b *testing.B) {
+	params := bench.Params{Scale: benchScale, Embed: benchEmbed}
+	for _, e := range bench.Experiments {
+		if !e.Paper {
+			continue
 		}
-	}
-}
-
-// BenchmarkFig12DBpedia regenerates Figure 12 (panels a-d): effectiveness
-// and response time vs top-k on the DBpedia-like dataset.
-func BenchmarkFig12DBpedia(b *testing.B) {
-	env := benchEnv(b, datagen.DBpediaLike(benchScale))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RunFigure(env, nil)
-	}
-}
-
-// BenchmarkFig13Freebase regenerates Figure 13 on the Freebase-like
-// dataset.
-func BenchmarkFig13Freebase(b *testing.B) {
-	env := benchEnv(b, datagen.FreebaseLike(benchScale))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RunFigure(env, nil)
-	}
-}
-
-// BenchmarkFig14YAGO2 regenerates Figure 14 on the YAGO2-like dataset.
-func BenchmarkFig14YAGO2(b *testing.B) {
-	env := benchEnv(b, datagen.YAGO2Like(benchScale))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RunFigure(env, nil)
-	}
-}
-
-// BenchmarkFig15TimeBounds regenerates Figure 15: TBQ effectiveness and
-// response time across time bounds.
-func BenchmarkFig15TimeBounds(b *testing.B) {
-	env := benchEnv(b, datagen.DBpediaLike(benchScale))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RunFig15(env, 0, nil)
-	}
-}
-
-// BenchmarkTable5Pivot regenerates Table V: per-pivot effectiveness and
-// efficiency on the complex query.
-func BenchmarkTable5Pivot(b *testing.B) {
-	env := benchEnv(b, datagen.DBpediaLike(benchScale))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunTable5(env, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable6PivotStrategy regenerates Table VI: minCost vs Random
-// pivot selection across query complexities.
-func BenchmarkTable6PivotStrategy(b *testing.B) {
-	env := benchEnv(b, datagen.DBpediaLike(benchScale))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RunTable6(env)
-	}
-}
-
-// BenchmarkTable7UserStudy regenerates Table VII: the simulated
-// crowd-sourcing study's PCC per query over all three datasets.
-func BenchmarkTable7UserStudy(b *testing.B) {
-	envs := []*bench.Env{
-		benchEnv(b, datagen.DBpediaLike(benchScale)),
-		benchEnv(b, datagen.FreebaseLike(benchScale)),
-		benchEnv(b, datagen.YAGO2Like(benchScale)),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RunTable7(envs, 7)
-	}
-}
-
-// BenchmarkFig17Noise regenerates Figure 17 and Table VIII: robustness and
-// response time under node/edge noise.
-func BenchmarkFig17Noise(b *testing.B) {
-	env := benchEnv(b, datagen.DBpediaLike(benchScale))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RunNoise(env, 0, nil)
-	}
-}
-
-// BenchmarkTable9Scalability regenerates Table IX: online SGQ time across
-// nested graph scales plus offline embedding cost.
-func BenchmarkTable9Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunTable9([]float64{0.1, 0.18, 0.25}, nil, benchEmbed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable10Sensitivity regenerates Table X: the n̂ and τ sweeps.
-func BenchmarkTable10Sensitivity(b *testing.B) {
-	env := benchEnv(b, datagen.DBpediaLike(benchScale))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RunTable10(env, 0)
-	}
-}
-
-// BenchmarkAblation measures the search-variant ablation (exact A* vs
-// uninformed vs visited-set pruning).
-func BenchmarkAblation(b *testing.B) {
-	env := benchEnv(b, datagen.DBpediaLike(benchScale))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RunAblation(env, 0)
+		b.Run(e.Name, func(b *testing.B) {
+			// The first run trains and caches the environments.
+			if _, err := e.Run(context.Background(), params); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if art, err := e.Run(context.Background(), params); err != nil || len(art.Rows) == 0 {
+					b.Fatalf("%s: %d rows, err %v", e.Name, len(art.Rows), err)
+				}
+			}
+		})
 	}
 }
 

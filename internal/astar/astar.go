@@ -104,14 +104,6 @@ type Options struct {
 	// and keeps Theorem 2's global-optimality guarantee unconditional;
 	// the hop bound n̂ and τ-pruning keep the space tractable.
 	PruneVisited bool
-	// DenseEndSets forces per-segment φ membership into full-graph
-	// bitsets — the pre-scale-up representation, whose per-search
-	// NumNodes/8-byte zeroing is what the million-node world exposed as a
-	// steady-state hot spot. Kept as the before side of kgbench -exp
-	// load's comparison; the default picks a sorted-id or bitset
-	// representation per segment by set density, with identical membership
-	// answers.
-	DenseEndSets bool
 }
 
 func (o Options) withDefaults() Options {
@@ -187,8 +179,8 @@ type nodeSet struct {
 
 // newNodeSet compiles one φ end set. members may contain false-valued
 // entries (non-members, as in the seed's map test); n is the graph's node
-// count. forceDense restores the all-bitset behavior.
-func newNodeSet(members map[kg.NodeID]bool, n int, forceDense bool) nodeSet {
+// count.
+func newNodeSet(members map[kg.NodeID]bool, n int) nodeSet {
 	k := 0
 	for _, m := range members {
 		if m {
@@ -199,7 +191,7 @@ func newNodeSet(members map[kg.NodeID]bool, n int, forceDense bool) nodeSet {
 	// sort and log k per probe. Cross over when the set holds more than
 	// one node in 256 — past that the bitset's O(1) probes win and its
 	// allocation is amortized by the set construction itself.
-	if forceDense || (n > 0 && k > n/256) {
+	if n > 0 && k > n/256 {
 		s := nodeSet{bits: newBitset(n)}
 		for u, m := range members {
 			if m {
@@ -316,7 +308,7 @@ func NewSearcher(g *kg.Graph, w Weighter, sub SubQuery, opts Options) *Searcher 
 			}
 			s.rows[seg] = row
 		}
-		s.ends[seg] = newNodeSet(sub.EndSets[seg], g.NumNodes(), opts.DenseEndSets)
+		s.ends[seg] = newNodeSet(sub.EndSets[seg], g.NumNodes())
 	}
 
 	for _, u := range sub.Anchors {

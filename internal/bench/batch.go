@@ -5,75 +5,30 @@
 // the only difference between the two measured rows is the shared
 // sub-search cache (internal/serve's subcache layer): the independent
 // configuration re-enumerates every sub-query, the shared one reuses the
-// memoized match prefix. Run via `go run ./cmd/kgbench -exp batch`
-// (writes BENCH_batch.json).
+// memoized match prefix.
 package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"time"
 
+	"semkg/internal/datagen"
 	"semkg/internal/query"
 	"semkg/internal/serve"
 )
 
-// BatchRow is one measured serving configuration of the batch workload.
-type BatchRow struct {
-	// Config names the configuration: "independent" (sub-search sharing
-	// disabled) or "shared" (the default sub-search cache).
-	Config string `json:"config"`
-	// Batches and BatchSize describe the workload shape; Requests is
-	// their product (every batch item is one query).
-	Batches   int `json:"batches"`
-	BatchSize int `json:"batch_size"`
-	Requests  int `json:"requests"`
-	// P50Us / P95Us are per-batch wall-time percentiles in microseconds.
-	P50Us float64 `json:"p50_us"`
-	P95Us float64 `json:"p95_us"`
-	// QPS counts batch items per second of total wall time.
-	QPS float64 `json:"qps"`
-	// Serving-layer counters observed after the workload.
-	SubHits      uint64 `json:"sub_hits"`
-	SubMisses    uint64 `json:"sub_misses"`
-	PipelineRuns uint64 `json:"pipeline_runs"`
-	// FlightShared counts items that joined an identical in-flight item
-	// of the same batch (singleflight) instead of running the pipeline.
-	FlightShared uint64 `json:"flight_shared"`
-}
-
-// BatchResult is the experiment artifact (BENCH_batch.json).
-type BatchResult struct {
-	Dataset string `json:"dataset"`
-	Scale   string `json:"scale"`
-	EnvInfo
-	Rows []BatchRow `json:"configs"`
-	// QPSGain is shared QPS over independent QPS; P50Speedup is
-	// independent per-batch p50 over shared p50. Both > 1 mean sharing
-	// won.
-	QPSGain    float64 `json:"qps_gain"`
-	P50Speedup float64 `json:"p50_speedup"`
-}
-
-// batchWorkload is the deterministic request mix: batches of zipf-drawn
+// makeBatches is the deterministic request mix: batches of zipf-drawn
 // query shapes, each item with one of several K values, so repeated
 // shapes share sub-query blueprints while their result keys differ.
-type batchWorkload struct {
-	batches [][]serve.BatchItem
-}
-
-func makeBatchWorkload(env *Env, qs []*query.Graph, nBatches, batchSize int) batchWorkload {
-	const seed = 23
-	rng := rand.New(rand.NewSource(seed))
+func makeBatches(env *Env, qs []*query.Graph, nBatches, batchSize int) [][]serve.BatchItem {
+	rng := rand.New(rand.NewSource(23))
 	zipf := rand.NewZipf(rng, 1.2, 1.0, uint64(len(qs)-1))
 	// Larger K values make each item enumerate deeper, so a reused match
 	// prefix saves real work rather than noise.
 	ks := []int{10, 25, 50}
-	w := batchWorkload{batches: make([][]serve.BatchItem, nBatches)}
-	for b := range w.batches {
+	batches := make([][]serve.BatchItem, nBatches)
+	for b := range batches {
 		items := make([]serve.BatchItem, batchSize)
 		for i := range items {
 			items[i] = serve.BatchItem{
@@ -81,143 +36,89 @@ func makeBatchWorkload(env *Env, qs []*query.Graph, nBatches, batchSize int) bat
 				Opts:  env.SearchOptions(ks[rng.Intn(len(ks))]),
 			}
 		}
-		w.batches[b] = items
+		batches[b] = items
 	}
-	return w
+	return batches
 }
 
-// batchMeter accumulates one configuration's side of the paired
-// measurement.
-type batchMeter struct {
-	name     string
-	srv      *serve.Engine
-	perBatch []time.Duration
-	busy     time.Duration
-	items    int
-}
-
-// replay runs one batch through this configuration, timing it.
-func (m *batchMeter) replay(ctx context.Context, batch []serve.BatchItem) error {
-	start := time.Now()
-	out := m.srv.SearchBatch(ctx, batch)
-	d := time.Since(start)
-	for i, o := range out {
-		if o.Err != nil {
-			return fmt.Errorf("bench: %s batch item %d: %w", m.name, i, o.Err)
-		}
+// runBatch measures the batch workload with sub-search sharing disabled
+// and enabled. One operation is one whole batch, so the Sample's
+// latencies and QPS are per batch; item_qps counts batch items.
+func runBatch(ctx context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
 	}
-	m.perBatch = append(m.perBatch, d)
-	m.busy += d
-	m.items += len(batch)
-	return nil
-}
-
-// row snapshots the accumulated measurements. QPS divides by the
-// configuration's own busy time, not shared wall time — the paired
-// replay interleaves the two configurations, so wall time covers both.
-func (m *batchMeter) row(batchSize int) BatchRow {
-	sorted := sortedLatencies(m.perBatch)
-	st := m.srv.Stats()
-	return BatchRow{
-		Config:       m.name,
-		Batches:      len(m.perBatch),
-		BatchSize:    batchSize,
-		Requests:     m.items,
-		P50Us:        percentile(sorted, 0.5),
-		P95Us:        percentile(sorted, 0.95),
-		QPS:          float64(m.items) / m.busy.Seconds(),
-		SubHits:      st.SubHits,
-		SubMisses:    st.SubMisses,
-		PipelineRuns: st.PipelineRuns,
-		FlightShared: st.FlightShared,
-	}
-}
-
-// RunBatch measures the batch workload with sub-search sharing disabled
-// and enabled. Short mode trims the batch count for CI smoke runs.
-func RunBatch(env *Env, short bool) (*BatchResult, error) {
-	qs := serveQueries(env)
-	if len(qs) == 0 {
-		return nil, fmt.Errorf("bench: environment has no workload queries")
+	qs, err := serveQueries(env)
+	if err != nil {
+		return nil, err
 	}
 	// Enough batches that the shared configuration's warmup misses (the
 	// first time each blueprint is seen) amortize out of the comparison.
 	nBatches, batchSize := 64, 8
-	if short {
+	if p.Short {
 		nBatches = 8
 	}
-	w := makeBatchWorkload(env, qs, nBatches, batchSize)
-	ctx := context.Background()
-	res := &BatchResult{
-		Dataset: env.Cfg.Profile.Name,
-		Scale:   fmt.Sprintf("%d nodes / %d edges", env.Dataset.Graph.NumNodes(), env.Dataset.Graph.NumEdges()),
-		EnvInfo: CaptureEnv(),
-	}
+	batches := makeBatches(env, qs, nBatches, batchSize)
+	art := env.artifact("batch")
 
 	// Both rows disable the result cache: with it on, repeated (shape, K)
 	// pairs answer from the cache in either configuration and the rows
 	// would converge to measuring the cache, not the sharing layer.
 	// Queue sized for the batch width: this workload measures sharing,
-	// not shedding, so no item should be rejected. The two
-	// configurations replay every batch back to back with alternating
-	// order (a paired measurement), so ambient machine load hits both
-	// sides equally instead of skewing whichever ran second.
-	ind := &batchMeter{name: "independent",
-		srv: serve.New(env.Engine, serve.Config{ResultCache: -1, SubCache: -1, Queue: 2 * batchSize})}
-	shr := &batchMeter{name: "shared",
-		srv: serve.New(env.Engine, serve.Config{ResultCache: -1, Queue: 2 * batchSize})}
-	for bi, batch := range w.batches {
-		first, second := ind, shr
-		if bi%2 == 1 {
-			first, second = shr, ind
+	// not shedding, so no item should be rejected.
+	type side struct {
+		name   string
+		srv    *serve.Engine
+		sample Sample
+	}
+	sides := []*side{
+		{name: "independent", srv: serve.New(env.Engine, serve.Config{ResultCache: -1, SubCache: -1, Queue: 2 * batchSize})},
+		{name: "shared", srv: serve.New(env.Engine, serve.Config{ResultCache: -1, Queue: 2 * batchSize})},
+	}
+	// The two configurations replay every batch back to back with
+	// alternating order (a paired measurement), so ambient machine load
+	// hits both sides equally instead of skewing whichever ran second.
+	// Each side's Sample pools its own one-batch runs, so its QPS divides
+	// by its own busy time, not the shared wall clock.
+	for bi, batch := range batches {
+		for j := range sides {
+			sd := sides[(bi+j)%2]
+			sd.sample.Merge(Drive(ctx, Load{Requests: 1}, func(ctx context.Context, _, _ int) error {
+				for i, o := range sd.srv.SearchBatch(ctx, batch) {
+					if o.Err != nil {
+						return fmt.Errorf("batch item %d: %w", i, o.Err)
+					}
+				}
+				return nil
+			}))
+			if err := sd.sample.Err; err != nil {
+				return nil, fmt.Errorf("bench: %s: %w", sd.name, err)
+			}
 		}
-		if err := first.replay(ctx, batch); err != nil {
-			return nil, err
-		}
-		if err := second.replay(ctx, batch); err != nil {
-			return nil, err
-		}
 	}
-	independent, shared := ind.row(batchSize), shr.row(batchSize)
-	res.Rows = []BatchRow{independent, shared}
-	if independent.QPS > 0 {
-		res.QPSGain = shared.QPS / independent.QPS
+	for _, sd := range sides {
+		st := sd.srv.Stats()
+		s := sd.sample
+		art.add("batch", sd.name, map[string]float64{
+			"batch_size":    float64(batchSize),
+			"requests":      float64(s.Ops * batchSize),
+			"item_qps":      s.QPS * float64(batchSize),
+			"sub_hits":      float64(st.SubHits),
+			"sub_misses":    float64(st.SubMisses),
+			"pipeline_runs": float64(st.PipelineRuns),
+			"flight_shared": float64(st.FlightShared),
+		}).Sample = &s
 	}
-	if shared.P50Us > 0 {
-		res.P50Speedup = independent.P50Us / shared.P50Us
+	// Both > 1 mean sharing won; recorded, not asserted — they are ratios
+	// of two wall-clock timings.
+	ind, shr := sides[0].sample, sides[1].sample
+	gains := art.Rows[1].Values
+	if ind.QPS > 0 {
+		gains["qps_gain"] = shr.QPS / ind.QPS
 	}
-	return res, nil
-}
-
-// WriteJSON stores the artifact.
-func (r *BatchResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+	if shr.P50Us > 0 {
+		gains["p50_speedup"] = ind.P50Us / shr.P50Us
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Render formats the comparison as a text table.
-func (r *BatchResult) Render() *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Batch sub-search sharing (%s, %s, %s/%s) — QPS gain %.2fx, p50 speedup %.2fx",
-			r.Dataset, r.Scale, r.GOOS, r.GOARCH, r.QPSGain, r.P50Speedup),
-		Header: []string{"config", "batches", "size", "p50 µs", "p95 µs", "QPS",
-			"sub hits", "sub misses", "runs", "shared"},
-	}
-	for _, row := range r.Rows {
-		t.AddRow(row.Config,
-			fmt.Sprintf("%d", row.Batches),
-			fmt.Sprintf("%d", row.BatchSize),
-			fmt.Sprintf("%.0f", row.P50Us),
-			fmt.Sprintf("%.0f", row.P95Us),
-			fmt.Sprintf("%.0f", row.QPS),
-			fmt.Sprintf("%d", row.SubHits),
-			fmt.Sprintf("%d", row.SubMisses),
-			fmt.Sprintf("%d", row.PipelineRuns),
-			fmt.Sprintf("%d", row.FlightShared),
-		)
-	}
-	return t
+	return art, nil
 }

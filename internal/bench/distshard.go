@@ -1,4 +1,4 @@
-// Distributed shard experiment: the multi-process section of
+// Distributed shard experiment: the "distributed" section of
 // BENCH_shard.json. Where shard.go's rows measure the partition inside
 // one process, this section builds the deployment — shard snapshot files
 // on disk, one REAL shard server process per shard (semkgd -serve-shard,
@@ -6,19 +6,22 @@
 // coordinator (core.DistEngine) driving them through the serving layer
 // under a closed-loop load — and reports what the wall clock says.
 //
-// The section carries its own methodology string, its own env block (the
+// qps_gain_vs_1 and p50_gain_vs_1 compare against the 1-shard distributed
+// run, so process and wire overhead are charged to both sides; the
+// "local" row is the same load on the plain in-process engine. The
 // coordinator's GOMAXPROCS is forced above 1 so the gather path can
-// overlap the per-shard streams), and a launcher label saying whether
-// the servers were real subprocesses or in-process stand-ins (tests).
-// On a single-core host the multi-process rows measure coordination
-// overhead, not parallel speedup — the env block's cpus field is how a
-// reader tells those runs apart from a real multi-core deployment.
+// overlap the per-shard streams (the "world" row records it with the heap
+// of the built world), and the config's launcher label says whether the
+// servers were real subprocesses or in-process stand-ins (tests). On a
+// single-core host the multi-process rows measure coordination overhead,
+// not parallel speedup — the env block's cpus field is how a reader tells
+// those runs apart from a real multi-core deployment.
 package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
-	"math/rand"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -28,23 +31,10 @@ import (
 	"time"
 
 	"semkg/internal/core"
-	"semkg/internal/datagen"
-	"semkg/internal/embed"
 	"semkg/internal/query"
 	"semkg/internal/serve"
 	"semkg/internal/shard"
 )
-
-// distShardMethodology is embedded in the distributed section so the
-// artifact says how its numbers were taken.
-const distShardMethodology = "every number in this section is measured wall-clock: shard snapshot " +
-	"files are partitioned to disk, one shard server per shard answers /v1/shard/search over real " +
-	"HTTP (see launcher for whether servers are subprocesses or in-process test stand-ins), and the " +
-	"scatter-gather coordinator serves a closed-loop agent load; qps_gain_vs_1 and p50_gain_vs_1 " +
-	"compare against the 1-shard distributed run so process and wire overhead are charged to both " +
-	"sides, local_* fields are the same load on the plain in-process engine; nothing here " +
-	"extrapolates — on a single-CPU host (see cpus) the multi-shard rows can only show " +
-	"coordination overhead, not parallel speedup"
 
 // DistShardConfig sizes the measured distributed run.
 type DistShardConfig struct {
@@ -65,6 +55,8 @@ type DistShardConfig struct {
 	CoordinatorGOMAXPROCS int  `json:"coordinator_gomaxprocs"`
 	ServerGOMAXPROCS      int  `json:"server_gomaxprocs"`
 	Short                 bool `json:"short"`
+	// Launcher records how the shard servers were started.
+	Launcher string `json:"launcher"`
 }
 
 func distShardConfig(short bool) DistShardConfig {
@@ -95,49 +87,6 @@ func distShardConfig(short bool) DistShardConfig {
 		cfg.MeasureMs = 1000
 	}
 	return cfg
-}
-
-// DistShardRow is one measured shard-count deployment.
-type DistShardRow struct {
-	Shards int `json:"shards"`
-	// PartitionMs and ShardFileBytes are the one-time deployment costs:
-	// cutting the partition and the total size of the snapshot files.
-	PartitionMs    float64 `json:"partition_ms"`
-	ShardFileBytes int64   `json:"shard_file_bytes"`
-	// Closed-loop results over the measure phase.
-	Requests   int     `json:"requests"`
-	Errors     int     `json:"errors"`
-	Overloaded int     `json:"overloaded_429"`
-	QPS        float64 `json:"qps"`
-	P50Ms      float64 `json:"p50_ms"`
-	P95Ms      float64 `json:"p95_ms"`
-	// Coordinator counters for the run. Fallbacks must be zero for the
-	// row to mean anything — a non-zero value says searches were answered
-	// by the local engine, not the deployment.
-	DistSearches uint64 `json:"dist_searches"`
-	Fallbacks    uint64 `json:"local_fallbacks"`
-	Hedges       uint64 `json:"hedges"`
-	Retries      uint64 `json:"retries"`
-	Failovers    uint64 `json:"failovers"`
-	// QPSGainVs1 and P50GainVs1 compare against the 1-shard distributed
-	// run (>1 means this row is better); both sides pay the process and
-	// wire overhead, so the ratio isolates the partition's contribution.
-	QPSGainVs1 float64 `json:"qps_gain_vs_1,omitempty"`
-	P50GainVs1 float64 `json:"p50_gain_vs_1,omitempty"`
-}
-
-// DistShardSection is the measured multi-process block of ShardResult.
-type DistShardSection struct {
-	Methodology string          `json:"methodology"`
-	Launcher    string          `json:"launcher"`
-	Scale       string          `json:"scale"`
-	Config      DistShardConfig `json:"config"`
-	EnvInfo
-	// LocalQPS / LocalP50Ms are the same closed loop over the plain
-	// in-process engine: what the deployment gives up to the wire.
-	LocalQPS   float64        `json:"local_qps"`
-	LocalP50Ms float64        `json:"local_p50_ms"`
-	Rows       []DistShardRow `json:"rows"`
 }
 
 // ShardServerLauncher abstracts how shard servers come up: real semkgd
@@ -254,26 +203,24 @@ func (l *InprocLauncher) Launch(files []string) (string, func(), error) {
 	return hs.URL, hs.Close, nil
 }
 
-// RunDistShard measures the distributed deployment at 1, 2 and 4 shards.
-// A nil launcher builds semkgd and uses real subprocesses.
-func RunDistShard(short bool, launcher ShardServerLauncher) (*DistShardSection, error) {
-	return runDistShard(distShardConfig(short), launcher)
-}
-
-func runDistShard(cfg DistShardConfig, launcher ShardServerLauncher) (*DistShardSection, error) {
+// runDistShard measures the distributed deployment at 1, 2 and 4 shards,
+// adding the "distributed" rows to art. A nil launcher builds semkgd and
+// uses real subprocesses.
+func runDistShard(ctx context.Context, art *Artifact, cfg *DistShardConfig, launcher ShardServerLauncher) error {
 	dir, err := os.MkdirTemp("", "semkg-distshard-")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer os.RemoveAll(dir)
 	if launcher == nil {
 		sub, err := NewSubprocessLauncher(dir)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sub.Procs = cfg.ServerGOMAXPROCS
 		launcher = sub
 	}
+	cfg.Launcher = launcher.Name()
 
 	// Force the coordinator's parallelism for the measured window: the
 	// gather path must be able to read one shard's stream while merging
@@ -281,89 +228,78 @@ func runDistShard(cfg DistShardConfig, launcher ShardServerLauncher) (*DistShard
 	prevProcs := runtime.GOMAXPROCS(cfg.CoordinatorGOMAXPROCS)
 	defer runtime.GOMAXPROCS(prevProcs)
 
-	p := datagen.LargeWorld(cfg.Nodes)
-	p.Seed = cfg.Seed
-	g := datagen.GenerateLarge(p)
-	space, err := (&embed.Model{Cfg: embed.Config{Dim: cfg.Dim}}).SpaceFor(g)
+	_, eng, queries, err := largeWorld(cfg.Nodes, cfg.Seed, cfg.Dim, cfg.DistinctQueries)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	eng, err := core.NewEngine(g, space, nil)
+	world := CaptureEnv()
+	art.add("distributed", "world", map[string]float64{
+		"nodes":             float64(eng.Graph().NumNodes()),
+		"edges":             float64(eng.Graph().NumEdges()),
+		"gomaxprocs":        float64(world.GOMAXPROCS),
+		"heap_alloc_bytes":  float64(world.HeapAllocBytes),
+		"total_alloc_bytes": float64(world.TotalAllocBytes),
+	})
+
+	// The closed loop runs in its cache-bypassed shape, so each request
+	// runs the full pipeline through the deployment. A cache-served loop
+	// would measure the coordinator's result cache at every shard count —
+	// identically.
+	load := Load{Clients: cfg.Agents,
+		Warmup:  time.Duration(cfg.WarmupMs) * time.Millisecond,
+		Measure: time.Duration(cfg.MeasureMs) * time.Millisecond}
+	mkOpts := bypassCache(core.Options{K: cfg.K, Tau: cfg.Tau, MaxHops: cfg.MaxHops}, 8800)
+
+	local, err := closedLoop(ctx, serve.New(eng, serve.Config{}), queries, load, mkOpts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	queries := datagen.LargeQueries(g, p, cfg.DistinctQueries)
+	art.add("distributed", "local (in-process engine)", nil).Sample = &local
 
-	sec := &DistShardSection{
-		Methodology: distShardMethodology,
-		Launcher:    launcher.Name(),
-		Scale:       fmt.Sprintf("%d nodes / %d edges", g.NumNodes(), g.NumEdges()),
-		Config:      cfg,
-		EnvInfo:     CaptureEnv(),
-	}
-
-	// The driver phases reuse the load harness's closed loop, in its
-	// cache-bypassed shape: a random pivot marks every request
-	// uncacheable, so each one runs the full pipeline through the
-	// deployment. A cache-served loop would measure the coordinator's
-	// result cache at every shard count — identically.
-	loadCfg := LoadConfig{
-		Agents: cfg.Agents, WarmupMs: cfg.WarmupMs, MeasureMs: cfg.MeasureMs,
-		K: cfg.K, Tau: cfg.Tau, MaxHops: cfg.MaxHops,
-	}
-	mkOpts := func(agent int) core.Options {
-		return core.Options{
-			K: cfg.K, Tau: cfg.Tau, MaxHops: cfg.MaxHops,
-			Strategy: query.RandomPivot,
-			Rng:      rand.New(rand.NewSource(int64(8800 + agent))),
-		}
-	}
-
-	local, err := closedLoop(serve.New(eng, serve.Config{}), queries, loadCfg, "local", mkOpts)
-	if err != nil {
-		return nil, err
-	}
-	sec.LocalQPS = local.QPS
-	sec.LocalP50Ms = local.P50Ms
-
+	var base Sample
 	for _, n := range []int{1, 2, 4} {
-		row, err := runDistShardRow(eng, queries, loadCfg, mkOpts, launcher, dir, n)
+		s, values, err := runDistShardRow(ctx, eng, queries, load, mkOpts, launcher, dir, n)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sec.Rows = append(sec.Rows, *row)
+		if n == 1 {
+			base = s
+		} else {
+			if base.QPS > 0 {
+				values["qps_gain_vs_1"] = s.QPS / base.QPS
+			}
+			if s.P50Us > 0 {
+				values["p50_gain_vs_1"] = base.P50Us / s.P50Us
+			}
+		}
+		art.add("distributed", fmt.Sprintf("%d shard servers", n), values).Sample = &s
 	}
-	base := sec.Rows[0]
-	for i := range sec.Rows[1:] {
-		r := &sec.Rows[i+1]
-		if base.QPS > 0 {
-			r.QPSGainVs1 = r.QPS / base.QPS
-		}
-		if r.P50Ms > 0 {
-			r.P50GainVs1 = base.P50Ms / r.P50Ms
-		}
-	}
-	return sec, nil
+	return nil
 }
 
 // runDistShardRow deploys one shard count end to end and drives it.
-func runDistShardRow(eng *core.Engine, queries []*query.Graph, loadCfg LoadConfig,
-	mkOpts func(int) core.Options, launcher ShardServerLauncher, dir string, n int) (*DistShardRow, error) {
+// partition_ms and shard_file_bytes are the one-time deployment costs;
+// local_fallbacks must be zero for the row to mean anything — a non-zero
+// value says searches were answered by the local engine, not the
+// deployment.
+func runDistShardRow(ctx context.Context, eng *core.Engine, queries []*query.Graph, load Load,
+	mkOpts func(int) core.Options, launcher ShardServerLauncher, dir string, n int) (Sample, map[string]float64, error) {
 	pStart := time.Now()
 	set, err := shard.Partition(eng.Graph(), shard.Options{Shards: n})
 	if err != nil {
-		return nil, err
+		return Sample{}, nil, err
 	}
-	row := &DistShardRow{Shards: n, PartitionMs: ms(time.Since(pStart))}
+	partition := time.Since(pStart)
 
 	shardDir := filepath.Join(dir, fmt.Sprintf("shards-%d", n))
 	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		return nil, err
+		return Sample{}, nil, err
 	}
 	// Cleaning each deployment up before the next keeps peak disk and
 	// process count at one deployment's worth on the 1M-node run.
 	defer os.RemoveAll(shardDir)
 	hosts := make([][]string, n)
+	var fileBytes int64
 	var stops []func()
 	defer func() {
 		for _, stop := range stops {
@@ -374,21 +310,21 @@ func runDistShardRow(eng *core.Engine, queries []*query.Graph, loadCfg LoadConfi
 		path := filepath.Join(shardDir, fmt.Sprintf("shard-%d-of-%d.shard", i, n))
 		f, err := os.Create(path)
 		if err != nil {
-			return nil, err
+			return Sample{}, nil, err
 		}
 		if err := shard.WriteShard(f, set.Shard(i)); err != nil {
 			f.Close()
-			return nil, err
+			return Sample{}, nil, err
 		}
 		if err := f.Close(); err != nil {
-			return nil, err
+			return Sample{}, nil, err
 		}
 		if fi, err := os.Stat(path); err == nil {
-			row.ShardFileBytes += fi.Size()
+			fileBytes += fi.Size()
 		}
 		url, stop, err := launcher.Launch([]string{path})
 		if err != nil {
-			return nil, err
+			return Sample{}, nil, err
 		}
 		stops = append(stops, stop)
 		hosts[i] = []string{url}
@@ -396,47 +332,21 @@ func runDistShardRow(eng *core.Engine, queries []*query.Graph, loadCfg LoadConfi
 
 	de, err := core.NewDistEngine(eng, hosts, core.DistConfig{})
 	if err != nil {
-		return nil, err
+		return Sample{}, nil, err
 	}
-	drv, err := closedLoop(serve.New(de, serve.Config{}), queries, loadCfg,
-		fmt.Sprintf("distributed-%d", n), mkOpts)
+	s, err := closedLoop(ctx, serve.New(de, serve.Config{}), queries, load, mkOpts)
 	if err != nil {
-		return nil, err
+		return Sample{}, nil, fmt.Errorf("distributed-%d: %w", n, err)
 	}
 	st := de.Stats()
-	row.Requests = drv.Requests
-	row.Errors = drv.Errors
-	row.Overloaded = drv.Overloaded
-	row.QPS = drv.QPS
-	row.P50Ms = drv.P50Ms
-	row.P95Ms = drv.P95Ms
-	row.DistSearches = st.Searches
-	row.Fallbacks = st.Fallbacks
-	row.Hedges = st.Hedges
-	row.Retries = st.Retries
-	row.Failovers = st.Failovers
-	return row, nil
-}
-
-// renderRows appends the measured distributed rows to the shard table
-// (called by ShardResult.Render when the section is present).
-func (s *DistShardSection) renderRows(t *Table) {
-	t.AddRow("— measured multi-process —", s.Launcher, "", "",
-		fmt.Sprintf("local: %.0f qps, p50 %.2f ms", s.LocalQPS, s.LocalP50Ms), "", "", "")
-	for _, r := range s.Rows {
-		gain := "(baseline)"
-		if r.QPSGainVs1 > 0 {
-			gain = fmt.Sprintf("%.2fx qps, %.2fx p50 vs 1-shard", r.QPSGainVs1, r.P50GainVs1)
-		}
-		t.AddRow(
-			fmt.Sprintf("%d (dist)", r.Shards),
-			fmt.Sprintf("%.1f", r.PartitionMs),
-			fmt.Sprintf("%.1f MB", float64(r.ShardFileBytes)/(1<<20)),
-			fmt.Sprintf("%.0f qps", r.QPS),
-			fmt.Sprintf("p50 %.2f / p95 %.2f ms", r.P50Ms, r.P95Ms),
-			fmt.Sprintf("%d req, %d err", r.Requests, r.Errors),
-			fmt.Sprintf("%d hedge/%d retry", r.Hedges, r.Retries),
-			gain,
-		)
-	}
+	return s, map[string]float64{
+		"shards":           float64(n),
+		"partition_ms":     ms(partition),
+		"shard_file_bytes": float64(fileBytes),
+		"dist_searches":    float64(st.Searches),
+		"local_fallbacks":  float64(st.Fallbacks),
+		"hedges":           float64(st.Hedges),
+		"retries":          float64(st.Retries),
+		"failovers":        float64(st.Failovers),
+	}, nil
 }

@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,94 +10,55 @@ import (
 // micro world with in-process shard servers: every deployment row carries
 // real traffic through the HTTP coordinator (no local fallbacks, no
 // errors), the gain ratios are computed against the 1-shard distributed
-// run, and the section renders inside the shard artifact. The real
-// numbers come from `kgbench -exp shard` with subprocess servers on the
-// 1M-node world.
+// run, and the section lands in the shard artifact. The real numbers
+// come from `kgbench -exp shard` with subprocess servers on the 1M-node
+// world.
 func TestRunDistShardShape(t *testing.T) {
-	cfg := distShardConfig(true)
-	cfg.Nodes = 4000
-	cfg.Agents = 3
-	cfg.DistinctQueries = 16
-	cfg.WarmupMs = 50
-	cfg.MeasureMs = 200
+	cfg := ShardConfig{Distributed: distShardConfig(true)}
+	cfg.Distributed.Nodes = 4000
+	cfg.Distributed.Agents = 3
+	cfg.Distributed.DistinctQueries = 16
+	cfg.Distributed.WarmupMs = 50
+	cfg.Distributed.MeasureMs = 200
 
-	sec, err := runDistShard(cfg, &InprocLauncher{})
-	if err != nil {
+	art := &Artifact{Experiment: "shard", Dataset: "micro", Scale: "micro", Env: CaptureEnv()}
+	if err := runDistShard(context.Background(), art, &cfg.Distributed, &InprocLauncher{}); err != nil {
 		t.Fatal(err)
 	}
+	art.Config = cfg
+	checkWritten(t, art)
 
-	if !strings.Contains(sec.Launcher, "in-process") {
-		t.Fatalf("launcher label = %q, want the in-process stand-in", sec.Launcher)
+	if !strings.Contains(cfg.Distributed.Launcher, "in-process") {
+		t.Fatalf("launcher label = %q, want the in-process stand-in", cfg.Distributed.Launcher)
 	}
-	if sec.LocalQPS <= 0 {
-		t.Fatalf("no local baseline measured: %+v", sec)
+	world := row(t, art, "distributed", "world").Values
+	if world["nodes"] != 4000 || world["heap_alloc_bytes"] == 0 || world["gomaxprocs"] != float64(cfg.Distributed.CoordinatorGOMAXPROCS) {
+		t.Fatalf("world row incomplete: %v", world)
 	}
-	if got := len(sec.Rows); got != 3 {
-		t.Fatalf("distributed rows = %d, want 3 (1, 2, 4 shards)", got)
+	if local := row(t, art, "distributed", "local (in-process engine)"); local.Sample.QPS <= 0 {
+		t.Fatalf("no local baseline measured: %+v", local.Sample)
 	}
-	for i, r := range sec.Rows {
-		if r.Shards != []int{1, 2, 4}[i] {
-			t.Fatalf("row %d shards = %d", i, r.Shards)
+	for i, n := range []string{"1", "2", "4"} {
+		r := row(t, art, "distributed", n+" shard servers")
+		if r.Sample.Ops <= 0 || r.Sample.QPS <= 0 {
+			t.Fatalf("%s: no traffic recorded %+v", r.Name, r.Sample)
 		}
-		if r.Requests <= 0 || r.QPS <= 0 {
-			t.Fatalf("row %d: no traffic recorded %+v", i, r)
-		}
-		if r.Errors > 0 {
-			t.Fatalf("row %d: %d request errors against a healthy deployment", i, r.Errors)
+		if r.Sample.Errors > 0 {
+			t.Fatalf("%s: %d request errors against a healthy deployment", r.Name, r.Sample.Errors)
 		}
 		// Every request must have gone through the deployment: a fallback
 		// (or a cache-served loop) means the row measured the local engine
 		// wearing a costume.
-		if r.DistSearches < uint64(r.Requests) || r.Fallbacks != 0 {
-			t.Fatalf("row %d: %d dist searches for %d requests, %d fallbacks — load did not exercise the coordinator",
-				i, r.DistSearches, r.Requests, r.Fallbacks)
+		if r.Values["dist_searches"] < float64(r.Sample.Ops-r.Sample.Shed) || r.Values["local_fallbacks"] != 0 {
+			t.Fatalf("%s: %v dist searches for %d requests, %v fallbacks — load did not exercise the coordinator",
+				r.Name, r.Values["dist_searches"], r.Sample.Ops, r.Values["local_fallbacks"])
 		}
-		if r.ShardFileBytes <= 0 || r.PartitionMs < 0 {
-			t.Fatalf("row %d: missing deployment costs %+v", i, r)
+		if r.Values["shard_file_bytes"] <= 0 || r.Values["partition_ms"] < 0 {
+			t.Fatalf("%s: missing deployment costs %v", r.Name, r.Values)
 		}
-	}
-	if sec.Rows[0].QPSGainVs1 != 0 {
-		t.Fatalf("1-shard row carries a gain vs itself: %+v", sec.Rows[0])
-	}
-	for _, r := range sec.Rows[1:] {
-		if r.QPSGainVs1 <= 0 || r.P50GainVs1 <= 0 {
-			t.Fatalf("%d-shard row missing gain ratios: %+v", r.Shards, r)
+		_, gained := r.Values["qps_gain_vs_1"]
+		if gained != (i > 0) || (i > 0 && r.Values["p50_gain_vs_1"] <= 0) {
+			t.Fatalf("%s: gain ratios vs the 1-shard row are off: %v", r.Name, r.Values)
 		}
-	}
-	if sec.CPUs < 1 || sec.GoVersion == "" {
-		t.Fatalf("env block incomplete: %+v", sec.EnvInfo)
-	}
-	if !strings.Contains(sec.Methodology, "measured") {
-		t.Fatalf("methodology does not declare itself measured: %q", sec.Methodology)
-	}
-
-	// The section must survive the artifact round trip and render as part
-	// of the shard table.
-	res := &ShardResult{Distributed: sec}
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ShardResult
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Distributed == nil || back.Distributed.Config != cfg {
-		t.Fatalf("distributed section did not round-trip")
-	}
-	tbl := res.Render()
-	if tbl == nil {
-		t.Fatal("Render returned nil")
-	}
-	found := false
-	for _, row := range tbl.Rows {
-		for _, cell := range row {
-			if strings.Contains(cell, "(dist)") {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("rendered shard table has no measured distributed rows")
 	}
 }

@@ -1,7 +1,8 @@
 // Package bench implements the experiment harness of Section VII: one
-// runner per table and figure of the paper's evaluation, over the
-// synthetic dataset substitutes (see DESIGN.md for the experiment index
-// and EXPERIMENTS.md for measured-vs-paper results).
+// workload function per table and figure of the paper's evaluation and
+// per system artifact, over the synthetic dataset substitutes, all
+// running through the one harness in runner.go (see DESIGN.md,
+// "Evaluation harness", for the schema and the experiment index).
 package bench
 
 import (
@@ -14,14 +15,13 @@ import (
 	"semkg/internal/core"
 	"semkg/internal/datagen"
 	"semkg/internal/embed"
+	"semkg/internal/kg"
 )
 
 // EnvInfo is the machine/runtime block embedded in every experiment
 // artifact, so perf rows are comparable across machines and across
 // GOMAXPROCS settings. Heap figures come from runtime.MemStats at
-// capture time: CaptureEnv is called after the experiment's dataset and
-// engine exist, so HeapAllocBytes approximates the resident working set
-// the numbers were measured against.
+// capture time.
 type EnvInfo struct {
 	GoVersion       string `json:"go_version"`
 	GOOS            string `json:"goos"`
@@ -126,6 +126,23 @@ func New(cfg Config) (*Env, error) {
 		TrainTime:  trainTime,
 		ModelBytes: (int64(ds.Graph.NumNodes()) + int64(ds.Graph.NumPredicates())) * dim * 8,
 	}, nil
+}
+
+// artifact starts an experiment's artifact over this environment.
+func (e *Env) artifact(experiment string) *Artifact {
+	return newArtifact(experiment, e.Cfg.Profile.Name, e.Dataset.Graph)
+}
+
+// newArtifact fills the header every artifact shares. It is called once
+// the experiment's world exists, so the env block's heap figures
+// approximate the working set the rows were measured against.
+func newArtifact(experiment, dataset string, g *kg.Graph) *Artifact {
+	return &Artifact{
+		Experiment: experiment,
+		Dataset:    dataset,
+		Scale:      fmt.Sprintf("%d nodes / %d edges", g.NumNodes(), g.NumEdges()),
+		Env:        CaptureEnv(),
+	}
 }
 
 // SearchOptions returns the default SGQ options of this environment.

@@ -1,224 +1,448 @@
+// The twelve paper reproductions of Section VII (`kgbench -exp all`).
+// Their response times are the engine's own Result.Elapsed per query, not
+// a client loop, so they add rows directly rather than through Drive.
 package bench
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"time"
 
+	"semkg/internal/core"
+	"semkg/internal/datagen"
 	"semkg/internal/metrics"
+	"semkg/internal/query"
 )
+
+// prValues is the value map of an effectiveness row.
+func prValues(pr metrics.PR, timeMS float64) map[string]float64 {
+	return map[string]float64{"p": pr.Precision, "r": pr.Recall, "f1": pr.F1, "time_ms": timeMS}
+}
+
+// simpleSweep runs the simple workload once under opts (k and the
+// defaults filled in by the caller), returning mean P/R/F1, mean response
+// time and total A* expansions. Queries that fail to compile are skipped
+// from the effectiveness mean, as every sweep below did.
+func simpleSweep(ctx context.Context, env *Env, graphOf func(datagen.GenQuery) *query.Graph, opts core.Options) (metrics.PR, float64, int) {
+	var prs []metrics.PR
+	var totalMS float64
+	popped := 0
+	for _, q := range env.Dataset.Simple {
+		r, err := env.Engine.Search(ctx, graphOf(q), opts)
+		if err != nil {
+			continue
+		}
+		prs = append(prs, metrics.Evaluate(r.EntitiesOf(q.Focus), q.Truth))
+		totalMS += ms(r.Elapsed)
+		for _, s := range r.SearchStats {
+			popped += s.Popped
+		}
+	}
+	return metrics.Mean(prs), totalMS / float64(len(env.Dataset.Simple)), popped
+}
+
+func asIs(q datagen.GenQuery) *query.Graph { return q.Graph }
 
 // --- E1: Table I — Q117 variants × all methods ------------------------------
 
-// Table1Row is one method's precision/recall across the four query-graph
-// variants of Fig. 1 (G1: synonym type, G2: abbreviated name, G3: sibling
-// predicate, G4: canonical).
-type Table1Row struct {
-	Method string
-	PR     [4]metrics.PR
-	Found  [4]bool
-}
-
-// Table1Result reproduces Table I.
-type Table1Result struct {
-	K    int
-	Rows []Table1Row
-}
-
-// RunTable1 evaluates every method on the four Q117 variants with
-// k = |validation set| (the paper sets k = 596 for the same reason).
-func RunTable1(env *Env) *Table1Result {
+// runTable1 evaluates every method on the four Q117 query-graph variants
+// of Fig. 1 (G1: synonym type, G2: abbreviated name, G3: sibling
+// predicate, G4: canonical) with k = |validation set| (the paper sets
+// k = 596 for the same reason). A variant a method cannot answer at all
+// has no gN_p / gN_r values.
+func runTable1(_ context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
+	}
 	variants := env.Dataset.Table1
 	k := len(variants[0].Truth)
-	res := &Table1Result{K: k}
-	systems := append([]System{env.SGQ()}, env.AllBaselines(0.7)...)
-	for _, sys := range systems {
-		row := Table1Row{Method: sys.Name}
+	art := env.artifact("table1")
+	section := fmt.Sprintf("Table I: precision/recall on the Q117 variants (top-k=%d)", k)
+	for _, sys := range append([]System{env.SGQ()}, env.AllBaselines(0.7)...) {
+		values := map[string]float64{}
 		for i, q := range variants {
 			answers, _ := sys.Run(q, k)
-			row.Found[i] = len(answers) > 0
-			row.PR[i] = metrics.Evaluate(answers, q.Truth)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res
-}
-
-// Render formats the result like the paper's Table I.
-func (r *Table1Result) Render() *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Table I: Precision/Recall for the Q117 variants (top-k=%d)", r.K),
-		Header: []string{"Method", "G1 P", "G1 R", "G2 P", "G2 R", "G3 P", "G3 R", "G4 P", "G4 R"},
-	}
-	for _, row := range r.Rows {
-		cells := []string{row.Method}
-		for i := 0; i < 4; i++ {
-			if !row.Found[i] {
-				cells = append(cells, "x", "x")
+			if len(answers) == 0 {
 				continue
 			}
-			cells = append(cells, f2(row.PR[i].Precision), f2(row.PR[i].Recall))
+			pr := metrics.Evaluate(answers, q.Truth)
+			values[fmt.Sprintf("g%d_p", i+1)] = pr.Precision
+			values[fmt.Sprintf("g%d_r", i+1)] = pr.Recall
 		}
-		t.AddRow(cells...)
+		art.add(section, sys.Name, values)
 	}
-	return t
+	return art, nil
 }
 
 // --- E2/E3: Figures 12-14 — effectiveness & efficiency vs top-k -------------
 
-// FigureResult holds one dataset's P/R/F1/time series over k for every
-// system (Figures 12, 13, 14, panels a-d).
-type FigureResult struct {
-	Dataset string
-	Ks      []int
-	Systems []string
-	P       [][]float64 // [system][kIdx]
-	R       [][]float64
-	F1      [][]float64
-	TimeMS  [][]float64
-}
-
-// RunFigure evaluates {TBQ-0.9, SGQ, GraB, S4, QGA, p-hom} over the
-// dataset's simple workload for each k, averaging P/R/F1 and response
-// time — the series of Figures 12-14. The k values default to
-// {10, 20, 40, 80}: the paper's {20,40,100,200} scaled to the synthetic
-// validation-set sizes (see EXPERIMENTS.md).
-func RunFigure(env *Env, ks []int) *FigureResult {
-	if len(ks) == 0 {
-		ks = []int{10, 20, 40, 80}
-	}
-	systems := append([]System{env.TBQ(0.9), env.SGQ()}, env.Baselines(0.5)...)
-	res := &FigureResult{Dataset: env.Cfg.Profile.Name, Ks: ks}
-	for _, sys := range systems {
-		res.Systems = append(res.Systems, sys.Name)
-		var ps, rs, f1s, ts []float64
-		for _, k := range ks {
-			var prs []metrics.PR
-			var totalMS float64
-			for _, q := range env.Dataset.Simple {
-				answers, elapsed := sys.Run(q, k)
-				prs = append(prs, metrics.Evaluate(answers, q.Truth))
-				totalMS += float64(elapsed.Microseconds()) / 1000
-			}
-			m := metrics.Mean(prs)
-			ps = append(ps, m.Precision)
-			rs = append(rs, m.Recall)
-			f1s = append(f1s, m.F1)
-			ts = append(ts, totalMS/float64(len(env.Dataset.Simple)))
+// figure evaluates {TBQ-0.9, SGQ, GraB, S4, QGA, p-hom} over one
+// dataset's simple workload for k ∈ {10, 20, 40, 80} — the paper's
+// {20, 40, 100, 200} scaled to the synthetic validation-set sizes — one
+// row per (method, k) with mean P/R/F1 and response time.
+func figure(name string, profile func(float64) datagen.Profile) func(context.Context, Params) (*Artifact, error) {
+	return func(_ context.Context, p Params) (*Artifact, error) {
+		env, err := p.env(profile)
+		if err != nil {
+			return nil, err
 		}
-		res.P = append(res.P, ps)
-		res.R = append(res.R, rs)
-		res.F1 = append(res.F1, f1s)
-		res.TimeMS = append(res.TimeMS, ts)
-	}
-	return res
-}
-
-// Render formats the four panels as one table per metric.
-func (r *FigureResult) Render() []*Table {
-	mk := func(name string, data [][]float64, ms bool) *Table {
-		t := &Table{Title: fmt.Sprintf("%s — %s vs top-k", r.Dataset, name)}
-		t.Header = []string{"Method"}
-		for _, k := range r.Ks {
-			t.Header = append(t.Header, fmt.Sprintf("k=%d", k))
-		}
-		for i, sys := range r.Systems {
-			cells := []string{sys}
-			for j := range r.Ks {
-				if ms {
-					cells = append(cells, f1ms(data[i][j]))
-				} else {
-					cells = append(cells, f2(data[i][j]))
+		art := env.artifact(name)
+		section := fmt.Sprintf("Figures 12-14: effectiveness and response time vs top-k (%s)", env.Cfg.Profile.Name)
+		for _, sys := range append([]System{env.TBQ(0.9), env.SGQ()}, env.Baselines(0.5)...) {
+			for _, k := range []int{10, 20, 40, 80} {
+				var prs []metrics.PR
+				var totalMS float64
+				for _, q := range env.Dataset.Simple {
+					answers, elapsed := sys.Run(q, k)
+					prs = append(prs, metrics.Evaluate(answers, q.Truth))
+					totalMS += ms(elapsed)
 				}
+				art.add(section, fmt.Sprintf("%s k=%d", sys.Name, k),
+					prValues(metrics.Mean(prs), totalMS/float64(len(env.Dataset.Simple))))
 			}
-			t.AddRow(cells...)
 		}
-		return t
-	}
-	return []*Table{
-		mk("Precision", r.P, false),
-		mk("Recall", r.R, false),
-		mk("F1-measure", r.F1, false),
-		mk("Response time", r.TimeMS, true),
+		return art, nil
 	}
 }
 
 // --- E4: Figure 15 — effect of time bounds ------------------------------------
 
-// Fig15Result sweeps the TBQ time bound (Fig. 15 a+b).
-type Fig15Result struct {
-	K        int
-	BoundsMS []float64
-	P        []float64
-	R        []float64
-	F1       []float64
-	RespMin  []float64
-	RespAvg  []float64
-	RespMax  []float64
-}
-
-// RunFig15 measures TBQ effectiveness and response time across time
+// runFig15 measures TBQ effectiveness and response time across time
 // bounds expressed as fractions of the measured SGQ time per query (the
 // paper sweeps 20-90 ms absolute; fractions transport the sweep to the
 // synthetic scale).
-func RunFig15(env *Env, k int, fractions []float64) *Fig15Result {
-	if k <= 0 {
-		k = 40
+func runFig15(_ context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
 	}
-	if len(fractions) == 0 {
-		fractions = []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-	}
+	const k = 40
 	queries := env.Dataset.Simple
-	// Reference SGQ time per query.
 	refs := make([]time.Duration, len(queries))
 	sgq := env.SGQ()
 	for i, q := range queries {
 		_, refs[i] = sgq.Run(q, k)
 	}
-	res := &Fig15Result{K: k}
+	art := env.artifact("fig15")
+	section := fmt.Sprintf("Figure 15: effect of time bounds (k=%d)", k)
 	// The bounds at this scale are tens of microseconds; repeat each
 	// measurement to damp scheduler noise.
 	const reps = 3
-	for _, f := range fractions {
+	for _, f := range []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
 		var prs []metrics.PR
-		minMS, maxMS, sumMS := 1e18, 0.0, 0.0
-		var avgBoundMS float64
+		var resp Hist
+		var boundSum time.Duration
 		for i, q := range queries {
 			bound := time.Duration(float64(refs[i]) * f)
+			boundSum += bound
 			for rep := 0; rep < reps; rep++ {
 				answers, elapsed := env.TBQBounded(q, k, bound)
 				prs = append(prs, metrics.Evaluate(answers, q.Truth))
-				ms := float64(elapsed.Microseconds()) / 1000
-				if ms < minMS {
-					minMS = ms
-				}
-				if ms > maxMS {
-					maxMS = ms
-				}
-				sumMS += ms / reps
+				resp.Add(elapsed)
 			}
-			avgBoundMS += float64(bound.Microseconds()) / 1000
 		}
-		m := metrics.Mean(prs)
-		res.BoundsMS = append(res.BoundsMS, avgBoundMS/float64(len(queries)))
-		res.P = append(res.P, m.Precision)
-		res.R = append(res.R, m.Recall)
-		res.F1 = append(res.F1, m.F1)
-		res.RespMin = append(res.RespMin, minMS)
-		res.RespAvg = append(res.RespAvg, sumMS/float64(len(queries)))
-		res.RespMax = append(res.RespMax, maxMS)
+		values := prValues(metrics.Mean(prs), ms(resp.Mean()))
+		values["bound_ms"] = ms(boundSum) / float64(len(queries))
+		values["time_min_ms"] = ms(resp.Quantile(0))
+		values["time_max_ms"] = ms(resp.Quantile(1))
+		art.add(section, fmt.Sprintf("bound %.0f%% of SGQ time", f*100), values)
 	}
-	return res
+	return art, nil
 }
 
-// Render formats the bound sweep.
-func (r *Fig15Result) Render() *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Figure 15: effect of time bounds (k=%d)", r.K),
-		Header: []string{"Bound", "P", "R", "F1", "RT min", "RT avg", "RT max"},
+// --- E5: Table V — effect of the pivot node -----------------------------------
+
+// runTable5 evaluates the first complex query under every candidate pivot
+// (the paper's Table V compares pivot v1 and v2 on the Fig. 16 query) at
+// k ∈ {⅓, ⅔, 1, 2}·|truth|, mirroring the paper's 200..1200 against 596
+// ground-truth answers.
+func runTable5(ctx context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
 	}
-	for i := range r.BoundsMS {
-		t.AddRow(f1ms(r.BoundsMS[i]), f2(r.P[i]), f2(r.R[i]), f2(r.F1[i]),
-			f1ms(r.RespMin[i]), f1ms(r.RespAvg[i]), f1ms(r.RespMax[i]))
+	if len(env.Dataset.Complex) == 0 {
+		return nil, fmt.Errorf("bench: dataset has no complex queries")
 	}
-	return t
+	q := env.Dataset.Complex[0]
+	n := len(q.Truth)
+	art := env.artifact("table5")
+	section := "Table V: pivot comparison on " + q.Name
+pivots:
+	for _, pivot := range q.Graph.Targets() {
+		var rows []Row
+		for _, k := range []int{max(1, n/3), max(1, 2*n/3), n, n * 2} {
+			opts := env.SearchOptions(k)
+			opts.PivotNode = pivot
+			r, err := env.Engine.Search(ctx, q.Graph, opts)
+			if err != nil {
+				continue pivots // not a usable pivot for this query
+			}
+			rows = append(rows, Row{Section: section, Name: fmt.Sprintf("pivot %s k=%d", pivot, k),
+				Values: prValues(metrics.Evaluate(r.EntitiesOf(q.Focus), q.Truth), ms(r.Elapsed))})
+		}
+		art.Rows = append(art.Rows, rows...)
+	}
+	return art, nil
+}
+
+// --- E6: Table VI — pivot selection strategy ----------------------------------
+
+// runTable6 evaluates Simple/Medium/Complex workloads under the minCost
+// and Random pivot strategies, with k = |truth| so that P = R, as in the
+// paper. Simple queries have a single pivot: no Random values.
+func runTable6(ctx context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
+	}
+	art := env.artifact("table6")
+	const section = "Table VI: effect of pivot node selection (k = |validation set|, P = R)"
+	classes := []struct {
+		name    string
+		queries []datagen.GenQuery
+		subs    int
+	}{
+		{"Simple", env.Dataset.Simple, 1},
+		{"Medium", env.Dataset.Medium, 2},
+		{"Complex", env.Dataset.Complex, 3},
+	}
+	rng := rand.New(rand.NewSource(99))
+	for _, cl := range classes {
+		if len(cl.queries) == 0 {
+			continue
+		}
+		var mcPR, mcMS, rdPR, rdMS float64
+		for _, q := range cl.queries {
+			opts := env.SearchOptions(len(q.Truth))
+			r, err := env.Engine.Search(ctx, q.Graph, opts)
+			if err != nil {
+				continue
+			}
+			mcPR += metrics.Evaluate(r.EntitiesOf(q.Focus), q.Truth).Precision
+			mcMS += ms(r.Elapsed)
+			if cl.subs == 1 {
+				continue
+			}
+			opts.Strategy = query.RandomPivot
+			opts.Rng = rng
+			r2, err := env.Engine.Search(ctx, q.Graph, opts)
+			if err != nil {
+				continue
+			}
+			rdPR += metrics.Evaluate(r2.EntitiesOf(q.Focus), q.Truth).Precision
+			rdMS += ms(r2.Elapsed)
+		}
+		n := float64(len(cl.queries))
+		values := map[string]float64{"mincost_pr": mcPR / n, "mincost_time_ms": mcMS / n}
+		if cl.subs > 1 {
+			values["random_pr"] = rdPR / n
+			values["random_time_ms"] = rdMS / n
+		}
+		art.add(section, fmt.Sprintf("%s (%d sub-queries)", cl.name, cl.subs), values)
+	}
+	return art, nil
+}
+
+// --- E7: Table VII — simulated user study --------------------------------------
+
+// runTable7 simulates the crowd-sourced study of Section VII-D on up to
+// seven queries from each dataset: SGQ answers are scored against latent
+// quality (validated answers = 1, others scaled by match score), pairs
+// are judged by 10 noisy annotators, and the PCC between system ranks and
+// annotator preferences is reported per query.
+func runTable7(ctx context.Context, p Params) (*Artifact, error) {
+	const queriesPerEnv = 7
+	study := metrics.UserStudy{Annotators: 10, Pairs: 30, Noise: 0.1,
+		Rng: rand.New(rand.NewSource(2020))}
+	var art *Artifact
+	for _, profile := range []func(float64) datagen.Profile{datagen.DBpediaLike, datagen.FreebaseLike, datagen.YAGO2Like} {
+		env, err := p.env(profile)
+		if err != nil {
+			return nil, err
+		}
+		if art == nil {
+			art = env.artifact("table7")
+			art.Dataset = "dbpedia-like + freebase-like + yago2-like"
+		}
+		// The paper "selected 20 queries for which the answers have
+		// multiple schemas": single-schema queries produce uniform answer
+		// quality and carry no ranking signal for annotators.
+		var qs []datagen.GenQuery
+		for _, q := range env.Dataset.Simple {
+			if q.SchemaCount > 1 && len(qs) < queriesPerEnv {
+				qs = append(qs, q)
+			}
+		}
+		for i, q := range qs {
+			r, err := env.Engine.Search(ctx, q.Graph, env.SearchOptions(len(q.Truth)))
+			if err != nil || len(r.Answers) < 4 {
+				continue
+			}
+			truth := make(map[string]bool, len(q.Truth))
+			for _, tname := range q.Truth {
+				truth[tname] = true
+			}
+			// Latent answer quality: validated answers are worth more,
+			// and within each group deeper/semantically weaker paths
+			// (lower match score) are worth less — annotators perceive
+			// both effects.
+			maxScore := r.Answers[0].Score
+			if maxScore <= 0 {
+				maxScore = 1
+			}
+			quality := make([]float64, len(r.Answers))
+			distinct := make(map[float64]bool)
+			for j, a := range r.Answers {
+				quality[j] = 0.4 * a.Score / maxScore
+				if truth[a.Bindings[q.Focus]] {
+					quality[j] += 0.6
+				}
+				distinct[quality[j]] = true
+			}
+			if len(distinct) < 2 {
+				// All answers share one score group: no ranking signal to
+				// correlate. The paper's manual query selection excludes
+				// such queries; the harness does the same.
+				continue
+			}
+			art.add("Table VII: simulated user study (PCC per query)",
+				fmt.Sprintf("%s-%d", env.Cfg.Profile.Name, i+1),
+				map[string]float64{"pcc": study.Run(quality)})
+		}
+	}
+	return art, nil
+}
+
+// --- E8/E9: Figure 17 + Table VIII — robustness vs noise -----------------------
+
+// runNoise perturbs a fraction (the noise ratio) of the simple workload
+// with node noise (synonym/abbreviation swaps) or edge noise (predicate
+// swapped with a top-10 similar predicate) and measures SGQ effectiveness
+// and response time (Fig. 17 and Table VIII).
+func runNoise(ctx context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
+	}
+	const k = 40
+	art := env.artifact("noise")
+	section := fmt.Sprintf("Figure 17 / Table VIII: robustness vs noise (k=%d)", k)
+	for _, mode := range []string{"node", "edge"} {
+		for _, ratio := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
+			rng := rand.New(rand.NewSource(int64(1000 + ratio*100)))
+			noisy := func(q datagen.GenQuery) *query.Graph {
+				switch {
+				case rng.Float64() >= ratio:
+					return q.Graph
+				case mode == "node":
+					return datagen.AddNodeNoise(q.Graph, env.Dataset.Library, rng)
+				default:
+					return datagen.AddEdgeNoise(q.Graph, env.Dataset.Graph, env.Space, rng)
+				}
+			}
+			pr, timeMS, _ := simpleSweep(ctx, env, noisy, env.SearchOptions(k))
+			art.add(section, fmt.Sprintf("%s noise %.0f%%", mode, ratio*100), prValues(pr, timeMS))
+		}
+	}
+	return art, nil
+}
+
+// --- E10: Table IX — scalability ------------------------------------------------
+
+// runTable9 builds nested-scale dbpedia-like environments at 0.4, 0.7
+// and 1.0 of the requested scale (the paper extracts subgraphs
+// G1 ⊂ G2 ⊂ G) and reports SGQ online time per k plus the offline
+// embedding cost.
+func runTable9(_ context.Context, p Params) (*Artifact, error) {
+	var env *Env
+	var rows []Row
+	for _, f := range []float64{0.4, 0.7, 1.0} {
+		var err error
+		if env, err = Cached(Config{Profile: datagen.DBpediaLike(p.Scale * f), Embed: p.Embed}); err != nil {
+			return nil, err
+		}
+		values := map[string]float64{
+			"nodes":    float64(env.Dataset.Graph.NumNodes()),
+			"edges":    float64(env.Dataset.Graph.NumEdges()),
+			"embed_ms": ms(env.TrainTime),
+			"embed_mb": float64(env.ModelBytes) / (1 << 20),
+		}
+		sgq := env.SGQ()
+		for _, k := range []int{10, 20, 40} {
+			var total time.Duration
+			for _, q := range env.Dataset.Simple {
+				_, elapsed := sgq.Run(q, k)
+				total += elapsed
+			}
+			values[fmt.Sprintf("sgq_k%d_ms", k)] = ms(total) / float64(len(env.Dataset.Simple))
+		}
+		rows = append(rows, Row{Section: "Table IX: scalability (online SGQ vs offline embedding)",
+			Name: fmt.Sprintf("G(%.1fx)", f), Values: values})
+	}
+	art := env.artifact("table9") // header describes the full-scale graph
+	art.Rows = rows
+	return art, nil
+}
+
+// --- E11: Table X — parameter sensitivity ---------------------------------------
+
+// runTable10 reproduces the sensitivity analysis: vary n̂ with τ fixed,
+// then vary τ with n̂ = 4. The τ range is the scaled equivalent of the
+// paper's 0.6-0.9 (see Config.Tau).
+func runTable10(ctx context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
+	}
+	const k = 40
+	art := env.artifact("table10")
+	section := fmt.Sprintf("Table X: effect of n̂ and τ (k=%d)", k)
+	sweep := func(name string, tau float64, nhat int) {
+		opts := env.SearchOptions(k)
+		opts.Tau, opts.MaxHops = tau, nhat
+		pr, timeMS, _ := simpleSweep(ctx, env, asIs, opts)
+		art.add(section, name, prValues(pr, timeMS))
+	}
+	for _, nhat := range []int{2, 3, 4, 5} {
+		sweep(fmt.Sprintf("n̂=%d (τ=%.2f)", nhat, env.Cfg.Tau), env.Cfg.Tau, nhat)
+	}
+	for _, tau := range []float64{0.5, 0.6, 0.7, 0.8} {
+		sweep(fmt.Sprintf("τ=%.2f (n̂=4)", tau), tau, 4)
+	}
+	return art, nil
+}
+
+// --- E12: Ablation — the design choices of Section V -----------------------------
+
+// runAblation compares the full A* semantic search against the
+// uninformed estimate (m(u) = 1) and the paper's visited-set pruning over
+// the simple workload.
+func runAblation(ctx context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
+	}
+	const k = 40
+	art := env.artifact("ablation")
+	section := fmt.Sprintf("Ablation: search variants (k=%d)", k)
+	variants := []struct {
+		name   string
+		mutate func(*core.Options)
+	}{
+		{"A* semantic search (default)", func(o *core.Options) {}},
+		{"uninformed (no m(u) estimate)", func(o *core.Options) { o.NoHeuristic = true }},
+		{"visited-set pruning (paper Alg. 1)", func(o *core.Options) { o.PruneVisited = true }},
+	}
+	for _, v := range variants {
+		opts := env.SearchOptions(k)
+		v.mutate(&opts)
+		pr, timeMS, popped := simpleSweep(ctx, env, asIs, opts)
+		values := prValues(pr, timeMS)
+		values["states_popped"] = float64(popped)
+		art.add(section, v.name, values)
+	}
+	return art, nil
 }

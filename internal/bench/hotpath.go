@@ -10,9 +10,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
+	"math"
 	"sync"
 	"testing"
 
@@ -48,14 +47,14 @@ func (e matchEstimator) AvgDegree() float64 { return e.g.AvgDegree() }
 // core.Engine.buildSearchers does. With scan=true every resolution goes
 // through the seed linear scans (the "before" side); the two sides produce
 // identical sub-queries by the index/scan equivalence property.
-func compileSubQueries(env *Env, q *query.Graph, scan bool) ([]compiledSub, *query.Decomposition, error) {
-	m := env.Engine.Matcher()
+func compileSubQueries(eng *core.Engine, maxHops int, q *query.Graph, scan bool) ([]compiledSub, *query.Decomposition, error) {
+	m := eng.Matcher()
 	match := m.MatchNodeScan
 	if !scan {
 		match = m.Memo().MatchNode
 	}
-	est := matchEstimator{match, env.Dataset.Graph}
-	d, err := query.Decompose(q, query.Options{Estimator: est, MaxHops: env.Cfg.MaxHops})
+	est := matchEstimator{match, eng.Graph()}
+	d, err := query.Decompose(q, query.Options{Estimator: est, MaxHops: maxHops})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -153,7 +152,7 @@ func renderLegacyAnswers(env *Env, finals []ta.Final, d *query.Decomposition) []
 // scan-based φ resolution, per-call ScanWeighter rows, LegacySearcher per
 // sub-query with concurrent prefetch, TA assembly, and answer rendering.
 func runLegacySearch(env *Env, q *query.Graph, k int) ([]core.Answer, []ta.Final, error) {
-	subs, d, err := compileSubQueries(env, q, true)
+	subs, d, err := compileSubQueries(env.Engine, env.Cfg.MaxHops, q, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -204,7 +203,7 @@ type BenchCase struct {
 func HotpathCases(env *Env) ([]BenchCase, error) {
 	g := env.Dataset.Graph
 	q := env.Dataset.Simple[0]
-	subs, _, err := compileSubQueries(env, q.Graph, false)
+	subs, _, err := compileSubQueries(env.Engine, env.Cfg.MaxHops, q.Graph, false)
 	if err != nil {
 		return nil, err
 	}
@@ -228,6 +227,23 @@ func HotpathCases(env *Env) ([]BenchCase, error) {
 		[2]string{"no_such_entity_name", ""},
 	)
 
+	// side wraps one side's body as a benchmark. The body reports how much
+	// it found; finding nothing fails the run, since a side that does no
+	// work would win every comparison.
+	side := func(body func() (int, error)) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n, err := body()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n == 0 {
+					b.Fatal("side found nothing")
+				}
+			}
+		}
+	}
 	drain := func(next func() (astar.Match, bool)) int {
 		n := 0
 		for {
@@ -237,219 +253,111 @@ func HotpathCases(env *Env) ([]BenchCase, error) {
 			n++
 		}
 	}
+	// boundMass sums the m(u) bound over every node, rounded up.
+	boundMass := func(w interface {
+		NodeMax(u kg.NodeID, seg int) float64
+	}) int {
+		acc := 0.0
+		for u := 0; u < g.NumNodes(); u++ {
+			acc += w.NodeMax(kg.NodeID(u), 0)
+		}
+		return int(math.Ceil(acc))
+	}
+	matchAll := func(match func(name, typeName string) []kg.NodeID) func() (int, error) {
+		return func() (int, error) {
+			total := 0
+			for _, pr := range probes {
+				total += len(match(pr[0], pr[1]))
+			}
+			return total, nil
+		}
+	}
+	m := env.Engine.Matcher()
 
-	cases := []BenchCase{
+	return []BenchCase{
 		{
 			Name: "AStarNext",
-			Before: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					w, err := semgraph.NewScanWeighter(g, env.Space, cs.preds)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if drain(astar.NewLegacySearcher(g, w, cs.sub, sopts).Next) == 0 {
-						b.Fatal("legacy searcher found no matches")
-					}
+			Before: side(func() (int, error) {
+				w, err := semgraph.NewScanWeighter(g, env.Space, cs.preds)
+				if err != nil {
+					return 0, err
 				}
-			},
-			After: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					w, err := semgraph.NewWeighterCached(rows, cs.preds)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if drain(astar.NewSearcher(g, w, cs.sub, sopts).Next) == 0 {
-						b.Fatal("arena searcher found no matches")
-					}
+				return drain(astar.NewLegacySearcher(g, w, cs.sub, sopts).Next), nil
+			}),
+			After: side(func() (int, error) {
+				w, err := semgraph.NewWeighterCached(rows, cs.preds)
+				if err != nil {
+					return 0, err
 				}
-			},
+				return drain(astar.NewSearcher(g, w, cs.sub, sopts).Next), nil
+			}),
 		},
 		{
 			Name: "NodeMax",
-			Before: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					w, err := semgraph.NewScanWeighter(g, env.Space, cs.preds)
-					if err != nil {
-						b.Fatal(err)
-					}
-					acc := 0.0
-					for u := 0; u < g.NumNodes(); u++ {
-						acc += w.NodeMax(kg.NodeID(u), 0)
-					}
-					if acc <= 0 {
-						b.Fatal("no bound mass")
-					}
+			Before: side(func() (int, error) {
+				w, err := semgraph.NewScanWeighter(g, env.Space, cs.preds)
+				if err != nil {
+					return 0, err
 				}
-			},
-			After: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					w, err := semgraph.NewWeighterCached(rows, cs.preds)
-					if err != nil {
-						b.Fatal(err)
-					}
-					acc := 0.0
-					for u := 0; u < g.NumNodes(); u++ {
-						acc += w.NodeMax(kg.NodeID(u), 0)
-					}
-					if acc <= 0 {
-						b.Fatal("no bound mass")
-					}
+				return boundMass(w), nil
+			}),
+			After: side(func() (int, error) {
+				w, err := semgraph.NewWeighterCached(rows, cs.preds)
+				if err != nil {
+					return 0, err
 				}
-			},
+				return boundMass(w), nil
+			}),
 		},
-		{
-			Name: "MatchNode",
-			Before: func(b *testing.B) {
-				b.ReportAllocs()
-				m := env.Engine.Matcher()
-				for i := 0; i < b.N; i++ {
-					total := 0
-					for _, pr := range probes {
-						total += len(m.MatchNodeScan(pr[0], pr[1]))
-					}
-					if total == 0 {
-						b.Fatal("no matches")
-					}
-				}
-			},
-			After: func(b *testing.B) {
-				b.ReportAllocs()
-				m := env.Engine.Matcher()
-				for i := 0; i < b.N; i++ {
-					total := 0
-					for _, pr := range probes {
-						total += len(m.MatchNode(pr[0], pr[1]))
-					}
-					if total == 0 {
-						b.Fatal("no matches")
-					}
-				}
-			},
-		},
+		{Name: "MatchNode", Before: side(matchAll(m.MatchNodeScan)), After: side(matchAll(m.MatchNode))},
 		{
 			Name: "SearchEndToEnd",
-			Before: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					answers, _, err := runLegacySearch(env, q.Graph, 20)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(answers) == 0 {
-						b.Fatal("legacy search found no answers")
-					}
+			Before: side(func() (int, error) {
+				answers, _, err := runLegacySearch(env, q.Graph, 20)
+				return len(answers), err
+			}),
+			After: side(func() (int, error) {
+				res, err := env.Engine.Search(context.Background(), q.Graph, env.SearchOptions(20))
+				if err != nil {
+					return 0, err
 				}
-			},
-			After: func(b *testing.B) {
-				b.ReportAllocs()
-				ctx := context.Background()
-				for i := 0; i < b.N; i++ {
-					res, err := env.Engine.Search(ctx, q.Graph, env.SearchOptions(20))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res.Answers) == 0 {
-						b.Fatal("search found no answers")
-					}
-				}
-			},
+				return len(res.Answers), nil
+			}),
 		},
+	}, nil
+}
+
+// runHotpath measures every before/after pair with testing.Benchmark: two
+// rows per pair, the after row carrying the speedup (before ns / after
+// ns) and alloc_ratio (before allocs / after allocs). The before sides
+// stay live because the equivalence suites keep their code as reference.
+func runHotpath(_ context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
 	}
-	return cases, nil
-}
-
-// HotpathStat is one measured side of a pair.
-type HotpathStat struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// HotpathRow is one before/after comparison.
-type HotpathRow struct {
-	Name       string      `json:"name"`
-	Before     HotpathStat `json:"before"`
-	After      HotpathStat `json:"after"`
-	Speedup    float64     `json:"speedup"`     // before.ns / after.ns
-	AllocRatio float64     `json:"alloc_ratio"` // before.allocs / after.allocs
-}
-
-// HotpathResult is the experiment artifact (BENCH_hotpath.json).
-type HotpathResult struct {
-	Dataset string `json:"dataset"`
-	Scale   string `json:"scale"`
-	EnvInfo
-	Rows []HotpathRow `json:"benchmarks"`
-}
-
-func stat(r testing.BenchmarkResult) HotpathStat {
-	return HotpathStat{
-		NsPerOp:     float64(r.NsPerOp()),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}
-}
-
-// RunHotpath measures every before/after pair with testing.Benchmark.
-func RunHotpath(env *Env) (*HotpathResult, error) {
 	cases, err := HotpathCases(env)
 	if err != nil {
 		return nil, err
 	}
-	res := &HotpathResult{
-		Dataset: env.Cfg.Profile.Name,
-		Scale:   fmt.Sprintf("%d nodes / %d edges", env.Dataset.Graph.NumNodes(), env.Dataset.Graph.NumEdges()),
-		EnvInfo: CaptureEnv(),
+	art := env.artifact("hotpath")
+	stat := func(r testing.BenchmarkResult) map[string]float64 {
+		return map[string]float64{
+			"ns_per_op":     float64(r.NsPerOp()),
+			"allocs_per_op": float64(r.AllocsPerOp()),
+			"bytes_per_op":  float64(r.AllocedBytesPerOp()),
+		}
 	}
 	for _, c := range cases {
-		before := stat(testing.Benchmark(c.Before))
-		after := stat(testing.Benchmark(c.After))
-		row := HotpathRow{Name: c.Name, Before: before, After: after}
-		if after.NsPerOp > 0 {
-			row.Speedup = before.NsPerOp / after.NsPerOp
+		before, after := stat(testing.Benchmark(c.Before)), stat(testing.Benchmark(c.After))
+		if after["ns_per_op"] > 0 {
+			after["speedup"] = before["ns_per_op"] / after["ns_per_op"]
 		}
-		if after.AllocsPerOp > 0 {
-			row.AllocRatio = float64(before.AllocsPerOp) / float64(after.AllocsPerOp)
+		if after["allocs_per_op"] > 0 {
+			after["alloc_ratio"] = before["allocs_per_op"] / after["allocs_per_op"]
 		}
-		res.Rows = append(res.Rows, row)
+		art.add("hotpath", c.Name+"/before", before)
+		art.add("hotpath", c.Name+"/after", after)
 	}
-	return res, nil
-}
-
-// WriteJSON stores the artifact.
-func (r *HotpathResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Render formats the comparison as a text table.
-func (r *HotpathResult) Render() *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Hotpath before/after (%s, %s, %s/%s)", r.Dataset, r.Scale, r.GOOS, r.GOARCH),
-		Header: []string{"benchmark", "before ns/op", "after ns/op", "speedup", "before allocs", "after allocs", "alloc ratio"},
-	}
-	for _, row := range r.Rows {
-		t.AddRow(row.Name,
-			fmt.Sprintf("%.0f", row.Before.NsPerOp),
-			fmt.Sprintf("%.0f", row.After.NsPerOp),
-			fmt.Sprintf("%.2fx", row.Speedup),
-			fmt.Sprintf("%d", row.Before.AllocsPerOp),
-			fmt.Sprintf("%d", row.After.AllocsPerOp),
-			fmt.Sprintf("%.2fx", row.AllocRatio),
-		)
-	}
-	return t
-}
-
-// HotpathEnvConfig is the default configuration for the hotpath experiment
-// (shared by kgbench and the root benchmarks so numbers are comparable).
-func HotpathEnvConfig(scale float64) Config {
-	return Config{Profile: datagen.DBpediaLike(scale)}
+	return art, nil
 }

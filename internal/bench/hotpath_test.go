@@ -54,36 +54,24 @@ func TestLegacyPipelineMatchesEngine(t *testing.T) {
 }
 
 // TestRunHotpathShape checks the experiment artifact: all four pairs
-// measured, sane values, and a renderable table. It runs the real
-// benchmarks with testing.Benchmark, so it is skipped in -short mode.
+// measured on both sides with sane values. It runs the real benchmarks
+// with testing.Benchmark, so it is skipped in -short mode.
 func TestRunHotpathShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hotpath experiment benchmarks are slow; skipped in -short mode")
+	art := run(t, "hotpath")
+	checkWritten(t, art)
+	if len(art.Rows) != 8 {
+		t.Fatalf("hotpath rows = %d, want 4 pairs x 2 sides", len(art.Rows))
 	}
-	env := testEnv(t)
-	res, err := RunHotpath(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("hotpath rows = %d, want 4", len(res.Rows))
-	}
-	names := map[string]bool{}
-	for _, row := range res.Rows {
-		names[row.Name] = true
-		if row.Before.NsPerOp <= 0 || row.After.NsPerOp <= 0 {
-			t.Errorf("%s: non-positive timings: %+v", row.Name, row)
+	for _, name := range []string{"AStarNext", "NodeMax", "MatchNode", "SearchEndToEnd"} {
+		before, after := row(t, art, "hotpath", name+"/before").Values, row(t, art, "hotpath", name+"/after").Values
+		if before["ns_per_op"] <= 0 || after["ns_per_op"] <= 0 {
+			t.Errorf("%s: non-positive timings: %v / %v", name, before, after)
 		}
-		if row.Before.AllocsPerOp < 0 || row.After.AllocsPerOp < 0 {
-			t.Errorf("%s: negative allocs: %+v", row.Name, row)
+		if before["allocs_per_op"] < 0 || after["allocs_per_op"] < 0 {
+			t.Errorf("%s: negative allocs: %v / %v", name, before, after)
 		}
-	}
-	for _, want := range []string{"AStarNext", "NodeMax", "MatchNode", "SearchEndToEnd"} {
-		if !names[want] {
-			t.Errorf("missing hotpath pair %q", want)
+		if after["speedup"] <= 0 {
+			t.Errorf("%s: speedup not recorded: %v", name, after)
 		}
-	}
-	if res.Render().String() == "" {
-		t.Error("empty render")
 	}
 }

@@ -1,101 +1,48 @@
 // Ingest experiment: the storage layer's production metrics. Three
 // measurements: cold-start load time of the binary snapshot codec against
-// the TSV parse + index build it replaces (the ≥10x acceptance bar),
-// delta-commit latency as a function of delta size, and end-to-end search
-// throughput while a background applier publishes commits through
-// serve.Apply (generation swaps racing live queries). Run via `go run
-// ./cmd/kgbench -exp ingest` (writes BENCH_ingest.json).
+// the TSV parse + index build it replaces, delta-commit latency as a
+// function of delta size, and end-to-end search throughput while a
+// background applier publishes commits through serve.Apply (generation
+// swaps racing live queries).
 package bench
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"semkg/internal/core"
+	"semkg/internal/datagen"
 	"semkg/internal/kg"
 	"semkg/internal/serve"
 )
 
-// LoadComparison is the snapshot-vs-TSV cold-start measurement.
-type LoadComparison struct {
-	TSVBytes      int64   `json:"tsv_bytes"`
-	SnapshotBytes int64   `json:"snapshot_bytes"`
-	TSVLoadUs     float64 `json:"tsv_load_us"`
-	SnapshotUs    float64 `json:"snapshot_load_us"`
-	Speedup       float64 `json:"speedup"`
-	Iters         int     `json:"iters"`
-}
-
-// CommitPoint is one delta-size latency measurement.
-type CommitPoint struct {
-	DeltaEdges int     `json:"delta_edges"`
-	NewNodes   int     `json:"new_nodes"`
-	CommitUs   float64 `json:"commit_us"`
-	PerEdgeUs  float64 `json:"per_edge_us"`
-}
-
-// LiveIngest is the search-while-ingest workload measurement.
-type LiveIngest struct {
-	Clients      int     `json:"clients"`
-	DurationMs   float64 `json:"duration_ms"`
-	Requests     int     `json:"requests"`
-	QPS          float64 `json:"qps"`
-	Commits      int     `json:"commits"`
-	Generation   uint64  `json:"generation"`
-	ResultHits   uint64  `json:"result_hits"`
-	PipelineRuns uint64  `json:"pipeline_runs"`
-}
-
-// IngestResult is the experiment artifact (BENCH_ingest.json).
-type IngestResult struct {
-	Dataset string `json:"dataset"`
-	Scale   string `json:"scale"`
-	EnvInfo
-	Load    LoadComparison `json:"load"`
-	Commits []CommitPoint  `json:"commits"`
-	Live    LiveIngest     `json:"live"`
-}
-
-// RunIngest measures the storage layer on this environment. short trims
-// iteration counts for CI smoke runs.
-func RunIngest(env *Env, short bool) (*IngestResult, error) {
-	res := &IngestResult{
-		Dataset: env.Cfg.Profile.Name,
-		Scale:   fmt.Sprintf("%d nodes / %d edges", env.Dataset.Graph.NumNodes(), env.Dataset.Graph.NumEdges()),
-		EnvInfo: CaptureEnv(),
-	}
-	load, err := measureLoad(env.Dataset.Graph, short)
+// runIngest measures the storage layer.
+func runIngest(ctx context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
 	if err != nil {
 		return nil, err
 	}
-	res.Load = load
-
+	art := env.artifact("ingest")
+	if err := measureLoad(art, env.Dataset.Graph, p.Short); err != nil {
+		return nil, err
+	}
 	sizes := []int{10, 100, 1000}
-	if short {
+	if p.Short {
 		sizes = []int{10, 100}
 	}
 	for _, size := range sizes {
-		pt, err := measureCommit(env.Dataset.Graph, size, short)
-		if err != nil {
+		if err := measureCommit(art, env.Dataset.Graph, size, p.Short); err != nil {
 			return nil, err
 		}
-		res.Commits = append(res.Commits, pt)
 	}
-
-	live, err := measureLive(env, short)
-	if err != nil {
+	if err := measureLive(ctx, art, env, p.Short); err != nil {
 		return nil, err
 	}
-	res.Live = live
-	return res, nil
+	return art, nil
 }
 
 // measureLoad compares a cold start from the TSV triple format (parse +
@@ -105,57 +52,41 @@ func RunIngest(env *Env, short bool) (*IngestResult, error) {
 // a collection runs between iterations, outside the timed region, so an
 // incidental GC cycle does not land in one side's timings (a real cold
 // start runs long before the first collection).
-func measureLoad(g *kg.Graph, short bool) (LoadComparison, error) {
+func measureLoad(art *Artifact, g *kg.Graph, short bool) error {
 	var tsv, snap bytes.Buffer
 	if err := kg.WriteTriples(&tsv, g); err != nil {
-		return LoadComparison{}, err
+		return err
 	}
 	if err := kg.WriteSnapshot(&snap, g); err != nil {
-		return LoadComparison{}, err
+		return err
 	}
 	iters := 11
 	if short {
 		iters = 9 // the load pair is cheap; a stable minimum matters more
 	}
-	best := func(load func() error) (time.Duration, error) {
-		var min time.Duration
-		for i := 0; i < iters; i++ {
-			runtime.GC()
-			start := time.Now()
-			if err := load(); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); min == 0 || d < min {
-				min = d
-			}
-		}
-		return min, nil
-	}
-	tsvTime, err := best(func() error {
+	tsvTime, err := best(iters, runtime.GC, func() error {
 		_, err := kg.ReadTriples(bytes.NewReader(tsv.Bytes()))
 		return err
 	})
 	if err != nil {
-		return LoadComparison{}, err
+		return err
 	}
-	snapTime, err := best(func() error {
+	snapTime, err := best(iters, runtime.GC, func() error {
 		_, err := kg.ReadSnapshot(bytes.NewReader(snap.Bytes()))
 		return err
 	})
 	if err != nil {
-		return LoadComparison{}, err
+		return err
 	}
-	out := LoadComparison{
-		TSVBytes:      int64(tsv.Len()),
-		SnapshotBytes: int64(snap.Len()),
-		TSVLoadUs:     float64(tsvTime) / float64(time.Microsecond),
-		SnapshotUs:    float64(snapTime) / float64(time.Microsecond),
-		Iters:         iters,
-	}
+	art.add("cold-start", "tsv parse + index build", map[string]float64{
+		"bytes": float64(tsv.Len()), "load_us": us(tsvTime), "iters": float64(iters)})
+	values := map[string]float64{
+		"bytes": float64(snap.Len()), "load_us": us(snapTime), "iters": float64(iters)}
 	if snapTime > 0 {
-		out.Speedup = float64(tsvTime) / float64(snapTime)
+		values["speedup"] = float64(tsvTime) / float64(snapTime)
 	}
-	return out, nil
+	art.add("cold-start", "snapshot", values)
+	return nil
 }
 
 // ingestDelta builds a synthetic delta against g: size edges, half
@@ -186,40 +117,39 @@ func ingestDelta(g *kg.Graph, size int, seed int64) (*kg.Delta, error) {
 }
 
 // measureCommit times Delta.Commit for one delta size (averaged; a fresh
-// delta is built per iteration since deltas are single-shot).
-func measureCommit(g *kg.Graph, size int, short bool) (CommitPoint, error) {
+// delta is built per iteration, untimed, since deltas are single-shot).
+func measureCommit(art *Artifact, g *kg.Graph, size int, short bool) error {
 	iters := 7
 	if short {
 		iters = 3
 	}
-	var total time.Duration
+	var h Hist
 	var newNodes int
 	for i := 0; i < iters; i++ {
 		d, err := ingestDelta(g, size, int64(1000+i))
 		if err != nil {
-			return CommitPoint{}, err
+			return err
 		}
 		newNodes = d.AddedNodes()
-		start := time.Now()
-		d.Commit()
-		total += time.Since(start)
+		_ = h.Time(func() error { d.Commit(); return nil })
 	}
-	avg := float64(total) / float64(iters) / float64(time.Microsecond)
-	return CommitPoint{
-		DeltaEdges: size,
-		NewNodes:   newNodes,
-		CommitUs:   avg,
-		PerEdgeUs:  avg / float64(size),
-	}, nil
+	avg := us(h.Mean())
+	art.add("commit", fmt.Sprintf("%d edges", size), map[string]float64{
+		"delta_edges": float64(size),
+		"new_nodes":   float64(newNodes),
+		"commit_us":   avg,
+		"per_edge_us": avg / float64(size),
+	})
+	return nil
 }
 
 // measureLive runs concurrent search clients against a serving engine
 // while an applier publishes delta commits: the QPS under generation
 // churn, with every request completing against a consistent snapshot.
-func measureLive(env *Env, short bool) (LiveIngest, error) {
-	qs := serveQueries(env)
-	if len(qs) == 0 {
-		return LiveIngest{}, fmt.Errorf("bench: environment has no workload queries")
+func measureLive(ctx context.Context, art *Artifact, env *Env, short bool) error {
+	qs, err := serveQueries(env)
+	if err != nil {
+		return err
 	}
 	const clients = 4
 	duration := 1500 * time.Millisecond
@@ -235,89 +165,49 @@ func measureLive(env *Env, short bool) (LiveIngest, error) {
 			return core.NewEngine(g, env.Space, env.Dataset.Library)
 		},
 	})
-	ctx := context.Background()
-	deadline := time.Now().Add(duration)
 
-	var requests atomic.Int64
-	errs := make([]error, clients+1)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(77 + c)))
-			for time.Now().Before(deadline) {
-				if _, err := srv.Search(ctx, qs[rng.Intn(len(qs))], opts); err != nil {
-					errs[c] = err
-					return
-				}
-				requests.Add(1)
-			}
-		}(c)
-	}
+	// The applier is not load: it commits on its own clock beside the
+	// Drive clients until their window closes.
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	applied := make(chan error, 1)
 	commits := 0
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		for seed := int64(1); time.Now().Before(deadline); seed++ {
+		for seed := int64(1); ctx.Err() == nil; seed++ {
 			d, err := ingestDelta(srv.Engine().Graph(), 50, 5000+seed)
-			if err != nil {
-				errs[clients] = err
-				return
+			if err == nil {
+				_, err = srv.Apply(d)
 			}
-			if _, err := srv.Apply(d); err != nil {
-				errs[clients] = err
+			if err != nil {
+				applied <- err
 				return
 			}
 			commits++
-			time.Sleep(20 * time.Millisecond)
+			sleep(ctx, 20*time.Millisecond)
 		}
+		applied <- nil
 	}()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return LiveIngest{}, err
-		}
+	rngs := make([]*rand.Rand, clients)
+	for c := range rngs {
+		rngs[c] = rand.New(rand.NewSource(int64(77 + c)))
 	}
-	st := srv.Stats()
-	return LiveIngest{
-		Clients:      clients,
-		DurationMs:   float64(duration) / float64(time.Millisecond),
-		Requests:     int(requests.Load()),
-		QPS:          float64(requests.Load()) / duration.Seconds(),
-		Commits:      commits,
-		Generation:   st.Generation,
-		ResultHits:   st.ResultHits,
-		PipelineRuns: st.PipelineRuns,
-	}, nil
-}
-
-// WriteJSON stores the artifact.
-func (r *IngestResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
+	s := Drive(ctx, Load{Clients: clients, Measure: duration}, func(ctx context.Context, c, _ int) error {
+		_, err := srv.Search(ctx, qs[rngs[c].Intn(len(qs))], opts)
+		return err
+	})
+	stop()
+	if err := <-applied; err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Render formats the measurements as a text table.
-func (r *IngestResult) Render() *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Storage layer (%s, %s, %s/%s)", r.Dataset, r.Scale, r.GOOS, r.GOARCH),
-		Header: []string{"measurement", "value", "detail"},
+	if s.Err != nil {
+		return s.Err
 	}
-	t.AddRow("tsv load", fmt.Sprintf("%.0f µs", r.Load.TSVLoadUs),
-		fmt.Sprintf("%d bytes", r.Load.TSVBytes))
-	t.AddRow("snapshot load", fmt.Sprintf("%.0f µs", r.Load.SnapshotUs),
-		fmt.Sprintf("%d bytes", r.Load.SnapshotBytes))
-	t.AddRow("load speedup", fmt.Sprintf("%.1fx", r.Load.Speedup), "snapshot vs tsv")
-	for _, c := range r.Commits {
-		t.AddRow(fmt.Sprintf("commit %d edges", c.DeltaEdges),
-			fmt.Sprintf("%.0f µs", c.CommitUs),
-			fmt.Sprintf("%.2f µs/edge, %d new nodes", c.PerEdgeUs, c.NewNodes))
-	}
-	t.AddRow("search-while-ingest", fmt.Sprintf("%.0f QPS", r.Live.QPS),
-		fmt.Sprintf("%d reqs, %d commits, gen %d", r.Live.Requests, r.Live.Commits, r.Live.Generation))
-	return t
+	st := srv.Stats()
+	art.add("live", "search-while-ingest", map[string]float64{
+		"commits":       float64(commits),
+		"generation":    float64(st.Generation),
+		"result_hits":   float64(st.ResultHits),
+		"pipeline_runs": float64(st.PipelineRuns),
+	}).Sample = &s
+	return nil
 }

@@ -2,62 +2,27 @@
 // (internal/keyword) against the structured baseline it assembles into.
 // Keywords are derived from the generated Simple workload ("<focus type>
 // <predicate> <anchor entity>"), so every input has a ground-truth
-// validation set. Three measurements per environment:
+// validation set. Four rows per environment:
 //
 //   - assembly latency alone (tokenize → match → enumerate → score);
-//   - end-to-end latency of blended keyword search vs the equivalent
+//   - end-to-end latency and answer quality (precision/recall/F1 against
+//     the workload truth) of blended multi-candidate keyword search, of
+//     executing only the single best candidate, and of the hand-written
 //     structured query through the same serving layer (caches disabled,
-//     so every number is a real pipeline execution);
-//   - answer quality (precision/recall/F1 against the workload truth)
-//     of blended multi-candidate search vs executing only the single
-//     best candidate vs the hand-written structured query.
-//
-// Run via `go run ./cmd/kgbench -exp keyword` (writes BENCH_keyword.json).
+//     so every number is a real pipeline execution).
 package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
-	"time"
 
-	"semkg/internal/core"
+	"semkg/internal/datagen"
 	"semkg/internal/keyword"
 	"semkg/internal/metrics"
 	"semkg/internal/query"
 	"semkg/internal/serve"
 )
-
-// KeywordRow is one measured workload slice.
-type KeywordRow struct {
-	Workload string `json:"workload"`
-	Queries  int    `json:"queries"`
-	Rounds   int    `json:"rounds"`
-	// Assembly latency percentiles in microseconds (keyword workloads).
-	AssemblyP50Us float64 `json:"assembly_p50_us,omitempty"`
-	AssemblyP95Us float64 `json:"assembly_p95_us,omitempty"`
-	// End-to-end latency percentiles in microseconds.
-	P50Us float64 `json:"p50_us"`
-	P95Us float64 `json:"p95_us"`
-	// Candidate statistics (keyword workloads): mean assembled and mean
-	// executed candidate queries per input.
-	CandidatesMean float64 `json:"candidates_mean,omitempty"`
-	ExecutedMean   float64 `json:"executed_mean,omitempty"`
-	// Quality against the workload validation sets.
-	Precision float64 `json:"precision"`
-	Recall    float64 `json:"recall"`
-	F1        float64 `json:"f1"`
-}
-
-// KeywordBenchResult is the experiment artifact (BENCH_keyword.json).
-type KeywordBenchResult struct {
-	Dataset string `json:"dataset"`
-	Scale   string `json:"scale"`
-	EnvInfo
-	Rows []KeywordRow `json:"workloads"`
-}
 
 // keywordCase is one benchmark input: derived keywords plus the
 // structured query and truth they came from.
@@ -103,10 +68,14 @@ func keywordCases(env *Env, limit int) []keywordCase {
 	return out
 }
 
-// RunKeyword measures the keyword front end on this environment.
-func RunKeyword(env *Env, short bool) (*KeywordBenchResult, error) {
+// runKeyword measures the keyword front end.
+func runKeyword(ctx context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
+	}
 	rounds, limit := 6, 0
-	if short {
+	if p.Short {
 		rounds, limit = 2, 5
 	}
 	cases := keywordCases(env, limit)
@@ -114,174 +83,90 @@ func RunKeyword(env *Env, short bool) (*KeywordBenchResult, error) {
 		return nil, fmt.Errorf("bench: environment has no keyword cases")
 	}
 	opts := env.SearchOptions(10)
-	ctx := context.Background()
-	res := &KeywordBenchResult{
-		Dataset: env.Cfg.Profile.Name,
-		Scale:   fmt.Sprintf("%d nodes / %d edges", env.Dataset.Graph.NumNodes(), env.Dataset.Graph.NumEdges()),
-		EnvInfo: CaptureEnv(),
-	}
+	art := env.artifact("keyword")
 
 	// Caches off on both paths: every latency sample below is a real
 	// pipeline execution, not a cache hit.
 	srv := serve.New(env.Engine, serve.Config{ResultCache: -1, PlanCache: -1})
 	front := keyword.New(srv, keyword.Config{CacheSize: -1})
 
-	// Assembly alone.
-	var asmLat []time.Duration
-	candSum, execSum := 0, 0
-	for r := 0; r < rounds; r++ {
-		for _, c := range cases {
-			asm := keyword.Assemble(env.Dataset.Graph, c.input, keyword.Config{})
-			asmLat = append(asmLat, asm.Elapsed)
-			if r == 0 {
-				candSum += len(asm.Candidates)
+	// replay runs every case through answer for the given rounds and adds
+	// the workload's row; quality is judged on the first round's answers.
+	replay := func(name string, answer func(ctx context.Context, c keywordCase) ([]string, error)) (*Row, error) {
+		var prs []metrics.PR
+		s := Drive(ctx, Load{Requests: rounds * len(cases)}, func(ctx context.Context, _, i int) error {
+			c := cases[i%len(cases)]
+			entities, err := answer(ctx, c)
+			if err != nil {
+				return fmt.Errorf("%s %q: %w", name, c.input, err)
 			}
+			if i < len(cases) && entities != nil {
+				prs = append(prs, metrics.Evaluate(entities, c.truth))
+			}
+			return nil
+		})
+		if s.Err != nil {
+			return nil, s.Err
+		}
+		values := map[string]float64{"queries": float64(len(cases)), "rounds": float64(rounds)}
+		if prs != nil {
+			pr := metrics.Mean(prs)
+			values["precision"], values["recall"], values["f1"] = pr.Precision, pr.Recall, pr.F1
+		}
+		row := art.add("keyword", name, values)
+		row.Sample = &s
+		return row, nil
+	}
+
+	candidates := 0
+	row, err := replay("assembly", func(_ context.Context, c keywordCase) ([]string, error) {
+		candidates += len(keyword.Assemble(env.Dataset.Graph, c.input, keyword.Config{}).Candidates)
+		return nil, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	row.Values["candidates_mean"] = float64(candidates) / float64(rounds*len(cases))
+
+	// Blended multi-candidate search (0 = the front end's default blend
+	// width), then the best single candidate only.
+	executed := 0
+	viaKeywords := func(maxCandidates int) func(context.Context, keywordCase) ([]string, error) {
+		return func(ctx context.Context, c keywordCase) ([]string, error) {
+			resp, err := front.Search(ctx, c.input, opts, maxCandidates)
+			if err != nil {
+				return nil, err
+			}
+			executed += resp.Executed
+			entities := make([]string, len(resp.Answers))
+			for i, a := range resp.Answers {
+				entities[i] = a.Entity
+			}
+			return entities, nil
 		}
 	}
-
-	// End-to-end: blended multi-candidate keyword search.
-	blended, err := runKeywordE2E(ctx, front, cases, opts, rounds, 0, &execSum)
-	if err != nil {
+	if row, err = replay("keyword-blended", viaKeywords(0)); err != nil {
 		return nil, err
 	}
-	blended.Workload = "keyword-blended"
-	blended.AssemblyP50Us = percentile(sortedLatencies(asmLat), 0.5)
-	blended.AssemblyP95Us = percentile(sortedLatencies(asmLat), 0.95)
-	blended.CandidatesMean = float64(candSum) / float64(len(cases))
-	blended.ExecutedMean = float64(execSum) / float64(len(cases))
-
-	// End-to-end: best single candidate only.
-	single, err := runKeywordE2E(ctx, front, cases, opts, rounds, 1, nil)
-	if err != nil {
+	row.Values["executed_mean"] = float64(executed) / float64(rounds*len(cases))
+	if _, err := replay("keyword-single", viaKeywords(1)); err != nil {
 		return nil, err
 	}
-	single.Workload = "keyword-single"
 
 	// Structured baseline: the hand-written query through the same
 	// serving layer.
-	structured, err := runStructuredE2E(ctx, srv, cases, opts, rounds)
-	if err != nil {
+	if _, err := replay("structured", func(ctx context.Context, c keywordCase) ([]string, error) {
+		res, err := srv.Search(ctx, c.gq, opts)
+		if err != nil {
+			return nil, err
+		}
+		entities := make([]string, len(res.Answers))
+		for i, a := range res.Answers {
+			entities[i] = a.PivotName
+		}
+		return entities, nil
+	}); err != nil {
 		return nil, err
 	}
-
-	res.Rows = append(res.Rows, blended, single, structured)
-	return res, nil
-}
-
-// runKeywordE2E replays every case through the keyword front end for the
-// given number of rounds, collecting latencies and (first round) quality.
-// maxCandidates 0 uses the front end's default blend width.
-func runKeywordE2E(ctx context.Context, front *keyword.Frontend, cases []keywordCase,
-	opts core.Options, rounds, maxCandidates int, execSum *int) (KeywordRow, error) {
-	var lat []time.Duration
-	var prs []metrics.PR
-	for r := 0; r < rounds; r++ {
-		for _, c := range cases {
-			start := time.Now()
-			resp, err := front.Search(ctx, c.input, opts, maxCandidates)
-			if err != nil {
-				return KeywordRow{}, fmt.Errorf("keywords %q: %w", c.input, err)
-			}
-			lat = append(lat, time.Since(start))
-			if r == 0 {
-				var entities []string
-				for _, a := range resp.Answers {
-					entities = append(entities, a.Entity)
-				}
-				prs = append(prs, metrics.Evaluate(entities, c.truth))
-				if execSum != nil {
-					*execSum += resp.Executed
-				}
-			}
-		}
-	}
-	sorted := sortedLatencies(lat)
-	pr := metrics.Mean(prs)
-	return KeywordRow{
-		Queries:   len(cases),
-		Rounds:    rounds,
-		P50Us:     percentile(sorted, 0.5),
-		P95Us:     percentile(sorted, 0.95),
-		Precision: pr.Precision,
-		Recall:    pr.Recall,
-		F1:        pr.F1,
-	}, nil
-}
-
-// runStructuredE2E replays the hand-written structured queries through
-// the same serving layer — the baseline the keyword path is judged
-// against.
-func runStructuredE2E(ctx context.Context, srv *serve.Engine, cases []keywordCase,
-	opts core.Options, rounds int) (KeywordRow, error) {
-	var lat []time.Duration
-	var prs []metrics.PR
-	for r := 0; r < rounds; r++ {
-		for _, c := range cases {
-			start := time.Now()
-			res, err := srv.Search(ctx, c.gq, opts)
-			if err != nil {
-				return KeywordRow{}, fmt.Errorf("structured %s: %w", c.input, err)
-			}
-			lat = append(lat, time.Since(start))
-			if r == 0 {
-				var entities []string
-				for _, a := range res.Answers {
-					entities = append(entities, a.PivotName)
-				}
-				prs = append(prs, metrics.Evaluate(entities, c.truth))
-			}
-		}
-	}
-	sorted := sortedLatencies(lat)
-	pr := metrics.Mean(prs)
-	return KeywordRow{
-		Workload:  "structured",
-		Queries:   len(cases),
-		Rounds:    rounds,
-		P50Us:     percentile(sorted, 0.5),
-		P95Us:     percentile(sorted, 0.95),
-		Precision: pr.Precision,
-		Recall:    pr.Recall,
-		F1:        pr.F1,
-	}, nil
-}
-
-// WriteJSON stores the artifact.
-func (r *KeywordBenchResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Render formats the comparison as a text table.
-func (r *KeywordBenchResult) Render() *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Keyword front end (%s, %s, %s/%s)", r.Dataset, r.Scale, r.GOOS, r.GOARCH),
-		Header: []string{"workload", "queries", "asm p50 µs", "asm p95 µs",
-			"p50 µs", "p95 µs", "cands", "exec", "P", "R", "F1"},
-	}
-	for _, row := range r.Rows {
-		asm50, asm95, cands, exec := "-", "-", "-", "-"
-		if row.AssemblyP50Us > 0 {
-			asm50 = fmt.Sprintf("%.0f", row.AssemblyP50Us)
-			asm95 = fmt.Sprintf("%.0f", row.AssemblyP95Us)
-		}
-		if row.CandidatesMean > 0 {
-			cands = fmt.Sprintf("%.1f", row.CandidatesMean)
-			exec = fmt.Sprintf("%.1f", row.ExecutedMean)
-		}
-		t.AddRow(row.Workload,
-			fmt.Sprintf("%d", row.Queries),
-			asm50, asm95,
-			fmt.Sprintf("%.0f", row.P50Us),
-			fmt.Sprintf("%.0f", row.P95Us),
-			cands, exec,
-			fmt.Sprintf("%.2f", row.Precision),
-			fmt.Sprintf("%.2f", row.Recall),
-			fmt.Sprintf("%.2f", row.F1),
-		)
-	}
-	return t
+	return art, nil
 }

@@ -3,50 +3,37 @@ package bench
 import "testing"
 
 // TestRunKeywordShape runs the keyword experiment end to end (short
-// iteration counts) and checks the acceptance properties: three
-// workloads with positive latency measurements, assembly latency and
-// candidate counts reported for the blended path, and blended recall at
-// least matching the single-candidate path (blending can only add
-// answers). Skipped in -short mode (the environment trains an
-// embedding).
+// iteration counts) and checks the acceptance properties: an assembly
+// row and three search workloads with positive latency measurements,
+// candidate counts reported, and blended recall at least matching the
+// single-candidate path (blending can only add answers). Skipped in
+// -short mode (the environment trains an embedding).
 func TestRunKeywordShape(t *testing.T) {
-	env := testEnv(t)
-	res, err := RunKeyword(env, true)
-	if err != nil {
-		t.Fatal(err)
+	art := run(t, "keyword")
+	checkWritten(t, art)
+	if len(art.Rows) != 4 {
+		t.Fatalf("keyword rows = %d, want 4", len(art.Rows))
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("keyword rows = %d, want 3", len(res.Rows))
-	}
-	byName := map[string]KeywordRow{}
-	for _, row := range res.Rows {
-		byName[row.Workload] = row
-		if row.P50Us <= 0 || row.P95Us <= 0 || row.Queries <= 0 {
-			t.Errorf("%s: non-positive measurements: %+v", row.Workload, row)
+	for _, r := range art.Rows {
+		if r.Sample == nil || r.Sample.P50Us <= 0 || r.Sample.P95Us < r.Sample.P50Us || r.Sample.Errors != 0 || r.Values["queries"] <= 0 {
+			t.Errorf("%s: degenerate measurements: %+v %v", r.Name, r.Sample, r.Values)
 		}
 	}
-	blended, ok := byName["keyword-blended"]
-	if !ok {
-		t.Fatal("missing keyword-blended workload")
+	if asm := row(t, art, "keyword", "assembly").Values; asm["candidates_mean"] < 1 {
+		t.Errorf("candidate count off: %v", asm)
 	}
-	if blended.AssemblyP50Us <= 0 || blended.AssemblyP95Us < blended.AssemblyP50Us {
-		t.Errorf("assembly percentiles off: %+v", blended)
+	blended := row(t, art, "keyword", "keyword-blended").Values
+	if blended["executed_mean"] < 1 {
+		t.Errorf("executed count off: %v", blended)
 	}
-	if blended.CandidatesMean < 1 || blended.ExecutedMean < 1 {
-		t.Errorf("candidate counts off: %+v", blended)
+	single := row(t, art, "keyword", "keyword-single").Values
+	if blended["recall"] < single["recall"] {
+		t.Errorf("blended recall %.2f below single-candidate recall %.2f", blended["recall"], single["recall"])
 	}
-	single, ok := byName["keyword-single"]
-	if !ok {
-		t.Fatal("missing keyword-single workload")
+	if blended["recall"] <= 0 {
+		t.Errorf("blended keyword search recovered nothing: %v", blended)
 	}
-	if blended.Recall < single.Recall {
-		t.Errorf("blended recall %.2f below single-candidate recall %.2f",
-			blended.Recall, single.Recall)
-	}
-	if _, ok := byName["structured"]; !ok {
-		t.Fatal("missing structured workload")
-	}
-	if blended.Recall <= 0 {
-		t.Errorf("blended keyword search recovered nothing: %+v", blended)
+	if _, ok := row(t, art, "keyword", "structured").Values["f1"]; !ok {
+		t.Error("structured baseline has no quality values")
 	}
 }

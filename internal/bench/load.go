@@ -1,38 +1,31 @@
 // Load experiment: the million-node scale-up harness (BENCH_load.json).
 // Three sections over one generated large world (datagen.LargeWorld):
 //
-//   - cold start: before/after rows for the two cold-start optimizations —
+//   - cold-start: before/after rows for the two cold-start optimizations —
 //     the parallel snapshot decode (kg.ReadSnapshotWorkers at 1 worker vs
 //     GOMAXPROCS), the parallel index build (kg.Builder.BuildWorkers,
 //     same comparison), and the operator-facing total: the seed cold-start
 //     path (TSV parse + index build) against the shipped path (parallel
 //     snapshot load);
-//   - steady state: before/after rows for the per-query search hot path —
-//     the seed arena (dense suffix slab + full-graph end-set bitsets,
-//     preserved as semgraph.NewWeighterFromRowsDense and
-//     astar.Options.DenseEndSets) against the paged/adaptive arena, which
-//     stops paying O(nodes) setup per sub-search;
-//   - closed loop: a per-agent load driver against the serving layer
-//     (internal/serve) with warmup and measure phases, reporting
-//     p50/p95/p99 latency, QPS, error/429 accounting and heap stats.
+//   - steady-state: the per-sub-search cost of the paged weighter arena
+//     and adaptive end sets. The seed arena it replaced (dense suffix slab
+//   - full-graph bitsets) no longer exists in the engine; its number is
+//     the frozen row of the committed artifact;
+//   - load: closed-loop clients against the serving layer (internal/serve)
+//     with warmup and measure phases, reporting p50/p95/p99 latency, QPS,
+//     error/shed accounting and heap stats.
 //
-// Run via `go run ./cmd/kgbench -exp load` (full: 1M nodes; -short trims
-// to a CI-sized world). The artifact embeds its full configuration, so
-// rows from different machines or GOMAXPROCS settings are comparable.
+// The full run is 1M nodes; -short trims to a CI-sized world. The
+// artifact embeds its configuration, so rows from different machines or
+// GOMAXPROCS settings are comparable.
 package bench
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"semkg/internal/astar"
@@ -62,58 +55,6 @@ type LoadConfig struct {
 	ColdStartReps   int     `json:"cold_start_reps"`
 	SteadyQueries   int     `json:"steady_queries"`
 	Short           bool    `json:"short"`
-}
-
-// ColdStartRow is one measured cold-start phase. Serial (workers=1) and
-// parallel (workers=GOMAXPROCS) rows pair up; Speedup on a parallel row
-// is serial-time / this-time for the same phase.
-type ColdStartRow struct {
-	Phase   string  `json:"phase"`
-	Workers int     `json:"workers"`
-	Millis  float64 `json:"millis"`
-	Speedup float64 `json:"speedup_vs_serial,omitempty"`
-}
-
-// SteadyRow is one steady-state hot-path variant over the same compiled
-// sub-queries.
-type SteadyRow struct {
-	Variant       string  `json:"variant"`
-	Queries       int     `json:"queries"`
-	MeanUs        float64 `json:"mean_us"`
-	AllocMBPerQry float64 `json:"alloc_mb_per_query"`
-	Speedup       float64 `json:"speedup,omitempty"`
-}
-
-// DriverRow is one closed-loop workload: latency percentiles over the
-// measure phase, throughput, and the error/shed accounting.
-type DriverRow struct {
-	Workload   string  `json:"workload"`
-	Requests   int     `json:"requests"`
-	Errors     int     `json:"errors"`
-	Overloaded int     `json:"overloaded_429"`
-	P50Ms      float64 `json:"p50_ms"`
-	P95Ms      float64 `json:"p95_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-	QPS        float64 `json:"qps"`
-	// Serving-layer counters attributed to this workload (deltas across
-	// the run, warmup included).
-	ResultHits   uint64 `json:"result_hits"`
-	PipelineRuns uint64 `json:"pipeline_runs"`
-	FlightShared uint64 `json:"flight_shared"`
-	// HeapAllocBytes is runtime.MemStats.HeapAlloc after the run: the
-	// resident cost of graph + space + warm caches.
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-}
-
-// LoadResult is the experiment artifact (BENCH_load.json).
-type LoadResult struct {
-	Dataset string `json:"dataset"`
-	Scale   string `json:"scale"`
-	EnvInfo
-	Config    LoadConfig     `json:"config"`
-	ColdStart []ColdStartRow `json:"cold_start"`
-	Steady    []SteadyRow    `json:"steady_state"`
-	Driver    []DriverRow    `json:"load"`
 }
 
 func loadConfig(short bool) LoadConfig {
@@ -146,122 +87,144 @@ func loadConfig(short bool) LoadConfig {
 	return cfg
 }
 
-// timeBest runs f reps times and returns the fastest wall time: cold-start
-// phases are dominated by systematic work, so the minimum is the least
-// noisy estimator.
-func timeBest(reps int, f func() error) (time.Duration, error) {
-	best := time.Duration(0)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// RunLoad generates the large world and measures the three sections.
-func RunLoad(short bool) (*LoadResult, error) {
-	return runLoad(loadConfig(short))
-}
-
-// runLoad is RunLoad with an explicit configuration (tests shrink it
-// below even the -short sizes).
-func runLoad(cfg LoadConfig) (*LoadResult, error) {
-	p := datagen.LargeWorld(cfg.Nodes)
-	p.Seed = cfg.Seed
-
+// largeWorld generates the large world and the engine and distinct
+// queries the load and distributed-shard experiments drive.
+func largeWorld(nodes int, seed int64, dim, distinct int) (datagen.LargeProfile, *core.Engine, []*query.Graph, error) {
+	p := datagen.LargeWorld(nodes)
+	p.Seed = seed
 	g := datagen.GenerateLarge(p)
-	res := &LoadResult{
-		Dataset: p.Name,
-		Scale:   fmt.Sprintf("%d nodes / %d edges", g.NumNodes(), g.NumEdges()),
-		EnvInfo: CaptureEnv(),
-		Config:  cfg,
-	}
-
-	cold, err := runColdStart(g, p, cfg)
+	space, err := (&embed.Model{Cfg: embed.Config{Dim: dim}}).SpaceFor(g)
 	if err != nil {
-		return nil, err
-	}
-	res.ColdStart = cold
-
-	space, err := (&embed.Model{Cfg: embed.Config{Dim: cfg.Dim}}).SpaceFor(g)
-	if err != nil {
-		return nil, err
+		return p, nil, nil, err
 	}
 	eng, err := core.NewEngine(g, space, nil)
 	if err != nil {
-		return nil, err
+		return p, nil, nil, err
 	}
-	queries := datagen.LargeQueries(g, p, cfg.DistinctQueries)
+	return p, eng, datagen.LargeQueries(g, p, distinct), nil
+}
 
-	steady, err := runSteady(eng, queries[:cfg.SteadyQueries], cfg)
+// runLoad generates the large world and measures the three sections;
+// -scale/-dim/-epochs/-tau do not apply.
+func runLoad(ctx context.Context, p Params) (*Artifact, error) {
+	return runLoadConfig(ctx, loadConfig(p.Short))
+}
+
+// runLoadConfig is runLoad with an explicit configuration (tests shrink
+// it below even the -short sizes).
+func runLoadConfig(ctx context.Context, cfg LoadConfig) (*Artifact, error) {
+	p, eng, queries, err := largeWorld(cfg.Nodes, cfg.Seed, cfg.Dim, cfg.DistinctQueries)
 	if err != nil {
 		return nil, err
 	}
-	res.Steady = steady
-
-	driver, err := runDriver(eng, queries, cfg)
-	if err != nil {
+	art := newArtifact("load", p.Name, eng.Graph())
+	art.Config = cfg
+	if err := runColdStart(art, eng.Graph(), p, cfg); err != nil {
 		return nil, err
 	}
-	res.Driver = driver
-	return res, nil
+	if err := runSteady(art, eng, queries[:cfg.SteadyQueries], cfg); err != nil {
+		return nil, err
+	}
+
+	// Two closed-loop workloads: the production shape (caches and
+	// singleflight in play) and a cache-bypassed one (a random pivot marks
+	// every request uncacheable), which measures raw pipeline latency
+	// under concurrency and exercises the admission controller's shedding.
+	srv := serve.New(eng, serve.Config{})
+	base := core.Options{K: cfg.K, Tau: cfg.Tau, MaxHops: cfg.MaxHops,
+		TimeBound: time.Duration(cfg.TimeBoundMs) * time.Millisecond}
+	load := Load{Clients: cfg.Agents,
+		Warmup:  time.Duration(cfg.WarmupMs) * time.Millisecond,
+		Measure: time.Duration(cfg.MeasureMs) * time.Millisecond}
+	// Each row carries the serving-layer counter deltas across its run
+	// (warmup included) and the heap after it: the resident cost of graph
+	// + space + warm caches.
+	workloads := []struct {
+		name   string
+		mkOpts func(agent int) core.Options
+	}{
+		{"zipf (cache-served)", func(int) core.Options { return base }},
+		{"pipeline (cache-bypassed)", bypassCache(base, 7700)},
+	}
+	for _, w := range workloads {
+		before := srv.Stats()
+		s, err := closedLoop(ctx, srv, queries, load, w.mkOpts)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", w.name, err)
+		}
+		after := srv.Stats()
+		var mem runtime.MemStats
+		runtime.ReadMemStats(&mem)
+		art.add("load", w.name, map[string]float64{
+			"result_hits":      float64(after.ResultHits - before.ResultHits),
+			"pipeline_runs":    float64(after.PipelineRuns - before.PipelineRuns),
+			"flight_shared":    float64(after.FlightShared - before.FlightShared),
+			"heap_alloc_bytes": float64(mem.HeapAlloc),
+		}).Sample = &s
+	}
+	return art, nil
+}
+
+// bypassCache derives per-agent options that no serving cache can answer:
+// a random pivot marks the request uncacheable. Each agent gets its own
+// Rng — it is not synchronized.
+func bypassCache(base core.Options, seed int64) func(agent int) core.Options {
+	return func(agent int) core.Options {
+		opts := base
+		opts.Strategy = query.RandomPivot
+		opts.Rng = rand.New(rand.NewSource(seed + int64(agent)))
+		return opts
+	}
 }
 
 // runColdStart measures the serial-vs-parallel snapshot decode and index
 // build, then the seed TSV cold start against the shipped snapshot path.
-func runColdStart(g *kg.Graph, p datagen.LargeProfile, cfg LoadConfig) ([]ColdStartRow, error) {
+// Every timing is the best of ColdStartReps: cold-start phases are
+// dominated by systematic work, so the minimum is the least noisy
+// estimator.
+func runColdStart(art *Artifact, g *kg.Graph, p datagen.LargeProfile, cfg LoadConfig) error {
 	par := runtime.GOMAXPROCS(0)
-	var rows []ColdStartRow
+	row := func(phase string, workers int, d, serial time.Duration) {
+		values := map[string]float64{"workers": float64(workers), "millis": ms(d)}
+		if serial > 0 {
+			values["speedup_vs_serial"] = float64(serial) / float64(d)
+		}
+		art.add("cold-start", fmt.Sprintf("%s (workers=%d)", phase, workers), values)
+	}
 
 	var snap bytes.Buffer
 	if err := kg.WriteSnapshot(&snap, g); err != nil {
-		return nil, err
+		return err
 	}
 	loadTime := func(workers int) (time.Duration, error) {
-		return timeBest(cfg.ColdStartReps, func() error {
+		return best(cfg.ColdStartReps, nil, func() error {
 			_, err := kg.ReadSnapshotWorkers(bytes.NewReader(snap.Bytes()), workers)
 			return err
 		})
 	}
 	serialLoad, err := loadTime(1)
 	if err != nil {
-		return nil, fmt.Errorf("bench: load snapshot decode (serial): %w", err)
+		return fmt.Errorf("bench: load snapshot decode (serial): %w", err)
 	}
 	parLoad, err := loadTime(par)
 	if err != nil {
-		return nil, fmt.Errorf("bench: load snapshot decode (parallel): %w", err)
+		return fmt.Errorf("bench: load snapshot decode (parallel): %w", err)
 	}
-	rows = append(rows,
-		ColdStartRow{Phase: "snapshot-load", Workers: 1, Millis: ms(serialLoad)},
-		ColdStartRow{Phase: "snapshot-load", Workers: par, Millis: ms(parLoad),
-			Speedup: float64(serialLoad) / float64(parLoad)})
+	row("snapshot-load", 1, serialLoad, 0)
+	row("snapshot-load", par, parLoad, serialLoad)
 
 	// Index build: the builder fill is regenerated outside the timed
 	// region, so the phase times exactly Builder.BuildWorkers (CSR thread
 	// plus derived search indexes).
 	buildTime := func(workers int) time.Duration {
-		var best time.Duration
-		for i := 0; i < cfg.ColdStartReps; i++ {
-			b := datagen.GenerateLargeBuilder(p)
-			start := time.Now()
-			_ = b.BuildWorkers(workers)
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
+		var b *kg.Builder
+		d, _ := best(cfg.ColdStartReps, func() { b = datagen.GenerateLargeBuilder(p) },
+			func() error { _ = b.BuildWorkers(workers); return nil })
+		return d
 	}
 	serialBuild := buildTime(1)
-	parBuild := buildTime(par)
-	rows = append(rows,
-		ColdStartRow{Phase: "index-build", Workers: 1, Millis: ms(serialBuild)},
-		ColdStartRow{Phase: "index-build", Workers: par, Millis: ms(parBuild),
-			Speedup: float64(serialBuild) / float64(parBuild)})
+	row("index-build", 1, serialBuild, 0)
+	row("index-build", par, buildTime(par), serialBuild)
 
 	// The seed cold-start path: TSV parse + full index build, what every
 	// pre-snapshot deployment pays on restart. One rep — it dwarfs the
@@ -269,93 +232,56 @@ func runColdStart(g *kg.Graph, p datagen.LargeProfile, cfg LoadConfig) ([]ColdSt
 	// cold start before, parallel snapshot load after.
 	var tsv bytes.Buffer
 	if err := kg.WriteTriples(&tsv, g); err != nil {
-		return nil, err
+		return err
 	}
-	tsvTime, err := timeBest(1, func() error {
+	tsvTime, err := best(1, nil, func() error {
 		_, err := kg.ReadTriples(bytes.NewReader(tsv.Bytes()))
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("bench: load tsv cold start: %w", err)
+		return fmt.Errorf("bench: load tsv cold start: %w", err)
 	}
-	rows = append(rows,
-		ColdStartRow{Phase: "cold-start total (tsv parse + serial build)", Workers: 1, Millis: ms(tsvTime)},
-		ColdStartRow{Phase: "cold-start total (parallel snapshot load)", Workers: par, Millis: ms(parLoad),
-			Speedup: float64(tsvTime) / float64(parLoad)})
-	return rows, nil
+	row("cold-start total: tsv parse + serial build", 1, tsvTime, 0)
+	row("cold-start total: parallel snapshot load", par, parLoad, tsvTime)
+	return nil
 }
 
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// compiledLoadSub is one load query compiled to searcher inputs, the way
-// core.Engine does it (decomposition elided: the load queries are single
-// anchored edges, so the sub-query is the whole query).
-type compiledLoadSub struct {
-	sub   astar.SubQuery
-	preds []string
-}
-
-func compileLoadSubs(eng *core.Engine, qs []*query.Graph) ([]compiledLoadSub, error) {
-	match := eng.Matcher().Memo().MatchNode
-	out := make([]compiledLoadSub, 0, len(qs))
-	for _, q := range qs {
-		anchor := q.Nodes[1]
-		focus := q.Nodes[0]
-		anchors := match(anchor.Name, anchor.Type)
-		if len(anchors) == 0 {
-			return nil, fmt.Errorf("bench: load anchor %q unmatched", anchor.Name)
-		}
-		ends := match(focus.Name, focus.Type)
-		if len(ends) == 0 {
-			return nil, fmt.Errorf("bench: load focus type %q unmatched", focus.Type)
-		}
-		set := make(map[kg.NodeID]bool, len(ends))
-		for _, id := range ends {
-			set[id] = true
-		}
-		out = append(out, compiledLoadSub{
-			sub:   astar.SubQuery{Anchors: anchors, EndSets: []map[kg.NodeID]bool{set}},
-			preds: []string{q.Edges[0].Predicate},
-		})
-	}
-	return out, nil
-}
-
-// runSteady measures the per-sub-search arena cost on the big world: the
-// dense variant allocates and zeroes O(nodes) state per searcher (the seed
-// behavior), the paged/adaptive variant allocates proportionally to the
-// nodes actually visited.
-func runSteady(eng *core.Engine, qs []*query.Graph, cfg LoadConfig) ([]SteadyRow, error) {
+// runSteady measures the per-sub-search arena cost on the big world: a
+// weighter and searcher per query, allocated proportionally to the nodes
+// actually visited. The load queries are single anchored edges, so each
+// compiles to exactly one sub-query.
+func runSteady(art *Artifact, eng *core.Engine, qs []*query.Graph, cfg LoadConfig) error {
 	g := eng.Graph()
-	subs, err := compileLoadSubs(eng, qs)
-	if err != nil {
-		return nil, err
+	type compiled struct {
+		sub  astar.SubQuery
+		rows [][]float64
 	}
-	rowsFor := make([][][]float64, len(subs))
-	for i, cs := range subs {
-		if rowsFor[i], err = eng.Rows().Rows(cs.preds); err != nil {
-			return nil, err
+	subs := make([]compiled, len(qs))
+	for i, q := range qs {
+		cs, _, err := compileSubQueries(eng, cfg.MaxHops, q, false)
+		if err != nil {
+			return err
 		}
+		if len(cs) != 1 {
+			return fmt.Errorf("bench: load query %d compiles to %d sub-queries, want 1", i, len(cs))
+		}
+		rows, err := eng.Rows().Rows(cs[0].preds)
+		if err != nil {
+			return err
+		}
+		subs[i] = compiled{cs[0].sub, rows}
 	}
-	variant := func(dense bool) (SteadyRow, error) {
-		name := "paged arena + adaptive end sets"
-		if dense {
-			name = "dense arena + bitset end sets (seed)"
-		}
-		opts := astar.Options{Tau: cfg.Tau, MaxHops: cfg.MaxHops, DenseEndSets: dense}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for i, cs := range subs {
-			var w *semgraph.Weighter
-			if dense {
-				w, err = semgraph.NewWeighterFromRowsDense(g, rowsFor[i])
-			} else {
-				w, err = semgraph.NewWeighterFromRows(g, rowsFor[i])
-			}
+
+	opts := astar.Options{Tau: cfg.Tau, MaxHops: cfg.MaxHops}
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	var h Hist
+	for _, cs := range subs {
+		if err := h.Time(func() error {
+			w, err := semgraph.NewWeighterFromRows(g, cs.rows)
 			if err != nil {
-				return SteadyRow{}, err
+				return err
 			}
 			s := astar.NewSearcher(g, w, cs.sub, opts)
 			for j := 0; j < cfg.K; j++ {
@@ -363,195 +289,37 @@ func runSteady(eng *core.Engine, qs []*query.Graph, cfg LoadConfig) ([]SteadyRow
 					break
 				}
 			}
+			return nil
+		}); err != nil {
+			return err
 		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		return SteadyRow{
-			Variant:       name,
-			Queries:       len(subs),
-			MeanUs:        float64(elapsed) / float64(time.Microsecond) / float64(len(subs)),
-			AllocMBPerQry: float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20) / float64(len(subs)),
-		}, nil
 	}
-	before, err := variant(true)
-	if err != nil {
-		return nil, err
-	}
-	after, err := variant(false)
-	if err != nil {
-		return nil, err
-	}
-	after.Speedup = before.MeanUs / after.MeanUs
-	return []SteadyRow{before, after}, nil
-}
-
-// runDriver is the closed-loop load phase: Agents goroutines issue
-// requests back-to-back against the serving layer, drawing queries
-// zipf-skewed from the distinct workload. A warmup phase fills the caches
-// and the admission estimator; only the measure phase is recorded. Two
-// workloads: the production shape (caches and singleflight in play) and a
-// cache-bypassed one (random pivot marks every request uncacheable), which
-// measures raw pipeline latency under concurrency and exercises the
-// admission controller's 429 shedding.
-func runDriver(eng *core.Engine, qs []*query.Graph, cfg LoadConfig) ([]DriverRow, error) {
-	srv := serve.New(eng, serve.Config{})
-	base := core.Options{
-		K:         cfg.K,
-		Tau:       cfg.Tau,
-		MaxHops:   cfg.MaxHops,
-		TimeBound: time.Duration(cfg.TimeBoundMs) * time.Millisecond,
-	}
-	cached, err := closedLoop(srv, qs, cfg, "zipf (cache-served)", func(int) core.Options { return base })
-	if err != nil {
-		return nil, err
-	}
-	cold, err := closedLoop(srv, qs, cfg, "pipeline (cache-bypassed)", func(agent int) core.Options {
-		opts := base
-		opts.Strategy = query.RandomPivot
-		opts.Rng = rand.New(rand.NewSource(int64(7700 + agent)))
-		return opts
+	runtime.ReadMemStats(&ms1)
+	art.add("steady-state", "paged arena + adaptive end sets", map[string]float64{
+		"queries":            float64(len(subs)),
+		"mean_us":            us(h.Mean()),
+		"alloc_mb_per_query": float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20) / float64(len(subs)),
 	})
-	if err != nil {
-		return nil, err
-	}
-	return []DriverRow{cached, cold}, nil
+	return nil
 }
 
-// closedLoop runs one driver workload to completion. mkOpts builds the
-// per-agent request options (agents must not share an options Rng — it is
-// not synchronized).
-func closedLoop(srv *serve.Engine, qs []*query.Graph, cfg LoadConfig, name string, mkOpts func(agent int) core.Options) (DriverRow, error) {
-	ctx := context.Background()
-	const (
-		phaseWarmup = iota
-		phaseMeasure
-		phaseDone
-	)
-	var phase atomic.Int32
-	var errCount, overloadCount atomic.Int64
-	lats := make([][]time.Duration, cfg.Agents)
-	var firstErr error
-	var errOnce sync.Once
-	before := srv.Stats()
-
-	var wg sync.WaitGroup
-	for a := 0; a < cfg.Agents; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			opts := mkOpts(a)
-			rng := rand.New(rand.NewSource(int64(1000 + a)))
-			zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(qs)-1))
-			for phase.Load() != phaseDone {
-				q := qs[zipf.Uint64()]
-				start := time.Now()
-				_, err := srv.Search(ctx, q, opts)
-				d := time.Since(start)
-				measuring := phase.Load() == phaseMeasure
-				switch {
-				case err == nil:
-					if measuring {
-						lats[a] = append(lats[a], d)
-					}
-				default:
-					var over *serve.OverloadedError
-					if errors.As(err, &over) {
-						if measuring {
-							overloadCount.Add(1)
-						}
-						// Honor Retry-After like a well-behaved client (capped:
-						// the closed loop should stay closed, not idle).
-						pause := over.RetryAfter
-						if pause > 5*time.Millisecond {
-							pause = 5 * time.Millisecond
-						}
-						time.Sleep(pause)
-					} else {
-						if measuring {
-							errCount.Add(1)
-						}
-						errOnce.Do(func() { firstErr = err })
-					}
-				}
-			}
-		}(a)
+// closedLoop drives one workload against srv: every agent issues
+// requests back to back, drawing queries zipf-skewed from qs with the
+// options mkOpts built for it. The warmup phase fills the caches and the
+// admission estimator; only the measure phase is recorded.
+func closedLoop(ctx context.Context, srv *serve.Engine, qs []*query.Graph, load Load,
+	mkOpts func(agent int) core.Options) (Sample, error) {
+	pick := zipfPickers(load.Clients, len(qs), 1000)
+	opts := make([]core.Options, load.Clients)
+	for a := range opts {
+		opts[a] = mkOpts(a)
 	}
-
-	time.Sleep(time.Duration(cfg.WarmupMs) * time.Millisecond)
-	phase.Store(phaseMeasure)
-	wallStart := time.Now()
-	time.Sleep(time.Duration(cfg.MeasureMs) * time.Millisecond)
-	phase.Store(phaseDone)
-	wall := time.Since(wallStart)
-	wg.Wait()
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) float64 {
-		if len(all) == 0 {
-			return 0
-		}
-		return float64(all[int(p*float64(len(all)-1))]) / float64(time.Millisecond)
-	}
-	after := srv.Stats()
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
-	row := DriverRow{
-		Workload:       name,
-		Requests:       len(all) + int(errCount.Load()) + int(overloadCount.Load()),
-		Errors:         int(errCount.Load()),
-		Overloaded:     int(overloadCount.Load()),
-		P50Ms:          pct(0.50),
-		P95Ms:          pct(0.95),
-		P99Ms:          pct(0.99),
-		QPS:            float64(len(all)) / wall.Seconds(),
-		ResultHits:     after.ResultHits - before.ResultHits,
-		PipelineRuns:   after.PipelineRuns - before.PipelineRuns,
-		FlightShared:   after.FlightShared - before.FlightShared,
-		HeapAllocBytes: mem.HeapAlloc,
-	}
-	if len(all) == 0 && firstErr != nil {
-		return row, fmt.Errorf("bench: load driver %q recorded no successful request: %w", name, firstErr)
-	}
-	return row, nil
-}
-
-// WriteJSON writes the artifact.
-func (r *LoadResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
+	s := Drive(ctx, load, func(ctx context.Context, a, _ int) error {
+		_, err := srv.Search(ctx, qs[pick[a].Uint64()], opts[a])
 		return err
+	})
+	if s.Hist.N() == 0 && s.Err != nil {
+		return s, fmt.Errorf("bench: closed loop recorded no successful request: %w", s.Err)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Render formats the three sections as one table.
-func (r *LoadResult) Render() *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Load harness (%s, %s, GOMAXPROCS=%d, %d agents)", r.Dataset, r.Scale, r.GOMAXPROCS, r.Config.Agents),
-		Header: []string{"section", "row", "value", "speedup"},
-	}
-	speedup := func(s float64) string {
-		if s == 0 {
-			return ""
-		}
-		return fmt.Sprintf("%.2fx", s)
-	}
-	for _, row := range r.ColdStart {
-		t.AddRow("cold-start", fmt.Sprintf("%s (workers=%d)", row.Phase, row.Workers),
-			fmt.Sprintf("%.1f ms", row.Millis), speedup(row.Speedup))
-	}
-	for _, row := range r.Steady {
-		t.AddRow("steady-state", row.Variant,
-			fmt.Sprintf("%.0f µs/query, %.2f MB/query", row.MeanUs, row.AllocMBPerQry), speedup(row.Speedup))
-	}
-	for _, d := range r.Driver {
-		t.AddRow("load", fmt.Sprintf("%s: %d req (%d err, %d shed)", d.Workload, d.Requests, d.Errors, d.Overloaded),
-			fmt.Sprintf("p50 %.2f / p95 %.2f / p99 %.2f ms, %.0f qps", d.P50Ms, d.P95Ms, d.P99Ms, d.QPS), "")
-		t.AddRow("load", d.Workload+": heap after run", fmt.Sprintf("%.1f MB", float64(d.HeapAllocBytes)/(1<<20)), "")
-	}
-	return t
+	return s, nil
 }

@@ -1,17 +1,15 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"context"
 	"testing"
 )
 
 // TestRunLoadShape is the load-harness acceptance smoke on a micro world:
 // every section produces measured (non-zero) rows, the artifact embeds
-// its configuration and environment, and the JSON round-trips. The CI
-// load job runs this under -race; the real numbers come from
-// `kgbench -exp load` on the 1M-node world.
+// its configuration and environment, and the JSON round-trips through
+// the strict decoder. The CI race job runs this; the real numbers come
+// from `kgbench -exp load` on the 1M-node world.
 func TestRunLoadShape(t *testing.T) {
 	cfg := loadConfig(true)
 	cfg.Nodes = 4000
@@ -22,76 +20,56 @@ func TestRunLoadShape(t *testing.T) {
 	cfg.ColdStartReps = 1
 	cfg.SteadyQueries = 4
 
-	res, err := runLoad(cfg)
+	art, err := runLoadConfig(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWritten(t, art)
+	if art.Config != cfg {
+		t.Fatalf("artifact does not embed its configuration: %+v", art.Config)
+	}
 
-	if got := len(res.ColdStart); got != 6 {
-		t.Fatalf("cold-start rows = %d, want 6 (serial/parallel × load, build, total)", got)
+	cold := section(art, "cold-start")
+	if len(cold) != 6 {
+		t.Fatalf("cold-start rows = %d, want 6 (serial/parallel × load, build, total)", len(cold))
 	}
-	for i, row := range res.ColdStart {
-		if row.Millis <= 0 {
-			t.Fatalf("cold-start row %d (%s): no measured time", i, row.Phase)
-		}
-		if row.Workers < 1 {
-			t.Fatalf("cold-start row %d (%s): workers = %d", i, row.Phase, row.Workers)
+	for _, r := range cold {
+		if r.Values["millis"] <= 0 || r.Values["workers"] < 1 {
+			t.Fatalf("cold-start row %s: degenerate measurement %v", r.Name, r.Values)
 		}
 	}
-	total := res.ColdStart[5]
-	if total.Speedup <= 0 {
+	if total := cold[5]; total.Values["speedup_vs_serial"] <= 0 {
 		t.Fatalf("cold-start total row has no speedup: %+v", total)
 	}
 
-	if got := len(res.Steady); got != 2 {
-		t.Fatalf("steady-state rows = %d, want 2 (dense before, paged after)", got)
+	// One live steady-state row: the dense seed arena it used to be
+	// compared against is a frozen row of the committed artifact.
+	steady := section(art, "steady-state")
+	if len(steady) != 1 {
+		t.Fatalf("steady-state rows = %d, want 1 (paged arena)", len(steady))
 	}
-	for i, row := range res.Steady {
-		if row.MeanUs <= 0 || row.Queries != cfg.SteadyQueries {
-			t.Fatalf("steady row %d: degenerate measurement %+v", i, row)
-		}
+	if v := steady[0].Values; v["mean_us"] <= 0 || v["alloc_mb_per_query"] <= 0 || v["queries"] != float64(cfg.SteadyQueries) {
+		t.Fatalf("steady row: degenerate measurement %v", v)
 	}
 
-	if got := len(res.Driver); got != 2 {
-		t.Fatalf("driver rows = %d, want 2 (cache-served, cache-bypassed)", got)
+	driver := section(art, "load")
+	if len(driver) != 2 {
+		t.Fatalf("driver rows = %d, want 2 (cache-served, cache-bypassed)", len(driver))
 	}
-	for i, row := range res.Driver {
-		if row.Requests <= 0 || row.QPS <= 0 {
-			t.Fatalf("driver row %d (%s): no traffic recorded %+v", i, row.Workload, row)
+	for _, r := range driver {
+		if r.Sample == nil || r.Sample.Ops <= 0 || r.Sample.QPS <= 0 || r.Sample.Clients != cfg.Agents {
+			t.Fatalf("driver row %s: no traffic recorded %+v", r.Name, r.Sample)
 		}
-		if row.Errors > 0 {
-			t.Fatalf("driver row %d (%s): %d request errors", i, row.Workload, row.Errors)
+		if r.Sample.Errors > 0 {
+			t.Fatalf("driver row %s: %d request errors", r.Name, r.Sample.Errors)
 		}
-		if row.HeapAllocBytes == 0 {
-			t.Fatalf("driver row %d (%s): no heap stats", i, row.Workload)
+		if r.Values["heap_alloc_bytes"] == 0 {
+			t.Fatalf("driver row %s: no heap stats", r.Name)
 		}
 	}
 	// The bypassed workload must actually run the pipeline per request.
-	if res.Driver[1].PipelineRuns < uint64(res.Driver[1].Requests) {
-		t.Fatalf("cache-bypassed workload: %d pipeline runs for %d requests",
-			res.Driver[1].PipelineRuns, res.Driver[1].Requests)
-	}
-
-	if res.GOMAXPROCS < 1 || res.GoVersion == "" || res.TotalAllocBytes == 0 {
-		t.Fatalf("artifact env block incomplete: %+v", res.EnvInfo)
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
-	if err := res.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back LoadResult
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Config != cfg {
-		t.Fatalf("artifact config did not round-trip: %+v != %+v", back.Config, cfg)
-	}
-	if back.Render() == nil {
-		t.Fatal("Render returned nil")
+	if bypassed := driver[1]; bypassed.Values["pipeline_runs"] < float64(bypassed.Sample.Ops-bypassed.Sample.Shed) {
+		t.Fatalf("cache-bypassed workload: %v pipeline runs for %d requests (%d shed)",
+			bypassed.Values["pipeline_runs"], bypassed.Sample.Ops, bypassed.Sample.Shed)
 	}
 }

@@ -5,8 +5,7 @@
 // live-QPS through a primary kill and follower promotion (the failover
 // dip), and catch-up time as a function of the delta backlog accumulated
 // while the follower was down (including the forced snapshot-resync once
-// compaction passes the follower's generation). Run via `go run
-// ./cmd/kgbench -exp replica` (writes BENCH_replica.json).
+// compaction passes the follower's generation).
 package bench
 
 import (
@@ -17,65 +16,19 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"semkg/internal/api"
 	"semkg/internal/core"
+	"semkg/internal/datagen"
 	"semkg/internal/embed"
 	"semkg/internal/faultinject"
 	"semkg/internal/kg"
 	"semkg/internal/replica"
 	"semkg/internal/serve"
 )
-
-// CatchupPoint is one backlog catch-up measurement: the follower is
-// severed, B deltas commit while it is down, and the clock runs from
-// the moment reconnection is allowed until the follower serves the
-// primary's head generation.
-type CatchupPoint struct {
-	Backlog    int     `json:"backlog_deltas"`
-	RecoveryMs float64 `json:"recovery_ms"`
-	Reconnects uint64  `json:"reconnects"`
-	// SnapshotResync reports whether this catch-up fell back to a full
-	// snapshot (the primary compacted past the follower's generation)
-	// instead of resuming the delta stream.
-	SnapshotResync bool `json:"snapshot_resync"`
-	// Converged is the snapshot-byte equality check of the recovered
-	// follower against the primary.
-	Converged bool `json:"converged"`
-}
-
-// FailoverResult is the live-QPS failover measurement.
-type FailoverResult struct {
-	QPSBefore float64 `json:"qps_before"`
-	QPSAfter  float64 `json:"qps_after"`
-	// DipMs is the measured outage window: from the primary kill to the
-	// first successful request against the promoted follower. It covers
-	// the controller's failure detection (health probes) plus the
-	// promotion and traffic re-point.
-	DipMs float64 `json:"dip_ms"`
-	// FailedRequests counts requests lost in the dip window.
-	FailedRequests int `json:"failed_requests"`
-	// FollowerLagAtKill is the follower's replication lag (deltas) at
-	// the moment the primary died — the data-loss exposure window.
-	FollowerLagAtKill uint64 `json:"follower_lag_at_kill"`
-	BucketMs          int    `json:"bucket_ms"`
-	// Timeline is successful requests per bucket across the experiment
-	// (kill and promotion land mid-timeline).
-	Timeline []int `json:"timeline"`
-}
-
-// ReplicaResult is the experiment artifact (BENCH_replica.json).
-type ReplicaResult struct {
-	Dataset string `json:"dataset"`
-	Scale   string `json:"scale"`
-	EnvInfo
-	Catchup  []CatchupPoint `json:"catchup"`
-	Failover FailoverResult `json:"failover"`
-}
 
 // replicaLogCap keeps the primary's statement log small enough that the
 // largest backlog overruns it, forcing the snapshot-resync path into
@@ -104,8 +57,9 @@ func prefixSpace(sp *embed.Space) func(*kg.Graph) (core.Queryer, error) {
 	}
 }
 
-// replicaPair wires a primary (over the env graph) and an empty-booted
-// follower connected through a fault-injection proxy.
+// replicaPair wires a primary (over the env graph, serving /v1/search
+// and /v1/replicate) and an empty-booted follower tailing it through a
+// fault-injection proxy.
 type replicaPair struct {
 	primary  *replica.Primary
 	follower *replica.Follower
@@ -121,7 +75,7 @@ func newReplicaPair(env *Env) (*replicaPair, error) {
 	srvP := serve.New(env.Engine, serve.Config{Build: build})
 	p := replica.NewPrimary(srvP, replica.Config{MaxLogStatements: replicaLogCap})
 
-	mux := http.NewServeMux()
+	mux := searchMux(srvP)
 	mux.Handle("/v1/replicate", p)
 	ts := httptest.NewServer(mux)
 
@@ -169,45 +123,42 @@ func snapshotEqual(a, b *serve.Engine) (bool, error) {
 	return bytes.Equal(ba.Bytes(), bb.Bytes()), nil
 }
 
-// RunReplica measures the replication failure-handling numbers. short
-// trims backlogs and the failover window for CI smoke runs.
-func RunReplica(env *Env, short bool) (*ReplicaResult, error) {
-	res := &ReplicaResult{
-		Dataset: env.Cfg.Profile.Name,
-		Scale:   fmt.Sprintf("%d nodes / %d edges", env.Dataset.Graph.NumNodes(), env.Dataset.Graph.NumEdges()),
-		EnvInfo: CaptureEnv(),
-	}
-
-	backlogs := []int{4, 16, 64}
-	if short {
-		backlogs = []int{4, 16}
-	}
-	for _, b := range backlogs {
-		pt, err := measureCatchup(env, b)
-		if err != nil {
-			return nil, err
-		}
-		res.Catchup = append(res.Catchup, pt)
-	}
-
-	fo, err := measureFailover(env, short)
+// runReplica measures the replication failure-handling numbers.
+func runReplica(ctx context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
 	if err != nil {
 		return nil, err
 	}
-	res.Failover = fo
-	return res, nil
+	art := env.artifact("replica")
+	backlogs := []int{4, 16, 64}
+	if p.Short {
+		backlogs = []int{4, 16}
+	}
+	for _, b := range backlogs {
+		if err := measureCatchup(ctx, art, env, b); err != nil {
+			return nil, err
+		}
+	}
+	if err := measureFailover(ctx, art, env, p.Short); err != nil {
+		return nil, err
+	}
+	return art, nil
 }
 
 // measureCatchup kills the follower's link mid-delta-stream, commits a
 // backlog of deltas while reconnects are refused, then opens the link
-// and times recovery to the primary's head.
-func measureCatchup(env *Env, backlog int) (CatchupPoint, error) {
+// and times recovery (recovery_ms) from that moment until the follower
+// serves the primary's head. snapshot_resync is 1 when the catch-up fell
+// back to a full snapshot (the primary compacted past the follower's
+// generation) instead of resuming the delta stream; converged is the
+// snapshot-byte equality check of the recovered follower.
+func measureCatchup(ctx context.Context, art *Artifact, env *Env, backlog int) error {
 	rp, err := newReplicaPair(env)
 	if err != nil {
-		return CatchupPoint{}, err
+		return err
 	}
 	defer rp.close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 
 	// Bootstrap, plus a couple of live deltas so the kill lands in the
@@ -215,17 +166,20 @@ func measureCatchup(env *Env, backlog int) (CatchupPoint, error) {
 	for i := 0; i < 2; i++ {
 		d, err := ingestDelta(rp.primary.Serve().Engine().Graph(), 10, int64(100+i))
 		if err != nil {
-			return CatchupPoint{}, err
+			return err
 		}
 		if _, err := rp.primary.Commit(d); err != nil {
-			return CatchupPoint{}, err
+			return err
 		}
 	}
 	if err := rp.follower.WaitSynced(ctx, rp.primary.Head()); err != nil {
-		return CatchupPoint{}, err
+		return err
 	}
 
-	// Kill mid-stream and refuse reconnects: the follower is down.
+	// Kill mid-stream and refuse reconnects: the follower is down. The
+	// counters are read before the sever, so the severed stream itself
+	// always counts as a reconnect however fast the follower notices.
+	statsDown := rp.follower.Stats()
 	var refused atomic.Bool
 	refused.Store(true)
 	rp.proxy.SetScript(func() *faultinject.Script {
@@ -235,16 +189,15 @@ func measureCatchup(env *Env, backlog int) (CatchupPoint, error) {
 		return nil
 	})
 	rp.proxy.SeverAll()
-	statsDown := rp.follower.Stats()
 
 	// The backlog accumulates while the follower is dark.
 	for i := 0; i < backlog; i++ {
 		d, err := ingestDelta(rp.primary.Serve().Engine().Graph(), 20, int64(1000+i))
 		if err != nil {
-			return CatchupPoint{}, err
+			return err
 		}
 		if _, err := rp.primary.Commit(d); err != nil {
-			return CatchupPoint{}, err
+			return err
 		}
 	}
 
@@ -252,27 +205,35 @@ func measureCatchup(env *Env, backlog int) (CatchupPoint, error) {
 	start := time.Now()
 	refused.Store(false)
 	if err := rp.follower.WaitSynced(ctx, rp.primary.Head()); err != nil {
-		return CatchupPoint{}, err
+		return err
 	}
 	recovery := time.Since(start)
 
 	statsUp := rp.follower.Stats()
 	converged, err := snapshotEqual(rp.follower.Serve(), rp.primary.Serve())
 	if err != nil {
-		return CatchupPoint{}, err
+		return err
 	}
-	return CatchupPoint{
-		Backlog:        backlog,
-		RecoveryMs:     float64(recovery) / float64(time.Millisecond),
-		Reconnects:     statsUp.Reconnects - statsDown.Reconnects,
-		SnapshotResync: statsUp.Resyncs > statsDown.Resyncs,
-		Converged:      converged,
-	}, nil
+	art.add("catch-up", fmt.Sprintf("%d deltas", backlog), map[string]float64{
+		"backlog_deltas":  float64(backlog),
+		"recovery_ms":     ms(recovery),
+		"reconnects":      float64(statsUp.Reconnects - statsDown.Reconnects),
+		"snapshot_resync": flag(statsUp.Resyncs > statsDown.Resyncs),
+		"converged":       flag(converged),
+	})
+	return nil
+}
+
+func flag(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // searchMux serves /v1/search over one serving engine with the api wire
 // codec — the measurement client's target on both nodes.
-func searchMux(srv *serve.Engine, extra func(mux *http.ServeMux)) *http.ServeMux {
+func searchMux(srv *serve.Engine) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/search", func(w http.ResponseWriter, r *http.Request) {
 		q, opts, err := api.DecodeSearchRequest(r.Body)
@@ -288,52 +249,38 @@ func searchMux(srv *serve.Engine, extra func(mux *http.ServeMux)) *http.ServeMux
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(api.ResultFrom(res))
 	})
-	if extra != nil {
-		extra(mux)
-	}
 	return mux
 }
 
 // measureFailover runs a live query stream against the primary over
 // real HTTP, kills the primary, promotes the synced follower, re-points
-// the client, and reports the QPS dip.
-func measureFailover(env *Env, short bool) (FailoverResult, error) {
-	qs := serveQueries(env)
-	if len(qs) == 0 {
-		return FailoverResult{}, fmt.Errorf("bench: environment has no workload queries")
+// the clients, and reports the QPS dip. dip_ms is the measured outage
+// window: from the primary kill to the first successful request against
+// the promoted follower, covering the controller's failure detection
+// (health probes) plus the promotion and traffic re-point. The Sample's
+// errors are the requests lost in that window; follower_lag_at_kill is
+// the follower's replication lag (deltas) when the primary died — the
+// data-loss exposure. The "failover timeline" rows are successful
+// requests per bucket_ms bucket (kill and promotion land mid-timeline).
+func measureFailover(ctx context.Context, art *Artifact, env *Env, short bool) error {
+	qs, err := serveQueries(env)
+	if err != nil {
+		return err
 	}
 	opts := env.SearchOptions(10)
-
-	build := func(g *kg.Graph) (core.Queryer, error) {
-		return core.NewEngine(g, env.Space, env.Dataset.Library)
-	}
-	srvP := serve.New(env.Engine, serve.Config{Build: build})
-	p := replica.NewPrimary(srvP, replica.Config{MaxLogStatements: replicaLogCap})
-	tsP := httptest.NewServer(searchMux(srvP, func(mux *http.ServeMux) {
-		mux.Handle("/v1/replicate", p)
-	}))
-
-	fb := prefixSpace(env.Space)
-	emptyEng, err := fb(kg.Empty())
+	rp, err := newReplicaPair(env)
 	if err != nil {
-		tsP.Close()
-		return FailoverResult{}, err
+		return err
 	}
-	srvF := serve.New(emptyEng, serve.Config{Build: fb})
-	f := replica.NewFollower(srvF, replica.FollowerConfig{Source: tsP.URL,
-		Backoff: replica.Backoff{Min: 5 * time.Millisecond, Max: 100 * time.Millisecond,
-			Rand: rand.New(rand.NewSource(13))}})
-	followCtx, stopFollow := context.WithCancel(context.Background())
-	go f.Run(followCtx)
-	tsF := httptest.NewServer(searchMux(srvF, nil))
+	defer rp.close()
+	p, f, tsP := rp.primary, rp.follower, rp.ts
+	tsF := httptest.NewServer(searchMux(f.Serve()))
 	defer tsF.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 	if err := f.WaitSynced(ctx, p.Head()); err != nil {
-		stopFollow()
-		tsP.Close()
-		return FailoverResult{}, err
+		return err
 	}
 
 	const bucketMs = 50
@@ -343,31 +290,25 @@ func measureFailover(env *Env, short bool) (FailoverResult, error) {
 		phase = 250 * time.Millisecond
 	}
 
-	// The measurement state is shared between concurrent client
-	// goroutines and the orchestrator; one mutex guards all of it. The
-	// dip is computed from real timestamps (last success before the kill
-	// to first success after), not bucket edges — the buckets are only
-	// the artifact's timeline.
+	// The timeline and the dip's endpoints are shared between the client
+	// goroutines and the orchestrator; one mutex guards them. The dip is
+	// computed from real timestamps (the kill to the first success after),
+	// not bucket edges — the buckets are only the artifact's timeline.
 	var (
 		mu        sync.Mutex
 		timeline  []int
-		failed    int
 		killed    bool
 		killAt    time.Time
 		firstBack time.Time
 	)
 	startClock := time.Now()
-	record := func(ok bool, url string) {
+	succeeded := func(url string) {
 		now := time.Now()
 		mu.Lock()
 		defer mu.Unlock()
 		b := int(now.Sub(startClock) / (bucketMs * time.Millisecond))
 		for len(timeline) <= b {
 			timeline = append(timeline, 0)
-		}
-		if !ok {
-			failed++
-			return
 		}
 		timeline[b]++
 		// Recovery means a success against the promoted follower — an
@@ -382,39 +323,42 @@ func measureFailover(env *Env, short bool) (FailoverResult, error) {
 	target.Store(&tsP.URL)
 	client := &http.Client{Timeout: 2 * time.Second}
 
-	// Live clients hammer the routed URL for the whole experiment —
-	// including through the outage. Failures during the dip are counted,
-	// not retried: the dip is the thing being measured.
-	stop := make(chan struct{})
-	var clients sync.WaitGroup
-	for c := 0; c < 2; c++ {
-		clients.Add(1)
-		go func(seed int64) {
-			defer clients.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := qs[rng.Intn(len(qs))]
-				url := *target.Load()
-				body, err := json.Marshal(api.SearchRequest{Query: api.QueryFrom(q), Options: api.OptionsFrom(opts)})
-				if err != nil {
-					record(false, url)
-					continue
-				}
-				resp, err := client.Post(url+"/v1/search", "application/json", bytes.NewReader(body))
-				if err != nil {
-					record(false, url)
-					continue
-				}
-				_ = resp.Body.Close()
-				record(resp.StatusCode == http.StatusOK, url)
-			}
-		}(99 + int64(c))
+	// Live clients hammer the routed URL until the orchestrator cancels
+	// them — including through the outage. Failures during the dip are
+	// counted, not retried: the dip is the thing being measured.
+	const clients = 2
+	rngs := make([]*rand.Rand, clients)
+	for c := range rngs {
+		rngs[c] = rand.New(rand.NewSource(99 + int64(c)))
 	}
+	loadCtx, stopLoad := context.WithCancel(ctx)
+	defer stopLoad()
+	loaded := make(chan Sample, 1)
+	go func() {
+		loaded <- Drive(loadCtx, Load{Clients: clients}, func(ctx context.Context, c, _ int) error {
+			url := *target.Load()
+			body, err := json.Marshal(api.SearchRequest{
+				Query: api.QueryFrom(qs[rngs[c].Intn(len(qs))]), Options: api.OptionsFrom(opts)})
+			if err != nil {
+				return err
+			}
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/search", bytes.NewReader(body))
+			if err != nil {
+				return err
+			}
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := client.Do(req)
+			if err != nil {
+				return err
+			}
+			_ = resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("status %d", resp.StatusCode)
+			}
+			succeeded(url)
+			return nil
+		})
+	}()
 
 	// The failover controller is the piece a real deployment runs: probe
 	// the primary, and on two consecutive failed probes stop tailing,
@@ -435,7 +379,7 @@ func measureFailover(env *Env, short bool) (FailoverResult, error) {
 			if misses++; misses < 2 {
 				continue
 			}
-			stopFollow()
+			rp.stop()
 			np := f.Promote(replica.Config{MaxLogStatements: replicaLogCap})
 			target.Store(&tsF.URL)
 			promoted <- np
@@ -458,19 +402,15 @@ func measureFailover(env *Env, short bool) (FailoverResult, error) {
 	np := <-promoted
 	defer np.Close()
 	time.Sleep(phase)
-	close(stop)
-	clients.Wait()
+	stopLoad()
+	s := <-loaded
 
-	mu.Lock()
-	defer mu.Unlock()
-	fo := FailoverResult{
-		FailedRequests:    failed,
-		FollowerLagAtKill: lagAtKill,
-		BucketMs:          bucketMs,
-		Timeline:          timeline,
+	values := map[string]float64{
+		"follower_lag_at_kill": float64(lagAtKill),
+		"bucket_ms":            bucketMs,
 	}
 	if !firstBack.IsZero() {
-		fo.DipMs = float64(firstBack.Sub(killAt)) / float64(time.Millisecond)
+		values["dip_ms"] = ms(firstBack.Sub(killAt))
 	}
 	killBucket := int(killAt.Sub(startClock) / (bucketMs * time.Millisecond))
 	before, after := 0, 0
@@ -482,41 +422,14 @@ func measureFailover(env *Env, short bool) (FailoverResult, error) {
 		}
 	}
 	if beforeSecs := float64(killBucket*bucketMs) / 1000; beforeSecs > 0 {
-		fo.QPSBefore = float64(before) / beforeSecs
+		values["qps_before"] = float64(before) / beforeSecs
 	}
 	if afterSecs := float64((len(timeline)-killBucket-1)*bucketMs) / 1000; afterSecs > 0 {
-		fo.QPSAfter = float64(after) / afterSecs
+		values["qps_after"] = float64(after) / afterSecs
 	}
-	return fo, nil
-}
-
-// WriteJSON stores the artifact.
-func (r *ReplicaResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+	art.add("failover", "live clients through kill + promotion", values).Sample = &s
+	for i, n := range timeline {
+		art.add("failover timeline", fmt.Sprintf("t=%dms", i*bucketMs), map[string]float64{"ok_requests": float64(n)})
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Render formats the measurements as a text table.
-func (r *ReplicaResult) Render() *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Replication + failover (%s, %s, %s/%s)", r.Dataset, r.Scale, r.GOOS, r.GOARCH),
-		Header: []string{"measurement", "value", "detail"},
-	}
-	for _, c := range r.Catchup {
-		mode := "delta resume"
-		if c.SnapshotResync {
-			mode = "snapshot resync"
-		}
-		t.AddRow(fmt.Sprintf("catch-up %d deltas", c.Backlog),
-			fmt.Sprintf("%.0f ms", c.RecoveryMs),
-			fmt.Sprintf("%s, %d reconnect(s), converged=%v", mode, c.Reconnects, c.Converged))
-	}
-	t.AddRow("failover dip", fmt.Sprintf("%.0f ms", r.Failover.DipMs),
-		fmt.Sprintf("%d failed request(s), lag %d at kill", r.Failover.FailedRequests, r.Failover.FollowerLagAtKill))
-	t.AddRow("qps before kill", fmt.Sprintf("%.0f", r.Failover.QPSBefore), "live HTTP clients")
-	t.AddRow("qps after promote", fmt.Sprintf("%.0f", r.Failover.QPSAfter), "promoted follower")
-	return t
+	return nil
 }

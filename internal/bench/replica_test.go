@@ -1,79 +1,45 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"semkg/internal/datagen"
-	"semkg/internal/embed"
-)
+import "testing"
 
 // TestRunReplicaShape is the replica-experiment acceptance smoke: every
-// catch-up point recovers to a byte-identical graph, the largest backlog
-// exercises reconnect-with-backoff, and the failover section records a
-// measured (finite, non-degenerate) QPS dip with traffic on both sides
-// of the kill.
+// catch-up point recovers to a byte-identical graph through a reconnect,
+// and the failover section records a measured (finite, non-degenerate)
+// QPS dip with traffic on both sides of the kill.
 func TestRunReplicaShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains an embedding; skipped in -short")
-	}
-	env, err := Cached(Config{
-		Profile: datagen.DBpediaLike(0.2),
-		Embed:   embed.Config{Dim: 24, Epochs: 60, Seed: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunReplica(env, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Catchup) == 0 {
+	art := run(t, "replica")
+	checkWritten(t, art)
+	catchup := section(art, "catch-up")
+	if len(catchup) == 0 {
 		t.Fatal("no catch-up measurements")
 	}
-	for i, c := range res.Catchup {
-		if !c.Converged {
-			t.Fatalf("catch-up %d (backlog %d): follower did not converge", i, c.Backlog)
+	for _, c := range catchup {
+		if c.Values["converged"] != 1 {
+			t.Fatalf("catch-up %s: follower did not converge", c.Name)
 		}
-		if c.RecoveryMs <= 0 {
-			t.Fatalf("catch-up %d: non-measured recovery %v ms", i, c.RecoveryMs)
+		if c.Values["recovery_ms"] <= 0 {
+			t.Fatalf("catch-up %s: non-measured recovery %v ms", c.Name, c.Values["recovery_ms"])
 		}
-		if c.Reconnects == 0 {
-			t.Fatalf("catch-up %d: recovered without any reconnect — the fault never fired", i)
+		if c.Values["reconnects"] == 0 {
+			t.Fatalf("catch-up %s: recovered without any reconnect — the fault never fired", c.Name)
 		}
 	}
-	fo := res.Failover
-	if fo.QPSBefore <= 0 || fo.QPSAfter <= 0 {
-		t.Fatalf("failover has no live traffic: before %.1f qps, after %.1f qps", fo.QPSBefore, fo.QPSAfter)
+	fo := row(t, art, "failover", "live clients through kill + promotion")
+	if fo.Values["qps_before"] <= 0 || fo.Values["qps_after"] <= 0 {
+		t.Fatalf("failover has no live traffic: %v", fo.Values)
 	}
-	if fo.DipMs <= 0 {
-		t.Fatalf("dip %v ms — the outage window was never measured", fo.DipMs)
+	if fo.Values["dip_ms"] <= 0 {
+		t.Fatalf("dip %v ms — the outage window was never measured", fo.Values["dip_ms"])
 	}
-	if fo.FailedRequests == 0 {
-		t.Fatal("no failed requests: the clients never ran through the outage")
+	if fo.Sample.Errors == 0 || fo.Sample.Errors >= fo.Sample.Ops {
+		t.Fatalf("%d of %d requests failed: the clients never ran through the outage and back", fo.Sample.Errors, fo.Sample.Ops)
 	}
-	if len(fo.Timeline) == 0 || fo.BucketMs <= 0 {
-		t.Fatalf("missing timeline: %d buckets of %d ms", len(fo.Timeline), fo.BucketMs)
+	timeline := section(art, "failover timeline")
+	ok := 0.0
+	for _, b := range timeline {
+		ok += b.Values["ok_requests"]
 	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_replica.json")
-	if err := res.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ReplicaResult
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("artifact does not round-trip: %v", err)
-	}
-	if len(back.Catchup) != len(res.Catchup) {
-		t.Fatalf("round-trip lost catch-up points: %d vs %d", len(back.Catchup), len(res.Catchup))
-	}
-	if res.Render().String() == "" {
-		t.Fatal("empty rendering")
+	if len(timeline) == 0 || fo.Values["bucket_ms"] <= 0 || int(ok) != fo.Sample.Ops-fo.Sample.Errors {
+		t.Fatalf("timeline of %d buckets holds %v successes, sample has %d", len(timeline), ok, fo.Sample.Ops-fo.Sample.Errors)
 	}
 }

@@ -4,71 +4,23 @@
 // workloads: a repeated hot query (result-cache effect on p50), a
 // zipf-skewed mixed workload with concurrent clients (cache hit rate and
 // QPS under realistic popularity), and a burst of concurrent identical
-// cold requests (singleflight collapse). Run via `go run ./cmd/kgbench
-// -exp serve` (writes BENCH_serve.json).
+// cold requests (singleflight collapse).
 package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"sort"
-	"sync"
-	"time"
 
-	"semkg/internal/core"
+	"semkg/internal/datagen"
 	"semkg/internal/query"
 	"semkg/internal/serve"
 )
 
-// ServeRow is one measured workload.
-type ServeRow struct {
-	Workload string `json:"workload"`
-	Requests int    `json:"requests"`
-	Clients  int    `json:"clients"`
-	// Latency percentiles in microseconds.
-	P50Us float64 `json:"p50_us"`
-	P95Us float64 `json:"p95_us"`
-	// BaselineP50Us is the p50 of the same workload against the bare
-	// engine (no serving layer); Speedup = baseline / serving p50.
-	BaselineP50Us float64 `json:"baseline_p50_us,omitempty"`
-	Speedup       float64 `json:"speedup,omitempty"`
-	QPS           float64 `json:"qps"`
-	// Serving-layer counters observed after the workload.
-	ResultHits   uint64 `json:"result_hits"`
-	PlanHits     uint64 `json:"plan_hits"`
-	PipelineRuns uint64 `json:"pipeline_runs"`
-	FlightShared uint64 `json:"flight_shared"`
-}
-
-// ServeResult is the experiment artifact (BENCH_serve.json).
-type ServeResult struct {
-	Dataset string `json:"dataset"`
-	Scale   string `json:"scale"`
-	EnvInfo
-	Rows []ServeRow `json:"workloads"`
-}
-
-func percentile(sorted []time.Duration, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(sorted)-1))
-	return float64(sorted[idx]) / float64(time.Microsecond)
-}
-
-func sortedLatencies(lat []time.Duration) []time.Duration {
-	out := append([]time.Duration(nil), lat...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // serveQueries gathers the generated workload queries by popularity rank:
 // simple first (the hot head of the zipf distribution), then medium and
 // complex shapes in the tail.
-func serveQueries(env *Env) []*query.Graph {
+func serveQueries(env *Env) ([]*query.Graph, error) {
 	var out []*query.Graph
 	for _, gq := range env.Dataset.Simple {
 		out = append(out, gq.Graph)
@@ -79,228 +31,104 @@ func serveQueries(env *Env) []*query.Graph {
 	for _, gq := range env.Dataset.Complex {
 		out = append(out, gq.Graph)
 	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("bench: environment has no workload queries")
+	}
+	return out, nil
+}
+
+// zipfPickers returns one seeded zipf index source per client over n
+// items (rank 0 hottest), so Drive clients share no RNG.
+func zipfPickers(clients, n int, seed int64) []*rand.Zipf {
+	out := make([]*rand.Zipf, clients)
+	for c := range out {
+		out[c] = rand.NewZipf(rand.New(rand.NewSource(seed+int64(c))), 1.2, 1, uint64(n-1))
+	}
 	return out
 }
 
-// RunServe measures the serving layer on this environment.
-func RunServe(env *Env) (*ServeResult, error) {
-	qs := serveQueries(env)
-	if len(qs) == 0 {
-		return nil, fmt.Errorf("bench: environment has no workload queries")
+// serveCounters snapshots the serving-layer counters a row reports.
+func serveCounters(st serve.Stats) map[string]float64 {
+	return map[string]float64{
+		"result_hits":   float64(st.ResultHits),
+		"plan_hits":     float64(st.PlanHits),
+		"pipeline_runs": float64(st.PipelineRuns),
+		"flight_shared": float64(st.FlightShared),
+	}
+}
+
+// runServe measures the serving layer.
+func runServe(ctx context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
+	}
+	qs, err := serveQueries(env)
+	if err != nil {
+		return nil, err
 	}
 	opts := env.SearchOptions(10)
-	ctx := context.Background()
-	res := &ServeResult{
-		Dataset: env.Cfg.Profile.Name,
-		Scale:   fmt.Sprintf("%d nodes / %d edges", env.Dataset.Graph.NumNodes(), env.Dataset.Graph.NumEdges()),
-		EnvInfo: CaptureEnv(),
-	}
-
-	repeated, err := runRepeated(ctx, env, qs[0], opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, repeated)
-
-	zipf, err := runZipf(ctx, env, qs, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, zipf)
-
-	burst, err := runBurst(ctx, env, qs[0], opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, burst)
-	return res, nil
-}
-
-// runRepeated measures the hot-query p50: the bare engine re-runs the
-// pipeline every time, the serving layer answers from the warm result
-// cache.
-func runRepeated(ctx context.Context, env *Env, q *query.Graph, opts core.Options) (ServeRow, error) {
-	const n = 200
-	baseline := make([]time.Duration, 0, n)
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		if _, err := env.Engine.Search(ctx, q, opts); err != nil {
-			return ServeRow{}, err
+	art := env.artifact("serve")
+	// record adds one workload row; every workload here must be error-free.
+	record := func(name string, s Sample, values map[string]float64) error {
+		if s.Err != nil {
+			return fmt.Errorf("bench: serve %s: %w", name, s.Err)
 		}
-		baseline = append(baseline, time.Since(start))
+		art.add("serve", name, values).Sample = &s
+		return nil
 	}
 
-	srv := serve.New(env.Engine, serve.Config{})
-	if _, err := srv.Search(ctx, q, opts); err != nil { // prime the cache
-		return ServeRow{}, err
-	}
-	warm := make([]time.Duration, 0, n)
-	wallStart := time.Now()
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		if _, err := srv.Search(ctx, q, opts); err != nil {
-			return ServeRow{}, err
-		}
-		warm = append(warm, time.Since(start))
-	}
-	wall := time.Since(wallStart)
-
-	sb, sw := sortedLatencies(baseline), sortedLatencies(warm)
-	st := srv.Stats()
-	row := ServeRow{
-		Workload:      "repeated-query",
-		Requests:      n,
-		Clients:       1,
-		P50Us:         percentile(sw, 0.5),
-		P95Us:         percentile(sw, 0.95),
-		BaselineP50Us: percentile(sb, 0.5),
-		QPS:           float64(n) / wall.Seconds(),
-		ResultHits:    st.ResultHits,
-		PlanHits:      st.PlanHits,
-		PipelineRuns:  st.PipelineRuns,
-		FlightShared:  st.FlightShared,
-	}
-	if row.P50Us > 0 {
-		row.Speedup = row.BaselineP50Us / row.P50Us
-	}
-	return row, nil
-}
-
-// runZipf replays a zipf-skewed mixed workload from concurrent clients:
-// the head queries hit the result cache, the tail exercises the plan cache
-// and the full pipeline under the worker pool.
-func runZipf(ctx context.Context, env *Env, qs []*query.Graph, opts core.Options) (ServeRow, error) {
-	const (
-		clients    = 8
-		perClient  = 100
-		zipfS      = 1.2
-		zipfV      = 1.0
-		workerSeed = 7
-	)
-	// Queue sized for the client count: this workload measures cache and
-	// dedup behaviour under load, not shedding (the admission tests cover
-	// that), so no request should be rejected.
-	srv := serve.New(env.Engine, serve.Config{Queue: 2 * clients})
-	latencies := make([][]time.Duration, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	wallStart := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed + int64(c)))
-			zipf := rand.NewZipf(rng, zipfS, zipfV, uint64(len(qs)-1))
-			for i := 0; i < perClient; i++ {
-				q := qs[zipf.Uint64()]
-				start := time.Now()
-				if _, err := srv.Search(ctx, q, opts); err != nil {
-					errs[c] = err
-					return
-				}
-				latencies[c] = append(latencies[c], time.Since(start))
-			}
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(wallStart)
-	var all []time.Duration
-	for c := range latencies {
-		if errs[c] != nil {
-			return ServeRow{}, errs[c]
-		}
-		all = append(all, latencies[c]...)
-	}
-	sorted := sortedLatencies(all)
-	st := srv.Stats()
-	return ServeRow{
-		Workload:     "zipf-mixed",
-		Requests:     len(all),
-		Clients:      clients,
-		P50Us:        percentile(sorted, 0.5),
-		P95Us:        percentile(sorted, 0.95),
-		QPS:          float64(len(all)) / wall.Seconds(),
-		ResultHits:   st.ResultHits,
-		PlanHits:     st.PlanHits,
-		PipelineRuns: st.PipelineRuns,
-		FlightShared: st.FlightShared,
-	}, nil
-}
-
-// runBurst fires concurrent identical cold requests: singleflight should
-// collapse them to (near) one pipeline execution.
-func runBurst(ctx context.Context, env *Env, q *query.Graph, opts core.Options) (ServeRow, error) {
-	const clients = 32
-	srv := serve.New(env.Engine, serve.Config{Queue: 2 * clients})
-	latencies := make([]time.Duration, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	wallStart := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			start := time.Now()
-			_, errs[c] = srv.Search(ctx, q, opts)
-			latencies[c] = time.Since(start)
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(wallStart)
-	for _, err := range errs {
-		if err != nil {
-			return ServeRow{}, err
-		}
-	}
-	sorted := sortedLatencies(latencies)
-	st := srv.Stats()
-	return ServeRow{
-		Workload:     "burst-identical",
-		Requests:     clients,
-		Clients:      clients,
-		P50Us:        percentile(sorted, 0.5),
-		P95Us:        percentile(sorted, 0.95),
-		QPS:          float64(clients) / wall.Seconds(),
-		ResultHits:   st.ResultHits,
-		PlanHits:     st.PlanHits,
-		PipelineRuns: st.PipelineRuns,
-		FlightShared: st.FlightShared,
-	}, nil
-}
-
-// WriteJSON stores the artifact.
-func (r *ServeResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
+	// Hot-query p50: the bare engine re-runs the pipeline every time, the
+	// serving layer answers from the warm result cache.
+	const repeats = 200
+	bare := Drive(ctx, Load{Requests: repeats}, func(ctx context.Context, _, _ int) error {
+		_, err := env.Engine.Search(ctx, qs[0], opts)
 		return err
+	})
+	if err := record("repeated-query (bare engine)", bare, nil); err != nil {
+		return nil, err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+	srv := serve.New(env.Engine, serve.Config{})
+	if _, err := srv.Search(ctx, qs[0], opts); err != nil { // prime the cache
+		return nil, err
+	}
+	warm := Drive(ctx, Load{Requests: repeats}, func(ctx context.Context, _, _ int) error {
+		_, err := srv.Search(ctx, qs[0], opts)
+		return err
+	})
+	values := serveCounters(srv.Stats())
+	if warm.P50Us > 0 {
+		values["speedup"] = bare.P50Us / warm.P50Us
+	}
+	if err := record("repeated-query", warm, values); err != nil {
+		return nil, err
+	}
 
-// Render formats the comparison as a text table.
-func (r *ServeResult) Render() *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Serving layer (%s, %s, %s/%s)", r.Dataset, r.Scale, r.GOOS, r.GOARCH),
-		Header: []string{"workload", "reqs", "clients", "p50 µs", "p95 µs",
-			"baseline p50", "speedup", "QPS", "hits", "runs", "shared"},
+	// Zipf-skewed mix from concurrent clients: the head hits the result
+	// cache, the tail exercises the plan cache and the full pipeline under
+	// the worker pool. Queues are sized for the client count — these
+	// workloads measure cache and dedup behaviour, not shedding.
+	const zipfClients = 8
+	srv = serve.New(env.Engine, serve.Config{Queue: 2 * zipfClients})
+	pick := zipfPickers(zipfClients, len(qs), 7)
+	zipf := Drive(ctx, Load{Clients: zipfClients, Requests: 100}, func(ctx context.Context, c, _ int) error {
+		_, err := srv.Search(ctx, qs[pick[c].Uint64()], opts)
+		return err
+	})
+	if err := record("zipf-mixed", zipf, serveCounters(srv.Stats())); err != nil {
+		return nil, err
 	}
-	for _, row := range r.Rows {
-		baseline, speedup := "-", "-"
-		if row.BaselineP50Us > 0 {
-			baseline = fmt.Sprintf("%.0f", row.BaselineP50Us)
-			speedup = fmt.Sprintf("%.1fx", row.Speedup)
-		}
-		t.AddRow(row.Workload,
-			fmt.Sprintf("%d", row.Requests),
-			fmt.Sprintf("%d", row.Clients),
-			fmt.Sprintf("%.0f", row.P50Us),
-			fmt.Sprintf("%.0f", row.P95Us),
-			baseline, speedup,
-			fmt.Sprintf("%.0f", row.QPS),
-			fmt.Sprintf("%d", row.ResultHits),
-			fmt.Sprintf("%d", row.PipelineRuns),
-			fmt.Sprintf("%d", row.FlightShared),
-		)
+
+	// Concurrent identical cold requests: singleflight should collapse
+	// them to (near) one pipeline execution.
+	const burstClients = 32
+	srv = serve.New(env.Engine, serve.Config{Queue: 2 * burstClients})
+	burst := Drive(ctx, Load{Clients: burstClients, Requests: 1}, func(ctx context.Context, _, _ int) error {
+		_, err := srv.Search(ctx, qs[0], opts)
+		return err
+	})
+	if err := record("burst-identical", burst, serveCounters(srv.Stats())); err != nil {
+		return nil, err
 	}
-	return t
+	return art, nil
 }

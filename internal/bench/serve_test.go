@@ -8,58 +8,43 @@ import "testing"
 // collapses its 32 identical requests to (nearly) one pipeline execution.
 // Skipped in -short mode (the environment trains an embedding).
 func TestRunServeShape(t *testing.T) {
-	env := testEnv(t)
-	res, err := RunServe(env)
-	if err != nil {
-		t.Fatal(err)
+	art := run(t, "serve")
+	checkWritten(t, art)
+	if len(art.Rows) != 4 {
+		t.Fatalf("serve rows = %d, want 4", len(art.Rows))
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("serve rows = %d, want 3", len(res.Rows))
-	}
-	byName := map[string]ServeRow{}
-	for _, row := range res.Rows {
-		byName[row.Workload] = row
-		if row.P50Us <= 0 || row.QPS <= 0 {
-			t.Errorf("%s: non-positive measurements: %+v", row.Workload, row)
+	for _, r := range art.Rows {
+		if r.Sample == nil || r.Sample.P50Us <= 0 || r.Sample.QPS <= 0 || r.Sample.Errors != 0 {
+			t.Errorf("%s: degenerate sample: %+v", r.Name, r.Sample)
 		}
 	}
 
-	repeated, ok := byName["repeated-query"]
-	if !ok {
-		t.Fatal("missing repeated-query workload")
+	bare := row(t, art, "serve", "repeated-query (bare engine)")
+	repeated := row(t, art, "serve", "repeated-query")
+	if repeated.Values["speedup"] < 5 {
+		t.Errorf("repeated-query warm-cache speedup = %.1fx, want >= 5x (p50 %0.f µs vs bare %.0f µs)",
+			repeated.Values["speedup"], repeated.Sample.P50Us, bare.Sample.P50Us)
 	}
-	if repeated.Speedup < 5 {
-		t.Errorf("repeated-query warm-cache speedup = %.1fx, want >= 5x (p50 %0.f µs vs baseline %.0f µs)",
-			repeated.Speedup, repeated.P50Us, repeated.BaselineP50Us)
-	}
-	if repeated.ResultHits == 0 || repeated.PipelineRuns != 1 {
-		t.Errorf("repeated-query cache counters off: %+v", repeated)
+	if repeated.Values["result_hits"] == 0 || repeated.Values["pipeline_runs"] != 1 {
+		t.Errorf("repeated-query cache counters off: %v", repeated.Values)
 	}
 
-	zipf, ok := byName["zipf-mixed"]
-	if !ok {
-		t.Fatal("missing zipf-mixed workload")
+	zipf := row(t, art, "serve", "zipf-mixed")
+	if zipf.Sample.Clients != 8 || zipf.Sample.Ops != 800 {
+		t.Errorf("zipf ran %d ops from %d clients, want 800 from 8", zipf.Sample.Ops, zipf.Sample.Clients)
 	}
-	if zipf.ResultHits == 0 {
-		t.Errorf("zipf workload never hit the cache: %+v", zipf)
+	if zipf.Values["result_hits"] == 0 {
+		t.Errorf("zipf workload never hit the cache: %v", zipf.Values)
 	}
-	if zipf.PipelineRuns+zipf.ResultHits+zipf.FlightShared < uint64(zipf.Requests) {
-		t.Errorf("zipf accounting: runs %d + hits %d + shared %d < requests %d",
-			zipf.PipelineRuns, zipf.ResultHits, zipf.FlightShared, zipf.Requests)
+	if zipf.Values["pipeline_runs"]+zipf.Values["result_hits"]+zipf.Values["flight_shared"] < float64(zipf.Sample.Ops) {
+		t.Errorf("zipf accounting: %v < %d requests", zipf.Values, zipf.Sample.Ops)
 	}
 
-	burst, ok := byName["burst-identical"]
-	if !ok {
-		t.Fatal("missing burst-identical workload")
-	}
 	// All 32 identical requests are answered by at most a couple of
 	// pipeline executions (requests that arrive after the leader published
 	// count as cache hits, not flights — both avoid re-running).
-	if burst.PipelineRuns > 2 {
-		t.Errorf("burst collapsed to %d pipeline runs, want <= 2", burst.PipelineRuns)
-	}
-
-	if res.Render().String() == "" {
-		t.Error("empty render")
+	burst := row(t, art, "serve", "burst-identical")
+	if burst.Sample.Ops != 32 || burst.Values["pipeline_runs"] > 2 {
+		t.Errorf("burst of %d collapsed to %v pipeline runs, want 32 and <= 2", burst.Sample.Ops, burst.Values["pipeline_runs"])
 	}
 }

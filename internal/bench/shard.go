@@ -1,92 +1,72 @@
 // Shard experiment: scatter-gather scaling of the sharded engine
-// (internal/shard, core.ShardedEngine) on the multi-sub-query workload —
-// the sharding axis the ROADMAP's production north star calls for. Run via
-// `go run ./cmd/kgbench -exp shard` (writes BENCH_shard.json).
+// (internal/shard, core.ShardedEngine) on the multi-sub-query workload,
+// in process and — the "distributed" section, distshard.go — across real
+// shard server processes (BENCH_shard.json).
 //
 // Every number is measured, from real executions: end-to-end per-query
 // latency of the sharded engine on this host against the single-engine
 // baseline, and the per-shard A* expansion counts of the same runs. On a
 // single-core host the sharded run cannot be faster — A* path enumeration
 // over the partitioned first hops is essentially conserved (reported as
-// work_vs_single, ~1.0) — so the measured delta *is* the cross-shard
-// machinery cost: projection, match remapping, the k-way merge. That
-// overhead is reported as MeasuredOverheadPct. Balance = makespan/total
-// work says how evenly the partition spread the search: 1/N is a perfect
-// partition, 1.0 means one shard owns all the work. Every sharded answer
-// is checked against the single engine's as it is measured.
+// work_vs_single, ~1.0; slightly below 1 when truncated shard graphs
+// tighten the m(u) pruning bound, slightly above from per-shard anchor
+// re-expansion) — so the measured delta *is* the cross-shard machinery
+// cost: projection, match remapping, the k-way merge. That overhead is
+// reported as overhead_pct. balance = makespan/total work says how evenly
+// the partition spread the search: 1/N is a perfect partition, 1.0 means
+// one shard owns all the work. halo_fallbacks counts searches the
+// partition could not serve (MaxHops beyond the halo); the rows only
+// price scatter-gather when it is 0. Every sharded answer is checked
+// against the single engine's as it is measured.
 package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"semkg/internal/core"
 	"semkg/internal/datagen"
 )
 
-// ShardRow is one shard-count configuration.
-type ShardRow struct {
-	Shards int `json:"shards"`
-	// PartitionMs is the one-time cost of building the shard graphs.
-	PartitionMs float64 `json:"partition_ms"`
-	// ReplicationFactor is (sum of shard nodes)/(base nodes).
-	ReplicationFactor float64 `json:"replication_factor"`
-	// MeasuredMeanUs / MeasuredP50Us are per-query latencies on this host.
-	MeasuredMeanUs float64 `json:"measured_mean_us"`
-	MeasuredP50Us  float64 `json:"measured_p50_us"`
-	// MeasuredOverheadPct is the serial-host overhead vs the single-engine
-	// baseline: the real cost of the cross-shard merge machinery.
-	MeasuredOverheadPct float64 `json:"measured_overhead_pct"`
-	// WorkTotal and WorkMakespan are mean per-query A* expansions: summed
-	// over shards, and the heaviest single shard's count.
-	WorkTotal    float64 `json:"work_total"`
-	WorkMakespan float64 `json:"work_makespan"`
-	// WorkVsSingle is the sharded run's total expansions over the single
-	// engine's: ~1.0 in practice (the path enumeration partitions);
-	// slightly below 1 when truncated shard graphs tighten the m(u)
-	// pruning bound, slightly above from per-shard anchor re-expansion.
-	WorkVsSingle float64 `json:"work_vs_single"`
-	// Balance = WorkMakespan/WorkTotal (1/Shards is ideal).
-	Balance float64 `json:"balance"`
-	// Fallbacks counts searches the partition could not serve (MaxHops
-	// beyond the halo); the rows only price scatter-gather when it is 0.
-	Fallbacks uint64 `json:"halo_fallbacks"`
+// ShardConfig is the configuration embedded in the shard artifact.
+type ShardConfig struct {
+	K           int `json:"k"`
+	Queries     int `json:"queries"`
+	Repetitions int `json:"repetitions"`
+	// Distributed sizes the multi-process section.
+	Distributed DistShardConfig `json:"distributed"`
 }
 
-// ShardResult is the experiment artifact (BENCH_shard.json).
-type ShardResult struct {
-	Dataset string `json:"dataset"`
-	Scale   string `json:"scale"`
-	EnvInfo
-	K           int        `json:"k"`
-	Queries     int        `json:"queries"`
-	Repetitions int        `json:"repetitions"`
-	BaselineUs  float64    `json:"baseline_mean_us"`
-	Rows        []ShardRow `json:"configs"`
-	// Distributed is the measured multi-process section: real shard
-	// server processes behind the HTTP coordinator (see distshard.go).
-	Distributed *DistShardSection `json:"distributed,omitempty"`
+// runShard measures the sharded engine at 1/2/4/8 shards against the
+// single-engine baseline on the paper-scale dataset, then the distributed
+// deployment on the generated large world.
+func runShard(ctx context.Context, p Params) (*Artifact, error) {
+	env, err := p.env(datagen.DBpediaLike)
+	if err != nil {
+		return nil, err
+	}
+	art := env.artifact("shard")
+	cfg := ShardConfig{Distributed: distShardConfig(p.Short)}
+	if err := runInprocShard(ctx, art, &cfg, env, p.Short); err != nil {
+		return nil, err
+	}
+	if err := runDistShard(ctx, art, &cfg.Distributed, nil); err != nil {
+		return nil, err
+	}
+	art.Config = cfg
+	return art, nil
 }
 
-// shardWorkload gathers the multi-sub-query shapes (Medium + Complex):
-// the workload where one query fans out into several concurrent
+// runInprocShard is the in-process section: the multi-sub-query shapes
+// (Medium + Complex), where one query fans out into several concurrent
 // sub-query searches, each of which sharding further partitions.
-func shardWorkload(ds *datagen.Dataset) []datagen.GenQuery {
-	var out []datagen.GenQuery
-	out = append(out, ds.Medium...)
-	out = append(out, ds.Complex...)
-	return out
-}
-
-// RunShard measures the sharded engine at 1/2/4/8 shards against the
-// single-engine baseline. short trims repetitions for CI smoke runs.
-func RunShard(env *Env, short bool) (*ShardResult, error) {
-	qs := shardWorkload(env.Dataset)
+func runInprocShard(ctx context.Context, art *Artifact, cfg *ShardConfig, env *Env, short bool) error {
+	var qs []datagen.GenQuery
+	qs = append(qs, env.Dataset.Medium...)
+	qs = append(qs, env.Dataset.Complex...)
 	if len(qs) == 0 {
-		return nil, fmt.Errorf("bench: environment has no multi-sub-query workload")
+		return fmt.Errorf("bench: environment has no multi-sub-query workload")
 	}
 	const k = 20
 	reps := 10
@@ -94,39 +74,51 @@ func RunShard(env *Env, short bool) (*ShardResult, error) {
 		reps = 3
 	}
 	opts := env.SearchOptions(k)
-	ctx := context.Background()
-	res := &ShardResult{
-		Dataset:     env.Cfg.Profile.Name,
-		Scale:       fmt.Sprintf("%d nodes / %d edges", env.Dataset.Graph.NumNodes(), env.Dataset.Graph.NumEdges()),
-		EnvInfo:     CaptureEnv(),
-		K:           k,
-		Queries:     len(qs),
-		Repetitions: reps,
+	cfg.K, cfg.Queries, cfg.Repetitions = k, len(qs), reps
+
+	// workload runs reps passes over the queries through search, returning
+	// the per-query latencies and the accumulated A* expansions.
+	workload := func(search func(q *datagen.GenQuery) (*core.Result, error)) (Sample, float64, error) {
+		work := 0.0
+		s := Drive(ctx, Load{Requests: reps * len(qs)}, func(_ context.Context, _, i int) error {
+			q := &qs[i%len(qs)]
+			res, err := search(q)
+			if err != nil {
+				return fmt.Errorf("bench: %s: %w", q.Name, err)
+			}
+			for _, st := range res.SearchStats {
+				work += float64(st.Popped)
+			}
+			return nil
+		})
+		return s, work, s.Err
 	}
 
 	// Baseline: the single engine on the same queries. Its answers are
 	// the reference every sharded answer is held to.
 	want := make(map[*datagen.GenQuery]*core.Result, len(qs))
-	baselineLat, singleWork, err := runShardWorkload(ctx, reps, qs, func(q *datagen.GenQuery) (*core.Result, error) {
+	baseline, singleWork, err := workload(func(q *datagen.GenQuery) (*core.Result, error) {
 		r, err := env.Engine.Search(ctx, q.Graph, opts)
 		want[q] = r
 		return r, err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res.BaselineUs = meanUs(baselineLat)
+	art.add("in-process", "single engine", nil).Sample = &baseline
 
 	for _, n := range []int{1, 2, 4, 8} {
 		pStart := time.Now()
 		se, err := core.NewShardedEngine(env.Engine, core.ShardConfig{Shards: n})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		partition := time.Since(pStart)
 
+		// Per-query A* expansions: summed over shards, and the heaviest
+		// single shard's count.
 		var totalWork, makespanWork float64
-		lat, shardedWork, err := runShardWorkload(ctx, reps, qs, func(q *datagen.GenQuery) (*core.Result, error) {
+		s, shardedWork, err := workload(func(q *datagen.GenQuery) (*core.Result, error) {
 			r, err := se.Search(ctx, q.Graph, opts)
 			if err != nil {
 				return nil, err
@@ -137,41 +129,37 @@ func RunShard(env *Env, short bool) (*ShardResult, error) {
 			if len(r.ShardEffort) != n {
 				return nil, fmt.Errorf("%d shards reported effort for %d", n, len(r.ShardEffort))
 			}
-			sum, max := 0, 0
+			sum, heaviest := 0, 0
 			for _, st := range r.ShardEffort {
 				sum += st.Popped
-				if st.Popped > max {
-					max = st.Popped
-				}
+				heaviest = max(heaviest, st.Popped)
 			}
 			totalWork += float64(sum)
-			makespanWork += float64(max)
-			return r, err
+			makespanWork += float64(heaviest)
+			return r, nil
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		runs := float64(len(lat))
-		row := ShardRow{
-			Shards:            n,
-			PartitionMs:       float64(partition.Microseconds()) / 1e3,
-			ReplicationFactor: se.Stats().ReplicationFactor,
-			MeasuredMeanUs:    meanUs(lat),
-			MeasuredP50Us:     percentile(sortedLatencies(lat), 0.5),
-			WorkTotal:         totalWork / runs,
-			WorkMakespan:      makespanWork / runs,
-			Fallbacks:         se.Stats().Fallbacks,
+		runs := float64(s.Ops)
+		values := map[string]float64{
+			"shards":             float64(n),
+			"partition_ms":       ms(partition),
+			"replication_factor": se.Stats().ReplicationFactor,
+			"overhead_pct":       100 * (s.MeanUs - baseline.MeanUs) / baseline.MeanUs,
+			"work_total":         totalWork / runs,
+			"work_makespan":      makespanWork / runs,
+			"halo_fallbacks":     float64(se.Stats().Fallbacks),
 		}
 		if singleWork > 0 {
-			row.WorkVsSingle = shardedWork / singleWork
+			values["work_vs_single"] = shardedWork / singleWork
 		}
-		row.MeasuredOverheadPct = 100 * (row.MeasuredMeanUs - res.BaselineUs) / res.BaselineUs
-		if row.WorkTotal > 0 {
-			row.Balance = row.WorkMakespan / row.WorkTotal
+		if totalWork > 0 {
+			values["balance"] = makespanWork / totalWork
 		}
-		res.Rows = append(res.Rows, row)
+		art.add("in-process", fmt.Sprintf("%d shards", n), values).Sample = &s
 	}
-	return res, nil
+	return nil
 }
 
 // sameScores reports how got's ranked score vector differs from want's.
@@ -186,72 +174,4 @@ func sameScores(got, want *core.Result) error {
 		}
 	}
 	return nil
-}
-
-// runShardWorkload runs reps passes over the workload, returning the
-// per-query latencies and the accumulated A* expansions.
-func runShardWorkload(ctx context.Context, reps int, qs []datagen.GenQuery,
-	search func(q *datagen.GenQuery) (*core.Result, error)) ([]time.Duration, float64, error) {
-	var lat []time.Duration
-	work := 0.0
-	for r := 0; r < reps; r++ {
-		for i := range qs {
-			start := time.Now()
-			res, err := search(&qs[i])
-			if err != nil {
-				return nil, 0, fmt.Errorf("bench: %s: %w", qs[i].Name, err)
-			}
-			lat = append(lat, time.Since(start))
-			for _, st := range res.SearchStats {
-				work += float64(st.Popped)
-			}
-		}
-	}
-	return lat, work, nil
-}
-
-func meanUs(lat []time.Duration) float64 {
-	if len(lat) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range lat {
-		sum += d
-	}
-	return float64(sum) / float64(len(lat)) / float64(time.Microsecond)
-}
-
-// WriteJSON stores the artifact.
-func (r *ShardResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Render formats the scaling curve as a text table.
-func (r *ShardResult) Render() *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Sharded scatter-gather (%s, %s, k=%d, baseline %.0f µs/query, %d CPUs)",
-			r.Dataset, r.Scale, r.K, r.BaselineUs, r.CPUs),
-		Header: []string{"shards", "partition ms", "repl", "measured µs", "overhead",
-			"balance", "work vs single", "fallbacks"},
-	}
-	for _, row := range r.Rows {
-		t.AddRow(
-			fmt.Sprintf("%d", row.Shards),
-			fmt.Sprintf("%.1f", row.PartitionMs),
-			fmt.Sprintf("%.1fx", row.ReplicationFactor),
-			fmt.Sprintf("%.0f", row.MeasuredMeanUs),
-			fmt.Sprintf("%+.1f%%", row.MeasuredOverheadPct),
-			fmt.Sprintf("%.2f", row.Balance),
-			fmt.Sprintf("%.2fx", row.WorkVsSingle),
-			fmt.Sprintf("%d", row.Fallbacks),
-		)
-	}
-	if r.Distributed != nil {
-		r.Distributed.renderRows(t)
-	}
-	return t
 }

@@ -60,40 +60,33 @@ func (e *Env) TBQBounded(q datagen.GenQuery, k int, bound time.Duration) ([]stri
 // Baselines returns the comparison systems of Figures 12-14:
 // {GraB, S4, QGA, p-hom}. S4's prior is sampled at the given quality.
 func (e *Env) Baselines(priorQuality float64) []System {
-	ds := e.Dataset
-	g := ds.Graph
-	prior := convertPrior(ds.Prior(100, priorQuality, rand.New(rand.NewSource(17))))
-	methods := []baseline.Method{
+	g, lib := e.Dataset.Graph, e.Dataset.Library
+	return wrapMethods(
 		baseline.NewGraB(g),
-		baseline.NewS4(g, prior),
-		baseline.NewQGA(g, ds.Library),
+		baseline.NewS4(g, e.prior(priorQuality)),
+		baseline.NewQGA(g, lib),
 		baseline.NewPHom(g),
-	}
-	return wrapMethods(methods)
+	)
 }
 
 // AllBaselines returns every Table I comparator:
 // {gStore, SLQ, NeMa, S4, p-hom, GraB, QGA}.
 func (e *Env) AllBaselines(priorQuality float64) []System {
-	ds := e.Dataset
-	g := ds.Graph
-	prior := convertPrior(ds.Prior(100, priorQuality, rand.New(rand.NewSource(17))))
-	methods := []baseline.Method{
+	g, lib := e.Dataset.Graph, e.Dataset.Library
+	return wrapMethods(
 		baseline.NewGStore(g),
-		baseline.NewSLQ(g, ds.Library),
+		baseline.NewSLQ(g, lib),
 		baseline.NewNeMa(g),
-		baseline.NewS4(g, prior),
+		baseline.NewS4(g, e.prior(priorQuality)),
 		baseline.NewPHom(g),
 		baseline.NewGraB(g),
-		baseline.NewQGA(g, ds.Library),
-	}
-	return wrapMethods(methods)
+		baseline.NewQGA(g, lib),
+	)
 }
 
-func wrapMethods(methods []baseline.Method) []System {
+func wrapMethods(methods ...baseline.Method) []System {
 	out := make([]System, len(methods))
 	for i, m := range methods {
-		m := m
 		out[i] = System{
 			Name: m.Name(),
 			Run: func(q datagen.GenQuery, k int) ([]string, time.Duration) {
@@ -111,7 +104,9 @@ func wrapMethods(methods []baseline.Method) []System {
 	return out
 }
 
-func convertPrior(in []datagen.PriorInstance) []baseline.PriorInstance {
+// prior samples S4's prior instances at the given quality.
+func (e *Env) prior(quality float64) []baseline.PriorInstance {
+	in := e.Dataset.Prior(100, quality, rand.New(rand.NewSource(17)))
 	out := make([]baseline.PriorInstance, len(in))
 	for i, p := range in {
 		out[i] = baseline.PriorInstance{

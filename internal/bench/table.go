@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -55,6 +56,15 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
-
-func f1ms(d float64) string { return fmt.Sprintf("%.2fms", d) }
+// num formats a cell: counts without decimals, everything else with
+// enough digits to read at its magnitude.
+func num(v float64) string {
+	switch a := math.Abs(v); {
+	case v == math.Trunc(v) || a >= 100:
+		return fmt.Sprintf("%.0f", v)
+	case a >= 1:
+		return fmt.Sprintf("%.2f", v)
+	default:
+		return fmt.Sprintf("%.4f", v)
+	}
+}

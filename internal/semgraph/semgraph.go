@@ -141,11 +141,6 @@ type Weighter struct {
 	// >= MinWeight > 0, so a zero first entry marks an uncomputed node —
 	// no seen array at all.
 	pages [][]float64
-	// Dense variant: the pre-scale-up eager slab, kept (like
-	// astar.LegacySearcher) as the before side of kgbench -exp load's
-	// steady-state comparison. Exactly one of slab/pages is in use.
-	slab []float64
-	seen []bool
 }
 
 // NewWeighter builds a Weighter for a sub-query whose query edges carry the
@@ -249,23 +244,6 @@ func newWeighter(g *kg.Graph, segs int) *Weighter {
 	}
 }
 
-// NewWeighterFromRowsDense is NewWeighterFromRows with the suffix cache
-// eagerly allocated as one NumNodes×segments slab — the allocation
-// strategy the engine used before the million-node scale-up. It is kept
-// for the before/after rows of kgbench -exp load; new code should use the
-// paged NewWeighterFromRows.
-func NewWeighterFromRowsDense(g *kg.Graph, rows [][]float64) (*Weighter, error) {
-	wt, err := NewWeighterFromRows(g, rows)
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumNodes()
-	wt.pages = nil
-	wt.slab = make([]float64, n*len(rows))
-	wt.seen = make([]bool, n)
-	return wt, nil
-}
-
 // ResolvePredicate maps a query predicate name to a graph predicate:
 // exact match, else the most string-similar predicate name.
 func ResolvePredicate(g *kg.Graph, name string) (kg.PredID, error) {
@@ -297,14 +275,6 @@ func (w *Weighter) Weight(p kg.PredID, seg int) float64 { return w.w[seg][p] }
 // upper-bounds the weight product of any unexplored path suffix (Lemma 1).
 func (w *Weighter) NodeMax(u kg.NodeID, seg int) float64 {
 	segs := len(w.w)
-	if w.slab != nil { // dense variant (NewWeighterFromRowsDense)
-		base := int(u) * segs
-		if !w.seen[u] {
-			w.computeSuffix(u, w.slab[base:base+segs])
-			w.seen[u] = true
-		}
-		return w.slab[base+seg]
-	}
 	page := w.pages[u>>slabPageBits]
 	if page == nil {
 		page = make([]float64, slabPageLen*segs)
