@@ -1,8 +1,7 @@
 // Benchmark entry points: one sub-benchmark per table and figure of the
 // paper's evaluation (Section VII), iterated from the kgbench experiment
-// registry, plus micro-benchmarks of the core building blocks and the
-// hot-path before/after pairs (legacy seed implementation vs the
-// index/arena engine). Each experiment benchmark regenerates its artifact
+// registry, plus micro-benchmarks of the core building blocks and of the
+// query hot path. Each experiment benchmark regenerates its artifact
 // on a cached environment; run the full suite with
 //
 //	go test -bench=. -benchmem
@@ -118,43 +117,37 @@ func BenchmarkBaselineGraB(b *testing.B) {
 	}
 }
 
-// hotpathPair runs one before/after pair from the hotpath experiment as
-// sub-benchmarks ("legacy" = preserved seed implementation, "engine" =
-// index/arena hot path). kgbench -exp hotpath aggregates the same pairs
-// into BENCH_hotpath.json.
-func hotpathPair(b *testing.B, name string) {
+// hotpathCase runs one micro-benchmark of the hotpath experiment.
+// kgbench -exp hotpath aggregates the same cases into BENCH_hotpath.json.
+func hotpathCase(b *testing.B, name string) {
 	env := benchEnv(b, datagen.DBpediaLike(benchScale))
 	cases, err := bench.HotpathCases(env)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, c := range cases {
-		if c.Name != name {
-			continue
+		if c.Name == name {
+			c.Run(b)
+			return
 		}
-		b.Run("legacy", c.Before)
-		b.Run("engine", c.After)
-		return
 	}
 	b.Fatalf("no hotpath case %q", name)
 }
 
-// BenchmarkAStarNext compares a full A* drain (weighter construction +
-// search to exhaustion) between the seed pointer-state searcher and the
-// arena-backed one.
-func BenchmarkAStarNext(b *testing.B) { hotpathPair(b, "AStarNext") }
+// BenchmarkAStarNext measures a full A* drain: weighter construction plus
+// search to exhaustion on the arena-backed searcher.
+func BenchmarkAStarNext(b *testing.B) { hotpathCase(b, "AStarNext") }
 
-// BenchmarkNodeMax compares the m(u) bound over every node: adjacency-list
-// scan with map cache vs NodePreds-driven flat slab.
-func BenchmarkNodeMax(b *testing.B) { hotpathPair(b, "NodeMax") }
+// BenchmarkNodeMax measures the m(u) bound over every node on the
+// NodePreds-driven paged slab.
+func BenchmarkNodeMax(b *testing.B) { hotpathCase(b, "NodeMax") }
 
-// BenchmarkMatchNode compares φ resolution over a probe battery: linear
-// name/type scans vs the normalized-name/initials/prefix indexes.
-func BenchmarkMatchNode(b *testing.B) { hotpathPair(b, "MatchNode") }
+// BenchmarkMatchNode measures φ resolution over a probe battery on the
+// normalized-name/initials/prefix indexes.
+func BenchmarkMatchNode(b *testing.B) { hotpathCase(b, "MatchNode") }
 
-// BenchmarkSearchEndToEnd compares one exact top-20 query end to end:
-// the replayed seed pipeline vs Engine.Search.
-func BenchmarkSearchEndToEnd(b *testing.B) { hotpathPair(b, "SearchEndToEnd") }
+// BenchmarkSearchEndToEnd measures one exact top-20 query end to end.
+func BenchmarkSearchEndToEnd(b *testing.B) { hotpathCase(b, "SearchEndToEnd") }
 
 // BenchmarkEngineBuild measures engine construction (matcher + space
 // wiring) excluding training.

@@ -25,11 +25,9 @@
 // τ-pruning decisions skip math.Pow — x^(1/n̂) is monotone in x, so a raw
 // weight product below a precomputed (τ^n̂ minus a safety margin) floor is
 // certainly pruned without evaluating Eq. 7; only successors near the
-// threshold or entering the frontier pay the Pow, with arithmetic
-// bit-identical to the seed so Theorem 2's emission order (including
-// tie-breaks) is preserved exactly (see DESIGN.md, Hot path). The seed
-// implementation is preserved as LegacySearcher for the equivalence tests
-// and before/after benchmarks.
+// threshold or entering the frontier pay the Pow, so the shortcut never
+// changes a decision the exact arithmetic would make (see DESIGN.md, Hot
+// path).
 package astar
 
 import (
@@ -178,8 +176,7 @@ type nodeSet struct {
 }
 
 // newNodeSet compiles one φ end set. members may contain false-valued
-// entries (non-members, as in the seed's map test); n is the graph's node
-// count.
+// entries (non-members); n is the graph's node count.
 func newNodeSet(members map[kg.NodeID]bool, n int) nodeSet {
 	k := 0
 	for _, m := range members {
@@ -262,9 +259,8 @@ type Searcher struct {
 	// pruneFloor* are conservative raw-product thresholds: a partial
 	// state's w·m below pruneFloorPartial (≈ τ^n̂) — or a complete h-hop
 	// match's w below pruneFloorComplete[h] (≈ τ^h) — is certainly pruned
-	// by the seed's x^(1/n) < τ test, so math.Pow is skipped. The 1e-9
-	// relative margin keeps borderline states on the exact-arithmetic
-	// path, preserving bit-identical behavior.
+	// by the x^(1/n) < τ test, so math.Pow is skipped. The 1e-9 relative
+	// margin keeps borderline states on the exact-arithmetic path.
 	pruneFloorPartial  float64
 	pruneFloorComplete []float64
 	stats              Stats
@@ -321,8 +317,7 @@ func NewSearcher(g *kg.Graph, w Weighter, sub SubQuery, opts Options) *Searcher 
 // Stats returns search-effort counters accumulated so far.
 func (s *Searcher) Stats() Stats { return s.stats }
 
-// estimate computes ψ̂ for a partial state (Eq. 7), with the seed's exact
-// arithmetic.
+// estimate computes ψ̂ for a partial state (Eq. 7).
 func (s *Searcher) estimate(st state) float64 {
 	m := 1.0
 	if !s.opts.NoHeuristic {
@@ -414,7 +409,7 @@ func (s *Searcher) RunEager(stop func() bool, emit func(Match) bool) bool {
 // Completed matches are pushed to the frontier in optimal mode
 // (emitEager == nil), or handed to emitEager immediately in time-bounded
 // mode. Raw weight products below the prune floors skip the math.Pow of
-// Eq. 6/7 entirely; everything else follows the seed's exact arithmetic.
+// Eq. 6/7 entirely; everything else evaluates them exactly.
 func (s *Searcher) expand(idx int32, emitEager func(Match)) {
 	st := s.arena[idx] // copy: appends below may grow the arena
 	segs := int32(s.sub.Segments())

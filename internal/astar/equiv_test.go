@@ -2,14 +2,17 @@ package astar
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"semkg/internal/kg"
+	"semkg/internal/oracle"
 )
 
 // randomCaseSegs generalizes randomCase to multi-segment sub-queries so the
-// equivalence check also covers segment-closing and suffix-bound paths.
+// oracle comparison also covers segment-closing and suffix-bound paths.
 func randomCaseSegs(rng *rand.Rand, segs int) (*kg.Graph, *testWeighter, SubQuery) {
 	n := rng.Intn(12) + 6
 	preds := []string{"p0", "p1", "p2", "p3"}
@@ -45,34 +48,96 @@ func randomCaseSegs(rng *rand.Rand, segs int) (*kg.Graph, *testWeighter, SubQuer
 		if len(ends) == 0 {
 			ends[ids[1+rng.Intn(n-1)]] = true
 		}
-		// A false-valued entry is a non-member under the seed's map test;
-		// the bitset compile must treat it the same.
+		// A false-valued entry is a non-member; the end-set compile must
+		// treat it as one.
 		ends[ids[1+rng.Intn(n-1)]] = false
 		sub.EndSets = append(sub.EndSets, ends)
 	}
 	return g, tw, sub
 }
 
-func matchesEqual(a, b Match) bool {
-	if a.PSS != b.PSS || len(a.Nodes) != len(b.Nodes) || len(a.Edges) != len(b.Edges) || len(a.SegEnds) != len(b.SegEnds) {
-		return false
+// oracleSub restates a test case as the oracle's plain inputs.
+func oracleSub(tw *testWeighter, sub SubQuery) oracle.Sub {
+	o := oracle.Sub{
+		Anchors: sub.Anchors,
+		Weight:  func(seg int, p kg.PredID) float64 { return tw.Weight(p, seg) },
 	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			return false
+	for _, set := range sub.EndSets {
+		var ends []kg.NodeID
+		for u, member := range set {
+			if member {
+				ends = append(ends, u)
+			}
+		}
+		o.Ends = append(o.Ends, ends)
+	}
+	return o
+}
+
+// checkMatch fails unless m is what it claims: its edges join its
+// consecutive nodes, the oracle accepts the path as a match of the
+// sub-query and re-derives the reported pss from it, and SegEnds mark
+// exactly the first end-set node of every segment.
+func checkMatch(t *testing.T, where string, g *kg.Graph, o oracle.Sub, m Match) {
+	t.Helper()
+	preds := make([]kg.PredID, len(m.Edges))
+	for i, id := range m.Edges {
+		e := g.EdgeAt(id)
+		a, b := m.Nodes[i], m.Nodes[i+1]
+		if !(e.Src == a && e.Dst == b) && !(e.Src == b && e.Dst == a) {
+			t.Fatalf("%s: edge %d of %+v does not join its path nodes", where, i, m)
+		}
+		preds[i] = e.Pred
+	}
+	pss, err := o.PSS(g, m.Nodes, preds)
+	if err != nil {
+		t.Fatalf("%s: %+v is not a match: %v", where, m, err)
+	}
+	if math.Abs(pss-m.PSS) > oracle.Epsilon {
+		t.Fatalf("%s: reported pss %v, the path gives %v", where, m.PSS, pss)
+	}
+	var segEnds []int
+	for i := 1; i < len(m.Nodes); i++ {
+		if seg := len(segEnds); slices.Contains(o.Ends[seg], m.Nodes[i]) {
+			segEnds = append(segEnds, i)
 		}
 	}
-	for i := range a.Edges {
-		if a.Edges[i] != b.Edges[i] {
-			return false
+	if !slices.Equal(m.SegEnds, segEnds) {
+		t.Fatalf("%s: SegEnds %v, the path closes its segments at %v", where, m.SegEnds, segEnds)
+	}
+}
+
+// checkAgainstOracle judges one drained match sequence: every match real
+// (checkMatch) and at most one per end entity; in sorted mode, pss never
+// increasing. exact demands the oracle's set — every end entity the
+// exhaustive walk reaches, at its best pss; otherwise (visited-set
+// pruning) the sequence must only never beat or invent one.
+func checkAgainstOracle(t *testing.T, where string, g *kg.Graph, o oracle.Sub, opt Options, got []Match, sorted, exact bool) {
+	t.Helper()
+	want := o.Matches(g, opt.Tau, opt.MaxHops)
+	best := make(map[kg.NodeID]float64)
+	for i, m := range got {
+		checkMatch(t, where, g, o, m)
+		if sorted && i > 0 && m.PSS > got[i-1].PSS {
+			t.Fatalf("%s: pss %v emitted after %v", where, m.PSS, got[i-1].PSS)
+		}
+		old, dup := best[m.End()]
+		if dup && sorted {
+			t.Fatalf("%s: entity %d emitted twice", where, m.End())
+		}
+		best[m.End()] = math.Max(old, m.PSS)
+		if w, ok := want[m.End()]; !ok || m.PSS > w.PSS+oracle.Epsilon {
+			t.Fatalf("%s: entity %d at pss %v; the oracle's best for it is %v (reached: %v)", where, m.End(), m.PSS, w.PSS, ok)
 		}
 	}
-	for i := range a.SegEnds {
-		if a.SegEnds[i] != b.SegEnds[i] {
-			return false
+	if !exact {
+		return
+	}
+	for u, w := range want {
+		if pss, ok := best[u]; !ok || math.Abs(pss-w.PSS) > oracle.Epsilon {
+			t.Fatalf("%s: entity %d best pss %v (found: %v), the oracle says %v", where, u, pss, ok, w.PSS)
 		}
 	}
-	return true
 }
 
 func drainNext(next func() (Match, bool)) []Match {
@@ -86,77 +151,41 @@ func drainNext(next func() (Match, bool)) []Match {
 	}
 }
 
-// TestArenaMatchesLegacySequence is the arena/seed regression check: on
-// randomized worlds, the arena-backed searcher must emit the exact match
-// sequence (paths, segment ends, and bitwise-identical pss) of the seed
-// implementation, across the option matrix, preserving Theorem 2's
-// emission order. Search-effort stats must agree too — the log-space
-// τ comparisons prune exactly the states the pow-space ones did.
-func TestArenaMatchesLegacySequence(t *testing.T) {
+// TestSequenceMatchesOracleOnSegments: on randomized worlds with one to
+// three query edges, across the option matrix, the searcher's sequence is
+// sorted, one match per entity, every match real, and — unless
+// visited-set pruning is on — exactly the oracle's best-per-entity set
+// (Theorem 2 on multi-segment sub-queries).
+func TestSequenceMatchesOracleOnSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
-	const trials = 200
-	for trial := 0; trial < trials; trial++ {
-		segs := 1 + rng.Intn(3)
-		g, tw, sub := randomCaseSegs(rng, segs)
+	for trial := 0; trial < 200; trial++ {
+		g, tw, sub := randomCaseSegs(rng, 1+rng.Intn(3))
+		o := oracleSub(tw, sub)
 		for _, opt := range []Options{
 			{Tau: 0.3, MaxHops: 4},
 			{Tau: 0.3, MaxHops: 4, PruneVisited: true},
 			{Tau: 0.3, MaxHops: 4, NoHeuristic: true},
 			{Tau: 0.6, MaxHops: 3},
 		} {
-			arena := NewSearcher(g, tw, sub, opt)
-			legacy := NewLegacySearcher(g, tw, sub, opt)
-			got := drainNext(arena.Next)
-			want := drainNext(legacy.Next)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d opts %+v: arena emitted %d matches, legacy %d",
-					trial, opt, len(got), len(want))
-			}
-			for i := range got {
-				if !matchesEqual(got[i], want[i]) {
-					t.Fatalf("trial %d opts %+v: match %d differs:\narena  %+v\nlegacy %+v",
-						trial, opt, i, got[i], want[i])
-				}
-			}
-			if arena.Stats() != legacy.Stats() {
-				t.Fatalf("trial %d opts %+v: stats differ: arena %+v, legacy %+v",
-					trial, opt, arena.Stats(), legacy.Stats())
-			}
+			where := fmt.Sprintf("trial %d opts %+v", trial, opt)
+			got := drainNext(NewSearcher(g, tw, sub, opt).Next)
+			checkAgainstOracle(t, where, g, o, opt, got, true, !opt.PruneVisited)
 		}
 	}
 }
 
-// TestArenaMatchesLegacyEager runs the same comparison for the
-// time-bounded eager mode: discovery order and emitted matches must be
-// identical when both run to exhaustion.
-func TestArenaMatchesLegacyEager(t *testing.T) {
+// TestEagerRunMatchesOracleOnSegments: the time-bounded eager mode, run
+// to exhaustion, discovers — in whatever order — only real matches, and
+// its best per entity is the oracle's set (Lemma 7's premise).
+func TestEagerRunMatchesOracleOnSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	for trial := 0; trial < 150; trial++ {
-		segs := 1 + rng.Intn(2)
-		g, tw, sub := randomCaseSegs(rng, segs)
+		g, tw, sub := randomCaseSegs(rng, 1+rng.Intn(2))
 		opt := Options{Tau: 0.3, MaxHops: 4}
-
-		var got, want []Match
-		arena := NewSearcher(g, tw, sub, opt)
-		if !arena.RunEager(nil, func(m Match) bool { got = append(got, m); return true }) {
-			t.Fatalf("trial %d: arena eager run should exhaust", trial)
+		var got []Match
+		if !NewSearcher(g, tw, sub, opt).RunEager(nil, func(m Match) bool { got = append(got, m); return true }) {
+			t.Fatalf("trial %d: eager run should exhaust", trial)
 		}
-		legacy := NewLegacySearcher(g, tw, sub, opt)
-		if !legacy.RunEager(nil, func(m Match) bool { want = append(want, m); return true }) {
-			t.Fatalf("trial %d: legacy eager run should exhaust", trial)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: arena emitted %d, legacy %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if !matchesEqual(got[i], want[i]) {
-				t.Fatalf("trial %d: eager match %d differs:\narena  %+v\nlegacy %+v",
-					trial, i, got[i], want[i])
-			}
-		}
-		if arena.Stats() != legacy.Stats() {
-			t.Fatalf("trial %d: stats differ: arena %+v, legacy %+v",
-				trial, arena.Stats(), legacy.Stats())
-		}
+		checkAgainstOracle(t, fmt.Sprintf("trial %d", trial), g, oracleSub(tw, sub), opt, got, false, true)
 	}
 }

@@ -258,7 +258,7 @@ func runSteady(art *Artifact, eng *core.Engine, qs []*query.Graph, cfg LoadConfi
 	}
 	subs := make([]compiled, len(qs))
 	for i, q := range qs {
-		cs, _, err := compileSubQueries(eng, cfg.MaxHops, q, false)
+		cs, err := compileSubQueries(eng, cfg.MaxHops, q)
 		if err != nil {
 			return err
 		}

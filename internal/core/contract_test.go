@@ -11,8 +11,9 @@ import (
 // run through the whole-graph engine, an in-process partition, a
 // coordinator over httptest shard servers, and a resharding engine on
 // both sides of its swap. Every shape must return the reference result
-// (answers, pivot, approximate flag, per-sub collected counts) and emit
-// the same event skeleton:
+// (answers, pivot, approximate flag, per-sub collected counts) — the
+// whole-graph engine's, itself judged by the oracle — and emit the same
+// event skeleton:
 //
 //	search → per-source progress, exactly one Done each → assemble with
 //	per-sub-query counts → at least one topk → result
@@ -66,6 +67,7 @@ func TestOneEventContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				oracleCheck(t, name+"/reference", e, ds.Library, q.Graph, mode.opts, want)
 				st, err := shape.q.Stream(ctx, q.Graph, mode.opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

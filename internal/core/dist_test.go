@@ -79,6 +79,7 @@ func TestDistSearchEquivalenceSGQ(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s: %v", seed, q.Name, err)
 				}
+				oracleCheck(t, q.Name+"/single", e, ds.Library, q.Graph, opts, want)
 				for n, dep := range deployments {
 					got, err := dep.dist.Search(ctx, q.Graph, opts)
 					if err != nil {

@@ -119,7 +119,8 @@ type Options struct {
 	// TimeBound, when positive, switches to the response-time-bounded
 	// mode (TBQ, Section VI) with this bound T.
 	TimeBound time.Duration
-	// AlertRatio is Algorithm 3's r% (default 0.8). TBQ mode only.
+	// AlertRatio is Algorithm 3's r% (default tbq.DefaultAlertRatio). TBQ
+	// mode only.
 	AlertRatio float64
 	// Clock abstracts time in TBQ mode (tests); nil = wall clock.
 	Clock tbq.Clock
@@ -147,7 +148,7 @@ func badRequest(err error) error {
 // Validate reports out-of-range option values with explicit errors instead
 // of the silent clamping the fields would otherwise fall through to. Zero
 // values are valid and mean "use the default" (K=10, τ=0.8, n̂=4,
-// r%=0.8); Search, Stream and the HTTP service all validate before
+// r%=tbq.DefaultAlertRatio); Search, Stream and the HTTP service all validate before
 // running, so a bad request fails fast instead of searching with
 // surprising parameters.
 func (o Options) Validate() error {
@@ -164,7 +165,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: TimeBound = %v out of range (must be non-negative; 0 selects the exact SGQ mode)", o.TimeBound)
 	}
 	if o.AlertRatio < 0 || o.AlertRatio > 1 {
-		return fmt.Errorf("core: AlertRatio = %v out of range (must be in (0,1], or 0 for the default 0.8)", o.AlertRatio)
+		return fmt.Errorf("core: AlertRatio = %v out of range (must be in (0,1], or 0 for the default %v)", o.AlertRatio, tbq.DefaultAlertRatio)
 	}
 	return nil
 }

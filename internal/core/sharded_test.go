@@ -107,6 +107,7 @@ func TestShardedSearchEquivalenceSGQ(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s: %v", seed, q.Name, err)
 				}
+				oracleCheck(t, q.Name+"/single", e, ds.Library, q.Graph, opts, want)
 				for n, se := range engines {
 					got, err := se.Search(ctx, q.Graph, opts)
 					if err != nil {

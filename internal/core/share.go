@@ -52,12 +52,15 @@ type SubSource interface {
 // of how many runs share the search or how they interleave. A consumer
 // that stops pulling (context cancellation, early TA termination) simply
 // leaves the prefix where it is — there is no partial state to unwind,
-// and the memoized matches keep serving other consumers.
+// and the memoized matches keep serving other consumers. Once the
+// enumeration runs dry the searcher — arena, frontier, weighter pages — is
+// released: nothing can pull from it again, and a sub-cache entry would
+// otherwise pin it for the generation.
 type SharedSearch struct {
-	mu        sync.Mutex
-	sr        *astar.Searcher
-	matches   []astar.Match
-	exhausted bool
+	mu      sync.Mutex
+	sr      *astar.Searcher // nil once exhausted
+	stats   astar.Stats     // sr's final counters, kept past its release
+	matches []astar.Match
 }
 
 // NewSharedSearch wraps a freshly built searcher for shared consumption.
@@ -70,10 +73,10 @@ func NewSharedSearch(sr *astar.Searcher) *SharedSearch {
 func (s *SharedSearch) at(i int) (astar.Match, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.matches) <= i && !s.exhausted {
+	for len(s.matches) <= i && s.sr != nil {
 		m, ok := s.sr.Next()
 		if !ok {
-			s.exhausted = true
+			s.stats, s.sr = s.sr.Stats(), nil
 			break
 		}
 		s.matches = append(s.matches, m)
@@ -95,6 +98,9 @@ func (s *SharedSearch) Cursor() MatchStream { return &sharedCursor{s: s} }
 func (s *SharedSearch) SearchStats() astar.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.sr == nil {
+		return s.stats
+	}
 	return s.sr.Stats()
 }
 

@@ -238,6 +238,82 @@ func TestSharedSearchPartialConsumerLeavesPrefix(t *testing.T) {
 	}
 }
 
+// drainCursor reads a match stream to its end.
+func drainCursor(cur MatchStream) []astar.Match {
+	var out []astar.Match
+	for m, ok := cur.Next(); ok; m, ok = cur.Next() {
+		out = append(out, m)
+	}
+	return out
+}
+
+// TestSharedSearchReleasesExhaustedSearcher: once the enumeration runs dry
+// the searcher (arena, frontier, weighter pages) is dropped — a sub-cache
+// entry pins the SharedSearch for a whole generation — while its effort
+// counters, the memoized count and every cursor's sequence stay what they
+// were. Two cursors race to the end, so -race covers the release.
+func TestSharedSearchReleasesExhaustedSearcher(t *testing.T) {
+	e := newTestEngine(t)
+	p, err := e.Compile(q117("assembly"), Options{Tau: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	priv, err := e.subSearcher(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drainCursor(priv)
+	if len(want) < 2 {
+		t.Fatalf("reference enumeration has %d matches, want several", len(want))
+	}
+
+	ss, err := e.NewSubSearch(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := ss.Cursor() // reads one match now, the rest after the release
+	if m, ok := early.Next(); !ok || !reflect.DeepEqual(m, want[0]) {
+		t.Fatalf("first shared match = %+v, %v", m, ok)
+	}
+	if ss.sr == nil {
+		t.Fatal("searcher released while the enumeration can still extend")
+	}
+
+	racing := make([][]astar.Match, 2)
+	var wg sync.WaitGroup
+	for r := range racing {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			cur := ss.Cursor()
+			for m, ok := cur.Next(); ok; m, ok = cur.Next() {
+				racing[r] = append(racing[r], m)
+				ss.SearchStats() // readers of the counters race the release too
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	if ss.sr != nil {
+		t.Error("exhausted enumeration still holds its searcher")
+	}
+	if st := ss.SearchStats(); st != priv.Stats() {
+		t.Errorf("stats after release = %+v, a private searcher's final stats are %+v", st, priv.Stats())
+	}
+	if ss.Memoized() != len(want) {
+		t.Errorf("memoized %d matches after release, want %d", ss.Memoized(), len(want))
+	}
+	resumed := append([]astar.Match{want[0]}, drainCursor(early)...)
+	for name, seq := range map[string][]astar.Match{
+		"racing cursor 0": racing[0], "racing cursor 1": racing[1],
+		"cursor resumed after the release": resumed, "cursor opened after the release": drainCursor(ss.Cursor()),
+	} {
+		if !reflect.DeepEqual(seq, want) {
+			t.Errorf("%s: sequence differs from the private enumeration", name)
+		}
+	}
+}
+
 // TestSubqueryKeyStability: recompiling the same query yields identical
 // keys; changing the query shape or a search-relevant option changes them.
 func TestSubqueryKeyStability(t *testing.T) {

@@ -93,6 +93,7 @@ func TestSnapshotSearchEquivalence(t *testing.T) {
 				t.Fatalf("seed %d %s: %v", seed, q.Name, err)
 			}
 			assertResultsEqual(t, q.Name+"/sgq", got, want)
+			oracleCheck(t, q.Name+"/sgq over the reloaded graph", e2, ds.Library, q.Graph, sgq, got)
 
 			tbqOpts := func() Options {
 				return Options{K: 5, Tau: 0.5, MaxHops: 3,
@@ -170,6 +171,7 @@ func TestDeltaSearchEquivalence(t *testing.T) {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
 		assertResultsEqual(t, q.Name+"/delta", got, want)
+		oracleCheck(t, q.Name+"/over the committed graph", eCommit, ds.Library, q.Graph, opts, got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"semkg/internal/datagen"
 	"semkg/internal/embed"
 	"semkg/internal/kg"
+	"semkg/internal/oracle"
 	"semkg/internal/semgraph"
 )
 
@@ -32,9 +33,12 @@ func randomSpace(t *testing.T, g *kg.Graph, rng *rand.Rand) *embed.Space {
 }
 
 // TestNodeMaxEqualsScanOnWorlds is the NodePreds/adjacency equivalence
-// property: on randomized datagen worlds, the slab-backed NodeMax (driven
-// by the distinct-predicate CSR) must return bitwise-identical bounds to
-// the seed's adjacency-scanning ScanWeighter, for every node and segment.
+// property: on randomized datagen worlds, every weight must be bitwise the
+// oracle's clamped cosine read straight from the space, and the
+// slab-backed NodeMax (driven by the distinct-predicate CSR) bitwise the
+// m(u) bound's definition — the maximum of those weights over u's whole
+// adjacency list and over the current and later segments — for every node
+// and segment.
 func TestNodeMaxEqualsScanOnWorlds(t *testing.T) {
 	profiles := []datagen.Profile{
 		datagen.DBpediaLike(0.12),
@@ -62,24 +66,30 @@ func TestNodeMaxEqualsScanOnWorlds(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, err := semgraph.NewScanWeighter(g, sp, q)
-					if err != nil {
-						t.Fatal(err)
+					resolved := make([]kg.PredID, len(q))
+					for seg, name := range q {
+						if resolved[seg], err = semgraph.ResolvePredicate(g, name); err != nil {
+							t.Fatal(err)
+						}
 					}
 					for pid := 0; pid < g.NumPredicates(); pid++ {
 						for seg := range q {
-							if a, b := fast.Weight(kg.PredID(pid), seg), ref.Weight(kg.PredID(pid), seg); a != b {
-								t.Fatalf("Weight(%d, %d): %v vs %v", pid, seg, a, b)
+							if a, b := fast.Weight(kg.PredID(pid), seg), oracle.Weight(sp, resolved[seg], kg.PredID(pid)); a != b {
+								t.Fatalf("Weight(%d, %d): %v, the space gives %v", pid, seg, a, b)
 							}
 						}
 					}
 					for u := 0; u < g.NumNodes(); u++ {
 						for seg := range q {
-							a := fast.NodeMax(kg.NodeID(u), seg)
-							b := ref.NodeMax(kg.NodeID(u), seg)
-							if a != b {
+							scan := semgraph.MinWeight
+							for _, h := range g.Neighbors(kg.NodeID(u)) {
+								for later := seg; later < len(q); later++ {
+									scan = max(scan, oracle.Weight(sp, resolved[later], h.Pred))
+								}
+							}
+							if a := fast.NodeMax(kg.NodeID(u), seg); a != scan {
 								t.Fatalf("NodeMax(%d, %d) on %s: slab %v, scan %v",
-									u, seg, g.NodeName(kg.NodeID(u)), a, b)
+									u, seg, g.NodeName(kg.NodeID(u)), a, scan)
 							}
 						}
 					}

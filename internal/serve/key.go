@@ -7,6 +7,7 @@ import (
 
 	"semkg/internal/core"
 	"semkg/internal/query"
+	"semkg/internal/tbq"
 )
 
 // Cache keys are SHA-256 digests over a canonical, length-prefixed
@@ -36,7 +37,7 @@ func writeQuery(h hash.Hash, q *query.Graph) {
 func canonOpts(opts core.Options) core.Options {
 	o := opts.Normalized()
 	if o.AlertRatio <= 0 {
-		o.AlertRatio = 0.8 // tbq.Config default
+		o.AlertRatio = tbq.DefaultAlertRatio
 	}
 	if o.TimeBound == 0 {
 		o.AlertRatio = 0

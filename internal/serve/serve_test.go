@@ -654,9 +654,9 @@ func TestKeyCanonicalization(t *testing.T) {
 	q := q117()
 	tbqA, tbqB := testOpts(), testOpts()
 	tbqA.TimeBound, tbqB.TimeBound = time.Second, time.Second
-	tbqB.AlertRatio = 0.8 // tbq default == unset
+	tbqB.AlertRatio = tbq.DefaultAlertRatio // == unset
 	if resultKey(q, tbqA) != resultKey(q, tbqB) {
-		t.Error("TBQ alert ratio 0 vs default 0.8 should share a key")
+		t.Error("TBQ alert ratio 0 vs the tbq default should share a key")
 	}
 	exactA, exactB := testOpts(), testOpts()
 	exactB.AlertRatio = 0.5 // ignored without a time bound
@@ -665,6 +665,6 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 	tbqB.AlertRatio = 0.5 // a real TBQ difference must not collide
 	if resultKey(q, tbqA) == resultKey(q, tbqB) {
-		t.Error("TBQ alert ratio 0.8 vs 0.5 must not share a key")
+		t.Error("TBQ alert ratio default vs 0.5 must not share a key")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"semkg/internal/astar"
 	"semkg/internal/kg"
+	"semkg/internal/oracle"
 )
 
 // entry builds a minimal match ending at pivot with the given pss.
@@ -123,99 +124,40 @@ func TestAssembleEarlyTermination(t *testing.T) {
 	}
 }
 
-// naiveJoin computes the exact top-k by materializing everything.
-func naiveJoin(lists [][]pair, k int) []Final {
-	n := len(lists)
-	type agg struct {
-		score float64
-		seen  int
-	}
-	best := make(map[kg.NodeID]*agg)
-	for _, l := range lists {
-		seenHere := make(map[kg.NodeID]float64)
-		for _, p := range l {
-			if old, ok := seenHere[p.p]; !ok || p.pss > old {
-				seenHere[p.p] = p.pss
-			}
-		}
-		for pivot, pss := range seenHere {
-			a := best[pivot]
-			if a == nil {
-				a = &agg{}
-				best[pivot] = a
-			}
-			a.score += pss
-			a.seen++
-		}
-	}
-	var out []Final
-	for pivot, a := range best {
-		if a.seen == n {
-			out = append(out, Final{Pivot: pivot, Score: a.score})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Pivot < out[j].Pivot
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
 // TestAssembleMatchesNaiveJoin: on random inputs the TA assembly must agree
-// with the exhaustive join (Theorem 3).
+// with the oracle's exhaustive join under its comparison rule (Theorem 3):
+// the same score vector, every pivot above the k-th score, each pivot at
+// its own joined score.
 func TestAssembleMatchesNaiveJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		nLists := rng.Intn(3) + 1
 		k := rng.Intn(5) + 1
-		raw := make([][]pair, nLists)
+		// Streams are deduplicated per pivot (the searcher emits one match
+		// per entity): keep the max.
+		best := make([]map[kg.NodeID]oracle.Match, nLists)
 		streams := make([]Stream, nLists)
-		for i := range raw {
-			m := rng.Intn(30)
-			for j := 0; j < m; j++ {
-				raw[i] = append(raw[i], pair{kg.NodeID(rng.Intn(12)), rng.Float64()})
-			}
-			// Streams must be deduplicated per pivot (the searcher emits
-			// one match per entity): keep the max.
-			seen := make(map[kg.NodeID]float64)
-			for _, p := range raw[i] {
-				if old, ok := seen[p.p]; !ok || p.pss > old {
-					seen[p.p] = p.pss
+		for i := range best {
+			best[i] = make(map[kg.NodeID]oracle.Match)
+			for j, m := 0, rng.Intn(30); j < m; j++ {
+				p, pss := kg.NodeID(rng.Intn(12)), rng.Float64()
+				if pss > best[i][p].PSS {
+					best[i][p] = oracle.Match{PSS: pss}
 				}
 			}
 			var dedup []pair
-			for piv, pss := range seen {
-				dedup = append(dedup, pair{piv, pss})
+			for piv, m := range best[i] {
+				dedup = append(dedup, pair{piv, m.PSS})
 			}
-			raw[i] = dedup
 			streams[i] = list(dedup...)
 		}
-		want := naiveJoin(raw, k)
-		got, _ := Assemble(streams, k)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d finals, want %d (%v vs %v)", trial, len(got), len(want), got, want)
+		finals, _ := Assemble(streams, k)
+		got := make([]oracle.Scored, len(finals))
+		for i, f := range finals {
+			got[i] = oracle.Scored{Pivot: f.Pivot, Score: f.Score}
 		}
-		for i := range want {
-			if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-				t.Fatalf("trial %d: rank %d score %v, want %v", trial, i, got[i].Score, want[i].Score)
-			}
-		}
-		// Pivot sets of equal-score prefixes must coincide.
-		gotSet := map[kg.NodeID]bool{}
-		wantSet := map[kg.NodeID]bool{}
-		for i := range want {
-			gotSet[got[i].Pivot] = true
-			wantSet[want[i].Pivot] = true
-		}
-		for p := range wantSet {
-			if !gotSet[p] {
-				t.Fatalf("trial %d: pivot %d missing from TA result", trial, p)
-			}
+		if err := oracle.Compare(got, oracle.Join(best), k, false); err != nil {
+			t.Fatalf("trial %d: %v (got %+v)", trial, err, got)
 		}
 	}
 }

@@ -14,7 +14,6 @@ package tbq
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +54,7 @@ type Config struct {
 	// Bound is the user-specified time bound T (the desired SRT).
 	Bound time.Duration
 	// AlertRatio is r% of Algorithm 3; search stops when the estimated
-	// total time reaches Bound*AlertRatio. Default 0.8 (the paper's 80%).
+	// total time reaches Bound*AlertRatio. Default DefaultAlertRatio.
 	AlertRatio float64
 	// PerMatchTA is the empirical time t for processing one collected
 	// match during TA assembly. Zero uses a calibrated default.
@@ -64,9 +63,13 @@ type Config struct {
 	Clock Clock
 }
 
+// DefaultAlertRatio is Algorithm 3's r% when a run sets none: the paper's
+// 80%. Cache keys canonicalize an unset ratio to it (internal/serve).
+const DefaultAlertRatio = 0.8
+
 func (c Config) withDefaults() Config {
 	if c.AlertRatio <= 0 || c.AlertRatio > 1 {
-		c.AlertRatio = 0.8
+		c.AlertRatio = DefaultAlertRatio
 	}
 	if c.PerMatchTA <= 0 {
 		c.PerMatchTA = defaultPerMatch
@@ -103,18 +106,6 @@ func Calibrate() time.Duration {
 	return t
 }
 
-// Result is the outcome of a time-bounded run.
-type Result struct {
-	Finals []ta.Final
-	// Elapsed is the total observed duration of search plus assembly.
-	Elapsed time.Duration
-	// Exhausted reports that every search ran dry before the alert
-	// threshold: the result is then the exact top-k, not an approximation.
-	Exhausted bool
-	// Collected is |M̂_i| per sub-query at assembly time.
-	Collected []int
-}
-
 // Estimator is Algorithm 3's synchronized time estimate for a set of
 // concurrent eager searches: T̂ = elapsed search time (the searches run
 // concurrently, so max{T_A*} is the shared wall elapsed) plus the
@@ -131,8 +122,8 @@ type Estimator struct {
 	stopped atomic.Bool
 }
 
-// NewEstimator starts the clock (Config defaults applied: r% = 0.8,
-// calibrated t, wall clock). onAlert, when non-nil, fires exactly once —
+// NewEstimator starts the clock (Config defaults applied:
+// DefaultAlertRatio, calibrated t, wall clock). onAlert, when non-nil, fires exactly once —
 // when the estimate first reaches the alert threshold Bound·r%, not on
 // cancellation.
 func NewEstimator(ctx context.Context, cfg Config, onAlert func(elapsed, projected time.Duration)) *Estimator {
@@ -171,8 +162,8 @@ func (e *Estimator) Stop() bool {
 func (e *Estimator) Elapsed() time.Duration { return e.cfg.Clock.Now().Sub(e.start) }
 
 // Collect is Algorithm 2's eager collection for one searcher — the one
-// best-per-end loop every time-bounded path shares (the Run oracle, the
-// engines' local match sources, the shard server). It runs sr eagerly
+// best-per-end loop every time-bounded path shares (the engines' local
+// match sources and the shard server). It runs sr eagerly
 // until est says stop, keeping the best match per end entity; each newly
 // seen entity raises est's projection by one match and fires onNew (when
 // non-nil) with the set's new size. remap, when non-nil, rewrites every
@@ -198,51 +189,4 @@ func Collect(sr *astar.Searcher, est *Estimator, remap func(astar.Match) astar.M
 		return true
 	})
 	return best, exhausted
-}
-
-// Run executes the time-bounded query: searchers (one per sub-query graph,
-// already positioned at their anchors) run concurrently in eager mode until
-// Algorithm 3's estimate reaches the alert threshold, then the collected
-// match sets are assembled into the approximate top-k. The engines run the
-// same phases inside their event pipeline (core.Stream); Run is the
-// free-standing form the equivalence tests use as their oracle.
-//
-// ctx cancellation stops the search phase early (the assembly still runs on
-// whatever was collected).
-func Run(ctx context.Context, searchers []*astar.Searcher, k int, cfg Config) Result {
-	est := NewEstimator(ctx, cfg, nil)
-	sets := make([]map[kg.NodeID]astar.Match, len(searchers))
-	exhausted := make([]bool, len(searchers))
-	var wg sync.WaitGroup
-	for i, s := range searchers {
-		wg.Add(1)
-		go func(i int, s *astar.Searcher) {
-			defer wg.Done()
-			sets[i], exhausted[i] = Collect(s, est, nil, nil)
-		}(i, s)
-	}
-	wg.Wait()
-
-	res := Result{Exhausted: true, Collected: make([]int, len(searchers))}
-	streams := make([]ta.Stream, len(searchers))
-	for i, best := range sets {
-		ms := make([]astar.Match, 0, len(best))
-		for _, m := range best {
-			ms = append(ms, m)
-		}
-		sort.Slice(ms, func(a, b int) bool {
-			if ms[a].PSS != ms[b].PSS {
-				return ms[a].PSS > ms[b].PSS
-			}
-			return ms[a].End() < ms[b].End()
-		})
-		streams[i] = &ta.SliceStream{Matches: ms}
-		res.Collected[i] = len(ms)
-		if !exhausted[i] {
-			res.Exhausted = false
-		}
-	}
-	res.Finals, _ = ta.Assemble(streams, k)
-	res.Elapsed = est.Elapsed()
-	return res
 }

@@ -3,6 +3,8 @@ package tbq
 import (
 	"context"
 	"math"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,6 +85,63 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(buf[pos:])
+}
+
+// Result is the outcome of a time-bounded run.
+type Result struct {
+	Finals []ta.Final
+	// Elapsed is the total observed duration of search plus assembly.
+	Elapsed time.Duration
+	// Exhausted reports that every search ran dry before the alert
+	// threshold: the result is then the exact top-k, not an approximation.
+	Exhausted bool
+	// Collected is |M̂_i| per sub-query at assembly time.
+	Collected []int
+}
+
+// Run is the free-standing time-bounded query the tests below drive: the
+// phases the engines run inside their event pipeline (core.Stream), built
+// from the package's own parts. Searchers (one per sub-query graph) run
+// concurrently in eager mode under one Estimator until it says stop, then
+// the collected best-per-end sets are assembled into the approximate
+// top-k. ctx cancellation stops the search phase early (the assembly still
+// runs on whatever was collected).
+func Run(ctx context.Context, searchers []*astar.Searcher, k int, cfg Config) Result {
+	est := NewEstimator(ctx, cfg, nil)
+	sets := make([]map[kg.NodeID]astar.Match, len(searchers))
+	exhausted := make([]bool, len(searchers))
+	var wg sync.WaitGroup
+	for i, s := range searchers {
+		wg.Add(1)
+		go func(i int, s *astar.Searcher) {
+			defer wg.Done()
+			sets[i], exhausted[i] = Collect(s, est, nil, nil)
+		}(i, s)
+	}
+	wg.Wait()
+
+	res := Result{Exhausted: true, Collected: make([]int, len(searchers))}
+	streams := make([]ta.Stream, len(searchers))
+	for i, best := range sets {
+		ms := make([]astar.Match, 0, len(best))
+		for _, m := range best {
+			ms = append(ms, m)
+		}
+		sort.Slice(ms, func(a, b int) bool {
+			if ms[a].PSS != ms[b].PSS {
+				return ms[a].PSS > ms[b].PSS
+			}
+			return ms[a].End() < ms[b].End()
+		})
+		streams[i] = &ta.SliceStream{Matches: ms}
+		res.Collected[i] = len(ms)
+		if !exhausted[i] {
+			res.Exhausted = false
+		}
+	}
+	res.Finals, _ = ta.Assemble(streams, k)
+	res.Elapsed = est.Elapsed()
+	return res
 }
 
 func searchOpts() astar.Options { return astar.Options{Tau: 0.3, MaxHops: 3} }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"semkg/internal/datagen"
 	"semkg/internal/kg"
+	"semkg/internal/oracle"
 	"semkg/internal/strutil"
 	"semkg/internal/transform"
 )
@@ -48,8 +50,9 @@ func probesFor(g *kg.Graph, names []string, rng *rand.Rand, budget int) []string
 
 // TestMatchEqualsScanOnWorlds is the index/scan equivalence property: on
 // randomized datagen worlds, the index-backed MatchName/MatchTypes must
-// return exactly the seed linear scans' results — same matches, same
-// order, with and without the synonym library.
+// return exactly what the oracle's linear scans over every node and type
+// return — same matches, same order, with and without the synonym
+// library.
 func TestMatchEqualsScanOnWorlds(t *testing.T) {
 	profiles := []datagen.Profile{
 		datagen.DBpediaLike(0.15),
@@ -78,9 +81,13 @@ func TestMatchEqualsScanOnWorlds(t *testing.T) {
 
 				for _, lib := range []*transform.Library{ds.Library, nil} {
 					m := transform.NewMatcher(g, lib)
+					expand := transform.NewLibrary().Expand
+					if lib != nil {
+						expand = lib.Expand
+					}
 					for _, probe := range nameProbes {
 						got := m.MatchName(probe)
-						want := m.MatchNameScan(probe)
+						want := oracle.Names(g, expand(probe))
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("MatchName(%q) (lib=%v): indexed %v, scan %v",
 								probe, lib != nil, got, want)
@@ -88,17 +95,38 @@ func TestMatchEqualsScanOnWorlds(t *testing.T) {
 					}
 					for _, probe := range typeProbes {
 						got := m.MatchTypes(probe)
-						want := m.MatchTypesScan(probe)
+						want := oracle.Types(g, expand(probe))
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("MatchTypes(%q) (lib=%v): indexed %v, scan %v",
 								probe, lib != nil, got, want)
 						}
 					}
-					// The fallback-disabled paths share all code; spot-check.
+					// MatchNode composes the two; the oracle's φ lists a
+					// target node's matches in id order, not type by type.
+					for i, probe := range typeProbes[:min(40, len(typeProbes), len(nameProbes))] {
+						for _, name := range []string{"", nameProbes[i]} {
+							got := slices.Clone(m.MatchNode(name, probe))
+							slices.Sort(got)
+							want := oracle.Phi(g, expand, name, probe)
+							slices.Sort(want)
+							if !slices.Equal(got, want) {
+								t.Fatalf("MatchNode(%q, %q) (lib=%v): indexed %v, scan %v",
+									name, probe, lib != nil, got, want)
+							}
+						}
+					}
+					// With the fallback off only the exact pass remains: the
+					// scan's matches that an expansion term names outright.
 					m.FallbackScan = false
 					for _, probe := range nameProbes[:10] {
-						if !reflect.DeepEqual(m.MatchName(probe), m.MatchNameScan(probe)) {
-							t.Fatalf("MatchName(%q) differs with FallbackScan off", probe)
+						var want []kg.NodeID
+						for _, u := range oracle.Names(g, expand(probe)) {
+							if slices.Contains(expand(probe), g.NodeName(u)) {
+								want = append(want, u)
+							}
+						}
+						if got := m.MatchName(probe); !reflect.DeepEqual(got, want) {
+							t.Fatalf("MatchName(%q) with FallbackScan off: %v, want %v", probe, got, want)
 						}
 					}
 					m.FallbackScan = true

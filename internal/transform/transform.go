@@ -128,9 +128,8 @@ func NewMatcher(g *kg.Graph, lib *Library) *Matcher {
 
 // MatchTypes returns the graph types matching typeName per Definition 3
 // (identical, synonym, abbreviation), in deterministic order. The fallback
-// pass runs on the graph's normalized-name/initials/prefix indexes; the
-// seed's linear scan is preserved as MatchTypesScan and the two are
-// equivalence-tested against each other.
+// pass runs on the graph's normalized-name/initials/prefix indexes instead
+// of scanning the type vocabulary.
 func (m *Matcher) MatchTypes(typeName string) []kg.TypeID {
 	if typeName == "" {
 		return nil
@@ -157,7 +156,7 @@ func (m *Matcher) MatchTypes(typeName string) []kg.TypeID {
 			m.g.TypesByNormName, m.g.TypesByInitials, m.g.TypesByProperNormPrefix)...)
 		for _, t := range dedupeSorted(cands) {
 			// The indexes key normalized names, under which distinct TypeIDs
-			// can collide; re-check the exact seed predicate per candidate.
+			// can collide; re-check the exact predicate per candidate.
 			name := m.g.TypeName(t)
 			if m.lib.Same(typeName, name) ||
 				strutil.IsAbbreviationOf(typeName, name) ||
@@ -171,8 +170,7 @@ func (m *Matcher) MatchTypes(typeName string) []kg.TypeID {
 
 // MatchName returns the graph nodes whose name matches name per
 // Definition 3, in deterministic order. The abbreviation fallback runs on
-// the graph's indexes instead of scanning all nodes; MatchNameScan keeps
-// the seed scan for the equivalence tests and before/after benchmarks.
+// the graph's indexes instead of scanning all nodes.
 func (m *Matcher) MatchName(name string) []kg.NodeID {
 	if name == "" {
 		return nil
@@ -199,7 +197,7 @@ func (m *Matcher) MatchName(name string) []kg.NodeID {
 
 // abbreviationCandidates enumerates, via the kg indexes, exactly the ids
 // satisfying IsAbbreviationOf(name, candidate) || IsAbbreviationOf(candidate,
-// name) — the seed fallback predicate. Four index probes cover its disjuncts:
+// name) — the fallback predicate. Four index probes cover its disjuncts:
 //
 //	(a) name is a strict prefix of the candidate's normalized name;
 //	(b) name equals the candidate's initials (all or significant words);
@@ -209,7 +207,7 @@ func (m *Matcher) MatchName(name string) []kg.NodeID {
 // IsAbbreviationOf additionally requires the abbreviation side to be >= 2
 // bytes and strictly shorter than the full side, mirrored here before each
 // probe. Results may repeat across probes and are unordered; callers
-// dedupe and sort (the seed scan emitted ascending ids).
+// dedupe and sort.
 func abbreviationCandidates[ID ~int32](name string,
 	byNorm, byInitials, byProperPrefix func(string) []ID) []ID {
 
@@ -232,8 +230,8 @@ func abbreviationCandidates[ID ~int32](name string,
 	return cands
 }
 
-// dedupeSorted sorts ids ascending and removes duplicates, reproducing the
-// emission order of the seed's ascending-id linear scans.
+// dedupeSorted sorts ids ascending and removes duplicates: the fallback
+// emits in id order, as a linear scan would.
 func dedupeSorted[ID ~int32](ids []ID) []ID {
 	if len(ids) < 2 {
 		return ids
@@ -243,68 +241,6 @@ func dedupeSorted[ID ~int32](ids []ID) []ID {
 	for _, id := range ids[1:] {
 		if id != out[len(out)-1] {
 			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// MatchTypesScan is the seed implementation of MatchTypes' fallback (full
-// linear scan over the type vocabulary), preserved for the index/scan
-// equivalence tests and the hotpath before/after benchmarks.
-func (m *Matcher) MatchTypesScan(typeName string) []kg.TypeID {
-	if typeName == "" {
-		return nil
-	}
-	var out []kg.TypeID
-	seen := make(map[kg.TypeID]bool)
-	add := func(t kg.TypeID) {
-		if t != kg.NoType && !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	for _, term := range m.lib.Expand(typeName) {
-		add(m.g.TypeByName(term))
-	}
-	if len(out) == 0 && m.FallbackScan {
-		for i := 0; i < m.g.NumTypes(); i++ {
-			t := kg.TypeID(i)
-			name := m.g.TypeName(t)
-			if m.lib.Same(typeName, name) ||
-				strutil.IsAbbreviationOf(typeName, name) ||
-				strutil.IsAbbreviationOf(name, typeName) {
-				add(t)
-			}
-		}
-	}
-	return out
-}
-
-// MatchNameScan is the seed implementation of MatchName's fallback (full
-// linear scan over all nodes), preserved for the index/scan equivalence
-// tests and the hotpath before/after benchmarks.
-func (m *Matcher) MatchNameScan(name string) []kg.NodeID {
-	if name == "" {
-		return nil
-	}
-	var out []kg.NodeID
-	seen := make(map[kg.NodeID]bool)
-	add := func(u kg.NodeID) {
-		if u != kg.NoNode && !seen[u] {
-			seen[u] = true
-			out = append(out, u)
-		}
-	}
-	for _, term := range m.lib.Expand(name) {
-		add(m.g.NodeByName(term))
-	}
-	if len(out) == 0 && m.FallbackScan {
-		for i := 0; i < m.g.NumNodes(); i++ {
-			u := kg.NodeID(i)
-			n := m.g.NodeName(u)
-			if strutil.IsAbbreviationOf(name, n) || strutil.IsAbbreviationOf(n, name) {
-				add(u)
-			}
 		}
 	}
 	return out
@@ -367,35 +303,6 @@ func (m *Matcher) MatchNode(name, typeName string) []kg.NodeID {
 	}
 	var out []kg.NodeID
 	for _, t := range m.MatchTypes(typeName) {
-		out = append(out, m.g.NodesOfType(t)...)
-	}
-	return out
-}
-
-// MatchNodeScan is MatchNode routed through the seed's linear-scan
-// fallbacks (MatchNameScan/MatchTypesScan), preserved for the equivalence
-// tests and the hotpath before/after benchmarks.
-func (m *Matcher) MatchNodeScan(name, typeName string) []kg.NodeID {
-	if name != "" {
-		byName := m.MatchNameScan(name)
-		if typeName == "" {
-			return byName
-		}
-		types := m.MatchTypesScan(typeName)
-		typeSet := make(map[kg.TypeID]bool, len(types))
-		for _, t := range types {
-			typeSet[t] = true
-		}
-		var out []kg.NodeID
-		for _, u := range byName {
-			if m.g.NodeType(u) == kg.NoType || typeSet[m.g.NodeType(u)] {
-				out = append(out, u)
-			}
-		}
-		return out
-	}
-	var out []kg.NodeID
-	for _, t := range m.MatchTypesScan(typeName) {
 		out = append(out, m.g.NodesOfType(t)...)
 	}
 	return out
