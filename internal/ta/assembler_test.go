@@ -3,84 +3,196 @@ package ta
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"semkg/internal/astar"
 	"semkg/internal/kg"
 )
 
-// TestAssemblerMatchesAssemble drives an Assembler step by step over random
-// stream sets and checks that finals and stats are identical to the
-// one-shot Assemble on equal inputs.
-func TestAssemblerMatchesAssemble(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		nStreams := 1 + rng.Intn(4)
-		k := 1 + rng.Intn(5)
-		mk := func() ([]Stream, []Stream) {
-			a := make([]Stream, nStreams)
-			b := make([]Stream, nStreams)
-			for i := range a {
-				n := rng.Intn(12)
-				ms := make([]astar.Match, n)
-				for j := range ms {
-					ms[j] = entry(kg.NodeID(rng.Intn(8)), float64(rng.Intn(100))/100)
-				}
-				sortMatches(ms)
-				ms2 := make([]astar.Match, n)
-				copy(ms2, ms)
-				a[i] = &SliceStream{Matches: ms}
-				b[i] = &SliceStream{Matches: ms2}
-			}
-			return a, b
-		}
-		sa, sb := mk()
-		wantFinals, wantStats := Assemble(sa, k)
+// recStream records what an Assembler pulled, so a test can recompute
+// the assembly state from exactly the same inputs.
+type recStream struct {
+	inner  Stream
+	stream int
+	log    *[]access
+}
 
-		asm := NewAssembler(sb, k)
-		steps := 0
-		for asm.Step() {
-			if asm.Done() {
-				t.Fatal("Step returned true on a done assembler")
+type access struct {
+	stream int
+	m      astar.Match
+	ok     bool
+}
+
+func (r *recStream) Next() (astar.Match, bool) {
+	m, ok := r.inner.Next()
+	*r.log = append(*r.log, access{r.stream, m, ok})
+	return m, ok
+}
+
+type refCand struct {
+	pivot kg.NodeID
+	seen  []bool
+	lower float64
+	n     int
+}
+
+// recompute derives the top-k, L_k and U_max from scratch after a prefix
+// of accesses, straight from Eq. 8-11: lower sums pss in access order,
+// upper adds ψcur (1 before the first access, 0 once dead) for every
+// unseen stream, U_max ranges over everything outside the top plus the
+// never-seen candidate Σ ψcur.
+func recompute(log []access, n, k int) (top []*refCand, all map[kg.NodeID]*refCand, lk, umax float64, dead int) {
+	psi := make([]float64, n)
+	for i := range psi {
+		psi[i] = 1
+	}
+	all = map[kg.NodeID]*refCand{}
+	for _, x := range log {
+		if !x.ok {
+			psi[x.stream] = 0
+			dead++
+			continue
+		}
+		psi[x.stream] = x.m.PSS
+		c := all[x.m.End()]
+		if c == nil {
+			c = &refCand{pivot: x.m.End(), seen: make([]bool, n)}
+			all[x.m.End()] = c
+		}
+		if !c.seen[x.stream] {
+			c.seen[x.stream], c.lower, c.n = true, c.lower+x.m.PSS, c.n+1
+		}
+	}
+	for _, c := range all {
+		if c.n == n {
+			top = append(top, c)
+		}
+	}
+	sort.Slice(top, func(i, j int) bool {
+		return top[i].lower > top[j].lower || top[i].lower == top[j].lower && top[i].pivot < top[j].pivot
+	})
+	top = top[:min(len(top), k)]
+	if len(top) == k {
+		lk = top[k-1].lower
+	}
+	for _, p := range psi {
+		umax += p
+	}
+	for _, c := range all {
+		if slices.Contains(top, c) {
+			continue
+		}
+		u := c.lower
+		for i := range psi {
+			if !c.seen[i] {
+				u += psi[i]
 			}
-			steps++
-			if steps > 10000 {
-				t.Fatal("assembler did not terminate")
+		}
+		umax = max(umax, u)
+	}
+	return top, all, lk, umax, dead
+}
+
+// TestAssemblerMatchesRecompute checks the incremental bookkeeping against
+// a from-scratch recompute after every round: the provisional top-k and
+// Bounds() agree on every round, the terminal one included, and the
+// assembler stops on exactly the first round where Theorem 3 holds
+// (len(top) == k && L_k >= U_max) or every stream is dead. Scores sit on a
+// 0.05 grid so ties at the k-th score occur; pivots are drawn with a skew
+// so evicted candidates are seen again.
+func TestAssemblerMatchesRecompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var evictedThenSeen, kthTies int
+	for trial := 0; trial < 150; trial++ {
+		n, k := 1+rng.Intn(6), 1+rng.Intn(8)
+		pivots := 1 + rng.Intn(400)
+		var log []access
+		streams := make([]Stream, n)
+		for i := range streams {
+			ms := make([]astar.Match, rng.Intn(pivots+1))
+			for j, p := range rng.Perm(pivots)[:len(ms)] {
+				ms[j] = entry(kg.NodeID(p), float64(rng.Intn(21))*0.05)
 			}
-			// Provisional ranking is always ≤ k and sorted by score.
-			prov := asm.Provisional()
-			if len(prov) > k {
-				t.Fatalf("provisional has %d > k=%d entries", len(prov), k)
+			sort.SliceStable(ms, func(a, b int) bool { return ms[a].PSS > ms[b].PSS })
+			streams[i] = &recStream{inner: &SliceStream{Matches: ms}, stream: i, log: &log}
+		}
+		asm := NewAssembler(streams, k)
+		for round := 1; ; round++ {
+			evicted := map[kg.NodeID]bool{}
+			for p, c := range asm.cands {
+				evicted[p] = c.slot == outside
 			}
-			for i := 1; i < len(prov); i++ {
-				if prov[i].Score > prov[i-1].Score {
-					t.Fatalf("provisional not sorted: %v", prov)
+			before := len(log)
+			more := asm.Step()
+			for _, x := range log[before:] {
+				if x.ok && evicted[x.m.End()] {
+					evictedThenSeen++
 				}
 			}
+			top, all, lk, umax, dead := recompute(log, n, k)
+			want := len(top) == k && lk >= umax || dead == n
+			if more == want {
+				t.Fatalf("trial %d round %d: Step()=%v, but reference stop rule says %v", trial, round, more, want)
+			}
+			for p, c := range all { // tombstones included
+				if got := asm.cands[p]; got.lower != c.lower || got.nSeen != c.n {
+					t.Fatalf("trial %d round %d: pivot %d at (%v,%d), want (%v,%d)", trial, round, p, got.lower, got.nSeen, c.lower, c.n)
+				}
+			}
+			if gl, gu := asm.Bounds(); gl != lk || gu != umax {
+				t.Fatalf("trial %d round %d: Bounds()=(%v,%v), recompute (%v,%v)", trial, round, gl, gu, lk, umax)
+			}
+			prov := asm.Provisional()
+			if len(prov) != len(top) {
+				t.Fatalf("trial %d round %d: provisional has %d, want %d", trial, round, len(prov), len(top))
+			}
+			for i, c := range top {
+				if prov[i].Pivot != c.pivot || prov[i].Score != c.lower {
+					t.Fatalf("trial %d round %d rank %d: (%d,%v), want (%d,%v)", trial, round, i, prov[i].Pivot, prov[i].Score, c.pivot, c.lower)
+				}
+			}
+			if len(top) == k {
+				for _, c := range all {
+					if c.n == n && c.lower == lk && !slices.Contains(top, c) {
+						kthTies++
+						break
+					}
+				}
+			}
+			if !more {
+				if !reflect.DeepEqual(asm.Finals(), prov) && len(prov) > 0 {
+					t.Fatalf("trial %d: finals %+v != last provisional %+v", trial, asm.Finals(), prov)
+				}
+				break
+			}
 		}
-		if !asm.Done() {
-			t.Fatal("assembler not done after Step returned false")
-		}
-		if !reflect.DeepEqual(asm.Finals(), wantFinals) {
-			t.Fatalf("trial %d: finals differ:\n asm: %+v\n one-shot: %+v", trial, asm.Finals(), wantFinals)
-		}
-		if asm.Stats() != wantStats {
-			t.Fatalf("trial %d: stats differ: %+v vs %+v", trial, asm.Stats(), wantStats)
-		}
-		// The final provisional snapshot equals the finals (modulo the
-		// defensive parts copy).
-		prov := asm.Provisional()
-		if !reflect.DeepEqual(prov, wantFinals) && (len(prov) != 0 || len(wantFinals) != 0) {
-			t.Fatalf("trial %d: final provisional %+v != finals %+v", trial, prov, wantFinals)
-		}
+	}
+	if evictedThenSeen == 0 || kthTies == 0 {
+		t.Fatalf("weak inputs: %d sightings of evicted candidates, %d rounds with a tie at the k-th score", evictedThenSeen, kthTies)
 	}
 }
 
-func sortMatches(ms []astar.Match) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].PSS > ms[j-1].PSS; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
+// TestFinalPartsUnshared: finals alias the slab, but an append to one
+// final's Parts must not write into a neighbour's or into an earlier
+// Provisional snapshot.
+func TestFinalPartsUnshared(t *testing.T) {
+	l1 := list(pair{1, 0.9}, pair{2, 0.8}, pair{3, 0.1})
+	l2 := list(pair{1, 0.9}, pair{2, 0.8}, pair{3, 0.1})
+	asm := NewAssembler([]Stream{l1, l2}, 2)
+	asm.Step()
+	snap := asm.Provisional()
+	asm.Run(nil)
+	finals := asm.Finals()
+	if len(finals) != 2 || len(snap) != 1 {
+		t.Fatalf("finals %+v, snapshot %+v", finals, snap)
+	}
+	want1 := slices.Clone(finals[1].Parts)
+	wantSnap := slices.Clone(snap[0].Parts)
+	_ = append(finals[0].Parts, entry(99, 0.5))
+	if !reflect.DeepEqual(finals[1].Parts, want1) || !reflect.DeepEqual(snap[0].Parts, wantSnap) {
+		t.Fatalf("append to finals[0].Parts leaked: finals[1] %+v, snapshot %+v", finals[1].Parts, snap[0].Parts)
 	}
 }
 

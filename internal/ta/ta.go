@@ -7,7 +7,7 @@
 package ta
 
 import (
-	"sort"
+	"container/heap"
 
 	"semkg/internal/astar"
 	"semkg/internal/kg"
@@ -63,14 +63,25 @@ type candidate struct {
 	parts []astar.Match
 	lower float64
 	nSeen int
+	// key is the Eq. 11 upper bound last computed for the candidate; slot
+	// is its index in the bound heap, or inTop / outside.
+	key  float64
+	slot int
 }
+
+const (
+	inTop   = -1 // one of the k best complete candidates
+	outside = -2 // tombstone: upper bound fell below L_k
+)
 
 // Assembler is the incremental form of the TA assembly: each Step consumes
 // one round-robin round of sorted accesses and re-evaluates the Theorem 3
 // termination condition, so a caller can observe the provisional top-k and
 // its lower/upper bounds between rounds (the anytime view that the
-// streaming API exposes as events). Assemble drives an Assembler to
-// completion and is byte-identical to the seed's one-shot implementation.
+// streaming API exposes as events). Both sides of L_k >= U_max are kept
+// incrementally: top holds the k best complete candidates in rank order,
+// and a lazy max-heap holds every other live candidate under a stale-high
+// upper bound (DESIGN.md, "Incremental Theorem 3").
 //
 // An Assembler is not safe for concurrent use.
 type Assembler struct {
@@ -83,11 +94,17 @@ type Assembler struct {
 	done    bool
 	finals  []Final
 
-	// Round snapshot, refreshed by Step: the current best complete
-	// candidates (≤ k). Bounds are computed lazily (boundsDirty) so that
-	// rounds nobody observes — the batch path — pay nothing beyond the
-	// seed's per-round work.
-	top         []*candidate
+	top  []*candidate // ≤ k complete candidates by (score desc, pivot asc)
+	heap boundHeap    // non-top candidates by key, max first
+
+	// Unused tail of the current slab chunk; candidates, seen flags and
+	// parts are cut from it so a candidate costs no allocation of its own.
+	free      []candidate
+	freeSeen  []bool
+	freeParts []astar.Match
+
+	// Round bounds, computed lazily (boundsDirty) so that rounds nobody
+	// observes before the top fills pay nothing for them.
 	lk, umax    float64
 	boundsDirty bool
 }
@@ -131,7 +148,6 @@ func (a *Assembler) Step() bool {
 	if a.done {
 		return false
 	}
-	n := len(a.streams)
 	a.stats.Rounds++
 	anyAlive := false
 	for i, st := range a.streams {
@@ -150,7 +166,7 @@ func (a *Assembler) Step() bool {
 		p := m.End()
 		c := a.cands[p]
 		if c == nil {
-			c = &candidate{pivot: p, seen: make([]bool, n), parts: make([]astar.Match, n)}
+			c = a.newCandidate(p)
 			a.cands[p] = c
 		}
 		if !c.seen[i] {
@@ -159,54 +175,130 @@ func (a *Assembler) Step() bool {
 			c.parts[i] = m
 			c.lower += m.PSS
 			c.nSeen++
+			if c.nSeen == len(a.streams) {
+				a.complete(c)
+			} else {
+				a.file(c, a.upper(c))
+			}
 		}
 	}
-
-	// Termination check (Theorem 3): rank complete candidates by exact
-	// score; the L_k/U_max comparison itself is evaluated only when it
-	// can terminate the assembly, exactly as the one-shot loop did (the
-	// bound computation is O(|candidates|) and would otherwise turn the
-	// assembly quadratic).
-	var complete []*candidate
-	for _, c := range a.cands {
-		if c.nSeen == n {
-			complete = append(complete, c)
-		}
-	}
-	sort.Slice(complete, func(i, j int) bool {
-		if complete[i].lower != complete[j].lower {
-			return complete[i].lower > complete[j].lower
-		}
-		return complete[i].pivot < complete[j].pivot
-	})
-	top := complete
-	if len(top) > a.k {
-		top = top[:a.k]
-	}
-	a.top = top
 	a.boundsDirty = true
 
-	if len(complete) >= a.k || !anyAlive {
-		if !anyAlive {
-			a.stats.Exhausted = true
-			a.finals = finalize(top)
-			a.done = true
-			return false
-		}
-		lk, umax := a.bounds()
-		if len(top) == a.k && lk >= umax {
-			a.finals = finalize(top)
-			a.done = true
+	if !anyAlive {
+		a.stats.Exhausted = true
+		a.finish()
+		return false
+	}
+	if len(a.top) == a.k {
+		if lk, umax := a.bounds(); lk >= umax {
+			a.finish()
 			return false
 		}
 	}
 	return true
 }
 
+// newCandidate cuts a candidate and its per-stream slices from the slab,
+// growing it by a chunk when empty. Full slice expressions keep an append
+// to one final's Parts from writing into its neighbour's.
+func (a *Assembler) newCandidate(p kg.NodeID) *candidate {
+	n := len(a.streams)
+	if len(a.free) == 0 {
+		size := min(max(len(a.cands), 16), 256)
+		a.free = make([]candidate, size)
+		a.freeSeen = make([]bool, size*n)
+		a.freeParts = make([]astar.Match, size*n)
+	}
+	c := &a.free[0]
+	a.free = a.free[1:]
+	c.pivot, c.slot = p, outside
+	c.seen, a.freeSeen = a.freeSeen[:n:n], a.freeSeen[n:]
+	c.parts, a.freeParts = a.freeParts[:n:n], a.freeParts[n:]
+	return c
+}
+
+// ranksBefore is the final ranking order: score desc, pivot asc.
+func ranksBefore(x, y *candidate) bool {
+	return x.lower > y.lower || x.lower == y.lower && x.pivot < y.pivot
+}
+
+// complete offers a candidate that has just been seen in every stream to
+// the top. Its score is final, so the top only changes here; whichever of
+// it and the old k-th loses goes to the heap with upper = lower.
+func (a *Assembler) complete(c *candidate) {
+	var out *candidate
+	if len(a.top) == a.k {
+		if out = a.top[a.k-1]; !ranksBefore(c, out) {
+			a.file(c, c.lower)
+			return
+		}
+		a.top = a.top[:a.k-1]
+	}
+	if c.slot >= 0 {
+		heap.Remove(&a.heap, c.slot)
+	}
+	i := len(a.top)
+	a.top = append(a.top, c)
+	for ; i > 0 && ranksBefore(c, a.top[i-1]); i-- {
+		a.top[i] = a.top[i-1]
+	}
+	a.top[i] = c
+	c.slot = inTop
+	if out != nil {
+		a.file(out, out.lower) // against the new, higher L_k
+	}
+}
+
+// file keys a non-top candidate by its upper bound u: in the heap, or as a
+// tombstone once the top is full and u < L_k. Upper bounds only fall and
+// L_k only rises, so a tombstone cannot reach U_max again; it keeps its
+// bookkeeping only to stay exact (a later completion is offered to the
+// top, a rounding-level rise re-files it, and the terminal Bounds scans it).
+func (a *Assembler) file(c *candidate, u float64) {
+	c.key = u
+	if len(a.top) == a.k && u < a.top[a.k-1].lower {
+		if c.slot >= 0 {
+			heap.Remove(&a.heap, c.slot)
+		}
+		c.slot = outside
+		return
+	}
+	if c.slot >= 0 {
+		heap.Fix(&a.heap, c.slot)
+	} else {
+		heap.Push(&a.heap, c)
+	}
+}
+
+// heapMax returns the exact best upper bound in the heap (0 when empty).
+// Keys go stale only as ψcur falls, which can only lower a bound (sightings
+// re-key exactly), so a stale key over-estimates: refreshing the head until
+// its key is current yields the maximum, evicting whatever falls below L_k.
+func (a *Assembler) heapMax() float64 {
+	for len(a.heap) > 0 {
+		c := a.heap[0]
+		u := a.upper(c)
+		if u == c.key {
+			return u
+		}
+		a.file(c, u)
+	}
+	return 0
+}
+
+// finish terminates the assembly with the current top as the finals.
+func (a *Assembler) finish() {
+	a.finals = finalize(a.top)
+	a.done = true
+	a.boundsDirty = true
+}
+
 // bounds computes (and caches per round) L_k — the k-th best complete
 // score, 0 until k complete candidates exist — and U_max — the best
 // Eq. 11 upper bound among everything outside the current top, including
-// the virtual never-seen candidate whose upper bound is Σ ψcur.
+// the virtual never-seen candidate whose upper bound is Σ ψcur. Before
+// termination tombstones cannot hold the maximum (it exceeds L_k); after
+// it they can, so the terminal round scans every candidate once.
 func (a *Assembler) bounds() (float64, float64) {
 	if !a.boundsDirty {
 		return a.lk, a.umax
@@ -219,21 +311,44 @@ func (a *Assembler) bounds() (float64, float64) {
 	for i := range a.psiCur {
 		umax += a.psiCur[i] // virtual unseen candidate
 	}
-	inTop := make(map[kg.NodeID]bool, len(a.top))
-	for _, c := range a.top {
-		inTop[c.pivot] = true
-	}
-	for _, c := range a.cands {
-		if inTop[c.pivot] {
-			continue
+	if a.done {
+		for _, c := range a.cands {
+			if c.slot == inTop {
+				continue
+			}
+			if u := a.upper(c); u > umax {
+				umax = u
+			}
 		}
-		if u := a.upper(c); u > umax {
-			umax = u
-		}
+	} else if u := a.heapMax(); u > umax {
+		umax = u
 	}
 	a.lk, a.umax = lk, umax
 	a.boundsDirty = false
 	return lk, umax
+}
+
+// boundHeap is a max-heap of candidates by key that tracks each one's
+// slot, so a re-keyed or completed candidate is fixed or removed in place.
+type boundHeap []*candidate
+
+func (h boundHeap) Len() int           { return len(h) }
+func (h boundHeap) Less(i, j int) bool { return h[i].key > h[j].key }
+func (h boundHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].slot, h[j].slot = i, j
+}
+func (h *boundHeap) Push(x any) {
+	c := x.(*candidate)
+	c.slot = len(*h)
+	*h = append(*h, c)
+}
+func (h *boundHeap) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return c
 }
 
 // Run drives the assembler to completion and returns the finals. onRound,
