@@ -49,10 +49,10 @@ func main() {
 		case semkg.PhaseEvent:
 			switch e.Phase {
 			case semkg.PhaseAlert:
-				fmt.Printf("phase %-8s  T̂=%s reached the alert threshold after %s\n",
+				fmt.Printf("phase %-8s  the %s deadline cut the search at %s\n",
 					e.Phase, e.Projected.Round(time.Microsecond), e.Elapsed.Round(time.Microsecond))
 			case semkg.PhaseAssemble:
-				fmt.Printf("phase %-8s  collected %v matches per sub-query\n", e.Phase, e.Collected)
+				fmt.Printf("phase %-8s  prefetched %v matches per sub-query\n", e.Phase, e.Collected)
 			default:
 				fmt.Printf("phase %-8s\n", e.Phase)
 			}

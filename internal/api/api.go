@@ -171,9 +171,9 @@ type Options struct {
 	// with this budget (a duration string like "50ms", or integer
 	// nanoseconds). 0 selects the exact mode.
 	TimeBound Duration `json:"time_bound,omitempty"`
-	// AlertRatio is the time-bounded mode's r% in (0,1]: searches stop
-	// when the projected total time reaches TimeBound*AlertRatio.
-	// 0 = default 0.8. Ignored in the exact mode.
+	// AlertRatio is the time-bounded mode's r% in (0,1]: a search still
+	// running at TimeBound*AlertRatio is cut and answers with its current
+	// top. 0 = default 0.8. Ignored in the exact mode.
 	AlertRatio float64 `json:"alert_ratio,omitempty"`
 }
 
@@ -285,14 +285,15 @@ type Result struct {
 	Answers []Answer `json:"answers"`
 	// Pivot is the query node the decomposition joined the answers at.
 	Pivot string `json:"pivot,omitempty"`
-	// Approximate is true when the time bound stopped the search before
-	// exhaustion: the answers may differ from the exact top-k, and more
-	// budget refines them (Theorem 4).
+	// Approximate is true when the time bound cut the search: the answers
+	// are complete candidates at their exact scores, but may differ from
+	// the exact top-k, and more budget refines them (Theorem 4).
 	Approximate bool `json:"approximate,omitempty"`
 	// Elapsed is the engine-side pipeline duration (a Go duration
 	// string); queue and network time are not included.
 	Elapsed Duration `json:"elapsed"`
-	// Collected is |M̂_i| per sub-query (time-bounded mode only).
+	// Collected counts the matches each sub-query's stream delivered to
+	// the assembly (time-bounded mode only).
 	Collected []int `json:"collected,omitempty"`
 }
 

@@ -33,8 +33,8 @@ type Event struct {
 	// pointer so that sub-query 0 still serializes (omitempty would drop
 	// it).
 	Sub *int `json:"sub,omitempty"`
-	// Collected counts the sub-query's matches gathered so far (prefetched
-	// in the exact mode, eager-collected distinct entities in TBQ mode).
+	// Collected counts the matches the source prefetched so far for the
+	// sub-query.
 	Collected int `json:"collected,omitempty"`
 	// Done marks the final progress update of a sub-query's search phase.
 	Done bool `json:"done,omitempty"`
@@ -43,17 +43,20 @@ type Event struct {
 	// therefore absent) on the single-engine pipeline.
 	Shard int `json:"shard,omitempty"`
 
-	// Phase names the pipeline stage being entered: "search", "alert"
-	// (TBQ only) or "assemble".
+	// Phase names the pipeline stage being entered: "search", "alert" or
+	// "assemble". "alert" means the time-bounded cut was taken: past
+	// T·r% the assembly needed a match not yet searched, so the run
+	// answers with its current top (flagged approximate). It comes at most
+	// once per stream, only on a cut, between "search" and the result.
 	Phase string `json:"phase,omitempty"`
-	// Elapsed accompanies the "alert" phase: the search time consumed
-	// when the estimator tripped, as a Go duration string.
+	// Elapsed accompanies the "alert" phase: the run time at the cut, as a
+	// Go duration string.
 	Elapsed Duration `json:"elapsed,omitempty"`
-	// Projected is the Algorithm 3 estimate T̂ that tripped the alert
-	// threshold, as a Go duration string.
+	// Projected accompanies the "alert" phase: the deadline T·r% the cut
+	// passed, as a Go duration string.
 	Projected Duration `json:"projected,omitempty"`
-	// Sizes accompanies the "assemble" phase: the per-sub-query collected
-	// set sizes |M̂_i| entering the TA assembly.
+	// Sizes accompanies the "assemble" phase: the per-sub-query counts of
+	// prefetched matches entering the TA assembly.
 	Sizes []int `json:"sizes,omitempty"`
 
 	// Round is the TA assembly round that produced a topk snapshot;

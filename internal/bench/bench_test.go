@@ -127,22 +127,37 @@ func TestRunFigureShape(t *testing.T) {
 	}
 }
 
+// TestRunFig15Shape: every bound fraction has a served row (the cut
+// pipeline) and an alg3 row (Algorithms 2-3 with a measured t); each sweep
+// has increasing bounds, F1 that more time does not substantially hurt
+// (tie noise from scheduling is tolerated), and ordered response times.
 func TestRunFig15Shape(t *testing.T) {
 	art := run(t, "fig15")
-	if len(art.Rows) != 8 {
-		t.Fatalf("bound sweep has %d rows, want 8", len(art.Rows))
+	if len(art.Rows) != 16 {
+		t.Fatalf("bound sweep has %d rows, want 8 fractions x {served, alg3}", len(art.Rows))
 	}
-	first, last := art.Rows[0].Values, art.Rows[7].Values
-	if last["bound_ms"] <= first["bound_ms"] {
-		t.Errorf("bounds not increasing: %v -> %v", first["bound_ms"], last["bound_ms"])
+	for _, sweep := range [][]Row{
+		{art.Rows[0], art.Rows[14]}, // served 20%, 90%
+		{art.Rows[1], art.Rows[15]}, // alg3 20%, 90%
+	} {
+		first, last := sweep[0].Values, sweep[1].Values
+		if strings.HasPrefix(sweep[0].Name, "alg3") != strings.HasPrefix(sweep[1].Name, "alg3") {
+			t.Fatalf("rows %q and %q are from different sweeps", sweep[0].Name, sweep[1].Name)
+		}
+		if last["bound_ms"] <= first["bound_ms"] {
+			t.Errorf("%s: bounds not increasing: %v -> %v", sweep[0].Name, first["bound_ms"], last["bound_ms"])
+		}
+		if last["f1"] < first["f1"]-0.1 {
+			t.Errorf("%s: F1 degraded with larger bound: %v -> %v", sweep[0].Name, first["f1"], last["f1"])
+		}
+		if first["time_min_ms"] > first["time_ms"] || first["time_ms"] > first["time_max_ms"] {
+			t.Errorf("%s: response-time min/mean/max out of order: %v", sweep[0].Name, first)
+		}
 	}
-	// More time must not hurt effectiveness substantially (tie noise from
-	// scheduling is tolerated).
-	if last["f1"] < first["f1"]-0.1 {
-		t.Errorf("F1 degraded with larger bound: %v -> %v", first["f1"], last["f1"])
-	}
-	if first["time_min_ms"] > first["time_ms"] || first["time_ms"] > first["time_max_ms"] {
-		t.Errorf("response-time min/mean/max out of order: %v", first)
+	for i, r := range art.Rows {
+		if alg3 := strings.HasPrefix(r.Name, "alg3 "); alg3 != (i%2 == 1) || alg3 && r.Values["t_ns"] <= 0 {
+			t.Errorf("row %d %q: want served and alg3 rows alternating, alg3 with a measured t_ns (%v)", i, r.Name, r.Values["t_ns"])
+		}
 	}
 }
 

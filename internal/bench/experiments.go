@@ -9,10 +9,13 @@ import (
 	"math/rand"
 	"time"
 
+	"semkg/internal/astar"
 	"semkg/internal/core"
 	"semkg/internal/datagen"
 	"semkg/internal/metrics"
 	"semkg/internal/query"
+	"semkg/internal/ta"
+	"semkg/internal/tbq"
 )
 
 // prValues is the value map of an effectiveness row.
@@ -112,8 +115,14 @@ func figure(name string, profile func(float64) datagen.Profile) func(context.Con
 // runFig15 measures TBQ effectiveness and response time across time
 // bounds expressed as fractions of the measured SGQ time per query (the
 // paper sweeps 20-90 ms absolute; fractions transport the sweep to the
-// synthetic scale).
-func runFig15(_ context.Context, p Params) (*Artifact, error) {
+// synthetic scale). Each fraction has two rows: the served time-bounded
+// mode (the exact pipeline cut at T·r%) and "alg3", the paper's
+// Algorithms 2-3 (eager collection under the T̂ estimator, then TA over
+// the collected sets) run on the same queries and bounds. Algorithm 3's
+// per-match assembly cost t is measured on this workload first (t_ns):
+// the wall time of assembling every query's exhausted eager sets at k,
+// over the matches in them.
+func runFig15(ctx context.Context, p Params) (*Artifact, error) {
 	env, err := p.env(datagen.DBpediaLike)
 	if err != nil {
 		return nil, err
@@ -125,31 +134,118 @@ func runFig15(_ context.Context, p Params) (*Artifact, error) {
 	for i, q := range queries {
 		_, refs[i] = sgq.Run(q, k)
 	}
+	perMatch, err := measurePerMatch(ctx, env, queries, k)
+	if err != nil {
+		return nil, err
+	}
 	art := env.artifact("fig15")
 	section := fmt.Sprintf("Figure 15: effect of time bounds (k=%d)", k)
 	// The bounds at this scale are tens of microseconds; repeat each
 	// measurement to damp scheduler noise.
 	const reps = 3
 	for _, f := range []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
-		var prs []metrics.PR
-		var resp Hist
+		var served, alg3 fig15Cell
 		var boundSum time.Duration
 		for i, q := range queries {
 			bound := time.Duration(float64(refs[i]) * f)
 			boundSum += bound
 			for rep := 0; rep < reps; rep++ {
 				answers, elapsed := env.TBQBounded(q, k, bound)
-				prs = append(prs, metrics.Evaluate(answers, q.Truth))
-				resp.Add(elapsed)
+				served.add(q, answers, elapsed)
+				answers, elapsed, err := runAlg3(ctx, env, q, k, tbq.Config{Bound: bound, PerMatchTA: perMatch})
+				if err != nil {
+					return nil, err
+				}
+				alg3.add(q, answers, elapsed)
 			}
 		}
-		values := prValues(metrics.Mean(prs), ms(resp.Mean()))
-		values["bound_ms"] = ms(boundSum) / float64(len(queries))
-		values["time_min_ms"] = ms(resp.Quantile(0))
-		values["time_max_ms"] = ms(resp.Quantile(1))
-		art.add(section, fmt.Sprintf("bound %.0f%% of SGQ time", f*100), values)
+		boundMS := ms(boundSum) / float64(len(queries))
+		art.add(section, fmt.Sprintf("bound %.0f%% of SGQ time", f*100), served.values(boundMS))
+		values := alg3.values(boundMS)
+		values["t_ns"] = float64(perMatch)
+		art.add(section, fmt.Sprintf("alg3 bound %.0f%% of SGQ time", f*100), values)
 	}
 	return art, nil
+}
+
+// fig15Cell accumulates one Fig. 15 row: effectiveness and response times.
+type fig15Cell struct {
+	prs  []metrics.PR
+	resp Hist
+}
+
+func (c *fig15Cell) add(q datagen.GenQuery, answers []string, elapsed time.Duration) {
+	c.prs = append(c.prs, metrics.Evaluate(answers, q.Truth))
+	c.resp.Add(elapsed)
+}
+
+func (c *fig15Cell) values(boundMS float64) map[string]float64 {
+	values := prValues(metrics.Mean(c.prs), ms(c.resp.Mean()))
+	values["bound_ms"] = boundMS
+	values["time_min_ms"] = ms(c.resp.Quantile(0))
+	values["time_max_ms"] = ms(c.resp.Quantile(1))
+	return values
+}
+
+// runAlg3 answers q with Algorithms 2-3 (tbq.Run) over fresh whole-graph
+// searchers of its compiled plan, timed like the engine's Result.Elapsed:
+// the run, not the compilation. The Fig. 15 workload's queries have one
+// sub-query whose pivot is the focus node, so the finals' pivots are the
+// answers.
+func runAlg3(ctx context.Context, env *Env, q datagen.GenQuery, k int, cfg tbq.Config) ([]string, time.Duration, error) {
+	plan, err := env.Engine.Compile(q.Graph, env.SearchOptions(k))
+	if err != nil || !plan.Compiled() {
+		return nil, 0, err
+	}
+	if plan.Pivot() != q.Focus {
+		return nil, 0, fmt.Errorf("bench: %s pivots on %s, not its focus %s", q.Name, plan.Pivot(), q.Focus)
+	}
+	start := time.Now()
+	searchers := make([]*astar.Searcher, plan.Subqueries())
+	for i := range searchers {
+		if searchers[i], err = env.Engine.Searcher(plan, i); err != nil {
+			return nil, 0, err
+		}
+	}
+	res := tbq.Run(ctx, searchers, k, cfg)
+	elapsed := time.Since(start)
+	answers := make([]string, len(res.Finals))
+	for i, f := range res.Finals {
+		answers[i] = env.Engine.Graph().NodeName(f.Pivot)
+	}
+	return answers, elapsed, nil
+}
+
+// measurePerMatch measures Algorithm 3's t on the workload: every query's
+// sub-queries are collected to exhaustion, then the wall time of the TA
+// assembly of those sets at k is divided by the matches they hold.
+func measurePerMatch(ctx context.Context, env *Env, queries []datagen.GenQuery, k int) (time.Duration, error) {
+	var spent time.Duration
+	matches := 0
+	for _, q := range queries {
+		plan, err := env.Engine.Compile(q.Graph, env.SearchOptions(k))
+		if err != nil || !plan.Compiled() {
+			continue
+		}
+		est := tbq.NewEstimator(ctx, tbq.Config{Bound: time.Hour})
+		streams := make([]ta.Stream, plan.Subqueries())
+		for i := range streams {
+			sr, err := env.Engine.Searcher(plan, i)
+			if err != nil {
+				return 0, err
+			}
+			set, _ := tbq.Collect(sr, est)
+			streams[i] = &ta.SliceStream{Matches: tbq.Sorted(set)}
+			matches += len(set)
+		}
+		start := time.Now()
+		ta.Assemble(streams, k)
+		spent += time.Since(start)
+	}
+	if matches == 0 {
+		return 0, fmt.Errorf("bench: the Fig. 15 workload collects no matches")
+	}
+	return spent / time.Duration(matches), nil
 }
 
 // --- E5: Table V — effect of the pivot node -----------------------------------

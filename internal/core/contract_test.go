@@ -4,19 +4,25 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"semkg/internal/tbq"
 )
 
 // TestOneEventContract pins the single pipeline's contract across every
-// deployment shape: the same generated queries, exact and time-bounded,
-// run through the whole-graph engine, an in-process partition, a
+// deployment shape: the same generated queries — exact, time-bounded
+// with a budget that never cuts, and time-bounded on a step clock that
+// cuts — run through the whole-graph engine, an in-process partition, a
 // coordinator over httptest shard servers, and a resharding engine on
-// both sides of its swap. Every shape must return the reference result
-// (answers, pivot, approximate flag, per-sub collected counts) — the
-// whole-graph engine's, itself judged by the oracle — and emit the same
-// event skeleton:
+// both sides of its swap. An uncut run must return the reference result
+// (answers and pivot, unflagged) — the whole-graph engine's, itself
+// judged by the oracle; a cut run is judged by the oracle's approximate
+// rule. Every run emits the same event skeleton:
 //
 //	search → per-source progress, exactly one Done each → assemble with
 //	per-sub-query counts → at least one topk → result
+//
+// and alert means "the T·r% cut was taken": at most once, only on a cut
+// (a flagged-approximate result), between search and result.
 func TestOneEventContract(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 17)
@@ -48,27 +54,34 @@ func TestOneEventContract(t *testing.T) {
 			}
 		}},
 	}
+	base := Options{K: 5, Tau: 0.5, MaxHops: 3}
 	modes := []struct {
 		name string
-		opts Options
+		opts func() Options
 	}{
-		{"sgq", Options{K: 5, Tau: 0.5, MaxHops: 3}},
-		{"tbq", Options{K: 5, Tau: 0.5, MaxHops: 3, TimeBound: time.Hour}},
+		{"sgq", func() Options { return base }},
+		{"tbq", func() Options { o := base; o.TimeBound = time.Hour; return o }},
+		{"tbq-cut", func() Options {
+			o := base
+			o.TimeBound, o.Clock = 100*time.Microsecond, &tbq.StepClock{Step: 10 * time.Microsecond}
+			return o
+		}},
 	}
 
 	for _, shape := range shapes {
 		if shape.before != nil {
 			shape.before()
 		}
+		cuts := 0
 		for _, mode := range modes {
 			for _, q := range shardedWorkload(ds)[:4] {
 				name := shape.name + "/" + mode.name + "/" + q.Name
-				want, err := e.Search(ctx, q.Graph, mode.opts)
+				want, err := e.Search(ctx, q.Graph, mode.opts())
 				if err != nil {
 					t.Fatal(err)
 				}
-				oracleCheck(t, name+"/reference", e, ds.Library, q.Graph, mode.opts, want)
-				st, err := shape.q.Stream(ctx, q.Graph, mode.opts)
+				oracleCheck(t, name+"/reference", e, ds.Library, q.Graph, mode.opts(), want)
+				st, err := shape.q.Stream(ctx, q.Graph, mode.opts())
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -77,29 +90,49 @@ func TestOneEventContract(t *testing.T) {
 					t.Fatalf("%s: stream failed: %v", name, err)
 				}
 
-				assertTopKEquivalent(t, name, got, want)
-				if got.Approximate != want.Approximate {
-					t.Errorf("%s: approximate %v, want %v", name, got.Approximate, want.Approximate)
+				if mode.name == "tbq-cut" {
+					oracleCheck(t, name, e, ds.Library, q.Graph, mode.opts(), got)
+				} else {
+					assertTopKEquivalent(t, name, got, want)
+					if got.Approximate || want.Approximate {
+						t.Errorf("%s: a run that cannot be cut was flagged approximate", name)
+					}
+				}
+				if got.Approximate {
+					cuts++
 				}
 				if len(got.SearchStats) != len(want.SearchStats) {
 					t.Errorf("%s: %d search stats, want %d", name, len(got.SearchStats), len(want.SearchStats))
 				}
-				if len(got.Collected) != len(want.Collected) {
-					t.Fatalf("%s: collected %v, want %v", name, got.Collected, want.Collected)
-				}
-				for i := range want.Collected {
-					if got.Collected[i] != want.Collected[i] {
-						t.Errorf("%s: collected %v, want %v", name, got.Collected, want.Collected)
-						break
-					}
+				if subs := len(got.SearchStats); mode.name == "sgq" && got.Collected != nil || mode.name != "sgq" && len(got.Collected) != subs {
+					t.Errorf("%s: collected %v for %d sub-queries", name, got.Collected, subs)
 				}
 				if (got.ShardEffort != nil) != (shape.shards > 0) || shape.shards > 0 && len(got.ShardEffort) != shape.shards {
 					t.Errorf("%s: %d shard-effort entries over a %d-shard deployment", name, len(got.ShardEffort), shape.shards)
 				}
 				checkEventOrdering(t, name, events, got)
 				checkEventSkeleton(t, name, events, len(want.SearchStats), shape.shards)
+				checkAlert(t, name, events, got)
 			}
 		}
+		if cuts == 0 {
+			t.Errorf("%s: the step clock cut no run", shape.name)
+		}
+	}
+}
+
+// checkAlert asserts the alert contract: one alert phase exactly when the
+// result is flagged approximate, none otherwise.
+func checkAlert(t *testing.T, name string, events []Event, res *Result) {
+	t.Helper()
+	alerts := 0
+	for _, ev := range events {
+		if pe, ok := ev.(PhaseEvent); ok && pe.Phase == PhaseAlert {
+			alerts++
+		}
+	}
+	if want := map[bool]int{true: 1, false: 0}[res.Approximate]; alerts != want {
+		t.Errorf("%s: %d alert phases for approximate = %v, want %d", name, alerts, res.Approximate, want)
 	}
 }
 

@@ -11,10 +11,10 @@
 // DESIGN.md, "Scatter-gather"): first-hop ownership partitions the path
 // space, semantics are resolved once globally and only *projected*
 // remotely, and the gather is deterministically tie-broken. The wire
-// adds a fourth: exact-mode shard streams are deterministic per (shard
-// snapshot, request), so replicas are interchangeable mid-stream — a
-// consumed prefix of one replica's stream plus the Offset-resumed
-// suffix of another's is byte-identical to either stream whole.
+// adds a fourth: shard streams are deterministic per (shard snapshot,
+// request), so replicas are interchangeable mid-stream — a consumed
+// prefix of one replica's stream plus the Offset-resumed suffix of
+// another's is byte-identical to either stream whole.
 //
 // Failure policy, all of it behind the remote source: requests to a
 // shard's replicas are hedged after a per-replica latency-EWMA threshold,
@@ -44,7 +44,6 @@ import (
 	"semkg/internal/astar"
 	"semkg/internal/kg"
 	"semkg/internal/shardwire"
-	"semkg/internal/tbq"
 )
 
 // DistConfig tunes the coordinator's replica policy. The zero value is
@@ -123,7 +122,7 @@ type DistStats struct {
 	Replicas []int `json:"replicas"`
 	// Searches counts distributed pipeline executions; Fallbacks counts
 	// searches answered by the local base engine (MaxHops beyond the
-	// halo, or a test clock that cannot cross a process boundary).
+	// halo).
 	Searches  uint64 `json:"dist_searches"`
 	Fallbacks uint64 `json:"local_fallbacks"`
 	// Hedges counts duplicate requests launched on a slow replica's
@@ -291,9 +290,10 @@ func (b *distBackend) stats(ss *sourceSet) DistStats {
 }
 
 // serves: the remote shard graphs cannot contain paths longer than the
-// halo, and a test Clock cannot cross a process boundary.
+// halo. A time bound and its Clock stay on the coordinator, whose deadline
+// refuses further pulls from the remote streams.
 func (b *distBackend) serves(opts Options) bool {
-	return opts.MaxHops <= b.halo && opts.Clock == nil
+	return opts.MaxHops <= b.halo
 }
 
 // project: every shard server takes the same wire blueprint and projects
@@ -303,14 +303,9 @@ func (b *distBackend) project(p *Plan) error {
 	return err
 }
 
-// open starts one remote source per (shard, sub-query). Exact-mode
-// sources stream ahead of the assembly from the moment they open; eager
-// sources fetch when the pipeline collects them. Each server runs its
-// eager search under a local estimator whose per-match cost is pre-scaled
-// by the shard count (it only sees its own collection count; scaling t by
-// N keeps the distributed alert at least as conservative as the
-// in-process shared estimator).
-func (b *distBackend) open(ctx context.Context, p *Plan, opts Options) ([][]matchSource, func() error, error) {
+// open starts one remote source per (shard, sub-query); each streams ahead
+// of the assembly from the moment it opens.
+func (b *distBackend) open(ctx context.Context, p *Plan) ([][]matchSource, func() error, error) {
 	wire, err := p.WireBlueprints()
 	if err != nil {
 		return nil, nil, err
@@ -332,21 +327,15 @@ func (b *distBackend) open(ctx context.Context, p *Plan, opts Options) ([][]matc
 					MaxHops:      p.copts.maxHops,
 					NoHeuristic:  p.copts.noHeuristic,
 					PruneVisited: p.copts.pruneVisited,
-				}}
-			sources[sub] = append(sources[sub], src)
-			if opts.TimeBound > 0 {
-				src.req.Eager = true
-				src.req.TimeBoundNs = int64(opts.TimeBound)
-				src.req.AlertRatio = opts.AlertRatio
-				src.req.PerMatchNs = int64(p.eng.perMatchCost()) * int64(len(b.hosts))
-				continue
+				},
+				ch: make(chan astar.Match, remoteSourceBuffer),
 			}
-			src.ch = make(chan astar.Match, remoteSourceBuffer)
+			sources[sub] = append(sources[sub], src)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				defer close(src.ch)
-				src.retryLoop(src.attempt)
+				src.retryLoop()
 			}()
 		}
 	}
@@ -370,10 +359,9 @@ const remoteSourceBuffer = 64
 
 // remoteSource is the HTTP match source: one (shard, sub-query) stream
 // fetched from the shard's replicas — hedging, retrying and failing over
-// across them. In the exact mode a background goroutine pumps matches
-// into a buffered channel that Next drains; in the time-bounded mode
-// Collect fetches the server's eager set in one request. On unrecoverable
-// failure it cancels the whole scatter with a typed error.
+// across them. A background goroutine pumps matches into a buffered
+// channel that Next drains. On unrecoverable failure it cancels the whole
+// scatter with a typed error.
 type remoteSource struct {
 	b    *distBackend
 	ctx  context.Context
@@ -387,28 +375,15 @@ type remoteSource struct {
 	// for mid-stream failover. Owned by the pump goroutine.
 	pushed int
 
-	// Terminal state, read only after the fetch ended (the pump goroutine
-	// exited, or Collect returned).
-	stats     astar.Stats
-	exhausted bool
-	eager     map[kg.NodeID]astar.Match
+	// stats is the terminal line's effort report, read only after the pump
+	// goroutine exited.
+	stats astar.Stats
 }
 
-// Next implements matchSource for the exact mode.
+// Next implements matchSource.
 func (src *remoteSource) Next() (astar.Match, bool) {
 	m, ok := <-src.ch
 	return m, ok
-}
-
-// Collect implements matchSource for the time-bounded mode. Eager
-// responses are timing-dependent (the server's estimator stops on wall
-// clock), so a retry restarts collection from scratch instead of resuming
-// by offset — every attempt's set is a valid collection, and only a
-// completed attempt's set is kept. The coordinator's estimator goes
-// unused: the server collects under its own, configured in the request.
-func (src *remoteSource) Collect(*tbq.Estimator, func(int)) (map[kg.NodeID]astar.Match, bool) {
-	src.retryLoop(src.attemptEager)
-	return src.eager, src.exhausted
 }
 
 // Stats implements matchSource. A source cancelled before its terminal
@@ -422,7 +397,7 @@ func (src *remoteSource) Shard() int { return src.shard + 1 }
 // retryLoop runs attempts until one succeeds, the context dies (the
 // caller cancelled or another source failed — not this source's fault),
 // or the retry budget is spent, which records the typed shard failure.
-func (src *remoteSource) retryLoop(attempt func(rep int) error) {
+func (src *remoteSource) retryLoop() {
 	reps := src.b.hosts[src.shard]
 	rep := int(src.b.rr.Add(1)) % len(reps)
 	backoff := src.b.cfg.RetryBackoff
@@ -431,7 +406,7 @@ func (src *remoteSource) retryLoop(attempt func(rep int) error) {
 		if src.ctx.Err() != nil {
 			return
 		}
-		err := attempt(rep)
+		err := src.attempt(rep)
 		if err == nil || src.ctx.Err() != nil {
 			return
 		}
@@ -454,8 +429,8 @@ func (src *remoteSource) retryLoop(attempt func(rep int) error) {
 	}
 }
 
-// attempt opens one exact-mode stream (resuming past the matches already
-// delivered) and pumps it to the terminal line.
+// attempt opens one stream (resuming past the matches already delivered)
+// and pumps it to the terminal line.
 func (src *remoteSource) attempt(rep int) error {
 	req := src.req
 	req.Offset = src.pushed
@@ -474,7 +449,6 @@ func (src *remoteSource) attempt(rep int) error {
 		}
 		if line.Done {
 			src.stats = wireStats(line.Stats)
-			src.exhausted = line.Exhausted
 			return nil
 		}
 		select {
@@ -483,33 +457,6 @@ func (src *remoteSource) attempt(rep int) error {
 		case <-src.ctx.Done():
 			return nil // cancelled: retryLoop sees ctx.Err and exits cleanly
 		}
-	}
-}
-
-// attemptEager fetches one complete eager response.
-func (src *remoteSource) attemptEager(rep int) error {
-	ws, err := src.b.openStream(src.ctx, src.shard, rep, &src.req)
-	if err != nil {
-		return err
-	}
-	defer ws.Close()
-	best := make(map[kg.NodeID]astar.Match)
-	for {
-		line, err := ws.next()
-		if err != nil {
-			return fmt.Errorf("core: shard %d eager fetch: %w", src.shard, err)
-		}
-		if line.Error != "" {
-			return fmt.Errorf("core: shard %d remote error: %s", src.shard, line.Error)
-		}
-		if line.Done {
-			src.eager = best
-			src.stats = wireStats(line.Stats)
-			src.exhausted = line.Exhausted
-			return nil
-		}
-		m := lineMatch(line)
-		best[m.End()] = m
 	}
 }
 

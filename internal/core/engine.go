@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,19 +41,10 @@ type Engine struct {
 	// across concurrent searchers and repeated queries for the engine's
 	// lifetime; the rows are query-independent (see semgraph.RowCache).
 	rows *semgraph.RowCache
-	// cal is shared by every engine derived from this one, so a world
-	// calibrates once.
-	cal *calibration
 
 	// sources is the partitioned source set runs scatter over; nil
 	// searches the whole graph.
 	sources atomic.Pointer[sourceSet]
-}
-
-// calibration lazily measures Algorithm 3's per-match TA time.
-type calibration struct {
-	once     sync.Once
-	perMatch time.Duration
 }
 
 // NewEngine builds an engine over g with the predicate space (usually
@@ -71,15 +61,14 @@ func NewEngine(g *kg.Graph, space *embed.Space, lib *transform.Library) (*Engine
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{g: g, space: space, matcher: transform.NewMatcher(g, lib), rows: rows, cal: new(calibration)}, nil
+	return &Engine{g: g, space: space, matcher: transform.NewMatcher(g, lib), rows: rows}, nil
 }
 
 // over derives an engine sharing e's world — graph, space, matcher, weight
-// rows, calibration — that scatters its runs over ss (nil: the whole
-// graph). The derived engine has its own identity: plans do not cross
-// between it and e.
+// rows — that scatters its runs over ss (nil: the whole graph). The derived
+// engine has its own identity: plans do not cross between it and e.
 func (e *Engine) over(ss *sourceSet) *Engine {
-	d := &Engine{g: e.g, space: e.space, matcher: e.matcher, rows: e.rows, cal: e.cal}
+	d := &Engine{g: e.g, space: e.space, matcher: e.matcher, rows: e.rows}
 	d.sources.Store(ss)
 	return d
 }
@@ -117,9 +106,10 @@ type Options struct {
 	NoHeuristic bool
 
 	// TimeBound, when positive, switches to the response-time-bounded
-	// mode (TBQ, Section VI) with this bound T.
+	// mode (TBQ, Section VI) with this bound T: the exact pipeline, cut at
+	// T·r% if it has not finished by then.
 	TimeBound time.Duration
-	// AlertRatio is Algorithm 3's r% (default tbq.DefaultAlertRatio). TBQ
+	// AlertRatio is the r% of the cut (default tbq.DefaultAlertRatio). TBQ
 	// mode only.
 	AlertRatio float64
 	// Clock abstracts time in TBQ mode (tests); nil = wall clock.
@@ -223,9 +213,10 @@ type Result struct {
 	Answers       []Answer
 	Decomposition *query.Decomposition
 	Elapsed       time.Duration
-	// Approximate is true in TBQ mode when the time bound stopped the
-	// search before exhaustion (the answers may differ from the exact
-	// top-k; more time refines them, Theorem 4).
+	// Approximate is true in TBQ mode when the deadline cut the assembly
+	// short: the answers are complete candidates at their exact scores,
+	// but may miss or misorder members of the exact top-k (more time
+	// refines them, Theorem 4).
 	Approximate bool
 	// SearchStats aggregates per-sub-query search effort.
 	SearchStats []astar.Stats
@@ -234,7 +225,8 @@ type Result struct {
 	// included). The popped/pushed counters measure how the partition
 	// distributed the work.
 	ShardEffort []astar.Stats
-	// Collected is |M̂_i| per sub-query (TBQ mode only).
+	// Collected counts the matches each sub-query's stream delivered to
+	// the assembly (TBQ mode only).
 	Collected []int
 }
 
@@ -313,9 +305,11 @@ func (e *Engine) decompose(q *query.Graph, opts Options, memo *transform.Memo) (
 // search ("we repeat the A* semantic search for each g_i until sufficient
 // final matches for G_Q are returned") — any sorted match source. Context
 // cancellation ends the stream, turning the assembly into an anytime
-// operation.
+// operation; so does a time-bounded run's deadline dl (nil in the exact
+// mode), which refuses the resumed search.
 type resumeStream struct {
 	ctx    context.Context
+	dl     *deadline
 	buf    []astar.Match
 	pos    int
 	search ta.Stream
@@ -327,7 +321,7 @@ func (r *resumeStream) Next() (astar.Match, bool) {
 		r.pos++
 		return m, true
 	}
-	if r.ctx.Err() != nil {
+	if r.ctx.Err() != nil || r.dl != nil && r.dl.refuse() {
 		return astar.Match{}, false
 	}
 	return r.search.Next()
@@ -336,50 +330,44 @@ func (r *resumeStream) Next() (astar.Match, bool) {
 func (e *Engine) renderAnswers(finals []ta.Final, d *query.Decomposition) []Answer {
 	answers := make([]Answer, len(finals))
 	for i, f := range finals {
-		a := Answer{
-			Pivot:     f.Pivot,
-			PivotName: e.g.NodeName(f.Pivot),
-			Score:     f.Score,
-			Bindings:  make(map[string]string),
-		}
-		for pi, part := range f.Parts {
-			sm := SubMatch{PSS: part.PSS}
-			for _, eid := range part.Edges {
-				edge := e.g.EdgeAt(eid)
-				// Render with the edge's true direction (paths ignore
-				// directionality, but the fact reads one way).
-				sm.Steps = append(sm.Steps, PathStep{
-					FromName:  e.g.NodeName(edge.Src),
-					Predicate: e.g.PredName(edge.Pred),
-					ToName:    e.g.NodeName(edge.Dst),
-				})
-			}
-			a.Parts = append(a.Parts, sm)
-			// Bindings: the sub-query's query nodes anchor at the path's
-			// start and at each segment end.
-			sub := d.Subs[pi]
-			bind := func(qid string, u kg.NodeID) {
-				if _, taken := a.Bindings[qid]; !taken {
-					a.Bindings[qid] = e.g.NodeName(u)
-				}
-			}
-			bind(sub.NodeIDs[0], part.Nodes[0])
-			for s, pos := range part.SegEnds {
-				bind(sub.NodeIDs[s+1], part.Nodes[pos])
-			}
-		}
-		answers[i] = a
+		answers[i] = e.renderAnswer(f, d)
 	}
 	return answers
 }
 
-// perMatchCost lazily calibrates Algorithm 3's empirical per-match TA time.
-func (e *Engine) perMatchCost() time.Duration {
-	e.cal.once.Do(func() { e.cal.perMatch = tbq.Calibrate() })
-	return e.cal.perMatch
+// renderAnswer renders one final match with names, paths and bindings.
+func (e *Engine) renderAnswer(f ta.Final, d *query.Decomposition) Answer {
+	a := Answer{
+		Pivot:     f.Pivot,
+		PivotName: e.g.NodeName(f.Pivot),
+		Score:     f.Score,
+		Bindings:  make(map[string]string),
+	}
+	for pi, part := range f.Parts {
+		sm := SubMatch{PSS: part.PSS}
+		for _, eid := range part.Edges {
+			edge := e.g.EdgeAt(eid)
+			// Render with the edge's true direction (paths ignore
+			// directionality, but the fact reads one way).
+			sm.Steps = append(sm.Steps, PathStep{
+				FromName:  e.g.NodeName(edge.Src),
+				Predicate: e.g.PredName(edge.Pred),
+				ToName:    e.g.NodeName(edge.Dst),
+			})
+		}
+		a.Parts = append(a.Parts, sm)
+		// Bindings: the sub-query's query nodes anchor at the path's
+		// start and at each segment end.
+		sub := d.Subs[pi]
+		bind := func(qid string, u kg.NodeID) {
+			if _, taken := a.Bindings[qid]; !taken {
+				a.Bindings[qid] = e.g.NodeName(u)
+			}
+		}
+		bind(sub.NodeIDs[0], part.Nodes[0])
+		for s, pos := range part.SegEnds {
+			bind(sub.NodeIDs[s+1], part.Nodes[pos])
+		}
+	}
+	return a
 }
-
-// PerMatchCost exposes the calibrated per-match TA assembly time t of
-// Algorithm 3. The serving layer seeds its queue-wait estimator from it
-// before any request has completed.
-func (e *Engine) PerMatchCost() time.Duration { return e.perMatchCost() }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"semkg/internal/datagen"
 	"semkg/internal/embed"
 	"semkg/internal/kg"
 	"semkg/internal/query"
@@ -305,6 +308,52 @@ func TestSearchTimeBounded(t *testing.T) {
 	}
 	if !res.Approximate {
 		t.Error("nanosecond bound must be approximate")
+	}
+}
+
+// TestTimeBoundedSimpleCostsNoMore pins, in search effort rather than wall
+// clock, that a time-bounded query is never slower than the exact one it
+// cuts: for every one-sub-query query of the generated worlds, an uncut
+// TBQ run returns the SGQ answers after exactly the SGQ run's A* pops,
+// pushes and emitted matches — no search beyond what the exact top-k
+// needs.
+func TestTimeBoundedSimpleCostsNoMore(t *testing.T) {
+	ctx := context.Background()
+	checked := 0
+	for _, seed := range []int64{3, 8, 17, 21, 42} {
+		ds, e := tinyWorld(t, seed)
+		var queries []datagen.GenQuery
+		queries = append(append(append(queries, ds.Simple...), ds.Medium...), ds.Complex...)
+		for _, q := range queries {
+			exact := Options{K: 5, Tau: 0.5, MaxHops: 3}
+			bounded := exact
+			bounded.TimeBound = time.Hour
+			want, err := e.Search(ctx, q.Graph, exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Decomposition.Subs) != 1 {
+				continue
+			}
+			got, err := e.Search(ctx, q.Graph, bounded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("seed %d %s", seed, q.Name)
+			if got.Approximate || !reflect.DeepEqual(got.Answers, want.Answers) {
+				t.Errorf("%s: TBQ answers %v (approximate %v), SGQ %v", name, got.Entities(), got.Approximate, want.Entities())
+			}
+			for i, w := range want.SearchStats {
+				g := got.SearchStats[i]
+				if g.Popped != w.Popped || g.Pushed != w.Pushed || g.Emitted != w.Emitted {
+					t.Errorf("%s: TBQ effort %+v, SGQ %+v", name, g, w)
+				}
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no one-sub-query query in the generated worlds")
 	}
 }
 

@@ -11,7 +11,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"semkg/internal/kg"
 	"semkg/internal/query"
@@ -35,10 +34,6 @@ type Queryer interface {
 	StreamCompiled(ctx context.Context, p CompiledPlan, opts Options) (*Stream, error)
 	// Graph returns the (base) knowledge graph being queried.
 	Graph() *kg.Graph
-	// PerMatchCost returns the calibrated per-match TA assembly time t of
-	// Algorithm 3 (the serving layer seeds its queue-wait estimator from
-	// it).
-	PerMatchCost() time.Duration
 }
 
 // CompiledPlan is an opaque compiled query: the output of

@@ -51,10 +51,8 @@ type ShardConfig struct {
 	// bounds the MaxHops a sharded search can serve — deeper searches
 	// transparently fall back to the whole graph. 0 = shard.DefaultHalo.
 	Halo int
-	// Workers bounds the concurrent per-shard searches of the exact-mode
-	// scatter phase. 0 = GOMAXPROCS. Time-bounded searches always run all
-	// shard searches concurrently, as the estimator of Algorithm 3
-	// requires.
+	// Workers bounds the concurrent per-shard searches of the scatter
+	// phase. 0 = GOMAXPROCS.
 	Workers int
 }
 
@@ -213,7 +211,7 @@ func (b shardedBackend) projections(p *Plan) ([][]*shard.Projection, error) {
 	return projected, nil
 }
 
-func (b shardedBackend) open(_ context.Context, p *Plan, _ Options) ([][]matchSource, func() error, error) {
+func (b shardedBackend) open(_ context.Context, p *Plan) ([][]matchSource, func() error, error) {
 	projected, err := b.projections(p)
 	if err != nil {
 		return nil, nil, err

@@ -161,10 +161,10 @@ func TestShardedStreamMatchesSearch(t *testing.T) {
 }
 
 // TestShardedTBQExhaustedEquivalence: with an ample deterministic budget
-// the time-bounded sharded search exhausts every shard's eager sets,
-// whose merge is exactly the single engine's exhausted collection — the
-// assembled answers, scores, order and per-sub collected counts are then
-// identical.
+// the deadline never cuts, so the time-bounded sharded search is the exact
+// sharded search — the single engine's answers and scores (a tie at the
+// k-th rank may fill either way), unflagged, with one delivered-match
+// count per sub-query.
 func TestShardedTBQExhaustedEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{8, 21} {
@@ -187,28 +187,12 @@ func TestShardedTBQExhaustedEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want.Approximate || got.Approximate {
-				t.Fatalf("%s: ample budget did not exhaust (single %v, sharded %v)",
+				t.Fatalf("%s: ample budget was cut (single %v, sharded %v)",
 					q.Name, want.Approximate, got.Approximate)
 			}
-			if len(got.Answers) != len(want.Answers) {
-				t.Fatalf("%s: %d answers, want %d", q.Name, len(got.Answers), len(want.Answers))
-			}
-			for i := range want.Answers {
-				if got.Answers[i].PivotName != want.Answers[i].PivotName ||
-					got.Answers[i].Score != want.Answers[i].Score {
-					t.Fatalf("%s: rank %d = %s/%v, want %s/%v", q.Name, i,
-						got.Answers[i].PivotName, got.Answers[i].Score,
-						want.Answers[i].PivotName, want.Answers[i].Score)
-				}
-			}
-			if len(got.Collected) != len(want.Collected) {
-				t.Fatalf("%s: collected arity %d, want %d", q.Name, len(got.Collected), len(want.Collected))
-			}
-			for i := range want.Collected {
-				if got.Collected[i] != want.Collected[i] {
-					t.Fatalf("%s: collected[%d] = %d, want %d (merged eager sets differ)",
-						q.Name, i, got.Collected[i], want.Collected[i])
-				}
+			assertTopKEquivalent(t, q.Name, got, want)
+			if len(got.Collected) != len(want.Decomposition.Subs) {
+				t.Fatalf("%s: collected %v for %d sub-queries", q.Name, got.Collected, len(want.Decomposition.Subs))
 			}
 		}
 	}

@@ -9,10 +9,9 @@
 // once) a singleflight for free — the second puller waits on the mutex
 // and then reads the match the first one just computed.
 //
-// Sharing is restricted to the exact (SGQ) mode: the time-bounded mode's
-// eager collection order depends on wall-clock scheduling, so its
-// per-sub results are not reusable across runs. The sharing layer above
-// (internal/serve) additionally gates entries on the engine generation.
+// Sharing is restricted to the exact (SGQ) mode; time-bounded runs keep
+// private searchers. The sharing layer above (internal/serve) additionally
+// gates entries on the engine generation.
 //
 // See DESIGN.md, "Cross-query sharing and batch execution".
 
@@ -130,17 +129,25 @@ func (c *sharedCursor) Next() (astar.Match, bool) {
 // of p and wraps it for shared consumption. The plan must come from this
 // engine's Compile.
 func (e *Engine) NewSubSearch(p *Plan, i int) (*SharedSearch, error) {
-	if p == nil || p.eng != e {
-		return nil, fmt.Errorf("core: NewSubSearch: plan was not compiled by this engine")
-	}
-	if !p.compiled || i < 0 || i >= len(p.subs) {
-		return nil, fmt.Errorf("core: NewSubSearch: no sub-query %d", i)
-	}
-	sr, err := e.subSearcher(p, i)
+	sr, err := e.Searcher(p, i)
 	if err != nil {
 		return nil, err
 	}
 	return NewSharedSearch(sr), nil
+}
+
+// Searcher builds a fresh whole-graph A* searcher for the i-th sub-query
+// blueprint of p, for callers that drive the search themselves (the
+// Algorithm 2-3 reproduction in internal/bench). The plan must come from
+// this engine's Compile.
+func (e *Engine) Searcher(p *Plan, i int) (*astar.Searcher, error) {
+	if p == nil || p.eng != e {
+		return nil, fmt.Errorf("core: plan was not compiled by this engine")
+	}
+	if !p.compiled || i < 0 || i >= len(p.subs) {
+		return nil, fmt.Errorf("core: no sub-query %d", i)
+	}
+	return e.subSearcher(p, i)
 }
 
 // StreamPlanShared is StreamPlan with per-sub-query match sources

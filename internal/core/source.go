@@ -11,9 +11,7 @@ import (
 	"sync/atomic"
 
 	"semkg/internal/astar"
-	"semkg/internal/kg"
 	"semkg/internal/shard"
-	"semkg/internal/tbq"
 )
 
 // matchSource is one (shard, sub-query) search of a run, yielding matches
@@ -23,16 +21,8 @@ import (
 // *remoteSource (one shard server's stream, with hedging, retry, failover
 // and offset-resume entirely behind it).
 type matchSource interface {
-	// Next is the exact mode's sorted pull: the next match in
-	// non-increasing pss order.
+	// Next is the sorted pull: the next match in non-increasing pss order.
 	Next() (astar.Match, bool)
-	// Collect is the time-bounded mode's eager collection: the best match
-	// per end node found before the estimator stopped the search, and
-	// whether the search ran dry. Local sources collect under est itself
-	// (shared by every source of the run) and report each newly seen
-	// entity through onNew; a remote source collects under its server's
-	// own estimator, configured from the same bound.
-	Collect(est *tbq.Estimator, onNew func(total int)) (map[kg.NodeID]astar.Match, bool)
 	// Stats reports the search's A* effort.
 	Stats() astar.Stats
 	// Shard is the 1-based shard the source searches; 0 for the whole
@@ -57,7 +47,7 @@ type backend interface {
 	// sub's sources in shard order — the merge tie-break order. finish,
 	// when non-nil, must be called once the assembly is done: it stops
 	// sources still running and reports the scatter's failure, if any.
-	open(ctx context.Context, p *Plan, opts Options) (sources [][]matchSource, finish func() error, err error)
+	open(ctx context.Context, p *Plan) (sources [][]matchSource, finish func() error, err error)
 }
 
 // sourceSet is the swappable half of an engine: a partitioned backend,
@@ -67,8 +57,7 @@ type backend interface {
 type sourceSet struct {
 	backend
 	shards int
-	// workers bounds the concurrent source prefetches of the exact-mode
-	// scatter.
+	// workers bounds the concurrent source prefetches of the scatter.
 	workers int
 
 	searches  atomic.Uint64
@@ -132,7 +121,7 @@ type scatter struct {
 	// sources[sub] lists sub-query sub's sources in shard order.
 	sources [][]matchSource
 	// shards is the partition size, 0 over the whole graph; workers bounds
-	// the exact mode's concurrent prefetches across a partition.
+	// the concurrent prefetches across a partition.
 	shards, workers int
 	// finish is the backend's (see backend.open); nil for local sources.
 	finish func() error
@@ -146,7 +135,7 @@ func (e *Engine) openSources(ctx context.Context, p *Plan, opts Options, shared 
 	if ss := e.sources.Load(); ss != nil && shared == nil {
 		if ss.serves(opts) {
 			ss.searches.Add(1)
-			sources, finish, err := ss.open(ctx, p, opts)
+			sources, finish, err := ss.open(ctx, p)
 			return &scatter{sources: sources, shards: ss.shards, workers: ss.workers, finish: finish}, err
 		}
 		ss.fallbacks.Add(1)

@@ -1,16 +1,15 @@
-// Streaming search: the anytime, event-driven form of the pipeline. The
-// paper's response-time-bounded mode (Section VI, Theorem 4) refines its
-// answer monotonically as the budget grows; Stream exposes that refinement
-// — and the exact mode's TA assembly rounds — as typed events, so callers
-// can render provisional top-k answers while the search is still running.
-// The batch Search is a thin consumer of this pipeline.
+// Streaming search: the anytime, event-driven form of the pipeline. The TA
+// assembly refines a provisional top-k round by round until Theorem 3
+// certifies it — or, in the response-time-bounded mode (Section VI), until
+// the deadline cuts it. Stream exposes those rounds as typed events, so
+// callers can render provisional top-k answers while the search is still
+// running. The batch Search is a thin consumer of this pipeline.
 
 package core
 
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,22 +52,21 @@ type Phase string
 const (
 	// PhaseSearch marks the start of the per-sub-query A* searches.
 	PhaseSearch Phase = "search"
-	// PhaseAlert marks Algorithm 3's estimator reaching the alert
-	// threshold T·r% (TBQ only): the searches stop so that the assembly
-	// of the collected sets finishes within the bound.
+	// PhaseAlert marks the time-bounded cut (TBQ only): past T·r% the
+	// assembly needed a match the searches had not yet found, so the run
+	// stops pulling and answers with its current top. At most once per
+	// run, and only when the cut is taken.
 	PhaseAlert Phase = "alert"
 	// PhaseAssemble marks the start of the TA final-match assembly.
 	PhaseAssemble Phase = "assemble"
 )
 
 // ProgressEvent reports one match source's search effort: Collected counts
-// the matches the source gathered so far for sub-query Sub (prefetched in
-// the exact mode, eager-collected distinct entities in TBQ mode). Done
-// marks the end of the source's search phase; every source reports it
-// exactly once. Shard identifies the source's shard when the run scatters
-// over a partition (1-based, so shard 1 is the first); it is 0 over the
-// whole graph, which has one source per sub-query. A remote shard
-// collecting eagerly reports only its Done update.
+// the matches the source prefetched so far for sub-query Sub. Done marks
+// the end of the source's prefetch; every source reports it exactly once.
+// Shard identifies the source's shard when the run scatters over a
+// partition (1-based, so shard 1 is the first); it is 0 over the whole
+// graph, which has one source per sub-query.
 type ProgressEvent struct {
 	Sub       int
 	Collected int
@@ -99,9 +97,9 @@ type TopKEvent struct {
 func (TopKEvent) Kind() EventKind { return KindTopK }
 
 // PhaseEvent marks a pipeline phase transition. For PhaseAlert, Elapsed is
-// the search time consumed and Projected is Algorithm 3's estimate T̂ that
-// tripped the threshold. For PhaseAssemble, Collected holds |M̂_i| per
-// sub-query (TBQ) or the prefetched match counts (exact mode).
+// the run time at the cut and Projected the deadline T·r% it passed. For
+// PhaseAssemble, Collected holds the prefetched match counts per
+// sub-query.
 type PhaseEvent struct {
 	Phase     Phase
 	Elapsed   time.Duration
@@ -153,8 +151,8 @@ type Stream struct {
 	// identical pipeline without paying for events nobody consumes.
 	quiet bool
 
-	// Provisional-ranking state, touched only by the pipeline goroutine.
-	lastTopK []provisionalKey
+	// The last assembly round's bounds, touched only by the pipeline
+	// goroutine.
 	lk, umax float64
 	round    int
 }
@@ -275,10 +273,13 @@ func (e *Engine) streamPlan(ctx context.Context, p *Plan, opts Options, shared [
 // (Result.Elapsed) covers the run, not the compilation — a plan-cache hit
 // in the serving layer pays neither.
 func (e *Engine) start(ctx context.Context, p *Plan, opts Options, shared []SubSource, quiet bool) (*Stream, error) {
-	if opts.TimeBound > 0 {
-		e.perMatchCost() // calibrate outside the timed window
-	}
 	start := time.Now()
+	buffer := streamBuffer
+	if quiet {
+		buffer = 0 // no events will be emitted
+	}
+	s := &Stream{events: make(chan Event, buffer), done: make(chan struct{}), quiet: quiet}
+	dl := s.deadline(opts)
 	var sc *scatter // a non-compiled plan has nothing to search
 	if p.compiled {
 		var err error
@@ -286,43 +287,64 @@ func (e *Engine) start(ctx context.Context, p *Plan, opts Options, shared []SubS
 			return nil, err
 		}
 	}
-	buffer := streamBuffer
 	if quiet {
-		buffer = 0 // no events will be emitted
-	}
-	s := &Stream{events: make(chan Event, buffer), done: make(chan struct{}), quiet: quiet}
-	if quiet {
-		e.run(ctx, s, p, sc, opts, start)
+		e.run(ctx, s, p, sc, opts, dl, start)
 	} else {
-		go e.run(ctx, s, p, sc, opts, start)
+		go e.run(ctx, s, p, sc, opts, dl, start)
 	}
 	return s, nil
 }
 
 // run is the one gather pipeline behind every engine's Stream: scatter the
-// search phase over the run's sources (exact: each prefetches its share of
-// k, then feeds a demand-driven sorted stream; time-bounded: each collects
-// eagerly under Algorithm 3's estimator), merge the sources of each
+// search phase over the run's sources (each prefetches its share of k,
+// then feeds a demand-driven sorted stream), merge the sources of each
 // sub-query, run the TA assembly over the merged streams, and close with
 // the stats, the final ranking and the terminal event. A sub-query with
 // one source — the whole-graph engine always, a one-shard partition —
-// skips the merger.
-func (e *Engine) run(ctx context.Context, s *Stream, p *Plan, sc *scatter, opts Options, start time.Time) {
+// skips the merger. A time-bounded run is the same pipeline under a
+// deadline dl (nil in the exact mode) that may cut it short.
+func (e *Engine) run(ctx context.Context, s *Stream, p *Plan, sc *scatter, opts Options, dl *deadline, start time.Time) {
 	res := &Result{Decomposition: p.d}
 	if p.compiled {
 		s.emit(PhaseEvent{Phase: PhaseSearch})
-		var streams []ta.Stream
-		if opts.TimeBound > 0 {
-			streams = e.collectEager(ctx, s, sc, opts, res)
-		} else {
-			streams = prefetchSorted(ctx, s, sc, opts.K)
+		streams := prefetchSorted(ctx, s, sc, opts.K, dl)
+		var cut []*cutStream
+		if dl != nil {
+			cut = make([]*cutStream, len(streams))
+			for i, st := range streams {
+				cut[i] = &cutStream{Stream: st, dl: dl}
+				streams[i] = cut[i]
+			}
 		}
 		asm := ta.NewAssembler(streams, opts.K)
+		if dl != nil {
+			asm.Expire(dl.taken)
+		}
 		var onRound func(int)
 		if !s.quiet {
+			// A provisional snapshot goes out only when the round changed
+			// the ranking. A complete candidate's answer never changes, so
+			// each is rendered once.
+			shown := 0
+			rendered := make(map[kg.NodeID]Answer)
 			onRound = func(r int) {
-				lk, umax := asm.Bounds()
-				s.emitProvisional(e, p.d, asm.Provisional(), lk, umax, r)
+				s.lk, s.umax = asm.Bounds()
+				s.round = r
+				if asm.Changes() == shown {
+					return
+				}
+				shown = asm.Changes()
+				prov := asm.Provisional()
+				answers := make([]Answer, len(prov))
+				for i, f := range prov {
+					a, ok := rendered[f.Pivot]
+					if !ok {
+						a = e.renderAnswer(f, p.d)
+						rendered[f.Pivot] = a
+					}
+					answers[i] = a
+				}
+				s.emit(TopKEvent{Answers: answers, LowerK: s.lk, UpperMax: s.umax, Round: r})
 			}
 		}
 		finals := asm.Run(onRound)
@@ -345,6 +367,13 @@ func (e *Engine) run(ctx context.Context, s *Stream, p *Plan, sc *scatter, opts 
 				}
 			}
 		}
+		if dl != nil {
+			res.Approximate = dl.taken()
+			res.Collected = make([]int, len(cut))
+			for i, c := range cut {
+				res.Collected[i] = c.n
+			}
+		}
 		res.Answers = e.renderAnswers(finals, p.d)
 		// The closing top-k snapshot: guaranteed even when no provisional
 		// round changed the ranking, so consumers always see the final
@@ -365,15 +394,16 @@ func addStats(agg *astar.Stats, st astar.Stats) {
 	agg.Emitted += st.Emitted
 }
 
-// prefetchSorted is the exact mode's search phase: every source
-// prefetches its proportional share of k concurrently — if the top-k
-// distributes evenly across a partition, each shard contributes about k/N
-// — then resumes lazily behind its buffer. The gather stays demand-driven
-// past the prefetch: the TA assembly pulls further matches through the
-// sorted mergers only when its L_k/U_max bounds require them, and only
-// from the source whose head is actually competitive — skew (all
-// candidates in one shard) costs lazy pulls, never a restart.
-func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int) []ta.Stream {
+// prefetchSorted is the search phase: every source prefetches its
+// proportional share of k concurrently — if the top-k distributes evenly
+// across a partition, each shard contributes about k/N — then resumes
+// lazily behind its buffer. The gather stays demand-driven past the
+// prefetch: the TA assembly pulls further matches through the sorted
+// mergers only when its L_k/U_max bounds require them, and only from the
+// source whose head is actually competitive — skew (all candidates in one
+// shard) costs lazy pulls, never a restart. Past dl, a prefetch stops and
+// a lazy pull is refused.
+func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int, dl *deadline) []ta.Stream {
 	share := k
 	var sem chan struct{}
 	if sc.shards > 1 {
@@ -386,7 +416,7 @@ func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int) []ta.Str
 	for sub, srcs := range sc.sources {
 		resumes[sub] = make([]*resumeStream, len(srcs))
 		for i, src := range srcs {
-			r := &resumeStream{ctx: ctx, search: src}
+			r := &resumeStream{ctx: ctx, dl: dl, search: src}
 			resumes[sub][i] = r
 			wg.Add(1)
 			go func(sub int, src matchSource) {
@@ -395,7 +425,7 @@ func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int) []ta.Str
 					sem <- struct{}{}
 					defer func() { <-sem }()
 				}
-				for len(r.buf) < share && ctx.Err() == nil {
+				for len(r.buf) < share && ctx.Err() == nil && !dl.due() {
 					m, ok := src.Next()
 					if !ok {
 						break
@@ -434,91 +464,85 @@ func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int) []ta.Str
 	return streams
 }
 
-// collectEager is the time-bounded mode's search phase (Algorithms 2 and
-// 3): every source collects eagerly and concurrently — all of them, as
-// the estimator requires — until the alert threshold T·r%; the collected
-// sets are then merged per sub-query (best match per end node across
-// shards) into the slices the assembly consumes. Local sources share the
-// one estimator created here, T̂ = elapsed + Σ|M̂|·t with Σ counting
-// distinct entities per (shard, sub-query) set: an entity reachable
-// through first hops in several shards counts once per shard, so a
-// partitioned alert can only fire earlier than the whole-graph one — the
-// time bound is never loosened by sharding.
-func (e *Engine) collectEager(ctx context.Context, s *Stream, sc *scatter, opts Options, res *Result) []ta.Stream {
-	quiet := s.quiet
-	var onAlert func(elapsed, projected time.Duration)
-	if !quiet {
-		onAlert = func(elapsed, projected time.Duration) {
-			s.emit(PhaseEvent{Phase: PhaseAlert, Elapsed: elapsed, Projected: projected})
-		}
-	}
-	est := tbq.NewEstimator(ctx, tbq.Config{
-		Bound:      opts.TimeBound,
-		AlertRatio: opts.AlertRatio,
-		PerMatchTA: e.perMatchCost(),
-		Clock:      opts.Clock,
-	}, onAlert)
-
-	sets := make([][]map[kg.NodeID]astar.Match, len(sc.sources))
-	var dry atomic.Bool
-	dry.Store(true)
-	var wg sync.WaitGroup
-	for sub, srcs := range sc.sources {
-		sets[sub] = make([]map[kg.NodeID]astar.Match, len(srcs))
-		for i, src := range srcs {
-			wg.Add(1)
-			go func(sub, i int, src matchSource) {
-				defer wg.Done()
-				var onNew func(total int)
-				if !quiet {
-					onNew = func(total int) {
-						s.emit(ProgressEvent{Shard: src.Shard(), Sub: sub, Collected: total})
-					}
-				}
-				best, exhausted := src.Collect(est, onNew)
-				sets[sub][i] = best
-				if !exhausted {
-					dry.Store(false)
-				}
-				if !quiet {
-					s.emit(ProgressEvent{Shard: src.Shard(), Sub: sub, Collected: len(best), Done: true})
-				}
-			}(sub, i, src)
-		}
-	}
-	wg.Wait()
-
-	streams := make([]ta.Stream, len(sc.sources))
-	counts := make([]int, len(sc.sources))
-	for sub := range streams {
-		ms := merge.BestByEnd(sets[sub]...) // shard order: deterministic equal-PSS winner
-		counts[sub] = len(ms)
-		streams[sub] = &ta.SliceStream{Matches: ms}
-	}
-	res.Approximate = !dry.Load()
-	res.Collected = counts
-	s.emit(PhaseEvent{Phase: PhaseAssemble, Collected: counts})
-	return streams
+// deadline is the time-bounded mode (Section VI) as a cut of the exact
+// pipeline: at run start + T·r% on the run's clock the searches stop
+// pulling. Prefetches stop early, so the assembly may still drain what they
+// buffered; the first pull that would search further is refused, which
+// takes the cut — PhaseAlert, then the top's complete candidates as an
+// approximate answer. A run that terminates by Theorem 3 or exhaustion
+// first returns the exact answer, however late: more time only lets more
+// runs finish, so the answer converges to the exact top-k (Theorem 4).
+type deadline struct {
+	s         *Stream
+	clock     tbq.Clock
+	start, at time.Time
+	late      atomic.Bool // the clock has reached at
+	cut       atomic.Bool // a pull was refused
 }
 
-// emitProvisional emits a TopKEvent when the provisional ranking changed
-// since the last emission, and records the round's bounds.
-func (s *Stream) emitProvisional(e *Engine, d *query.Decomposition, finals []ta.Final, lk, umax float64, round int) {
-	s.lk, s.umax, s.round = lk, umax, round
-	sig := make([]provisionalKey, len(finals))
-	for i, f := range finals {
-		sig[i] = provisionalKey{pivot: f.Pivot, score: f.Score}
+// deadline mints opts' deadline, or nil in the exact mode.
+func (s *Stream) deadline(opts Options) *deadline {
+	if opts.TimeBound <= 0 {
+		return nil
 	}
-	if slices.Equal(sig, s.lastTopK) {
-		return
+	r := opts.AlertRatio
+	if r <= 0 {
+		r = tbq.DefaultAlertRatio
 	}
-	s.lastTopK = sig
-	s.emit(TopKEvent{Answers: e.renderAnswers(finals, d), LowerK: lk, UpperMax: umax, Round: round})
+	d := &deadline{s: s, clock: opts.Clock}
+	if d.clock == nil {
+		d.clock = tbq.WallClock{}
+	}
+	d.start = d.clock.Now()
+	d.at = d.start.Add(time.Duration(float64(opts.TimeBound) * r))
+	return d
 }
 
-// provisionalKey identifies one provisional ranking entry for change
-// detection between assembly rounds.
-type provisionalKey struct {
-	pivot kg.NodeID
-	score float64
+// due reports whether the clock has reached the deadline; false on nil.
+func (d *deadline) due() bool {
+	if d == nil {
+		return false
+	}
+	if d.late.Load() {
+		return true
+	}
+	if d.clock.Now().Before(d.at) {
+		return false
+	}
+	d.late.Store(true)
+	return true
+}
+
+// refuse reports whether a lazy pull must be refused; the first refusal
+// takes the cut and emits PhaseAlert.
+func (d *deadline) refuse() bool {
+	if !d.due() {
+		return false
+	}
+	if d.cut.CompareAndSwap(false, true) {
+		d.s.emit(PhaseEvent{Phase: PhaseAlert, Elapsed: d.clock.Now().Sub(d.start), Projected: d.at.Sub(d.start)})
+	}
+	return true
+}
+
+// taken reports whether the cut was taken.
+func (d *deadline) taken() bool { return d.cut.Load() }
+
+// cutStream is one sub-query's stream as a time-bounded assembly sees it.
+// Once the cut is taken it yields nothing, and it drops the match of the
+// pull that took it: a merged stream whose source was refused mid-pull may
+// be missing that source's better matches. n counts the matches delivered.
+type cutStream struct {
+	ta.Stream
+	dl *deadline
+	n  int
+}
+
+func (c *cutStream) Next() (astar.Match, bool) {
+	m, ok := c.Stream.Next()
+	if !ok || c.dl.taken() {
+		return astar.Match{}, false
+	}
+	c.n++
+	return m, true
 }

@@ -152,11 +152,11 @@ func TestStreamBatchEquivalenceSGQ(t *testing.T) {
 }
 
 // TestStreamBatchEquivalenceTBQ covers the time-bounded mode: an ample
-// deterministic budget (exhaustive: the oracle's exact top-k, collected
-// sets as large as the oracle's) on multi-sub-query graphs, and a tight
-// budget (approximate: never above the oracle's scores) on
-// single-sub-query graphs, where the shared StepClock makes the collection
-// deterministic — so batch and stream agree field for field in both.
+// deterministic budget (never cut: the exact run's answers and effort) on
+// multi-sub-query graphs, and a tight budget (cut: complete candidates at
+// their oracle scores) on single-sub-query graphs, where one prefetch
+// goroutine makes the StepClock observation sequence deterministic — so
+// batch and stream agree field for field in both.
 func TestStreamBatchEquivalenceTBQ(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 8)
@@ -167,15 +167,19 @@ func TestStreamBatchEquivalenceTBQ(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		r := oracleCheck(t, name+"/batch", e, ds.Library, q, opts, want)
+		oracleCheck(t, name+"/batch", e, ds.Library, q, opts, want)
 		if opts.TimeBound == time.Hour {
+			exact := opts
+			exact.TimeBound = 0
+			sgq, err := e.Search(ctx, q, exact)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if want.Approximate {
 				t.Errorf("%s: flagged approximate under a one-hour bound", name)
 			}
-			for i, ms := range r.Matches {
-				if want.Collected[i] != len(ms) {
-					t.Errorf("%s: sub-query %d collected %d entities, the oracle reaches %d", name, i, want.Collected[i], len(ms))
-				}
+			if !reflect.DeepEqual(want.Answers, sgq.Answers) || !reflect.DeepEqual(want.SearchStats, sgq.SearchStats) {
+				t.Errorf("%s: uncut run differs from the exact run", name)
 			}
 		}
 
@@ -190,8 +194,8 @@ func TestStreamBatchEquivalenceTBQ(t *testing.T) {
 		checkEventOrdering(t, name, events, res)
 	}
 
-	// Ample budget: every eager search exhausts, so the interleaving of
-	// clock observations across sub-query goroutines cannot change M̂_i.
+	// Ample budget: no cut, so the interleaving of clock observations
+	// across prefetch goroutines cannot change the run.
 	ample := Options{K: 5, Tau: 0.5, MaxHops: 3, TimeBound: time.Hour}
 	for _, q := range []datagen.GenQuery{ds.Simple[0], ds.Medium[0]} {
 		run(q.Name+"/ample", q.Graph, ample, func() tbq.Clock {
@@ -280,7 +284,7 @@ func checkEventOrdering(t *testing.T, name string, events []Event, res *Result) 
 }
 
 // TestStreamTBQSubDone: time-bounded streams report the end of each
-// sub-query's eager search with a Done-flagged progress event.
+// sub-query's prefetch with a Done-flagged progress event.
 func TestStreamTBQSubDone(t *testing.T) {
 	e := newTestEngine(t)
 	st, err := e.Stream(context.Background(), q117("assembly"), Options{

@@ -3,9 +3,6 @@ package merge
 import (
 	"reflect"
 	"testing"
-
-	"semkg/internal/astar"
-	"semkg/internal/kg"
 )
 
 // TestBlendAllDuplicateKeys: every list carries the same entity — the
@@ -81,52 +78,5 @@ func TestSortedSourceIndexTieBreak(t *testing.T) {
 	// starvation, absorbed the duplicate.
 	if pulled[0].pulled == 0 || pulled[1].pulled == 0 {
 		t.Fatalf("look-ahead pulls: %d/%d, want both > 0", pulled[0].pulled, pulled[1].pulled)
-	}
-}
-
-// TestBestByEndAllDuplicateEntities: N sets all keyed by the same end
-// node collapse to one entry; with equal PSS everywhere the first set
-// wins no matter how many challengers follow.
-func TestBestByEndAllDuplicateEntities(t *testing.T) {
-	sets := make([]map[kg.NodeID]astar.Match, 5)
-	for i := range sets {
-		sets[i] = map[kg.NodeID]astar.Match{9: m(0.5, 9, i+1)}
-	}
-	got := BestByEnd(sets...)
-	if len(got) != 1 {
-		t.Fatalf("all-duplicate sets merged to %d entries, want 1", len(got))
-	}
-	if got[0].Len() != 1 {
-		t.Fatalf("equal-PSS winner has len %d, want 1 (first set wins)", got[0].Len())
-	}
-
-	// A strictly better later match still displaces the incumbent.
-	sets[3] = map[kg.NodeID]astar.Match{9: m(0.8, 9, 4)}
-	got = BestByEnd(sets...)
-	if len(got) != 1 || got[0].PSS != 0.8 {
-		t.Fatalf("better later match lost: %+v", got)
-	}
-}
-
-// TestBestByEndDeterministicOrder: repeated merges of the same sets give
-// the identical slice — the output order is the documented (PSS desc,
-// End asc) sort, never map iteration order.
-func TestBestByEndDeterministicOrder(t *testing.T) {
-	a := map[kg.NodeID]astar.Match{
-		1: m(0.5, 1, 1), 2: m(0.5, 2, 1), 3: m(0.5, 3, 1),
-		4: m(0.5, 4, 1), 5: m(0.5, 5, 1),
-	}
-	b := map[kg.NodeID]astar.Match{6: m(0.5, 6, 1), 7: m(0.5, 7, 1)}
-	first := BestByEnd(a, b)
-	wantEnds := []kg.NodeID{1, 2, 3, 4, 5, 6, 7}
-	for i, w := range wantEnds {
-		if first[i].End() != w {
-			t.Fatalf("position %d: end %d, want %d", i, first[i].End(), w)
-		}
-	}
-	for i := 0; i < 30; i++ {
-		if again := BestByEnd(a, b); !reflect.DeepEqual(again, first) {
-			t.Fatalf("run %d: order unstable", i)
-		}
 	}
 }

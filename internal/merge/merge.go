@@ -1,7 +1,6 @@
 // Package merge implements the gather half of the sharded scatter-gather
 // pipeline: combining per-shard sub-query match streams into one globally
-// sorted stream, and per-shard eager-collected match sets into one
-// deduplicated set (see DESIGN.md, "Scatter-gather").
+// sorted stream (see DESIGN.md, "Scatter-gather").
 //
 // Sorted is demand-driven: it pulls one match ahead per source and yields
 // the global maximum, so the TA assembly's L_k >= U_max early termination
@@ -17,8 +16,6 @@
 package merge
 
 import (
-	"sort"
-
 	"semkg/internal/astar"
 	"semkg/internal/kg"
 	"semkg/internal/ta"
@@ -103,39 +100,4 @@ func (m *Merged) Next() (astar.Match, bool) {
 		m.emitted[out.End()] = true
 		return out, true
 	}
-}
-
-// BestByEnd merges per-shard eager-collected match sets (the TBQ M̂_i
-// sets, keyed by base-graph end node) into one deduplicated, sorted slice:
-// the best-PSS match per end node, ordered PSS descending with End
-// ascending as the tie-break — exactly the order the single-engine TBQ
-// assembly consumes, so an exhausted sharded collection assembles
-// identically to the exhausted whole-graph collection. On equal PSS for
-// the same end node, the earlier set (lower shard index) wins,
-// deterministically.
-func BestByEnd(sets ...map[kg.NodeID]astar.Match) []astar.Match {
-	var merged map[kg.NodeID]astar.Match
-	if len(sets) == 1 {
-		merged = sets[0] // one source (the whole-graph engine): nothing to dedupe
-	} else {
-		merged = make(map[kg.NodeID]astar.Match)
-		for _, set := range sets {
-			for end, m := range set {
-				if cur, ok := merged[end]; !ok || m.PSS > cur.PSS {
-					merged[end] = m
-				}
-			}
-		}
-	}
-	out := make([]astar.Match, 0, len(merged))
-	for _, m := range merged {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].PSS != out[b].PSS {
-			return out[a].PSS > out[b].PSS
-		}
-		return out[a].End() < out[b].End()
-	})
-	return out
 }

@@ -133,42 +133,3 @@ func TestSortedIsLazy(t *testing.T) {
 		t.Fatalf("hot source pulled %d times, want <= 4", hot.pulled)
 	}
 }
-
-func TestBestByEnd(t *testing.T) {
-	a := map[kg.NodeID]astar.Match{
-		1: m(0.9, 1, 1),
-		2: m(0.5, 2, 1),
-	}
-	b := map[kg.NodeID]astar.Match{
-		1: m(0.7, 1, 2), // loses to a's 0.9
-		3: m(0.8, 3, 1),
-	}
-	got := BestByEnd(a, b)
-	if len(got) != 3 {
-		t.Fatalf("merged %d entries, want 3", len(got))
-	}
-	// Sorted PSS desc with End asc tie-break.
-	wantEnds := []kg.NodeID{1, 3, 2}
-	wantPSS := []float64{0.9, 0.8, 0.5}
-	for i := range got {
-		if got[i].End() != wantEnds[i] || got[i].PSS != wantPSS[i] {
-			t.Fatalf("position %d: end %d pss %v, want end %d pss %v",
-				i, got[i].End(), got[i].PSS, wantEnds[i], wantPSS[i])
-		}
-	}
-
-	// Equal PSS for the same end: the earlier set wins, deterministically.
-	first := m(0.6, 4, 1)
-	second := m(0.6, 4, 2)
-	got = BestByEnd(map[kg.NodeID]astar.Match{4: first}, map[kg.NodeID]astar.Match{4: second})
-	if len(got) != 1 || got[0].Len() != 1 {
-		t.Fatalf("equal-PSS merge kept the later set's match")
-	}
-
-	if got := BestByEnd(); len(got) != 0 {
-		t.Fatalf("BestByEnd() = %d entries, want 0", len(got))
-	}
-	if got := BestByEnd(map[kg.NodeID]astar.Match{}, nil); len(got) != 0 {
-		t.Fatalf("empty sets produced %d entries", len(got))
-	}
-}

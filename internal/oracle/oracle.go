@@ -217,8 +217,10 @@ func Join(subs []map[kg.NodeID]Match) []Scored {
 // min(k, len(all)) answers, the oracle's score vector within Epsilon,
 // each entity at its own oracle score, and every entity the oracle scores
 // above the k-th score — who fills a tie there is not a correctness
-// property. An approximate (time-bounded, cut short) result must only
-// never score an entity above the oracle's score for it.
+// property. An approximate (time-bounded, cut short) result may miss
+// entities, but every answer must carry its oracle score and the answers
+// must be in rank order: a cut returns complete candidates, each at its
+// exact score.
 func Compare(got, all []Scored, k int, approximate bool) error {
 	want := all[:min(k, len(all))]
 	if len(got) > k || !approximate && len(got) != len(want) {
@@ -231,8 +233,11 @@ func Compare(got, all []Scored, k int, approximate bool) error {
 			return fmt.Errorf("rank %d: entity %d is repeated or not a final match", i, a.Pivot)
 		}
 		seen[a.Pivot] = true
-		if over := a.Score - all[at].Score; over > Epsilon || !approximate && over < -Epsilon {
+		if math.Abs(a.Score-all[at].Score) > Epsilon {
 			return fmt.Errorf("rank %d: entity %d scores %v, the oracle says %v", i, a.Pivot, a.Score, all[at].Score)
+		}
+		if i > 0 && a.Score > got[i-1].Score+Epsilon {
+			return fmt.Errorf("rank %d: score %v above rank %d's %v", i, a.Score, i-1, got[i-1].Score)
 		}
 		if !approximate && math.Abs(a.Score-want[i].Score) > Epsilon {
 			return fmt.Errorf("rank %d scores %v, the oracle's rank %d scores %v", i, a.Score, i, want[i].Score)

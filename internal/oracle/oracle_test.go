@@ -98,14 +98,23 @@ func TestCheckAcceptsTheTruthAndRejectsThreeLies(t *testing.T) {
 		t.Error("Compare accepted a score off by 1e-6")
 	}
 
-	// The approximate rule: fewer answers and lower scores pass, a score
-	// above the oracle's never does.
-	low := answer("A2", "product", a2.Score)
-	if err := r.Check([]Answer{low}, true); err != nil {
+	// The approximate rule: fewer answers pass, missing ones included, but
+	// every answer at its oracle score and in rank order — a score above
+	// or below the oracle's never does.
+	if err := r.Check([]Answer{a2}, true); err != nil {
 		t.Errorf("a sound approximate result was rejected: %v", err)
 	}
-	if err := Compare(got(Scored{all[1].Pivot, all[1].Score + 1e-6}), all, 3, true); err == nil {
-		t.Error("the approximate rule accepted a score above the oracle's")
+	if err := Compare(got(all[0], all[2]), all, 3, true); err != nil {
+		t.Errorf("an approximate result missing an entity was rejected: %v", err)
+	}
+	for name, lie := range map[string][]Scored{
+		"score above the oracle's": got(Scored{all[1].Pivot, all[1].Score + 1e-6}),
+		"score below the oracle's": got(Scored{all[1].Pivot, all[1].Score - 1e-6}),
+		"out of rank order":        got(all[2], all[1]),
+	} {
+		if err := Compare(lie, all, 3, true); err == nil {
+			t.Errorf("the approximate rule accepted a %s", name)
+		}
 	}
 }
 

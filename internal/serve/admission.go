@@ -25,10 +25,10 @@ func (e *OverloadedError) Error() string {
 }
 
 // admission is a bounded worker pool with deadline-aware shedding
-// (Algorithm 3's bounded-response-time contract extended to a loaded
-// server: a bound must survive queueing, so a request that would spend its
-// whole TimeBound waiting is rejected up front instead of timing out in
-// the queue).
+// (the time-bounded mode's contract extended to a loaded server: a bound
+// must survive queueing, so a request that would spend its whole
+// TimeBound waiting is rejected up front instead of timing out in the
+// queue).
 type admission struct {
 	slots    chan struct{} // buffered; len = busy workers
 	workers  int
@@ -36,8 +36,8 @@ type admission struct {
 
 	waiters atomic.Int64 // requests currently queued
 	// estRunNs is an EWMA of observed pipeline service times, seeding the
-	// projected queue wait. Initialized from the engine's calibrated tbq
-	// per-match TA cost before any request has completed.
+	// projected queue wait. Initialized from Config.EstimatedRun (1ms when
+	// unset) before any request has completed.
 	estRunNs atomic.Int64
 
 	admitted         atomic.Uint64
@@ -45,11 +45,6 @@ type admission struct {
 	rejectedQueue    atomic.Uint64
 	rejectedDeadline atomic.Uint64
 }
-
-// estSeedMatches scales the tbq per-match assembly cost t into a whole-
-// pipeline seed estimate: a nominal collected-set size for a cold server.
-// The EWMA replaces the seed as soon as real observations arrive.
-const estSeedMatches = 4096
 
 func newAdmission(workers, maxQueue int, seed time.Duration) *admission {
 	if seed <= 0 {

@@ -58,8 +58,7 @@ type Config struct {
 	// < 0 admits nothing beyond the workers (shed immediately when busy).
 	Queue int
 	// EstimatedRun seeds the queue-wait estimator before any request has
-	// completed; 0 derives the seed from the engine's calibrated tbq
-	// per-match TA cost. Observed service times take over via EWMA.
+	// completed; 0 seeds 1ms. Observed service times take over via EWMA.
 	EstimatedRun time.Duration
 
 	// Build constructs an engine over a newly committed graph; it is
@@ -156,13 +155,9 @@ type Engine struct {
 // New wraps eng in a serving layer sized by cfg.
 func New(eng core.Queryer, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	seed := cfg.EstimatedRun
-	if seed <= 0 {
-		seed = eng.PerMatchCost() * estSeedMatches
-	}
 	return &Engine{
 		cfg:     cfg,
-		adm:     newAdmission(cfg.Workers, cfg.Queue, seed),
+		adm:     newAdmission(cfg.Workers, cfg.Queue, cfg.EstimatedRun),
 		eng:     eng,
 		results: newLRU[*cachedResult](cfg.ResultCache),
 		plans:   newLRU[core.CompiledPlan](cfg.PlanCache),

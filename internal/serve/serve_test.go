@@ -453,6 +453,21 @@ func TestAdmissionShedsDeadline(t *testing.T) {
 	}
 }
 
+// TestAdmissionColdSeed: before any request completes, a layer's service
+// time estimate is the configured seed, or 1ms when none is configured.
+func TestAdmissionColdSeed(t *testing.T) {
+	eng := testEngine(t)
+	for seed, want := range map[time.Duration]time.Duration{
+		0:                      time.Millisecond,
+		40 * time.Millisecond:  40 * time.Millisecond,
+		250 * time.Microsecond: 250 * time.Microsecond,
+	} {
+		if got := New(eng, Config{EstimatedRun: seed}).Stats().EstimatedRun; got != want {
+			t.Errorf("EstimatedRun %v: cold estimate %v, want %v", seed, got, want)
+		}
+	}
+}
+
 func waitBusy(t *testing.T, srv *Engine, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

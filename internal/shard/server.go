@@ -19,13 +19,10 @@ import (
 	"fmt"
 	"net/http"
 	"sync/atomic"
-	"time"
 
 	"semkg/internal/astar"
 	"semkg/internal/kg"
-	"semkg/internal/merge"
 	"semkg/internal/shardwire"
-	"semkg/internal/tbq"
 )
 
 // metaSamples is how many (id, name) probes Meta exposes per shard for
@@ -187,21 +184,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		out.line(shardwire.Line{Error: err.Error()})
 		return
 	}
-	exhausted := true
-	if req.Eager {
-		exhausted = s.streamEager(r, out, src, req)
-	} else if !s.streamExact(r, out, src, req.Offset) {
+	if !s.stream(r, out, src, req.Offset) {
 		return // client gone or cancelled: no terminal line
 	}
 	st := shardwire.SearchStats(src.Stats())
-	out.line(shardwire.Line{Done: true, Exhausted: exhausted, Stats: &st})
+	out.line(shardwire.Line{Done: true, Exhausted: true, Stats: &st})
 }
 
-// streamExact streams the source's sorted match sequence, skipping the
+// stream streams the source's sorted match sequence, skipping the
 // first offset matches (the deterministic failover resume), flushing per
 // line so the coordinator's demand-driven merge sees matches as they
 // surface. It reports whether the sequence was streamed to its end.
-func (s *Server) streamExact(r *http.Request, out *lineWriter, src *Source, offset int) bool {
+func (s *Server) stream(r *http.Request, out *lineWriter, src *Source, offset int) bool {
 	ctx := r.Context()
 	for skipped := 0; ctx.Err() == nil; {
 		m, ok := src.Next()
@@ -218,26 +212,6 @@ func (s *Server) streamExact(r *http.Request, out *lineWriter, src *Source, offs
 		s.matches.Add(1)
 	}
 	return false
-}
-
-// streamEager is the time-bounded collection (Algorithm 2) on the server
-// side: the source collects best-per-end under a local estimator, then
-// the sorted set goes out in one burst. It reports whether the search ran
-// dry before the estimator stopped it.
-func (s *Server) streamEager(r *http.Request, out *lineWriter, src *Source, req *shardwire.SearchRequest) bool {
-	est := tbq.NewEstimator(r.Context(), tbq.Config{
-		Bound:      time.Duration(req.TimeBoundNs),
-		AlertRatio: req.AlertRatio,
-		PerMatchTA: time.Duration(req.PerMatchNs),
-	}, nil)
-	best, exhausted := src.Collect(est, nil)
-	for _, m := range merge.BestByEnd(best) {
-		if !out.line(matchLine(m)) {
-			break
-		}
-		s.matches.Add(1)
-	}
-	return exhausted
 }
 
 // matchLine renders a base-id match as its wire line.

@@ -1,8 +1,8 @@
 // Protocol-level tests for the shard server: these speak raw shardwire
 // over httptest — no coordinator — and pin down the contract the
 // distributed pipeline's exactness rests on: strict request validation,
-// deterministic exact streams, offset resume, inactive-projection
-// completeness, and eager-mode best-per-end equivalence.
+// deterministic exact streams, offset resume, and inactive-projection
+// completeness.
 //
 // External test package: core imports shard, so these tests import core
 // (for plan compilation and wire blueprints) from the outside.
@@ -17,7 +17,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"semkg/internal/core"
 	"semkg/internal/datagen"
@@ -408,52 +407,5 @@ func TestServerExactStreamDeterminismAndResume(t *testing.T) {
 
 	if st := w.srv.Stats(); st.Searches == 0 || st.Matches == 0 {
 		t.Fatalf("traffic not counted: %+v", st)
-	}
-}
-
-// TestServerEagerBestPerEnd: with a generous time bound, eager mode must
-// report exhaustion and return exactly the exact stream's best match per
-// end node — the server-side half of the TBQ equivalence.
-func TestServerEagerBestPerEnd(t *testing.T) {
-	w := newServerWorld(t, 3)
-	req, matches, _ := w.findActive(t, 2)
-
-	type best struct{ pss float64 }
-	want := make(map[uint32]best)
-	for _, m := range matches {
-		end := m.Nodes[len(m.Nodes)-1]
-		if b, ok := want[end]; !ok || m.PSS > b.pss {
-			want[end] = best{pss: m.PSS}
-		}
-	}
-
-	eager := *req
-	eager.Eager = true
-	eager.TimeBoundNs = int64(time.Hour)
-	eager.AlertRatio = 0.5
-	eager.PerMatchNs = int64(10 * time.Microsecond)
-	status, body := w.search(t, &eager)
-	if status != http.StatusOK {
-		t.Fatalf("eager status %d: %s", status, body)
-	}
-	em, eterm := decodeStream(t, body)
-	if !eterm.Done || !eterm.Exhausted {
-		t.Fatalf("eager terminal %+v, want exhausted under an hour budget", eterm)
-	}
-	got := make(map[uint32]best)
-	for _, m := range em {
-		end := m.Nodes[len(m.Nodes)-1]
-		if _, dup := got[end]; dup {
-			t.Fatalf("eager burst repeats end node %d", end)
-		}
-		got[end] = best{pss: m.PSS}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("eager covers %d end nodes, exact stream has %d", len(got), len(want))
-	}
-	for end, b := range want {
-		if g, ok := got[end]; !ok || g.pss != b.pss {
-			t.Fatalf("end %d: eager %+v (present %v), want pss %v", end, g, ok, b.pss)
-		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"semkg/internal/kg"
 	"semkg/internal/semgraph"
 	"semkg/internal/shardwire"
-	"semkg/internal/tbq"
 )
 
 // Projection is one globally-resolved sub-query blueprint mapped into a
@@ -105,13 +104,11 @@ type sortedSearch interface {
 }
 
 // Source is a local match source: one sub-query search whose matches come
-// out in base-graph ids, by sorted pull (Next, the exact mode) or eager
-// best-per-end collection (Collect, the time-bounded mode). Not safe for
-// concurrent use; every run builds its own.
+// out in base-graph ids, by sorted pull. Not safe for concurrent use;
+// every run builds its own.
 type Source struct {
 	sh   *Shard // nil over the whole graph: ids are already global
 	pull sortedSearch
-	sr   *astar.Searcher // nil behind a shared cursor, which cannot collect eagerly
 }
 
 // NewSource starts a fresh search of the projected blueprint in this
@@ -121,19 +118,16 @@ func (sh *Shard) NewSource(p *Projection, opts astar.Options) (*Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr := astar.NewSearcher(sh.Graph, w, p.sub, opts)
-	return &Source{sh: sh, pull: sr, sr: sr}, nil
+	return &Source{sh: sh, pull: astar.NewSearcher(sh.Graph, w, p.sub, opts)}, nil
 }
 
 // WholeGraphSource wraps a searcher over the unpartitioned base graph.
 func WholeGraphSource(sr *astar.Searcher) *Source {
-	return &Source{pull: sr, sr: sr}
+	return &Source{pull: sr}
 }
 
 // SharedSource wraps one reader's cursor over a whole-graph enumeration
-// shared between runs. Exact mode only: eager collection order depends on
-// wall-clock scheduling, so it is never shared and Collect must not be
-// called.
+// shared between runs.
 func SharedSource(cursor sortedSearch) *Source {
 	return &Source{pull: cursor}
 }
@@ -145,16 +139,6 @@ func (s *Source) Next() (astar.Match, bool) {
 		m = s.sh.remap(m)
 	}
 	return m, ok
-}
-
-// Collect runs the search eagerly under est (tbq.Collect), returning the
-// best match per base-graph end node and whether the search ran dry.
-func (s *Source) Collect(est *tbq.Estimator, onNew func(total int)) (map[kg.NodeID]astar.Match, bool) {
-	var remap func(astar.Match) astar.Match
-	if s.sh != nil {
-		remap = s.sh.remap
-	}
-	return tbq.Collect(s.sr, est, remap, onNew)
 }
 
 // Stats returns the underlying searcher's effort counters.

@@ -21,8 +21,7 @@
 // before they leave the server, so every byte the coordinator merges is
 // already in the one shared id space the k-way merger requires.
 //
-// Exact-mode responses are deterministic for a given (shard snapshot,
-// request): two replicas loaded from the same shard file stream
+// Responses are deterministic for a given (shard snapshot, request): two replicas loaded from the same shard file stream
 // byte-identical match sequences. The Offset field exploits that for
 // mid-stream failover — a coordinator that lost a replica after
 // consuming N matches resumes on another replica with Offset=N and the
@@ -78,21 +77,8 @@ type SearchRequest struct {
 	PruneVisited bool    `json:"prune_visited,omitempty"`
 
 	// Offset skips the first Offset matches of the (deterministic) sorted
-	// stream: the mid-stream failover resume point. Exact mode only.
+	// stream: the mid-stream failover resume point.
 	Offset int `json:"offset,omitempty"`
-
-	// Eager switches to the time-bounded collection mode (Algorithm 2):
-	// the server runs the search eagerly under a local tbq estimator and
-	// returns its best-per-end-node set, sorted, in one burst.
-	Eager bool `json:"eager,omitempty"`
-	// TimeBoundNs and AlertRatio parameterize the eager estimator;
-	// PerMatchNs is the coordinator's calibrated per-match TA cost t,
-	// pre-scaled by the shard count (each server sees only its own
-	// collection count, so scaling t by N keeps the distributed alert at
-	// least as conservative as the single-process shared estimator).
-	TimeBoundNs int64   `json:"time_bound_ns,omitempty"`
-	AlertRatio  float64 `json:"alert_ratio,omitempty"`
-	PerMatchNs  int64   `json:"per_match_ns,omitempty"`
 }
 
 // Validate rejects structurally bad requests before any search work.
@@ -110,14 +96,6 @@ func (r *SearchRequest) Validate() error {
 		return fmt.Errorf("shardwire: offset = %d out of range", r.Offset)
 	case len(r.Rows) != len(r.EndSets):
 		return fmt.Errorf("shardwire: %d weight rows for %d segments", len(r.Rows), len(r.EndSets))
-	case r.TimeBoundNs < 0 || r.Eager && r.TimeBoundNs == 0:
-		return fmt.Errorf("shardwire: time_bound_ns = %d out of range (eager mode requires > 0)", r.TimeBoundNs)
-	case r.AlertRatio < 0 || r.AlertRatio > 1:
-		return fmt.Errorf("shardwire: alert_ratio = %v out of range [0,1]", r.AlertRatio)
-	case r.PerMatchNs < 0:
-		return fmt.Errorf("shardwire: per_match_ns = %d out of range", r.PerMatchNs)
-	case r.Eager && r.Offset != 0:
-		return fmt.Errorf("shardwire: offset resume is exact-mode only (eager collections are not deterministic)")
 	}
 	return nil
 }
@@ -142,10 +120,9 @@ type Line struct {
 	SegEnds []int    `json:"seg_ends,omitempty"`
 	PSS     float64  `json:"pss,omitempty"`
 
-	// Done marks the clean end of the stream. Exhausted reports whether
-	// the search ran dry (always true in exact mode; in eager mode, false
-	// means the estimator stopped collection early — the TBQ approximate
-	// flag). Stats is the shard's A* effort.
+	// Done marks the clean end of the stream. Exhausted reports that the
+	// search ran dry, which a clean end always means. Stats is the shard's
+	// A* effort.
 	Done      bool         `json:"done,omitempty"`
 	Exhausted bool         `json:"exhausted,omitempty"`
 	Stats     *SearchStats `json:"stats,omitempty"`

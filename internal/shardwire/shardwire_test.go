@@ -33,10 +33,9 @@ func mustJSON(t testing.TB, v any) []byte {
 }
 
 func TestSearchRequestRoundTrip(t *testing.T) {
-	eager := validRequest()
-	eager.Offset = 0
-	eager.Eager, eager.TimeBoundNs, eager.AlertRatio, eager.PerMatchNs = true, 25e6, 0.8, 1200
-	for name, want := range map[string]SearchRequest{"exact": validRequest(), "eager": eager} {
+	fresh := validRequest()
+	fresh.Offset, fresh.PruneVisited, fresh.NoHeuristic = 0, false, true
+	for name, want := range map[string]SearchRequest{"resumed": validRequest(), "fresh": fresh} {
 		got, err := DecodeSearchRequest(bytes.NewReader(mustJSON(t, want)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -59,30 +58,25 @@ func TestDecodeSearchRequestRejects(t *testing.T) {
 		return string(mustJSON(t, r))
 	}
 	cases := map[string]string{
-		"empty body":        ``,
-		"not json":          `shard=1`,
-		"truncated":         good[:len(good)/2],
-		"wrong type":        `{"shard":"one","tau":0.5,"max_hops":3}`,
-		"unknown field":     strings.Replace(good, `"tau"`, `"tau_v2":1,"tau"`, 1),
-		"trailing object":   good + `{"shard":0}`,
-		"trailing garbage":  good + ` x`,
-		"array not object":  `[` + good + `]`,
-		"negative shard":    mutate(func(r *SearchRequest) { r.Shard = -1 }),
-		"negative sub":      mutate(func(r *SearchRequest) { r.Sub = -1 }),
-		"zero tau":          mutate(func(r *SearchRequest) { r.Tau = 0 }),
-		"tau above one":     mutate(func(r *SearchRequest) { r.Tau = 1.01 }),
-		"zero max hops":     mutate(func(r *SearchRequest) { r.MaxHops = 0 }),
-		"negative offset":   mutate(func(r *SearchRequest) { r.Offset = -1 }),
-		"rows vs segments":  mutate(func(r *SearchRequest) { r.Rows = r.Rows[:1] }),
-		"negative bound":    mutate(func(r *SearchRequest) { r.TimeBoundNs = -5 }),
-		"eager, no bound":   mutate(func(r *SearchRequest) { r.Offset, r.Eager = 0, true }),
-		"eager with offset": mutate(func(r *SearchRequest) { r.Eager, r.TimeBoundNs = true, 1e6 }),
-		"alert ratio > 1":   mutate(func(r *SearchRequest) { r.AlertRatio = 1.5 }),
-		"alert ratio < 0":   mutate(func(r *SearchRequest) { r.AlertRatio = -0.1 }),
-		"negative t":        mutate(func(r *SearchRequest) { r.PerMatchNs = -1 }),
-		"id beyond uint32":  strings.Replace(good, `"anchors":[3,1]`, `"anchors":[4294967296]`, 1),
-		"negative id":       strings.Replace(good, `"anchors":[3,1]`, `"anchors":[-1]`, 1),
-		"fractional offset": strings.Replace(good, `"offset":4`, `"offset":4.5`, 1),
+		"empty body":         ``,
+		"not json":           `shard=1`,
+		"truncated":          good[:len(good)/2],
+		"wrong type":         `{"shard":"one","tau":0.5,"max_hops":3}`,
+		"unknown field":      strings.Replace(good, `"tau"`, `"tau_v2":1,"tau"`, 1),
+		"trailing object":    good + `{"shard":0}`,
+		"trailing garbage":   good + ` x`,
+		"array not object":   `[` + good + `]`,
+		"negative shard":     mutate(func(r *SearchRequest) { r.Shard = -1 }),
+		"negative sub":       mutate(func(r *SearchRequest) { r.Sub = -1 }),
+		"zero tau":           mutate(func(r *SearchRequest) { r.Tau = 0 }),
+		"tau above one":      mutate(func(r *SearchRequest) { r.Tau = 1.01 }),
+		"zero max hops":      mutate(func(r *SearchRequest) { r.MaxHops = 0 }),
+		"negative offset":    mutate(func(r *SearchRequest) { r.Offset = -1 }),
+		"rows vs segments":   mutate(func(r *SearchRequest) { r.Rows = r.Rows[:1] }),
+		"retired eager mode": strings.Replace(good, `"tau"`, `"eager":true,"time_bound_ns":25000000,"tau"`, 1),
+		"id beyond uint32":   strings.Replace(good, `"anchors":[3,1]`, `"anchors":[4294967296]`, 1),
+		"negative id":        strings.Replace(good, `"anchors":[3,1]`, `"anchors":[-1]`, 1),
+		"fractional offset":  strings.Replace(good, `"offset":4`, `"offset":4.5`, 1),
 	}
 	for name, body := range cases {
 		if req, err := DecodeSearchRequest(strings.NewReader(body)); err == nil {
@@ -212,7 +206,7 @@ func TestMetaRoundTrip(t *testing.T) {
 func FuzzDecodeSearchRequest(f *testing.F) {
 	f.Add(mustJSON(f, validRequest()))
 	f.Add([]byte(`{"shard":0,"sub":0,"anchors":[],"end_sets":[],"rows":[],"tau":1,"max_hops":1}`))
-	f.Add([]byte(`{"shard":0,"tau":0.5,"max_hops":2,"eager":true,"time_bound_ns":1}x`))
+	f.Add([]byte(`{"shard":0,"tau":0.5,"max_hops":2,"offset":1}x`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := DecodeSearchRequest(bytes.NewReader(body))
 		if err != nil {

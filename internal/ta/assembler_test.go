@@ -99,7 +99,8 @@ func recompute(log []access, n, k int) (top []*refCand, all map[kg.NodeID]*refCa
 // a from-scratch recompute after every round: the provisional top-k and
 // Bounds() agree on every round, the terminal one included, and the
 // assembler stops on exactly the first round where Theorem 3 holds
-// (len(top) == k && L_k >= U_max) or every stream is dead. Scores sit on a
+// (len(top) == k && L_k >= U_max) or every stream is dead; Changes grows
+// exactly on the rounds that change the provisional ranking. Scores sit on a
 // 0.05 grid so ties at the k-th score occur; pivots are drawn with a skew
 // so evicted candidates are seen again.
 func TestAssemblerMatchesRecompute(t *testing.T) {
@@ -119,6 +120,8 @@ func TestAssemblerMatchesRecompute(t *testing.T) {
 			streams[i] = &recStream{inner: &SliceStream{Matches: ms}, stream: i, log: &log}
 		}
 		asm := NewAssembler(streams, k)
+		var prevTop []Final
+		prevChanges := 0
 		for round := 1; ; round++ {
 			evicted := map[kg.NodeID]bool{}
 			for p, c := range asm.cands {
@@ -153,6 +156,11 @@ func TestAssemblerMatchesRecompute(t *testing.T) {
 					t.Fatalf("trial %d round %d rank %d: (%d,%v), want (%d,%v)", trial, round, i, prov[i].Pivot, prov[i].Score, c.pivot, c.lower)
 				}
 			}
+			sameTop := slices.EqualFunc(prov, prevTop, func(a, b Final) bool { return a.Pivot == b.Pivot && a.Score == b.Score })
+			if grew := asm.Changes() != prevChanges; grew == sameTop {
+				t.Fatalf("trial %d round %d: Changes %d -> %d, but the ranking changed: %v", trial, round, prevChanges, asm.Changes(), !sameTop)
+			}
+			prevTop, prevChanges = prov, asm.Changes()
 			if len(top) == k {
 				for _, c := range all {
 					if c.n == n && c.lower == lk && !slices.Contains(top, c) {

@@ -19,8 +19,8 @@ type Stream interface {
 	Next() (astar.Match, bool)
 }
 
-// SliceStream adapts a pre-collected, pss-sorted match slice (the
-// time-bounded mode's M̂_i sets) to the Stream interface.
+// SliceStream adapts a pre-collected, pss-sorted match slice (Algorithm
+// 3's eager M̂_i sets) to the Stream interface.
 type SliceStream struct {
 	Matches []astar.Match
 	pos     int
@@ -94,8 +94,9 @@ type Assembler struct {
 	done    bool
 	finals  []Final
 
-	top  []*candidate // ≤ k complete candidates by (score desc, pivot asc)
-	heap boundHeap    // non-top candidates by key, max first
+	top     []*candidate // ≤ k complete candidates by (score desc, pivot asc)
+	changes int          // changes to top so far
+	heap    boundHeap    // non-top candidates by key, max first
 
 	// Unused tail of the current slab chunk; candidates, seen flags and
 	// parts are cut from it so a candidate costs no allocation of its own.
@@ -107,6 +108,9 @@ type Assembler struct {
 	// observes before the top fills pay nothing for them.
 	lk, umax    float64
 	boundsDirty bool
+
+	// expired reports a deadline cut (Expire); nil in the exact mode.
+	expired func() bool
 }
 
 // NewAssembler prepares an assembly over the given sorted streams. With
@@ -141,9 +145,19 @@ func (a *Assembler) upper(c *candidate) float64 {
 	return u
 }
 
+// Expire tells a stream cut short by a deadline from an exhausted one: when
+// a stream yields no match and expired reports true, the assembly is cut —
+// it terminates at once with the current top as its finals, instead of
+// retiring the stream. Every such final is a complete candidate whose parts
+// were each its pivot's first, and therefore best, match in a sorted
+// stream, so its score is exact; ψcur is left as it was, so Bounds still
+// bounds every candidate outside the top.
+func (a *Assembler) Expire(expired func() bool) { a.expired = expired }
+
 // Step runs one round-robin round of sorted accesses and the termination
 // check. It returns false once the assembly has terminated (Theorem 3
-// satisfied or every stream exhausted); Finals then holds the result.
+// satisfied, every stream exhausted, or cut; see Expire); Finals then
+// holds the result.
 func (a *Assembler) Step() bool {
 	if a.done {
 		return false
@@ -157,6 +171,10 @@ func (a *Assembler) Step() bool {
 		m, ok := st.Next()
 		a.stats.Accesses++
 		if !ok {
+			if a.expired != nil && a.expired() {
+				a.finish()
+				return false
+			}
 			a.alive[i] = false
 			a.psiCur[i] = 0
 			continue
@@ -244,6 +262,7 @@ func (a *Assembler) complete(c *candidate) {
 	}
 	a.top[i] = c
 	c.slot = inTop
+	a.changes++
 	if out != nil {
 		a.file(out, out.lower) // against the new, higher L_k
 	}
@@ -354,8 +373,7 @@ func (h *boundHeap) Pop() any {
 // Run drives the assembler to completion and returns the finals. onRound,
 // when non-nil, is invoked after every completed round — including the
 // terminal one — so a caller can observe Provisional/Bounds between
-// rounds; both streaming consumers (exact and time-bounded) share this
-// loop.
+// rounds.
 func (a *Assembler) Run(onRound func(round int)) []Final {
 	prev := a.stats.Rounds
 	for {
@@ -387,6 +405,11 @@ func (a *Assembler) Stats() Stats { return a.stats }
 // the first Step; computed lazily, so only callers observing the bounds
 // pay for them.
 func (a *Assembler) Bounds() (lk, umax float64) { return a.bounds() }
+
+// Changes counts the changes to the provisional top-k so far: Provisional
+// returns a different ranking exactly when Changes has grown, so an
+// observer need not snapshot rounds that changed nothing.
+func (a *Assembler) Changes() int { return a.changes }
 
 // Provisional returns a snapshot of the current best complete candidates
 // (at most k, in final rank order). The parts slices are copied, so the

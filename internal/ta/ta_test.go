@@ -58,6 +58,47 @@ func TestAssembleBasicJoin(t *testing.T) {
 	}
 }
 
+// cutAfter yields its stream's matches until the shared budget of pulls
+// is spent, then nothing, recording the cut.
+type cutAfter struct {
+	Stream
+	budget *int
+	cut    *bool
+}
+
+func (c cutAfter) Next() (astar.Match, bool) {
+	if *c.budget == 0 {
+		*c.cut = true
+		return astar.Match{}, false
+	}
+	*c.budget--
+	return c.Stream.Next()
+}
+
+// TestAssemblerExpireCuts: a stream stopped by a deadline cuts the
+// assembly instead of retiring the stream — the finals are the complete
+// candidates so far at their exact scores, the run does not count as
+// exhausted, and ψcur keeps its last values, so U_max still bounds the
+// candidates left outside.
+func TestAssemblerExpireCuts(t *testing.T) {
+	budget, cut := 4, false
+	l1 := list(pair{1, 0.9}, pair{2, 0.8}, pair{3, 0.7})
+	l2 := list(pair{2, 0.8}, pair{3, 0.75}, pair{1, 0.5})
+	a := NewAssembler([]Stream{cutAfter{l1, &budget, &cut}, cutAfter{l2, &budget, &cut}}, 2)
+	a.Expire(func() bool { return cut })
+	finals := a.Run(nil)
+	if !cut || !a.Done() || a.Stats().Exhausted {
+		t.Fatalf("cut %v, done %v, stats %+v: want a cut, non-exhausted run", cut, a.Done(), a.Stats())
+	}
+	if len(finals) != 1 || finals[0].Pivot != 2 || math.Abs(finals[0].Score-1.6) > 1e-12 {
+		t.Fatalf("finals %+v, want pivot 2 at its exact 1.6", finals)
+	}
+	// Pivot 1 has 0.9 and may still gain ψcur(l2) = 0.75.
+	if _, umax := a.Bounds(); math.Abs(umax-1.65) > 1e-12 {
+		t.Fatalf("U_max after the cut = %v, want 1.65", umax)
+	}
+}
+
 func TestAssembleRequiresCompleteness(t *testing.T) {
 	// Pivot 9 appears only in the first list and must not be returned even
 	// though its single pss is high.

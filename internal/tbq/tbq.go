@@ -1,7 +1,9 @@
-// Package tbq implements the response-time-bounded approximate optimization
-// of Section VI (Algorithms 2 and 3): every sub-query search runs in the
-// eager mode (matches collected the moment they are discovered, Algorithm 2),
-// a synchronized time estimator projects the total query time
+// Package tbq holds the time base of the response-time-bounded mode
+// (Section VI) — Clock, StepClock and the default r% — and the paper's own
+// Algorithms 2 and 3, kept as a reproduction for the Fig. 15 experiment:
+// every sub-query search runs in the eager mode (matches collected the
+// moment they are discovered, Algorithm 2), a synchronized time estimator
+// projects the total query time
 //
 //	T̂ = max{T_A*} + Σ|M̂_i|·t            (Algorithm 3)
 //
@@ -9,11 +11,14 @@
 // that the TA assembly of the collected non-optimal match sets M̂_i finishes
 // within the user-specified bound T. Given enough time the eager sets cover
 // the optimal sets (Lemmas 6-7), so the result converges to the exact top-k
-// (Theorem 4).
+// (Theorem 4). The served engines do not run these algorithms: their
+// time-bounded mode is the exact pipeline cut at T·r% (internal/core).
 package tbq
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,9 +33,11 @@ type Clock interface {
 	Now() time.Time
 }
 
-type realClock struct{}
+// WallClock is the real Clock.
+type WallClock struct{}
 
-func (realClock) Now() time.Time { return time.Now() }
+// Now returns the wall time.
+func (WallClock) Now() time.Time { return time.Now() }
 
 // StepClock is a deterministic Clock advancing by Step on every Now call.
 // With it, a time bound T admits exactly T/Step clock observations, which
@@ -57,78 +64,46 @@ type Config struct {
 	// total time reaches Bound*AlertRatio. Default DefaultAlertRatio.
 	AlertRatio float64
 	// PerMatchTA is the empirical time t for processing one collected
-	// match during TA assembly. Zero uses a calibrated default.
+	// match during TA assembly, measured by the caller on its workload.
+	// Zero projects no assembly cost.
 	PerMatchTA time.Duration
 	// Clock abstracts time; nil uses the wall clock.
 	Clock Clock
 }
 
-// DefaultAlertRatio is Algorithm 3's r% when a run sets none: the paper's
-// 80%. Cache keys canonicalize an unset ratio to it (internal/serve).
+// DefaultAlertRatio is r% when a run sets none, for the served cut and for
+// Algorithm 3 alike: the paper's 80%. Cache keys canonicalize an unset
+// ratio to it (internal/serve).
 const DefaultAlertRatio = 0.8
 
 func (c Config) withDefaults() Config {
 	if c.AlertRatio <= 0 || c.AlertRatio > 1 {
 		c.AlertRatio = DefaultAlertRatio
 	}
-	if c.PerMatchTA <= 0 {
-		c.PerMatchTA = defaultPerMatch
-	}
 	if c.Clock == nil {
-		c.Clock = realClock{}
+		c.Clock = WallClock{}
 	}
 	return c
-}
-
-// defaultPerMatch is a conservative empirical t; Calibrate refines it.
-const defaultPerMatch = 500 * time.Nanosecond
-
-// Calibrate measures the per-match TA assembly cost t on a synthetic
-// workload (the paper's "simulated TA based assembly").
-func Calibrate() time.Duration {
-	const matches = 4096
-	mk := func() []astar.Match {
-		ms := make([]astar.Match, matches)
-		for i := range ms {
-			ms[i] = astar.Match{Nodes: []kg.NodeID{kg.NodeID(i % 97)}, PSS: 1 - float64(i)/matches}
-		}
-		return ms
-	}
-	start := time.Now()
-	ta.Assemble([]ta.Stream{
-		&ta.SliceStream{Matches: mk()},
-		&ta.SliceStream{Matches: mk()},
-	}, 16)
-	t := time.Since(start) / (2 * matches)
-	if t <= 0 {
-		t = defaultPerMatch
-	}
-	return t
 }
 
 // Estimator is Algorithm 3's synchronized time estimate for a set of
 // concurrent eager searches: T̂ = elapsed search time (the searches run
 // concurrently, so max{T_A*} is the shared wall elapsed) plus the
 // projected assembly cost Σ|M̂_i|·t over every match counted so far. It
-// is shared by every local match source of a run — one per sub-query on
-// the whole graph, one per (shard, sub-query) on a partition — so the
-// alert policy cannot diverge between the two. Safe for concurrent use.
+// is shared by every concurrent search of a run. Safe for concurrent use.
 type Estimator struct {
 	cfg     Config
 	ctx     context.Context
-	onAlert func(elapsed, projected time.Duration)
 	start   time.Time
 	total   atomic.Int64
 	stopped atomic.Bool
 }
 
 // NewEstimator starts the clock (Config defaults applied:
-// DefaultAlertRatio, calibrated t, wall clock). onAlert, when non-nil, fires exactly once —
-// when the estimate first reaches the alert threshold Bound·r%, not on
-// cancellation.
-func NewEstimator(ctx context.Context, cfg Config, onAlert func(elapsed, projected time.Duration)) *Estimator {
+// DefaultAlertRatio, wall clock).
+func NewEstimator(ctx context.Context, cfg Config) *Estimator {
 	cfg = cfg.withDefaults()
-	return &Estimator{cfg: cfg, ctx: ctx, onAlert: onAlert, start: cfg.Clock.Now()}
+	return &Estimator{cfg: cfg, ctx: ctx, start: cfg.Clock.Now()}
 }
 
 // Collected records one newly collected distinct match (it raises T̂ by
@@ -142,16 +117,9 @@ func (e *Estimator) Stop() bool {
 	if e.stopped.Load() {
 		return true
 	}
-	if e.ctx.Err() != nil {
+	that := e.cfg.Clock.Now().Sub(e.start) + time.Duration(e.total.Load())*e.cfg.PerMatchTA
+	if e.ctx.Err() != nil || float64(that) >= float64(e.cfg.Bound)*e.cfg.AlertRatio {
 		e.stopped.Store(true)
-		return true
-	}
-	elapsed := e.cfg.Clock.Now().Sub(e.start)
-	that := elapsed + time.Duration(e.total.Load())*e.cfg.PerMatchTA
-	if float64(that) >= float64(e.cfg.Bound)*e.cfg.AlertRatio {
-		if e.stopped.CompareAndSwap(false, true) && e.onAlert != nil {
-			e.onAlert(elapsed, that)
-		}
 		return true
 	}
 	return false
@@ -161,32 +129,77 @@ func (e *Estimator) Stop() bool {
 // configured clock.
 func (e *Estimator) Elapsed() time.Duration { return e.cfg.Clock.Now().Sub(e.start) }
 
-// Collect is Algorithm 2's eager collection for one searcher — the one
-// best-per-end loop every time-bounded path shares (the engines' local
-// match sources and the shard server). It runs sr eagerly
-// until est says stop, keeping the best match per end entity; each newly
-// seen entity raises est's projection by one match and fires onNew (when
-// non-nil) with the set's new size. remap, when non-nil, rewrites every
-// match before it is keyed — a shard-local searcher's matches must reach
-// base-graph ids first, since the sets of different shards merge by End.
-// The second result reports whether the search ran dry.
-func Collect(sr *astar.Searcher, est *Estimator, remap func(astar.Match) astar.Match,
-	onNew func(total int)) (map[kg.NodeID]astar.Match, bool) {
+// Collect is Algorithm 2's eager collection for one searcher. It runs sr
+// eagerly until est says stop, keeping the best match per end entity; each
+// newly seen entity raises est's projection by one match. The second result
+// reports whether the search ran dry.
+func Collect(sr *astar.Searcher, est *Estimator) (map[kg.NodeID]astar.Match, bool) {
 	best := make(map[kg.NodeID]astar.Match)
 	exhausted := sr.RunEager(est.Stop, func(m astar.Match) bool {
-		if remap != nil {
-			m = remap(m)
-		}
 		if old, ok := best[m.End()]; !ok || m.PSS > old.PSS {
 			if !ok {
 				est.Collected()
-				if onNew != nil {
-					onNew(len(best) + 1)
-				}
 			}
 			best[m.End()] = m
 		}
 		return true
 	})
 	return best, exhausted
+}
+
+// Result is the outcome of a time-bounded run.
+type Result struct {
+	Finals []ta.Final
+	// Elapsed is the total observed duration of search plus assembly, on
+	// the run's clock.
+	Elapsed time.Duration
+	// Exhausted reports that every search ran dry before the alert
+	// threshold: the result is then the exact top-k, not an approximation.
+	Exhausted bool
+	// Collected is |M̂_i| per sub-query at assembly time.
+	Collected []int
+}
+
+// Run is Algorithms 2 and 3 end to end: the searchers (one per sub-query
+// graph, all over one graph) collect eagerly and concurrently under one
+// Estimator until it says stop, then the collected best-per-end sets are
+// assembled, Sorted, into the top-k. ctx cancellation stops the search phase early (the assembly
+// still runs on whatever was collected).
+func Run(ctx context.Context, searchers []*astar.Searcher, k int, cfg Config) Result {
+	est := NewEstimator(ctx, cfg)
+	sets := make([]map[kg.NodeID]astar.Match, len(searchers))
+	exhausted := make([]bool, len(searchers))
+	var wg sync.WaitGroup
+	for i, s := range searchers {
+		wg.Add(1)
+		go func(i int, s *astar.Searcher) {
+			defer wg.Done()
+			sets[i], exhausted[i] = Collect(s, est)
+		}(i, s)
+	}
+	wg.Wait()
+
+	res := Result{Exhausted: true, Collected: make([]int, len(searchers))}
+	streams := make([]ta.Stream, len(searchers))
+	for i, best := range sets {
+		streams[i] = &ta.SliceStream{Matches: Sorted(best)}
+		res.Collected[i] = len(best)
+		res.Exhausted = res.Exhausted && exhausted[i]
+	}
+	res.Finals, _ = ta.Assemble(streams, k)
+	res.Elapsed = est.Elapsed()
+	return res
+}
+
+// Sorted lists a collected best-per-end set in the order the assembly
+// consumes it: pss descending, End ascending among equal pss.
+func Sorted(best map[kg.NodeID]astar.Match) []astar.Match {
+	ms := make([]astar.Match, 0, len(best))
+	for _, m := range best {
+		ms = append(ms, m)
+	}
+	slices.SortFunc(ms, func(a, b astar.Match) int {
+		return cmp.Or(cmp.Compare(b.PSS, a.PSS), cmp.Compare(a.End(), b.End()))
+	})
+	return ms
 }

@@ -3,8 +3,6 @@ package tbq
 import (
 	"context"
 	"math"
-	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -85,63 +83,6 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(buf[pos:])
-}
-
-// Result is the outcome of a time-bounded run.
-type Result struct {
-	Finals []ta.Final
-	// Elapsed is the total observed duration of search plus assembly.
-	Elapsed time.Duration
-	// Exhausted reports that every search ran dry before the alert
-	// threshold: the result is then the exact top-k, not an approximation.
-	Exhausted bool
-	// Collected is |M̂_i| per sub-query at assembly time.
-	Collected []int
-}
-
-// Run is the free-standing time-bounded query the tests below drive: the
-// phases the engines run inside their event pipeline (core.Stream), built
-// from the package's own parts. Searchers (one per sub-query graph) run
-// concurrently in eager mode under one Estimator until it says stop, then
-// the collected best-per-end sets are assembled into the approximate
-// top-k. ctx cancellation stops the search phase early (the assembly still
-// runs on whatever was collected).
-func Run(ctx context.Context, searchers []*astar.Searcher, k int, cfg Config) Result {
-	est := NewEstimator(ctx, cfg, nil)
-	sets := make([]map[kg.NodeID]astar.Match, len(searchers))
-	exhausted := make([]bool, len(searchers))
-	var wg sync.WaitGroup
-	for i, s := range searchers {
-		wg.Add(1)
-		go func(i int, s *astar.Searcher) {
-			defer wg.Done()
-			sets[i], exhausted[i] = Collect(s, est, nil, nil)
-		}(i, s)
-	}
-	wg.Wait()
-
-	res := Result{Exhausted: true, Collected: make([]int, len(searchers))}
-	streams := make([]ta.Stream, len(searchers))
-	for i, best := range sets {
-		ms := make([]astar.Match, 0, len(best))
-		for _, m := range best {
-			ms = append(ms, m)
-		}
-		sort.Slice(ms, func(a, b int) bool {
-			if ms[a].PSS != ms[b].PSS {
-				return ms[a].PSS > ms[b].PSS
-			}
-			return ms[a].End() < ms[b].End()
-		})
-		streams[i] = &ta.SliceStream{Matches: ms}
-		res.Collected[i] = len(ms)
-		if !exhausted[i] {
-			res.Exhausted = false
-		}
-	}
-	res.Finals, _ = ta.Assemble(streams, k)
-	res.Elapsed = est.Elapsed()
-	return res
 }
 
 func searchOpts() astar.Options { return astar.Options{Tau: 0.3, MaxHops: 3} }
@@ -311,9 +252,25 @@ func TestRunMultiSearcher(t *testing.T) {
 	}
 }
 
-func TestCalibrate(t *testing.T) {
-	if d := Calibrate(); d <= 0 {
-		t.Errorf("Calibrate = %v, want > 0", d)
+// TestSorted: a collected set lists pss descending with End ascending
+// among equal pss — the order the assembly consumes — and an empty or nil
+// set lists nothing.
+func TestSorted(t *testing.T) {
+	m := func(end kg.NodeID, pss float64) astar.Match {
+		return astar.Match{Nodes: []kg.NodeID{0, end}, PSS: pss}
+	}
+	got := Sorted(map[kg.NodeID]astar.Match{2: m(2, 0.5), 7: m(7, 0.8), 1: m(1, 0.9), 3: m(3, 0.8)})
+	wantEnds := []kg.NodeID{1, 3, 7, 2}
+	if len(got) != len(wantEnds) {
+		t.Fatalf("sorted %d matches, want %d", len(got), len(wantEnds))
+	}
+	for i, end := range wantEnds {
+		if got[i].End() != end {
+			t.Fatalf("position %d: end %d, want %d (got %+v)", i, got[i].End(), end, got)
+		}
+	}
+	if len(Sorted(nil)) != 0 || len(Sorted(map[kg.NodeID]astar.Match{})) != 0 {
+		t.Fatal("an empty set sorted to matches")
 	}
 }
 

@@ -25,9 +25,11 @@
 //	    Edges: []semkg.QueryEdge{{From: "car", To: "c", Predicate: "assembly"}},
 //	}, semkg.Options{K: 10})
 //
-// For interactive use, set Options.TimeBound to get the best approximate
-// answers within a response-time budget (Section VI of the paper); the
-// result converges to the exact top-k as the budget grows.
+// For interactive use, set Options.TimeBound to bound the response time
+// (Section VI of the paper): a search still running at the deadline is
+// cut and answers with the complete candidates found so far, at their
+// exact scores, flagged approximate; the result converges to the exact
+// top-k as the budget grows.
 package semkg
 
 import (
