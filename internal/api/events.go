@@ -45,9 +45,10 @@ type Event struct {
 
 	// Phase names the pipeline stage being entered: "search", "alert" or
 	// "assemble". "alert" means the time-bounded cut was taken: past
-	// T·r% the assembly needed a match not yet searched, so the run
-	// answers with its current top (flagged approximate). It comes at most
-	// once per stream, only on a cut, between "search" and the result.
+	// T·r% (or on cancellation) the assembly needed a match not yet
+	// searched, so the run answers with its current top (flagged
+	// approximate). It comes at most once per stream, only on a cut,
+	// between "search" and the result.
 	Phase string `json:"phase,omitempty"`
 	// Elapsed accompanies the "alert" phase: the run time at the cut, as a
 	// Go duration string.

@@ -306,13 +306,15 @@ func (e *Engine) decompose(q *query.Graph, opts Options, memo *transform.Memo) (
 // final matches for G_Q are returned") — any sorted match source. Context
 // cancellation ends the stream, turning the assembly into an anytime
 // operation; so does a time-bounded run's deadline dl (nil in the exact
-// mode), which refuses the resumed search.
+// mode), which refuses the resumed search. A search that ran dry is
+// exhausted, never refused: past its buffer it simply ends.
 type resumeStream struct {
 	ctx    context.Context
 	dl     *deadline
 	buf    []astar.Match
 	pos    int
 	search ta.Stream
+	dry    bool
 }
 
 func (r *resumeStream) Next() (astar.Match, bool) {
@@ -321,10 +323,22 @@ func (r *resumeStream) Next() (astar.Match, bool) {
 		r.pos++
 		return m, true
 	}
-	if r.ctx.Err() != nil || r.dl != nil && r.dl.refuse() {
+	if r.dry || r.dl.refuse(r.ctx) {
 		return astar.Match{}, false
 	}
-	return r.search.Next()
+	m, ok := r.pull()
+	if !ok && !r.dry {
+		r.dl.refuse(r.ctx) // cancelled mid-pull: a time-bounded run takes its cut
+	}
+	return m, ok
+}
+
+// pull asks the search for its next match and records a search that ran
+// dry; a remote search that ends because the run was cancelled did not.
+func (r *resumeStream) pull() (astar.Match, bool) {
+	m, ok := r.search.Next()
+	r.dry = !ok && r.ctx.Err() == nil
+	return m, ok
 }
 
 func (e *Engine) renderAnswers(finals []ta.Final, d *query.Decomposition) []Answer {

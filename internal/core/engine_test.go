@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"semkg/internal/astar"
 	"semkg/internal/datagen"
 	"semkg/internal/embed"
 	"semkg/internal/kg"
@@ -367,6 +369,210 @@ func TestSearchCancelledContext(t *testing.T) {
 	}
 	// Cancellation is anytime behaviour: no error, possibly fewer answers.
 	_ = res
+
+	// A time-bounded run takes its cut on cancellation: whatever it
+	// returns is flagged approximate, after the one alert.
+	bounded := Options{K: 10, TimeBound: time.Hour}
+	if res, err = e.Search(ctx, q117("assembly"), bounded); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Approximate {
+		t.Error("cancelled time-bounded search not flagged approximate")
+	}
+	st, err := e.Stream(ctx, q117("assembly"), bounded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, res := drainStream(t, st)
+	if !res.Approximate {
+		t.Error("cancelled time-bounded stream not flagged approximate")
+	}
+	checkAlert(t, "cancelled time-bounded stream", events, res)
+}
+
+// gateClock reads a fixed instant until opened, then an hour later: a
+// deadline on it is due exactly from the moment a test opens it.
+type gateClock struct{ open atomic.Bool }
+
+var gateEpoch = time.Unix(1e9, 0)
+
+func (c *gateClock) Now() time.Time {
+	if c.open.Load() {
+		return gateEpoch.Add(time.Hour)
+	}
+	return gateEpoch
+}
+
+// stubSearch yields n zero matches, counting its pulls.
+type stubSearch struct{ n, pulls int }
+
+func (s *stubSearch) Next() (astar.Match, bool) {
+	s.pulls++
+	if s.n == 0 {
+		return astar.Match{}, false
+	}
+	s.n--
+	return astar.Match{}, true
+}
+
+// TestResumeStreamRefusal pins which reads past a prefetch buffer take a
+// time-bounded run's cut. A search that ran dry just ends — a finished
+// sub-query, or a shard with no matches, must not cut the run. A search
+// that could go on is refused past the deadline and takes the cut without
+// being asked, and so is any search of a cancelled run.
+func TestResumeStreamRefusal(t *testing.T) {
+	bg := context.Background()
+	cancelled, cancel := context.WithCancel(bg)
+	cancel()
+	newStream := func(ctx context.Context, search *stubSearch) (*resumeStream, *deadline, *gateClock) {
+		clock := &gateClock{}
+		s := &Stream{quiet: true}
+		dl := s.deadline(Options{TimeBound: time.Minute, Clock: clock})
+		return &resumeStream{ctx: ctx, dl: dl, search: search}, dl, clock
+	}
+
+	// Ran dry during the prefetch, read past the deadline.
+	dry := &stubSearch{}
+	r, dl, clock := newStream(bg, dry)
+	if _, ok := r.pull(); ok || !r.dry {
+		t.Fatal("an empty search did not run dry")
+	}
+	clock.open.Store(true)
+	if _, ok := r.Next(); ok || dl.taken() || dry.pulls != 1 {
+		t.Errorf("dry search past the deadline: cut %v after %d pulls, want no cut after 1", dl.taken(), dry.pulls)
+	}
+
+	// One buffered match, more to search, read past the deadline.
+	more := &stubSearch{n: 5}
+	r, dl, clock = newStream(bg, more)
+	if m, ok := r.pull(); ok {
+		r.buf = append(r.buf, m)
+	}
+	clock.open.Store(true)
+	if _, ok := r.Next(); !ok {
+		t.Error("the buffered match was not served past the deadline")
+	}
+	if _, ok := r.Next(); ok || !dl.taken() || more.pulls != 1 {
+		t.Errorf("live search past the deadline: cut %v after %d pulls, want a cut after 1", dl.taken(), more.pulls)
+	}
+
+	// Cancelled before the deadline.
+	r, dl, _ = newStream(cancelled, &stubSearch{n: 5})
+	if _, ok := r.Next(); ok || !dl.taken() {
+		t.Errorf("cancelled run: cut %v, want the cut", dl.taken())
+	}
+
+	// The exact mode has no cut; cancellation just ends the stream.
+	r = &resumeStream{ctx: cancelled, search: &stubSearch{n: 5}}
+	if _, ok := r.Next(); ok {
+		t.Error("cancelled exact run kept searching")
+	}
+}
+
+// The two shards of TestCutKeepsBufferedMatchesPastDrySource. Their
+// prefetches must run at once: shard 1 has no matches and runs dry only
+// once shard 2 has prefetched its share (full), then opens the clock, so
+// the deadline is due from the assembly's first read on; shard 2 delivers
+// only once shard 1 is searching (started). A prefetch left waiting for
+// the other gives up after rendezvousWait and opens the clock: the
+// deadline passed while it was serialised.
+const rendezvousWait = 10 * time.Second
+
+type emptyShard struct {
+	started, full chan struct{}
+	clock         *gateClock
+}
+
+func (s *emptyShard) Next() (astar.Match, bool) {
+	close(s.started)
+	select {
+	case <-s.full:
+	case <-time.After(rendezvousWait):
+	}
+	s.clock.open.Store(true)
+	return astar.Match{}, false
+}
+
+func (s *emptyShard) Stats() astar.Stats { return astar.Stats{} }
+func (s *emptyShard) Shard() int         { return 1 }
+
+type liveShard struct {
+	matchSource
+	n, share      int
+	started, full chan struct{}
+	clock         *gateClock
+}
+
+func (s *liveShard) Next() (astar.Match, bool) {
+	if s.n == 0 {
+		select {
+		case <-s.started:
+		case <-time.After(rendezvousWait):
+			s.clock.open.Store(true)
+		}
+	}
+	m, ok := s.matchSource.Next()
+	if s.n++; s.n == s.share {
+		close(s.full)
+	}
+	return m, ok
+}
+
+func (s *liveShard) Shard() int { return 2 }
+
+// TestCutKeepsBufferedMatchesPastDrySource runs a time-bounded query over a
+// two-shard scatter in which shard 1 has no matches and shard 2 holds them
+// all. Shard 1's search ran dry during the prefetch, so the merger's read
+// of it is exhaustion, not a refusal: past the deadline the assembly still
+// drains shard 2's buffer and answers from it, flagged approximate, each
+// answer at its exact score. The scatter has one worker for two shards, so
+// this also pins that a time-bounded prefetch never queues for the pool.
+func TestCutKeepsBufferedMatchesPastDrySource(t *testing.T) {
+	ctx := context.Background()
+	ds, e := tinyWorld(t, 17)
+	opts := Options{K: 5, Tau: 0.5, MaxHops: 3}
+	var q *query.Graph
+	for _, gq := range append(append([]datagen.GenQuery(nil), ds.Simple...), ds.Medium...) {
+		res, err := e.Search(ctx, gq.Graph, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Decomposition.Subs) == 1 && len(res.Answers) == opts.K {
+			q = gq.Graph
+			break
+		}
+	}
+	if q == nil {
+		t.Fatal("no one-sub-query query with k answers in the world")
+	}
+	clock := &gateClock{}
+	opts.TimeBound, opts.Clock = time.Minute, clock
+	opts = opts.withDefaults()
+	p, err := e.Compile(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := e.wholeGraphSources(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 2
+	started, full := make(chan struct{}), make(chan struct{})
+	sc := &scatter{
+		sources: [][]matchSource{{
+			&emptyShard{started: started, full: full, clock: clock},
+			&liveShard{matchSource: whole[0][0], share: 1 + (opts.K-1)/shards, started: started, full: full, clock: clock},
+		}},
+		shards:  shards,
+		workers: 1,
+	}
+	s := &Stream{events: make(chan Event), done: make(chan struct{}), quiet: true}
+	e.run(ctx, s, p, sc, opts, s.deadline(opts), time.Now())
+	res := s.Result()
+	if !res.Approximate || len(res.Answers) == 0 {
+		t.Fatalf("cut run: %d answers, approximate %v; want the buffered answers, flagged", len(res.Answers), res.Approximate)
+	}
+	oracleCheck(t, "dry-shard cut", e, ds.Library, q, opts, res)
 }
 
 func TestSearchExplicitPivot(t *testing.T) {

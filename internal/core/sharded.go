@@ -51,8 +51,8 @@ type ShardConfig struct {
 	// bounds the MaxHops a sharded search can serve — deeper searches
 	// transparently fall back to the whole graph. 0 = shard.DefaultHalo.
 	Halo int
-	// Workers bounds the concurrent per-shard searches of the scatter
-	// phase. 0 = GOMAXPROCS.
+	// Workers bounds the concurrent per-shard searches of an exact run's
+	// scatter phase. 0 = GOMAXPROCS.
 	Workers int
 }
 

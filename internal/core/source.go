@@ -57,7 +57,8 @@ type backend interface {
 type sourceSet struct {
 	backend
 	shards int
-	// workers bounds the concurrent source prefetches of the scatter.
+	// workers bounds the concurrent source prefetches of an exact run's
+	// scatter.
 	workers int
 
 	searches  atomic.Uint64
@@ -121,7 +122,7 @@ type scatter struct {
 	// sources[sub] lists sub-query sub's sources in shard order.
 	sources [][]matchSource
 	// shards is the partition size, 0 over the whole graph; workers bounds
-	// the concurrent prefetches across a partition.
+	// an exact run's concurrent prefetches across a partition.
 	shards, workers int
 	// finish is the backend's (see backend.open); nil for local sources.
 	finish func() error

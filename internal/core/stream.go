@@ -52,10 +52,11 @@ type Phase string
 const (
 	// PhaseSearch marks the start of the per-sub-query A* searches.
 	PhaseSearch Phase = "search"
-	// PhaseAlert marks the time-bounded cut (TBQ only): past T·r% the
-	// assembly needed a match the searches had not yet found, so the run
-	// stops pulling and answers with its current top. At most once per
-	// run, and only when the cut is taken.
+	// PhaseAlert marks the time-bounded cut (TBQ only): past T·r% — or
+	// once the run's context is cancelled — the assembly needed a match
+	// the searches had not yet found, so the run stops pulling and answers
+	// with its current top. At most once per run, and only when the cut is
+	// taken.
 	PhaseAlert Phase = "alert"
 	// PhaseAssemble marks the start of the TA final-match assembly.
 	PhaseAssemble Phase = "assemble"
@@ -402,13 +403,18 @@ func addStats(agg *astar.Stats, st astar.Stats) {
 // mergers only when its L_k/U_max bounds require them, and only from the
 // source whose head is actually competitive — skew (all candidates in one
 // shard) costs lazy pulls, never a restart. Past dl, a prefetch stops and
-// a lazy pull is refused.
+// a lazy pull is refused. A time-bounded run starts every prefetch at once
+// rather than through the worker pool: a source still queued for a worker
+// at the deadline would have an empty buffer, and the merger's first read
+// of it would cut its whole sub-query.
 func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int, dl *deadline) []ta.Stream {
 	share := k
 	var sem chan struct{}
 	if sc.shards > 1 {
 		share = 1 + (k-1)/sc.shards
-		sem = make(chan struct{}, sc.workers)
+		if dl == nil {
+			sem = make(chan struct{}, sc.workers)
+		}
 	}
 	quiet := s.quiet // hoisted: the per-match emit would otherwise box an event just to drop it
 	resumes := make([][]*resumeStream, len(sc.sources))
@@ -426,7 +432,7 @@ func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int, dl *dead
 					defer func() { <-sem }()
 				}
 				for len(r.buf) < share && ctx.Err() == nil && !dl.due() {
-					m, ok := src.Next()
+					m, ok := r.pull()
 					if !ok {
 						break
 					}
@@ -469,9 +475,10 @@ func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int, dl *dead
 // pulling. Prefetches stop early, so the assembly may still drain what they
 // buffered; the first pull that would search further is refused, which
 // takes the cut — PhaseAlert, then the top's complete candidates as an
-// approximate answer. A run that terminates by Theorem 3 or exhaustion
-// first returns the exact answer, however late: more time only lets more
-// runs finish, so the answer converges to the exact top-k (Theorem 4).
+// approximate answer. Cancelling the run's context takes the cut the same
+// way. A run that terminates by Theorem 3 or exhaustion first returns the
+// exact answer, however late: more time only lets more runs finish, so the
+// answer converges to the exact top-k (Theorem 4).
 type deadline struct {
 	s         *Stream
 	clock     tbq.Clock
@@ -513,13 +520,14 @@ func (d *deadline) due() bool {
 	return true
 }
 
-// refuse reports whether a lazy pull must be refused; the first refusal
-// takes the cut and emits PhaseAlert.
-func (d *deadline) refuse() bool {
-	if !d.due() {
+// refuse reports whether a lazy pull must be refused: ctx is cancelled or
+// the deadline passed. On a non-nil deadline the first refusal takes the
+// cut and emits PhaseAlert.
+func (d *deadline) refuse(ctx context.Context) bool {
+	if ctx.Err() == nil && !d.due() {
 		return false
 	}
-	if d.cut.CompareAndSwap(false, true) {
+	if d != nil && d.cut.CompareAndSwap(false, true) {
 		d.s.emit(PhaseEvent{Phase: PhaseAlert, Elapsed: d.clock.Now().Sub(d.start), Projected: d.at.Sub(d.start)})
 	}
 	return true

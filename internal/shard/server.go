@@ -169,8 +169,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	if proj == nil {
 		// This shard cannot contribute matches; the empty stream is
-		// complete, hence exhausted.
-		out.line(shardwire.Line{Done: true, Exhausted: true, Stats: &shardwire.SearchStats{}})
+		// complete.
+		out.line(shardwire.Line{Done: true, Stats: &shardwire.SearchStats{}})
 		return
 	}
 	src, err := sh.NewSource(proj, astar.Options{
@@ -188,7 +188,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return // client gone or cancelled: no terminal line
 	}
 	st := shardwire.SearchStats(src.Stats())
-	out.line(shardwire.Line{Done: true, Exhausted: true, Stats: &st})
+	out.line(shardwire.Line{Done: true, Stats: &st})
 }
 
 // stream streams the source's sorted match sequence, skipping the

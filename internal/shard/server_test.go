@@ -330,8 +330,8 @@ func TestServerRejectsBadRequests(t *testing.T) {
 }
 
 // TestServerInactiveProjection: a sub-query that provably cannot match on
-// this shard (no anchor projects) completes immediately as an exhausted
-// empty stream — completeness, not an error, or the coordinator's merge
+// this shard (no anchor projects) completes immediately as a clean empty
+// stream — completeness, not an error, or the coordinator's merge
 // would never terminate.
 func TestServerInactiveProjection(t *testing.T) {
 	w := newServerWorld(t, 3)
@@ -345,8 +345,8 @@ func TestServerInactiveProjection(t *testing.T) {
 	if len(matches) != 0 {
 		t.Fatalf("%d matches from an anchorless projection", len(matches))
 	}
-	if !terminal.Done || !terminal.Exhausted || terminal.Stats == nil {
-		t.Fatalf("terminal %+v, want done+exhausted with stats", terminal)
+	if !terminal.Done || terminal.Stats == nil {
+		t.Fatalf("terminal %+v, want done with stats", terminal)
 	}
 }
 
@@ -357,7 +357,7 @@ func TestServerInactiveProjection(t *testing.T) {
 func TestServerExactStreamDeterminismAndResume(t *testing.T) {
 	w := newServerWorld(t, 3)
 	req, matches, terminal := w.findActive(t, 3)
-	if !terminal.Done || !terminal.Exhausted || terminal.Stats == nil {
+	if !terminal.Done || terminal.Stats == nil {
 		t.Fatalf("exact terminal %+v", terminal)
 	}
 	for i := 1; i < len(matches); i++ {
@@ -392,16 +392,16 @@ func TestServerExactStreamDeterminismAndResume(t *testing.T) {
 			t.Fatalf("resume match %d differs:\n got %s\nwant %s", i, gotLine, wantLine)
 		}
 	}
-	if !rterm.Done || !rterm.Exhausted {
+	if !rterm.Done {
 		t.Fatalf("resume terminal %+v", rterm)
 	}
 
-	// Offset past the end: an empty, cleanly exhausted stream.
+	// Offset past the end: an empty, cleanly finished stream.
 	past := *req
 	past.Offset = len(matches) + 1000
 	_, body = w.search(t, &past)
 	pm, pterm := decodeStream(t, body)
-	if len(pm) != 0 || !pterm.Done || !pterm.Exhausted {
+	if len(pm) != 0 || !pterm.Done {
 		t.Fatalf("offset-past-end gave %d matches, terminal %+v", len(pm), pterm)
 	}
 

@@ -120,12 +120,10 @@ type Line struct {
 	SegEnds []int    `json:"seg_ends,omitempty"`
 	PSS     float64  `json:"pss,omitempty"`
 
-	// Done marks the clean end of the stream. Exhausted reports that the
-	// search ran dry, which a clean end always means. Stats is the shard's
-	// A* effort.
-	Done      bool         `json:"done,omitempty"`
-	Exhausted bool         `json:"exhausted,omitempty"`
-	Stats     *SearchStats `json:"stats,omitempty"`
+	// Done marks the clean end of the stream: the search ran dry. Stats is
+	// the shard's A* effort.
+	Done  bool         `json:"done,omitempty"`
+	Stats *SearchStats `json:"stats,omitempty"`
 
 	// Error is a terminal server-side failure after the 200 header was
 	// already committed (pre-header failures use plain HTTP status codes).

@@ -100,7 +100,7 @@ func TestLineRoundTrip(t *testing.T) {
 	lines := []Line{
 		matchLine(),
 		{Nodes: []uint32{1, 2}, Edges: []uint32{0}, SegEnds: []int{1}, PSS: 1},
-		{Done: true, Exhausted: true, Stats: &SearchStats{Popped: 4, Pushed: 9, Pruned: 2, Emitted: 2}},
+		{Done: true, Stats: &SearchStats{Popped: 4, Pushed: 9, Pruned: 2, Emitted: 2}},
 	}
 	var buf bytes.Buffer
 	for _, l := range lines {
