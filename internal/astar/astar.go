@@ -20,19 +20,20 @@
 // consistent (see internal/semgraph and DESIGN.md).
 //
 // Hot path: search states live in a flat arena ([]state with int32 parent
-// indices) instead of one heap allocation per successor, end-set membership
-// is tested against per-segment bitsets instead of maps, and most
-// τ-pruning decisions skip math.Pow — x^(1/n̂) is monotone in x, so a raw
-// weight product below a precomputed (τ^n̂ minus a safety margin) floor is
-// certainly pruned without evaluating Eq. 7; only successors near the
-// threshold or entering the frontier pay the Pow, so the shortcut never
-// changes a decision the exact arithmetic would make (see DESIGN.md, Hot
-// path).
+// indices) instead of one heap allocation per successor; φ end sets are
+// compiled once per plan (NodeSet) and shared read-only by every searcher,
+// shard projection and shared sub-search over it; each match is built in
+// one pass over its parent chain; and most τ-pruning decisions skip
+// math.Pow — x^(1/n̂) is monotone in x, so a raw weight product below a
+// precomputed (τ^n̂ minus a safety margin) floor is certainly pruned
+// without evaluating Eq. 7; only successors near the threshold or entering
+// the frontier pay the Pow, so the shortcut never changes a decision the
+// exact arithmetic would make (see DESIGN.md, Hot path).
 package astar
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"semkg/internal/kg"
 	"semkg/internal/pqueue"
@@ -67,7 +68,8 @@ type SubQuery struct {
 	Anchors []kg.NodeID
 	// EndSets[i] is φ(q_{i+1}) for the query node terminating the i-th
 	// query edge; EndSets[len-1] is φ(v_t) of the sub-query's end node.
-	EndSets []map[kg.NodeID]bool
+	// Searchers read them in place.
+	EndSets []NodeSet
 	// FirstHop, when non-nil, restricts the search to paths whose first
 	// edge leads to a node the predicate accepts. Because every match is
 	// at least one edge long, first-hop nodes partition the path space
@@ -163,64 +165,47 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 func (b bitset) set(i kg.NodeID)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) has(i kg.NodeID) bool { return b[i>>6]>>(uint(i)&63)&1 != 0 }
 
-// nodeSet is an adaptive node-membership set. φ(v) of a typed query node
-// can be a large fraction of the graph (bitset territory), but most end
-// sets are a handful of entities — and a full-graph bitset per segment
-// per search means zeroing NumNodes/8 bytes each time, which at 10M nodes
-// is 1.25 MB of pure overhead before the first expansion. Small sets
-// therefore keep a sorted id slice (binary search, cache-resident);
-// only sets dense enough to amortize the allocation get a bitset.
-type nodeSet struct {
-	sorted []kg.NodeID // sorted ascending; nil when bits is used
-	bits   bitset
+// NodeSet is one compiled φ end set. It is immutable, so a plan compiles
+// it once and every searcher over the plan — shard projections and shared
+// sub-searches included — reads it in place. φ(v) of a typed query node
+// can be a large fraction of the graph, but most end sets are a handful of
+// entities, and a full-graph bitset means zeroing NumNodes/8 bytes (1.25
+// MB at 10M nodes). Small sets therefore probe their sorted members by
+// binary search; a set holding more than one node in 256 also gets a
+// bitset, whose O(1) probes win there and whose allocation the set's
+// construction amortizes.
+type NodeSet struct {
+	members []kg.NodeID // ascending, no duplicates
+	bits    bitset      // nil for sparse sets
 }
 
-// newNodeSet compiles one φ end set. members may contain false-valued
-// entries (non-members); n is the graph's node count.
-func newNodeSet(members map[kg.NodeID]bool, n int) nodeSet {
-	k := 0
-	for _, m := range members {
-		if m {
-			k++
+// NewNodeSet compiles φ's ids, in any order and possibly repeated, for a
+// graph of numNodes nodes. ids is not retained.
+func NewNodeSet(ids []kg.NodeID, numNodes int) NodeSet {
+	members := slices.Clone(ids)
+	if !slices.IsSorted(members) {
+		slices.Sort(members)
+	}
+	s := NodeSet{members: slices.Compact(members)}
+	if len(s.members) > numNodes/256 {
+		s.bits = newBitset(numNodes)
+		for _, u := range s.members {
+			s.bits.set(u)
 		}
 	}
-	// A bitset costs n/8 bytes to zero; the sorted slice costs k·log k to
-	// sort and log k per probe. Cross over when the set holds more than
-	// one node in 256 — past that the bitset's O(1) probes win and its
-	// allocation is amortized by the set construction itself.
-	if n > 0 && k > n/256 {
-		s := nodeSet{bits: newBitset(n)}
-		for u, m := range members {
-			if m {
-				s.bits.set(u)
-			}
-		}
-		return s
-	}
-	s := nodeSet{sorted: make([]kg.NodeID, 0, k)}
-	for u, m := range members {
-		if m {
-			s.sorted = append(s.sorted, u)
-		}
-	}
-	sort.Slice(s.sorted, func(i, j int) bool { return s.sorted[i] < s.sorted[j] })
 	return s
 }
 
-func (s *nodeSet) has(u kg.NodeID) bool {
+// Members returns the set's ids in ascending order. The slice is shared
+// and must not be modified.
+func (s *NodeSet) Members() []kg.NodeID { return s.members }
+
+func (s *NodeSet) has(u kg.NodeID) bool {
 	if s.bits != nil {
 		return s.bits.has(u)
 	}
-	lo, hi := 0, len(s.sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.sorted[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s.sorted) && s.sorted[lo] == u
+	_, ok := slices.BinarySearch(s.members, u)
+	return ok
 }
 
 // Stats counts search work, for the pruning-effectiveness experiments.
@@ -249,7 +234,6 @@ type Searcher struct {
 	// indexes a flat slice instead of calling through the Weighter
 	// interface per successor.
 	rows [][]float64
-	ends []nodeSet // per-segment φ membership, replacing map lookups
 
 	arena    []state
 	frontier pqueue.Max[int32] // arena indices; capacity persists across Next calls
@@ -293,7 +277,6 @@ func NewSearcher(g *kg.Graph, w Weighter, sub SubQuery, opts Options) *Searcher 
 	preds := g.NumPredicates()
 	rp, _ := w.(RowProvider)
 	s.rows = make([][]float64, segs)
-	s.ends = make([]nodeSet, segs)
 	for seg := 0; seg < segs; seg++ {
 		if rp != nil {
 			s.rows[seg] = rp.Row(seg)
@@ -304,7 +287,6 @@ func NewSearcher(g *kg.Graph, w Weighter, sub SubQuery, opts Options) *Searcher 
 			}
 			s.rows[seg] = row
 		}
-		s.ends[seg] = newNodeSet(sub.EndSets[seg], g.NumNodes())
 	}
 
 	for _, u := range sub.Anchors {
@@ -418,7 +400,7 @@ func (s *Searcher) expand(idx int32, emitEager func(Match)) {
 	if int(st.hops)+int(segs-st.seg) > s.opts.MaxHops {
 		return
 	}
-	ends := &s.ends[st.seg]
+	ends := &s.sub.EndSets[st.seg]
 	row := s.rows[st.seg]
 	for _, h := range s.g.Neighbors(st.node) {
 		if st.hops == 0 && s.sub.FirstHop != nil && !s.sub.FirstHop(h.Neighbor) {
@@ -490,41 +472,30 @@ func (s *Searcher) onPath(idx int32, u kg.NodeID) bool {
 	return false
 }
 
-// reconstruct walks the parent chain to materialize the match path.
+// reconstruct walks the parent chain twice: once to count the path, once
+// backwards to fill exact-size Nodes, Edges and SegEnds.
 func (s *Searcher) reconstruct(idx int32, pss float64) Match {
-	var revNodes []kg.NodeID
-	var revEdges []kg.EdgeID
-	var revSegs []int32
+	n := 0
 	for cur := idx; cur != noParent; cur = s.arena[cur].parent {
-		st := &s.arena[cur]
-		revNodes = append(revNodes, st.node)
-		if st.via >= 0 {
-			revEdges = append(revEdges, st.via)
-		}
-		revSegs = append(revSegs, st.seg)
+		n++
 	}
-	n := len(revNodes)
 	m := Match{
-		Nodes: make([]kg.NodeID, n),
-		Edges: make([]kg.EdgeID, len(revEdges)),
-		PSS:   pss,
+		Nodes:   make([]kg.NodeID, n),
+		Edges:   make([]kg.EdgeID, n-1),
+		SegEnds: make([]int, s.sub.Segments()),
+		PSS:     pss,
 	}
-	for i := range revNodes {
-		m.Nodes[n-1-i] = revNodes[i]
-	}
-	for i := range revEdges {
-		m.Edges[len(revEdges)-1-i] = revEdges[i]
-	}
-	// Segment end positions: index where seg increments.
-	segs := s.sub.Segments()
-	m.SegEnds = make([]int, segs)
-	prevSeg := int32(0)
-	for i := n - 1; i >= 0; i-- { // walk forward in path order
-		cur := revSegs[i]
-		for sgi := prevSeg; sgi < cur; sgi++ {
-			m.SegEnds[sgi] = n - 1 - i
+	cur := idx
+	for i := n - 1; i > 0; i-- {
+		st := &s.arena[cur]
+		m.Nodes[i], m.Edges[i-1] = st.node, st.via
+		cur = st.parent
+		// Segments close on arrival: each one the parent had not closed
+		// and this state has ends at position i.
+		for seg := s.arena[cur].seg; seg < st.seg; seg++ {
+			m.SegEnds[seg] = i
 		}
-		prevSeg = cur
 	}
+	m.Nodes[0] = s.arena[cur].node
 	return m
 }

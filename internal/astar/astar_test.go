@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"semkg/internal/kg"
@@ -63,12 +64,68 @@ func lineGraph() *kg.Graph {
 	return b.Build()
 }
 
-func endSet(g *kg.Graph, names ...string) map[kg.NodeID]bool {
-	s := make(map[kg.NodeID]bool, len(names))
-	for _, n := range names {
-		s[g.NodeByName(n)] = true
+func endSet(g *kg.Graph, names ...string) NodeSet {
+	ids := make([]kg.NodeID, len(names))
+	for i, n := range names {
+		ids[i] = g.NodeByName(n)
 	}
-	return s
+	return NewNodeSet(ids, g.NumNodes())
+}
+
+// TestNodeSet: on random id lists with repeats — empty, and on both sides
+// of the n/256 crossover — both representations answer membership like a
+// map on every node, Members lists each member once in ascending order,
+// and the input is left as it was.
+func TestNodeSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 4096 // the crossover is at 16 members
+	var zero NodeSet
+	if zero.has(0) || len(zero.Members()) != 0 {
+		t.Fatal("the zero NodeSet is not empty")
+	}
+	sawSparse, sawDense := false, false
+	for _, size := range []int{0, 1, 2, 15, 16, 17, 20, 40, 500, n} {
+		for trial := 0; trial < 4; trial++ {
+			ids := make([]kg.NodeID, size)
+			want := make(map[kg.NodeID]bool)
+			for i := range ids {
+				if i > 0 && rng.Intn(4) == 0 {
+					ids[i] = ids[rng.Intn(i)] // a repeat
+				} else {
+					ids[i] = kg.NodeID(rng.Intn(n))
+				}
+				want[ids[i]] = true
+			}
+			in := slices.Clone(ids)
+			s := NewNodeSet(ids, n)
+			where := fmt.Sprintf("size %d trial %d", size, trial)
+			if !slices.Equal(ids, in) {
+				t.Fatalf("%s: NewNodeSet modified its input", where)
+			}
+			dense := s.bits != nil
+			if dense != (len(want) > n/256) {
+				t.Fatalf("%s: %d members, bitset %v", where, len(want), dense)
+			}
+			sawSparse, sawDense = sawSparse || !dense, sawDense || dense
+			for u := kg.NodeID(0); u < n; u++ {
+				if s.has(u) != want[u] {
+					t.Fatalf("%s: has(%d) = %v, want %v (bitset %v)", where, u, s.has(u), want[u], dense)
+				}
+			}
+			m := s.Members()
+			if len(m) != len(want) {
+				t.Fatalf("%s: %d members listed, want %d", where, len(m), len(want))
+			}
+			for i, u := range m {
+				if !want[u] || (i > 0 && m[i-1] >= u) {
+					t.Fatalf("%s: Members %v not the ascending, deduplicated set", where, m)
+				}
+			}
+		}
+	}
+	if !sawSparse || !sawDense {
+		t.Fatalf("covered sparse %v, dense %v; want both", sawSparse, sawDense)
+	}
 }
 
 func TestSearcherSingleBest(t *testing.T) {
@@ -77,7 +134,7 @@ func TestSearcherSingleBest(t *testing.T) {
 	tw := newTestWeighter(g, []map[string]float64{{"p1": 0.8, "p2": 0.8, "p3": 0.8, "q": 0.9}})
 	sub := SubQuery{
 		Anchors: []kg.NodeID{g.NodeByName("a")},
-		EndSets: []map[kg.NodeID]bool{endSet(g, "d")},
+		EndSets: []NodeSet{endSet(g, "d")},
 	}
 	s := NewSearcher(g, tw, sub, Options{Tau: 0.1, MaxHops: 4})
 	m, ok := s.Next()
@@ -105,7 +162,7 @@ func TestSearcherGeometricMeanPrefersShortStrong(t *testing.T) {
 	tw := newTestWeighter(g, []map[string]float64{{"p1": 0.95, "p2": 0.95, "p3": 0.95, "q": 0.6}})
 	sub := SubQuery{
 		Anchors: []kg.NodeID{g.NodeByName("a")},
-		EndSets: []map[kg.NodeID]bool{endSet(g, "d")},
+		EndSets: []NodeSet{endSet(g, "d")},
 	}
 	s := NewSearcher(g, tw, sub, Options{Tau: 0.1, MaxHops: 4})
 	m, ok := s.Next()
@@ -122,7 +179,7 @@ func TestSearcherTauPrunes(t *testing.T) {
 	tw := newTestWeighter(g, []map[string]float64{{"p1": 0.4, "p2": 0.4, "p3": 0.4, "q": 0.4}})
 	sub := SubQuery{
 		Anchors: []kg.NodeID{g.NodeByName("a")},
-		EndSets: []map[kg.NodeID]bool{endSet(g, "d")},
+		EndSets: []NodeSet{endSet(g, "d")},
 	}
 	s := NewSearcher(g, tw, sub, Options{Tau: 0.8, MaxHops: 4})
 	if _, ok := s.Next(); ok {
@@ -138,7 +195,7 @@ func TestSearcherMaxHops(t *testing.T) {
 	tw := newTestWeighter(g, []map[string]float64{{"p1": 0.9, "p2": 0.9, "p3": 0.9}})
 	sub := SubQuery{
 		Anchors: []kg.NodeID{g.NodeByName("a")},
-		EndSets: []map[kg.NodeID]bool{endSet(g, "d")},
+		EndSets: []NodeSet{endSet(g, "d")},
 	}
 	// q weight ~0 so the only viable match is 3 hops; MaxHops=2 forbids it.
 	s := NewSearcher(g, tw, sub, Options{Tau: 0.1, MaxHops: 2})
@@ -150,7 +207,7 @@ func TestSearcherMaxHops(t *testing.T) {
 func TestSearcherNoAnchors(t *testing.T) {
 	g := lineGraph()
 	tw := newTestWeighter(g, []map[string]float64{{"q": 0.9}})
-	s := NewSearcher(g, tw, SubQuery{EndSets: []map[kg.NodeID]bool{endSet(g, "d")}}, Options{})
+	s := NewSearcher(g, tw, SubQuery{EndSets: []NodeSet{endSet(g, "d")}}, Options{})
 	if _, ok := s.Next(); ok {
 		t.Error("searcher without anchors should yield nothing")
 	}
@@ -179,7 +236,7 @@ func TestSearcherTwoSegments(t *testing.T) {
 	})
 	sub := SubQuery{
 		Anchors: []kg.NodeID{g.NodeByName("a")},
-		EndSets: []map[kg.NodeID]bool{
+		EndSets: []NodeSet{
 			endSet(g, "b1", "b2"), // intermediate query node matches B nodes
 			endSet(g, "d"),
 		},
@@ -240,16 +297,16 @@ func randomCase(rng *rand.Rand) (*kg.Graph, *testWeighter, SubQuery) {
 	tw := newTestWeighter(g, []map[string]float64{w})
 
 	anchors := []kg.NodeID{ids[0]}
-	ends := make(map[kg.NodeID]bool)
+	var ends []kg.NodeID
 	for i := 1; i < n; i++ {
 		if rng.Float64() < 0.3 {
-			ends[ids[i]] = true
+			ends = append(ends, ids[i])
 		}
 	}
 	if len(ends) == 0 {
-		ends[ids[n-1]] = true
+		ends = append(ends, ids[n-1])
 	}
-	return g, tw, SubQuery{Anchors: anchors, EndSets: []map[kg.NodeID]bool{ends}}
+	return g, tw, SubQuery{Anchors: anchors, EndSets: []NodeSet{NewNodeSet(ends, g.NumNodes())}}
 }
 
 // TestSearcherMatchesBruteForce is the central correctness check: on random
@@ -313,7 +370,7 @@ func TestRunEagerStops(t *testing.T) {
 	tw := newTestWeighter(g, []map[string]float64{{"p1": 0.9, "p2": 0.9, "p3": 0.9, "q": 0.9}})
 	sub := SubQuery{
 		Anchors: []kg.NodeID{g.NodeByName("a")},
-		EndSets: []map[kg.NodeID]bool{endSet(g, "d")},
+		EndSets: []NodeSet{endSet(g, "d")},
 	}
 	calls := 0
 	s := NewSearcher(g, tw, sub, Options{Tau: 0.1, MaxHops: 4})
@@ -362,7 +419,7 @@ func TestMatchReconstruction(t *testing.T) {
 	tw := newTestWeighter(g, []map[string]float64{{"p1": 0.95, "p2": 0.95, "p3": 0.95}})
 	sub := SubQuery{
 		Anchors: []kg.NodeID{g.NodeByName("a")},
-		EndSets: []map[kg.NodeID]bool{endSet(g, "d")},
+		EndSets: []NodeSet{endSet(g, "d")},
 	}
 	s := NewSearcher(g, tw, sub, Options{Tau: 0.1, MaxHops: 4})
 	m, ok := s.Next()

@@ -39,19 +39,18 @@ func randomCaseSegs(rng *rand.Rand, segs int) (*kg.Graph, *testWeighter, SubQuer
 
 	sub := SubQuery{Anchors: []kg.NodeID{ids[0]}}
 	for s := 0; s < segs; s++ {
-		ends := make(map[kg.NodeID]bool)
+		var ends []kg.NodeID
 		for i := 1; i < n; i++ {
 			if rng.Float64() < 0.3 {
-				ends[ids[i]] = true
+				ends = append(ends, ids[i])
 			}
 		}
-		if len(ends) == 0 {
-			ends[ids[1+rng.Intn(n-1)]] = true
-		}
-		// A false-valued entry is a non-member; the end-set compile must
-		// treat it as one.
-		ends[ids[1+rng.Intn(n-1)]] = false
-		sub.EndSets = append(sub.EndSets, ends)
+		// A repeated id, possibly the only one: the end-set compile must
+		// count it once.
+		ends = append(ends, ids[1+rng.Intn(n-1)])
+		ends = append(ends, ends[rng.Intn(len(ends))])
+		rng.Shuffle(len(ends), func(i, j int) { ends[i], ends[j] = ends[j], ends[i] })
+		sub.EndSets = append(sub.EndSets, NewNodeSet(ends, g.NumNodes()))
 	}
 	return g, tw, sub
 }
@@ -63,13 +62,7 @@ func oracleSub(tw *testWeighter, sub SubQuery) oracle.Sub {
 		Weight:  func(seg int, p kg.PredID) float64 { return tw.Weight(p, seg) },
 	}
 	for _, set := range sub.EndSets {
-		var ends []kg.NodeID
-		for u, member := range set {
-			if member {
-				ends = append(ends, u)
-			}
-		}
-		o.Ends = append(o.Ends, ends)
+		o.Ends = append(o.Ends, set.Members())
 	}
 	return o
 }

@@ -11,75 +11,14 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"testing"
 
 	"semkg/internal/astar"
-	"semkg/internal/core"
 	"semkg/internal/datagen"
 	"semkg/internal/kg"
-	"semkg/internal/query"
 	"semkg/internal/semgraph"
 )
-
-// compiledSub is one sub-query compiled to searcher inputs.
-type compiledSub struct {
-	sub   astar.SubQuery
-	preds []string
-}
-
-// matchEstimator adapts a φ-resolution function to query.CostEstimator.
-type matchEstimator struct {
-	match func(name, typeName string) []kg.NodeID
-	g     *kg.Graph
-}
-
-func (e matchEstimator) AnchorCount(name, typeName string) int {
-	return len(e.match(name, typeName))
-}
-func (e matchEstimator) AvgDegree() float64 { return e.g.AvgDegree() }
-
-// compileSubQueries decomposes q and resolves its φ sets the way
-// core.Engine.Compile does, down to searcher inputs.
-func compileSubQueries(eng *core.Engine, maxHops int, q *query.Graph) ([]compiledSub, error) {
-	match := eng.Matcher().Memo().MatchNode
-	est := matchEstimator{match, eng.Graph()}
-	d, err := query.Decompose(q, query.Options{Estimator: est, MaxHops: maxHops})
-	if err != nil {
-		return nil, err
-	}
-	var out []compiledSub
-	for _, sub := range d.Subs {
-		anchorNode, _ := q.NodeByID(sub.Anchor())
-		anchors := match(anchorNode.Name, anchorNode.Type)
-		if len(anchors) == 0 {
-			return nil, fmt.Errorf("bench: sub-query anchor %q unmatched", sub.Anchor())
-		}
-		endSets := make([]map[kg.NodeID]bool, sub.Len())
-		for i := 1; i < len(sub.NodeIDs); i++ {
-			n, _ := q.NodeByID(sub.NodeIDs[i])
-			ids := match(n.Name, n.Type)
-			if len(ids) == 0 {
-				return nil, fmt.Errorf("bench: sub-query node %q unmatched", sub.NodeIDs[i])
-			}
-			set := make(map[kg.NodeID]bool, len(ids))
-			for _, id := range ids {
-				set[id] = true
-			}
-			endSets[i-1] = set
-		}
-		preds := make([]string, sub.Len())
-		for i, edge := range sub.Edges {
-			preds[i] = edge.Predicate
-		}
-		out = append(out, compiledSub{
-			sub:   astar.SubQuery{Anchors: anchors, EndSets: endSets},
-			preds: preds,
-		})
-	}
-	return out, nil
-}
 
 // BenchCase is one hotpath micro-benchmark.
 type BenchCase struct {
@@ -92,14 +31,12 @@ type BenchCase struct {
 func HotpathCases(env *Env) ([]BenchCase, error) {
 	g := env.Dataset.Graph
 	q := env.Dataset.Simple[0]
-	subs, err := compileSubQueries(env.Engine, env.Cfg.MaxHops, q.Graph)
+	plan, err := env.Engine.Compile(q.Graph, env.SearchOptions(20))
 	if err != nil {
 		return nil, err
 	}
-	cs := subs[0]
-	sopts := astar.Options{Tau: env.Cfg.Tau, MaxHops: env.Cfg.MaxHops}
-	rows, err := semgraph.NewRowCache(g, env.Space)
-	if err != nil {
+	// An uncompiled plan fails here rather than inside a timed body.
+	if _, err := env.Engine.Searcher(plan, 0); err != nil {
 		return nil, err
 	}
 
@@ -142,20 +79,20 @@ func HotpathCases(env *Env) ([]BenchCase, error) {
 			n++
 		}
 	}
-	weighter := func() (*semgraph.Weighter, error) { return semgraph.NewWeighterCached(rows, cs.preds) }
 	m := env.Engine.Matcher()
 
 	return []BenchCase{
 		{"AStarNext", bench(func() (int, error) {
-			w, err := weighter()
+			s, err := env.Engine.Searcher(plan, 0)
 			if err != nil {
 				return 0, err
 			}
-			return drain(astar.NewSearcher(g, w, cs.sub, sopts).Next), nil
+			return drain(s.Next), nil
 		})},
-		// The m(u) bound summed over every node, rounded up.
+		// The m(u) bound of the query's one edge summed over every node,
+		// rounded up.
 		{"NodeMax", bench(func() (int, error) {
-			w, err := weighter()
+			w, err := semgraph.NewWeighterCached(env.Engine.Rows(), []string{q.Graph.Edges[0].Predicate})
 			if err != nil {
 				return 0, err
 			}

@@ -28,13 +28,11 @@ import (
 	"runtime"
 	"time"
 
-	"semkg/internal/astar"
 	"semkg/internal/core"
 	"semkg/internal/datagen"
 	"semkg/internal/embed"
 	"semkg/internal/kg"
 	"semkg/internal/query"
-	"semkg/internal/semgraph"
 	"semkg/internal/serve"
 )
 
@@ -251,39 +249,28 @@ func runColdStart(art *Artifact, g *kg.Graph, p datagen.LargeProfile, cfg LoadCo
 // actually visited. The load queries are single anchored edges, so each
 // compiles to exactly one sub-query.
 func runSteady(art *Artifact, eng *core.Engine, qs []*query.Graph, cfg LoadConfig) error {
-	g := eng.Graph()
-	type compiled struct {
-		sub  astar.SubQuery
-		rows [][]float64
-	}
-	subs := make([]compiled, len(qs))
+	plans := make([]*core.Plan, len(qs))
 	for i, q := range qs {
-		cs, err := compileSubQueries(eng, cfg.MaxHops, q)
+		p, err := eng.Compile(q, core.Options{Tau: cfg.Tau, MaxHops: cfg.MaxHops})
 		if err != nil {
 			return err
 		}
-		if len(cs) != 1 {
-			return fmt.Errorf("bench: load query %d compiles to %d sub-queries, want 1", i, len(cs))
+		if n := p.Subqueries(); n != 1 {
+			return fmt.Errorf("bench: load query %d compiles to %d sub-queries, want 1", i, n)
 		}
-		rows, err := eng.Rows().Rows(cs[0].preds)
-		if err != nil {
-			return err
-		}
-		subs[i] = compiled{cs[0].sub, rows}
+		plans[i] = p
 	}
 
-	opts := astar.Options{Tau: cfg.Tau, MaxHops: cfg.MaxHops}
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	var h Hist
-	for _, cs := range subs {
+	for _, p := range plans {
 		if err := h.Time(func() error {
-			w, err := semgraph.NewWeighterFromRows(g, cs.rows)
+			s, err := eng.Searcher(p, 0)
 			if err != nil {
 				return err
 			}
-			s := astar.NewSearcher(g, w, cs.sub, opts)
 			for j := 0; j < cfg.K; j++ {
 				if _, ok := s.Next(); !ok {
 					break
@@ -296,9 +283,9 @@ func runSteady(art *Artifact, eng *core.Engine, qs []*query.Graph, cfg LoadConfi
 	}
 	runtime.ReadMemStats(&ms1)
 	art.add("steady-state", "paged arena + adaptive end sets", map[string]float64{
-		"queries":            float64(len(subs)),
+		"queries":            float64(len(plans)),
 		"mean_us":            us(h.Mean()),
-		"alloc_mb_per_query": float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20) / float64(len(subs)),
+		"alloc_mb_per_query": float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20) / float64(len(plans)),
 	})
 	return nil
 }

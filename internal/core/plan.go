@@ -13,7 +13,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"slices"
 	"sync"
 
 	"semkg/internal/astar"
@@ -53,8 +52,9 @@ func compileOptsOf(o Options) compileOpts {
 
 // planSub is one sub-query's searcher blueprint: the compiled φ sets and
 // the query predicates whose weight rows the per-run weighter materializes.
-// Anchors and EndSets are read-only after compilation and safe to share
-// across concurrent runs.
+// The end sets are compiled once per plan; Anchors and EndSets are
+// read-only after compilation and shared in place by every searcher,
+// shard projection and shared sub-search over the plan.
 type planSub struct {
 	sub   astar.SubQuery
 	preds []string
@@ -144,18 +144,14 @@ func (e *Engine) compileSubs(q *query.Graph, d *query.Decomposition, memo *trans
 		if len(anchors) == 0 {
 			return nil, false, nil
 		}
-		endSets := make([]map[kg.NodeID]bool, sub.Len())
+		endSets := make([]astar.NodeSet, sub.Len())
 		for i := 1; i < len(sub.NodeIDs); i++ {
 			n, _ := q.NodeByID(sub.NodeIDs[i])
 			ids := memo.MatchNode(n.Name, n.Type)
 			if len(ids) == 0 {
 				return nil, false, nil
 			}
-			set := make(map[kg.NodeID]bool, len(ids))
-			for _, id := range ids {
-				set[id] = true
-			}
-			endSets[i-1] = set
+			endSets[i-1] = astar.NewNodeSet(ids, e.g.NumNodes())
 		}
 		preds := make([]string, sub.Len())
 		for i, edge := range sub.Edges {
@@ -221,11 +217,10 @@ func (p *Plan) wireBlueprints() ([]shardwire.Blueprint, error) {
 		}
 		bp.EndSets = make([][]uint32, len(ps.sub.EndSets))
 		for j, set := range ps.sub.EndSets {
-			es := make([]uint32, 0, len(set))
-			for u := range set {
-				es = append(es, uint32(u))
+			es := make([]uint32, len(set.Members()))
+			for k, u := range set.Members() {
+				es[k] = uint32(u)
 			}
-			slices.Sort(es)
 			bp.EndSets[j] = es
 		}
 		rows, err := p.eng.rows.Rows(ps.preds)
@@ -278,13 +273,7 @@ func (p *Plan) SubqueryKey(i int) string {
 		fmt.Fprintf(h, "%d,", a)
 	}
 	for seg, set := range ps.sub.EndSets {
-		ids := make([]kg.NodeID, 0, len(set))
-		for id, member := range set {
-			if member {
-				ids = append(ids, id)
-			}
-		}
-		slices.Sort(ids)
+		ids := set.Members()
 		fmt.Fprintf(h, "e%d:%d:", seg, len(ids))
 		for _, id := range ids {
 			fmt.Fprintf(h, "%d,", id)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -333,6 +334,26 @@ func TestSubqueryKeyStability(t *testing.T) {
 	for i := 0; i < p1.Subqueries(); i++ {
 		if p1.SubqueryKey(i) != p2.SubqueryKey(i) {
 			t.Errorf("sub %d: key unstable across identical compiles", i)
+		}
+	}
+
+	// φ is a set: the same ids given in another order and with repeats
+	// compile to the same end sets and the same key.
+	shuffled := &Plan{eng: e, d: p1.d, compiled: true, copts: p1.copts}
+	for _, ps := range p1.subs {
+		ends := make([]astar.NodeSet, len(ps.sub.EndSets))
+		for seg, set := range ps.sub.EndSets {
+			ids := slices.Clone(set.Members())
+			slices.Reverse(ids)
+			ids = append(ids, ids[len(ids)/2], ids[0])
+			ends[seg] = astar.NewNodeSet(ids, e.g.NumNodes())
+		}
+		ps.sub.EndSets = ends
+		shuffled.subs = append(shuffled.subs, ps)
+	}
+	for i := 0; i < p1.Subqueries(); i++ {
+		if p1.SubqueryKey(i) != shuffled.SubqueryKey(i) {
+			t.Errorf("sub %d: reordered, repeated φ changed the key", i)
 		}
 	}
 

@@ -92,6 +92,16 @@ func (w *serverWorld) wireRequest(t *testing.T, q int, shardIdx, sub int) *shard
 	if sub >= len(bps) {
 		t.Fatalf("query %d has %d sub-queries, want index %d", q, len(bps), sub)
 	}
+	// The wire carries each φ end set once per id, in ascending order.
+	for i, bp := range bps {
+		for seg, set := range bp.EndSets {
+			for j := 1; j < len(set); j++ {
+				if set[j-1] >= set[j] {
+					t.Fatalf("query %d sub %d: end set %d is not ascending and duplicate-free: %v", q, i, seg, set)
+				}
+			}
+		}
+	}
 	return &shardwire.SearchRequest{
 		Shard: shardIdx, Sub: sub, Blueprint: bps[sub],
 		Tau: serverOpts.Tau, MaxHops: serverOpts.MaxHops,

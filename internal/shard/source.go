@@ -51,20 +51,21 @@ func (sh *Shard) Project(bp *shardwire.Blueprint) (*Projection, error) {
 	if len(anchors) == 0 {
 		return nil, nil
 	}
-	endSets := make([]map[kg.NodeID]bool, len(bp.EndSets))
+	g := sh.Graph
+	endSets := make([]astar.NodeSet, len(bp.EndSets))
+	var local []kg.NodeID
 	for i, set := range bp.EndSets {
-		local := make(map[kg.NodeID]bool, len(set))
-		for _, g := range set {
-			if lg, ok := sh.LocalNode(kg.NodeID(g)); ok {
-				local[lg] = true
+		local = local[:0]
+		for _, id := range set {
+			if lid, ok := sh.LocalNode(kg.NodeID(id)); ok {
+				local = append(local, lid)
 			}
 		}
 		if len(local) == 0 {
 			return nil, nil
 		}
-		endSets[i] = local
+		endSets[i] = astar.NewNodeSet(local, g.NumNodes())
 	}
-	g := sh.Graph
 	rows := make([][]float64, len(bp.Rows))
 	for seg, named := range bp.Rows {
 		row := make([]float64, g.NumPredicates())

@@ -63,11 +63,7 @@ func hubGraph(nMids, nEnds int) (*kg.Graph, *stubWeighter, astar.SubQuery) {
 		}
 	}
 	sw := &stubWeighter{g: g, w: w}
-	endSet := make(map[kg.NodeID]bool, nEnds)
-	for _, e := range ends {
-		endSet[e] = true
-	}
-	sub := astar.SubQuery{Anchors: []kg.NodeID{anchor}, EndSets: []map[kg.NodeID]bool{endSet}}
+	sub := astar.SubQuery{Anchors: []kg.NodeID{anchor}, EndSets: []astar.NodeSet{astar.NewNodeSet(ends, g.NumNodes())}}
 	return g, sw, sub
 }
 
