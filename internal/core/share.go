@@ -1,17 +1,19 @@
 // Cross-query execution sharing: the sub-query-level counterpart of the
 // compile/run split. A compiled plan's sub-query blueprints are immutable
-// and content-addressable (Plan.SubqueryKey), and the exact-mode A*
-// enumeration over a blueprint is deterministic — so when concurrent
-// plans share a blueprint, one enumeration can feed all of them.
+// and content-addressable (Plan.SubqueryKey), and the A* enumeration over
+// a blueprint is deterministic — so when concurrent plans share a
+// blueprint, one enumeration can feed all of them.
 // SharedSearch memoizes such an enumeration behind a mutex: each consumer
 // reads through the memoized prefix with its own cursor and extends the
 // prefix on demand, which makes the in-flight case (two runs pulling at
 // once) a singleflight for free — the second puller waits on the mutex
 // and then reads the match the first one just computed.
 //
-// Sharing is restricted to the exact (SGQ) mode; time-bounded runs keep
-// private searchers. The sharing layer above (internal/serve) additionally
-// gates entries on the engine generation.
+// Both modes share: a time-bounded run reads the same sorted stream as an
+// exact one, and its deadline refuses pulls above the source (in the
+// run's resumeStream), never inside the shared enumeration. The sharing
+// layer above (internal/serve) additionally gates entries on the engine
+// generation.
 //
 // See DESIGN.md, "Cross-query sharing and batch execution".
 
@@ -154,9 +156,9 @@ func (e *Engine) Searcher(p *Plan, i int) (*astar.Searcher, error) {
 // substituted for fresh searchers: sources[i], when non-nil, supplies
 // sub-query i's sorted match stream through a shared enumeration; a nil
 // entry gets a private searcher exactly as in StreamPlan. len(sources)
-// must equal p.Subqueries(); for a non-compiled plan pass nil. Sharing
-// is exact-mode only — a TimeBound > 0 is rejected as a bad request, the
-// caller routes time-bounded runs through StreamPlan instead.
+// must equal p.Subqueries(); for a non-compiled plan pass nil. A
+// time-bounded run shares too: its deadline cuts the run's own reads, and
+// a cut consumer leaves the memoized prefix to the others.
 //
 // A shared cursor is just another local match source of the pipeline, read
 // from the whole graph whatever source set the engine otherwise scatters

@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"semkg/internal/astar"
 	"semkg/internal/query"
+	"semkg/internal/tbq"
 )
 
 // sharedSourcesFor builds one SharedSearch per sub-query of p.
@@ -426,8 +429,77 @@ func TestCompileBatch(t *testing.T) {
 	}
 }
 
-// TestSharedRejections: the sharing entry points reject time-bounded
-// runs, source-count mismatches, and foreign plans.
+// TestSharedTimeBoundedCut: a time-bounded run cut on a StepClock over
+// shared sub-searches answers under the oracle's approximate rule — the
+// deadline refuses pulls above the shared source, never inside it — and a
+// second cut run over the now partly memoized sources does too.
+func TestSharedTimeBoundedCut(t *testing.T) {
+	ctx := context.Background()
+	ds, e := tinyWorld(t, 8)
+	cut, runs := 0, 0
+	for _, q := range ds.Simple {
+		for _, bound := range []time.Duration{40 * time.Microsecond, 100 * time.Microsecond, 200 * time.Microsecond} {
+			opts := Options{K: 5, Tau: 0.5, MaxHops: 3, TimeBound: bound}
+			p, err := e.Compile(q.Graph, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources := sharedSourcesFor(t, e, p)
+			for run := 0; run < 2; run++ {
+				opts.Clock = &tbq.StepClock{Step: 10 * time.Microsecond}
+				res, err := e.SearchPlanShared(ctx, p, opts, sources)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracleCheck(t, fmt.Sprintf("%s/%v/run%d", q.Name, bound, run), e, ds.Library, q.Graph, opts, res)
+				runs++
+				if res.Approximate {
+					cut++
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d shared runs cut", cut, runs)
+	if cut == 0 {
+		t.Fatal("no shared run was cut; the test needs a tighter bound")
+	}
+}
+
+// TestSharedTimeBoundedAmple: under an ample bound a shared run is the
+// exact run — the SGQ answers, unflagged — whether its sources are fresh
+// or already memoized by an exact run.
+func TestSharedTimeBoundedAmple(t *testing.T) {
+	e := newTestEngine(t)
+	ctx := context.Background()
+	exact := Options{K: 10, Tau: 0.6}
+	p, err := e.Compile(q117("assembly"), exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.SearchPlan(ctx, p, exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := sharedSourcesFor(t, e, p)
+	ample := exact
+	ample.TimeBound = time.Hour
+	for _, run := range []struct {
+		name string
+		opts Options
+	}{{"fresh", ample}, {"exact", exact}, {"memoized", ample}} {
+		got, err := e.SearchPlanShared(ctx, p, run.opts, sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Approximate || !reflect.DeepEqual(got.Answers, want.Answers) {
+			t.Fatalf("%s: shared run (approximate %v) differs from the SGQ run:\n%v\nvs\n%v",
+				run.name, got.Approximate, got.Answers, want.Answers)
+		}
+	}
+}
+
+// TestSharedRejections: the sharing entry points reject source-count
+// mismatches and foreign plans.
 func TestSharedRejections(t *testing.T) {
 	e := newTestEngine(t)
 	ctx := context.Background()
@@ -436,12 +508,6 @@ func TestSharedRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := sharedSourcesFor(t, e, p)
-
-	var br BadRequestError
-	_, err = e.SearchPlanShared(ctx, p, Options{Tau: 0.6, TimeBound: 1}, sources)
-	if err == nil || !errors.As(err, &br) {
-		t.Fatalf("TimeBound accepted by shared run: err = %v", err)
-	}
 
 	if _, err := e.SearchPlanShared(ctx, p, Options{Tau: 0.6}, sources[:1]); err == nil && p.Subqueries() != 1 {
 		t.Fatal("source-count mismatch accepted")

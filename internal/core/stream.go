@@ -257,13 +257,8 @@ func (e *Engine) streamPlan(ctx context.Context, p *Plan, opts Options, shared [
 	if err := p.check(e, opts); err != nil {
 		return nil, err
 	}
-	if shared != nil {
-		if opts.TimeBound > 0 {
-			return nil, badRequest(fmt.Errorf("core: sub-query sharing requires the exact mode (TimeBound = 0)"))
-		}
-		if want := p.Subqueries(); len(shared) != want {
-			return nil, fmt.Errorf("core: %d sub-query sources for a plan with %d sub-queries", len(shared), want)
-		}
+	if want := p.Subqueries(); shared != nil && len(shared) != want {
+		return nil, fmt.Errorf("core: %d sub-query sources for a plan with %d sub-queries", len(shared), want)
 	}
 	return e.start(ctx, p, opts, shared, quiet)
 }

@@ -84,9 +84,9 @@ func TestServingOverDistEngine(t *testing.T) {
 	}
 }
 
-// TestServingDistStreamReplay: the recorded event log of a distributed
-// execution replays byte-identically on a result-cache hit, exactly as
-// over a local engine.
+// TestServingDistStreamReplay: a distributed execution streams live under
+// the same delivery guarantees as a local one, and a result-cache hit
+// replays its result as one ResultEvent.
 func TestServingDistStreamReplay(t *testing.T) {
 	ctx := context.Background()
 	srv := New(distTestEngine(t), Config{})
@@ -94,35 +94,13 @@ func TestServingDistStreamReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var liveEvents []core.Event
-	for ev := range live.Events() {
-		liveEvents = append(liveEvents, ev)
-	}
-	if len(liveEvents) == 0 {
-		t.Fatal("no live events")
-	}
+	liveEvents, res := drainStream(t, live)
+	checkLive(t, "distributed live", liveEvents, res)
 	replay, err := srv.Stream(ctx, q117(), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var replayEvents []core.Event
-	for ev := range replay.Events() {
-		replayEvents = append(replayEvents, ev)
-	}
-	if len(replayEvents) != len(liveEvents) {
-		t.Fatalf("replay has %d events, live had %d", len(replayEvents), len(liveEvents))
-	}
-	lr, ok := liveEvents[len(liveEvents)-1].(core.ResultEvent)
-	if !ok {
-		t.Fatalf("live terminal %T", liveEvents[len(liveEvents)-1])
-	}
-	rr, ok := replayEvents[len(replayEvents)-1].(core.ResultEvent)
-	if !ok {
-		t.Fatalf("replay terminal %T", replayEvents[len(replayEvents)-1])
-	}
-	if !bytes.Equal(wireJSON(t, lr.Result), wireJSON(t, rr.Result)) {
-		t.Fatal("replayed result not byte-identical")
-	}
+	checkSettled(t, "distributed cache hit", replay, res)
 	if got := srv.Stats().ResultHits; got != 1 {
 		t.Fatalf("ResultHits = %d, want 1", got)
 	}

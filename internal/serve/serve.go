@@ -1,18 +1,19 @@
 // Package serve is the engine-level serving layer: it turns one engine —
 // a whole-graph *core.Engine or any engine derived from one (sharded,
 // distributed, resharding), anything satisfying core.Queryer — into a
-// component fit for heavy concurrent traffic.
+// component fit for heavy concurrent traffic. It shares results, not event
+// recordings: only a Stream request that starts a pipeline run sees that
+// run's events live; every other request receives the finished result.
 //
 //   - Result cache: an LRU keyed by a canonical hash of (query graph,
-//     normalized options). A hit skips the whole pipeline — including the
-//     recorded event log, so streamed replays are byte-identical to the
-//     original run.
+//     normalized options). A hit skips the whole pipeline; a streamed hit
+//     delivers the cached result as its one event.
 //   - Plan cache: an LRU of compiled plans (decomposition + searcher
 //     blueprints) keyed by the compile-relevant options only, so repeated
 //     query shapes skip decomposition and φ resolution for any K or time
 //     budget.
 //   - Singleflight: N concurrent identical requests run the pipeline once;
-//     followers share the leader's result and replay its event log.
+//     followers share the leader's result.
 //   - Admission control: a bounded worker pool with deadline-aware
 //     shedding — a request whose TimeBound cannot cover its projected
 //     queue wait is rejected with OverloadedError (HTTP 429/Retry-After)
@@ -70,9 +71,10 @@ type Config struct {
 	Build func(*kg.Graph) (core.Queryer, error)
 
 	// BeforeRun, when non-nil, is invoked by the flight leader after
-	// admission, immediately before the pipeline runs. Test
-	// instrumentation only (it gates concurrency tests deterministically);
-	// leave nil in production.
+	// admission: immediately before a quiet run, and right after a live
+	// stream's run has started. Either way the flight stays unfinished
+	// until it returns. Test instrumentation only (it gates concurrency
+	// tests deterministically); leave nil in production.
 	BeforeRun func()
 }
 
@@ -112,16 +114,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// cachedResult is one result-cache entry: the terminal result plus the
-// recorded event log that produced it, stamped with the engine generation
-// it was computed on. The stamp is checked again at Get time: the
-// publish-side generation check and the Add are not atomic with Rebuild's
-// purge, so a racing leader could otherwise resurrect a result computed on
-// a superseded engine.
+// cachedResult is one result-cache entry: the terminal result, stamped
+// with the engine generation it was computed on. The stamp is checked
+// again at Get time: the publish-side generation check and the Add are not
+// atomic with Rebuild's purge, so a racing leader could otherwise
+// resurrect a result computed on a superseded engine.
 type cachedResult struct {
-	res    *core.Result
-	events []core.Event
-	gen    uint64
+	res *core.Result
+	gen uint64
 }
 
 // Engine is a serving wrapper around one core.Queryer. Safe for
@@ -316,71 +316,65 @@ func (e *Engine) NewDelta() *kg.Delta {
 // returned Result is shared (possibly with other callers and the cache)
 // and must be treated as read-only.
 func (e *Engine) Search(ctx context.Context, q *query.Graph, opts core.Options) (*core.Result, error) {
-	entry, fl, err := e.resolve(ctx, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	if entry != nil {
-		return entry.res, nil
+	res, fl, _, err := e.resolve(q, opts, false)
+	if err != nil || fl == nil {
+		return res, err
 	}
 	defer fl.leave()
-	select {
-	case <-fl.done():
-		return fl.log.outcome()
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return fl.wait(ctx)
 }
 
-// Stream answers one streaming request through the serving layer. A cache
-// hit replays the recorded event log of the original execution; a
-// deduplicated request replays the leader's log (catching up on the
-// prefix, then following live). Validation, compile and admission errors
-// are returned synchronously, before any event is delivered.
+// Stream answers one streaming request through the serving layer. A
+// request that starts a pipeline run streams it live; a cache hit or a
+// deduplicated request gets a settled stream (see Stream). Validation,
+// compile and admission errors are returned synchronously, before any
+// event is delivered.
 func (e *Engine) Stream(ctx context.Context, q *query.Graph, opts core.Options) (*Stream, error) {
-	entry, fl, err := e.resolve(ctx, q, opts)
+	res, fl, started, err := e.resolve(q, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	if entry != nil {
-		return subscribe(ctx, closedLog(entry.events, entry.res), sealedNow, nil), nil
+	if fl == nil {
+		return hitStream(res), nil
 	}
 	// Surface pre-pipeline failures (bad request, overload) synchronously.
 	select {
 	case <-fl.admitted:
-	case <-fl.done():
-		if _, err := fl.log.outcome(); err != nil {
+	case <-fl.done:
+		if fl.err != nil {
 			fl.leave()
-			return nil, err
+			return nil, fl.err
 		}
 	case <-ctx.Done():
 		fl.leave()
 		return nil, ctx.Err()
 	}
-	return subscribe(ctx, fl.log, fl.sealed, fl.leave), nil
+	return flightStream(ctx, fl, started), nil
 }
 
-// resolve routes one request: a result-cache hit returns the entry; a
+// resolve routes one request: a result-cache hit returns the result; a
 // non-nil flight means the caller participates in a (possibly shared)
-// pipeline execution and must leave() it when done.
-func (e *Engine) resolve(ctx context.Context, q *query.Graph, opts core.Options) (*cachedResult, *flight, error) {
+// pipeline execution and must leave() it when done. started reports that
+// the caller started the flight; live asks that such a flight run as a
+// stream.
+func (e *Engine) resolve(q *query.Graph, opts core.Options, live bool) (res *core.Result, fl *flight, started bool, err error) {
 	if err := opts.Validate(); err != nil {
-		return nil, nil, core.BadRequestError{Err: err}
+		return nil, nil, false, core.BadRequestError{Err: err}
 	}
 	if err := q.Validate(); err != nil {
-		return nil, nil, core.BadRequestError{Err: err}
+		return nil, nil, false, core.BadRequestError{Err: err}
 	}
 	eng, gen := e.engineGen()
 	if !cacheable(opts) {
 		e.stats.uncacheable.Add(1)
-		fl := newFlight(gen)
-		go e.lead(fl, "", q, opts, false, eng)
-		return nil, fl, nil
+		fl = newFlight(gen)
+		go e.lead(fl, "", q, opts, eng, live)
+		return nil, fl, true, nil
 	}
 	key := resultKey(q, opts)
 	if entry, ok := e.results.Get(key); ok && entry.gen == gen {
 		e.stats.resultHits.Add(1)
-		return entry, nil, nil
+		return entry.res, nil, false, nil
 	}
 	e.stats.resultMisses.Add(1)
 
@@ -394,31 +388,31 @@ func (e *Engine) resolve(ctx context.Context, q *query.Graph, opts core.Options)
 	if fl, ok := e.flights[key]; ok && fl.gen == gen && fl.join() {
 		e.fmu.Unlock()
 		e.stats.flightShared.Add(1)
-		return nil, fl, nil
+		return nil, fl, false, nil
 	}
-	fl := newFlight(gen)
+	fl = newFlight(gen)
 	e.flights[key] = fl
 	e.fmu.Unlock()
-	go e.lead(fl, key, q, opts, true, eng)
-	return nil, fl, nil
+	go e.lead(fl, key, q, opts, eng, live)
+	return nil, fl, true, nil
 }
 
 // lead is the flight leader: compile (through the plan cache), admission,
 // pipeline, publication. key == "" marks an unregistered (uncacheable)
 // flight. eng is the engine captured when the flight was created — the
 // flight's generation stamp refers to it.
-func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options, cache bool, eng core.Queryer) {
+func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options, eng core.Queryer, live bool) {
 	gen := fl.gen
-	res, err := e.run(fl, eng, gen, q, opts, cache && key != "")
+	res, err := e.run(fl, eng, q, opts, key != "", live)
 	if key != "" {
 		// Publish only complete results computed on the current engine: a
 		// cancelled flight carries a partial (anytime) result, and a
 		// racing Rebuild means the result answers for a graph the cache no
 		// longer serves. Publish before deregistering the flight, so a
 		// request arriving in between finds either the cache entry or the
-		// still-sealed flight, never a gap that would re-run the pipeline.
+		// still-unfinished flight, never a gap that would re-run the pipeline.
 		if err == nil && res != nil && fl.ctx.Err() == nil && e.currentGen() == gen {
-			e.results.Add(key, &cachedResult{res: res, events: e.snapshotLog(fl), gen: gen})
+			e.results.Add(key, &cachedResult{res: res, gen: gen})
 		}
 		e.fmu.Lock()
 		// Deregister only our own flight: a request that found this flight
@@ -431,19 +425,15 @@ func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options,
 	fl.finish(res, err)
 }
 
-// snapshotLog returns the flight's recorded events (the log is complete —
-// run has consumed the pipeline to its end — but not yet sealed).
-func (e *Engine) snapshotLog(fl *flight) []core.Event {
-	evs, _, _ := fl.log.since(0)
-	return evs
-}
-
 // run executes the pipeline for one flight: plan (cached), admission,
-// stream consumption into the flight log. cached gates both the plan
-// cache and the sub-search sharing layer: a request too nondeterministic
-// to cache is equally too nondeterministic to share.
-func (e *Engine) run(fl *flight, eng core.Queryer, gen uint64, q *query.Graph, opts core.Options, cached bool) (*core.Result, error) {
-	plan, err := e.planFor(eng, gen, q, opts, cached)
+// then the run itself — quiet, or as the live stream of a flight a Stream
+// request started. cached gates both the plan cache and the sub-search
+// sharing layer: a request too nondeterministic to cache is equally too
+// nondeterministic to share. A run may fail instead of answering (a
+// distributed backing engine losing a whole shard, for example); lead()
+// never caches errored flights, so the next request retries the pipeline.
+func (e *Engine) run(fl *flight, eng core.Queryer, q *query.Graph, opts core.Options, cached, live bool) (*core.Result, error) {
+	plan, err := e.planFor(eng, fl.gen, q, opts, cached)
 	if err != nil {
 		return nil, err
 	}
@@ -452,27 +442,23 @@ func (e *Engine) run(fl *flight, eng core.Queryer, gen uint64, q *query.Graph, o
 	}
 	start := time.Now()
 	defer func() { e.adm.release(time.Since(start)) }()
+	e.stats.pipelineRuns.Add(1)
+	if live {
+		if fl.live, err = e.streamFor(fl.ctx, eng, fl.gen, plan, opts, cached); err != nil {
+			return nil, err
+		}
+	}
 	close(fl.admitted)
 	if e.cfg.BeforeRun != nil {
 		e.cfg.BeforeRun()
 	}
-	e.stats.pipelineRuns.Add(1)
-
-	st, err := e.streamFor(fl.ctx, eng, gen, plan, opts, cached)
-	if err != nil {
+	if !live {
+		return e.searchFor(fl.ctx, eng, fl.gen, plan, opts, cached)
+	}
+	if err := fl.live.Err(); err != nil {
 		return nil, err
 	}
-	for ev := range st.Events() {
-		fl.log.append(ev)
-	}
-	// A stream may end in an error terminal instead of a result (a
-	// distributed backing engine losing a whole shard, for example).
-	// Propagate it as the flight's failure: lead() never caches errored
-	// flights, so the next request retries the pipeline.
-	if err := st.Err(); err != nil {
-		return nil, err
-	}
-	return st.Result(), nil
+	return fl.live.Result(), nil
 }
 
 // planFor compiles q, going through the plan cache when the request allows

@@ -21,14 +21,14 @@ import (
 // testEngine builds a small motivating-example engine with hand-crafted
 // predicate vectors (no training): cars related to Germany through three
 // schemas, plus French distractors.
-func testEngine(t *testing.T) *core.Engine {
+func testEngine(t testing.TB) *core.Engine {
 	t.Helper()
 	return buildEngine(t, true)
 }
 
 // buildEngine optionally drops one schema so Rebuild tests can observe a
 // changed graph through the cache.
-func buildEngine(t *testing.T, withX6 bool) *core.Engine {
+func buildEngine(t testing.TB, withX6 bool) *core.Engine {
 	t.Helper()
 	b := kg.NewBuilder(32, 64)
 	ger := b.AddNode("Germany", "Country")
@@ -202,42 +202,97 @@ func TestSingleflightCollapses32(t *testing.T) {
 	}
 }
 
-// eventLines encodes a stream's events for comparison.
-func eventLines(t *testing.T, events []core.Event) []string {
-	t.Helper()
-	out := make([]string, len(events))
-	for i, ev := range events {
-		b, err := api.EncodeEvent(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = string(b)
-	}
-	return out
-}
-
-func drainStream(t *testing.T, s *Stream) []core.Event {
+// drainStream consumes a stream to its end and returns its events and
+// terminal result.
+func drainStream(t *testing.T, s *Stream) ([]core.Event, *core.Result) {
 	t.Helper()
 	var events []core.Event
 	for ev := range s.Events() {
 		events = append(events, ev)
 	}
-	if _, err := s.Result(); err != nil {
+	res, err := s.Result()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return events
+	return events, res
 }
 
-// TestStreamReplayIdentical: the leader's live stream, a deduplicated
-// follower joining mid-flight, and a later result-cache replay all deliver
-// the identical event sequence.
+// checkLive asserts DESIGN.md's delivery guarantees 1–3 on a live stream:
+// pipeline order (search ≤ progress ≤ assemble ≤ topk ≤ result, rounds
+// non-decreasing), exactly one ResultEvent, last, carrying the result
+// Stream.Result returns, and a closing TopKEvent with the final ranking.
+func checkLive(t *testing.T, name string, events []core.Event, res *core.Result) {
+	t.Helper()
+	if len(events) == 0 {
+		t.Fatalf("%s: no events", name)
+	}
+	if re, ok := events[len(events)-1].(core.ResultEvent); !ok || re.Result != res {
+		t.Fatalf("%s: last event %T does not carry Stream.Result()", name, events[len(events)-1])
+	}
+	const (
+		search = iota
+		assemble
+		topk
+	)
+	stage, round := -1, 0
+	var lastTopK *core.TopKEvent
+	for i, ev := range events[:len(events)-1] {
+		at := stage
+		switch ev := ev.(type) {
+		case core.ResultEvent:
+			t.Fatalf("%s: ResultEvent at %d of %d", name, i, len(events))
+		case core.PhaseEvent:
+			switch ev.Phase {
+			case core.PhaseSearch:
+				at = search
+			case core.PhaseAssemble:
+				at = assemble
+			}
+		case core.ProgressEvent:
+			if stage > search {
+				t.Errorf("%s: progress after the assemble phase", name)
+			}
+		case core.TopKEvent:
+			at = topk
+			if ev.Round < round {
+				t.Errorf("%s: topk round went backwards (%d after %d)", name, ev.Round, round)
+			}
+			round, lastTopK = ev.Round, &ev
+		}
+		if at < stage {
+			t.Errorf("%s: event %d (%T) out of pipeline order", name, i, ev)
+		}
+		stage = at
+	}
+	if len(res.Answers) > 0 && (lastTopK == nil || !reflect.DeepEqual(lastTopK.Answers, res.Answers)) {
+		t.Errorf("%s: no closing topk with the final ranking before the result", name)
+	}
+}
+
+// checkSettled asserts a settled stream: one ResultEvent carrying want.
+func checkSettled(t *testing.T, name string, s *Stream, want *core.Result) {
+	t.Helper()
+	events, res := drainStream(t, s)
+	if len(events) != 1 {
+		t.Fatalf("%s: %d events, want one ResultEvent", name, len(events))
+	}
+	if re, ok := events[0].(core.ResultEvent); !ok || re.Result != want || res != want {
+		t.Fatalf("%s: settled stream does not carry the shared result", name)
+	}
+}
+
+// TestStreamReplayIdentical: the leader's live stream obeys the delivery
+// guarantees and answers as core.Engine.Search does; a deduplicated
+// follower joining mid-flight and a later result-cache hit are settled —
+// each delivers one ResultEvent with the identical *Result — and the
+// pipeline ran once.
 func TestStreamReplayIdentical(t *testing.T) {
 	eng := testEngine(t)
 	release := make(chan struct{})
 	srv := New(eng, Config{BeforeRun: func() { <-release }})
 	ctx := context.Background()
 	opts := testOpts()
-	opts.TimeBound = 2 * time.Second // TBQ emits rich event sequences
+	opts.TimeBound = 2 * time.Second
 
 	leader, err := srv.Stream(ctx, q117(), opts)
 	if err != nil {
@@ -252,33 +307,96 @@ func TestStreamReplayIdentical(t *testing.T) {
 	}
 	close(release)
 
-	leaderEvents := drainStream(t, leader)
-	followerEvents := drainStream(t, follower)
-	cachedStream, err := srv.Stream(ctx, q117(), opts)
+	events, res := drainStream(t, leader)
+	checkLive(t, "leader", events, res)
+	direct, err := eng.Search(ctx, q117(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedEvents := drainStream(t, cachedStream)
+	if !bytes.Equal(answersJSON(t, res), answersJSON(t, direct)) {
+		t.Fatalf("live stream answers differ from core.Engine.Search:\n%s\nvs\n%s",
+			answersJSON(t, res), answersJSON(t, direct))
+	}
+	checkSettled(t, "follower", follower, res)
+	hit, err := srv.Stream(ctx, q117(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSettled(t, "cache hit", hit, res)
+	if st := srv.Stats(); st.PipelineRuns != 1 || st.ResultHits != 1 {
+		t.Fatalf("stats = %+v, want 1 pipeline run and 1 result hit", st)
+	}
+}
 
-	want := eventLines(t, leaderEvents)
-	if len(want) == 0 {
-		t.Fatal("no events")
+// TestStreamHitAfterSearchMiss: a batch Search records no events, so a
+// Stream answered from its cache entry delivers exactly one event — the
+// result the Search returned.
+func TestStreamHitAfterSearchMiss(t *testing.T) {
+	srv := New(testEngine(t), Config{})
+	ctx := context.Background()
+	res, err := srv.Search(ctx, q117(), testOpts())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := eventLines(t, followerEvents); !reflect.DeepEqual(got, want) {
-		t.Fatalf("follower events differ:\n%v\nvs\n%v", got, want)
+	st, err := srv.Stream(ctx, q117(), testOpts())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := eventLines(t, cachedEvents); !reflect.DeepEqual(got, want) {
-		t.Fatalf("cached replay events differ:\n%v\nvs\n%v", got, want)
+	checkSettled(t, "stream hit", st, res)
+	if st := srv.Stats(); st.ResultHits != 1 || st.PipelineRuns != 1 {
+		t.Fatalf("stats = %+v, want 1 result hit and 1 pipeline run", st)
 	}
-	if srv.Stats().PipelineRuns != 1 {
-		t.Fatalf("pipeline ran %d times, want 1", srv.Stats().PipelineRuns)
+}
+
+// TestStreamJoiningSearchIsSettled: a Stream that joins a flight a Search
+// started delivers the shared result as its one event.
+func TestStreamJoiningSearchIsSettled(t *testing.T) {
+	release := make(chan struct{})
+	srv := New(testEngine(t), Config{BeforeRun: func() { <-release }})
+	ctx := context.Background()
+	done := make(chan *core.Result, 1)
+	go func() {
+		res, err := srv.Search(ctx, q117(), testOpts())
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	waitBusy(t, srv, 1)
+	st, err := srv.Stream(ctx, q117(), testOpts())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The terminal results of all three paths are the same shared object.
-	lr, _ := leader.Result()
-	fr, _ := follower.Result()
-	cr, _ := cachedStream.Result()
-	if lr != fr || lr != cr {
-		t.Fatal("stream paths returned different result objects")
+	close(release)
+	checkSettled(t, "stream follower", st, <-done)
+	if st := srv.Stats(); st.FlightShared != 1 || st.PipelineRuns != 1 {
+		t.Fatalf("stats = %+v, want 1 shared flight and 1 pipeline run", st)
+	}
+}
+
+// TestServeMissAllocs pins what the serving layer adds to a pipeline run
+// when every cache misses: with the result, plan and sub-search caches
+// off, a serve.Search allocates at most 50 objects more than the
+// core.Engine.Search it wraps.
+func TestServeMissAllocs(t *testing.T) {
+	eng := testEngine(t)
+	srv := New(eng, Config{ResultCache: -1, PlanCache: -1, SubCache: -1})
+	ctx := context.Background()
+	q, opts := q117(), testOpts()
+	search := func(s interface {
+		Search(context.Context, *query.Graph, core.Options) (*core.Result, error)
+	}) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := s.Search(ctx, q, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base, served := search(eng), search(srv)
+	t.Logf("core.Engine.Search %.0f allocs, serve.Search %.0f (+%.0f)", base, served, served-base)
+	if served > base+50 {
+		t.Fatalf("serve.Search allocates %.0f objects, core.Engine.Search %.0f: the serving layer adds %.0f, want ≤ 50",
+			served, base, served-base)
 	}
 }
 
@@ -591,31 +709,33 @@ func TestDeadFlightNotJoined(t *testing.T) {
 
 // TestStreamResultWithoutDraining: Result() must not depend on event
 // delivery — a consumer that never touches Events() still gets the
-// terminal outcome even when the recorded log far exceeds the delivery
-// channel buffer.
+// terminal outcome, from a live stream whose events outnumber the
+// delivery buffer and from a settled one.
 func TestStreamResultWithoutDraining(t *testing.T) {
-	events := make([]core.Event, 0, 4*streamBuffer)
-	for i := 0; i < 4*streamBuffer; i++ {
-		events = append(events, core.ProgressEvent{Sub: 0, Collected: i + 1})
-	}
-	want := &core.Result{}
-	s := subscribe(context.Background(), closedLog(events, want), sealedNow, nil)
-
-	got := make(chan *core.Result, 1)
-	go func() {
-		res, err := s.Result()
+	srv := New(testEngine(t), Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // releases the undrained delivery goroutines
+	for _, name := range []string{"live", "settled"} {
+		s, err := srv.Stream(ctx, q117(), testOpts())
 		if err != nil {
-			t.Errorf("Result: %v", err)
+			t.Fatal(err)
 		}
-		got <- res
-	}()
-	select {
-	case res := <-got:
-		if res != want {
-			t.Fatal("Result returned a different object")
+		got := make(chan *core.Result, 1)
+		go func() {
+			res, err := s.Result()
+			if err != nil {
+				t.Errorf("%s Result: %v", name, err)
+			}
+			got <- res
+		}()
+		select {
+		case res := <-got:
+			if res == nil || len(res.Answers) == 0 {
+				t.Fatalf("%s: Result returned no answers", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Result() deadlocked with undrained Events", name)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Result() deadlocked with undrained Events")
 	}
 }
 

@@ -64,8 +64,9 @@ func TestServingOverShardedEngine(t *testing.T) {
 	}
 }
 
-// TestServingShardedStreamReplay: the recorded event log of a sharded
-// execution replays identically on a result-cache hit.
+// TestServingShardedStreamReplay: a sharded execution streams live, with
+// per-shard progress, and a result-cache hit replays its result as one
+// ResultEvent.
 func TestServingShardedStreamReplay(t *testing.T) {
 	ctx := context.Background()
 	srv := New(shardedTestEngine(t), Config{})
@@ -73,21 +74,8 @@ func TestServingShardedStreamReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var liveEvents []core.Event
-	for ev := range live.Events() {
-		liveEvents = append(liveEvents, ev)
-	}
-	replay, err := srv.Stream(ctx, q117(), testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replayEvents []core.Event
-	for ev := range replay.Events() {
-		replayEvents = append(replayEvents, ev)
-	}
-	if len(replayEvents) != len(liveEvents) {
-		t.Fatalf("replay delivered %d events, live %d", len(replayEvents), len(liveEvents))
-	}
+	liveEvents, res := drainStream(t, live)
+	checkLive(t, "sharded live", liveEvents, res)
 	sawShard := false
 	for _, ev := range liveEvents {
 		if pe, ok := ev.(core.ProgressEvent); ok && pe.Shard > 0 {
@@ -95,8 +83,13 @@ func TestServingShardedStreamReplay(t *testing.T) {
 		}
 	}
 	if !sawShard {
-		t.Fatal("no per-shard progress in the recorded log")
+		t.Fatal("no per-shard progress in the live stream")
 	}
+	replay, err := srv.Stream(ctx, q117(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSettled(t, "sharded cache hit", replay, res)
 }
 
 // TestApplyRebuildsShardedEngine: live ingestion over a sharded serving

@@ -121,6 +121,53 @@ func TestShareDisabled(t *testing.T) {
 	}
 }
 
+// TestShareTimeBounded: a wall-clock time-bounded request after an exact
+// one of the same shape joins its shared sub-searches, and answers as the
+// exact run did, unflagged.
+func TestShareTimeBounded(t *testing.T) {
+	srv := New(testEngine(t), Config{})
+	ctx := context.Background()
+	exact, err := srv.Search(ctx, q117(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Stats()
+	bounded := testOpts()
+	bounded.TimeBound = time.Minute
+	res, err := srv.Search(ctx, q117(), bounded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := srv.Stats()
+	if after.SubHits <= before.SubHits || after.PipelineRuns != before.PipelineRuns+1 {
+		t.Fatalf("time-bounded run did not join the shared sub-searches: before %+v, after %+v", before, after)
+	}
+	if res.Approximate || !bytes.Equal(answersJSON(t, res), answersJSON(t, exact)) {
+		t.Fatalf("time-bounded answers (approximate %v) differ from the exact run:\n%s\nvs\n%s",
+			res.Approximate, answersJSON(t, res), answersJSON(t, exact))
+	}
+}
+
+// BenchmarkServeSearchMiss measures the serving layer's miss path with
+// every cache on, as under never-repeating traffic: no two requests share
+// a (τ, K) pair, and a τ repeats only after 100k requests, long after the
+// plan and sub-search caches evicted it.
+func BenchmarkServeSearchMiss(b *testing.B) {
+	srv := New(testEngine(b), Config{})
+	ctx := context.Background()
+	q := q117()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts := testOpts()
+		opts.Tau = 0.5 + 4e-6*float64(i%100000)
+		opts.K = 10 + i/100000
+		if _, err := srv.Search(ctx, q, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestShareFlightCancellation is the satellite audit: two flights share
 // sub-query enumerations (same plan, different K → different result
 // keys, one sub-search). One participant leaving early cancels only its

@@ -7,77 +7,14 @@ import (
 	"semkg/internal/core"
 )
 
-// eventLog is an append-only record of one pipeline execution's stream
-// events plus its terminal outcome. The leader appends; any number of
-// subscribers replay from the start concurrently — a follower that joins
-// mid-run first catches up on the recorded prefix, then follows live. The
-// closed log doubles as the result-cache entry's replay source, so cached,
-// deduplicated and cold streams all deliver the identical event sequence.
-type eventLog struct {
-	mu      sync.Mutex
-	events  []core.Event
-	closed  bool
-	res     *core.Result
-	err     error
-	changed chan struct{} // closed and replaced on every append/close
-}
-
-func newEventLog() *eventLog {
-	return &eventLog{changed: make(chan struct{})}
-}
-
-// append records one event and wakes the subscribers.
-func (l *eventLog) append(ev core.Event) {
-	l.mu.Lock()
-	l.events = append(l.events, ev)
-	close(l.changed)
-	l.changed = make(chan struct{})
-	l.mu.Unlock()
-}
-
-// close seals the log with the terminal outcome (exactly one of res, err).
-func (l *eventLog) close(res *core.Result, err error) {
-	l.mu.Lock()
-	l.closed = true
-	l.res, l.err = res, err
-	close(l.changed)
-	l.mu.Unlock()
-}
-
-// since returns the events from index i on, whether the log is sealed, and
-// a channel that closes on the next change (valid only while !sealed).
-func (l *eventLog) since(i int) (evs []core.Event, sealed bool, changed <-chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.events[i:], l.closed, l.changed
-}
-
-// outcome returns the terminal result; valid once sealed.
-func (l *eventLog) outcome() (*core.Result, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.res, l.err
-}
-
-// closedLog wraps an already-recorded event sequence (a result-cache hit)
-// as a sealed log for replay.
-func closedLog(events []core.Event, res *core.Result) *eventLog {
-	l := newEventLog()
-	l.events = events
-	l.closed = true
-	l.res = res
-	return l
-}
-
 // flight is one in-flight pipeline execution shared by every concurrent
 // identical request (singleflight). The first request becomes the leader
 // and owns the execution goroutine; later identical requests join as
-// followers and replay the leader's event log. The flight's context stays
-// alive while any participant remains; when the last one leaves, the
-// pipeline is cancelled (anytime semantics, as for a single dropped
-// client) and the partial result is not cached.
+// followers and share its outcome. The flight's context stays alive while
+// any participant remains; when the last one leaves, the pipeline is
+// cancelled (anytime semantics, as for a single dropped client) and the
+// partial result is not cached.
 type flight struct {
-	log *eventLog
 	ctx context.Context
 
 	// admitted closes when the leader has compiled the plan and acquired a
@@ -85,8 +22,13 @@ type flight struct {
 	// can no longer occur, so Stream waits on it to surface those
 	// synchronously (an HTTP handler needs them before the 200 header).
 	admitted chan struct{}
-	// sealed closes when the log is sealed with the terminal outcome.
-	sealed chan struct{}
+	// live is the running pipeline's event stream of a flight a Stream
+	// request started, for that request alone; set before admitted closes.
+	live *core.Stream
+	// done closes when res and err hold the terminal outcome.
+	done chan struct{}
+	res  *core.Result
+	err  error
 	// gen is the engine generation the flight executes on; requests from a
 	// later generation must not join it (Rebuild invalidation).
 	gen uint64
@@ -99,20 +41,36 @@ type flight struct {
 func newFlight(gen uint64) *flight {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &flight{
-		log:      newEventLog(),
 		ctx:      ctx,
 		admitted: make(chan struct{}),
-		sealed:   make(chan struct{}),
+		done:     make(chan struct{}),
 		gen:      gen,
 		refs:     1,
 		cancel:   cancel,
 	}
 }
 
-// finish seals the log with the terminal outcome and signals the waiters.
+// finish records the terminal outcome and signals the waiters.
 func (f *flight) finish(res *core.Result, err error) {
-	f.log.close(res, err)
-	close(f.sealed)
+	f.res, f.err = res, err
+	close(f.done)
+}
+
+// wait blocks until the flight finishes or ctx is cancelled. An outcome
+// that is ready wins over a cancellation that is ready too: a consumer that
+// cancels after completion still gets the result it already paid for.
+func (f *flight) wait(ctx context.Context) (*core.Result, error) {
+	select {
+	case <-f.done:
+		return f.res, f.err
+	default:
+	}
+	select {
+	case <-f.done:
+		return f.res, f.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // join registers one more participant. It fails once the last participant
@@ -139,6 +97,3 @@ func (f *flight) leave() {
 		f.cancel()
 	}
 }
-
-// done returns the channel that closes when the flight's log seals.
-func (f *flight) done() <-chan struct{} { return f.sealed }

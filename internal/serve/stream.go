@@ -6,93 +6,87 @@ import (
 	"semkg/internal/core"
 )
 
-// Stream is a serving-layer event stream: a live pipeline subscription, a
-// singleflight replay of the leader's log, or a result-cache replay — the
-// consumer cannot tell the difference, and the event sequence is identical
-// in all three cases. Consume Events until the channel closes, or call
-// Result to block for the terminal outcome.
+// Stream is a serving-layer event stream. The request that started a
+// pipeline run gets it *live*: the run's own events, provisional top-k
+// snapshots included, forwarded as they happen. Every other stream is
+// *settled* — a result-cache hit, a singleflight follower, or a Stream
+// joining a run a Search started: it delivers exactly one ResultEvent,
+// carrying the shared *Result, once the run has finished. Consume Events
+// until the channel closes, or call Result to block for the terminal
+// outcome.
 type Stream struct {
 	events chan core.Event
-	log    *eventLog
-	sealed <-chan struct{}
 	ctx    context.Context
+	fl     *flight      // nil for a result-cache hit
+	res    *core.Result // the hit's result
 }
 
-// Events returns the event channel; it closes after the terminal
-// ResultEvent (or after the subscriber's context is cancelled). A consumer
-// that abandons the channel without draining should cancel its context,
-// which releases the delivery goroutine (and the stream's flight
-// reference).
+// Events returns the event channel; it closes after the terminal event
+// (or after the subscriber's context is cancelled). A consumer that
+// abandons the channel without draining should cancel its context, which
+// releases the delivery goroutine (and the stream's flight reference).
 func (s *Stream) Events() <-chan core.Event { return s.events }
 
 // Result blocks until the underlying execution terminates and returns the
-// terminal outcome. It does not require Events to be drained — it waits on
-// the execution's log, not on event delivery. The error is non-nil only
-// when the execution failed or the subscriber's context was cancelled
-// first.
+// terminal outcome. It does not require Events to be drained. The error is
+// non-nil only when the execution failed or the subscriber's context was
+// cancelled first.
 func (s *Stream) Result() (*core.Result, error) {
-	// Prefer the sealed outcome when both it and the cancellation are
-	// ready: a consumer that cancels after completion still gets the
-	// result it already paid for.
-	select {
-	case <-s.sealed:
-		return s.log.outcome()
-	default:
+	if s.fl == nil {
+		return s.res, nil
 	}
-	select {
-	case <-s.sealed:
-		return s.log.outcome()
-	case <-s.ctx.Done():
-		return nil, s.ctx.Err()
-	}
+	return s.fl.wait(s.ctx)
 }
 
-// subscribe replays log into a new Stream: recorded prefix first, then
-// live events as the leader appends them. sealed closes when the log holds
-// its terminal outcome. onDone (may be nil) runs exactly once when event
-// delivery ends — the flight-reference release.
-func subscribe(ctx context.Context, log *eventLog, sealed <-chan struct{}, onDone func()) *Stream {
-	s := &Stream{events: make(chan core.Event, streamBuffer), log: log, sealed: sealed, ctx: ctx}
-	go func() {
-		defer func() {
-			if onDone != nil {
-				onDone()
-			}
-			close(s.events)
-		}()
-		i := 0
-		for {
-			evs, done, changed := log.since(i)
-			for _, ev := range evs {
-				select {
-				case s.events <- ev:
-					i++
-				case <-ctx.Done():
-					return
-				}
-			}
-			if done {
-				return
-			}
-			select {
-			case <-changed:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
+// hitStream is the settled stream of a result-cache hit.
+func hitStream(res *core.Result) *Stream {
+	s := &Stream{events: make(chan core.Event, 1), res: res}
+	s.events <- core.ResultEvent{Result: res}
+	close(s.events)
 	return s
 }
 
-// streamBuffer sizes a subscriber's event channel. Unlike the engine-level
-// stream, nothing is dropped here: the log holds the full sequence and the
-// delivery goroutine blocks until the consumer catches up or its context
-// dies (Result never depends on delivery).
-const streamBuffer = 64
+// flightStream subscribes to fl: live when this request started fl as a
+// stream, settled otherwise. Delivery ends with the flight reference
+// released.
+func flightStream(ctx context.Context, fl *flight, live bool) *Stream {
+	s := &Stream{events: make(chan core.Event, 1), ctx: ctx, fl: fl}
+	if live {
+		go s.forward(fl.live)
+	} else {
+		go s.settle()
+	}
+	return s
+}
 
-// sealedNow is a pre-closed channel for replays of already-complete logs.
-var sealedNow = func() <-chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
+// forward relays the live run's events until they end or the subscriber's
+// context is cancelled. After the last event it waits for the flight to
+// finish: leaving earlier could cancel the flight before its leader
+// publishes the result, which would then go uncached.
+func (s *Stream) forward(live *core.Stream) {
+	defer close(s.events)
+	defer s.fl.leave()
+	for ev := range live.Events() {
+		select {
+		case s.events <- ev:
+		case <-s.ctx.Done():
+			return
+		}
+	}
+	s.fl.wait(s.ctx)
+}
+
+// settle delivers the flight's outcome as one terminal event: the shared
+// result, or the pipeline's failure. The buffered channel takes it without
+// blocking.
+func (s *Stream) settle() {
+	defer close(s.events)
+	defer s.fl.leave()
+	res, err := s.fl.wait(s.ctx)
+	switch {
+	case err == nil:
+		s.events <- core.ResultEvent{Result: res}
+	case s.ctx.Err() == nil:
+		s.events <- core.ErrorEvent{Err: err}
+	}
+}

@@ -4,9 +4,11 @@
 // distinct queries whose decompositions share a sub-query blueprint. The
 // compile/run split makes that overlap addressable: core.Plan exposes a
 // stable content hash per sub-query blueprint (Plan.SubqueryKey), and
-// the exact-mode enumeration over a blueprint is deterministic, so one
+// the sorted enumeration over a blueprint is deterministic, so one
 // memoized search (core.SharedSearch) can feed every concurrent and
-// future run that shares the blueprint.
+// future run that shares the blueprint — exact or time-bounded alike,
+// since a time-bounded run reads the same sorted stream and its deadline
+// refuses pulls above the shared source.
 //
 // Keying and invalidation: entries are keyed by (engine generation,
 // blueprint hash). The generation prefix makes entries from a superseded
@@ -17,9 +19,9 @@
 // blueprint share a single search — the sub-query-level singleflight.
 //
 // Sharing is invisible by construction (same match sequence, same TA
-// assembly) and gated to deterministic exact-mode requests answered from
-// the whole graph (core.WholeGraph); anything else — time-bounded, random
-// pivot, test hooks — takes the private path. So does a partitioned
+// assembly) and gated to deterministic requests answered from the whole
+// graph (core.WholeGraph); anything else — random pivot, test hooks —
+// takes the private path. So does a partitioned
 // engine: there a sub-query is one enumeration per shard, each a function
 // of that partition's ownership and halo, so an entry would have to be
 // keyed and invalidated by partition as well as generation, for searches
@@ -56,33 +58,45 @@ func subKey(gen uint64, blueprint string) string {
 // sharing reports whether the sub-search cache is enabled.
 func (e *Engine) sharing() bool { return e.subs.max > 0 }
 
-// streamFor starts the pipeline for one admitted request, routing
-// through the sub-query sharing layer when the request qualifies:
-// deterministic (shareable == cacheable), exact mode, an engine
-// currently answering from the whole graph (a resharding engine
-// qualifies until its partition lands), and a fully compiled plan. Any
-// sharing setup failure falls back to the private path — sharing is an
-// optimization, never a new way to fail a request.
+// searchFor runs the pipeline for one admitted request to its end, through
+// the sub-query sharing layer when the request qualifies (see
+// subSourcesFor).
+func (e *Engine) searchFor(ctx context.Context, eng core.Queryer, gen uint64, plan core.CompiledPlan, opts core.Options, shareable bool) (*core.Result, error) {
+	if ce, cp, sources := e.subSourcesFor(eng, gen, plan, shareable); sources != nil {
+		return ce.SearchPlanShared(ctx, cp, opts, sources)
+	}
+	return eng.SearchCompiled(ctx, plan, opts)
+}
+
+// streamFor is searchFor's live form: it starts the pipeline as an event
+// stream.
 func (e *Engine) streamFor(ctx context.Context, eng core.Queryer, gen uint64, plan core.CompiledPlan, opts core.Options, shareable bool) (*core.Stream, error) {
-	if shareable && e.sharing() && opts.TimeBound == 0 {
-		if ce, ok := core.WholeGraph(eng); ok {
-			if cp, ok := plan.(*core.Plan); ok && cp.Compiled() {
-				if sources := e.subSourcesFor(ce, gen, cp); sources != nil {
-					if st, err := ce.StreamPlanShared(ctx, cp, opts, sources); err == nil {
-						return st, nil
-					}
-				}
-			}
-		}
+	if ce, cp, sources := e.subSourcesFor(eng, gen, plan, shareable); sources != nil {
+		return ce.StreamPlanShared(ctx, cp, opts, sources)
 	}
 	return eng.StreamCompiled(ctx, plan, opts)
 }
 
 // subSourcesFor resolves one shared enumeration per sub-query blueprint
-// of cp, creating missing entries (a miss per blueprint, counted once)
-// and joining existing ones. It returns nil — private path — if any
-// entry failed to build.
-func (e *Engine) subSourcesFor(ce *core.Engine, gen uint64, cp *core.Plan) []core.SubSource {
+// of plan when the request qualifies for sharing: deterministic
+// (shareable == cacheable), an engine currently answering from the whole
+// graph (a resharding engine qualifies until its partition lands), and a
+// fully compiled plan. Missing entries are created (a miss per blueprint,
+// counted once) and existing ones joined. It returns nil sources — the
+// private path — when the request does not qualify or any entry failed to
+// build: sharing is an optimization, never a new way to fail a request.
+func (e *Engine) subSourcesFor(eng core.Queryer, gen uint64, plan core.CompiledPlan, shareable bool) (*core.Engine, *core.Plan, []core.SubSource) {
+	if !shareable || !e.sharing() {
+		return nil, nil, nil
+	}
+	ce, ok := core.WholeGraph(eng)
+	if !ok {
+		return nil, nil, nil
+	}
+	cp, ok := plan.(*core.Plan)
+	if !ok || !cp.Compiled() {
+		return nil, nil, nil
+	}
 	n := cp.Subqueries()
 	sources := make([]core.SubSource, n)
 	for i := 0; i < n; i++ {
@@ -97,9 +111,9 @@ func (e *Engine) subSourcesFor(ce *core.Engine, gen uint64, cp *core.Plan) []cor
 			entry.src, entry.err = ce.NewSubSearch(cp, sub)
 		})
 		if entry.err != nil || entry.src == nil {
-			return nil
+			return nil, nil, nil
 		}
 		sources[i] = entry.src
 	}
-	return sources
+	return ce, cp, sources
 }

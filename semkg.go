@@ -293,9 +293,10 @@ type ApplyInfo = serve.ApplyInfo
 // Serving.NewDelta and re-apply the mutations.
 var ErrStaleDelta = serve.ErrStaleDelta
 
-// ServeStream is a serving-layer event stream: a live pipeline
-// subscription, a dedup replay, or a cache replay — identical event
-// sequences in all three cases.
+// ServeStream is a serving-layer event stream: live — the pipeline run's
+// own events — for the request that started the run, settled — one
+// ResultEvent carrying the shared result — for a cache hit or a dedup
+// follower.
 type ServeStream = serve.Stream
 
 // BatchItem is one query of a batch handed to Serving.SearchBatch: the
