@@ -331,7 +331,7 @@ func TestDistSubprocessKilledReplica(t *testing.T) {
 			assertAnswersEquivalent(t, fmt.Sprintf("round %d/%s", round, q.Name), got.Answers, want[i].Answers)
 		}
 	}
-	if st := de.Stats(); st.Failovers == 0 {
+	if st := de.Deployment().Dist; st.Failovers == 0 {
 		t.Fatalf("no failovers counted after killing two replica processes: %+v", st)
 	}
 }

@@ -217,7 +217,7 @@ func main() {
 		log.Fatalf("semkgd: %v", err)
 	}
 	shardCfg := core.ShardConfig{Shards: *shards, Halo: *shardHalo}
-	buildEngine := func(g2 *kg.Graph, rebuild bool) (core.Queryer, error) {
+	buildEngine := func(g2 *kg.Graph, rebuild bool) (*core.Engine, error) {
 		if *follow != "" && g2.NumPredicates() < len(model.Relations) {
 			// Follower bootstrap window: the graph is a replayed prefix
 			// of the primary's, whose predicate intern order is the
@@ -261,15 +261,14 @@ func main() {
 			// Rebuilds replace the engine wholesale; the new partition
 			// inherits the serving one's counters, keeping the expvar
 			// monotonic across generations.
-			var prev core.Queryer
+			var prev *core.Engine
 			if cur := currentServe.Load(); cur != nil {
 				prev = cur.Engine()
 			}
 			log.Printf("semkgd: re-partitioning %d shards in the background; serving unsharded until ready", shardCfg.Shards)
 			return core.NewResharding(base, prev, core.ReshardConfig{
 				Shard: shardCfg,
-				OnReady: func(se *core.ShardedEngine) {
-					st := se.Stats()
+				OnReady: func(st core.ShardedStats) {
 					log.Printf("semkgd: background re-partition ready: %d shards, halo %d", st.Shards, st.Halo)
 				},
 				OnError: func(err error) {
@@ -283,7 +282,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("semkgd: %v", err)
 	}
-	deployed := core.DeploymentOf(eng)
+	deployed := eng.Deployment()
 	if st := deployed.Sharded; st != nil {
 		log.Printf("semkgd: sharded scatter-gather: %d shards, halo %d, replication factor %.2f",
 			st.Shards, st.Halo, st.ReplicationFactor)
@@ -303,7 +302,7 @@ func main() {
 		// serving sharded, ingested entities are searchable immediately
 		// through the interim unsharded engine while the partition
 		// rebuilds in the background.
-		Build: func(g2 *kg.Graph) (core.Queryer, error) { return buildEngine(g2, true) },
+		Build: func(g2 *kg.Graph) (*core.Engine, error) { return buildEngine(g2, true) },
 	})
 	var repl *replState
 	if *follow != "" {

@@ -65,7 +65,7 @@ func init() {
 // currentDeployment describes the serving engine's source set.
 func currentDeployment() core.Deployment {
 	if s := currentServe.Load(); s != nil {
-		return core.DeploymentOf(s.Engine())
+		return s.Engine().Deployment()
 	}
 	return core.Deployment{}
 }
@@ -347,7 +347,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// A distributed coordinator serves immutable remote shard snapshots;
 	// committing a delta here would fork the coordinator's graph from the
 	// shards' and silently break search exactness.
-	if core.DeploymentOf(s.srv.Engine()).Dist != nil {
+	if s.srv.Engine().Deployment().Dist != nil {
 		writeJSON(w, http.StatusForbidden, map[string]string{
 			"error": "read-only coordinator; rebuild shard snapshots from the new graph and restart"})
 		return
@@ -444,7 +444,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"predicates": g.NumPredicates(),
 		"generation": s.srv.Generation(),
 	}
-	d := core.DeploymentOf(eng)
+	d := eng.Deployment()
 	if d.Shards > 0 {
 		resp["shards"] = d.Shards
 	}

@@ -31,10 +31,10 @@ func testServer(t *testing.T, cfg serve.Config) *httptest.Server {
 // testEngineBuilder rebuilds an engine over a committed graph with the
 // test predicate vectors, padding a neutral direction for ingested
 // predicates the hand-crafted space lacks.
-func testEngineBuilder(t *testing.T) func(*kg.Graph) (core.Queryer, error) {
+func testEngineBuilder(t *testing.T) func(*kg.Graph) (*core.Engine, error) {
 	t.Helper()
 	vecs := testVectors()
-	return func(g *kg.Graph) (core.Queryer, error) {
+	return func(g *kg.Graph) (*core.Engine, error) {
 		names := g.Predicates()
 		ordered := make([]embed.Vector, len(names))
 		for i, n := range names {
@@ -64,7 +64,7 @@ func testVectors() map[string]embed.Vector {
 // testEngine builds a small motivating-example engine with hand-crafted
 // predicate vectors (no training): cars related to Germany through three
 // schemas, plus French distractors.
-func testEngine(t *testing.T) core.Queryer {
+func testEngine(t *testing.T) *core.Engine {
 	t.Helper()
 	b := kg.NewBuilder(32, 64)
 	ger := b.AddNode("Germany", "Country")

@@ -19,7 +19,7 @@ import (
 // scatter-gather engine, as `semkgd -shards 2` would.
 func shardedTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	base := testEngine(t).(*core.Engine)
+	base := testEngine(t)
 	se, err := core.NewShardedEngine(base, core.ShardConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -86,22 +86,22 @@ func TestShardedStreamEndpoint(t *testing.T) {
 // completes — commit latency scales with the delta, not with the graph.
 // The Gate hook holds the repartition shut while we verify.
 func TestShardedIngestReturnsBeforeRepartition(t *testing.T) {
-	base := testEngine(t).(*core.Engine)
+	base := testEngine(t)
 	initial, err := core.NewShardedEngine(base, core.ShardConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
 	ready := make(chan struct{})
-	build := func(g2 *kg.Graph) (core.Queryer, error) {
+	build := func(g2 *kg.Graph) (*core.Engine, error) {
 		eng, err := testEngineBuilder(t)(g2)
 		if err != nil {
 			return nil, err
 		}
-		return core.NewResharding(eng.(*core.Engine), initial, core.ReshardConfig{
+		return core.NewResharding(eng, initial, core.ReshardConfig{
 			Shard:   core.ShardConfig{Shards: 2},
 			Gate:    func() { <-gate },
-			OnReady: func(*core.ShardedEngine) { close(ready) },
+			OnReady: func(core.ShardedStats) { close(ready) },
 			OnError: func(err error) { t.Errorf("background repartition failed: %v", err) },
 		}), nil
 	}
@@ -186,22 +186,22 @@ func TestShardedHealthz(t *testing.T) {
 // the search counters inherited, so they stay monotonic across
 // generations, however many ingests deep.
 func TestShardedStatsSurviveIngest(t *testing.T) {
-	base := testEngine(t).(*core.Engine)
+	base := testEngine(t)
 	initial, err := core.NewShardedEngine(base, core.ShardConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ready := make(chan struct{}, 2)
 	var sv *serve.Engine
-	build := func(g2 *kg.Graph) (core.Queryer, error) {
+	build := func(g2 *kg.Graph) (*core.Engine, error) {
 		eng, err := testEngineBuilder(t)(g2)
 		if err != nil {
 			return nil, err
 		}
 		// As in main.go: the serving engine donates its counters.
-		return core.NewResharding(eng.(*core.Engine), sv.Engine(), core.ReshardConfig{
+		return core.NewResharding(eng, sv.Engine(), core.ReshardConfig{
 			Shard:   core.ShardConfig{Shards: 2},
-			OnReady: func(*core.ShardedEngine) { ready <- struct{}{} },
+			OnReady: func(core.ShardedStats) { ready <- struct{}{} },
 			OnError: func(err error) { t.Errorf("background repartition failed: %v", err) },
 		}), nil
 	}

@@ -38,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := eng.Stats()
+	st := eng.Deployment().Sharded
 	fmt.Printf("partitioned %d nodes into %d shards (halo %d, replication %.1fx):\n",
 		eng.Graph().NumNodes(), st.Shards, st.Halo, st.ReplicationFactor)
 	for _, s := range st.PerShard {
@@ -82,7 +82,7 @@ func main() {
 		}
 	}
 
-	fmt.Println("\nThe same engine satisfies semkg.Queryer: wrap it with semkg.NewServing")
-	fmt.Println("(or run semkgd -shards 4) and the serving layer's caches, singleflight")
-	fmt.Println("and admission control apply unchanged.")
+	fmt.Println("\nThe sharded engine is the same *semkg.Engine type as a whole-graph one:")
+	fmt.Println("wrap it with semkg.NewServing (or run semkgd -shards 4) and the serving")
+	fmt.Println("layer's caches, singleflight and admission control apply unchanged.")
 }

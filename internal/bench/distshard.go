@@ -3,7 +3,7 @@
 // one process, this section builds the deployment — shard snapshot files
 // on disk, one REAL shard server process per shard (semkgd -serve-shard,
 // launched from a binary built on the spot), and the HTTP scatter-gather
-// coordinator (core.DistEngine) driving them through the serving layer
+// coordinator (core.NewDistEngine) driving them through the serving layer
 // under a closed-loop load — and reports what the wall clock says.
 //
 // qps_gain_vs_1 and p50_gain_vs_1 compare against the 1-shard distributed
@@ -338,7 +338,7 @@ func runDistShardRow(ctx context.Context, eng *core.Engine, queries []*query.Gra
 	if err != nil {
 		return Sample{}, nil, fmt.Errorf("distributed-%d: %w", n, err)
 	}
-	st := de.Stats()
+	st := de.Deployment().Dist
 	return s, map[string]float64{
 		"shards":           float64(n),
 		"partition_ms":     ms(partition),

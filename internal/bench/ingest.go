@@ -161,7 +161,7 @@ func measureLive(ctx context.Context, art *Artifact, env *Env, short bool) error
 	// over existing predicates, so the predicate set is stable.
 	srv := serve.New(env.Engine, serve.Config{
 		Queue: 4 * clients,
-		Build: func(g *kg.Graph) (core.Queryer, error) {
+		Build: func(g *kg.Graph) (*core.Engine, error) {
 			return core.NewEngine(g, env.Space, env.Dataset.Library)
 		},
 	})

@@ -39,8 +39,8 @@ const replicaLogCap = 600
 // replayed prefix of the primary's: the replication stream reproduces
 // the primary's predicate intern order, so positions align with the
 // trained space.
-func prefixSpace(sp *embed.Space) func(*kg.Graph) (core.Queryer, error) {
-	return func(g *kg.Graph) (core.Queryer, error) {
+func prefixSpace(sp *embed.Space) func(*kg.Graph) (*core.Engine, error) {
+	return func(g *kg.Graph) (*core.Engine, error) {
 		names := g.Predicates()
 		vecs := make([]embed.Vector, len(names))
 		for i, n := range names {
@@ -69,7 +69,7 @@ type replicaPair struct {
 }
 
 func newReplicaPair(env *Env) (*replicaPair, error) {
-	build := func(g *kg.Graph) (core.Queryer, error) {
+	build := func(g *kg.Graph) (*core.Engine, error) {
 		return core.NewEngine(g, env.Space, env.Dataset.Library)
 	}
 	srvP := serve.New(env.Engine, serve.Config{Build: build})

@@ -1,5 +1,5 @@
 // Shard experiment: scatter-gather scaling of the sharded engine
-// (internal/shard, core.ShardedEngine) on the multi-sub-query workload,
+// (internal/shard, core.NewShardedEngine) on the multi-sub-query workload,
 // in process and — the "distributed" section, distshard.go — across real
 // shard server processes (BENCH_shard.json).
 //
@@ -142,14 +142,15 @@ func runInprocShard(ctx context.Context, art *Artifact, cfg *ShardConfig, env *E
 			return err
 		}
 		runs := float64(s.Ops)
+		st := se.Deployment().Sharded
 		values := map[string]float64{
 			"shards":             float64(n),
 			"partition_ms":       ms(partition),
-			"replication_factor": se.Stats().ReplicationFactor,
+			"replication_factor": st.ReplicationFactor,
 			"overhead_pct":       100 * (s.MeanUs - baseline.MeanUs) / baseline.MeanUs,
 			"work_total":         totalWork / runs,
 			"work_makespan":      makespanWork / runs,
-			"halo_fallbacks":     float64(se.Stats().Fallbacks),
+			"halo_fallbacks":     float64(st.Fallbacks),
 		}
 		if singleWork > 0 {
 			values["work_vs_single"] = shardedWork / singleWork

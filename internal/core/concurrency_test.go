@@ -39,9 +39,8 @@ func TestEngineConcurrentSearchStream(t *testing.T) {
 	optsFor := func(qi int) Options {
 		opts := Options{K: 10, Tau: 0.6}
 		if qi == 1 {
-			// An ample bound exhausts the eager searches, so the TBQ
-			// result is the exact top-k and remains deterministic under
-			// concurrency.
+			// An ample bound is never cut, so the TBQ run finishes the
+			// exact pipeline and stays deterministic under concurrency.
 			opts.TimeBound = 30 * time.Second
 		}
 		return opts

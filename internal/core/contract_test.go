@@ -13,7 +13,8 @@ import (
 // with a budget that never cuts, and time-bounded on a step clock that
 // cuts — run through the whole-graph engine, an in-process partition, a
 // coordinator over httptest shard servers, and a resharding engine on
-// both sides of its swap. An uncut run must return the reference result
+// both sides of its swap. Each shape's Deployment must describe it. An
+// uncut run must return the reference result
 // (answers and pivot, unflagged) — the whole-graph engine's, itself
 // judged by the oracle; a cut run is judged by the oracle's approximate
 // rule. Every run emits the same event skeleton:
@@ -32,27 +33,31 @@ func TestOneEventContract(t *testing.T) {
 	resharding := NewResharding(e, nil, ReshardConfig{
 		Shard:   ShardConfig{Shards: 3},
 		Gate:    func() { <-gate },
-		OnReady: func(*ShardedEngine) { close(ready) },
+		OnReady: func(ShardedStats) { close(ready) },
 		OnError: func(err error) { t.Errorf("background partition failed: %v", err) },
 	})
 	shapes := []struct {
-		name   string
-		q      Queryer
-		shards int    // partition size progress events may name; 0 = whole graph
-		before func() // runs once before the shape's queries
+		name     string
+		eng      *Engine
+		shards   int                   // partition size progress events may name; 0 = whole graph
+		before   func()                // runs once before the shape's queries
+		deployed func(Deployment) bool // what Deployment must report
 	}{
-		{name: "single", q: e},
-		{name: "sharded", q: shardedOver(t, e, 3), shards: 3},
-		{name: "distributed", q: distOver(t, e, 3, 1, DistConfig{}).de, shards: 3},
-		{name: "resharding/before", q: resharding},
-		{name: "resharding/after", q: resharding, shards: 3, before: func() {
+		{name: "single", eng: e, deployed: func(d Deployment) bool { return d == Deployment{} }},
+		{name: "sharded", eng: shardedOver(t, e, 3), shards: 3,
+			deployed: func(d Deployment) bool { return d.Shards == 3 && d.Sharded != nil }},
+		{name: "distributed", eng: distOver(t, e, 3, 1, DistConfig{}).de, shards: 3,
+			deployed: func(d Deployment) bool { return d.Dist != nil }},
+		{name: "resharding/before", eng: resharding,
+			deployed: func(d Deployment) bool { return d.Resharding && d.Shards == 0 }},
+		{name: "resharding/after", eng: resharding, shards: 3, before: func() {
 			close(gate)
 			select {
 			case <-ready:
 			case <-time.After(30 * time.Second):
 				t.Fatal("background partition never became ready")
 			}
-		}},
+		}, deployed: func(d Deployment) bool { return d.Shards == 3 }},
 	}
 	base := Options{K: 5, Tau: 0.5, MaxHops: 3}
 	modes := []struct {
@@ -72,6 +77,9 @@ func TestOneEventContract(t *testing.T) {
 		if shape.before != nil {
 			shape.before()
 		}
+		if d := shape.eng.Deployment(); !shape.deployed(d) {
+			t.Errorf("%s: unexpected deployment %+v", shape.name, d)
+		}
 		cuts := 0
 		for _, mode := range modes {
 			for _, q := range shardedWorkload(ds)[:4] {
@@ -81,7 +89,7 @@ func TestOneEventContract(t *testing.T) {
 					t.Fatal(err)
 				}
 				oracleCheck(t, name+"/reference", e, ds.Library, q.Graph, mode.opts(), want)
-				st, err := shape.q.Stream(ctx, q.Graph, mode.opts())
+				st, err := shape.eng.Stream(ctx, q.Graph, mode.opts())
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

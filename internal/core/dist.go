@@ -1,10 +1,11 @@
-// Distributed scatter-gather execution: a DistEngine is the coordinator
-// half of the multi-process sharded pipeline (semkgd -shard-hosts). It is
-// the engine's one gather pipeline run over remote match sources:
-// queries compile once, globally, against the coordinator's own base
-// graph — exactly as for an in-process partition — and each (shard,
-// sub-query) search streams over HTTP from a shard server (shard.Server,
-// semkgd -serve-shard) instead of a goroutine-local searcher.
+// Distributed scatter-gather execution: NewDistEngine derives the
+// coordinator half of the multi-process sharded pipeline (semkgd
+// -shard-hosts). It is the engine's one gather pipeline run over remote
+// match sources: queries compile once, globally, against the
+// coordinator's own base graph — exactly as for an in-process partition —
+// and each (shard, sub-query) search streams over HTTP from a shard
+// server (shard.Server, semkgd -serve-shard) instead of a goroutine-local
+// searcher.
 //
 // Exactness across the process boundary rests on the same three
 // invariants as the in-process sharded engine (see sharded.go and
@@ -135,16 +136,6 @@ type DistStats struct {
 	ShardErrors uint64 `json:"shard_errors"`
 }
 
-// DistEngine is the scatter-gather coordinator over remote shard
-// servers: the embedded Engine shares the base engine's world (global
-// compilation, answer rendering, halo fallbacks) and gathers its runs
-// from one remote source per (shard, sub-query). Construct with
-// NewDistEngine; safe for concurrent use.
-type DistEngine struct {
-	*Engine
-	remote *distBackend
-}
-
 // distBackend opens one HTTP match source per (shard, sub-query) and holds
 // the replica policy state they share.
 type distBackend struct {
@@ -163,15 +154,16 @@ type distBackend struct {
 	shardErrors atomic.Uint64
 }
 
-// NewDistEngine derives a coordinator from base (whose whole graph serves
-// global compilation, answer rendering and halo fallbacks) over remote
-// shard servers. hosts[s] lists the replica base URLs serving shard s;
-// every replica must be reachable and must validate against the base
-// graph at construction (shard count, halo, and sampled node names must
-// agree — a stale or foreign shard snapshot is rejected rather than
-// silently producing wrong search results). Replicas may die later;
-// searches then hedge, retry and fail over.
-func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*DistEngine, error) {
+// NewDistEngine derives from base (whose whole graph serves global
+// compilation, answer rendering and halo fallbacks) a scatter-gather
+// coordinator over remote shard servers, which gathers its runs from one
+// remote source per (shard, sub-query). hosts[s] lists the replica base
+// URLs serving shard s; every replica must be reachable and must validate
+// against the base graph at construction (shard count, halo, and sampled
+// node names must agree — a stale or foreign shard snapshot is rejected
+// rather than silently producing wrong search results). Replicas may die
+// later; searches then hedge, retry and fail over.
+func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*Engine, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: nil base engine")
 	}
@@ -209,7 +201,7 @@ func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*DistEngine,
 		}
 	}
 	ss := &sourceSet{backend: b, shards: len(b.hosts), workers: runtime.GOMAXPROCS(0)}
-	return &DistEngine{Engine: base.over(ss), remote: b}, nil
+	return base.over(ss), nil
 }
 
 func (b *distBackend) fetchMeta(host string) (*shardwire.Meta, error) {
@@ -265,12 +257,6 @@ func (b *distBackend) validateReplica(g *kg.Graph, meta *shardwire.Meta, s int, 
 	}
 	return fmt.Errorf("core: replica %s does not hold shard %d", host, s)
 }
-
-// Halo returns the remote partition's replication radius.
-func (de *DistEngine) Halo() int { return de.remote.halo }
-
-// Stats snapshots the coordinator's counters.
-func (de *DistEngine) Stats() DistStats { return de.remote.stats(de.sources.Load()) }
 
 func (b *distBackend) stats(ss *sourceSet) DistStats {
 	st := DistStats{

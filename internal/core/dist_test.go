@@ -24,7 +24,7 @@ type distWorld struct {
 	set     *shard.Set
 	hosts   [][]string
 	servers [][]*httptest.Server
-	de      *DistEngine
+	de      *Engine
 }
 
 // distOver partitions e's graph into n shards, serves each from
@@ -65,8 +65,8 @@ func TestDistSearchEquivalenceSGQ(t *testing.T) {
 	for _, seed := range []int64{3, 42} {
 		ds, e := tinyWorld(t, seed)
 		type deployment struct {
-			dist    *DistEngine
-			sharded *ShardedEngine
+			dist    *Engine
+			sharded *Engine
 		}
 		deployments := map[int]deployment{}
 		for _, n := range []int{1, 2, 4} {
@@ -180,7 +180,7 @@ func TestDistLocalFallbacks(t *testing.T) {
 	de := distOver(t, e, 2, 1, DistConfig{}).de
 	q := shardedWorkload(ds)[0]
 
-	deep := Options{K: 5, Tau: 0.5, MaxHops: de.Halo() + 1}
+	deep := Options{K: 5, Tau: 0.5, MaxHops: de.Deployment().Dist.Halo + 1}
 	want, err := e.Search(ctx, q.Graph, deep)
 	if err != nil {
 		t.Fatal(err)
@@ -190,16 +190,16 @@ func TestDistLocalFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertTopKEquivalent(t, q.Name+"/deep", got, want)
-	if de.Stats().Fallbacks == 0 {
+	if de.Deployment().Dist.Fallbacks == 0 {
 		t.Fatal("MaxHops beyond the halo did not count a local fallback")
 	}
 
 	clocked := Options{K: 5, Tau: 0.5, MaxHops: 3, TimeBound: time.Hour, Clock: &tbq.StepClock{Step: time.Microsecond}}
-	before := de.Stats()
+	before := de.Deployment().Dist
 	if got, err = de.Search(ctx, q.Graph, clocked); err != nil {
 		t.Fatal(err)
 	}
-	if after := de.Stats(); after.Fallbacks != before.Fallbacks || after.Searches != before.Searches+1 {
+	if after := de.Deployment().Dist; after.Fallbacks != before.Fallbacks || after.Searches != before.Searches+1 {
 		t.Fatalf("test clock: %+v -> %+v, want one distributed search", before, after)
 	}
 	if want, err = e.Search(ctx, q.Graph, clocked); err != nil {
@@ -217,7 +217,7 @@ func TestDistPlanCompat(t *testing.T) {
 	q := shardedWorkload(ds)[0]
 	opts := Options{K: 5, Tau: 0.5, MaxHops: 3}
 
-	p, err := de.CompileQuery(q.Graph, opts)
+	p, err := de.Compile(q.Graph, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,17 +231,17 @@ func TestDistPlanCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := de.SearchCompiled(ctx, p, opts)
+	got, err := de.SearchPlan(ctx, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertTopKEquivalent(t, q.Name+"/compiled", got, want)
 
-	base, err := e.CompileQuery(q.Graph, opts)
+	base, err := e.Compile(q.Graph, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := de.SearchCompiled(ctx, base, opts); err == nil {
+	if _, err := de.SearchPlan(ctx, base, opts); err == nil {
 		t.Fatal("coordinator accepted a base-engine plan")
 	}
 }
@@ -359,7 +359,7 @@ func TestDistShardUnavailableTyped(t *testing.T) {
 	if st.Result() != nil {
 		t.Fatal("failed stream still produced a result")
 	}
-	if w.de.Stats().ShardErrors == 0 {
+	if w.de.Deployment().Dist.ShardErrors == 0 {
 		t.Fatal("shard errors not counted")
 	}
 }
@@ -459,7 +459,7 @@ func TestDistHedgedSlowReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertTopKEquivalent(t, q.Name+"/hedged", got, want)
-	if de.Stats().Hedges == 0 {
+	if de.Deployment().Dist.Hedges == 0 {
 		t.Fatal("stalled replica produced no hedges")
 	}
 	// With the stall lifted the deployment serves normally again.
@@ -471,7 +471,7 @@ func TestDistHedgedSlowReplica(t *testing.T) {
 
 // proxiedDist builds a 2-shard deployment where every replica sits
 // behind a faultinject proxy, and returns the proxies for scripting.
-func proxiedDist(t *testing.T, e *Engine, replicas int, cfg DistConfig) (*DistEngine, [][]*faultinject.Proxy) {
+func proxiedDist(t *testing.T, e *Engine, replicas int, cfg DistConfig) (*Engine, [][]*faultinject.Proxy) {
 	t.Helper()
 	set, err := shard.Partition(e.Graph(), shard.Options{Shards: 2})
 	if err != nil {

@@ -27,12 +27,13 @@ import (
 )
 
 // Engine answers query graphs over one knowledge graph using one trained
-// predicate semantic space. It is the one implementation of the pipeline
-// (and of Queryer): queries compile globally against the whole graph, and
-// the run gathers its matches from the engine's source set — the whole
-// graph for a plain Engine, a partition of it for the engines derived
-// from one (ShardedEngine, DistEngine, ReshardingEngine; see source.go).
-// It is safe for concurrent use: all mutable search state lives per call.
+// predicate semantic space. It is the one engine type of every deployment
+// shape: queries compile globally against the whole graph, and the run
+// gathers its matches from the engine's source set — the whole graph for
+// a plain engine, a partition of it for the engines NewShardedEngine,
+// NewDistEngine and NewResharding derive from one (see source.go;
+// Deployment describes which). It is safe for concurrent use: all mutable
+// search state lives per call.
 type Engine struct {
 	g       *kg.Graph
 	space   *embed.Space
@@ -45,7 +46,14 @@ type Engine struct {
 	// sources is the partitioned source set runs scatter over; nil
 	// searches the whole graph.
 	sources atomic.Pointer[sourceSet]
+	// resharding marks an engine from NewResharding, whose source set
+	// lands in the background.
+	resharding bool
 }
+
+// Queryer is an alias of *Engine, kept for callers that spell the engine
+// type of a serve.Config.Build function by this name.
+type Queryer = *Engine
 
 // NewEngine builds an engine over g with the predicate space (usually
 // model.Space(g) from a TransE run) and the synonym/abbreviation library

@@ -61,8 +61,8 @@ type planSub struct {
 }
 
 // Plan is a compiled query: the decomposition and per-sub-query searcher
-// blueprints, resolved once against the whole graph. It is the only
-// CompiledPlan: a partitioned source set runs the same plan through a
+// blueprints, resolved once against the whole graph. Every deployment
+// shape runs the same plan: a partitioned source set runs it through a
 // projection of the blueprints it memoises here (wire form, per-shard
 // form), so a plan-cache hit skips projection as well as compilation. A
 // Plan is immutable to its users, tied to the engine that compiled it,
@@ -95,6 +95,13 @@ func (p *Plan) Pivot() string { return p.d.Pivot }
 // entity. A non-compiled plan is still runnable — it yields the empty
 // answer set (the paper's G1_Q mismatch case), not an error.
 func (p *Plan) Compiled() bool { return p.compiled }
+
+// PlannedBy reports whether e compiled this plan. The serving layer's plan
+// cache uses it to discard entries that survived an engine swap. An engine
+// derived from another (a sharded engine and its base) is a different
+// engine; a resharding engine stays the same one across its source-set
+// swap, so its plans stay cacheable through the background upgrade.
+func (p *Plan) PlannedBy(e *Engine) bool { return p != nil && p.eng == e }
 
 // Compile resolves q into a reusable Plan under the compile-relevant
 // options (Tau, MaxHops, Strategy/PivotNode, NoHeuristic, PruneVisited).
@@ -301,7 +308,7 @@ func (e *Engine) StreamPlan(ctx context.Context, p *Plan, opts Options) (*Stream
 	return e.streamPlan(ctx, p, opts, nil, false)
 }
 
-// planMismatch explains a plan/options incompatibility.
+// check explains a plan/engine or plan/options incompatibility.
 func (p *Plan) check(e *Engine, opts Options) error {
 	if p == nil {
 		return fmt.Errorf("core: nil plan")

@@ -1,8 +1,8 @@
-// Background resharding: a ReshardingEngine serves a freshly committed
-// graph immediately from the whole graph while the shard partition
-// rebuilds in a background goroutine, then swaps the partition in as its
-// source set — atomically, inside the one engine, so plans compiled
-// before the swap keep running after it.
+// Background resharding: an engine from NewResharding serves a freshly
+// committed graph immediately from the whole graph while the shard
+// partition rebuilds in a background goroutine, then swaps the partition
+// in as its source set — atomically, inside the one engine, so plans
+// compiled before the swap keep running after it.
 //
 // This exists for semkgd -shards ingest: partitioning is a full-graph
 // BFS plus one subgraph index build per shard, which at millions of
@@ -17,10 +17,7 @@
 
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // ReshardConfig configures a background reshard.
 type ReshardConfig struct {
@@ -30,33 +27,31 @@ type ReshardConfig struct {
 	// partitioning starts. Tests use it to hold the upgrade back and
 	// observe the pre-upgrade serving path deterministically.
 	Gate func()
-	// OnReady is called (from the background goroutine) after the upgrade
-	// lands; OnError is called if partitioning fails, in which case the
-	// engine keeps serving unsharded indefinitely.
-	OnReady func(*ShardedEngine)
+	// OnReady is called (from the background goroutine) with the landed
+	// partition's stats after the upgrade; OnError is called if
+	// partitioning fails, in which case the engine keeps serving unsharded
+	// indefinitely.
+	OnReady func(ShardedStats)
 	OnError func(error)
 }
 
-// ReshardingEngine is an engine that starts out searching the whole
-// graph and scatters over a partition of it once the background build
-// completes. Construct with NewResharding; safe for concurrent use.
-type ReshardingEngine struct {
-	*Engine
-	se atomic.Pointer[ShardedEngine]
-}
-
 // NewResharding returns an engine over base's world serving from the
-// whole graph immediately, and kicks off the background partition. prev,
-// when it is (or has become) a sharded engine, donates its monotone
-// serving counters to the new partition — the same stats inheritance a
-// synchronous rebuild performs.
-func NewResharding(base *Engine, prev Queryer, cfg ReshardConfig) *ReshardingEngine {
-	r := &ReshardingEngine{Engine: base.over(nil)}
-	go r.build(base, prev, cfg)
+// whole graph immediately, and kicks off the background partition; its
+// Deployment reports Resharding until the partition lands. prev, when it
+// is (or has become) a sharded engine, donates its monotone serving
+// counters to the new partition, keeping the monitoring surface (semkgd's
+// "semkgd_shard" expvar) monotonic across ingest generations. Safe for
+// concurrent use.
+func NewResharding(base, prev *Engine, cfg ReshardConfig) *Engine {
+	r := base.over(nil)
+	r.resharding = true
+	go r.reshard(base, prev, cfg)
 	return r
 }
 
-func (r *ReshardingEngine) build(base *Engine, prev Queryer, cfg ReshardConfig) {
+// reshard builds the partition in the background and swaps it in as e's
+// source set.
+func (e *Engine) reshard(base, prev *Engine, cfg ReshardConfig) {
 	if cfg.Gate != nil {
 		cfg.Gate()
 	}
@@ -68,13 +63,12 @@ func (r *ReshardingEngine) build(base *Engine, prev Queryer, cfg ReshardConfig) 
 		return
 	}
 	ss := se.sources.Load()
-	if pe := pipelineOf(prev); pe != nil {
-		ss.inherit(pe.sources.Load())
+	if prev != nil {
+		ss.inherit(prev.sources.Load())
 	}
-	r.sources.Store(ss)
-	r.se.Store(se)
+	e.sources.Store(ss)
 	if cfg.OnReady != nil {
-		cfg.OnReady(se)
+		cfg.OnReady(*e.Deployment().Sharded)
 	}
 }
 
@@ -82,17 +76,9 @@ func (r *ReshardingEngine) build(base *Engine, prev Queryer, cfg ReshardConfig) 
 // shard counts are rejected here rather than silently defaulted —
 // ShardConfig.withDefaults only fills zeros for the synchronous path,
 // where the caller sees the config it passed.
-func buildSharded(base *Engine, cfg ShardConfig) (*ShardedEngine, error) {
+func buildSharded(base *Engine, cfg ShardConfig) (*Engine, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("core: reshard: %d shards out of range", cfg.Shards)
 	}
 	return NewShardedEngine(base, cfg)
 }
-
-// Sharded returns the partition as a scatter-gather engine of its own
-// (same source set and counters), or nil while the background partition
-// is still building (or after it failed).
-func (r *ReshardingEngine) Sharded() *ShardedEngine { return r.se.Load() }
-
-// Ready reports whether the upgrade has landed.
-func (r *ReshardingEngine) Ready() bool { return r.se.Load() != nil }

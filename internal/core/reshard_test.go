@@ -7,23 +7,23 @@ import (
 )
 
 // TestReshardingServesWhileBuilding is the ingest-latency regression
-// test for semkgd -shards: constructing a ReshardingEngine must return
-// immediately and serve correct answers from the base engine while the
-// partition — deterministically held back by the Gate hook — is still
-// building. Commit latency therefore cannot scale with repartition cost.
+// test for semkgd -shards: NewResharding must return immediately and
+// serve correct answers from the base engine while the partition —
+// deterministically held back by the Gate hook — is still building.
+// Commit latency therefore cannot scale with repartition cost.
 func TestReshardingServesWhileBuilding(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 3)
 	gate := make(chan struct{})
-	ready := make(chan *ShardedEngine, 1)
+	ready := make(chan ShardedStats, 1)
 	r := NewResharding(e, nil, ReshardConfig{
 		Shard:   ShardConfig{Shards: 3},
 		Gate:    func() { <-gate },
-		OnReady: func(se *ShardedEngine) { ready <- se },
+		OnReady: func(st ShardedStats) { ready <- st },
 		OnError: func(err error) { t.Errorf("background partition failed: %v", err) },
 	})
-	if r.Ready() {
-		t.Fatal("engine claims ready while the partition gate is held")
+	if d := r.Deployment(); !d.Resharding || d.Shards != 0 {
+		t.Fatalf("deployment %+v while the partition gate is held, want resharding", d)
 	}
 
 	q := shardedWorkload(ds)[1]
@@ -40,12 +40,9 @@ func TestReshardingServesWhileBuilding(t *testing.T) {
 
 	// A pre-upgrade plan compiles against the base engine and stays
 	// recognized (cacheable) before and after the upgrade.
-	prePlan, err := r.CompileQuery(q.Graph, opts)
+	prePlan, err := r.Compile(q.Graph, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := prePlan.(*Plan); !ok {
-		t.Fatalf("pre-upgrade plan is %T, want *Plan", prePlan)
 	}
 	if !prePlan.PlannedBy(r) {
 		t.Fatal("pre-upgrade plan not recognized by the resharding engine")
@@ -53,12 +50,15 @@ func TestReshardingServesWhileBuilding(t *testing.T) {
 
 	close(gate)
 	select {
-	case <-ready:
+	case st := <-ready:
+		if st.Shards != 3 {
+			t.Fatalf("OnReady reported %d shards, want 3", st.Shards)
+		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("background partition never became ready")
 	}
-	if !r.Ready() || r.Sharded() == nil {
-		t.Fatal("engine not ready after OnReady fired")
+	if d := r.Deployment(); d.Resharding || d.Shards != 3 || d.Sharded == nil {
+		t.Fatalf("deployment %+v after OnReady fired, want 3 shards", d)
 	}
 
 	got, err = r.Search(ctx, q.Graph, opts)
@@ -71,19 +71,16 @@ func TestReshardingServesWhileBuilding(t *testing.T) {
 	if !prePlan.PlannedBy(r) {
 		t.Fatal("pre-upgrade plan forgotten after the upgrade")
 	}
-	res, err := r.SearchCompiled(ctx, prePlan, opts)
+	res, err := r.SearchPlan(ctx, prePlan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertTopKEquivalent(t, q.Name+"/pre-plan-post-upgrade", res, want)
 
 	// ...and new compilations produce sharded plans the engine owns.
-	postPlan, err := r.CompileQuery(q.Graph, opts)
+	postPlan, err := r.Compile(q.Graph, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := postPlan.(*Plan); !ok {
-		t.Fatalf("post-upgrade plan is %T, want *Plan", postPlan)
 	}
 	if !postPlan.PlannedBy(r) {
 		t.Fatal("post-upgrade plan not recognized by the resharding engine")
@@ -91,7 +88,7 @@ func TestReshardingServesWhileBuilding(t *testing.T) {
 	if postPlan.PlannedBy(e) {
 		t.Fatal("sharded plan claims the base engine planned it")
 	}
-	res, err = r.SearchCompiled(ctx, postPlan, opts)
+	res, err = r.SearchPlan(ctx, postPlan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +109,7 @@ func TestReshardingInheritsStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prevSearches := prev.Stats().Searches
+	prevSearches := prev.Deployment().Sharded.Searches
 	if prevSearches == 0 {
 		t.Fatal("previous generation counted no searches")
 	}
@@ -120,14 +117,14 @@ func TestReshardingInheritsStats(t *testing.T) {
 	ready := make(chan struct{})
 	r := NewResharding(e, prev, ReshardConfig{
 		Shard:   ShardConfig{Shards: 2},
-		OnReady: func(*ShardedEngine) { close(ready) },
+		OnReady: func(ShardedStats) { close(ready) },
 	})
 	select {
 	case <-ready:
 	case <-time.After(30 * time.Second):
 		t.Fatal("background partition never became ready")
 	}
-	if got := r.Sharded().Stats().Searches; got < prevSearches {
+	if got := r.Deployment().Sharded.Searches; got < prevSearches {
 		t.Fatalf("upgraded engine starts at %d searches, want >= %d (inherited)", got, prevSearches)
 	}
 }
@@ -147,8 +144,8 @@ func TestReshardingBuildFailure(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("invalid partition never reported failure")
 	}
-	if r.Ready() {
-		t.Fatal("engine claims ready after a failed partition")
+	if d := r.Deployment(); !d.Resharding || d.Shards != 0 {
+		t.Fatalf("deployment %+v after a failed partition, want still resharding", d)
 	}
 	q := shardedWorkload(ds)[0]
 	if _, err := r.Search(ctx, q.Graph, Options{K: 3, Tau: 0.5, MaxHops: 3}); err != nil {

@@ -1,4 +1,4 @@
-// In-process sharded execution: a ShardedEngine partitions the knowledge
+// In-process sharded execution: NewShardedEngine partitions the knowledge
 // graph into N shard graphs (internal/shard) and runs the engine's one
 // gather pipeline over them — every sub-query search fans out across the
 // shards as local match sources, and the per-shard streams gather through
@@ -33,7 +33,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 
 	"semkg/internal/embed"
@@ -69,21 +68,14 @@ func (c ShardConfig) withDefaults() ShardConfig {
 	return c
 }
 
-// ShardedEngine answers query graphs by scatter-gather over a partitioned
-// knowledge graph: the embedded Engine shares the base engine's world
-// (global compilation, answer rendering) and gathers its runs from one
-// local source per (shard, sub-query). Safe for concurrent use. Results
-// are equivalent to the base engine's: same answer set and scores for
-// SGQ, same time-bound contract for TBQ.
-type ShardedEngine struct {
-	*Engine
-	set *shard.Set
-}
-
-// NewShardedEngine partitions base's graph and derives a scatter-gather
-// engine from base. The partition is deterministic; building it costs
-// one BFS plus one subgraph index build per shard.
-func NewShardedEngine(base *Engine, cfg ShardConfig) (*ShardedEngine, error) {
+// NewShardedEngine partitions base's graph and derives from base an engine
+// that answers by scatter-gather over the partition: it shares base's
+// world (global compilation, answer rendering) and gathers its runs from
+// one local source per (shard, sub-query). Results are equivalent to
+// base's: same answer set and scores for SGQ, same time-bound contract
+// for TBQ. The partition is deterministic; building it costs one BFS plus
+// one subgraph index build per shard.
+func NewShardedEngine(base *Engine, cfg ShardConfig) (*Engine, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: nil base engine")
 	}
@@ -98,7 +90,7 @@ func NewShardedEngine(base *Engine, cfg ShardConfig) (*ShardedEngine, error) {
 // NewShardedEngineFromSet derives the engine from an existing partition of
 // base's graph — the cold-start path when shards were loaded individually
 // from shard snapshots (shard.ReadShard + shard.Assemble).
-func NewShardedEngineFromSet(base *Engine, set *shard.Set, cfg ShardConfig) (*ShardedEngine, error) {
+func NewShardedEngineFromSet(base *Engine, set *shard.Set, cfg ShardConfig) (*Engine, error) {
 	if base == nil || set == nil {
 		return nil, fmt.Errorf("core: nil base engine or shard set")
 	}
@@ -110,30 +102,18 @@ func NewShardedEngineFromSet(base *Engine, set *shard.Set, cfg ShardConfig) (*Sh
 		shards:  set.Len(),
 		workers: cfg.withDefaults().Workers,
 	}
-	return &ShardedEngine{Engine: base.over(ss), set: set}, nil
+	return base.over(ss), nil
 }
 
 // BuildShardedEngine is BuildEngine plus partitioning: the construction
 // path semkgd -shards uses.
-func BuildShardedEngine(g *kg.Graph, model *embed.Model, lib *transform.Library, cfg ShardConfig) (*ShardedEngine, error) {
+func BuildShardedEngine(g *kg.Graph, model *embed.Model, lib *transform.Library, cfg ShardConfig) (*Engine, error) {
 	base, err := BuildEngine(g, model, lib)
 	if err != nil {
 		return nil, err
 	}
 	return NewShardedEngine(base, cfg)
 }
-
-// ShardedEngineFromSnapshot is EngineFromSnapshot plus partitioning.
-func ShardedEngineFromSnapshot(r io.Reader, model *embed.Model, lib *transform.Library, cfg ShardConfig) (*ShardedEngine, error) {
-	base, err := EngineFromSnapshot(r, model, lib)
-	if err != nil {
-		return nil, err
-	}
-	return NewShardedEngine(base, cfg)
-}
-
-// Set returns the shard partition.
-func (se *ShardedEngine) Set() *shard.Set { return se.set }
 
 // ShardedStats is a point-in-time summary of an in-process partition,
 // exported by semkgd under the "semkgd_shard" expvar key.
@@ -152,23 +132,6 @@ type ShardedStats struct {
 	ReplicationFactor float64 `json:"replication_factor"`
 	// PerShard summarizes each shard graph.
 	PerShard []shard.Stats `json:"per_shard"`
-}
-
-// InheritStats carries the cumulative search counters over from the
-// engine this one replaces (live-ingestion rebuilds construct a fresh
-// partition per generation), keeping the monitoring surface — semkgd's
-// "semkgd_shard" expvar — monotonic across generations instead of
-// resetting to zero on every commit. Call it on the new engine before
-// publishing it; a nil prev is a no-op.
-func (se *ShardedEngine) InheritStats(prev *ShardedEngine) {
-	if prev != nil {
-		se.sources.Load().inherit(prev.sources.Load())
-	}
-}
-
-// Stats snapshots the engine's counters and partition shape.
-func (se *ShardedEngine) Stats() ShardedStats {
-	return shardedBackend{se.set}.stats(se.sources.Load())
 }
 
 // shardedBackend opens one local match source per (shard, sub-query) of an

@@ -13,8 +13,8 @@ import (
 	"semkg/internal/tbq"
 )
 
-// shardedOver partitions e's graph and wraps it.
-func shardedOver(t *testing.T, e *Engine, shards int) *ShardedEngine {
+// shardedOver derives an engine scattering over a partition of e's graph.
+func shardedOver(t *testing.T, e *Engine, shards int) *Engine {
 	t.Helper()
 	se, err := NewShardedEngine(e, ShardConfig{Shards: shards})
 	if err != nil {
@@ -96,7 +96,7 @@ func TestShardedSearchEquivalenceSGQ(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{3, 17, 42} {
 		ds, e := tinyWorld(t, seed)
-		engines := map[int]*ShardedEngine{}
+		engines := map[int]*Engine{}
 		for _, n := range []int{1, 2, 3, 4} {
 			engines[n] = shardedOver(t, e, n)
 		}
@@ -244,7 +244,7 @@ func TestShardedHaloFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertResultsEqual(t, "halo-fallback", got, want)
-	if st := se.Stats(); st.Fallbacks != 1 {
+	if st := se.Deployment().Sharded; st.Fallbacks != 1 {
 		t.Fatalf("fallbacks = %d, want 1", st.Fallbacks)
 	}
 
@@ -252,7 +252,7 @@ func TestShardedHaloFallback(t *testing.T) {
 	if _, err := se.Search(ctx, q.Graph, Options{K: 5, Tau: 0.5, MaxHops: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if st := se.Stats(); st.Searches != 1 || st.Fallbacks != 1 {
+	if st := se.Deployment().Sharded; st.Searches != 1 || st.Fallbacks != 1 {
 		t.Fatalf("stats = %+v, want 1 sharded search and 1 fallback", st)
 	}
 }
@@ -289,7 +289,7 @@ func TestShardedPlanReuse(t *testing.T) {
 	se := shardedOver(t, e, 3)
 	q := ds.Medium[0].Graph
 	opts := Options{K: 5, Tau: 0.5, MaxHops: 3}
-	p, err := se.CompileQuery(q, opts)
+	p, err := se.Compile(q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestShardedPlanReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		got, err := se.SearchCompiled(ctx, p, opts)
+		got, err := se.SearchPlan(ctx, p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,18 +312,18 @@ func TestShardedPlanReuse(t *testing.T) {
 	}
 	// A single-engine plan is rejected by the sharded engine, and vice
 	// versa.
-	bp, err := e.CompileQuery(q, opts)
+	bp, err := e.Compile(q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.SearchCompiled(ctx, bp, opts); err == nil {
+	if _, err := se.SearchPlan(ctx, bp, opts); err == nil {
 		t.Fatal("sharded engine ran a single-engine plan")
 	}
-	if _, err := e.SearchCompiled(ctx, p, opts); err == nil {
+	if _, err := e.SearchPlan(ctx, p, opts); err == nil {
 		t.Fatal("single engine ran a sharded plan")
 	}
 	// Mismatched compile options are rejected, as in the single engine.
-	if _, err := se.SearchCompiled(ctx, p, Options{K: 5, Tau: 0.6, MaxHops: 3}); err == nil {
+	if _, err := se.SearchPlan(ctx, p, Options{K: 5, Tau: 0.6, MaxHops: 3}); err == nil {
 		t.Fatal("plan accepted under different compile options")
 	}
 }
@@ -359,11 +359,15 @@ func TestShardedEngineFromLoadedSet(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 21)
 	se := shardedOver(t, e, 3)
+	orig, err := shard.Partition(e.Graph(), shard.Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var loaded []*shard.Shard
-	for i := 0; i < se.Set().Len(); i++ {
+	for i := 0; i < orig.Len(); i++ {
 		var buf bytes.Buffer
-		if err := shard.WriteShard(&buf, se.Set().Shard(i)); err != nil {
+		if err := shard.WriteShard(&buf, orig.Shard(i)); err != nil {
 			t.Fatal(err)
 		}
 		sh, err := shard.ReadShard(&buf)
@@ -398,7 +402,7 @@ func TestShardedEngineFromLoadedSet(t *testing.T) {
 func TestShardedStats(t *testing.T) {
 	_, e := tinyWorld(t, 3)
 	se := shardedOver(t, e, 4)
-	st := se.Stats()
+	st := se.Deployment().Sharded
 	if st.Shards != 4 || st.Halo != shard.DefaultHalo {
 		t.Fatalf("stats shape = %+v", st)
 	}
@@ -430,32 +434,5 @@ func TestShardedEngineValidation(t *testing.T) {
 	}
 	if _, err := NewShardedEngineFromSet(e, set, ShardConfig{Shards: 2}); err == nil {
 		t.Fatal("set over a different graph accepted")
-	}
-}
-
-// TestShardedInheritStats: rebuilt engines (live ingestion) carry the
-// cumulative counters forward, so the monitoring surface is monotonic
-// across generations.
-func TestShardedInheritStats(t *testing.T) {
-	ctx := context.Background()
-	ds, e := tinyWorld(t, 3)
-	prev := shardedOver(t, e, 2)
-	if _, err := prev.Search(ctx, ds.Simple[0].Graph, Options{K: 3, Tau: 0.5, MaxHops: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if prev.Stats().Searches != 1 {
-		t.Fatalf("searches = %d, want 1", prev.Stats().Searches)
-	}
-	next := shardedOver(t, e, 2)
-	next.InheritStats(prev)
-	if got := next.Stats().Searches; got != 1 {
-		t.Fatalf("inherited searches = %d, want 1", got)
-	}
-	next.InheritStats(nil) // no-op
-	if _, err := next.Search(ctx, ds.Simple[0].Graph, Options{K: 3, Tau: 0.5, MaxHops: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if got := next.Stats().Searches; got != 2 {
-		t.Fatalf("searches after inherit+run = %d, want 2", got)
 	}
 }

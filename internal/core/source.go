@@ -78,8 +78,8 @@ func (ss *sourceSet) inherit(prev *sourceSet) {
 
 // Deployment is a point-in-time description of where an engine's runs get
 // their matches: the one shape/stats accessor the monitoring surfaces
-// (semkgd's expvars and /healthz) read, whatever the engine's static
-// type and however often its source set has been swapped.
+// (semkgd's expvars and /healthz) read, however often the engine's source
+// set has been swapped.
 type Deployment struct {
 	// Shards is the partition size; 0 when searching the whole graph.
 	Shards int
@@ -92,20 +92,13 @@ type Deployment struct {
 	Dist    *DistStats
 }
 
-// DeploymentOf describes q's current source set. A Queryer from outside
-// this package describes as the zero Deployment.
-func DeploymentOf(q Queryer) Deployment {
-	var d Deployment
-	e := pipelineOf(q)
-	if e == nil {
-		return d
-	}
+// Deployment describes e's current source set.
+func (e *Engine) Deployment() Deployment {
 	ss := e.sources.Load()
 	if ss == nil {
-		_, d.Resharding = q.(*ReshardingEngine)
-		return d
+		return Deployment{Resharding: e.resharding}
 	}
-	d.Shards = ss.shards
+	d := Deployment{Shards: ss.shards}
 	switch b := ss.backend.(type) {
 	case shardedBackend:
 		st := b.stats(ss)
@@ -116,6 +109,15 @@ func DeploymentOf(q Queryer) Deployment {
 	}
 	return d
 }
+
+// WholeGraph reports whether e is currently answering from the
+// unpartitioned graph with local searchers — a plain engine, or a
+// resharding engine still in its unsharded phase. It is the condition for
+// the whole-graph-only entry points (NewSubSearch/StreamPlanShared
+// sub-query sharing, CompileBatch group compilation): over a partition
+// one sub-query is many per-shard enumerations, each keyed by that
+// partition, so there is no single enumeration to share.
+func (e *Engine) WholeGraph() bool { return e.sources.Load() == nil }
 
 // scatter is one run's opened sources.
 type scatter struct {

@@ -42,7 +42,7 @@ var testVecs = map[string]embed.Vector{
 	"locationCountry": {0.90, 0.12, 0.28},
 }
 
-func buildQueryer(g *kg.Graph) (core.Queryer, error) {
+func buildEngine(g *kg.Graph) (*core.Engine, error) {
 	names := g.Predicates()
 	ordered := make([]embed.Vector, len(names))
 	for i, n := range names {
@@ -61,11 +61,11 @@ func buildQueryer(g *kg.Graph) (core.Queryer, error) {
 
 func testServe(t *testing.T) *serve.Engine {
 	t.Helper()
-	eng, err := buildQueryer(testGraph(t))
+	eng, err := buildEngine(testGraph(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return serve.New(eng, serve.Config{Build: buildQueryer})
+	return serve.New(eng, serve.Config{Build: buildEngine})
 }
 
 func testOpts() core.Options { return core.Options{K: 10, Tau: 0.75} }

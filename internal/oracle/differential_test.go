@@ -281,7 +281,7 @@ func checkAll(t *testing.T, shape string, s searcher, w oracle.World, qs []testQ
 
 // distributed serves every shard of a 3-way partition of e's graph from an
 // httptest shard server and wires a coordinator over them.
-func distributed(t *testing.T, e *core.Engine) *core.DistEngine {
+func distributed(t *testing.T, e *core.Engine) *core.Engine {
 	t.Helper()
 	set, err := shard.Partition(e.Graph(), shard.Options{Shards: 3})
 	if err != nil {
@@ -336,7 +336,7 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAll(t, shape("sharded-halo2"), shallow, w, qs, &st)
-		if hs := shallow.Stats(); hs.Fallbacks == 0 || hs.Searches == 0 {
+		if hs := shallow.Deployment().Sharded; hs.Fallbacks == 0 || hs.Searches == 0 {
 			t.Errorf("halo-2 partition: %d sharded searches, %d fallbacks; want both", hs.Searches, hs.Fallbacks)
 		}
 
@@ -346,7 +346,7 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 		resharding := core.NewResharding(e, nil, core.ReshardConfig{
 			Shard:   core.ShardConfig{Shards: 3},
 			Gate:    func() { <-gate },
-			OnReady: func(*core.ShardedEngine) { close(ready) },
+			OnReady: func(core.ShardedStats) { close(ready) },
 			OnError: func(err error) { t.Errorf("background partition failed: %v", err) },
 		})
 		checkAll(t, shape("resharding-before"), resharding, w, qs, &st)
@@ -374,7 +374,7 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 // committed graph.
 func ingestGenerations(t *testing.T, shape func(string) string, rng *rand.Rand, e *core.Engine, qs []testQuery, st *stats) {
 	t.Helper()
-	srv := serve.New(e, serve.Config{Build: func(g *kg.Graph) (core.Queryer, error) { return engineFor(g) }})
+	srv := serve.New(e, serve.Config{Build: func(g *kg.Graph) (*core.Engine, error) { return engineFor(g) }})
 	for gen := 1; gen <= 2; gen++ {
 		d := srv.NewDelta()
 		g := srv.Engine().Graph()

@@ -19,14 +19,14 @@ import (
 // buildFn is the engine factory both ends use: hand-crafted predicate
 // vectors (no training), with a fixed fallback direction for predicates
 // outside the "trained" set — the serve-layer test convention.
-func buildFn() func(*kg.Graph) (core.Queryer, error) {
+func buildFn() func(*kg.Graph) (*core.Engine, error) {
 	vecs := map[string]embed.Vector{
 		"assembly":        {1.00, 0.05, 0.02},
 		"manufacturer":    {0.95, 0.20, 0.05},
 		"country":         {0.90, 0.10, 0.30},
 		"locationCountry": {0.90, 0.12, 0.28},
 	}
-	return func(g *kg.Graph) (core.Queryer, error) {
+	return func(g *kg.Graph) (*core.Engine, error) {
 		names := g.Predicates()
 		ordered := make([]embed.Vector, len(names))
 		for i, n := range names {

@@ -16,14 +16,14 @@ import (
 // testBuild is the engine factory the apply tests hand to Config.Build:
 // it re-derives the test predicate space over the committed graph,
 // padding a fixed direction for predicates the "trained" set lacks.
-func testBuild() func(*kg.Graph) (core.Queryer, error) {
+func testBuild() func(*kg.Graph) (*core.Engine, error) {
 	vecs := map[string]embed.Vector{
 		"assembly":        {1.00, 0.05, 0.02},
 		"manufacturer":    {0.95, 0.20, 0.05},
 		"country":         {0.90, 0.10, 0.30},
 		"locationCountry": {0.90, 0.12, 0.28},
 	}
-	return func(g *kg.Graph) (core.Queryer, error) {
+	return func(g *kg.Graph) (*core.Engine, error) {
 		names := g.Predicates()
 		ordered := make([]embed.Vector, len(names))
 		for i, n := range names {

@@ -59,9 +59,9 @@ func (e *Engine) SearchBatch(ctx context.Context, items []BatchItem) []BatchOutc
 
 // WarmPlans group-compiles the batch's distinct, cacheable plan-cache
 // misses under one shared φ memo, on an engine currently answering from
-// the whole graph (core.WholeGraph — the same condition as sub-search
-// sharing). Compilation failures are dropped here: the failing item
-// recompiles on its own Search path and surfaces the identical error
+// the whole graph (core.Engine.WholeGraph — the same condition as
+// sub-search sharing). Compilation failures are dropped here: the failing
+// item recompiles on its own Search path and surfaces the identical error
 // with per-item attribution. On a partitioned engine or a disabled plan
 // cache this is a no-op — items still share whatever the per-item path
 // shares: over a partition compilation is dominated by projecting the
@@ -71,8 +71,7 @@ func (e *Engine) SearchBatch(ctx context.Context, items []BatchItem) []BatchOutc
 // endpoint calls it before fanning items out as individual streams.
 func (e *Engine) WarmPlans(items []BatchItem) {
 	eng, gen := e.engineGen()
-	ce, ok := core.WholeGraph(eng)
-	if !ok {
+	if !eng.WholeGraph() {
 		return
 	}
 	var keys []string
@@ -99,7 +98,7 @@ func (e *Engine) WarmPlans(items []BatchItem) {
 	if len(specs) == 0 {
 		return
 	}
-	plans, errs := ce.CompileBatch(specs)
+	plans, errs := eng.CompileBatch(specs)
 	if e.currentGen() != gen {
 		return // engine swapped underneath the group compile
 	}

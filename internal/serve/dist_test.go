@@ -16,9 +16,9 @@ import (
 
 // distTestEngine serves the motivating-example graph through two
 // in-process httptest shard servers behind a distributed coordinator —
-// the serving layer cannot tell it apart from a local Queryer, which is
+// the serving layer cannot tell it apart from a local engine, which is
 // exactly the property this file tests.
-func distTestEngine(t *testing.T) *core.DistEngine {
+func distTestEngine(t *testing.T) *core.Engine {
 	t.Helper()
 	e := testEngine(t)
 	set, err := shard.Partition(e.Graph(), shard.Options{Shards: 2})
@@ -108,7 +108,7 @@ func TestServingDistStreamReplay(t *testing.T) {
 
 // TestDistServedMixParity extends the zipf served-mix property to the
 // distributed path: a skewed mix of overlapping requests produces
-// byte-identical answers whether the backing Queryer is the local engine
+// byte-identical answers whether the backing engine is the local engine
 // or the HTTP coordinator, under concurrency, with result caching live
 // on both. The sub-search sharing layer stays out of the distributed
 // path by design (it shares raw base-engine enumerations), which must

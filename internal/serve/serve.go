@@ -1,9 +1,9 @@
-// Package serve is the engine-level serving layer: it turns one engine —
-// a whole-graph *core.Engine or any engine derived from one (sharded,
-// distributed, resharding), anything satisfying core.Queryer — into a
-// component fit for heavy concurrent traffic. It shares results, not event
-// recordings: only a Stream request that starts a pipeline run sees that
-// run's events live; every other request receives the finished result.
+// Package serve is the engine-level serving layer: it turns one
+// *core.Engine — whichever deployment shape its source set gives it
+// (whole graph, sharded, distributed, resharding) — into a component fit
+// for heavy concurrent traffic. It shares results, not event recordings:
+// only a Stream request that starts a pipeline run sees that run's events
+// live; every other request receives the finished result.
 //
 //   - Result cache: an LRU keyed by a canonical hash of (query graph,
 //     normalized options). A hit skips the whole pipeline; a streamed hit
@@ -68,7 +68,7 @@ type Config struct {
 	// loaded embedding model (core.BuildEngine, or core.BuildShardedEngine
 	// when serving sharded), padding vectors for predicates the model has
 	// never seen.
-	Build func(*kg.Graph) (core.Queryer, error)
+	Build func(*kg.Graph) (*core.Engine, error)
 
 	// BeforeRun, when non-nil, is invoked by the flight leader after
 	// admission: immediately before a quiet run, and right after a live
@@ -124,7 +124,7 @@ type cachedResult struct {
 	gen uint64
 }
 
-// Engine is a serving wrapper around one core.Queryer. Safe for
+// Engine is a serving wrapper around one *core.Engine. Safe for
 // concurrent use. Results returned from it are shared across callers and
 // must be treated as read-only.
 type Engine struct {
@@ -132,7 +132,7 @@ type Engine struct {
 	adm *admission
 
 	mu  sync.RWMutex // guards eng and gen
-	eng core.Queryer
+	eng *core.Engine
 	gen uint64
 
 	// applyMu serializes engine publications (Apply and Rebuild): two
@@ -143,7 +143,7 @@ type Engine struct {
 	applyMu sync.Mutex
 
 	results *lruCache[*cachedResult]
-	plans   *lruCache[core.CompiledPlan]
+	plans   *lruCache[*core.Plan]
 	subs    *lruCache[*subEntry]
 
 	fmu     sync.Mutex
@@ -153,14 +153,14 @@ type Engine struct {
 }
 
 // New wraps eng in a serving layer sized by cfg.
-func New(eng core.Queryer, cfg Config) *Engine {
+func New(eng *core.Engine, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
 		cfg:     cfg,
 		adm:     newAdmission(cfg.Workers, cfg.Queue, cfg.EstimatedRun),
 		eng:     eng,
 		results: newLRU[*cachedResult](cfg.ResultCache),
-		plans:   newLRU[core.CompiledPlan](cfg.PlanCache),
+		plans:   newLRU[*core.Plan](cfg.PlanCache),
 		subs:    newLRU[*subEntry](cfg.SubCache),
 		flights: make(map[string]*flight),
 	}
@@ -168,13 +168,13 @@ func New(eng core.Queryer, cfg Config) *Engine {
 
 // Engine returns the currently-served engine (whichever the layer was
 // built over, or Build last produced).
-func (e *Engine) Engine() core.Queryer {
+func (e *Engine) Engine() *core.Engine {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.eng
 }
 
-func (e *Engine) engineGen() (core.Queryer, uint64) {
+func (e *Engine) engineGen() (*core.Engine, uint64) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.eng, e.gen
@@ -192,14 +192,14 @@ func (e *Engine) currentGen() uint64 {
 // engine; their results are not cached. Rebuild serializes with Apply, so
 // a swap can never be silently overwritten by a delta committed against
 // the graph it replaced.
-func (e *Engine) Rebuild(eng core.Queryer) {
+func (e *Engine) Rebuild(eng *core.Engine) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	e.rebuildLocked(eng)
 }
 
 // rebuildLocked publishes eng; the caller holds applyMu.
-func (e *Engine) rebuildLocked(eng core.Queryer) {
+func (e *Engine) rebuildLocked(eng *core.Engine) {
 	e.mu.Lock()
 	e.eng = eng
 	e.gen++
@@ -219,7 +219,7 @@ func (e *Engine) Generation() uint64 { return e.currentGen() }
 // read — the pair a replication primary needs when it opens a stream:
 // reading them separately could interleave with an Apply and pair a new
 // engine with a stale generation.
-func (e *Engine) Current() (core.Queryer, uint64) { return e.engineGen() }
+func (e *Engine) Current() (*core.Engine, uint64) { return e.engineGen() }
 
 // RebuildGraph builds an engine over g with Config.Build and publishes
 // it through the generation-gated Rebuild. It is the snapshot-resync
@@ -401,7 +401,7 @@ func (e *Engine) resolve(q *query.Graph, opts core.Options, live bool) (res *cor
 // pipeline, publication. key == "" marks an unregistered (uncacheable)
 // flight. eng is the engine captured when the flight was created — the
 // flight's generation stamp refers to it.
-func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options, eng core.Queryer, live bool) {
+func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options, eng *core.Engine, live bool) {
 	gen := fl.gen
 	res, err := e.run(fl, eng, q, opts, key != "", live)
 	if key != "" {
@@ -432,7 +432,7 @@ func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options,
 // nondeterministic to share. A run may fail instead of answering (a
 // distributed backing engine losing a whole shard, for example); lead()
 // never caches errored flights, so the next request retries the pipeline.
-func (e *Engine) run(fl *flight, eng core.Queryer, q *query.Graph, opts core.Options, cached, live bool) (*core.Result, error) {
+func (e *Engine) run(fl *flight, eng *core.Engine, q *query.Graph, opts core.Options, cached, live bool) (*core.Result, error) {
 	plan, err := e.planFor(eng, fl.gen, q, opts, cached)
 	if err != nil {
 		return nil, err
@@ -465,9 +465,9 @@ func (e *Engine) run(fl *flight, eng core.Queryer, q *query.Graph, opts core.Opt
 // it. Plans compiled against a superseded engine generation are not
 // cached (Rebuild already purged the cache; a late Add would resurrect a
 // stale plan).
-func (e *Engine) planFor(eng core.Queryer, gen uint64, q *query.Graph, opts core.Options, useCache bool) (core.CompiledPlan, error) {
+func (e *Engine) planFor(eng *core.Engine, gen uint64, q *query.Graph, opts core.Options, useCache bool) (*core.Plan, error) {
 	if !useCache {
-		return eng.CompileQuery(q, opts)
+		return eng.Compile(q, opts)
 	}
 	key := planKey(q, opts)
 	// A hit must have been compiled by the engine we are about to run on:
@@ -478,7 +478,7 @@ func (e *Engine) planFor(eng core.Queryer, gen uint64, q *query.Graph, opts core
 		return p, nil
 	}
 	e.stats.planMisses.Add(1)
-	p, err := eng.CompileQuery(q, opts)
+	p, err := eng.Compile(q, opts)
 	if err != nil {
 		return nil, err
 	}

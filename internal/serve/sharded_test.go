@@ -9,9 +9,9 @@ import (
 	"semkg/internal/kg"
 )
 
-// shardedTestEngine wraps the motivating-example engine in a 2-shard
-// scatter-gather engine.
-func shardedTestEngine(t *testing.T) *core.ShardedEngine {
+// shardedTestEngine derives a 2-shard scatter-gather engine from the
+// motivating-example engine.
+func shardedTestEngine(t *testing.T) *core.Engine {
 	t.Helper()
 	se, err := core.NewShardedEngine(testEngine(t), core.ShardConfig{Shards: 2})
 	if err != nil {
@@ -21,7 +21,7 @@ func shardedTestEngine(t *testing.T) *core.ShardedEngine {
 }
 
 // TestServingOverShardedEngine: the serving layer works unchanged over a
-// ShardedEngine — cold run and warm cache hit are byte-identical, the
+// sharded engine — cold run and warm cache hit are byte-identical, the
 // plan cache hits on the second request, and the answers match the
 // single-engine serving path.
 func TestServingOverShardedEngine(t *testing.T) {
@@ -98,12 +98,12 @@ func TestServingShardedStreamReplay(t *testing.T) {
 func TestApplyRebuildsShardedEngine(t *testing.T) {
 	ctx := context.Background()
 	srv := New(shardedTestEngine(t), Config{
-		Build: func(g *kg.Graph) (core.Queryer, error) {
+		Build: func(g *kg.Graph) (*core.Engine, error) {
 			eng, err := testBuild()(g)
 			if err != nil {
 				return nil, err
 			}
-			return core.NewShardedEngine(eng.(*core.Engine), core.ShardConfig{Shards: 2})
+			return core.NewShardedEngine(eng, core.ShardConfig{Shards: 2})
 		},
 	})
 	d := srv.NewDelta()
@@ -120,8 +120,8 @@ func TestApplyRebuildsShardedEngine(t *testing.T) {
 	if info.Generation != 1 {
 		t.Fatalf("generation = %d, want 1", info.Generation)
 	}
-	if _, ok := srv.Engine().(*core.ShardedEngine); !ok {
-		t.Fatalf("post-apply engine is %T, want *core.ShardedEngine", srv.Engine())
+	if d := srv.Engine().Deployment(); d.Shards != 2 {
+		t.Fatalf("post-apply engine deployment %+v, want 2 shards", d)
 	}
 	res, err := srv.Search(ctx, q117(), testOpts())
 	if err != nil {

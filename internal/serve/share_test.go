@@ -450,8 +450,8 @@ func TestSearchBatchConcurrentWithApply(t *testing.T) {
 }
 
 // TestShareOverReshardingEngine: the sharing and group-compile gates ask
-// what the engine answers from right now (core.WholeGraph), not what type
-// it is. A resharding engine still in its unsharded phase shares
+// what the engine answers from right now (core.Engine.WholeGraph), not
+// how it was constructed. A resharding engine still in its unsharded phase shares
 // sub-searches and warms batch plans exactly like a plain engine; once
 // the partition lands it takes the private path — and the plans cached
 // before the swap keep hitting after it. Answers match solo execution on
@@ -464,7 +464,7 @@ func TestShareOverReshardingEngine(t *testing.T) {
 	r := core.NewResharding(base, nil, core.ReshardConfig{
 		Shard:   core.ShardConfig{Shards: 2},
 		Gate:    func() { <-gate },
-		OnReady: func(*core.ShardedEngine) { close(ready) },
+		OnReady: func(core.ShardedStats) { close(ready) },
 		OnError: func(err error) { t.Errorf("background partition failed: %v", err) },
 	})
 	srv := New(r, Config{})
@@ -508,7 +508,7 @@ func TestShareOverReshardingEngine(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("background partition never became ready")
 	}
-	if _, ok := core.WholeGraph(r); ok {
+	if r.WholeGraph() {
 		t.Fatal("engine still reports whole-graph after the partition landed")
 	}
 	// A new K misses the result cache, hits the pre-swap plan, and runs

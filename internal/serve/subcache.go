@@ -20,13 +20,13 @@
 //
 // Sharing is invisible by construction (same match sequence, same TA
 // assembly) and gated to deterministic requests answered from the whole
-// graph (core.WholeGraph); anything else — random pivot, test hooks —
-// takes the private path. So does a partitioned
-// engine: there a sub-query is one enumeration per shard, each a function
-// of that partition's ownership and halo, so an entry would have to be
-// keyed and invalidated by partition as well as generation, for searches
-// that are already 1/N the size. See DESIGN.md, "Cross-query sharing and
-// batch execution".
+// graph (core.Engine.WholeGraph); anything else — random pivot, test
+// hooks — takes the private path. So does a partitioned engine: there a
+// sub-query is one enumeration per shard, each a function of that
+// partition's ownership and halo, so an entry would have to be keyed and
+// invalidated by partition as well as generation, for searches that are
+// already 1/N the size. See DESIGN.md, "Cross-query sharing and batch
+// execution".
 
 package serve
 
@@ -61,20 +61,20 @@ func (e *Engine) sharing() bool { return e.subs.max > 0 }
 // searchFor runs the pipeline for one admitted request to its end, through
 // the sub-query sharing layer when the request qualifies (see
 // subSourcesFor).
-func (e *Engine) searchFor(ctx context.Context, eng core.Queryer, gen uint64, plan core.CompiledPlan, opts core.Options, shareable bool) (*core.Result, error) {
-	if ce, cp, sources := e.subSourcesFor(eng, gen, plan, shareable); sources != nil {
-		return ce.SearchPlanShared(ctx, cp, opts, sources)
+func (e *Engine) searchFor(ctx context.Context, eng *core.Engine, gen uint64, plan *core.Plan, opts core.Options, shareable bool) (*core.Result, error) {
+	if sources := e.subSourcesFor(eng, gen, plan, shareable); sources != nil {
+		return eng.SearchPlanShared(ctx, plan, opts, sources)
 	}
-	return eng.SearchCompiled(ctx, plan, opts)
+	return eng.SearchPlan(ctx, plan, opts)
 }
 
 // streamFor is searchFor's live form: it starts the pipeline as an event
 // stream.
-func (e *Engine) streamFor(ctx context.Context, eng core.Queryer, gen uint64, plan core.CompiledPlan, opts core.Options, shareable bool) (*core.Stream, error) {
-	if ce, cp, sources := e.subSourcesFor(eng, gen, plan, shareable); sources != nil {
-		return ce.StreamPlanShared(ctx, cp, opts, sources)
+func (e *Engine) streamFor(ctx context.Context, eng *core.Engine, gen uint64, plan *core.Plan, opts core.Options, shareable bool) (*core.Stream, error) {
+	if sources := e.subSourcesFor(eng, gen, plan, shareable); sources != nil {
+		return eng.StreamPlanShared(ctx, plan, opts, sources)
 	}
-	return eng.StreamCompiled(ctx, plan, opts)
+	return eng.StreamPlan(ctx, plan, opts)
 }
 
 // subSourcesFor resolves one shared enumeration per sub-query blueprint
@@ -85,22 +85,14 @@ func (e *Engine) streamFor(ctx context.Context, eng core.Queryer, gen uint64, pl
 // counted once) and existing ones joined. It returns nil sources — the
 // private path — when the request does not qualify or any entry failed to
 // build: sharing is an optimization, never a new way to fail a request.
-func (e *Engine) subSourcesFor(eng core.Queryer, gen uint64, plan core.CompiledPlan, shareable bool) (*core.Engine, *core.Plan, []core.SubSource) {
-	if !shareable || !e.sharing() {
-		return nil, nil, nil
+func (e *Engine) subSourcesFor(eng *core.Engine, gen uint64, plan *core.Plan, shareable bool) []core.SubSource {
+	if !shareable || !e.sharing() || !eng.WholeGraph() || !plan.Compiled() {
+		return nil
 	}
-	ce, ok := core.WholeGraph(eng)
-	if !ok {
-		return nil, nil, nil
-	}
-	cp, ok := plan.(*core.Plan)
-	if !ok || !cp.Compiled() {
-		return nil, nil, nil
-	}
-	n := cp.Subqueries()
+	n := plan.Subqueries()
 	sources := make([]core.SubSource, n)
 	for i := 0; i < n; i++ {
-		entry, created := e.subs.GetOrAdd(subKey(gen, cp.SubqueryKey(i)), &subEntry{})
+		entry, created := e.subs.GetOrAdd(subKey(gen, plan.SubqueryKey(i)), &subEntry{})
 		if created {
 			e.stats.subMisses.Add(1)
 		} else {
@@ -108,12 +100,12 @@ func (e *Engine) subSourcesFor(eng core.Queryer, gen uint64, plan core.CompiledP
 		}
 		sub := i
 		entry.once.Do(func() {
-			entry.src, entry.err = ce.NewSubSearch(cp, sub)
+			entry.src, entry.err = eng.NewSubSearch(plan, sub)
 		})
 		if entry.err != nil || entry.src == nil {
-			return nil, nil, nil
+			return nil
 		}
 		sources[i] = entry.src
 	}
-	return ce, cp, sources
+	return sources
 }

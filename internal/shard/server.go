@@ -1,8 +1,8 @@
 // Shard server: the process boundary of the distributed scatter-gather
 // pipeline (semkgd -serve-shard). A Server holds one or more loaded
 // shards and answers per-(shard, sub-query) searches over the
-// shardwire protocol; the coordinator (core.DistEngine) is its only
-// intended client. See DESIGN.md, "Scatter-gather".
+// shardwire protocol; the coordinator (an engine from
+// core.NewDistEngine) is its only intended client. See DESIGN.md, "Scatter-gather".
 //
 // The server is deliberately dumb: it projects a globally-resolved
 // blueprint into its shard's id space (Shard.Project) and streams the

@@ -1,5 +1,5 @@
 // Package shardwire defines the internal wire protocol between the
-// scatter-gather coordinator (core.DistEngine) and shard servers
+// scatter-gather coordinator (core.NewDistEngine) and shard servers
 // (shard.Server, semkgd -serve-shard). See DESIGN.md, "Scatter-gather".
 //
 // Two routes:

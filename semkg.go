@@ -30,6 +30,14 @@
 // cut and answers with the complete candidates found so far, at their
 // exact scores, flagged approximate; the result converges to the exact
 // top-k as the budget grows.
+//
+// # Deployment shapes
+//
+// Every engine is one *Engine type. NewEngine searches the whole graph;
+// NewShardedEngine and NewDistEngine return engines that run the same
+// pipeline over an in-process or remote partition, and NewServing wraps
+// any of them in caches and admission control. Engine.Deployment reports
+// an engine's shape and counters.
 package semkg
 
 import (
@@ -184,49 +192,37 @@ const (
 	PhaseAssemble = core.PhaseAssemble
 )
 
-// Queryer is the query-execution surface every engine shares — Engine
-// implements it, ShardedEngine and DistEngine inherit it: Search/Stream,
-// the compile/run split, and the graph and cost accessors the serving
-// layer needs. Anything satisfying it can be wrapped by NewServing.
-type Queryer = core.Queryer
-
-// CompiledPlan is an opaque compiled query returned by
-// Queryer.CompileQuery — reusable across runs (any K or time budget) but
-// only by the Queryer that produced it.
-type CompiledPlan = core.CompiledPlan
-
 // ShardConfig sizes a sharded engine: Shards (default 4) graph
 // partitions, a replication Halo in hops (default 4; bounds the servable
 // MaxHops — deeper searches fall back to the base engine), and the
 // scatter worker pool size (default GOMAXPROCS).
 type ShardConfig = core.ShardConfig
 
-// ShardedEngine answers queries by scatter-gather over a partitioned
-// knowledge graph: one globally compiled plan, sub-query searches fanned
-// out across the shards, and a bounds-aware top-k merge that preserves
-// the paper's L_k/U_max early termination. Results are equivalent to the single engine's (same top-k
-// set and scores for SGQ; same time-bound contract for TBQ). Create one
-// with NewShardedEngine; it satisfies Queryer, so NewServing and the
-// semkgd daemon (-shards) serve it unchanged.
-type ShardedEngine = core.ShardedEngine
-
 // ShardedStats is a snapshot of a sharded engine's partition shape
 // (per-shard sizes, replication factor) and counters (sharded searches,
 // halo fallbacks).
 type ShardedStats = core.ShardedStats
 
-// NewShardedEngine builds a base engine from a graph, a trained model and
-// an optional library (exactly as NewEngine), then partitions the graph
-// per cfg and wraps the engine for scatter-gather execution. The
-// partition is deterministic.
-func NewShardedEngine(g *Graph, model *Model, lib *Library, cfg ShardConfig) (*ShardedEngine, error) {
+// NewShardedEngine builds an engine that answers by scatter-gather over a
+// partitioned knowledge graph: it builds a base engine from a graph, a
+// trained model and an optional library (exactly as NewEngine), then
+// partitions the graph per cfg. One globally compiled plan fans its
+// sub-query searches out across the shards, and a bounds-aware top-k
+// merge preserves the paper's L_k/U_max early termination. Results are
+// equivalent to the single engine's (same top-k set and scores for SGQ;
+// same time-bound contract for TBQ). The partition is deterministic.
+func NewShardedEngine(g *Graph, model *Model, lib *Library, cfg ShardConfig) (*Engine, error) {
 	return core.BuildShardedEngine(g, model, lib, cfg)
 }
 
 // NewShardedEngineFromSnapshot is NewShardedEngine over a binary graph
 // snapshot (SaveSnapshot): the sharded cold-start path.
-func NewShardedEngineFromSnapshot(r io.Reader, model *Model, lib *Library, cfg ShardConfig) (*ShardedEngine, error) {
-	return core.ShardedEngineFromSnapshot(r, model, lib, cfg)
+func NewShardedEngineFromSnapshot(r io.Reader, model *Model, lib *Library, cfg ShardConfig) (*Engine, error) {
+	base, err := core.EngineFromSnapshot(r, model, lib)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewShardedEngine(base, cfg)
 }
 
 // DistConfig tunes the distributed coordinator: hedge delay (default
@@ -235,32 +231,27 @@ func NewShardedEngineFromSnapshot(r io.Reader, model *Model, lib *Library, cfg S
 // gives production-ready defaults.
 type DistConfig = core.DistConfig
 
-// DistEngine is the scatter-gather coordinator over remote shard server
-// processes (semkgd -serve-shard): queries compile once globally against
-// the local base engine, each (shard, sub-query) search streams over
-// HTTP with hedging and mid-stream failover across replicas, and the
-// merged result is equivalent to the single engine's. It satisfies
-// Queryer, so NewServing and the semkgd daemon (-shard-hosts) serve it
-// unchanged. Create one with NewDistEngine.
-type DistEngine = core.DistEngine
-
 // DistStats is a snapshot of the coordinator's partition shape and
 // counters (distributed searches, local fallbacks, hedges, retries,
 // failovers, shard errors).
 type DistStats = core.DistStats
 
-// ShardUnavailableError is returned by a DistEngine search when a shard
-// has no live replica left within the retry budget: the search fails
-// typed rather than returning a silently partial top-k.
+// ShardUnavailableError is returned by a distributed engine's search when
+// a shard has no live replica left within the retry budget: the search
+// fails typed rather than returning a silently partial top-k.
 type ShardUnavailableError = core.ShardUnavailableError
 
-// NewDistEngine wraps a base engine over remote shard servers;
-// hosts[s] lists the replica base URLs serving shard s. Every replica
-// is validated against the base graph at construction, so a stale or
-// foreign shard snapshot is rejected instead of producing wrong
-// results.
-func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*DistEngine, error) {
-	return core.NewDistEngine(base.Engine, hosts, cfg)
+// NewDistEngine derives from a base engine the scatter-gather coordinator
+// over remote shard server processes (semkgd -serve-shard); hosts[s]
+// lists the replica base URLs serving shard s. Queries compile once
+// globally against the base engine, each (shard, sub-query) search
+// streams over HTTP with hedging and mid-stream failover across
+// replicas, and the merged result is equivalent to the single engine's.
+// Every replica is validated against the base graph at construction, so
+// a stale or foreign shard snapshot is rejected instead of producing
+// wrong results.
+func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*Engine, error) {
+	return core.NewDistEngine(base, hosts, cfg)
 }
 
 // Serving is the engine-level serving layer for heavy concurrent traffic:
@@ -310,11 +301,10 @@ type BatchItem = serve.BatchItem
 // it shouldn't.
 type BatchOutcome = serve.BatchOutcome
 
-// NewServing wraps an engine — single-graph (*Engine), sharded
-// (*ShardedEngine) or distributed (*DistEngine), anything satisfying
-// Queryer — in a serving layer sized by cfg. The zero ServeConfig gives
-// production-ready defaults.
-func NewServing(e Queryer, cfg ServeConfig) *Serving { return serve.New(e, cfg) }
+// NewServing wraps an engine — whole-graph, sharded or distributed, it is
+// one *Engine — in a serving layer sized by cfg. The zero ServeConfig
+// gives production-ready defaults.
+func NewServing(e *Engine, cfg ServeConfig) *Serving { return serve.New(e, cfg) }
 
 // KeywordFrontend turns bare keywords into ranked answers: it tokenizes
 // the input, maps keywords to graph elements through the name indexes,
@@ -368,31 +358,33 @@ func AssembleKeywords(g *Graph, input string, cfg KeywordConfig) *KeywordAssembl
 	return keyword.Assemble(g, input, cfg)
 }
 
-// Engine answers query graphs over one knowledge graph. Safe for
-// concurrent use.
-type Engine struct {
-	*core.Engine
-}
+// Engine answers query graphs over one knowledge graph. It is the one
+// engine type of every deployment shape: NewEngine searches the whole
+// graph, NewShardedEngine and NewDistEngine scatter over a partition, and
+// Deployment reports which. Safe for concurrent use.
+type Engine = core.Engine
+
+// Plan is a compiled query (Engine.Compile): reusable across runs with any
+// K or time budget (Engine.SearchPlan, Engine.StreamPlan), but only by the
+// engine that compiled it.
+type Plan = core.Plan
+
+// Deployment describes where an engine's runs get their matches: the
+// partition size, a background reshard in progress, and the sharded or
+// distributed stats.
+type Deployment = core.Deployment
 
 // NewEngine builds an engine from a graph, a trained model, and an
 // optional library (nil = identical matching plus heuristic
 // abbreviations). Predicates the model has never seen (live ingestion
 // after training) get deterministic placeholder vectors.
 func NewEngine(g *Graph, model *Model, lib *Library) (*Engine, error) {
-	inner, err := core.BuildEngine(g, model, lib)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{inner}, nil
+	return core.BuildEngine(g, model, lib)
 }
 
 // NewEngineFromSnapshot builds an engine directly from a binary graph
 // snapshot (SaveSnapshot): the fast cold-start path — the snapshot
 // already carries the derived search indexes.
 func NewEngineFromSnapshot(r io.Reader, model *Model, lib *Library) (*Engine, error) {
-	inner, err := core.EngineFromSnapshot(r, model, lib)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{inner}, nil
+	return core.EngineFromSnapshot(r, model, lib)
 }
