@@ -2,9 +2,9 @@
 // buffered form returns api.BatchResult with per-query attribution; the
 // ?stream=1 form fans every query's event stream into one NDJSON
 // response, each line tagged with the query's index (and ID, when
-// given). Either way the group compiles its distinct shapes under one
-// shared φ memo and overlapping sub-query searches run once — see
-// internal/serve's batch and sub-sharing layers.
+// given). Either way the queries run concurrently through the serving
+// layer, so repeated shapes compile once and overlapping sub-query
+// searches run once — see internal/serve's batch and sub-sharing layers.
 
 package main
 
@@ -64,7 +64,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // has terminated.
 func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, req api.BatchRequest, items []serve.BatchItem) {
 	statStreams.Add(1)
-	s.srv.WarmPlans(items)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat reverse-proxy buffering
 	w.WriteHeader(http.StatusOK)

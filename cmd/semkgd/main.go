@@ -6,8 +6,8 @@
 //	POST /v1/stream   streaming: NDJSON events — phase transitions,
 //	                  per-sub-query progress, provisional top-k snapshots
 //	                  with TA bounds, and a terminal result line
-//	POST /v1/batch    a group of queries in one call: the group compiles
-//	                  together and overlapping sub-query searches run
+//	POST /v1/batch    a group of queries in one call: repeated shapes
+//	                  compile once and overlapping sub-query searches run
 //	                  once; per-query results (or, with ?stream=1, one
 //	                  NDJSON connection of index/id-tagged event lines)
 //
@@ -32,7 +32,7 @@
 //
 //	POST /v1/ingest   NDJSON triples {"s":..,"p":..,"o":..}; the batch
 //	                  commits as one delta against the served graph and
-//	                  swaps the engine generation (both caches invalidate
+//	                  swaps the engine generation (the caches invalidate
 //	                  exactly once)
 //
 //	semkgd -snapshot g.snap -model m.bin            # binary cold start

@@ -120,7 +120,7 @@ func runKeyword(ctx context.Context, p Params) (*Artifact, error) {
 
 	candidates := 0
 	row, err := replay("assembly", func(_ context.Context, c keywordCase) ([]string, error) {
-		candidates += len(keyword.Assemble(env.Dataset.Graph, c.input, keyword.Config{}).Candidates)
+		candidates += len(keyword.Assemble(env.Dataset.Graph, c.input).Candidates)
 		return nil, nil
 	})
 	if err != nil {

@@ -50,10 +50,6 @@ import (
 // DistConfig tunes the coordinator's replica policy. The zero value is
 // production-ready.
 type DistConfig struct {
-	// Client performs the HTTP requests. nil uses a dedicated client with
-	// the default transport (no global timeout — streams are long-lived
-	// and cancellation rides the request context).
-	Client *http.Client
 	// HedgeAfter is the time to wait for a replica's first response line
 	// before launching a duplicate request on the next replica. 0 adapts
 	// per replica: twice its EWMA first-line latency, clamped to
@@ -71,9 +67,6 @@ type DistConfig struct {
 }
 
 func (c DistConfig) withDefaults() DistConfig {
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	if c.Retries == 0 {
 		c.Retries = 3
 	} else if c.Retries < 0 {
@@ -142,6 +135,10 @@ type distBackend struct {
 	hosts [][]string // hosts[shard] = replica base URLs
 	halo  int
 	cfg   DistConfig
+	// client is dedicated, with the default transport: no global timeout,
+	// since streams are long-lived and cancellation rides the request
+	// context.
+	client *http.Client
 
 	// ewmaNs[shard][replica] is the EWMA of the replica's time-to-first-
 	// line, feeding the adaptive hedge threshold. 0 = no observation yet.
@@ -170,7 +167,7 @@ func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*Engine, err
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("core: no shard hosts")
 	}
-	b := &distBackend{hosts: make([][]string, len(hosts)), halo: -1, cfg: cfg.withDefaults()}
+	b := &distBackend{hosts: make([][]string, len(hosts)), halo: -1, cfg: cfg.withDefaults(), client: &http.Client{}}
 	b.ewmaNs = make([][]atomic.Int64, len(hosts))
 	for s, reps := range hosts {
 		if len(reps) == 0 {
@@ -211,7 +208,7 @@ func (b *distBackend) fetchMeta(host string) (*shardwire.Meta, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := b.cfg.Client.Do(req)
+	resp, err := b.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -553,7 +550,7 @@ func (b *distBackend) openOne(ctx context.Context, shard, rep int, req *shardwir
 	}
 	hr.Header.Set("Content-Type", "application/json")
 	start := time.Now()
-	resp, err := b.cfg.Client.Do(hr)
+	resp, err := b.client.Do(hr)
 	if err != nil {
 		cancel()
 		return nil, err

@@ -221,12 +221,7 @@ func TestDistPlanCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.PlannedBy(de) {
-		t.Fatal("dist plan does not recognize its coordinator")
-	}
-	if p.PlannedBy(e) {
-		t.Fatal("dist plan claims the base engine planned it")
-	}
+	assertForeignPlan(t, e, p)
 	want, err := de.Search(ctx, q.Graph, opts)
 	if err != nil {
 		t.Fatal(err)

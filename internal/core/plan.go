@@ -96,32 +96,19 @@ func (p *Plan) Pivot() string { return p.d.Pivot }
 // answer set (the paper's G1_Q mismatch case), not an error.
 func (p *Plan) Compiled() bool { return p.compiled }
 
-// PlannedBy reports whether e compiled this plan. The serving layer's plan
-// cache uses it to discard entries that survived an engine swap. An engine
-// derived from another (a sharded engine and its base) is a different
-// engine; a resharding engine stays the same one across its source-set
-// swap, so its plans stay cacheable through the background upgrade.
-func (p *Plan) PlannedBy(e *Engine) bool { return p != nil && p.eng == e }
-
 // Compile resolves q into a reusable Plan under the compile-relevant
 // options (Tau, MaxHops, Strategy/PivotNode, NoHeuristic, PruneVisited).
 // Validation and decomposition errors are wrapped as BadRequestError,
 // exactly as in Search/Stream.
 func (e *Engine) Compile(q *query.Graph, opts Options) (*Plan, error) {
-	// One φ memo per compilation: the cost estimator (pivot selection) and
-	// the blueprint compilation resolve the same query nodes.
-	return e.compileMemo(q, opts, e.matcher.Memo())
-}
-
-// compileMemo is Compile with an explicit φ memo, so a batch compilation
-// (CompileBatch) can resolve repeated names and types once for the whole
-// group instead of once per query.
-func (e *Engine) compileMemo(q *query.Graph, opts Options, memo *transform.Memo) (*Plan, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, badRequest(err)
 	}
 	opts = opts.withDefaults()
 
+	// One φ memo per compilation: the cost estimator (pivot selection) and
+	// the blueprint compilation resolve the same query nodes.
+	memo := e.matcher.Memo()
 	d, err := e.decompose(q, opts, memo)
 	if err != nil {
 		return nil, badRequest(err)

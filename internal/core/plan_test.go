@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -71,9 +72,16 @@ func TestSearchPlanMismatch(t *testing.T) {
 		t.Fatalf("tau mismatch: err = %v, want BadRequestError", err)
 	}
 
-	other := newTestEngine(t)
-	if _, err := other.SearchPlan(ctx, p, Options{Tau: 0.6}); err == nil {
-		t.Fatal("foreign engine accepted the plan")
+	assertForeignPlan(t, newTestEngine(t), p)
+}
+
+// assertForeignPlan checks that other refuses to run p because another
+// engine compiled it: plans belong to the engine that compiled them.
+func assertForeignPlan(t *testing.T, other *Engine, p *Plan) {
+	t.Helper()
+	_, err := other.SearchPlan(context.Background(), p, Options{Tau: 0.5})
+	if err == nil || !strings.Contains(err.Error(), "compiled by a different engine") {
+		t.Fatalf("foreign engine ran the plan: err = %v", err)
 	}
 }
 

@@ -50,9 +50,6 @@ type ShardConfig struct {
 	// bounds the MaxHops a sharded search can serve — deeper searches
 	// transparently fall back to the whole graph. 0 = shard.DefaultHalo.
 	Halo int
-	// Workers bounds the concurrent per-shard searches of an exact run's
-	// scatter phase. 0 = GOMAXPROCS.
-	Workers int
 }
 
 func (c ShardConfig) withDefaults() ShardConfig {
@@ -61,9 +58,6 @@ func (c ShardConfig) withDefaults() ShardConfig {
 	}
 	if c.Halo <= 0 {
 		c.Halo = shard.DefaultHalo
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -84,13 +78,13 @@ func NewShardedEngine(base *Engine, cfg ShardConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewShardedEngineFromSet(base, set, cfg)
+	return NewShardedEngineFromSet(base, set)
 }
 
 // NewShardedEngineFromSet derives the engine from an existing partition of
 // base's graph — the cold-start path when shards were loaded individually
 // from shard snapshots (shard.ReadShard + shard.Assemble).
-func NewShardedEngineFromSet(base *Engine, set *shard.Set, cfg ShardConfig) (*Engine, error) {
+func NewShardedEngineFromSet(base *Engine, set *shard.Set) (*Engine, error) {
 	if base == nil || set == nil {
 		return nil, fmt.Errorf("core: nil base engine or shard set")
 	}
@@ -100,7 +94,7 @@ func NewShardedEngineFromSet(base *Engine, set *shard.Set, cfg ShardConfig) (*En
 	ss := &sourceSet{
 		backend: shardedBackend{set},
 		shards:  set.Len(),
-		workers: cfg.withDefaults().Workers,
+		workers: runtime.GOMAXPROCS(0),
 	}
 	return base.over(ss), nil
 }

@@ -293,12 +293,7 @@ func TestShardedPlanReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.PlannedBy(se) {
-		t.Fatal("plan does not recognize its engine")
-	}
-	if p.PlannedBy(e) {
-		t.Fatal("sharded plan claims the base engine planned it")
-	}
+	assertForeignPlan(t, e, p)
 	want, err := se.Search(ctx, q, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +375,7 @@ func TestShardedEngineFromLoadedSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se2, err := NewShardedEngineFromSet(e, set, ShardConfig{Shards: 3})
+	se2, err := NewShardedEngineFromSet(e, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +427,7 @@ func TestShardedEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShardedEngineFromSet(e, set, ShardConfig{Shards: 2}); err == nil {
+	if _, err := NewShardedEngineFromSet(e, set); err == nil {
 		t.Fatal("set over a different graph accepted")
 	}
 }

@@ -12,8 +12,7 @@
 // Both modes share: a time-bounded run reads the same sorted stream as an
 // exact one, and its deadline refuses pulls above the source (in the
 // run's resumeStream), never inside the shared enumeration. The sharing
-// layer above (internal/serve) additionally gates entries on the engine
-// generation.
+// layer above (internal/serve) keeps its entries per engine generation.
 //
 // See DESIGN.md, "Cross-query sharing and batch execution".
 
@@ -25,25 +24,8 @@ import (
 	"sync"
 
 	"semkg/internal/astar"
-	"semkg/internal/query"
 	"semkg/internal/ta"
 )
-
-// MatchStream yields sub-query matches in non-increasing pss order; it is
-// the ta.Stream pull surface, re-exported so sharing layers outside core
-// can hold cursors.
-type MatchStream = ta.Stream
-
-// SubSource supplies a shared match enumeration for one compiled
-// sub-query blueprint: independent cursors over one underlying search,
-// plus the searcher's effort counters. *SharedSearch implements it.
-type SubSource interface {
-	// Cursor returns a new independent read cursor positioned at the
-	// start of the enumeration.
-	Cursor() MatchStream
-	// SearchStats snapshots the underlying searcher's effort counters.
-	SearchStats() astar.Stats
-}
 
 // SharedSearch memoizes one sub-query A* enumeration so any number of
 // concurrent pipeline runs can consume it. The enumeration extends
@@ -88,14 +70,14 @@ func (s *SharedSearch) at(i int) (astar.Match, bool) {
 	return astar.Match{}, false
 }
 
-// Cursor implements SubSource: a new independent reader over the shared
-// enumeration. Cursors are not safe for concurrent use individually, but
-// any number of cursors may be read concurrently.
-func (s *SharedSearch) Cursor() MatchStream { return &sharedCursor{s: s} }
+// Cursor returns a new independent reader positioned at the start of the
+// shared enumeration. Cursors are not safe for concurrent use
+// individually, but any number of cursors may be read concurrently.
+func (s *SharedSearch) Cursor() ta.Stream { return &sharedCursor{s: s} }
 
-// SearchStats implements SubSource: the underlying searcher's counters.
-// They aggregate the whole shared enumeration so far, which may exceed
-// the effort any single consumer needed.
+// SearchStats snapshots the underlying searcher's counters. They
+// aggregate the whole shared enumeration so far, which may exceed the
+// effort any single consumer needed.
 func (s *SharedSearch) SearchStats() astar.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -126,6 +108,10 @@ func (c *sharedCursor) Next() (astar.Match, bool) {
 	}
 	return m, ok
 }
+
+// Stats reports the shared enumeration's effort counters, so a cursor is
+// the pull surface a local match source wraps (shard.WholeGraphSource).
+func (c *sharedCursor) Stats() astar.Stats { return c.s.SearchStats() }
 
 // NewSubSearch builds a fresh searcher for the i-th sub-query blueprint
 // of p and wraps it for shared consumption. The plan must come from this
@@ -167,58 +153,16 @@ func (e *Engine) Searcher(p *Plan, i int) (*astar.Searcher, error) {
 // TA bounds) as StreamPlan with the same arguments; only
 // Result.SearchStats differs, reporting the shared enumerations'
 // cumulative effort.
-func (e *Engine) StreamPlanShared(ctx context.Context, p *Plan, opts Options, sources []SubSource) (*Stream, error) {
-	return e.streamPlan(ctx, p, opts, sharedOrNone(sources), false)
+func (e *Engine) StreamPlanShared(ctx context.Context, p *Plan, opts Options, sources []*SharedSearch) (*Stream, error) {
+	return e.streamPlan(ctx, p, opts, sources, false)
 }
 
 // SearchPlanShared is Search over a pre-compiled plan with shared
 // sub-query sources; see StreamPlanShared.
-func (e *Engine) SearchPlanShared(ctx context.Context, p *Plan, opts Options, sources []SubSource) (*Result, error) {
-	s, err := e.streamPlan(ctx, p, opts, sharedOrNone(sources), true)
+func (e *Engine) SearchPlanShared(ctx context.Context, p *Plan, opts Options, sources []*SharedSearch) (*Result, error) {
+	s, err := e.streamPlan(ctx, p, opts, sources, true)
 	if err != nil {
 		return nil, err
 	}
 	return s.outcome()
-}
-
-// sharedOrNone keeps a shared run distinguishable from a private one
-// (nil) when the plan has no sub-queries to share.
-func sharedOrNone(sources []SubSource) []SubSource {
-	if sources == nil {
-		return []SubSource{}
-	}
-	return sources
-}
-
-// cursorSearch adapts one reader of a SubSource to the pull surface a
-// local match source wraps (shard.SharedSource): a fresh cursor plus the
-// shared enumeration's effort counters.
-type cursorSearch struct {
-	MatchStream
-	src SubSource
-}
-
-func (c cursorSearch) Stats() astar.Stats { return c.src.SearchStats() }
-
-// BatchSpec is one (query, options) pair of a batch compilation group.
-type BatchSpec struct {
-	Query *query.Graph
-	Opts  Options
-}
-
-// CompileBatch compiles a group of queries under one shared φ memo, so
-// names and types repeated across the group — the common case for
-// overlapping traffic — resolve against the indexes once instead of once
-// per query. Results are positional: plans[i] and errs[i] report spec i,
-// and one query's failure does not fail its neighbours. The memo caches
-// by (name, type) only, which is independent of any option, so specs may
-// mix options freely.
-func (e *Engine) CompileBatch(specs []BatchSpec) (plans []*Plan, errs []error) {
-	memo := e.matcher.Memo()
-	plans = make([]*Plan, len(specs))
-	errs = make([]error, len(specs))
-	for i, sp := range specs {
-		plans[i], errs[i] = e.compileMemo(sp.Query, sp.Opts, memo)
-	}
-	return plans, errs
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -11,14 +10,14 @@ import (
 	"time"
 
 	"semkg/internal/astar"
-	"semkg/internal/query"
+	"semkg/internal/ta"
 	"semkg/internal/tbq"
 )
 
 // sharedSourcesFor builds one SharedSearch per sub-query of p.
-func sharedSourcesFor(t *testing.T, e *Engine, p *Plan) []SubSource {
+func sharedSourcesFor(t *testing.T, e *Engine, p *Plan) []*SharedSearch {
 	t.Helper()
-	sources := make([]SubSource, p.Subqueries())
+	sources := make([]*SharedSearch, p.Subqueries())
 	for i := range sources {
 		ss, err := e.NewSubSearch(p, i)
 		if err != nil {
@@ -243,7 +242,7 @@ func TestSharedSearchPartialConsumerLeavesPrefix(t *testing.T) {
 }
 
 // drainCursor reads a match stream to its end.
-func drainCursor(cur MatchStream) []astar.Match {
+func drainCursor(cur ta.Stream) []astar.Match {
 	var out []astar.Match
 	for m, ok := cur.Next(); ok; m, ok = cur.Next() {
 		out = append(out, m)
@@ -385,47 +384,6 @@ func TestSubqueryKeyStability(t *testing.T) {
 	}
 	if p1.SubqueryKey(0) != p5.SubqueryKey(0) {
 		t.Error("runtime K changed the sub-query key")
-	}
-}
-
-// TestCompileBatch: positional results, per-spec errors, and plans that
-// behave identically to individually compiled ones.
-func TestCompileBatch(t *testing.T) {
-	e := newTestEngine(t)
-	ctx := context.Background()
-	good := q117("assembly")
-	bad := &query.Graph{Nodes: []query.Node{{ID: "v1"}}} // invalid: empty name and type
-
-	plans, errs := e.CompileBatch([]BatchSpec{
-		{Query: good, Opts: Options{Tau: 0.6}},
-		{Query: bad, Opts: Options{Tau: 0.6}},
-		{Query: good, Opts: Options{Tau: 0.75}},
-	})
-	if len(plans) != 3 || len(errs) != 3 {
-		t.Fatalf("positional results: %d plans, %d errs", len(plans), len(errs))
-	}
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("good specs failed: %v, %v", errs[0], errs[2])
-	}
-	if errs[1] == nil {
-		t.Fatal("invalid spec compiled without error")
-	}
-	var br BadRequestError
-	if !errors.As(errs[1], &br) {
-		t.Fatalf("invalid spec error = %v, want BadRequestError", errs[1])
-	}
-
-	// Batch-compiled plans run like individually compiled ones.
-	solo, err := e.Search(ctx, good, Options{Tau: 0.6, K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.SearchPlan(ctx, plans[0], Options{Tau: 0.6, K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Answers, solo.Answers) {
-		t.Fatalf("batch-compiled plan answers differ:\n%v\nvs\n%v", got.Answers, solo.Answers)
 	}
 }
 

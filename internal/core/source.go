@@ -113,10 +113,9 @@ func (e *Engine) Deployment() Deployment {
 // WholeGraph reports whether e is currently answering from the
 // unpartitioned graph with local searchers — a plain engine, or a
 // resharding engine still in its unsharded phase. It is the condition for
-// the whole-graph-only entry points (NewSubSearch/StreamPlanShared
-// sub-query sharing, CompileBatch group compilation): over a partition
-// one sub-query is many per-shard enumerations, each keyed by that
-// partition, so there is no single enumeration to share.
+// sub-query sharing (NewSubSearch/StreamPlanShared): over a partition one
+// sub-query is many per-shard enumerations, each keyed by that partition,
+// so there is no single enumeration to share.
 func (e *Engine) WholeGraph() bool { return e.sources.Load() == nil }
 
 // scatter is one run's opened sources.
@@ -134,7 +133,7 @@ type scatter struct {
 // enumerations the caller supplied (whole-graph, exact mode), the
 // engine's partitioned source set when it can serve opts, or the whole
 // graph.
-func (e *Engine) openSources(ctx context.Context, p *Plan, opts Options, shared []SubSource) (*scatter, error) {
+func (e *Engine) openSources(ctx context.Context, p *Plan, opts Options, shared []*SharedSearch) (*scatter, error) {
 	if ss := e.sources.Load(); ss != nil && shared == nil {
 		if ss.serves(opts) {
 			ss.searches.Add(1)
@@ -152,11 +151,11 @@ func (e *Engine) openSources(ctx context.Context, p *Plan, opts Options, shared 
 // non-nil — a new cursor over a shared enumeration. Weighters and
 // searchers hold per-run mutable state, so every run gets its own; the φ
 // sets and weight rows are shared.
-func (e *Engine) wholeGraphSources(p *Plan, shared []SubSource) ([][]matchSource, error) {
+func (e *Engine) wholeGraphSources(p *Plan, shared []*SharedSearch) ([][]matchSource, error) {
 	sources := make([][]matchSource, len(p.subs))
 	for i := range p.subs {
 		if shared != nil && shared[i] != nil {
-			sources[i] = []matchSource{shard.SharedSource(cursorSearch{shared[i].Cursor(), shared[i]})}
+			sources[i] = []matchSource{shard.WholeGraphSource(&sharedCursor{s: shared[i]})}
 			continue
 		}
 		sr, err := e.subSearcher(p, i)

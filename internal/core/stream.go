@@ -249,7 +249,7 @@ func (e *Engine) stream(ctx context.Context, q *query.Graph, opts Options, quiet
 // StreamPlan and their shared-source forms): the plan comes from an
 // earlier Compile — possibly another engine's, possibly under different
 // options — so validate and check before running.
-func (e *Engine) streamPlan(ctx context.Context, p *Plan, opts Options, shared []SubSource, quiet bool) (*Stream, error) {
+func (e *Engine) streamPlan(ctx context.Context, p *Plan, opts Options, shared []*SharedSearch, quiet bool) (*Stream, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, badRequest(err)
 	}
@@ -268,7 +268,7 @@ func (e *Engine) streamPlan(ctx context.Context, p *Plan, opts Options, shared [
 // whole-graph enumeration instead of a private searcher. The timed window
 // (Result.Elapsed) covers the run, not the compilation — a plan-cache hit
 // in the serving layer pays neither.
-func (e *Engine) start(ctx context.Context, p *Plan, opts Options, shared []SubSource, quiet bool) (*Stream, error) {
+func (e *Engine) start(ctx context.Context, p *Plan, opts Options, shared []*SharedSearch, quiet bool) (*Stream, error) {
 	start := time.Now()
 	buffer := streamBuffer
 	if quiet {

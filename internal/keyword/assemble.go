@@ -53,13 +53,12 @@ type Assembly struct {
 // connection structures joining the matches, and returns the scored,
 // deduplicated candidates best-first. Every candidate Validates and
 // decomposes; assembly never runs a search.
-func Assemble(g *kg.Graph, input string, cfg Config) *Assembly {
-	cfg = cfg.withDefaults()
+func Assemble(g *kg.Graph, input string) *Assembly {
 	start := time.Now()
 	asm := &Assembly{Input: input, Tokens: Tokenize(g, input)}
 	var matched []int
 	for i := range asm.Tokens {
-		asm.Tokens[i].Interps = matchKeyword(g, asm.Tokens[i].Norm, cfg.MaxInterps)
+		asm.Tokens[i].Interps = matchKeyword(g, asm.Tokens[i].Norm, maxInterps)
 		if len(asm.Tokens[i].Interps) > 0 {
 			matched = append(matched, i)
 		} else {
@@ -77,11 +76,11 @@ func Assemble(g *kg.Graph, input string, cfg Config) *Assembly {
 	idx := make([]int, len(matched))
 	byKey := make(map[string]int) // canonical key -> index in cands
 	var cands []Candidate
-	for tried := 0; tried < cfg.MaxCombos; tried++ {
+	for tried := 0; tried < maxCombos; tried++ {
 		for j, ti := range matched {
 			combo[j] = asm.Tokens[ti].Interps[idx[j]]
 		}
-		for _, c := range buildCandidates(g, combo, len(asm.Tokens), cfg) {
+		for _, c := range buildCandidates(g, combo, len(asm.Tokens)) {
 			if prev, ok := byKey[c.Key]; ok {
 				if c.Score > cands[prev].Score {
 					cands[prev] = c
@@ -110,8 +109,8 @@ func Assemble(g *kg.Graph, input string, cfg Config) *Assembly {
 		}
 		return cands[i].Key < cands[j].Key
 	})
-	if len(cands) > cfg.MaxEnumerated {
-		cands = cands[:cfg.MaxEnumerated]
+	if len(cands) > maxEnumerated {
+		cands = cands[:maxEnumerated]
 	}
 	asm.Candidates = cands
 	asm.Elapsed = time.Since(start)
@@ -135,7 +134,7 @@ type edgeChoice struct {
 // a star around a focus target node (stated type keyword, or inferred
 // from the entity neighborhoods), entity attachments of one or two hops,
 // and extra type keywords as a chain of further target nodes.
-func buildCandidates(g *kg.Graph, combo []Interp, totalTokens int, cfg Config) []Candidate {
+func buildCandidates(g *kg.Graph, combo []Interp, totalTokens int) []Candidate {
 	var entities, types, preds []Interp
 	for _, it := range combo {
 		switch it.Kind {
@@ -162,7 +161,7 @@ func buildCandidates(g *kg.Graph, combo []Interp, totalTokens int, cfg Config) [
 		focuses = []focusOpt{{t: types[0].Type, interp: &types[0]}}
 		chain = types[1:]
 	} else {
-		for _, t := range inferTypes(g, entities, cfg) {
+		for _, t := range inferTypes(g, entities) {
 			focuses = append(focuses, focusOpt{t: t, inferred: true})
 		}
 	}
@@ -171,7 +170,7 @@ func buildCandidates(g *kg.Graph, combo []Interp, totalTokens int, cfg Config) [
 	for _, f := range focuses {
 		options := make([][]edgeChoice, len(entities))
 		for i, e := range entities {
-			options[i] = attachOptions(g, e, f.t, preds, cfg)
+			options[i] = attachOptions(g, e, f.t, preds)
 		}
 		// Chain variants: extra type keywords as a path of target nodes
 		// hanging off the focus, plus a chainless fallback (extra types
@@ -199,7 +198,7 @@ func buildCandidates(g *kg.Graph, combo []Interp, totalTokens int, cfg Config) [
 			}
 			if !doubleKw {
 				for _, ch := range chains {
-					if c, ok := buildOne(g, entities, f.interp, f.t, f.inferred, ch, preds, choices, totalTokens, cfg); ok {
+					if c, ok := buildOne(g, entities, f.interp, f.t, f.inferred, ch, preds, choices, totalTokens); ok {
 						out = append(out, c)
 					}
 				}
@@ -222,7 +221,7 @@ func buildCandidates(g *kg.Graph, combo []Interp, totalTokens int, cfg Config) [
 
 // buildOne materializes and scores a single candidate. ok is false when
 // the graph fails validation or decomposition.
-func buildOne(g *kg.Graph, entities []Interp, focusInterp *Interp, focus kg.TypeID, inferred bool, chain []Interp, preds []Interp, choices []edgeChoice, totalTokens int, cfg Config) (Candidate, bool) {
+func buildOne(g *kg.Graph, entities []Interp, focusInterp *Interp, focus kg.TypeID, inferred bool, chain []Interp, preds []Interp, choices []edgeChoice, totalTokens int) (Candidate, bool) {
 	focusName := g.TypeName(focus)
 	if focusName == "" {
 		return Candidate{}, false
@@ -253,7 +252,7 @@ func buildOne(g *kg.Graph, entities []Interp, focusInterp *Interp, focus kg.Type
 	for i, t := range chain {
 		cid := fmt.Sprintf("c%d", i+1)
 		q.Nodes = append(q.Nodes, query.Node{ID: cid, Type: t.Name})
-		link := typeLink(g, prevType, t.Type, cfg)
+		link := typeLink(g, prevType, t.Type)
 		q.Edges = append(q.Edges, orient(prev, cid, g.PredName(link.pred), link.out))
 		evs = append(evs, evFactor(link.ev))
 		expl = append(expl, fmt.Sprintf("?%s -[%s]- ?%s (ev %d)", g.TypeName(prevType), g.PredName(link.pred), t.Name, link.ev))
@@ -344,17 +343,17 @@ func geoMean(xs []float64) float64 {
 // inferTypes guesses focus types for a type-less keyword set: the most
 // common neighbor types (one hop, then two if one hop finds nothing) of
 // the matched entity nodes, best three, deterministically ordered.
-func inferTypes(g *kg.Graph, entities []Interp, cfg Config) []kg.TypeID {
+func inferTypes(g *kg.Graph, entities []Interp) []kg.TypeID {
 	counts := make(map[kg.TypeID]int)
 	tally := func(hops int) {
 		for _, e := range entities {
 			nodes := e.Nodes
-			if len(nodes) > cfg.EvidenceNodes {
-				nodes = nodes[:cfg.EvidenceNodes]
+			if len(nodes) > evidenceNodes {
+				nodes = nodes[:evidenceNodes]
 			}
 			for _, u := range nodes {
 				for i, h := range g.Neighbors(u) {
-					if i >= cfg.EvidenceScan {
+					if i >= evidenceScan {
 						break
 					}
 					if t := g.NodeType(h.Neighbor); t != kg.NoType {
@@ -376,7 +375,7 @@ func inferTypes(g *kg.Graph, entities []Interp, cfg Config) []kg.TypeID {
 		}
 	}
 	tally(1)
-	if len(counts) == 0 && cfg.HopBudget >= 2 {
+	if len(counts) == 0 {
 		tally(2)
 	}
 	type tc struct {
@@ -413,10 +412,10 @@ const evidenceInner = 32
 // user's predicate keywords, the best-evidenced two-hop path through a
 // typed intermediate, and a zero-evidence fallback so an option always
 // exists. At most four options, deterministically ordered.
-func attachOptions(g *kg.Graph, ent Interp, focus kg.TypeID, preds []Interp, cfg Config) []edgeChoice {
+func attachOptions(g *kg.Graph, ent Interp, focus kg.TypeID, preds []Interp) []edgeChoice {
 	nodes := ent.Nodes
-	if len(nodes) > cfg.EvidenceNodes {
-		nodes = nodes[:cfg.EvidenceNodes]
+	if len(nodes) > evidenceNodes {
+		nodes = nodes[:evidenceNodes]
 	}
 	type dirEv struct{ ev, outVotes int }
 	direct := make(map[kg.PredID]*dirEv)
@@ -429,7 +428,7 @@ func attachOptions(g *kg.Graph, ent Interp, focus kg.TypeID, preds []Interp, cfg
 	twohop := make(map[hop2key]*hop2ev)
 	for _, u := range nodes {
 		for i, h := range g.Neighbors(u) {
-			if i >= cfg.EvidenceScan {
+			if i >= evidenceScan {
 				break
 			}
 			if g.NodeType(h.Neighbor) == focus {
@@ -442,9 +441,6 @@ func attachOptions(g *kg.Graph, ent Interp, focus kg.TypeID, preds []Interp, cfg
 				if h.Out {
 					d.outVotes++
 				}
-			}
-			if cfg.HopBudget < 2 {
-				continue
 			}
 			mt := g.NodeType(h.Neighbor)
 			if mt == kg.NoType || i >= evidenceInner {
@@ -553,16 +549,16 @@ func attachOptions(g *kg.Graph, ent Interp, focus kg.TypeID, preds []Interp, cfg
 // typeLink picks the best-evidenced predicate connecting two types, for
 // chain links between target nodes. Zero evidence falls back to the
 // sampled nodes' most familiar predicate.
-func typeLink(g *kg.Graph, from, to kg.TypeID, cfg Config) edgeChoice {
+func typeLink(g *kg.Graph, from, to kg.TypeID) edgeChoice {
 	nodes := g.NodesOfType(from)
-	if len(nodes) > cfg.EvidenceNodes {
-		nodes = nodes[:cfg.EvidenceNodes]
+	if len(nodes) > evidenceNodes {
+		nodes = nodes[:evidenceNodes]
 	}
 	type dirEv struct{ ev, outVotes int }
 	counts := make(map[kg.PredID]*dirEv)
 	for _, u := range nodes {
 		for i, h := range g.Neighbors(u) {
-			if i >= cfg.EvidenceScan {
+			if i >= evidenceScan {
 				break
 			}
 			if g.NodeType(h.Neighbor) != to {

@@ -48,9 +48,6 @@ func New(srv *serve.Engine, cfg Config) *Frontend {
 	return &Frontend{srv: srv, cfg: cfg.withDefaults(), cache: make(map[string]*cacheEntry)}
 }
 
-// Config returns the front end's effective (defaulted) configuration.
-func (f *Frontend) Config() Config { return f.cfg }
-
 // RankedAnswer is one blended answer: an engine answer plus the candidate
 // that produced it and the blended score it ranks by.
 type RankedAnswer struct {
@@ -145,7 +142,7 @@ func (f *Frontend) Search(ctx context.Context, input string, opts core.Options, 
 		f.cacheMisses.Add(1)
 	}
 
-	asm := Assemble(eng.Graph(), input, f.cfg)
+	asm := Assemble(eng.Graph(), input)
 	f.assemblies.Add(1)
 	execs := asm.Candidates
 	if len(execs) > b {
@@ -208,11 +205,11 @@ func (f *Frontend) prepare(input string, opts core.Options, maxCandidates int) (
 		return 0, core.BadRequestError{Err: fmt.Errorf("keyword: empty keywords")}
 	}
 	if maxCandidates < 0 {
-		return 0, core.BadRequestError{Err: fmt.Errorf("keyword: max_candidates = %d out of range (must be non-negative; 0 uses the default %d)", maxCandidates, f.cfg.MaxCandidates)}
+		return 0, core.BadRequestError{Err: fmt.Errorf("keyword: max_candidates = %d out of range (must be non-negative; 0 uses the default %d)", maxCandidates, defaultCandidates)}
 	}
 	b := maxCandidates
 	if b == 0 {
-		b = f.cfg.MaxCandidates
+		b = defaultCandidates
 	}
 	if b > 16 {
 		b = 16

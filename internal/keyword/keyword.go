@@ -40,62 +40,14 @@ import (
 	"semkg/internal/query"
 )
 
-// Config bounds the front end. The zero value gives production defaults;
-// every bound exists to keep assembly latency index-shaped (microseconds,
-// never a graph scan).
+// Config sizes the front end. The zero value gives production defaults.
 type Config struct {
-	// MaxCandidates is B: how many top-scored candidate query graphs
-	// execute per request. 0 = default 3; requests may lower it.
-	MaxCandidates int
-	// MaxInterps caps the interpretations kept per keyword after ranking.
-	// 0 = default 4.
-	MaxInterps int
-	// MaxEnumerated caps the assembled candidates kept after scoring.
-	// 0 = default 24.
-	MaxEnumerated int
-	// MaxCombos caps the interpretation combinations explored.
-	// 0 = default 64.
-	MaxCombos int
-	// HopBudget bounds the connection structures joining a keyword entity
-	// to the focus target: 1 = direct edges only, 2 adds one typed
-	// intermediate. 0 = default 2.
-	HopBudget int
-	// EvidenceNodes caps the matched entities inspected per keyword when
-	// gathering connection evidence. 0 = default 8.
-	EvidenceNodes int
-	// EvidenceScan caps the adjacency halves scanned per inspected
-	// entity. 0 = default 256.
-	EvidenceScan int
 	// CacheSize bounds the generation-gated keyword result cache.
 	// 0 = default 512; < 0 disables caching.
 	CacheSize int
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxCandidates <= 0 {
-		c.MaxCandidates = 3
-	}
-	if c.MaxInterps <= 0 {
-		c.MaxInterps = 4
-	}
-	if c.MaxEnumerated <= 0 {
-		c.MaxEnumerated = 24
-	}
-	if c.MaxCombos <= 0 {
-		c.MaxCombos = 64
-	}
-	if c.HopBudget <= 0 {
-		c.HopBudget = 2
-	}
-	if c.HopBudget > 2 {
-		c.HopBudget = 2
-	}
-	if c.EvidenceNodes <= 0 {
-		c.EvidenceNodes = 8
-	}
-	if c.EvidenceScan <= 0 {
-		c.EvidenceScan = 256
-	}
 	switch {
 	case c.CacheSize == 0:
 		c.CacheSize = 512
@@ -104,6 +56,25 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// Assembly and execution bounds. Each keeps assembly latency
+// index-shaped (microseconds, never a graph scan).
+const (
+	// defaultCandidates is B: how many top-scored candidate query graphs
+	// execute per request when the request does not set max_candidates.
+	defaultCandidates = 3
+	// maxInterps caps the interpretations kept per keyword after ranking.
+	maxInterps = 4
+	// maxEnumerated caps the assembled candidates kept after scoring.
+	maxEnumerated = 24
+	// maxCombos caps the interpretation combinations explored.
+	maxCombos = 64
+	// evidenceNodes caps the matched entities inspected per keyword when
+	// gathering connection evidence.
+	evidenceNodes = 8
+	// evidenceScan caps the adjacency halves scanned per inspected entity.
+	evidenceScan = 256
+)
 
 // canonKey renders a query graph canonically (length-prefixed, like the
 // serving layer's cache keys) for candidate dedup and deterministic

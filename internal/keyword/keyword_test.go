@@ -116,7 +116,7 @@ func TestMatchKeywordPaths(t *testing.T) {
 // the assembly predicate, consuming all three keywords.
 func TestAssembleBestCandidate(t *testing.T) {
 	g := testGraph(t)
-	asm := Assemble(g, "automobile assembly germany", Config{})
+	asm := Assemble(g, "automobile assembly germany")
 	if len(asm.Unmatched) != 0 {
 		t.Fatalf("unmatched = %v", asm.Unmatched)
 	}
@@ -162,7 +162,7 @@ func TestAssembleBestCandidate(t *testing.T) {
 // focus type is inferred from the entity neighborhood.
 func TestAssembleInferredFocus(t *testing.T) {
 	g := testGraph(t)
-	asm := Assemble(g, "germany", Config{})
+	asm := Assemble(g, "germany")
 	if len(asm.Candidates) == 0 {
 		t.Fatal("no candidates for a bare entity keyword")
 	}

@@ -49,7 +49,7 @@ type Interp struct {
 	Count   int
 
 	// Nodes holds the matched entity nodes (KindEntity only; capped by
-	// Config.EvidenceNodes consumers, not here).
+	// the evidenceNodes consumers, not here).
 	Nodes []kg.NodeID
 	// Type is the matched type (KindType only).
 	Type kg.TypeID

@@ -43,7 +43,7 @@ func (f *Frontend) Stream(ctx context.Context, input string, opts core.Options, 
 	}
 	start := time.Now()
 	eng, gen := f.srv.Current()
-	asm := Assemble(eng.Graph(), input, f.cfg)
+	asm := Assemble(eng.Graph(), input)
 	f.assemblies.Add(1)
 	execs := asm.Candidates
 	if len(execs) > b {

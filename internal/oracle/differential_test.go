@@ -403,7 +403,7 @@ func ingestGenerations(t *testing.T, shape func(string) string, rng *rand.Rand, 
 
 		var assembled []testQuery
 		for _, input := range []string{"kind2 made hub", "Kind1 owns " + old(), "spoke built hub"} {
-			for i, c := range keyword.Assemble(committed, input, keyword.Config{}).Candidates {
+			for i, c := range keyword.Assemble(committed, input).Candidates {
 				if i < 3 {
 					assembled = append(assembled, testQuery{fmt.Sprintf("keyword %q #%d", input, i), c.Query,
 						core.Options{K: 5, Tau: 0.4, MaxHops: 3}})

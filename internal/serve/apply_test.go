@@ -248,8 +248,8 @@ func TestApplyConcurrentWithSearches(t *testing.T) {
 			t.Fatalf("client %d: %v", c, err)
 		}
 	}
-	if gen := srv.Generation(); gen != applies {
-		t.Fatalf("generation = %d, want %d", gen, applies)
+	if n := srv.Generation(); n != applies {
+		t.Fatalf("generation = %d, want %d", n, applies)
 	}
 	// The final engine serves every ingested auto (K large enough to
 	// hold the base answers plus all ingested ones).

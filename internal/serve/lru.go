@@ -87,14 +87,6 @@ func (c *lruCache[V]) GetOrAdd(key string, val V) (V, bool) {
 	return val, true
 }
 
-// Purge drops every entry (engine-rebuild invalidation).
-func (c *lruCache[V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.items)
-}
-
 // Len returns the current entry count.
 func (c *lruCache[V]) Len() int {
 	c.mu.Lock()

@@ -19,9 +19,12 @@
 //     queue wait is rejected with OverloadedError (HTTP 429/Retry-After)
 //     instead of blowing its bound in the queue.
 //
-// Caches invalidate wholesale on Rebuild (engine swap). Every cache and
-// the dedup layer are bypassed for non-deterministic requests (random
-// pivot, test clocks); admission control applies to every pipeline run.
+// The caches and the flight map belong to one engine generation: Rebuild
+// publishes a fresh generation with empty ones, and every request works
+// inside the generation it loaded, so nothing computed on one engine can
+// answer for the next. Every cache and the dedup layer are bypassed for
+// non-deterministic requests (random pivot, test clocks); admission
+// control applies to every pipeline run.
 //
 // See DESIGN.md, "Serving layer: caches, dedup, admission".
 package serve
@@ -32,6 +35,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"semkg/internal/core"
@@ -114,14 +118,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// cachedResult is one result-cache entry: the terminal result, stamped
-// with the engine generation it was computed on. The stamp is checked
-// again at Get time: the publish-side generation check and the Add are not
-// atomic with Rebuild's purge, so a racing leader could otherwise
-// resurrect a result computed on a superseded engine.
-type cachedResult struct {
-	res *core.Result
-	gen uint64
+// generation is everything the serving layer derives from one engine:
+// the engine, its number, the three caches and the in-flight executions.
+// Rebuild replaces the whole value, so a leader that finishes after a
+// swap publishes into caches no new request can reach.
+type generation struct {
+	eng *core.Engine
+	n   uint64
+
+	results *lruCache[*core.Result]
+	plans   *lruCache[*core.Plan]
+	subs    *lruCache[*subEntry]
+
+	fmu     sync.Mutex
+	flights map[string]*flight
 }
 
 // Engine is a serving wrapper around one *core.Engine. Safe for
@@ -131,9 +141,7 @@ type Engine struct {
 	cfg Config
 	adm *admission
 
-	mu  sync.RWMutex // guards eng and gen
-	eng *core.Engine
-	gen uint64
+	cur atomic.Pointer[generation]
 
 	// applyMu serializes engine publications (Apply and Rebuild): two
 	// racing commits would otherwise each extend the same base graph and
@@ -142,56 +150,39 @@ type Engine struct {
 	// overwritten by an engine built from the superseded graph.
 	applyMu sync.Mutex
 
-	results *lruCache[*cachedResult]
-	plans   *lruCache[*core.Plan]
-	subs    *lruCache[*subEntry]
-
-	fmu     sync.Mutex
-	flights map[string]*flight
-
 	stats stats
 }
 
 // New wraps eng in a serving layer sized by cfg.
 func New(eng *core.Engine, cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	return &Engine{
-		cfg:     cfg,
-		adm:     newAdmission(cfg.Workers, cfg.Queue, cfg.EstimatedRun),
+	e := &Engine{cfg: cfg.withDefaults()}
+	e.adm = newAdmission(e.cfg.Workers, e.cfg.Queue, e.cfg.EstimatedRun)
+	e.publish(eng, 0)
+	return e
+}
+
+// publish makes eng, numbered n, the served generation with empty caches.
+func (e *Engine) publish(eng *core.Engine, n uint64) {
+	e.cur.Store(&generation{
 		eng:     eng,
-		results: newLRU[*cachedResult](cfg.ResultCache),
-		plans:   newLRU[*core.Plan](cfg.PlanCache),
-		subs:    newLRU[*subEntry](cfg.SubCache),
+		n:       n,
+		results: newLRU[*core.Result](e.cfg.ResultCache),
+		plans:   newLRU[*core.Plan](e.cfg.PlanCache),
+		subs:    newLRU[*subEntry](e.cfg.SubCache),
 		flights: make(map[string]*flight),
-	}
+	})
 }
 
 // Engine returns the currently-served engine (whichever the layer was
 // built over, or Build last produced).
-func (e *Engine) Engine() *core.Engine {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.eng
-}
-
-func (e *Engine) engineGen() (*core.Engine, uint64) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.eng, e.gen
-}
-
-func (e *Engine) currentGen() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.gen
-}
+func (e *Engine) Engine() *core.Engine { return e.cur.Load().eng }
 
 // Rebuild swaps in a new engine (a re-loaded graph or re-trained space)
-// and invalidates both caches: entries computed against the old engine
-// must never answer for the new one. In-flight requests finish on the old
-// engine; their results are not cached. Rebuild serializes with Apply, so
-// a swap can never be silently overwritten by a delta committed against
-// the graph it replaced.
+// as a new generation with empty caches: entries computed against the old
+// engine must never answer for the new one. In-flight requests finish on
+// the old engine, publishing into the retired generation's caches.
+// Rebuild serializes with Apply, so a swap can never be silently
+// overwritten by a delta committed against the graph it replaced.
 func (e *Engine) Rebuild(eng *core.Engine) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
@@ -200,31 +191,27 @@ func (e *Engine) Rebuild(eng *core.Engine) {
 
 // rebuildLocked publishes eng; the caller holds applyMu.
 func (e *Engine) rebuildLocked(eng *core.Engine) {
-	e.mu.Lock()
-	e.eng = eng
-	e.gen++
-	e.mu.Unlock()
-	e.results.Purge()
-	e.plans.Purge()
-	e.subs.Purge()
+	e.publish(eng, e.cur.Load().n+1)
 	e.stats.rebuilds.Add(1)
 }
 
 // Generation returns the current engine generation. It increments on
-// every Rebuild (and therefore on every non-empty Apply); results cached
-// under an older generation are never served.
-func (e *Engine) Generation() uint64 { return e.currentGen() }
+// every Rebuild (and therefore on every non-empty Apply).
+func (e *Engine) Generation() uint64 { return e.cur.Load().n }
 
 // Current returns the served engine and its generation as one atomic
 // read — the pair a replication primary needs when it opens a stream:
 // reading them separately could interleave with an Apply and pair a new
 // engine with a stale generation.
-func (e *Engine) Current() (*core.Engine, uint64) { return e.engineGen() }
+func (e *Engine) Current() (*core.Engine, uint64) {
+	g := e.cur.Load()
+	return g.eng, g.n
+}
 
 // RebuildGraph builds an engine over g with Config.Build and publishes
 // it through the generation-gated Rebuild. It is the snapshot-resync
-// path for replication followers: the whole graph is replaced, both
-// caches purge, and the generation bumps exactly once.
+// path for replication followers: the whole graph is replaced, the
+// caches start empty, and the generation bumps exactly once.
 func (e *Engine) RebuildGraph(g *kg.Graph) error {
 	if e.cfg.Build == nil {
 		return fmt.Errorf("serve: RebuildGraph requires an engine builder (Config.Build)")
@@ -262,7 +249,7 @@ type ApplyInfo struct {
 
 // Apply commits a delta created with NewDelta, builds an engine over the
 // committed graph with Config.Build, and publishes it through the
-// generation-gated Rebuild — so both caches invalidate exactly once and
+// generation-gated Rebuild — so the caches invalidate exactly once and
 // searches in flight finish against the generation they started on. An
 // empty delta is a no-op that reports the current state without bumping
 // the generation. Apply calls are serialized; a delta whose base graph
@@ -273,7 +260,7 @@ func (e *Engine) Apply(d *kg.Delta) (ApplyInfo, error) {
 	}
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
-	cur, gen := e.engineGen()
+	cur, gen := e.Current()
 	if d.Base() != cur.Graph() {
 		return ApplyInfo{}, ErrStaleDelta
 	}
@@ -301,7 +288,7 @@ func (e *Engine) Apply(d *kg.Delta) (ApplyInfo, error) {
 	e.stats.applies.Add(1)
 	info.Nodes = g.NumNodes()
 	info.Edges = g.NumEdges()
-	info.Generation = e.currentGen()
+	info.Generation = e.Generation()
 	return info, nil
 }
 
@@ -356,7 +343,7 @@ func (e *Engine) Stream(ctx context.Context, q *query.Graph, opts core.Options) 
 // non-nil flight means the caller participates in a (possibly shared)
 // pipeline execution and must leave() it when done. started reports that
 // the caller started the flight; live asks that such a flight run as a
-// stream.
+// stream. Everything happens inside the generation loaded here.
 func (e *Engine) resolve(q *query.Graph, opts core.Options, live bool) (res *core.Result, fl *flight, started bool, err error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, false, core.BadRequestError{Err: err}
@@ -364,76 +351,74 @@ func (e *Engine) resolve(q *query.Graph, opts core.Options, live bool) (res *cor
 	if err := q.Validate(); err != nil {
 		return nil, nil, false, core.BadRequestError{Err: err}
 	}
-	eng, gen := e.engineGen()
+	g := e.cur.Load()
 	if !cacheable(opts) {
 		e.stats.uncacheable.Add(1)
-		fl = newFlight(gen)
-		go e.lead(fl, "", q, opts, eng, live)
+		fl = newFlight(g)
+		go e.lead(fl, "", q, opts, live)
 		return nil, fl, true, nil
 	}
 	key := resultKey(q, opts)
-	if entry, ok := e.results.Get(key); ok && entry.gen == gen {
+	if res, ok := g.results.Get(key); ok {
 		e.stats.resultHits.Add(1)
-		return entry.res, nil, false, nil
+		return res, nil, false, nil
 	}
 	e.stats.resultMisses.Add(1)
 
-	// Join the in-flight execution only while it is live AND from the
-	// current engine generation: a flight whose last participant already
-	// left is cancelled and will yield a partial anytime result, and one
-	// started before a Rebuild answers for the retired engine — a fresh
-	// request must be served neither, so it starts a new flight
-	// (replacing the old one in the map).
-	e.fmu.Lock()
-	if fl, ok := e.flights[key]; ok && fl.gen == gen && fl.join() {
-		e.fmu.Unlock()
+	// Join the in-flight execution only while it is live: a flight whose
+	// last participant already left is cancelled and will yield a partial
+	// anytime result, so a fresh request starts a new flight (replacing
+	// the old one in the map).
+	g.fmu.Lock()
+	if fl, ok := g.flights[key]; ok && fl.join() {
+		g.fmu.Unlock()
 		e.stats.flightShared.Add(1)
 		return nil, fl, false, nil
 	}
-	fl = newFlight(gen)
-	e.flights[key] = fl
-	e.fmu.Unlock()
-	go e.lead(fl, key, q, opts, eng, live)
+	fl = newFlight(g)
+	g.flights[key] = fl
+	g.fmu.Unlock()
+	go e.lead(fl, key, q, opts, live)
 	return nil, fl, true, nil
 }
 
 // lead is the flight leader: compile (through the plan cache), admission,
-// pipeline, publication. key == "" marks an unregistered (uncacheable)
-// flight. eng is the engine captured when the flight was created — the
-// flight's generation stamp refers to it.
-func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options, eng *core.Engine, live bool) {
-	gen := fl.gen
-	res, err := e.run(fl, eng, q, opts, key != "", live)
+// pipeline, publication into the flight's generation. key == "" marks an
+// unregistered (uncacheable) flight.
+func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options, live bool) {
+	res, err := e.run(fl, q, opts, key != "", live)
 	if key != "" {
-		// Publish only complete results computed on the current engine: a
-		// cancelled flight carries a partial (anytime) result, and a
-		// racing Rebuild means the result answers for a graph the cache no
-		// longer serves. Publish before deregistering the flight, so a
-		// request arriving in between finds either the cache entry or the
-		// still-unfinished flight, never a gap that would re-run the pipeline.
-		if err == nil && res != nil && fl.ctx.Err() == nil && e.currentGen() == gen {
-			e.results.Add(key, &cachedResult{res: res, gen: gen})
+		g := fl.gen
+		// Publish only complete results: a cancelled flight carries a
+		// partial (anytime) result. Publish before deregistering the
+		// flight, so a request arriving in between finds either the cache
+		// entry or the still-unfinished flight, never a gap that would
+		// re-run the pipeline.
+		if err == nil && res != nil && fl.ctx.Err() == nil {
+			g.results.Add(key, res)
 		}
-		e.fmu.Lock()
+		g.fmu.Lock()
 		// Deregister only our own flight: a request that found this flight
 		// dying may already have replaced it with a fresh one.
-		if cur, ok := e.flights[key]; ok && cur == fl {
-			delete(e.flights, key)
+		if cur, ok := g.flights[key]; ok && cur == fl {
+			delete(g.flights, key)
 		}
-		e.fmu.Unlock()
+		g.fmu.Unlock()
 	}
 	fl.finish(res, err)
 }
 
-// run executes the pipeline for one flight: plan (cached), admission,
-// then the run itself — quiet, or as the live stream of a flight a Stream
-// request started. cached gates both the plan cache and the sub-search
-// sharing layer: a request too nondeterministic to cache is equally too
-// nondeterministic to share. A run may fail instead of answering (a
-// distributed backing engine losing a whole shard, for example); lead()
-// never caches errored flights, so the next request retries the pipeline.
-func (e *Engine) run(fl *flight, eng *core.Engine, q *query.Graph, opts core.Options, cached, live bool) (*core.Result, error) {
-	plan, err := e.planFor(eng, fl.gen, q, opts, cached)
+// run executes the pipeline for one flight on its generation's engine:
+// plan (cached), admission, then the run itself — quiet, or as the live
+// stream of a flight a Stream request started. cached gates both the plan
+// cache and the sub-search sharing layer: a request too nondeterministic
+// to cache is equally too nondeterministic to share. A run may fail
+// instead of answering (a distributed backing engine losing a whole
+// shard, for example); lead() never caches errored flights, so the next
+// request retries the pipeline.
+func (e *Engine) run(fl *flight, q *query.Graph, opts core.Options, cached, live bool) (*core.Result, error) {
+	g := fl.gen
+	plan, err := e.planFor(g, q, opts, cached)
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +429,7 @@ func (e *Engine) run(fl *flight, eng *core.Engine, q *query.Graph, opts core.Opt
 	defer func() { e.adm.release(time.Since(start)) }()
 	e.stats.pipelineRuns.Add(1)
 	if live {
-		if fl.live, err = e.streamFor(fl.ctx, eng, fl.gen, plan, opts, cached); err != nil {
+		if fl.live, err = e.streamFor(fl.ctx, g, plan, opts, cached); err != nil {
 			return nil, err
 		}
 	}
@@ -453,7 +438,7 @@ func (e *Engine) run(fl *flight, eng *core.Engine, q *query.Graph, opts core.Opt
 		e.cfg.BeforeRun()
 	}
 	if !live {
-		return e.searchFor(fl.ctx, eng, fl.gen, plan, opts, cached)
+		return e.searchFor(fl.ctx, g, plan, opts, cached)
 	}
 	if err := fl.live.Err(); err != nil {
 		return nil, err
@@ -461,29 +446,22 @@ func (e *Engine) run(fl *flight, eng *core.Engine, q *query.Graph, opts core.Opt
 	return fl.live.Result(), nil
 }
 
-// planFor compiles q, going through the plan cache when the request allows
-// it. Plans compiled against a superseded engine generation are not
-// cached (Rebuild already purged the cache; a late Add would resurrect a
-// stale plan).
-func (e *Engine) planFor(eng *core.Engine, gen uint64, q *query.Graph, opts core.Options, useCache bool) (*core.Plan, error) {
+// planFor compiles q on g's engine, going through g's plan cache when the
+// request allows it.
+func (e *Engine) planFor(g *generation, q *query.Graph, opts core.Options, useCache bool) (*core.Plan, error) {
 	if !useCache {
-		return eng.Compile(q, opts)
+		return g.eng.Compile(q, opts)
 	}
 	key := planKey(q, opts)
-	// A hit must have been compiled by the engine we are about to run on:
-	// an entry that survived a racing Rebuild (Get between the generation
-	// bump and the purge) is treated as a miss.
-	if p, ok := e.plans.Get(key); ok && p.PlannedBy(eng) {
+	if p, ok := g.plans.Get(key); ok {
 		e.stats.planHits.Add(1)
 		return p, nil
 	}
 	e.stats.planMisses.Add(1)
-	p, err := eng.Compile(q, opts)
+	p, err := g.eng.Compile(q, opts)
 	if err != nil {
 		return nil, err
 	}
-	if e.currentGen() == gen {
-		e.plans.Add(key, p)
-	}
+	g.plans.Add(key, p)
 	return p, nil
 }

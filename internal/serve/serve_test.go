@@ -428,8 +428,8 @@ func TestPlanCacheSharedAcrossK(t *testing.T) {
 	}
 }
 
-// TestRebuildInvalidates: swapping the engine flushes both caches, and the
-// next identical request answers from the new graph.
+// TestRebuildInvalidates: swapping the engine starts a generation with
+// empty caches, and the next identical request answers from the new graph.
 func TestRebuildInvalidates(t *testing.T) {
 	srv := New(buildEngine(t, true), Config{})
 	ctx := context.Background()
@@ -741,7 +741,9 @@ func TestStreamResultWithoutDraining(t *testing.T) {
 
 // TestRebuildNotJoinedMidFlight: a request arriving after Rebuild must not
 // join a flight started on the previous engine generation — it runs its
-// own pipeline against the new engine.
+// own pipeline against the new engine. The retired flight finishing last
+// publishes into its own generation's cache, which no request reaches: the
+// next identical request hits the new generation's entry.
 func TestRebuildNotJoinedMidFlight(t *testing.T) {
 	release := make(chan struct{})
 	srv := New(buildEngine(t, true), Config{Workers: 2, BeforeRun: func() { <-release }})
@@ -779,6 +781,19 @@ func TestRebuildNotJoinedMidFlight(t *testing.T) {
 	st := srv.Stats()
 	if st.FlightShared != 0 || st.PipelineRuns != 2 {
 		t.Fatalf("stats = %+v, want 2 independent pipeline runs", st)
+	}
+
+	third, err := srv.Search(context.Background(), q117(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hasAnswer(third, "BMW_X6") {
+		t.Errorf("third request answered from the retired engine: %v", third.Entities())
+	}
+	after := srv.Stats()
+	if after.ResultEntries != 1 || after.ResultHits != st.ResultHits+1 ||
+		after.PlanHits != st.PlanHits || after.PipelineRuns != 2 {
+		t.Fatalf("third request: stats = %+v, want one result-cache hit on the new generation's one entry", after)
 	}
 }
 

@@ -449,13 +449,12 @@ func TestSearchBatchConcurrentWithApply(t *testing.T) {
 	}
 }
 
-// TestShareOverReshardingEngine: the sharing and group-compile gates ask
-// what the engine answers from right now (core.Engine.WholeGraph), not
-// how it was constructed. A resharding engine still in its unsharded phase shares
-// sub-searches and warms batch plans exactly like a plain engine; once
-// the partition lands it takes the private path — and the plans cached
-// before the swap keep hitting after it. Answers match solo execution on
-// both sides.
+// TestShareOverReshardingEngine: the sharing gate asks what the engine
+// answers from right now (core.Engine.WholeGraph), not how it was
+// constructed. A resharding engine still in its unsharded phase shares
+// sub-searches exactly like a plain engine; once the partition lands it
+// takes the private path — and the plans cached before the swap keep
+// hitting after it. Answers match solo execution on both sides.
 func TestShareOverReshardingEngine(t *testing.T) {
 	ctx := context.Background()
 	base := testEngine(t)
@@ -477,12 +476,19 @@ func TestShareOverReshardingEngine(t *testing.T) {
 		}
 		return answersJSON(t, res)
 	}
-	// Two Ks over one shape: the second run joins the first's sub-searches.
 	batch := []BatchItem{{Query: q117(), Opts: testOpts()}, {Query: clubQuery(), Opts: testOpts()}}
-	srv.WarmPlans(batch)
-	if st := srv.Stats(); st.PlanEntries != 2 {
-		t.Fatalf("unsharded phase did not group-compile the batch: %+v", st)
+	for i, o := range srv.SearchBatch(ctx, batch) {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		if !bytes.Equal(answersJSON(t, o.Result), want(batch[i].Query, batch[i].Opts)) {
+			t.Fatalf("batch item %d: unsharded-phase answers differ from solo execution", i)
+		}
 	}
+	if st := srv.Stats(); st.PlanEntries != 2 {
+		t.Fatalf("unsharded phase did not cache the batch's plans: %+v", st)
+	}
+	// Two more Ks over one shape: each run joins the batch's sub-searches.
 	for _, k := range []int{3, 5} {
 		opts := testOpts()
 		opts.K = k
@@ -499,7 +505,7 @@ func TestShareOverReshardingEngine(t *testing.T) {
 		t.Fatalf("unsharded phase did not share sub-searches: %+v", before)
 	}
 	if before.PlanHits == 0 {
-		t.Fatalf("warmed plans never hit: %+v", before)
+		t.Fatalf("the batch's plans never hit: %+v", before)
 	}
 
 	close(gate)
@@ -512,7 +518,8 @@ func TestShareOverReshardingEngine(t *testing.T) {
 		t.Fatal("engine still reports whole-graph after the partition landed")
 	}
 	// A new K misses the result cache, hits the pre-swap plan, and runs
-	// over the partition: no sub-search traffic, no group compile.
+	// over the partition; a batch of a new shape compiles its own plan.
+	// Neither touches the sub-search cache.
 	opts := testOpts()
 	opts.K = 7
 	res, err := srv.Search(ctx, q117(), opts)
@@ -525,13 +532,14 @@ func TestShareOverReshardingEngine(t *testing.T) {
 	if res.ShardEffort == nil {
 		t.Fatal("post-swap run did not scatter over the partition")
 	}
-	srv.WarmPlans([]BatchItem{{Query: manufacturerQuery(), Opts: testOpts()}})
+	if o := srv.SearchBatch(ctx, []BatchItem{{Query: manufacturerQuery(), Opts: testOpts()}})[0]; o.Err != nil {
+		t.Fatal(o.Err)
+	} else if !bytes.Equal(answersJSON(t, o.Result), want(manufacturerQuery(), testOpts())) {
+		t.Fatal("partitioned-phase batch answers differ from solo execution")
+	}
 	after := srv.Stats()
 	if after.SubHits != before.SubHits || after.SubMisses != before.SubMisses {
 		t.Fatalf("partitioned phase still shares sub-searches: before %+v, after %+v", before, after)
-	}
-	if after.PlanEntries != before.PlanEntries {
-		t.Fatalf("partitioned phase group-compiled: %d plan entries, was %d", after.PlanEntries, before.PlanEntries)
 	}
 	if after.PlanHits <= before.PlanHits {
 		t.Fatalf("pre-swap plan did not survive the swap: before %+v, after %+v", before, after)

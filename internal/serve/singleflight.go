@@ -29,16 +29,15 @@ type flight struct {
 	done chan struct{}
 	res  *core.Result
 	err  error
-	// gen is the engine generation the flight executes on; requests from a
-	// later generation must not join it (Rebuild invalidation).
-	gen uint64
+	// gen is the generation the flight runs on and publishes into.
+	gen *generation
 
 	mu     sync.Mutex
 	refs   int
 	cancel context.CancelFunc
 }
 
-func newFlight(gen uint64) *flight {
+func newFlight(gen *generation) *flight {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &flight{
 		ctx:      ctx,

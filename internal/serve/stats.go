@@ -46,7 +46,8 @@ type Stats struct {
 	// Uncacheable requests bypassed the caches and dedup (random pivot,
 	// test hooks).
 	Uncacheable uint64 `json:"uncacheable"`
-	// Rebuilds counts engine swaps (each flushes both caches).
+	// Rebuilds counts engine swaps (each starts a generation with empty
+	// caches).
 	Rebuilds uint64 `json:"rebuilds"`
 	// Applies counts non-empty delta commits published via Apply (a
 	// subset of Rebuilds).
@@ -67,22 +68,23 @@ type Stats struct {
 
 // Stats snapshots the serving layer's counters.
 func (e *Engine) Stats() Stats {
+	g := e.cur.Load()
 	return Stats{
 		ResultHits:       e.stats.resultHits.Load(),
 		ResultMisses:     e.stats.resultMisses.Load(),
-		ResultEntries:    e.results.Len(),
+		ResultEntries:    g.results.Len(),
 		PlanHits:         e.stats.planHits.Load(),
 		PlanMisses:       e.stats.planMisses.Load(),
-		PlanEntries:      e.plans.Len(),
+		PlanEntries:      g.plans.Len(),
 		SubHits:          e.stats.subHits.Load(),
 		SubMisses:        e.stats.subMisses.Load(),
-		SubEntries:       e.subs.Len(),
+		SubEntries:       g.subs.Len(),
 		FlightShared:     e.stats.flightShared.Load(),
 		PipelineRuns:     e.stats.pipelineRuns.Load(),
 		Uncacheable:      e.stats.uncacheable.Load(),
 		Rebuilds:         e.stats.rebuilds.Load(),
 		Applies:          e.stats.applies.Load(),
-		Generation:       e.currentGen(),
+		Generation:       g.n,
 		Admitted:         e.adm.admitted.Load(),
 		Queued:           e.adm.queued.Load(),
 		RejectedQueue:    e.adm.rejectedQueue.Load(),

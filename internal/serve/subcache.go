@@ -10,13 +10,13 @@
 // since a time-bounded run reads the same sorted stream and its deadline
 // refuses pulls above the shared source.
 //
-// Keying and invalidation: entries are keyed by (engine generation,
-// blueprint hash). The generation prefix makes entries from a superseded
-// engine unreachable even when a racing leader inserts after Rebuild's
-// purge — the same double protection the result cache uses (purge +
-// generation stamp). Entry bodies build lazily under a sync.Once so the
-// cache critical section stays O(1) and concurrent misses on one
-// blueprint share a single search — the sub-query-level singleflight.
+// Keying and invalidation: entries are keyed by blueprint hash alone. The
+// cache belongs to one engine generation, like the result and plan caches,
+// so Rebuild retires it whole and a racing leader can only insert into a
+// cache no new request reaches. Entry bodies build lazily under a
+// sync.Once so the cache critical section stays O(1) and concurrent misses
+// on one blueprint share a single search — the sub-query-level
+// singleflight.
 //
 // Sharing is invisible by construction (same match sequence, same TA
 // assembly) and gated to deterministic requests answered from the whole
@@ -32,7 +32,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"semkg/internal/core"
@@ -50,49 +49,44 @@ type subEntry struct {
 	err  error
 }
 
-// subKey scopes a blueprint hash to an engine generation.
-func subKey(gen uint64, blueprint string) string {
-	return fmt.Sprintf("g%d|%s", gen, blueprint)
-}
-
 // sharing reports whether the sub-search cache is enabled.
-func (e *Engine) sharing() bool { return e.subs.max > 0 }
+func (e *Engine) sharing() bool { return e.cfg.SubCache > 0 }
 
 // searchFor runs the pipeline for one admitted request to its end, through
 // the sub-query sharing layer when the request qualifies (see
 // subSourcesFor).
-func (e *Engine) searchFor(ctx context.Context, eng *core.Engine, gen uint64, plan *core.Plan, opts core.Options, shareable bool) (*core.Result, error) {
-	if sources := e.subSourcesFor(eng, gen, plan, shareable); sources != nil {
-		return eng.SearchPlanShared(ctx, plan, opts, sources)
+func (e *Engine) searchFor(ctx context.Context, g *generation, plan *core.Plan, opts core.Options, shareable bool) (*core.Result, error) {
+	if sources := e.subSourcesFor(g, plan, shareable); sources != nil {
+		return g.eng.SearchPlanShared(ctx, plan, opts, sources)
 	}
-	return eng.SearchPlan(ctx, plan, opts)
+	return g.eng.SearchPlan(ctx, plan, opts)
 }
 
 // streamFor is searchFor's live form: it starts the pipeline as an event
 // stream.
-func (e *Engine) streamFor(ctx context.Context, eng *core.Engine, gen uint64, plan *core.Plan, opts core.Options, shareable bool) (*core.Stream, error) {
-	if sources := e.subSourcesFor(eng, gen, plan, shareable); sources != nil {
-		return eng.StreamPlanShared(ctx, plan, opts, sources)
+func (e *Engine) streamFor(ctx context.Context, g *generation, plan *core.Plan, opts core.Options, shareable bool) (*core.Stream, error) {
+	if sources := e.subSourcesFor(g, plan, shareable); sources != nil {
+		return g.eng.StreamPlanShared(ctx, plan, opts, sources)
 	}
-	return eng.StreamPlan(ctx, plan, opts)
+	return g.eng.StreamPlan(ctx, plan, opts)
 }
 
-// subSourcesFor resolves one shared enumeration per sub-query blueprint
-// of plan when the request qualifies for sharing: deterministic
+// subSourcesFor resolves, in g's sub-search cache, one shared enumeration
+// per sub-query blueprint of plan when the request qualifies for sharing: deterministic
 // (shareable == cacheable), an engine currently answering from the whole
 // graph (a resharding engine qualifies until its partition lands), and a
 // fully compiled plan. Missing entries are created (a miss per blueprint,
 // counted once) and existing ones joined. It returns nil sources — the
 // private path — when the request does not qualify or any entry failed to
 // build: sharing is an optimization, never a new way to fail a request.
-func (e *Engine) subSourcesFor(eng *core.Engine, gen uint64, plan *core.Plan, shareable bool) []core.SubSource {
-	if !shareable || !e.sharing() || !eng.WholeGraph() || !plan.Compiled() {
+func (e *Engine) subSourcesFor(g *generation, plan *core.Plan, shareable bool) []*core.SharedSearch {
+	if !shareable || !e.sharing() || !g.eng.WholeGraph() || !plan.Compiled() {
 		return nil
 	}
 	n := plan.Subqueries()
-	sources := make([]core.SubSource, n)
+	sources := make([]*core.SharedSearch, n)
 	for i := 0; i < n; i++ {
-		entry, created := e.subs.GetOrAdd(subKey(gen, plan.SubqueryKey(i)), &subEntry{})
+		entry, created := g.subs.GetOrAdd(plan.SubqueryKey(i), &subEntry{})
 		if created {
 			e.stats.subMisses.Add(1)
 		} else {
@@ -100,7 +94,7 @@ func (e *Engine) subSourcesFor(eng *core.Engine, gen uint64, plan *core.Plan, sh
 		}
 		sub := i
 		entry.once.Do(func() {
-			entry.src, entry.err = eng.NewSubSearch(plan, sub)
+			entry.src, entry.err = g.eng.NewSubSearch(plan, sub)
 		})
 		if entry.err != nil || entry.src == nil {
 			return nil

@@ -122,15 +122,11 @@ func (sh *Shard) NewSource(p *Projection, opts astar.Options) (*Source, error) {
 	return &Source{sh: sh, pull: astar.NewSearcher(sh.Graph, w, p.sub, opts)}, nil
 }
 
-// WholeGraphSource wraps a searcher over the unpartitioned base graph.
-func WholeGraphSource(sr *astar.Searcher) *Source {
-	return &Source{pull: sr}
-}
-
-// SharedSource wraps one reader's cursor over a whole-graph enumeration
-// shared between runs.
-func SharedSource(cursor sortedSearch) *Source {
-	return &Source{pull: cursor}
+// WholeGraphSource wraps a search over the unpartitioned base graph: a
+// private searcher, or one reader's cursor over an enumeration shared
+// between runs.
+func WholeGraphSource(pull sortedSearch) *Source {
+	return &Source{pull: pull}
 }
 
 // Next returns the next match in non-increasing pss order.

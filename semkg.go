@@ -193,9 +193,9 @@ const (
 )
 
 // ShardConfig sizes a sharded engine: Shards (default 4) graph
-// partitions, a replication Halo in hops (default 4; bounds the servable
-// MaxHops — deeper searches fall back to the base engine), and the
-// scatter worker pool size (default GOMAXPROCS).
+// partitions and a replication Halo in hops (default 4; bounds the
+// servable MaxHops — deeper searches fall back to the base engine). The
+// scatter worker pool is GOMAXPROCS.
 type ShardConfig = core.ShardConfig
 
 // ShardedStats is a snapshot of a sharded engine's partition shape
@@ -315,9 +315,8 @@ func NewServing(e *Engine, cfg ServeConfig) *Serving { return serve.New(e, cfg) 
 // running any search.
 type KeywordFrontend = keyword.Frontend
 
-// KeywordConfig tunes keyword-search assembly and execution; the zero
-// value gives sensible defaults (3 executed candidates, 2-hop budget,
-// result cache on).
+// KeywordConfig sizes the keyword front end's result cache; the zero
+// value gives the default size.
 type KeywordConfig = keyword.Config
 
 // KeywordResponse is a blended keyword-search outcome: the assembly, the
@@ -354,8 +353,8 @@ func NewKeywordFrontend(s *Serving, cfg KeywordConfig) *KeywordFrontend {
 // AssembleKeywords runs query-graph assembly alone — tokenize, match,
 // enumerate, score — without executing anything. Useful for inspecting
 // what a keyword input would ask.
-func AssembleKeywords(g *Graph, input string, cfg KeywordConfig) *KeywordAssembly {
-	return keyword.Assemble(g, input, cfg)
+func AssembleKeywords(g *Graph, input string) *KeywordAssembly {
+	return keyword.Assemble(g, input)
 }
 
 // Engine answers query graphs over one knowledge graph. It is the one
