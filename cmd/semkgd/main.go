@@ -16,16 +16,15 @@
 // queries and out-of-range options return 400 with a JSON error.
 //
 // Requests pass through the engine-level serving layer (internal/serve):
-// a result cache and a plan cache absorb repeated queries, concurrent
-// identical requests collapse to one pipeline execution, different
-// queries sharing a sub-query blueprint share one A* enumeration
-// (-sub-cache), and a bounded worker pool sheds overload — a shed
-// request gets 429 with a Retry-After header instead of queueing past
-// its time bound. Cache and admission counters are exported under the
-// "semkgd_serve" expvar key.
+// a result cache absorbs repeated queries, concurrent identical requests
+// collapse to one pipeline execution, different queries sharing a
+// sub-query blueprint share one A* enumeration (-sub-cache), and a
+// bounded worker pool sheds overload — a shed request gets 429 with a
+// Retry-After header instead of queueing past its time bound. Cache and
+// admission counters are exported under the "semkgd_serve" expvar key.
 //
 //	semkgd -graph g.tsv -model m.bin -addr :8375 \
-//	       -workers 8 -queue 32 -result-cache 1024 -plan-cache 256 -sub-cache 512
+//	       -workers 8 -queue 32 -result-cache 1024 -sub-cache 512
 //
 // The storage layer (see DESIGN.md, "Storage layer") adds live ingestion
 // and binary cold starts:
@@ -119,7 +118,6 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent pipeline executions (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "max queued requests (0 = 4x workers, -1 = none: shed when busy)")
 	resultCache := flag.Int("result-cache", 0, "result cache entries (0 = 1024×workers, -1 = disabled)")
-	planCache := flag.Int("plan-cache", 0, "plan cache entries (0 = 256×workers, -1 = disabled)")
 	subCache := flag.Int("sub-cache", 0, "shared sub-search cache entries for cross-query sharing (0 = 512×workers, -1 = disabled)")
 	maxIngest := flag.Int64("max-ingest-bytes", defaultMaxIngestBytes, "max /v1/ingest request body size in bytes (0 = unlimited)")
 	shards := flag.Int("shards", 0, "partition the graph into N shards and serve scatter-gather searches (0/1 = single engine)")
@@ -293,7 +291,6 @@ func main() {
 	}
 	srv := serve.New(eng, serve.Config{
 		ResultCache: *resultCache,
-		PlanCache:   *planCache,
 		SubCache:    *subCache,
 		Workers:     *workers,
 		Queue:       *queue,

@@ -87,7 +87,7 @@ func runKeyword(ctx context.Context, p Params) (*Artifact, error) {
 
 	// Caches off on both paths: every latency sample below is a real
 	// pipeline execution, not a cache hit.
-	srv := serve.New(env.Engine, serve.Config{ResultCache: -1, PlanCache: -1})
+	srv := serve.New(env.Engine, serve.Config{ResultCache: -1})
 	front := keyword.New(srv, keyword.Config{CacheSize: -1})
 
 	// replay runs every case through answer for the given rounds and adds

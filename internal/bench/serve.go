@@ -51,7 +51,6 @@ func zipfPickers(clients, n int, seed int64) []*rand.Zipf {
 func serveCounters(st serve.Stats) map[string]float64 {
 	return map[string]float64{
 		"result_hits":   float64(st.ResultHits),
-		"plan_hits":     float64(st.PlanHits),
 		"pipeline_runs": float64(st.PipelineRuns),
 		"flight_shared": float64(st.FlightShared),
 	}
@@ -105,8 +104,8 @@ func runServe(ctx context.Context, p Params) (*Artifact, error) {
 	}
 
 	// Zipf-skewed mix from concurrent clients: the head hits the result
-	// cache, the tail exercises the plan cache and the full pipeline under
-	// the worker pool. Queues are sized for the client count — these
+	// cache, the tail misses it and runs the full pipeline under the
+	// worker pool. Queues are sized for the client count — these
 	// workloads measure cache and dedup behaviour, not shedding.
 	const zipfClients = 8
 	srv = serve.New(env.Engine, serve.Config{Queue: 2 * zipfClients})

@@ -115,7 +115,7 @@ func sameAnswers(got, want *Result) error {
 }
 
 // TestEngineConcurrentPlanReuse runs many concurrent searches through one
-// shared compiled Plan — the serving layer's plan-cache access pattern —
+// shared compiled Plan — immutable once Compile returns, so safe to share —
 // and checks the results against the serial reference.
 func TestEngineConcurrentPlanReuse(t *testing.T) {
 	e := newTestEngine(t)

@@ -279,15 +279,9 @@ func (b *distBackend) serves(opts Options) bool {
 	return opts.MaxHops <= b.halo
 }
 
-// project: every shard server takes the same wire blueprint and projects
-// it into its own id space itself.
-func (b *distBackend) project(p *Plan) error {
-	_, err := p.WireBlueprints()
-	return err
-}
-
 // open starts one remote source per (shard, sub-query); each streams ahead
-// of the assembly from the moment it opens.
+// of the assembly from the moment it opens. Every shard server takes the
+// same wire blueprint and projects it into its own id space itself.
 func (b *distBackend) open(ctx context.Context, p *Plan) ([][]matchSource, func() error, error) {
 	wire, err := p.WireBlueprints()
 	if err != nil {

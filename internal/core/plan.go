@@ -2,10 +2,11 @@
 // pipeline. Compile resolves a query graph into a decomposition plus one
 // searcher blueprint per sub-query (φ match sets and query predicates);
 // StreamPlan/SearchPlan then run the pipeline from the compiled form. The
-// split exists for the serving layer (internal/serve): repeated query
-// shapes cache the Plan and skip decomposition and φ resolution entirely,
-// while each run still gets fresh searcher state (A* arenas and weighter
-// slabs are mutable and must not be shared across concurrent runs).
+// split exists for two callers: the serving layer's sub-search sharing
+// (internal/serve) needs each sub-query's SubqueryKey before the run
+// starts, and a measurement harness times compilation on its own. Each
+// run still gets fresh searcher state (A* arenas and weighter slabs are
+// mutable and must not be shared across concurrent runs).
 
 package core
 
@@ -13,13 +14,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"sync"
 
 	"semkg/internal/astar"
 	"semkg/internal/kg"
 	"semkg/internal/query"
 	"semkg/internal/semgraph"
-	"semkg/internal/shard"
 	"semkg/internal/shardwire"
 	"semkg/internal/transform"
 )
@@ -27,9 +26,8 @@ import (
 // compileOpts are the Options fields that affect compilation (pivot
 // selection, decomposition, φ resolution and searcher pruning). Runtime
 // fields — K, TimeBound, AlertRatio, Clock — are deliberately absent, so
-// one Plan serves any K or time budget. The struct is comparable: a plan
-// cache can use it (plus the query) as a key, and StreamPlan uses it to
-// reject a plan/options mismatch.
+// one Plan serves any K or time budget. The struct is comparable, and
+// StreamPlan uses it to reject a plan/options mismatch.
 type compileOpts struct {
 	tau          float64
 	maxHops      int
@@ -62,30 +60,17 @@ type planSub struct {
 
 // Plan is a compiled query: the decomposition and per-sub-query searcher
 // blueprints, resolved once against the whole graph. Every deployment
-// shape runs the same plan: a partitioned source set runs it through a
-// projection of the blueprints it memoises here (wire form, per-shard
-// form), so a plan-cache hit skips projection as well as compilation. A
-// Plan is immutable to its users, tied to the engine that compiled it,
-// and safe for concurrent reuse — every StreamPlan/SearchPlan call builds
-// fresh searchers from the blueprints.
+// shape runs the same plan: a partitioned source set projects the
+// blueprints into its own form (wire, per-shard) each time it opens a
+// run's sources. A Plan is immutable once Compile returns, tied to the
+// engine that compiled it, and safe for concurrent reuse — every
+// StreamPlan/SearchPlan call builds fresh searchers from the blueprints.
 type Plan struct {
 	eng      *Engine
 	d        *query.Decomposition
 	subs     []planSub
 	compiled bool
 	copts    compileOpts
-
-	// wire memoises WireBlueprints.
-	wireOnce sync.Once
-	wire     []shardwire.Blueprint
-	wireErr  error
-	// projected memoises the blueprints projected into one shard set
-	// (shardedBackend.project): projected[shard][sub], nil where the shard
-	// cannot contribute. Keyed by the set, so a plan compiled before a
-	// resharding swap projects on its first run after it.
-	projMu    sync.Mutex
-	projSet   *shard.Set
-	projected [][]*shard.Projection
 }
 
 // Pivot returns the decomposition's pivot query node ID.
@@ -119,11 +104,6 @@ func (e *Engine) Compile(q *query.Graph, opts Options) (*Plan, error) {
 		return nil, err
 	}
 	p.subs, p.compiled = subs, compiled
-	if ss := e.sources.Load(); ss != nil {
-		if err := ss.project(p); err != nil {
-			return nil, err
-		}
-	}
 	return p, nil
 }
 
@@ -191,14 +171,10 @@ func (c compileOpts) searchOptions() astar.Options {
 // base-graph ids and predicate-name→weight rows, resolved once globally.
 // It is what every partitioned source set starts from — a remote shard
 // server receives it verbatim, an in-process shard projects it through
-// the same shard.Shard.Project the server runs — and is computed once per
-// plan. A non-compiled plan has none.
+// the same shard.Shard.Project the server runs. Each partitioned run
+// projects afresh, so a plan outlives a resharding swap. A non-compiled
+// plan has none.
 func (p *Plan) WireBlueprints() ([]shardwire.Blueprint, error) {
-	p.wireOnce.Do(func() { p.wire, p.wireErr = p.wireBlueprints() })
-	return p.wire, p.wireErr
-}
-
-func (p *Plan) wireBlueprints() ([]shardwire.Blueprint, error) {
 	if !p.compiled {
 		return nil, nil
 	}

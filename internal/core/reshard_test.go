@@ -39,7 +39,7 @@ func TestReshardingServesWhileBuilding(t *testing.T) {
 	assertTopKEquivalent(t, q.Name+"/pre-upgrade", got, want)
 
 	// A pre-upgrade plan belongs to the resharding engine and stays
-	// runnable (cacheable) before and after the upgrade.
+	// runnable before and after the upgrade.
 	prePlan, err := r.Compile(q.Graph, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -65,14 +65,18 @@ func TestReshardingServesWhileBuilding(t *testing.T) {
 	}
 	assertTopKEquivalent(t, q.Name+"/post-upgrade", got, want)
 
-	// The old base plan still runs (routed to the base engine)...
+	// The pre-upgrade plan is projected into the partition at run time and
+	// scatters over all three shards...
 	res, err := r.SearchPlan(ctx, prePlan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertTopKEquivalent(t, q.Name+"/pre-plan-post-upgrade", res, want)
+	if len(res.ShardEffort) != 3 {
+		t.Fatalf("pre-upgrade plan ran over %d shards after the upgrade, want 3", len(res.ShardEffort))
+	}
 
-	// ...and new compilations produce sharded plans the engine owns.
+	// ...and so do new compilations, which the engine owns.
 	postPlan, err := r.Compile(q.Graph, opts)
 	if err != nil {
 		t.Fatal(err)

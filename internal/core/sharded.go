@@ -135,52 +135,26 @@ type shardedBackend struct{ set *shard.Set }
 // serves: the shard graphs cannot contain paths longer than the halo.
 func (b shardedBackend) serves(opts Options) bool { return opts.MaxHops <= b.set.Halo() }
 
-func (b shardedBackend) project(p *Plan) error {
-	_, err := b.projections(p)
-	return err
-}
-
-// projections maps the plan's wire blueprints into every shard, once per
-// (plan, partition).
-func (b shardedBackend) projections(p *Plan) ([][]*shard.Projection, error) {
-	if !p.compiled {
-		return nil, nil
-	}
-	p.projMu.Lock()
-	defer p.projMu.Unlock()
-	if p.projSet == b.set {
-		return p.projected, nil
-	}
-	wire, err := p.WireBlueprints()
-	if err != nil {
-		return nil, err
-	}
-	projected := make([][]*shard.Projection, b.set.Len())
-	for s := range projected {
-		projected[s] = make([]*shard.Projection, len(wire))
-		for i := range wire {
-			if projected[s][i], err = b.set.Shard(s).Project(&wire[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	p.projSet, p.projected = b.set, projected
-	return projected, nil
-}
-
+// open projects the plan's wire blueprints into every shard afresh, so a
+// plan compiled before a resharding swap runs over the partition it finds.
 func (b shardedBackend) open(_ context.Context, p *Plan) ([][]matchSource, func() error, error) {
-	projected, err := b.projections(p)
+	wire, err := p.WireBlueprints()
 	if err != nil {
 		return nil, nil, err
 	}
 	sources := make([][]matchSource, len(p.subs))
 	sopts := p.copts.searchOptions()
-	for s, subs := range projected { // shard-major: the merger's tie-break order
-		for i, proj := range subs {
+	for s := range b.set.Len() { // shard-major: the merger's tie-break order
+		sh := b.set.Shard(s)
+		for i := range wire {
+			proj, err := sh.Project(&wire[i])
+			if err != nil {
+				return nil, nil, err
+			}
 			if proj == nil {
 				continue // this shard cannot contribute to sub-query i
 			}
-			src, err := b.set.Shard(s).NewSource(proj, sopts)
+			src, err := sh.NewSource(proj, sopts)
 			if err != nil {
 				return nil, nil, err
 			}

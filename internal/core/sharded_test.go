@@ -280,9 +280,9 @@ func TestShardedMismatchQuery(t *testing.T) {
 	}
 }
 
-// TestShardedPlanReuse: one compiled sharded plan serves repeated runs
-// (the serving layer's plan-cache contract), and plans do not cross
-// engines.
+// TestShardedPlanReuse: one plan compiled on a sharded engine serves
+// repeated runs, each projecting it into the partition afresh, and plans
+// do not cross engines.
 func TestShardedPlanReuse(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 17)

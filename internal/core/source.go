@@ -38,11 +38,6 @@ type backend interface {
 	// serves reports whether the partition can answer a run under opts;
 	// otherwise the run falls back to the whole graph (counted).
 	serves(opts Options) bool
-	// project memoises on p the form of its blueprints this backend's
-	// sources start from. Compile calls it, so a plan-cache hit skips the
-	// projection; open calls it again for a plan compiled before a
-	// source-set swap.
-	project(p *Plan) error
 	// open instantiates one run's sources: sources[sub] lists sub-query
 	// sub's sources in shard order — the merge tie-break order. finish,
 	// when non-nil, must be called once the assembly is done: it stops

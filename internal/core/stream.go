@@ -266,8 +266,8 @@ func (e *Engine) streamPlan(ctx context.Context, p *Plan, opts Options, shared [
 // start runs the pipeline from a compiled plan with normalized, validated
 // options. shared[i], when non-nil, feeds sub-query i from a shared
 // whole-graph enumeration instead of a private searcher. The timed window
-// (Result.Elapsed) covers the run, not the compilation — a plan-cache hit
-// in the serving layer pays neither.
+// (Result.Elapsed) covers the run, not the compilation, so a caller holding
+// the plan can time the two apart.
 func (e *Engine) start(ctx context.Context, p *Plan, opts Options, shared []*SharedSearch, quiet bool) (*Stream, error) {
 	start := time.Now()
 	buffer := streamBuffer

@@ -16,10 +16,10 @@ import (
 
 // Frontend serves keyword queries over one serving engine. Every
 // candidate executes through serve.Engine.Search, so the serving layer's
-// result cache, plan cache, singleflight and admission control all apply
-// per candidate; on top of that the front end keeps its own
-// generation-gated cache of blended responses, because assembly inputs
-// (the name indexes) change exactly when the engine generation does.
+// result cache, singleflight and admission control all apply per
+// candidate; on top of that the front end keeps its own generation-gated
+// cache of blended responses, because assembly inputs (the name indexes)
+// change exactly when the engine generation does.
 // Safe for concurrent use.
 type Frontend struct {
 	srv *serve.Engine

@@ -36,8 +36,8 @@ type admission struct {
 
 	waiters atomic.Int64 // requests currently queued
 	// estRunNs is an EWMA of observed pipeline service times, seeding the
-	// projected queue wait. Initialized from Config.EstimatedRun (1ms when
-	// unset) before any request has completed.
+	// projected queue wait. Seeded at 1ms before any request has
+	// completed.
 	estRunNs atomic.Int64
 
 	admitted         atomic.Uint64
@@ -46,16 +46,13 @@ type admission struct {
 	rejectedDeadline atomic.Uint64
 }
 
-func newAdmission(workers, maxQueue int, seed time.Duration) *admission {
-	if seed <= 0 {
-		seed = time.Millisecond
-	}
+func newAdmission(workers, maxQueue int) *admission {
 	a := &admission{
 		slots:    make(chan struct{}, workers),
 		workers:  workers,
 		maxQueue: maxQueue,
 	}
-	a.estRunNs.Store(int64(seed))
+	a.estRunNs.Store(int64(time.Millisecond))
 	return a
 }
 

@@ -2,8 +2,8 @@
 // The point of a batch is the overlap inside it — repeated query shapes
 // and shared sub-query blueprints — and SearchBatch gets it by fanning the
 // items out concurrently through the ordinary Search path, where the
-// result cache, singleflight, plan cache, sub-search sharing and
-// admission control apply exactly as they do to independent requests. A
+// result cache, singleflight, sub-search sharing and admission control
+// apply exactly as they do to independent requests. A
 // batch therefore cannot observe different results than its items issued
 // separately — only different timing.
 

@@ -61,19 +61,6 @@ func resultKey(q *query.Graph, opts core.Options) string {
 	return string(h.Sum(nil))
 }
 
-// planKey identifies one compiled query shape: only the compile-relevant
-// options participate (core.Plan's contract), so the same plan serves any
-// K or time budget.
-func planKey(q *query.Graph, opts core.Options) string {
-	o := canonOpts(opts)
-	h := sha256.New()
-	writeQuery(h, q)
-	fmt.Fprintf(h, "|tau=%g|hops=%d|strat=%d|pivot=%d:%s|pv=%t|nh=%t",
-		o.Tau, o.MaxHops, o.Strategy, len(o.PivotNode), o.PivotNode,
-		o.PruneVisited, o.NoHeuristic)
-	return string(h.Sum(nil))
-}
-
 // cacheable reports whether a request is deterministic enough to cache and
 // deduplicate: process-local test hooks (Clock, Rng) and the random pivot
 // strategy make otherwise-identical requests diverge, so they bypass every

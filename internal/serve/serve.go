@@ -8,10 +8,6 @@
 //   - Result cache: an LRU keyed by a canonical hash of (query graph,
 //     normalized options). A hit skips the whole pipeline; a streamed hit
 //     delivers the cached result as its one event.
-//   - Plan cache: an LRU of compiled plans (decomposition + searcher
-//     blueprints) keyed by the compile-relevant options only, so repeated
-//     query shapes skip decomposition and φ resolution for any K or time
-//     budget.
 //   - Singleflight: N concurrent identical requests run the pipeline once;
 //     followers share the leader's result.
 //   - Admission control: a bounded worker pool with deadline-aware
@@ -19,12 +15,14 @@
 //     queue wait is rejected with OverloadedError (HTTP 429/Retry-After)
 //     instead of blowing its bound in the queue.
 //
-// The caches and the flight map belong to one engine generation: Rebuild
-// publishes a fresh generation with empty ones, and every request works
-// inside the generation it loaded, so nothing computed on one engine can
-// answer for the next. Every cache and the dedup layer are bypassed for
-// non-deterministic requests (random pivot, test clocks); admission
-// control applies to every pipeline run.
+// Each pipeline run compiles its own plan; what outlives a request is
+// cached results and, for cross-query sharing, sub-query enumerations
+// (subcache.go). Both caches and the flight map belong to one engine
+// generation: Rebuild publishes a fresh generation with empty ones, and
+// every request works inside the generation it loaded, so nothing
+// computed on one engine can answer for the next. Every cache and the
+// dedup layer are bypassed for non-deterministic requests (random pivot,
+// test clocks); admission control applies to every pipeline run.
 //
 // See DESIGN.md, "Serving layer: caches, dedup, admission".
 package serve
@@ -49,9 +47,6 @@ type Config struct {
 	// ResultCache is the result-cache capacity in entries.
 	// 0 = default 1024×Workers; < 0 disables the cache.
 	ResultCache int
-	// PlanCache is the plan-cache capacity in entries.
-	// 0 = default 256×Workers; < 0 disables the cache.
-	PlanCache int
 	// SubCache is the shared sub-search cache capacity in entries (one
 	// entry per distinct sub-query blueprint per generation); it is the
 	// cross-query sharing layer — see subcache.go.
@@ -62,9 +57,6 @@ type Config struct {
 	// Queue bounds requests waiting for a worker. 0 = 4×Workers;
 	// < 0 admits nothing beyond the workers (shed immediately when busy).
 	Queue int
-	// EstimatedRun seeds the queue-wait estimator before any request has
-	// completed; 0 seeds 1ms. Observed service times take over via EWMA.
-	EstimatedRun time.Duration
 
 	// Build constructs an engine over a newly committed graph; it is
 	// required by Apply (live ingestion) and unused otherwise. semkgd
@@ -98,12 +90,6 @@ func (c Config) withDefaults() Config {
 		c.ResultCache = 0
 	}
 	switch {
-	case c.PlanCache == 0:
-		c.PlanCache = 256 * c.Workers
-	case c.PlanCache < 0:
-		c.PlanCache = 0
-	}
-	switch {
 	case c.SubCache == 0:
 		c.SubCache = 512 * c.Workers
 	case c.SubCache < 0:
@@ -119,7 +105,7 @@ func (c Config) withDefaults() Config {
 }
 
 // generation is everything the serving layer derives from one engine:
-// the engine, its number, the three caches and the in-flight executions.
+// the engine, its number, the two caches and the in-flight executions.
 // Rebuild replaces the whole value, so a leader that finishes after a
 // swap publishes into caches no new request can reach.
 type generation struct {
@@ -127,7 +113,6 @@ type generation struct {
 	n   uint64
 
 	results *lruCache[*core.Result]
-	plans   *lruCache[*core.Plan]
 	subs    *lruCache[*subEntry]
 
 	fmu     sync.Mutex
@@ -156,7 +141,7 @@ type Engine struct {
 // New wraps eng in a serving layer sized by cfg.
 func New(eng *core.Engine, cfg Config) *Engine {
 	e := &Engine{cfg: cfg.withDefaults()}
-	e.adm = newAdmission(e.cfg.Workers, e.cfg.Queue, e.cfg.EstimatedRun)
+	e.adm = newAdmission(e.cfg.Workers, e.cfg.Queue)
 	e.publish(eng, 0)
 	return e
 }
@@ -167,7 +152,6 @@ func (e *Engine) publish(eng *core.Engine, n uint64) {
 		eng:     eng,
 		n:       n,
 		results: newLRU[*core.Result](e.cfg.ResultCache),
-		plans:   newLRU[*core.Plan](e.cfg.PlanCache),
 		subs:    newLRU[*subEntry](e.cfg.SubCache),
 		flights: make(map[string]*flight),
 	})
@@ -382,9 +366,9 @@ func (e *Engine) resolve(q *query.Graph, opts core.Options, live bool) (res *cor
 	return nil, fl, true, nil
 }
 
-// lead is the flight leader: compile (through the plan cache), admission,
-// pipeline, publication into the flight's generation. key == "" marks an
-// unregistered (uncacheable) flight.
+// lead is the flight leader: compile, admission, pipeline, publication
+// into the flight's generation. key == "" marks an unregistered
+// (uncacheable) flight.
 func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options, live bool) {
 	res, err := e.run(fl, q, opts, key != "", live)
 	if key != "" {
@@ -409,16 +393,15 @@ func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options,
 }
 
 // run executes the pipeline for one flight on its generation's engine:
-// plan (cached), admission, then the run itself — quiet, or as the live
-// stream of a flight a Stream request started. cached gates both the plan
-// cache and the sub-search sharing layer: a request too nondeterministic
-// to cache is equally too nondeterministic to share. A run may fail
-// instead of answering (a distributed backing engine losing a whole
-// shard, for example); lead() never caches errored flights, so the next
-// request retries the pipeline.
+// compile, admission, then the run itself — quiet, or as the live stream
+// of a flight a Stream request started. cached gates the sub-search
+// sharing layer: a request too nondeterministic to cache is equally too
+// nondeterministic to share. A run may fail instead of answering (a
+// distributed backing engine losing a whole shard, for example); lead()
+// never caches errored flights, so the next request retries the pipeline.
 func (e *Engine) run(fl *flight, q *query.Graph, opts core.Options, cached, live bool) (*core.Result, error) {
 	g := fl.gen
-	plan, err := e.planFor(g, q, opts, cached)
+	plan, err := g.eng.Compile(q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -444,24 +427,4 @@ func (e *Engine) run(fl *flight, q *query.Graph, opts core.Options, cached, live
 		return nil, err
 	}
 	return fl.live.Result(), nil
-}
-
-// planFor compiles q on g's engine, going through g's plan cache when the
-// request allows it.
-func (e *Engine) planFor(g *generation, q *query.Graph, opts core.Options, useCache bool) (*core.Plan, error) {
-	if !useCache {
-		return g.eng.Compile(q, opts)
-	}
-	key := planKey(q, opts)
-	if p, ok := g.plans.Get(key); ok {
-		e.stats.planHits.Add(1)
-		return p, nil
-	}
-	e.stats.planMisses.Add(1)
-	p, err := g.eng.Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	g.plans.Add(key, p)
-	return p, nil
 }

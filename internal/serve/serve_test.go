@@ -375,12 +375,12 @@ func TestStreamJoiningSearchIsSettled(t *testing.T) {
 }
 
 // TestServeMissAllocs pins what the serving layer adds to a pipeline run
-// when every cache misses: with the result, plan and sub-search caches
-// off, a serve.Search allocates at most 50 objects more than the
+// when every cache misses: with the result and sub-search caches off, a
+// serve.Search allocates at most 30 objects more than the
 // core.Engine.Search it wraps.
 func TestServeMissAllocs(t *testing.T) {
 	eng := testEngine(t)
-	srv := New(eng, Config{ResultCache: -1, PlanCache: -1, SubCache: -1})
+	srv := New(eng, Config{ResultCache: -1, SubCache: -1})
 	ctx := context.Background()
 	q, opts := q117(), testOpts()
 	search := func(s interface {
@@ -394,37 +394,9 @@ func TestServeMissAllocs(t *testing.T) {
 	}
 	base, served := search(eng), search(srv)
 	t.Logf("core.Engine.Search %.0f allocs, serve.Search %.0f (+%.0f)", base, served, served-base)
-	if served > base+50 {
-		t.Fatalf("serve.Search allocates %.0f objects, core.Engine.Search %.0f: the serving layer adds %.0f, want ≤ 50",
+	if served > base+30 {
+		t.Fatalf("serve.Search allocates %.0f objects, core.Engine.Search %.0f: the serving layer adds %.0f, want ≤ 30",
 			served, base, served-base)
-	}
-}
-
-// TestPlanCacheSharedAcrossK: K is a runtime option, so two requests that
-// differ only in K miss the result cache but share the compiled plan.
-func TestPlanCacheSharedAcrossK(t *testing.T) {
-	srv := New(testEngine(t), Config{})
-	ctx := context.Background()
-	optsA := testOpts()
-	optsB := testOpts()
-	optsB.K = 3
-
-	if _, err := srv.Search(ctx, q117(), optsA); err != nil {
-		t.Fatal(err)
-	}
-	resB, err := srv.Search(ctx, q117(), optsB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resB.Answers) > 3 {
-		t.Fatalf("K=3 returned %d answers", len(resB.Answers))
-	}
-	st := srv.Stats()
-	if st.PlanMisses != 1 || st.PlanHits != 1 {
-		t.Fatalf("plan stats = %d hits / %d misses, want 1/1", st.PlanHits, st.PlanMisses)
-	}
-	if st.ResultMisses != 2 {
-		t.Fatalf("result misses = %d, want 2 (different K)", st.ResultMisses)
 	}
 }
 
@@ -526,11 +498,11 @@ func TestAdmissionShedsDeadline(t *testing.T) {
 	eng := testEngine(t)
 	release := make(chan struct{})
 	srv := New(eng, Config{
-		Workers:      1,
-		Queue:        8,
-		EstimatedRun: 100 * time.Millisecond,
-		BeforeRun:    func() { <-release },
+		Workers:   1,
+		Queue:     8,
+		BeforeRun: func() { <-release },
 	})
+	srv.adm.estRunNs.Store(int64(100 * time.Millisecond))
 	ctx := context.Background()
 
 	done := make(chan error, 1)
@@ -572,17 +544,10 @@ func TestAdmissionShedsDeadline(t *testing.T) {
 }
 
 // TestAdmissionColdSeed: before any request completes, a layer's service
-// time estimate is the configured seed, or 1ms when none is configured.
+// time estimate is 1ms.
 func TestAdmissionColdSeed(t *testing.T) {
-	eng := testEngine(t)
-	for seed, want := range map[time.Duration]time.Duration{
-		0:                      time.Millisecond,
-		40 * time.Millisecond:  40 * time.Millisecond,
-		250 * time.Microsecond: 250 * time.Microsecond,
-	} {
-		if got := New(eng, Config{EstimatedRun: seed}).Stats().EstimatedRun; got != want {
-			t.Errorf("EstimatedRun %v: cold estimate %v, want %v", seed, got, want)
-		}
+	if got := New(testEngine(t), Config{}).Stats().EstimatedRun; got != time.Millisecond {
+		t.Errorf("cold estimate %v, want 1ms", got)
 	}
 }
 
@@ -791,8 +756,7 @@ func TestRebuildNotJoinedMidFlight(t *testing.T) {
 		t.Errorf("third request answered from the retired engine: %v", third.Entities())
 	}
 	after := srv.Stats()
-	if after.ResultEntries != 1 || after.ResultHits != st.ResultHits+1 ||
-		after.PlanHits != st.PlanHits || after.PipelineRuns != 2 {
+	if after.ResultEntries != 1 || after.ResultHits != st.ResultHits+1 || after.PipelineRuns != 2 {
 		t.Fatalf("third request: stats = %+v, want one result-cache hit on the new generation's one entry", after)
 	}
 }

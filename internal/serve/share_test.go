@@ -453,8 +453,7 @@ func TestSearchBatchConcurrentWithApply(t *testing.T) {
 // answers from right now (core.Engine.WholeGraph), not how it was
 // constructed. A resharding engine still in its unsharded phase shares
 // sub-searches exactly like a plain engine; once the partition lands it
-// takes the private path — and the plans cached before the swap keep
-// hitting after it. Answers match solo execution on both sides.
+// takes the private path. Answers match solo execution on both sides.
 func TestShareOverReshardingEngine(t *testing.T) {
 	ctx := context.Background()
 	base := testEngine(t)
@@ -485,9 +484,6 @@ func TestShareOverReshardingEngine(t *testing.T) {
 			t.Fatalf("batch item %d: unsharded-phase answers differ from solo execution", i)
 		}
 	}
-	if st := srv.Stats(); st.PlanEntries != 2 {
-		t.Fatalf("unsharded phase did not cache the batch's plans: %+v", st)
-	}
 	// Two more Ks over one shape: each run joins the batch's sub-searches.
 	for _, k := range []int{3, 5} {
 		opts := testOpts()
@@ -504,9 +500,6 @@ func TestShareOverReshardingEngine(t *testing.T) {
 	if before.SubMisses == 0 || before.SubHits == 0 {
 		t.Fatalf("unsharded phase did not share sub-searches: %+v", before)
 	}
-	if before.PlanHits == 0 {
-		t.Fatalf("the batch's plans never hit: %+v", before)
-	}
 
 	close(gate)
 	select {
@@ -517,9 +510,8 @@ func TestShareOverReshardingEngine(t *testing.T) {
 	if r.WholeGraph() {
 		t.Fatal("engine still reports whole-graph after the partition landed")
 	}
-	// A new K misses the result cache, hits the pre-swap plan, and runs
-	// over the partition; a batch of a new shape compiles its own plan.
-	// Neither touches the sub-search cache.
+	// A new K misses the result cache and runs over the partition, as
+	// does a batch of a new shape. Neither touches the sub-search cache.
 	opts := testOpts()
 	opts.K = 7
 	res, err := srv.Search(ctx, q117(), opts)
@@ -540,8 +532,5 @@ func TestShareOverReshardingEngine(t *testing.T) {
 	after := srv.Stats()
 	if after.SubHits != before.SubHits || after.SubMisses != before.SubMisses {
 		t.Fatalf("partitioned phase still shares sub-searches: before %+v, after %+v", before, after)
-	}
-	if after.PlanHits <= before.PlanHits {
-		t.Fatalf("pre-swap plan did not survive the swap: before %+v, after %+v", before, after)
 	}
 }

@@ -9,8 +9,6 @@ import (
 type stats struct {
 	resultHits   atomic.Uint64
 	resultMisses atomic.Uint64
-	planHits     atomic.Uint64
-	planMisses   atomic.Uint64
 	subHits      atomic.Uint64
 	subMisses    atomic.Uint64
 	flightShared atomic.Uint64
@@ -28,10 +26,6 @@ type Stats struct {
 	ResultHits    uint64 `json:"result_hits"`
 	ResultMisses  uint64 `json:"result_misses"`
 	ResultEntries int    `json:"result_entries"`
-	// Plan cache.
-	PlanHits    uint64 `json:"plan_hits"`
-	PlanMisses  uint64 `json:"plan_misses"`
-	PlanEntries int    `json:"plan_entries"`
 	// Sub-search sharing: SubHits counts pipeline runs joining a shared
 	// sub-query enumeration that another run created; SubMisses counts
 	// enumerations created.
@@ -73,9 +67,6 @@ func (e *Engine) Stats() Stats {
 		ResultHits:       e.stats.resultHits.Load(),
 		ResultMisses:     e.stats.resultMisses.Load(),
 		ResultEntries:    g.results.Len(),
-		PlanHits:         e.stats.planHits.Load(),
-		PlanMisses:       e.stats.planMisses.Load(),
-		PlanEntries:      g.plans.Len(),
 		SubHits:          e.stats.subHits.Load(),
 		SubMisses:        e.stats.subMisses.Load(),
 		SubEntries:       g.subs.Len(),

@@ -11,8 +11,8 @@
 // refuses pulls above the shared source.
 //
 // Keying and invalidation: entries are keyed by blueprint hash alone. The
-// cache belongs to one engine generation, like the result and plan caches,
-// so Rebuild retires it whole and a racing leader can only insert into a
+// cache belongs to one engine generation, like the result cache, so
+// Rebuild retires it whole and a racing leader can only insert into a
 // cache no new request reaches. Entry bodies build lazily under a
 // sync.Once so the cache critical section stays O(1) and concurrent misses
 // on one blueprint share a single search — the sub-query-level

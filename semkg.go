@@ -255,9 +255,9 @@ func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*Engine, err
 }
 
 // Serving is the engine-level serving layer for heavy concurrent traffic:
-// an LRU result cache and plan cache, singleflight deduplication of
-// concurrent identical requests, and a bounded worker pool with
-// deadline-aware admission control. Wrap an engine with NewServing and
+// an LRU result cache, shared sub-query searches, singleflight
+// deduplication of concurrent identical requests, and a bounded worker
+// pool with deadline-aware admission control. Wrap an engine with NewServing and
 // route traffic through Serving.Search/Stream; see the semkgd command for
 // the HTTP form.
 type Serving = serve.Engine

@@ -202,63 +202,6 @@ func TestBuilderThroughFacade(t *testing.T) {
 	}
 }
 
-// TestServingPlanCacheThroughFacade: NewServing over the facade Engine
-// wrapper must reuse compiled plans across requests that share a query
-// shape — the wrapper is unwrapped so the plan-cache identity check
-// matches the engine that actually compiled the plan.
-func TestServingPlanCacheThroughFacade(t *testing.T) {
-	eng, _ := buildEngine(t)
-	srv := semkg.NewServing(eng, semkg.ServeConfig{})
-	q := &semkg.Query{
-		Nodes: []semkg.QueryNode{
-			{ID: "car", Type: "Automobile"},
-			{ID: "c", Name: "Germany", Type: "Country"},
-		},
-		Edges: []semkg.QueryEdge{{From: "car", To: "c", Predicate: "assembly"}},
-	}
-	ctx := context.Background()
-	for _, k := range []int{5, 7, 9} { // same shape, different K: plan shared
-		if _, err := srv.Search(ctx, q, semkg.Options{K: k, Tau: 0.4}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := srv.Stats()
-	if st.PlanHits != 2 || st.PlanMisses != 1 {
-		t.Fatalf("plan cache through the facade: hits=%d misses=%d, want 2/1", st.PlanHits, st.PlanMisses)
-	}
-
-	// The sharded facade path shares plans the same way.
-	sharded, err := semkg.NewShardedEngine(eng.Graph(), mustModel(t, eng), semkg.NewLibrary(), semkg.ShardConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssrv := semkg.NewServing(sharded, semkg.ServeConfig{})
-	for _, k := range []int{5, 7} {
-		if _, err := ssrv.Search(ctx, q, semkg.Options{K: k, Tau: 0.4}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := ssrv.Stats(); st.PlanHits != 1 {
-		t.Fatalf("sharded plan cache through the facade: hits=%d, want 1", st.PlanHits)
-	}
-}
-
-// mustModel retrains the tiny model for the sharded wrapper (the facade
-// does not expose the engine's space; retraining with the same seed is
-// deterministic and fast).
-func mustModel(t *testing.T, _ *semkg.Engine) *semkg.Model {
-	t.Helper()
-	g, err := semkg.LoadTriples(strings.NewReader(sampleTriples))
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := semkg.Train(context.Background(), g, semkg.TrainConfig{Dim: 24, Epochs: 80, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return model
-}
-
 // TestBatchThroughFacade: Serving.SearchBatch over the facade wrapper
 // answers a mixed group positionally — overlapping shapes share
 // sub-query searches, a bad item fails alone, and outcomes equal the
