@@ -46,20 +46,14 @@ func loadBatch(path string, opts core.Options) (api.BatchRequest, error) {
 
 // localBatch answers the batch in process. The engine is wrapped in a
 // single-replica serving layer so the group gets the real batch path —
-// grouped compilation, result caching and shared sub-query searches —
-// not a loop of independent searches.
+// result caching and shared sub-query searches — not a loop of
+// independent searches.
 func localBatch(graphFile, modelFile, path string, opts core.Options) error {
 	req, err := loadBatch(path, opts)
 	if err != nil {
 		return err
 	}
-	g := loadGraph(graphFile)
-	model := loadModel(modelFile)
-	space, err := model.Space(g)
-	if err != nil {
-		return err
-	}
-	engine, err := core.NewEngine(g, space, nil)
+	engine, err := localEngine(graphFile, modelFile)
 	if err != nil {
 		return err
 	}

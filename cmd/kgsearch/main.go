@@ -124,13 +124,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kgsearch: -graph and -model are required (or use -server)")
 		os.Exit(2)
 	}
-	g := loadGraph(*graphFile)
-	model := loadModel(*modelFile)
-	space, err := model.Space(g)
-	if err != nil {
-		fail(err)
-	}
-	engine, err := core.NewEngine(g, space, nil)
+	engine, err := localEngine(*graphFile, *modelFile)
 	if err != nil {
 		fail(err)
 	}
@@ -233,17 +227,11 @@ func remoteSearch(base string, q *query.Graph, opts core.Options, policy retryPo
 // wrapped in a single-replica serving layer so the keyword front end gets
 // the same caching/admission path the server uses.
 func localKeyword(graphFile, modelFile, input string, opts core.Options, candidates int) error {
-	g := loadGraph(graphFile)
-	model := loadModel(modelFile)
-	space, err := model.Space(g)
+	engine, err := localEngine(graphFile, modelFile)
 	if err != nil {
 		return err
 	}
-	engine, err := core.NewEngine(g, space, nil)
-	if err != nil {
-		return err
-	}
-	fe := keyword.New(serve.New(engine, serve.Config{}), keyword.Config{})
+	fe := keyword.New(serve.New(engine, serve.Config{}))
 	res, err := fe.Search(context.Background(), input, opts, candidates)
 	if err != nil {
 		return err
@@ -353,6 +341,13 @@ func printResult(res api.Result, bound time.Duration) {
 			fmt.Println()
 		}
 	}
+}
+
+// localEngine loads the graph and the model and builds the engine the way
+// semkgd does: core.BuildEngine pads predicates the model never saw, so a
+// graph that grew after training (a semkgd -save-snapshot) still loads.
+func localEngine(graphFile, modelFile string) (*core.Engine, error) {
+	return core.BuildEngine(loadGraph(graphFile), loadModel(modelFile), nil)
 }
 
 func loadGraph(path string) *kg.Graph {

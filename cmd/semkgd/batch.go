@@ -61,18 +61,17 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // streamBatch is the NDJSON variant of handleBatch: every query's events
 // interleave on one connection, tagged per line. Per-query failures
 // appear as "error" lines; the response ends when every query's stream
-// has terminated.
+// has terminated, or at the first failed write: the handler returns, and
+// that cancels the request context the producers select on.
 func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, req api.BatchRequest, items []serve.BatchItem) {
 	statStreams.Add(1)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // defeat reverse-proxy buffering
-	w.WriteHeader(http.StatusOK)
-
+	ctx := r.Context()
+	// The buffer lets queries run ahead of the connection write.
 	lines := make(chan []byte, 64)
 	var wg sync.WaitGroup
 	for i, it := range items {
 		wg.Add(1)
-		go func(i int, it serve.BatchItem) {
+		go func() {
 			defer wg.Done()
 			id := req.Queries[i].ID
 			emit := func(line []byte, err error) {
@@ -80,9 +79,12 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, req api.Bat
 					statErrors.Add(1)
 					return
 				}
-				lines <- line
+				select {
+				case lines <- line:
+				case <-ctx.Done():
+				}
 			}
-			st, err := s.srv.Stream(r.Context(), it.Query, it.Opts)
+			st, err := s.srv.Stream(ctx, it.Query, it.Opts)
 			if err != nil {
 				emit(api.EncodeBatchError(i, id, err))
 				return
@@ -93,26 +95,11 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, req api.Bat
 			if _, err := st.Result(); err != nil {
 				emit(api.EncodeBatchError(i, id, err))
 			}
-		}(i, it)
+		}()
 	}
 	go func() {
 		wg.Wait()
 		close(lines)
 	}()
-
-	flusher, _ := w.(http.Flusher)
-	clientGone := false
-	for line := range lines {
-		if clientGone {
-			continue // drain: the producers stop via r.Context() cancellation
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			clientGone = true
-			continue
-		}
-		statStreamEvents.Add(1)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	writeNDJSON(w, lines, func(line []byte) ([]byte, error) { return line, nil })
 }

@@ -75,7 +75,7 @@ func TestBatchEndpoint(t *testing.T) {
 
 func TestBatchEndpointSharesSubSearches(t *testing.T) {
 	layer := serve.New(testEngine(t), serve.Config{})
-	srv := httptest.NewServer(newMux(layer))
+	srv := httptest.NewServer(newMuxReplicated(layer, defaultMaxIngestBytes, newPrimaryState(layer, "", 0)))
 	t.Cleanup(srv.Close)
 
 	resp := post(t, srv, "/v1/batch", batchBody)

@@ -128,7 +128,8 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 // TestIngestBodyCap: a batch larger than the configured cap is rejected
 // with 413 before it can exhaust memory, and nothing publishes.
 func TestIngestBodyCap(t *testing.T) {
-	srv := httptest.NewServer(newMuxLimits(serve.New(testEngine(t), serve.Config{Build: testEngineBuilder(t)}), 256))
+	layer := serve.New(testEngine(t), serve.Config{Build: testEngineBuilder(t)})
+	srv := httptest.NewServer(newMuxReplicated(layer, 256, newPrimaryState(layer, "", 0)))
 	t.Cleanup(srv.Close)
 	var big strings.Builder
 	for i := 0; big.Len() < 1024; i++ {

@@ -49,16 +49,7 @@ func newFollowerState(srv *serve.Engine, source, advertise string, maxLog int) *
 	return rs
 }
 
-// role reports "primary" or "follower".
-func (rs *replState) role() string {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.follower != nil {
-		return "follower"
-	}
-	return "primary"
-}
-
+// currentPrimary returns the node's primary, nil while it follows.
 func (rs *replState) currentPrimary() *replica.Primary {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -153,13 +144,8 @@ func publishReplicaStats() {
 // followers answer 503 so a misconfigured follower-of-follower chain
 // fails loudly instead of silently serving stale generations).
 func (s *server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if s.repl == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"error": "replication is not enabled on this node"})
-		return
-	}
 	p := s.repl.currentPrimary()
-	if s.repl.role() != "primary" || p == nil {
+	if p == nil {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
 			"error": "not a primary; followers do not re-stream"})
 		return
@@ -171,11 +157,6 @@ func (s *server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // primary is a 409, so an orchestrator retrying the call can tell "I
 // won" from "someone else already did".
 func (s *server) handlePromote(w http.ResponseWriter, _ *http.Request) {
-	if s.repl == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"error": "replication is not enabled on this node"})
-		return
-	}
 	p, promoted := s.repl.promote()
 	if !promoted {
 		writeJSON(w, http.StatusConflict, map[string]any{

@@ -33,8 +33,8 @@ var (
 	statKeywords      = expvar.NewInt("semkgd_keywords_total")
 	statSuggests      = expvar.NewInt("semkgd_suggests_total")
 
-	// currentServe backs the semkgd_serve expvar; newMux swaps it so
-	// httptest servers observe their own serving layer.
+	// currentServe backs the semkgd_serve expvar; newMuxReplicated swaps
+	// it so httptest servers observe their own serving layer.
 	currentServe atomic.Pointer[serve.Engine]
 	// currentKeyword backs the semkgd_keyword expvar the same way.
 	currentKeyword atomic.Pointer[keyword.Frontend]
@@ -84,50 +84,34 @@ type server struct {
 	// maxIngestBytes bounds one ingest request body; <= 0 disables the
 	// cap.
 	maxIngestBytes int64
-	// repl is the node's replication role (nil when replication is not
-	// wired — bare newMux muxes in tests).
+	// repl is the node's replication role.
 	repl *replState
 }
 
-// newMux builds the service's routing table:
+// newMuxReplicated builds the service's routing table:
 //
-//	POST /v1/search   batch search, JSON result (429 when shed)
-//	POST /v1/batch    grouped search: N queries, shared sub-searches;
-//	                  JSON per-query results, or tagged NDJSON with
-//	                  ?stream=1
-//	POST /v1/stream   streaming search, NDJSON events (429 when shed)
-//	POST /v1/keyword  keyword search: query-graph assembly + blended
-//	                  top-k; JSON result, or NDJSON with ?stream=1
-//	GET  /v1/suggest  autocomplete over the name indexes (?q=, ?limit=)
-//	POST /v1/ingest   NDJSON triples, batched delta commit (409 when
-//	                  racing another commit)
-//	GET  /healthz     liveness + graph shape + generation
-//	GET  /debug/vars  expvar counters
-func newMux(srv *serve.Engine) *http.ServeMux {
-	return newMuxLimits(srv, defaultMaxIngestBytes)
-}
-
-// newMuxLimits is newMux with an explicit ingest body cap (semkgd wires
-// -max-ingest-bytes through it; tests use small caps).
-func newMuxLimits(srv *serve.Engine, maxIngestBytes int64) *http.ServeMux {
-	return newMuxReplicated(srv, maxIngestBytes, nil)
-}
-
-// newMuxReplicated is the full routing table, including the replication
-// endpoints:
-//
+//	POST /v1/search     batch search, JSON result (429 when shed)
+//	POST /v1/batch      grouped search: N queries, shared sub-searches;
+//	                    JSON per-query results, or tagged NDJSON with
+//	                    ?stream=1
+//	POST /v1/stream     streaming search, NDJSON events (429 when shed)
+//	POST /v1/keyword    keyword search: query-graph assembly + blended
+//	                    top-k; JSON result, or NDJSON with ?stream=1
+//	GET  /v1/suggest    autocomplete over the name indexes (?q=, ?limit=)
+//	POST /v1/ingest     NDJSON triples, batched delta commit (409 when
+//	                    racing another commit; 403 on a follower)
 //	GET  /v1/replicate  NDJSON replication stream (primaries only)
 //	POST /v1/promote    flip a follower to primary (warm failover)
+//	GET  /healthz       liveness + graph shape + generation + replication
+//	GET  /debug/vars    expvar counters
 //
-// repl may be nil (replication not wired); the replication endpoints
-// then answer 503.
+// maxIngestBytes caps one ingest body (<= 0 disables the cap); repl is
+// the node's replication role, which semkgd always wires.
 func newMuxReplicated(srv *serve.Engine, maxIngestBytes int64, repl *replState) *http.ServeMux {
 	currentServe.Store(srv)
-	if repl != nil {
-		currentRepl.Store(repl)
-		publishReplicaStats()
-	}
-	kw := keyword.New(srv, keyword.Config{})
+	currentRepl.Store(repl)
+	publishReplicaStats()
+	kw := keyword.New(srv)
 	currentKeyword.Store(kw)
 	s := &server{srv: srv, kw: kw, maxIngestBytes: maxIngestBytes, repl: repl}
 	mux := http.NewServeMux()
@@ -233,18 +217,26 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.searchError(w, err)
 		return
 	}
+	writeNDJSON(w, st.Events(), api.EncodeEvent)
+}
+
+// writeNDJSON answers 200 with an NDJSON body: one encoded, flushed line
+// per item until items closes. It returns on the first failed write —
+// the client is gone, and the request context, cancelled when the
+// handler returns, stops whatever feeds items.
+func writeNDJSON[T any](w http.ResponseWriter, items <-chan T, encode func(T) ([]byte, error)) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat reverse-proxy buffering
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	for ev := range st.Events() {
-		line, err := api.EncodeEvent(ev)
+	for it := range items {
+		line, err := encode(it)
 		if err != nil {
 			statErrors.Add(1)
 			continue
 		}
 		if _, err := w.Write(append(line, '\n')); err != nil {
-			return // client gone; context cancellation winds down the search
+			return
 		}
 		statStreamEvents.Add(1)
 		if flusher != nil {
@@ -287,24 +279,7 @@ func (s *server) streamKeyword(w http.ResponseWriter, r *http.Request, req api.K
 		return
 	}
 	statStreams.Add(1)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // defeat reverse-proxy buffering
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	for ev := range ch {
-		line, err := keyword.EncodeEvent(ev)
-		if err != nil {
-			statErrors.Add(1)
-			continue
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return // client gone; context cancellation winds down the searches
-		}
-		statStreamEvents.Add(1)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	writeNDJSON(w, ch, keyword.EncodeEvent)
 }
 
 // handleSuggest answers GET /v1/suggest?q=frag&limit=N: autocomplete
@@ -339,7 +314,8 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	statIngests.Add(1)
 	// Followers are read replicas: their graph is the primary's, applied
 	// through the replication stream. Direct writes would fork it.
-	if s.repl != nil && s.repl.role() == "follower" {
+	primary := s.repl.currentPrimary()
+	if primary == nil {
 		writeJSON(w, http.StatusForbidden, map[string]string{
 			"error": "read-only follower; ingest on the primary"})
 		return
@@ -388,16 +364,9 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, fmt.Errorf("reading ingest body: %w", err))
 		return
 	}
-	// On a replicated primary the commit goes through the replication
-	// log, so followers receive exactly the statements this batch
-	// applied; otherwise it applies directly to the serving layer.
-	apply := s.srv.Apply
-	if s.repl != nil {
-		if p := s.repl.currentPrimary(); p != nil {
-			apply = p.Commit
-		}
-	}
-	info, err := apply(d)
+	// The commit goes through the primary's replication log, so
+	// followers receive exactly the statements this batch applied.
+	info, err := primary.Commit(d)
 	if err != nil {
 		if errors.Is(err, serve.ErrStaleDelta) {
 			writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
@@ -454,9 +423,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if d.Resharding {
 		resp["resharding"] = true
 	}
-	if s.repl != nil {
-		resp["replication"] = s.repl.healthz()
-	}
+	resp["replication"] = s.repl.healthz()
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -23,7 +23,8 @@ func testServer(t *testing.T, cfg serve.Config) *httptest.Server {
 	if cfg.Build == nil {
 		cfg.Build = testEngineBuilder(t)
 	}
-	srv := httptest.NewServer(newMux(serve.New(testEngine(t), cfg)))
+	layer := serve.New(testEngine(t), cfg)
+	srv := httptest.NewServer(newMuxReplicated(layer, defaultMaxIngestBytes, newPrimaryState(layer, "", 0)))
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -24,7 +24,8 @@ func shardedTestServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newMux(serve.New(se, serve.Config{})))
+	layer := serve.New(se, serve.Config{})
+	srv := httptest.NewServer(newMuxReplicated(layer, defaultMaxIngestBytes, newPrimaryState(layer, "", 0)))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -105,7 +106,8 @@ func TestShardedIngestReturnsBeforeRepartition(t *testing.T) {
 			OnError: func(err error) { t.Errorf("background repartition failed: %v", err) },
 		}), nil
 	}
-	srv := httptest.NewServer(newMux(serve.New(initial, serve.Config{Build: build})))
+	layer := serve.New(initial, serve.Config{Build: build})
+	srv := httptest.NewServer(newMuxReplicated(layer, defaultMaxIngestBytes, newPrimaryState(layer, "", 0)))
 	t.Cleanup(srv.Close)
 
 	// The ingest must return while the partition gate is still held; if a
@@ -206,7 +208,7 @@ func TestShardedStatsSurviveIngest(t *testing.T) {
 		}), nil
 	}
 	sv = serve.New(initial, serve.Config{Build: build})
-	srv := httptest.NewServer(newMux(sv))
+	srv := httptest.NewServer(newMuxReplicated(sv, defaultMaxIngestBytes, newPrimaryState(sv, "", 0)))
 	t.Cleanup(srv.Close)
 
 	getJSON := func(path string) map[string]any {

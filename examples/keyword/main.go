@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	front := semkg.NewKeywordFrontend(semkg.NewServing(eng, semkg.ServeConfig{}), semkg.KeywordConfig{})
+	front := semkg.NewKeywordFrontend(semkg.NewServing(eng, semkg.ServeConfig{}))
 
 	// Derive a keyword input from the first generated benchmark query:
 	// the focus type, the predicate, and the anchor entity's name —

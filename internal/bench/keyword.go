@@ -8,7 +8,7 @@
 //   - end-to-end latency and answer quality (precision/recall/F1 against
 //     the workload truth) of blended multi-candidate keyword search, of
 //     executing only the single best candidate, and of the hand-written
-//     structured query through the same serving layer (caches disabled,
+//     structured query through the same serving layer (result cache off,
 //     so every number is a real pipeline execution).
 package bench
 
@@ -85,10 +85,10 @@ func runKeyword(ctx context.Context, p Params) (*Artifact, error) {
 	opts := env.SearchOptions(10)
 	art := env.artifact("keyword")
 
-	// Caches off on both paths: every latency sample below is a real
-	// pipeline execution, not a cache hit.
+	// Result cache off: every latency sample below is a real pipeline
+	// execution, not a cache hit.
 	srv := serve.New(env.Engine, serve.Config{ResultCache: -1})
-	front := keyword.New(srv, keyword.Config{CacheSize: -1})
+	front := keyword.New(srv)
 
 	// replay runs every case through answer for the given rounds and adds
 	// the workload's row; quality is judged on the first round's answers.

@@ -62,13 +62,6 @@ func (p *Proxy) SeverAll() {
 	p.mu.Unlock()
 }
 
-// Conns reports the number of live proxied connections.
-func (p *Proxy) Conns() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.conns)
-}
-
 // Close stops accepting, severs every live connection, and waits for the
 // forwarding goroutines to drain.
 func (p *Proxy) Close() error {

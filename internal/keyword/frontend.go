@@ -3,6 +3,7 @@ package keyword
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,43 +11,24 @@ import (
 
 	"semkg/internal/core"
 	"semkg/internal/merge"
-	"semkg/internal/query"
 	"semkg/internal/serve"
 )
 
-// Frontend serves keyword queries over one serving engine. Every
-// candidate executes through serve.Engine.Search, so the serving layer's
-// result cache, singleflight and admission control all apply per
-// candidate; on top of that the front end keeps its own generation-gated
-// cache of blended responses, because assembly inputs (the name indexes)
-// change exactly when the engine generation does.
-// Safe for concurrent use.
+// Frontend serves keyword queries over one serving engine. It keeps no
+// state but its counters: every candidate executes through serve.Engine,
+// whose result cache, singleflight and admission control answer repeated
+// candidates, and each request assembles afresh over the generation it
+// reads. Safe for concurrent use.
 type Frontend struct {
 	srv *serve.Engine
-	cfg Config
-
-	mu    sync.Mutex
-	cache map[string]*cacheEntry
 
 	assemblies    atomic.Uint64
-	cacheHits     atomic.Uint64
-	cacheMisses   atomic.Uint64
 	candidateRuns atomic.Uint64
 	suggests      atomic.Uint64
 }
 
-// cacheEntry stamps a blended response with the engine generation its
-// assembly and execution ran on; a stamp older than the served generation
-// means the match set may have changed, so the entry never answers.
-type cacheEntry struct {
-	gen  uint64
-	resp *Response
-}
-
 // New builds a keyword front end over srv.
-func New(srv *serve.Engine, cfg Config) *Frontend {
-	return &Frontend{srv: srv, cfg: cfg.withDefaults(), cache: make(map[string]*cacheEntry)}
-}
+func New(srv *serve.Engine) *Frontend { return &Frontend{srv: srv} }
 
 // RankedAnswer is one blended answer: an engine answer plus the candidate
 // that produced it and the blended score it ranks by.
@@ -96,11 +78,8 @@ type Response struct {
 
 // Stats is a snapshot of front-end counters (expvar surface).
 type Stats struct {
-	// Assemblies counts assembly runs (cache hits skip assembly).
+	// Assemblies counts assembly runs, one per validated request.
 	Assemblies uint64 `json:"assemblies"`
-	// CacheHits / CacheMisses count the blended-response cache.
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
 	// CandidateRuns counts per-candidate executions handed to the serving
 	// layer (which may itself answer them from its result cache).
 	CandidateRuns uint64 `json:"candidate_runs"`
@@ -112,109 +91,118 @@ type Stats struct {
 func (f *Frontend) Stats() Stats {
 	return Stats{
 		Assemblies:    f.assemblies.Load(),
-		CacheHits:     f.cacheHits.Load(),
-		CacheMisses:   f.cacheMisses.Load(),
 		CandidateRuns: f.candidateRuns.Load(),
 		Suggests:      f.suggests.Load(),
 	}
 }
 
 // Search assembles candidates for input, executes the top maxCandidates
-// (0 = the configured default) concurrently through the serving layer,
-// and blends the per-candidate top-k lists into one deduplicated ranking.
-// An input that assembles no executable candidate returns an empty
-// response, not an error; execution errors surface only when every
-// candidate fails.
+// (0 = the default) concurrently through the serving layer, and blends
+// the per-candidate top-k lists into one deduplicated ranking. An input
+// that assembles no executable candidate returns an empty response, not
+// an error; execution errors surface only when every candidate fails.
 func (f *Frontend) Search(ctx context.Context, input string, opts core.Options, maxCandidates int) (*Response, error) {
-	b, err := f.prepare(input, opts, maxCandidates)
+	c, err := f.begin(input, opts, maxCandidates)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	eng, gen := f.srv.Current()
-	cacheable := f.cfg.CacheSize > 0 && opts.Clock == nil && opts.Rng == nil && opts.Strategy != query.RandomPivot
-	key := f.cacheKey(input, opts, b)
-	if cacheable {
-		if resp := f.cacheGet(key, gen); resp != nil {
-			f.cacheHits.Add(1)
-			return resp, nil
-		}
-		f.cacheMisses.Add(1)
-	}
-
-	asm := Assemble(eng.Graph(), input)
-	f.assemblies.Add(1)
-	execs := asm.Candidates
-	if len(execs) > b {
-		execs = execs[:b]
-	}
-	runs := make([]CandidateRun, len(execs))
-	results := make([]*core.Result, len(execs))
-	errs := make([]error, len(execs))
 	var wg sync.WaitGroup
-	for i := range execs {
+	for i, cand := range c.execs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			t0 := time.Now()
-			res, err := f.srv.Search(ctx, execs[i].Query, opts)
-			runs[i] = CandidateRun{Index: i, Elapsed: time.Since(t0)}
-			if err != nil {
-				errs[i] = err
-				runs[i].Err = err.Error()
-				return
-			}
-			results[i] = res
-			runs[i].Answers = len(res.Answers)
-			runs[i].Approximate = res.Approximate
-		}(i)
-		f.candidateRuns.Add(1)
+			res, err := f.srv.Search(ctx, cand.Query, opts)
+			c.record(i, res, err, time.Since(t0))
+		}()
 	}
 	wg.Wait()
-
-	failed := 0
-	for _, e := range errs {
-		if e != nil {
-			failed++
-		}
+	if err := c.failure(); err != nil {
+		return nil, err
 	}
-	if len(execs) > 0 && failed == len(execs) {
-		return nil, worstError(errs)
-	}
-
-	resp := &Response{
-		Assembly:   asm,
-		Executed:   len(execs),
-		Runs:       runs,
-		Answers:    blend(execs, results, opts.Normalized().K),
-		Generation: gen,
-		Elapsed:    time.Since(start),
-	}
-	if cacheable && failed == 0 && ctx.Err() == nil && f.srv.Generation() == gen {
-		f.cachePut(key, gen, resp)
-	}
-	return resp, nil
+	return c.respond(), nil
 }
 
-// prepare validates the request and resolves the candidate budget.
-func (f *Frontend) prepare(input string, opts core.Options, maxCandidates int) (int, error) {
+// call is one keyword request past assembly: the generation it read, the
+// candidates it executes and each candidate's outcome. Search and Stream
+// both begin one, record every candidate into it and respond from it.
+type call struct {
+	start   time.Time
+	gen     uint64
+	k       int
+	asm     *Assembly
+	execs   []Candidate
+	runs    []CandidateRun
+	results []*core.Result
+	errs    []error
+}
+
+// begin validates the request, assembles input over the served graph and
+// keeps the top maxCandidates (0 = the default) candidates to execute.
+func (f *Frontend) begin(input string, opts core.Options, maxCandidates int) (*call, error) {
 	if err := opts.Validate(); err != nil {
-		return 0, core.BadRequestError{Err: err}
+		return nil, core.BadRequestError{Err: err}
 	}
 	if strings.TrimSpace(input) == "" {
-		return 0, core.BadRequestError{Err: fmt.Errorf("keyword: empty keywords")}
+		return nil, core.BadRequestError{Err: fmt.Errorf("keyword: empty keywords")}
 	}
 	if maxCandidates < 0 {
-		return 0, core.BadRequestError{Err: fmt.Errorf("keyword: max_candidates = %d out of range (must be non-negative; 0 uses the default %d)", maxCandidates, defaultCandidates)}
+		return nil, core.BadRequestError{Err: fmt.Errorf("keyword: max_candidates = %d out of range (must be non-negative; 0 uses the default %d)", maxCandidates, defaultCandidates)}
 	}
 	b := maxCandidates
 	if b == 0 {
 		b = defaultCandidates
 	}
-	if b > 16 {
-		b = 16
+	start := time.Now()
+	eng, gen := f.srv.Current()
+	asm := Assemble(eng.Graph(), input)
+	f.assemblies.Add(1)
+	execs := asm.Candidates[:min(len(asm.Candidates), b, maxExecuted)]
+	f.candidateRuns.Add(uint64(len(execs)))
+	c := &call{
+		start: start, gen: gen, k: opts.Normalized().K, asm: asm, execs: execs,
+		runs:    make([]CandidateRun, len(execs)),
+		results: make([]*core.Result, len(execs)),
+		errs:    make([]error, len(execs)),
 	}
-	return b, nil
+	for i := range c.runs {
+		c.runs[i].Index = i
+	}
+	return c, nil
+}
+
+// record stores candidate i's outcome. Each candidate writes only its own
+// slots, so concurrent records need no lock.
+func (c *call) record(i int, res *core.Result, err error, elapsed time.Duration) {
+	c.runs[i].Elapsed = elapsed
+	if err != nil {
+		c.errs[i] = err
+		c.runs[i].Err = err.Error()
+		return
+	}
+	c.results[i] = res
+	c.runs[i].Answers = len(res.Answers)
+	c.runs[i].Approximate = res.Approximate
+}
+
+// failure is the request's error when every candidate failed, else nil.
+func (c *call) failure() error {
+	if len(c.errs) == 0 || slices.Contains(c.errs, nil) {
+		return nil
+	}
+	return worstError(c.errs)
+}
+
+// respond blends the recorded results into the request's response.
+func (c *call) respond() *Response {
+	return &Response{
+		Assembly:   c.asm,
+		Executed:   len(c.execs),
+		Runs:       c.runs,
+		Answers:    blend(c.execs, c.results, c.k),
+		Generation: c.gen,
+		Elapsed:    time.Since(c.start),
+	}
 }
 
 // blend folds per-candidate result lists into the deduplicated blended
@@ -267,35 +255,4 @@ func worstError(errs []error) error {
 		return over
 	}
 	return first
-}
-
-// cacheKey canonicalizes (input, normalized options, candidate budget).
-// Word boundaries are preserved (unlike strutil.Normalize) because they
-// affect tokenization.
-func (f *Frontend) cacheKey(input string, opts core.Options, b int) string {
-	o := opts.Normalized()
-	o.Rng = nil
-	o.Clock = nil
-	words := strings.Fields(strings.ToLower(strings.TrimSpace(input)))
-	return fmt.Sprintf("%d|%s|%+v", b, strings.Join(words, " "), o)
-}
-
-func (f *Frontend) cacheGet(key string, gen uint64) *Response {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if e, ok := f.cache[key]; ok && e.gen == gen {
-		return e.resp
-	}
-	return nil
-}
-
-// cachePut stores resp; at capacity the map resets wholesale (entries are
-// small, and every Rebuild implicitly flushes by generation anyway).
-func (f *Frontend) cachePut(key string, gen uint64, resp *Response) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.cache) >= f.cfg.CacheSize {
-		f.cache = make(map[string]*cacheEntry)
-	}
-	f.cache[key] = &cacheEntry{gen: gen, resp: resp}
 }

@@ -23,13 +23,14 @@
 //     computed from the graph's own statistics (PredCount, Degree, type
 //     cardinalities); see DESIGN.md, "Query-graph assembly".
 //  5. Execute and blend: the top-B candidates run concurrently through
-//     the serving layer (one compiled plan per candidate, so result/plan
+//     the serving layer (each candidate is one serving request, so result
 //     caching, singleflight and admission control all apply) and the
 //     per-candidate top-k lists blend into one deduplicated ranking via
 //     merge.Blend with a deterministic tie-break.
 //
-// Frontend is the serving-side entry point; Assemble and Suggest are
-// usable standalone (kgbench measures assembly without a server).
+// Frontend is the serving-side entry point and keeps no cache of its own;
+// Assemble and Suggest are usable standalone (kgbench measures assembly
+// without a server).
 package keyword
 
 import (
@@ -40,29 +41,14 @@ import (
 	"semkg/internal/query"
 )
 
-// Config sizes the front end. The zero value gives production defaults.
-type Config struct {
-	// CacheSize bounds the generation-gated keyword result cache.
-	// 0 = default 512; < 0 disables caching.
-	CacheSize int
-}
-
-func (c Config) withDefaults() Config {
-	switch {
-	case c.CacheSize == 0:
-		c.CacheSize = 512
-	case c.CacheSize < 0:
-		c.CacheSize = 0
-	}
-	return c
-}
-
 // Assembly and execution bounds. Each keeps assembly latency
 // index-shaped (microseconds, never a graph scan).
 const (
 	// defaultCandidates is B: how many top-scored candidate query graphs
 	// execute per request when the request does not set max_candidates.
 	defaultCandidates = 3
+	// maxExecuted caps B whatever the request asks.
+	maxExecuted = 16
 	// maxInterps caps the interpretations kept per keyword after ranking.
 	maxInterps = 4
 	// maxEnumerated caps the assembled candidates kept after scoring.

@@ -3,10 +3,13 @@ package keyword
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"semkg/internal/core"
 	"semkg/internal/embed"
@@ -179,7 +182,7 @@ func TestAssembleInferredFocus(t *testing.T) {
 // candidate's query through the same serving layer.
 func TestSearchMatchesStructuredEquivalent(t *testing.T) {
 	srv := testServe(t)
-	f := New(srv, Config{})
+	f := New(srv)
 	ctx := context.Background()
 
 	resp, err := f.Search(ctx, "automobile assembly germany", testOpts(), 1)
@@ -225,7 +228,7 @@ func TestBlendedDedupAndDeterminism(t *testing.T) {
 		candidate int
 	}
 	run := func() []row {
-		f := New(testServe(t), Config{})
+		f := New(testServe(t))
 		resp, err := f.Search(ctx, "automobile assembly germany", testOpts(), 3)
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +273,7 @@ func TestBlendedDedupAndDeterminism(t *testing.T) {
 // blended response equal to the batch path's.
 func TestStreamAttribution(t *testing.T) {
 	srv := testServe(t)
-	f := New(srv, Config{})
+	f := New(srv)
 	ctx := context.Background()
 
 	batch, err := f.Search(ctx, "automobile assembly germany", testOpts(), 2)
@@ -315,12 +318,53 @@ func TestStreamAttribution(t *testing.T) {
 	}
 }
 
-// TestKeywordCacheInvalidatedByIngest is the generation-gating regression
-// test: a keyword response cached at generation N must not answer after
-// an ingest changes the keyword's match set.
-func TestKeywordCacheInvalidatedByIngest(t *testing.T) {
+// TestStreamAbandonedDoesNotLeak: a consumer that reads one event, cancels
+// and stops reading leaves no goroutine behind, even when the candidates
+// emit far more events than the channel buffers.
+func TestStreamAbandonedDoesNotLeak(t *testing.T) {
 	srv := testServe(t)
-	f := New(srv, Config{})
+	d := srv.NewDelta()
+	for i := range 300 {
+		car := fmt.Sprintf("Car %d", i)
+		if err := d.ApplyTriple(car, kg.TypePredicate, "Automobile"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ApplyTriple(car, "assembly", "Germany"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := srv.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	f := New(srv)
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	ch, err := f.Stream(ctx, "automobile assembly germany", core.Options{K: 200, Tau: 0.75}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ch
+	// Let the forwarders fill the buffer and block on it before walking away.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(ch) < cap(ch) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if leaked := runtime.NumGoroutine() - before; leaked > 0 {
+		t.Fatalf("%d goroutine(s) leaked by an abandoned stream", leaked)
+	}
+}
+
+// TestKeywordSearchSeesIngest: every search assembles over the generation
+// it reads, so after an ingest changes the keyword's match set the next
+// search reports the new generation and matches the new entity.
+func TestKeywordSearchSeesIngest(t *testing.T) {
+	srv := testServe(t)
+	f := New(srv)
 	ctx := context.Background()
 	const input = "automobile assembly ger"
 
@@ -331,15 +375,11 @@ func TestKeywordCacheInvalidatedByIngest(t *testing.T) {
 	if first.Generation != 0 {
 		t.Fatalf("generation = %d, want 0", first.Generation)
 	}
-	warm, err := f.Search(ctx, input, testOpts(), 2)
-	if err != nil {
+	if _, err := f.Search(ctx, input, testOpts(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if st := f.Stats(); st.CacheHits != 1 || st.Assemblies != 1 {
-		t.Fatalf("warm stats = %+v, want the second search served from cache", st)
-	}
-	if !reflect.DeepEqual(warm, first) {
-		t.Fatal("warm response differs from cold")
+	if st := f.Stats(); st.Assemblies != 2 {
+		t.Fatalf("stats = %+v, want one assembly per search", st)
 	}
 
 	// Ingest a new country matched by the "ger" prefix, with its own
@@ -362,8 +402,8 @@ func TestKeywordCacheInvalidatedByIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := f.Stats(); st.CacheHits != 1 || st.Assemblies != 2 {
-		t.Fatalf("post-ingest stats = %+v, want a fresh assembly (no stale hit)", st)
+	if st := f.Stats(); st.Assemblies != 3 {
+		t.Fatalf("post-ingest stats = %+v, want one assembly per search", st)
 	}
 	if after.Generation != first.Generation+1 {
 		t.Fatalf("post-ingest generation = %d, want %d", after.Generation, first.Generation+1)
@@ -386,7 +426,7 @@ func TestKeywordCacheInvalidatedByIngest(t *testing.T) {
 // all three index paths and never runs a search pipeline.
 func TestSuggestAnswersFromIndexes(t *testing.T) {
 	srv := testServe(t)
-	f := New(srv, Config{})
+	f := New(srv)
 
 	sug := f.Suggest("ger", 5)
 	var texts []string
@@ -423,7 +463,7 @@ func suggestHas(items []Suggestion, text string, via Via) bool {
 }
 
 func TestSearchBadRequests(t *testing.T) {
-	f := New(testServe(t), Config{})
+	f := New(testServe(t))
 	ctx := context.Background()
 	var bad core.BadRequestError
 	if _, err := f.Search(ctx, "   ", testOpts(), 0); !errors.As(err, &bad) {
@@ -440,7 +480,7 @@ func TestSearchBadRequests(t *testing.T) {
 // TestSearchNoCandidates: keywords matching nothing return an empty
 // response, not an error — the HTTP layer renders "no interpretation".
 func TestSearchNoCandidates(t *testing.T) {
-	f := New(testServe(t), Config{})
+	f := New(testServe(t))
 	resp, err := f.Search(context.Background(), "zzzzz qqqqq", testOpts(), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -35,81 +35,62 @@ type Event struct {
 // index, between an opening assembly event and a terminal blended
 // response. Validation and whole-request failures (every candidate
 // rejected synchronously) are returned synchronously; the channel closes
-// after the final event. Streamed responses are not cached.
+// after the final event. A consumer that stops reading must cancel ctx:
+// every send gives up then, so no goroutine outlives the request.
 func (f *Frontend) Stream(ctx context.Context, input string, opts core.Options, maxCandidates int) (<-chan Event, error) {
-	b, err := f.prepare(input, opts, maxCandidates)
+	c, err := f.begin(input, opts, maxCandidates)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	eng, gen := f.srv.Current()
-	asm := Assemble(eng.Graph(), input)
-	f.assemblies.Add(1)
-	execs := asm.Candidates
-	if len(execs) > b {
-		execs = execs[:b]
-	}
-
-	type opened struct {
-		idx int
-		st  *serve.Stream
-	}
-	var streams []opened
-	errs := make([]error, len(execs))
-	runs := make([]CandidateRun, len(execs))
-	for i := range execs {
-		runs[i] = CandidateRun{Index: i}
-		st, err := f.srv.Stream(ctx, execs[i].Query, opts)
-		f.candidateRuns.Add(1)
+	streams := make([]*serve.Stream, len(c.execs))
+	for i, cand := range c.execs {
+		st, err := f.srv.Stream(ctx, cand.Query, opts)
 		if err != nil {
-			errs[i] = err
-			runs[i].Err = err.Error()
+			c.record(i, nil, err, 0)
 			continue
 		}
-		streams = append(streams, opened{idx: i, st: st})
+		streams[i] = st
 	}
-	if len(execs) > 0 && len(streams) == 0 {
-		return nil, worstError(errs)
+	if err := c.failure(); err != nil {
+		return nil, err
 	}
 
+	// The buffer lets candidates run ahead of a consumer that is writing
+	// the previous event to the network.
 	out := make(chan Event, 64)
+	send := func(ev Event) bool {
+		select {
+		case out <- ev:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
 	go func() {
 		defer close(out)
-		out <- Event{Candidate: -1, Assembly: asm, Executed: len(execs)}
-		results := make([]*core.Result, len(execs))
-		var mu sync.Mutex
+		if !send(Event{Candidate: -1, Assembly: c.asm, Executed: len(c.execs)}) {
+			return
+		}
 		var wg sync.WaitGroup
-		for _, op := range streams {
+		for i, st := range streams {
+			if st == nil {
+				continue
+			}
 			wg.Add(1)
-			go func(op opened) {
+			go func() {
 				defer wg.Done()
 				t0 := time.Now()
-				for ev := range op.st.Events() {
-					out <- Event{Candidate: op.idx, Inner: ev}
+				for ev := range st.Events() {
+					if !send(Event{Candidate: i, Inner: ev}) {
+						break
+					}
 				}
-				res, err := op.st.Result()
-				mu.Lock()
-				runs[op.idx].Elapsed = time.Since(t0)
-				if err != nil {
-					errs[op.idx] = err
-					runs[op.idx].Err = err.Error()
-				} else {
-					results[op.idx] = res
-					runs[op.idx].Answers = len(res.Answers)
-					runs[op.idx].Approximate = res.Approximate
-				}
-				mu.Unlock()
-			}(op)
+				res, err := st.Result()
+				c.record(i, res, err, time.Since(t0))
+			}()
 		}
 		wg.Wait()
-		out <- Event{Candidate: -1, Final: &Response{
-			Assembly:   asm,
-			Executed:   len(execs),
-			Runs:       runs,
-			Answers:    blend(execs, results, opts.Normalized().K),
-			Generation: gen,
-			Elapsed:    time.Since(start),
-		}}
+		send(Event{Candidate: -1, Final: c.respond()})
 	}()
 	return out, nil
 }

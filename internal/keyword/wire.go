@@ -22,18 +22,7 @@ func WireResult(r *Response) api.KeywordResult {
 		Elapsed:         api.Duration(r.Elapsed),
 		Generation:      r.Generation,
 	}
-	for _, tok := range r.Assembly.Tokens {
-		out.Keywords = append(out.Keywords, tok.Norm)
-	}
-	out.Unmatched = r.Assembly.Unmatched
-	for _, c := range r.Assembly.Candidates {
-		out.Candidates = append(out.Candidates, api.KeywordCandidate{
-			Query:    api.QueryFrom(c.Query),
-			Score:    c.Score,
-			Coverage: c.Coverage,
-			Explain:  c.Explain,
-		})
-	}
+	out.Keywords, out.Unmatched, out.Candidates = wireAssembly(r.Assembly)
 	for _, run := range r.Runs {
 		out.Runs = append(out.Runs, api.KeywordRun{
 			Candidate:   run.Index,
@@ -53,23 +42,30 @@ func WireResult(r *Response) api.KeywordResult {
 	return out
 }
 
-// WireEvent converts a front-end stream event into its wire form.
-func WireEvent(ev Event) (api.KeywordEvent, error) {
+// wireAssembly converts the assembly fields a result and an assembly
+// event share: the normalized keywords, the unmatched ones and every
+// scored candidate.
+func wireAssembly(a *Assembly) (keywords, unmatched []string, candidates []api.KeywordCandidate) {
+	for _, tok := range a.Tokens {
+		keywords = append(keywords, tok.Norm)
+	}
+	for _, c := range a.Candidates {
+		candidates = append(candidates, api.KeywordCandidate{
+			Query:    api.QueryFrom(c.Query),
+			Score:    c.Score,
+			Coverage: c.Coverage,
+			Explain:  c.Explain,
+		})
+	}
+	return keywords, a.Unmatched, candidates
+}
+
+// wireEvent converts a front-end stream event into its wire form.
+func wireEvent(ev Event) (api.KeywordEvent, error) {
 	switch {
 	case ev.Assembly != nil:
 		out := api.KeywordEvent{Event: api.KeywordEventAssembly, Executed: ev.Executed}
-		for _, tok := range ev.Assembly.Tokens {
-			out.Keywords = append(out.Keywords, tok.Norm)
-		}
-		out.Unmatched = ev.Assembly.Unmatched
-		for _, c := range ev.Assembly.Candidates {
-			out.Candidates = append(out.Candidates, api.KeywordCandidate{
-				Query:    api.QueryFrom(c.Query),
-				Score:    c.Score,
-				Coverage: c.Coverage,
-				Explain:  c.Explain,
-			})
-		}
+		out.Keywords, out.Unmatched, out.Candidates = wireAssembly(ev.Assembly)
 		return out, nil
 	case ev.Final != nil:
 		r := WireResult(ev.Final)
@@ -89,7 +85,7 @@ func WireEvent(ev Event) (api.KeywordEvent, error) {
 // EncodeEvent renders one keyword-stream event as a single NDJSON line
 // (without the trailing newline).
 func EncodeEvent(ev Event) ([]byte, error) {
-	w, err := WireEvent(ev)
+	w, err := wireEvent(ev)
 	if err != nil {
 		return nil, err
 	}

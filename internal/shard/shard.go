@@ -82,9 +82,6 @@ type Shard struct {
 // GlobalNode maps a shard-local node id to its base-graph id.
 func (s *Shard) GlobalNode(local kg.NodeID) kg.NodeID { return s.nodeGlobal[local] }
 
-// GlobalEdge maps a shard-local edge id to its base-graph id.
-func (s *Shard) GlobalEdge(local kg.EdgeID) kg.EdgeID { return s.edgeGlobal[local] }
-
 // LocalNode maps a base-graph node id into this shard, reporting false
 // when the node was not replicated here. O(log n) — locals are assigned in
 // ascending base order, so the mapping array is sorted.

@@ -315,10 +315,6 @@ func NewServing(e *Engine, cfg ServeConfig) *Serving { return serve.New(e, cfg) 
 // running any search.
 type KeywordFrontend = keyword.Frontend
 
-// KeywordConfig sizes the keyword front end's result cache; the zero
-// value gives the default size.
-type KeywordConfig = keyword.Config
-
 // KeywordResponse is a blended keyword-search outcome: the assembly, the
 // executed candidate runs, and the blended answers.
 type KeywordResponse = keyword.Response
@@ -345,10 +341,9 @@ type Suggestion = keyword.Suggestion
 type Suggestions = keyword.Suggestions
 
 // NewKeywordFrontend wraps a Serving engine with the keyword front end.
-// The zero KeywordConfig gives sensible defaults.
-func NewKeywordFrontend(s *Serving, cfg KeywordConfig) *KeywordFrontend {
-	return keyword.New(s, cfg)
-}
+// The front end keeps no cache of its own: a repeated keyword request
+// assembles again and its candidates hit the Serving engine's caches.
+func NewKeywordFrontend(s *Serving) *KeywordFrontend { return keyword.New(s) }
 
 // AssembleKeywords runs query-graph assembly alone — tokenize, match,
 // enumerate, score — without executing anything. Useful for inspecting
