@@ -67,7 +67,9 @@ type Event struct {
 	// until k complete candidates exist.
 	LowerK float64 `json:"lower_k,omitempty"`
 	// UpperMax is U_max — the best upper bound of any candidate outside
-	// the current top-k. The assembly terminates when LowerK >= UpperMax
+	// the current top-k that can still complete (one a sub-query stream
+	// that ran dry never matched cannot). The assembly terminates when
+	// LowerK >= UpperMax
 	// (Theorem 3), so their gap measures how far the provisional ranking
 	// may still move.
 	UpperMax float64 `json:"upper_max,omitempty"`

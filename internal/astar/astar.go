@@ -20,15 +20,18 @@
 // consistent (see internal/semgraph and DESIGN.md).
 //
 // Hot path: search states live in a flat arena ([]state with int32 parent
-// indices) instead of one heap allocation per successor; φ end sets are
-// compiled once per plan (NodeSet) and shared read-only by every searcher,
-// shard projection and shared sub-search over it; each match is built in
-// one pass over its parent chain; and most τ-pruning decisions skip
-// math.Pow — x^(1/n̂) is monotone in x, so a raw weight product below a
-// precomputed (τ^n̂ minus a safety margin) floor is certainly pruned
-// without evaluating Eq. 7; only successors near the threshold or entering
-// the frontier pay the Pow, so the shortcut never changes a decision the
-// exact arithmetic would make (see DESIGN.md, Hot path).
+// indices) instead of one heap allocation per successor, and the frontier
+// is a 4-ary heap of arena indices; φ end sets are compiled once per plan
+// (NodeSet) and shared read-only by every searcher, shard projection and
+// shared sub-search over it; each match is built in one pass over its
+// parent chain; and most τ-pruning decisions skip math.Pow — x^(1/n̂) is
+// monotone in x, so a raw weight product below a precomputed (τ^n̂ minus a
+// safety margin) floor is certainly pruned without evaluating Eq. 7; only
+// successors near the threshold or entering the frontier pay the Pow, so
+// the shortcut never changes a decision the exact arithmetic would make. A
+// complete state that cannot be the first to pop at its end node — one
+// already emitted, unwanted (Restrict), or no better than an earlier push —
+// is never pushed (see DESIGN.md, Hot path).
 package astar
 
 import (
@@ -36,7 +39,6 @@ import (
 	"slices"
 
 	"semkg/internal/kg"
-	"semkg/internal/pqueue"
 )
 
 // Weighter supplies semantic edge weights and the m(u) heuristic bound.
@@ -151,6 +153,9 @@ type state struct {
 
 const noParent int32 = -1
 
+// emitted marks a done end node in Searcher.best; it exceeds every pss.
+const emitted = 2.0
+
 type stateKey struct {
 	node kg.NodeID
 	seg  int32
@@ -236,10 +241,14 @@ type Searcher struct {
 	rows [][]float64
 
 	arena    []state
-	frontier pqueue.Max[int32] // arena indices; capacity persists across Next calls
+	frontier frontier // capacity persists across Next calls
 	closed   map[stateKey]struct{}
-	emitted  map[kg.NodeID]bool // end-node dedup: one match per answer entity
-	invRoot  float64            // 1/n̂
+	// best is the end-node dedup, one match per answer entity: the highest
+	// pss of a complete state pushed at the node, or emitted once the node
+	// was emitted or rejected by want.
+	best    map[kg.NodeID]float64
+	want    func(kg.NodeID) bool // nil, or the Restrict filter
+	invRoot float64              // 1/n̂
 	// pruneFloor* are conservative raw-product thresholds: a partial
 	// state's w·m below pruneFloorPartial (≈ τ^n̂) — or a complete h-hop
 	// match's w below pruneFloorComplete[h] (≈ τ^h) — is certainly pruned
@@ -261,7 +270,7 @@ func NewSearcher(g *kg.Graph, w Weighter, sub SubQuery, opts Options) *Searcher 
 		sub:     sub,
 		opts:    opts,
 		closed:  make(map[stateKey]struct{}),
-		emitted: make(map[kg.NodeID]bool),
+		best:    make(map[kg.NodeID]float64),
 		invRoot: 1 / float64(opts.MaxHops),
 		arena:   make([]state, 0, 64+len(sub.Anchors)),
 	}
@@ -314,26 +323,37 @@ func (s *Searcher) alloc(st state) int32 {
 }
 
 func (s *Searcher) push(idx int32, priority float64) {
-	s.frontier.Push(idx, priority)
+	s.frontier.push(idx, priority)
 	s.stats.Pushed++
 }
+
+// Restrict implements ta.Restricter: from now on Next skips every match
+// whose end node want rejects, so it yields exactly the subsequence of its
+// unrestricted output that want accepts at read time. want is asked before
+// a complete state is priced and pushed, and again when one pushed earlier
+// pops; its answer for a node must only ever turn from true to false.
+func (s *Searcher) Restrict(want func(kg.NodeID) bool) { s.want = want }
 
 // Next returns the match with the greatest pss not yet returned, in exact
 // non-increasing pss order. ok is false when the search space is exhausted.
 func (s *Searcher) Next() (Match, bool) {
 	for {
-		idx, pri, ok := s.frontier.Pop()
+		idx, pri, ok := s.frontier.pop()
 		if !ok {
 			return Match{}, false
 		}
 		st := s.arena[idx]
 		if st.seg == int32(s.sub.Segments()) {
 			// Complete match popped in global pss order (Theorem 2); its
-			// frontier priority is its exact pss.
-			if s.emitted[st.node] {
+			// frontier priority is its exact pss. The first to pop at its
+			// node is the one expand recorded in best.
+			if s.best[st.node] == emitted {
 				continue
 			}
-			s.emitted[st.node] = true
+			s.best[st.node] = emitted
+			if s.want != nil && !s.want(st.node) {
+				continue
+			}
 			s.stats.Emitted++
 			return s.reconstruct(idx, pri), true
 		}
@@ -359,7 +379,7 @@ func (s *Searcher) RunEager(stop func() bool, emit func(Match) bool) bool {
 		if stop != nil && stop() {
 			return false
 		}
-		idx, _, ok := s.frontier.Pop()
+		idx, _, ok := s.frontier.pop()
 		if !ok {
 			return true
 		}
@@ -391,7 +411,11 @@ func (s *Searcher) RunEager(stop func() bool, emit func(Match) bool) bool {
 // Completed matches are pushed to the frontier in optimal mode
 // (emitEager == nil), or handed to emitEager immediately in time-bounded
 // mode. Raw weight products below the prune floors skip the math.Pow of
-// Eq. 6/7 entirely; everything else evaluates them exactly.
+// Eq. 6/7 entirely; everything else evaluates them exactly. In optimal
+// mode a complete state is pushed only if it can be the first to pop at
+// its end node: the heuristic is consistent and frontier ties pop in push
+// order, so that is the highest-pss state pushed earliest, and a node
+// already emitted or unwanted takes none.
 func (s *Searcher) expand(idx int32, emitEager func(Match)) {
 	st := s.arena[idx] // copy: appends below may grow the arena
 	segs := int32(s.sub.Segments())
@@ -422,10 +446,23 @@ func (s *Searcher) expand(idx int32, emitEager func(Match)) {
 					s.stats.Pruned++
 					continue
 				}
+				best := 0.0 // below every pss, since τ > 0
+				if emitEager == nil {
+					if best = s.best[h.Neighbor]; best == emitted {
+						continue
+					}
+					if s.want != nil && !s.want(h.Neighbor) {
+						s.best[h.Neighbor] = emitted
+						continue
+					}
+				}
 				pss := math.Pow(nw, 1/float64(nhops))
 				if pss < s.opts.Tau {
 					s.stats.Pruned++
 					continue
+				}
+				if pss <= best {
+					continue // an earlier push at the node pops first
 				}
 				next := s.alloc(state{node: h.Neighbor, via: h.Edge, parent: idx,
 					seg: nseg, hops: nhops, w: nw})
@@ -435,6 +472,7 @@ func (s *Searcher) expand(idx int32, emitEager func(Match)) {
 					s.stats.Emitted++
 					emitEager(s.reconstruct(next, pss))
 				} else {
+					s.best[h.Neighbor] = pss
 					s.push(next, pss)
 				}
 				continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -180,5 +181,56 @@ func TestEagerRunMatchesOracleOnSegments(t *testing.T) {
 			t.Fatalf("trial %d: eager run should exhaust", trial)
 		}
 		checkAgainstOracle(t, fmt.Sprintf("trial %d", trial), g, oracleSub(tw, sub), opt, got, false, true)
+	}
+}
+
+// TestRestrictYieldsWantedSubsequence: a searcher restricted after a
+// random number of reads, whose want rejects a growing set of end nodes,
+// yields exactly the unrestricted sequence filtered by want at read time
+// — same paths, pss and order — and expands the same partial states.
+func TestRestrictYieldsWantedSubsequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	filtered := 0
+	for trial := 0; trial < 300; trial++ {
+		g, tw, sub := randomCaseSegs(rng, 1+rng.Intn(3))
+		opt := Options{Tau: 0.3, MaxHops: 4}
+		full := NewSearcher(g, tw, sub, opt)
+		all := drainNext(full.Next)
+
+		banned := make(map[kg.NodeID]bool)
+		sr := NewSearcher(g, tw, sub, opt)
+		restrictAt := rng.Intn(4)
+		pos := 0
+		for read := 0; ; read++ {
+			if read == restrictAt {
+				sr.Restrict(func(u kg.NodeID) bool { return !banned[u] })
+			}
+			if rng.Intn(3) == 0 {
+				banned[kg.NodeID(rng.Intn(g.NumNodes()))] = true
+			}
+			if read >= restrictAt {
+				for pos < len(all) && banned[all[pos].End()] {
+					pos++
+					filtered++
+				}
+			}
+			got, ok := sr.Next()
+			if !ok {
+				if pos != len(all) {
+					t.Fatalf("trial %d: restricted search ended at read %d, %d wanted matches left", trial, read, len(all)-pos)
+				}
+				break
+			}
+			if pos == len(all) || !reflect.DeepEqual(got, all[pos]) {
+				t.Fatalf("trial %d read %d: restricted search yielded %+v, want the unrestricted match %d", trial, read, got, pos)
+			}
+			pos++
+		}
+		if a, b := full.Stats(), sr.Stats(); a.Popped != b.Popped || a.Pruned != b.Pruned || b.Pushed > a.Pushed {
+			t.Fatalf("trial %d: restricted stats %+v, unrestricted %+v", trial, b, a)
+		}
+	}
+	if filtered == 0 {
+		t.Fatal("weak inputs: want never rejected a match")
 	}
 }

@@ -325,6 +325,15 @@ type resumeStream struct {
 	dry    bool
 }
 
+// Restrict forwards the assembly's hint to a search that takes it (see
+// ta.Restricter). The buffered prefix was read before the hint; the
+// assembly skips what it does not want there.
+func (r *resumeStream) Restrict(want func(kg.NodeID) bool) {
+	if rs, ok := r.search.(ta.Restricter); ok {
+		rs.Restrict(want)
+	}
+}
+
 func (r *resumeStream) Next() (astar.Match, bool) {
 	if r.pos < len(r.buf) {
 		m := r.buf[r.pos]

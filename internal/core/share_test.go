@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"semkg/internal/astar"
+	"semkg/internal/datagen"
 	"semkg/internal/ta"
 	"semkg/internal/tbq"
 )
@@ -128,6 +129,83 @@ func TestStreamPlanSharedEvents(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotTop.Answers, wantTop.Answers) {
 		t.Fatalf("closing top-k differs:\n%v\nvs\n%v", gotTop.Answers, wantTop.Answers)
+	}
+}
+
+// topKEvents drains a stream and returns its TopKEvents in order.
+func topKEvents(t *testing.T, s *Stream) []TopKEvent {
+	t.Helper()
+	var out []TopKEvent
+	for ev := range s.Events() {
+		if v, ok := ev.(TopKEvent); ok {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestRestrictedRunMatchesSharedEvents: once a stream runs dry the
+// assembly restricts the private searchers of a StreamPlan run, while the
+// shared cursors of a StreamPlanShared run are never restricted — yet the
+// two runs emit the identical TopKEvent sequence (every provisional
+// ranking, bound and round) and the identical result, exact or under an
+// ample time bound. Afterwards a fresh cursor over each shared
+// enumeration still yields the unrestricted private sequence.
+func TestRestrictedRunMatchesSharedEvents(t *testing.T) {
+	ctx := context.Background()
+	restricted := 0
+	for _, seed := range []int64{3, 17, 42} {
+		ds, e := tinyWorld(t, seed)
+		for _, q := range append(append([]datagen.GenQuery{}, ds.Medium...), ds.Complex...) {
+			for _, opts := range []Options{
+				{K: 5, Tau: 0.5, MaxHops: 3},
+				{K: 20, Tau: 0.5, MaxHops: 3, TimeBound: time.Minute},
+			} {
+				name := fmt.Sprintf("seed %d %s K=%d bound=%v", seed, q.Name, opts.K, opts.TimeBound)
+				p, err := e.Compile(q.Graph, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if p.Subqueries() < 2 {
+					continue
+				}
+				sPriv, err := e.StreamPlan(ctx, p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := topKEvents(t, sPriv)
+				sources := sharedSourcesFor(t, e, p)
+				sShared, err := e.StreamPlanShared(ctx, p, opts, sources)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := topKEvents(t, sShared)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: shared run's TopKEvents differ from the private run's:\n%+v\nvs\n%+v", name, got, want)
+				}
+				privRes, sharedRes := sPriv.Result(), sShared.Result()
+				if !reflect.DeepEqual(sharedRes.Answers, privRes.Answers) || sharedRes.Approximate || privRes.Approximate {
+					t.Fatalf("%s: results differ", name)
+				}
+				for i, st := range privRes.SearchStats {
+					if st.Emitted < sharedRes.SearchStats[i].Emitted {
+						restricted++ // the private searcher skipped unwanted matches
+					}
+				}
+				for i, ss := range sources {
+					priv, err := e.subSearcher(p, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(drainCursor(ss.Cursor()), drainCursor(priv)) {
+						t.Fatalf("%s: sub %d: a fresh cursor no longer yields the private sequence", name, i)
+					}
+				}
+			}
+		}
+	}
+	if restricted == 0 {
+		t.Fatal("weak inputs: no private searcher was ever restricted")
 	}
 }
 

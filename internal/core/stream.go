@@ -82,9 +82,11 @@ func (ProgressEvent) Kind() EventKind { return KindProgress }
 // rounds. Answers are complete candidates in rank order (at most k);
 // LowerK is L_k, the exact score of the k-th candidate (0 until k
 // complete candidates exist), and UpperMax is U_max, the best upper bound
-// of any candidate outside the current top-k (Eq. 8-11). The assembly
-// terminates when L_k >= U_max (Theorem 3), so the gap measures how far
-// the provisional ranking may still move. The last TopKEvent of a stream
+// (Eq. 8-11) of any candidate outside the current top-k that can still
+// complete: once a sub-query's stream has run dry, a candidate it never
+// matched, or one not met yet, no longer counts. The assembly terminates
+// when L_k >= U_max (Theorem 3), so the gap measures how far the
+// provisional ranking may still move. The last TopKEvent of a stream
 // always carries the final ranking.
 type TopKEvent struct {
 	Answers  []Answer
@@ -539,6 +541,13 @@ type cutStream struct {
 	ta.Stream
 	dl *deadline
 	n  int
+}
+
+// Restrict forwards the assembly's hint to the stream under the cut.
+func (c *cutStream) Restrict(want func(kg.NodeID) bool) {
+	if rs, ok := c.Stream.(ta.Restricter); ok {
+		rs.Restrict(want)
+	}
 }
 
 func (c *cutStream) Next() (astar.Match, bool) {

@@ -138,6 +138,16 @@ func (s *Source) Next() (astar.Match, bool) {
 	return m, ok
 }
 
+// Restrict passes the assembly's hint (see ta.Restricter) to a private
+// whole-graph searcher. A shared enumeration must never be restricted, and
+// a shard searcher's ids are local, so both ignore it; the assembly skips
+// the unwanted matches they yield.
+func (s *Source) Restrict(want func(kg.NodeID) bool) {
+	if sr, ok := s.pull.(*astar.Searcher); ok && s.sh == nil {
+		sr.Restrict(want)
+	}
+}
+
 // Stats returns the underlying searcher's effort counters.
 func (s *Source) Stats() astar.Stats { return s.pull.Stats() }
 

@@ -39,33 +39,55 @@ type refCand struct {
 }
 
 // recompute derives the top-k, L_k and U_max from scratch after a prefix
-// of accesses, straight from Eq. 8-11: lower sums pss in access order,
-// upper adds ψcur (1 before the first access, 0 once dead) for every
-// unseen stream, U_max ranges over everything outside the top plus the
+// of pulls, straight from Eq. 8-11 and the dry-stream rule: a candidate is
+// live while it is seen in every dry stream, and no pivot first met after
+// a stream ran dry is a candidate. A pull at a pivot that is not live, or
+// already seen in its stream, is skipped: it is no access and leaves ψcur
+// alone. Lower sums pss in access order, upper adds ψcur (1 before the
+// first access, 0 once dry) for every unseen stream, and U_max ranges over
+// the live candidates outside the top plus — while no stream is dry — the
 // never-seen candidate Σ ψcur.
-func recompute(log []access, n, k int) (top []*refCand, all map[kg.NodeID]*refCand, lk, umax float64, dead int) {
+func recompute(log []access, n, k int) (top []*refCand, live map[kg.NodeID]*refCand, lk, umax float64, dead, accesses int) {
 	psi := make([]float64, n)
 	for i := range psi {
 		psi[i] = 1
 	}
-	all = map[kg.NodeID]*refCand{}
+	dry := make([]bool, n)
+	isLive := func(c *refCand) bool {
+		for i := range dry {
+			if dry[i] && !c.seen[i] {
+				return false
+			}
+		}
+		return true
+	}
+	all := map[kg.NodeID]*refCand{}
 	for _, x := range log {
 		if !x.ok {
-			psi[x.stream] = 0
+			psi[x.stream], dry[x.stream] = 0, true
 			dead++
+			accesses++
 			continue
 		}
-		psi[x.stream] = x.m.PSS
 		c := all[x.m.End()]
+		if c == nil && dead > 0 || c != nil && (!isLive(c) || c.seen[x.stream]) {
+			continue
+		}
+		accesses++
+		psi[x.stream] = x.m.PSS
 		if c == nil {
 			c = &refCand{pivot: x.m.End(), seen: make([]bool, n)}
 			all[x.m.End()] = c
 		}
-		if !c.seen[x.stream] {
-			c.seen[x.stream], c.lower, c.n = true, c.lower+x.m.PSS, c.n+1
+		c.seen[x.stream], c.lower, c.n = true, c.lower+x.m.PSS, c.n+1
+	}
+	live = map[kg.NodeID]*refCand{}
+	for p, c := range all {
+		if isLive(c) {
+			live[p] = c
 		}
 	}
-	for _, c := range all {
+	for _, c := range live {
 		if c.n == n {
 			top = append(top, c)
 		}
@@ -77,10 +99,12 @@ func recompute(log []access, n, k int) (top []*refCand, all map[kg.NodeID]*refCa
 	if len(top) == k {
 		lk = top[k-1].lower
 	}
-	for _, p := range psi {
-		umax += p
+	if dead == 0 {
+		for _, p := range psi {
+			umax += p
+		}
 	}
-	for _, c := range all {
+	for _, c := range live {
 		if slices.Contains(top, c) {
 			continue
 		}
@@ -92,20 +116,22 @@ func recompute(log []access, n, k int) (top []*refCand, all map[kg.NodeID]*refCa
 		}
 		umax = max(umax, u)
 	}
-	return top, all, lk, umax, dead
+	return top, live, lk, umax, dead, accesses
 }
 
 // TestAssemblerMatchesRecompute checks the incremental bookkeeping against
-// a from-scratch recompute after every round: the provisional top-k and
-// Bounds() agree on every round, the terminal one included, and the
-// assembler stops on exactly the first round where Theorem 3 holds
-// (len(top) == k && L_k >= U_max) or every stream is dead; Changes grows
-// exactly on the rounds that change the provisional ranking. Scores sit on a
-// 0.05 grid so ties at the k-th score occur; pivots are drawn with a skew
-// so evicted candidates are seen again.
+// a from-scratch recompute after every round: the live candidates, the
+// provisional top-k, Bounds() and the access count agree on every round,
+// the terminal one included, and the assembler stops on exactly the first
+// round where Theorem 3 holds (len(top) == k && L_k >= U_max), every
+// stream is dry, or a stream is dry with the top short of k and no live
+// candidate outside it; Changes grows exactly on the rounds that change
+// the provisional ranking. Scores sit on a 0.05 grid so ties at the k-th
+// score occur; pivots are drawn with a skew so evicted candidates are seen
+// again.
 func TestAssemblerMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var evictedThenSeen, kthTies int
+	var evictedThenSeen, kthTies, skipped, closedStops int
 	for trial := 0; trial < 150; trial++ {
 		n, k := 1+rng.Intn(6), 1+rng.Intn(8)
 		pivots := 1 + rng.Intn(400)
@@ -134,14 +160,26 @@ func TestAssemblerMatchesRecompute(t *testing.T) {
 					evictedThenSeen++
 				}
 			}
-			top, all, lk, umax, dead := recompute(log, n, k)
-			want := len(top) == k && lk >= umax || dead == n
+			top, live, lk, umax, dead, accesses := recompute(log, n, k)
+			skipped += len(log) - accesses
+			outside := len(live) - len(top)
+			closedStop := dead > 0 && len(top) < k && outside == 0
+			want := len(top) == k && lk >= umax || dead == n || closedStop
 			if more == want {
 				t.Fatalf("trial %d round %d: Step()=%v, but reference stop rule says %v", trial, round, more, want)
 			}
-			for p, c := range all { // tombstones included
-				if got := asm.cands[p]; got.lower != c.lower || got.nSeen != c.n {
-					t.Fatalf("trial %d round %d: pivot %d at (%v,%d), want (%v,%d)", trial, round, p, got.lower, got.nSeen, c.lower, c.n)
+			if closedStop && dead < n {
+				closedStops++
+			}
+			if got := asm.Stats().Accesses; got != accesses {
+				t.Fatalf("trial %d round %d: %d accesses, recompute counts %d", trial, round, got, accesses)
+			}
+			if len(asm.cands) != len(live) {
+				t.Fatalf("trial %d round %d: %d candidates tracked, %d live", trial, round, len(asm.cands), len(live))
+			}
+			for p, c := range live { // tombstones included
+				if got := asm.cands[p]; got == nil || got.lower != c.lower || got.nSeen != c.n {
+					t.Fatalf("trial %d round %d: pivot %d at %+v, want (%v,%d)", trial, round, p, got, c.lower, c.n)
 				}
 			}
 			if gl, gu := asm.Bounds(); gl != lk || gu != umax {
@@ -162,7 +200,7 @@ func TestAssemblerMatchesRecompute(t *testing.T) {
 			}
 			prevTop, prevChanges = prov, asm.Changes()
 			if len(top) == k {
-				for _, c := range all {
+				for _, c := range live {
 					if c.n == n && c.lower == lk && !slices.Contains(top, c) {
 						kthTies++
 						break
@@ -177,8 +215,82 @@ func TestAssemblerMatchesRecompute(t *testing.T) {
 			}
 		}
 	}
-	if evictedThenSeen == 0 || kthTies == 0 {
-		t.Fatalf("weak inputs: %d sightings of evicted candidates, %d rounds with a tie at the k-th score", evictedThenSeen, kthTies)
+	if evictedThenSeen == 0 || kthTies == 0 || skipped == 0 || closedStops == 0 {
+		t.Fatalf("weak inputs: %d sightings of evicted candidates, %d rounds with a tie at the k-th score, %d skipped pulls, %d stops on a dry stream",
+			evictedThenSeen, kthTies, skipped, closedStops)
+	}
+}
+
+// restrictable is a SliceStream that honours Restrict by filtering at read
+// time, as a restricted searcher does.
+type restrictable struct {
+	SliceStream
+	want func(kg.NodeID) bool
+}
+
+func (r *restrictable) Restrict(want func(kg.NodeID) bool) { r.want = want }
+
+func (r *restrictable) Next() (astar.Match, bool) {
+	for {
+		m, ok := r.SliceStream.Next()
+		if !ok || r.want == nil || r.want(m.End()) {
+			return m, ok
+		}
+	}
+}
+
+// TestRestrictIsInvisible: streams that drop what the assembly would skip
+// leave every round unchanged — bounds, provisional top-k, changes, stats
+// and finals — and are restricted only once a stream has run dry.
+func TestRestrictIsInvisible(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	restricted := 0
+	for trial := 0; trial < 150; trial++ {
+		n, k := 2+rng.Intn(4), 1+rng.Intn(8)
+		pivots := 1 + rng.Intn(300)
+		plain := make([]Stream, n)
+		hinted := make([]Stream, n)
+		rs := make([]*restrictable, n)
+		for i := range plain {
+			ms := make([]astar.Match, rng.Intn(pivots+1))
+			for j, p := range rng.Perm(pivots)[:len(ms)] {
+				ms[j] = entry(kg.NodeID(p), float64(rng.Intn(21))*0.05)
+			}
+			sort.SliceStable(ms, func(a, b int) bool { return ms[a].PSS > ms[b].PSS })
+			plain[i] = &SliceStream{Matches: ms}
+			rs[i] = &restrictable{SliceStream: SliceStream{Matches: ms}}
+			hinted[i] = rs[i]
+		}
+		a, b := NewAssembler(plain, k), NewAssembler(hinted, k)
+		for round := 1; ; round++ {
+			more := a.Step()
+			if b.Step() != more {
+				t.Fatalf("trial %d round %d: restricted assembly stopped differently", trial, round)
+			}
+			al, au := a.Bounds()
+			bl, bu := b.Bounds()
+			if al != bl || au != bu || a.Changes() != b.Changes() || a.Stats() != b.Stats() ||
+				!reflect.DeepEqual(a.Provisional(), b.Provisional()) {
+				t.Fatalf("trial %d round %d: restricted assembly diverged", trial, round)
+			}
+			if !more {
+				break
+			}
+		}
+		if !reflect.DeepEqual(a.Finals(), b.Finals()) {
+			t.Fatalf("trial %d: finals differ", trial)
+		}
+		for i, r := range rs {
+			if r.want != nil && !b.closed {
+				t.Fatalf("trial %d stream %d: restricted, but no stream ran dry", trial, i)
+			}
+			if r.want != nil {
+				restricted++
+			}
+		}
+	}
+	if restricted == 0 {
+		t.Fatal("weak inputs: no stream was ever restricted")
 	}
 }
 

@@ -14,9 +14,24 @@ import (
 )
 
 // Stream yields sub-query matches in non-increasing pss order.
-// *astar.Searcher implements it via its Next method.
+// *astar.Searcher implements it via its Next method. The assembly skips a match at a pivot it has already seen in the
+// stream, or — once some stream has run dry — at a pivot that can no
+// longer complete; a Stream that also implements Restricter is told which
+// pivots those are, so it need not produce them.
 type Stream interface {
 	Next() (astar.Match, bool)
+}
+
+// Restricter is optionally implemented by a Stream that can stop
+// producing matches the assembly would skip. After Restrict, Next yields
+// exactly the subsequence of its unrestricted output whose end nodes want
+// accepts at read time; want's answer for a node only ever turns from
+// true to false. want reads the assembly's state, so it must only be
+// called from inside Next, on the assembly's goroutine. A stream read by
+// others besides this assembly (a shared enumeration) must not implement
+// it.
+type Restricter interface {
+	Restrict(want func(kg.NodeID) bool)
 }
 
 // SliceStream adapts a pre-collected, pss-sorted match slice (Algorithm
@@ -56,7 +71,9 @@ type Stats struct {
 	Exhausted bool
 }
 
-// candidate tracks the NRA bookkeeping for one pivot node match.
+// candidate tracks the NRA bookkeeping for one pivot node match. It lives
+// in Assembler.cands while it can still complete: a candidate not seen in
+// a stream that ran dry is dropped.
 type candidate struct {
 	pivot kg.NodeID
 	seen  []bool
@@ -81,7 +98,9 @@ const (
 // streaming API exposes as events). Both sides of L_k >= U_max are kept
 // incrementally: top holds the k best complete candidates in rank order,
 // and a lazy max-heap holds every other live candidate under a stale-high
-// upper bound (DESIGN.md, "Incremental Theorem 3").
+// upper bound. Once a stream runs dry, only candidates already seen in it
+// can complete: the rest are dropped, no new pivot is tracked, and the
+// bounds cover what is left (DESIGN.md, "Incremental Theorem 3").
 //
 // An Assembler is not safe for concurrent use.
 type Assembler struct {
@@ -89,6 +108,7 @@ type Assembler struct {
 	k       int
 	psiCur  []float64 // pss of latest access per stream (Eq. 11's ψcur)
 	alive   []bool
+	closed  bool // some stream ran dry: cands is the whole candidate set
 	cands   map[kg.NodeID]*candidate
 	stats   Stats
 	done    bool
@@ -156,8 +176,9 @@ func (a *Assembler) Expire(expired func() bool) { a.expired = expired }
 
 // Step runs one round-robin round of sorted accesses and the termination
 // check. It returns false once the assembly has terminated (Theorem 3
-// satisfied, every stream exhausted, or cut; see Expire); Finals then
-// holds the result.
+// satisfied, every stream exhausted, a stream dry with the top short of k
+// and no candidate left that could complete, or cut; see Expire); Finals
+// then holds the result.
 func (a *Assembler) Step() bool {
 	if a.done {
 		return false
@@ -168,15 +189,14 @@ func (a *Assembler) Step() bool {
 		if !a.alive[i] {
 			continue
 		}
-		m, ok := st.Next()
+		m, ok := a.next(i, st)
 		a.stats.Accesses++
 		if !ok {
 			if a.expired != nil && a.expired() {
 				a.finish()
 				return false
 			}
-			a.alive[i] = false
-			a.psiCur[i] = 0
+			a.retire(i)
 			continue
 		}
 		anyAlive = true
@@ -187,17 +207,15 @@ func (a *Assembler) Step() bool {
 			c = a.newCandidate(p)
 			a.cands[p] = c
 		}
-		if !c.seen[i] {
-			// First (= best) match for this pivot in stream i.
-			c.seen[i] = true
-			c.parts[i] = m
-			c.lower += m.PSS
-			c.nSeen++
-			if c.nSeen == len(a.streams) {
-				a.complete(c)
-			} else {
-				a.file(c, a.upper(c))
-			}
+		// First (= best) match for this pivot in stream i.
+		c.seen[i] = true
+		c.parts[i] = m
+		c.lower += m.PSS
+		c.nSeen++
+		if c.nSeen == len(a.streams) {
+			a.complete(c)
+		} else {
+			a.file(c, a.upper(c))
 		}
 	}
 	a.boundsDirty = true
@@ -212,8 +230,62 @@ func (a *Assembler) Step() bool {
 			a.finish()
 			return false
 		}
+	} else if a.closed && len(a.heap) == 0 {
+		// Short of k, every candidate outside the top dropped: nothing
+		// left in the streams can complete.
+		a.finish()
+		return false
 	}
 	return true
+}
+
+// next returns stream i's next match that the assembly can use. A match at
+// a pivot already seen in i, or at one that can no longer complete, is
+// skipped: it is not an access and does not move ψcur.
+func (a *Assembler) next(i int, st Stream) (astar.Match, bool) {
+	for {
+		m, ok := st.Next()
+		if !ok || a.wants(i, m.End()) {
+			return m, ok
+		}
+	}
+}
+
+// wants reports whether a match at pivot p in stream i would count: p is
+// not yet seen in i, and it is a candidate or — while no stream is dry —
+// may become one.
+func (a *Assembler) wants(i int, p kg.NodeID) bool {
+	if c := a.cands[p]; c != nil {
+		return !c.seen[i]
+	}
+	return !a.closed
+}
+
+// retire records that stream i ran dry. A candidate not seen in i can
+// never complete, so it leaves the heap and the candidate set; U_max no
+// longer counts it, nor the virtual never-seen candidate. On the first dry
+// stream every live stream that implements Restricter is told to skip what
+// next would.
+func (a *Assembler) retire(i int) {
+	a.alive[i] = false
+	a.psiCur[i] = 0
+	for p, c := range a.cands {
+		if !c.seen[i] {
+			if c.slot >= 0 {
+				heap.Remove(&a.heap, c.slot)
+			}
+			delete(a.cands, p)
+		}
+	}
+	if a.closed {
+		return
+	}
+	a.closed = true
+	for j, st := range a.streams {
+		if r, ok := st.(Restricter); ok && a.alive[j] {
+			r.Restrict(func(p kg.NodeID) bool { return a.wants(j, p) })
+		}
+	}
 }
 
 // newCandidate cuts a candidate and its per-stream slices from the slab,
@@ -314,10 +386,11 @@ func (a *Assembler) finish() {
 
 // bounds computes (and caches per round) L_k — the k-th best complete
 // score, 0 until k complete candidates exist — and U_max — the best
-// Eq. 11 upper bound among everything outside the current top, including
-// the virtual never-seen candidate whose upper bound is Σ ψcur. Before
-// termination tombstones cannot hold the maximum (it exceeds L_k); after
-// it they can, so the terminal round scans every candidate once.
+// Eq. 11 upper bound among the candidates outside the current top that can
+// still complete, including, while no stream is dry, the virtual
+// never-seen candidate whose upper bound is Σ ψcur. Before termination
+// tombstones cannot hold the maximum (it exceeds L_k); after it they can,
+// so the terminal round scans every candidate once.
 func (a *Assembler) bounds() (float64, float64) {
 	if !a.boundsDirty {
 		return a.lk, a.umax
@@ -327,8 +400,10 @@ func (a *Assembler) bounds() (float64, float64) {
 		lk = a.top[a.k-1].lower
 	}
 	umax := 0.0
-	for i := range a.psiCur {
-		umax += a.psiCur[i] // virtual unseen candidate
+	if !a.closed {
+		for i := range a.psiCur {
+			umax += a.psiCur[i] // virtual unseen candidate
+		}
 	}
 	if a.done {
 		for _, c := range a.cands {
@@ -401,7 +476,8 @@ func (a *Assembler) Stats() Stats { return a.stats }
 
 // Bounds returns the current L_k (the k-th best complete score; 0 until k
 // complete candidates exist) and U_max (the best upper bound among
-// non-top candidates, including the virtual never-seen one). Valid after
+// non-top candidates that can still complete, including the virtual
+// never-seen one while no stream is dry). Valid after
 // the first Step; computed lazily, so only callers observing the bounds
 // pay for them.
 func (a *Assembler) Bounds() (lk, umax float64) { return a.bounds() }
