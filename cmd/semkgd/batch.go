@@ -3,8 +3,8 @@
 // ?stream=1 form fans every query's event stream into one NDJSON
 // response, each line tagged with the query's index (and ID, when
 // given). Either way the queries run concurrently through the serving
-// layer, so repeated shapes compile once and overlapping sub-query
-// searches run once — see internal/serve's batch and sub-sharing layers.
+// layer, so overlapping sub-query searches run once — see
+// internal/serve's batch and sub-sharing layers.
 
 package main
 

@@ -25,6 +25,7 @@ import (
 	"semkg/internal/datagen"
 	"semkg/internal/embed"
 	"semkg/internal/kg"
+	"semkg/internal/shard"
 )
 
 // TestMain doubles the test binary as the semkgd executable: with
@@ -238,7 +239,7 @@ func TestDistSubprocessEquivalence(t *testing.T) {
 		t.Skip("subprocess servers in -short")
 	}
 	w := newDistProcWorld(t, 5)
-	sharded, err := core.NewShardedEngine(w.base, core.ShardConfig{Shards: 2})
+	sharded, err := core.NewShardedEngine(w.base, shard.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestDistSubprocessEquivalence(t *testing.T) {
 		for i := range files {
 			hosts[i] = []string{startShardProc(t, files[i]).url}
 		}
-		de, err := core.NewDistEngine(w.base, hosts, core.DistConfig{})
+		de, err := core.NewDistEngine(w.base, hosts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,9 +303,7 @@ func TestDistSubprocessKilledReplica(t *testing.T) {
 		procs[i] = []*shardProc{startShardProc(t, files[i]), startShardProc(t, files[i])}
 		hosts[i] = []string{procs[i][0].url, procs[i][1].url}
 	}
-	de, err := core.NewDistEngine(w.base, hosts, core.DistConfig{
-		Retries: 3, RetryBackoff: time.Millisecond,
-	})
+	de, err := core.NewDistEngine(w.base, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +353,6 @@ func TestDistCoordinatorSubprocess(t *testing.T) {
 	cmd, logBuf := helperCmd(t,
 		"-snapshot", w.snapPath, "-model", w.modelPath,
 		"-shard-hosts", shard0.url+","+shard1.url,
-		"-shard-retries", "1",
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)

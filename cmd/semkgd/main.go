@@ -6,10 +6,10 @@
 //	POST /v1/stream   streaming: NDJSON events — phase transitions,
 //	                  per-sub-query progress, provisional top-k snapshots
 //	                  with TA bounds, and a terminal result line
-//	POST /v1/batch    a group of queries in one call: repeated shapes
-//	                  compile once and overlapping sub-query searches run
-//	                  once; per-query results (or, with ?stream=1, one
-//	                  NDJSON connection of index/id-tagged event lines)
+//	POST /v1/batch    a group of queries in one call: overlapping
+//	                  sub-query searches run once; per-query results (or,
+//	                  with ?stream=1, one NDJSON connection of
+//	                  index/id-tagged event lines)
 //
 // plus GET /healthz (liveness and graph shape) and GET /debug/vars
 // (expvar counters). Request bodies are api.SearchRequest documents; bad
@@ -74,11 +74,11 @@
 // searches on POST /v1/shard/search (no model needed — semantics stay on
 // the coordinator). The coordinator compiles globally, scatters over the
 // listed hosts (comma-separated shards, '|'-separated replicas of one
-// shard), hedges slow replicas after -hedge-after, retries failures with
-// capped jittered backoff, and serves the ordinary search API; a shard
-// with no live replica fails the search with 502 rather than a silent
-// partial top-k. The coordinator is read-only (ingest would stale the
-// remote shard snapshots).
+// shard), hedges a slow replica after twice its latency EWMA, retries a
+// failed stream 3 times with capped jittered backoff, and serves the
+// ordinary search API; a shard with no live replica fails the search
+// with 502 rather than a silent partial top-k. The coordinator is
+// read-only (ingest would stale the remote shard snapshots).
 //
 // The streaming endpoint is the wire form of the paper's anytime
 // behaviour (Section VI, Theorem 4): in time-bounded mode clients render
@@ -125,8 +125,6 @@ func main() {
 	saveShards := flag.String("save-shards", "", "partition the loaded graph into -shards pieces, write one shard snapshot per shard into this directory, and exit")
 	serveShard := flag.String("serve-shard", "", "run as a shard server: load these comma-separated shard snapshot files and answer /v1/shard/search (no -model needed)")
 	shardHosts := flag.String("shard-hosts", "", "run as a distributed coordinator over these shard servers: comma-separated shards, '|'-separated replica URLs per shard")
-	hedgeAfter := flag.Duration("hedge-after", 0, "coordinator: duplicate a slow shard request onto the next replica after this delay (0 = adaptive 2x latency EWMA, negative = never)")
-	shardRetries := flag.Int("shard-retries", 0, "coordinator: extra attempts per shard stream after the first fails (0 = default 3, negative = none)")
 	addrFile := flag.String("addr-file", "", "write the actual listen address to this file once listening (for -addr :0)")
 	follow := flag.String("follow", "", "run as a read-only follower of the primary at this base URL (e.g. http://host:8375)")
 	advertise := flag.String("advertise", "", "externally reachable base URL announced to followers in the replication hello")
@@ -214,7 +212,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("semkgd: %v", err)
 	}
-	shardCfg := core.ShardConfig{Shards: *shards, Halo: *shardHalo}
+	shardCfg := shard.Options{Shards: *shards, Halo: *shardHalo}
 	buildEngine := func(g2 *kg.Graph, rebuild bool) (*core.Engine, error) {
 		if *follow != "" && g2.NumPredicates() < len(model.Relations) {
 			// Follower bootstrap window: the graph is a replayed prefix
@@ -237,10 +235,7 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			return core.NewDistEngine(base, parseShardHosts(*shardHosts), core.DistConfig{
-				HedgeAfter: *hedgeAfter,
-				Retries:    *shardRetries,
-			})
+			return core.NewDistEngine(base, parseShardHosts(*shardHosts))
 		}
 		if *shards > 1 {
 			if !rebuild {

@@ -13,6 +13,7 @@ import (
 	"semkg/internal/core"
 	"semkg/internal/kg"
 	"semkg/internal/serve"
+	"semkg/internal/shard"
 )
 
 // shardedTestServer serves the motivating example through a 2-shard
@@ -20,7 +21,7 @@ import (
 func shardedTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	base := testEngine(t)
-	se, err := core.NewShardedEngine(base, core.ShardConfig{Shards: 2})
+	se, err := core.NewShardedEngine(base, shard.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestShardedStreamEndpoint(t *testing.T) {
 // The Gate hook holds the repartition shut while we verify.
 func TestShardedIngestReturnsBeforeRepartition(t *testing.T) {
 	base := testEngine(t)
-	initial, err := core.NewShardedEngine(base, core.ShardConfig{Shards: 2})
+	initial, err := core.NewShardedEngine(base, shard.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestShardedIngestReturnsBeforeRepartition(t *testing.T) {
 			return nil, err
 		}
 		return core.NewResharding(eng, initial, core.ReshardConfig{
-			Shard:   core.ShardConfig{Shards: 2},
+			Shard:   shard.Options{Shards: 2},
 			Gate:    func() { <-gate },
 			OnReady: func(core.ShardedStats) { close(ready) },
 			OnError: func(err error) { t.Errorf("background repartition failed: %v", err) },
@@ -189,7 +190,7 @@ func TestShardedHealthz(t *testing.T) {
 // generations, however many ingests deep.
 func TestShardedStatsSurviveIngest(t *testing.T) {
 	base := testEngine(t)
-	initial, err := core.NewShardedEngine(base, core.ShardConfig{Shards: 2})
+	initial, err := core.NewShardedEngine(base, shard.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestShardedStatsSurviveIngest(t *testing.T) {
 		}
 		// As in main.go: the serving engine donates its counters.
 		return core.NewResharding(eng, sv.Engine(), core.ReshardConfig{
-			Shard:   core.ShardConfig{Shards: 2},
+			Shard:   shard.Options{Shards: 2},
 			OnReady: func(core.ShardedStats) { ready <- struct{}{} },
 			OnError: func(err error) { t.Errorf("background repartition failed: %v", err) },
 		}), nil

@@ -330,7 +330,7 @@ func runDistShardRow(ctx context.Context, eng *core.Engine, queries []*query.Gra
 		hosts[i] = []string{url}
 	}
 
-	de, err := core.NewDistEngine(eng, hosts, core.DistConfig{})
+	de, err := core.NewDistEngine(eng, hosts)
 	if err != nil {
 		return Sample{}, nil, err
 	}

@@ -27,6 +27,7 @@ import (
 
 	"semkg/internal/core"
 	"semkg/internal/datagen"
+	"semkg/internal/shard"
 )
 
 // ShardConfig is the configuration embedded in the shard artifact.
@@ -109,7 +110,7 @@ func runInprocShard(ctx context.Context, art *Artifact, cfg *ShardConfig, env *E
 
 	for _, n := range []int{1, 2, 4, 8} {
 		pStart := time.Now()
-		se, err := core.NewShardedEngine(env.Engine, core.ShardConfig{Shards: n})
+		se, err := core.NewShardedEngine(env.Engine, shard.Options{Shards: n})
 		if err != nil {
 			return err
 		}

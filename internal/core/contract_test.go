@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"semkg/internal/shard"
 	"semkg/internal/tbq"
 )
 
@@ -31,7 +32,7 @@ func TestOneEventContract(t *testing.T) {
 	gate := make(chan struct{})
 	ready := make(chan struct{})
 	resharding := NewResharding(e, nil, ReshardConfig{
-		Shard:   ShardConfig{Shards: 3},
+		Shard:   shard.Options{Shards: 3},
 		Gate:    func() { <-gate },
 		OnReady: func(ShardedStats) { close(ready) },
 		OnError: func(err error) { t.Errorf("background partition failed: %v", err) },
@@ -46,7 +47,7 @@ func TestOneEventContract(t *testing.T) {
 		{name: "single", eng: e, deployed: func(d Deployment) bool { return d == Deployment{} }},
 		{name: "sharded", eng: shardedOver(t, e, 3), shards: 3,
 			deployed: func(d Deployment) bool { return d.Shards == 3 && d.Sharded != nil }},
-		{name: "distributed", eng: distOver(t, e, 3, 1, DistConfig{}).de, shards: 3,
+		{name: "distributed", eng: distOver(t, e, 3, 1).de, shards: 3,
 			deployed: func(d Deployment) bool { return d.Dist != nil }},
 		{name: "resharding/before", eng: resharding,
 			deployed: func(d Deployment) bool { return d.Resharding && d.Shards == 0 }},

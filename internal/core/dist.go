@@ -36,7 +36,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,39 +46,25 @@ import (
 	"semkg/internal/shardwire"
 )
 
-// DistConfig tunes the coordinator's replica policy. The zero value is
-// production-ready.
-type DistConfig struct {
-	// HedgeAfter is the time to wait for a replica's first response line
-	// before launching a duplicate request on the next replica. 0 adapts
-	// per replica: twice its EWMA first-line latency, clamped to
-	// [1ms, 100ms]. Negative disables hedging.
-	HedgeAfter time.Duration
-	// Retries is the extra attempts per (shard, sub-query) stream after
-	// the first fails, rotating replicas. 0 = default 3; negative = none.
-	Retries int
-	// RetryBackoff is the base backoff between attempts; it doubles per
-	// attempt, capped at 32x, with ±50% jitter. 0 = default 5ms.
-	RetryBackoff time.Duration
-	// MetaTimeout bounds the construction-time metadata fetch per
-	// replica. 0 = default 5s.
-	MetaTimeout time.Duration
-}
-
-func (c DistConfig) withDefaults() DistConfig {
-	if c.Retries == 0 {
-		c.Retries = 3
-	} else if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 5 * time.Millisecond
-	}
-	if c.MetaTimeout <= 0 {
-		c.MetaTimeout = 5 * time.Second
-	}
-	return c
-}
+// The coordinator's replica policy: fixed, so every deployment runs the
+// one policy the tests pin.
+const (
+	// hedgeUnobserved is the hedge delay before a replica's first
+	// first-line latency observation; afterwards it is twice the
+	// replica's EWMA, clamped to [hedgeMin, hedgeMax].
+	hedgeUnobserved = 25 * time.Millisecond
+	hedgeMin        = time.Millisecond
+	hedgeMax        = 100 * time.Millisecond
+	// shardRetries is the extra attempts per (shard, sub-query) stream
+	// after the first fails, rotating replicas.
+	shardRetries = 3
+	// retryBackoff is the base backoff between attempts; it doubles per
+	// attempt, capped at retryBackoffCap times, with ±50% jitter.
+	retryBackoff    = 5 * time.Millisecond
+	retryBackoffCap = 32
+	// metaTimeout bounds the construction-time metadata fetch per replica.
+	metaTimeout = 5 * time.Second
+)
 
 // ShardUnavailableError reports that a distributed search could not
 // complete because every replica of one shard failed past the retry
@@ -134,7 +119,12 @@ type DistStats struct {
 type distBackend struct {
 	hosts [][]string // hosts[shard] = replica base URLs
 	halo  int
-	cfg   DistConfig
+	// The replica policy, set from the package constants; tests in this
+	// package shorten it after construction. hedgeAfter != 0 fixes the
+	// hedge delay (negative disables hedging) instead of adapting it.
+	hedgeAfter time.Duration
+	maxRetries int
+	backoff    time.Duration
 	// client is dedicated, with the default transport: no global timeout,
 	// since streams are long-lived and cancellation rides the request
 	// context.
@@ -160,14 +150,15 @@ type distBackend struct {
 // node names must agree — a stale or foreign shard snapshot is rejected
 // rather than silently producing wrong search results). Replicas may die
 // later; searches then hedge, retry and fail over.
-func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*Engine, error) {
+func NewDistEngine(base *Engine, hosts [][]string) (*Engine, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: nil base engine")
 	}
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("core: no shard hosts")
 	}
-	b := &distBackend{hosts: make([][]string, len(hosts)), halo: -1, cfg: cfg.withDefaults(), client: &http.Client{}}
+	b := &distBackend{hosts: make([][]string, len(hosts)), halo: -1, client: &http.Client{},
+		maxRetries: shardRetries, backoff: retryBackoff}
 	b.ewmaNs = make([][]atomic.Int64, len(hosts))
 	for s, reps := range hosts {
 		if len(reps) == 0 {
@@ -197,12 +188,12 @@ func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*Engine, err
 			}
 		}
 	}
-	ss := &sourceSet{backend: b, shards: len(b.hosts), workers: runtime.GOMAXPROCS(0)}
+	ss := &sourceSet{backend: b, shards: len(b.hosts)}
 	return base.over(ss), nil
 }
 
 func (b *distBackend) fetchMeta(host string) (*shardwire.Meta, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), b.cfg.MetaTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), metaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, host+shardwire.PathMeta, nil)
 	if err != nil {
@@ -377,7 +368,7 @@ func (src *remoteSource) Shard() int { return src.shard + 1 }
 func (src *remoteSource) retryLoop() {
 	reps := src.b.hosts[src.shard]
 	rep := int(src.b.rr.Add(1)) % len(reps)
-	backoff := src.b.cfg.RetryBackoff
+	backoff := src.b.backoff
 	attempts := 0
 	for {
 		if src.ctx.Err() != nil {
@@ -388,7 +379,7 @@ func (src *remoteSource) retryLoop() {
 			return
 		}
 		attempts++
-		if attempts > src.b.cfg.Retries {
+		if attempts > src.b.maxRetries {
 			src.fail(&ShardUnavailableError{Shard: src.shard, Sub: src.sub, Attempts: attempts, Err: err})
 			return
 		}
@@ -396,7 +387,7 @@ func (src *remoteSource) retryLoop() {
 		if !sleepCtx(src.ctx, jitterDuration(backoff)) {
 			return
 		}
-		if backoff < src.b.cfg.RetryBackoff*32 {
+		if backoff < src.b.backoff*retryBackoffCap {
 			backoff *= 2
 		}
 		if len(reps) > 1 {
@@ -588,24 +579,18 @@ func (b *distBackend) observeLatency(shard, rep int, d time.Duration) {
 }
 
 // hedgeDelay is the wait before duplicating a request onto the next
-// replica: the configured threshold, or (adaptively) twice the replica's
-// first-line EWMA clamped to [1ms, 100ms]. <= 0 disables hedging.
+// replica: twice the replica's first-line EWMA clamped to [hedgeMin,
+// hedgeMax], or hedgeUnobserved before any observation. <= 0 disables
+// hedging.
 func (b *distBackend) hedgeDelay(shard, rep int) time.Duration {
-	if b.cfg.HedgeAfter != 0 {
-		return b.cfg.HedgeAfter // negative disables
+	if b.hedgeAfter != 0 {
+		return b.hedgeAfter
 	}
 	e := time.Duration(b.ewmaNs[shard][rep].Load())
 	if e == 0 {
-		return 25 * time.Millisecond // no observation yet
+		return hedgeUnobserved
 	}
-	d := 2 * e
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	if d > 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	return d
+	return min(max(2*e, hedgeMin), hedgeMax)
 }
 
 // lineMatch rebuilds an astar.Match (in base-graph ids) from its wire

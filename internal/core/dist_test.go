@@ -29,7 +29,7 @@ type distWorld struct {
 
 // distOver partitions e's graph into n shards, serves each from
 // `replicas` httptest servers, and wires a coordinator over them.
-func distOver(t *testing.T, e *Engine, n, replicas int, cfg DistConfig) *distWorld {
+func distOver(t *testing.T, e *Engine, n, replicas int) *distWorld {
 	t.Helper()
 	set, err := shard.Partition(e.Graph(), shard.Options{Shards: n})
 	if err != nil {
@@ -49,11 +49,19 @@ func distOver(t *testing.T, e *Engine, n, replicas int, cfg DistConfig) *distWor
 			servers[i] = append(servers[i], hs)
 		}
 	}
-	de, err := NewDistEngine(e, hosts, cfg)
+	de, err := NewDistEngine(e, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &distWorld{set: set, hosts: hosts, servers: servers, de: de}
+}
+
+// withPolicy replaces de's replica policy before its first search:
+// retries extra attempts, a base backoff, and a fixed hedge delay
+// (0 keeps the adaptive one, negative disables hedging).
+func withPolicy(de *Engine, retries int, backoff, hedgeAfter time.Duration) {
+	b := de.sources.Load().backend.(*distBackend)
+	b.maxRetries, b.backoff, b.hedgeAfter = retries, backoff, hedgeAfter
 }
 
 // TestDistSearchEquivalenceSGQ is the cross-process acceptance property
@@ -70,7 +78,7 @@ func TestDistSearchEquivalenceSGQ(t *testing.T) {
 		}
 		deployments := map[int]deployment{}
 		for _, n := range []int{1, 2, 4} {
-			deployments[n] = deployment{distOver(t, e, n, 1, DistConfig{}).de, shardedOver(t, e, n)}
+			deployments[n] = deployment{distOver(t, e, n, 1).de, shardedOver(t, e, n)}
 		}
 		for _, q := range shardedWorkload(ds) {
 			for _, k := range []int{1, 5} {
@@ -103,7 +111,7 @@ func TestDistSearchEquivalenceSGQ(t *testing.T) {
 func TestDistStreamMatchesSearch(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 17)
-	de := distOver(t, e, 3, 1, DistConfig{}).de
+	de := distOver(t, e, 3, 1).de
 	for _, q := range shardedWorkload(ds)[:4] {
 		opts := Options{K: 5, Tau: 0.5, MaxHops: 3}
 		want, err := de.Search(ctx, q.Graph, opts)
@@ -151,7 +159,7 @@ func TestDistStreamMatchesSearch(t *testing.T) {
 func TestDistTBQExhaustedEquivalence(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 8)
-	de := distOver(t, e, 4, 1, DistConfig{}).de
+	de := distOver(t, e, 4, 1).de
 	for _, q := range shardedWorkload(ds)[:5] {
 		opts := Options{K: 5, Tau: 0.5, MaxHops: 3, TimeBound: time.Hour}
 		want, err := e.Search(ctx, q.Graph, opts)
@@ -177,7 +185,7 @@ func TestDistTBQExhaustedEquivalence(t *testing.T) {
 func TestDistLocalFallbacks(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 3)
-	de := distOver(t, e, 2, 1, DistConfig{}).de
+	de := distOver(t, e, 2, 1).de
 	q := shardedWorkload(ds)[0]
 
 	deep := Options{K: 5, Tau: 0.5, MaxHops: de.Deployment().Dist.Halo + 1}
@@ -213,7 +221,7 @@ func TestDistLocalFallbacks(t *testing.T) {
 func TestDistPlanCompat(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 3)
-	de := distOver(t, e, 2, 1, DistConfig{}).de
+	de := distOver(t, e, 2, 1).de
 	q := shardedWorkload(ds)[0]
 	opts := Options{K: 5, Tau: 0.5, MaxHops: 3}
 
@@ -263,15 +271,15 @@ func TestDistMetaValidation(t *testing.T) {
 	s1 := serveShard(set.Shard(1))
 
 	// Happy path sanity.
-	if _, err := NewDistEngine(e, [][]string{{s0.URL}, {s1.URL}}, DistConfig{}); err != nil {
+	if _, err := NewDistEngine(e, [][]string{{s0.URL}, {s1.URL}}); err != nil {
 		t.Fatalf("clean deployment rejected: %v", err)
 	}
 	// Replica serving the wrong shard index.
-	if _, err := NewDistEngine(e, [][]string{{s1.URL}, {s0.URL}}, DistConfig{}); err == nil {
+	if _, err := NewDistEngine(e, [][]string{{s1.URL}, {s0.URL}}); err == nil {
 		t.Fatal("swapped shard replicas accepted")
 	}
 	// Partition arity mismatch: 2-way shards behind a 3-shard coordinator.
-	if _, err := NewDistEngine(e, [][]string{{s0.URL}, {s1.URL}, {s1.URL}}, DistConfig{}); err == nil {
+	if _, err := NewDistEngine(e, [][]string{{s0.URL}, {s1.URL}, {s1.URL}}); err == nil {
 		t.Fatal("2-way partition accepted as a 3-shard deployment")
 	}
 	// Replica from a different (bigger) world: its shard maps base ids
@@ -285,14 +293,14 @@ func TestDistMetaValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDistEngine(e, [][]string{{serveShard(oset.Shard(0)).URL}, {s1.URL}}, DistConfig{}); err == nil {
+	if _, err := NewDistEngine(e, [][]string{{serveShard(oset.Shard(0)).URL}, {s1.URL}}); err == nil {
 		t.Fatal("foreign world's shard accepted (stale-snapshot check failed)")
 	}
 	// Dead replica.
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close()
-	if _, err := NewDistEngine(e, [][]string{{s0.URL}, {deadURL}}, DistConfig{MetaTimeout: 200 * time.Millisecond}); err == nil {
+	if _, err := NewDistEngine(e, [][]string{{s0.URL}, {deadURL}}); err == nil {
 		t.Fatal("unreachable replica accepted")
 	}
 }
@@ -305,7 +313,8 @@ func TestDistMetaValidation(t *testing.T) {
 func TestDistShardUnavailableTyped(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 3)
-	w := distOver(t, e, 2, 1, DistConfig{Retries: 1, RetryBackoff: time.Millisecond})
+	w := distOver(t, e, 2, 1)
+	withPolicy(w.de, 1, time.Millisecond, 0)
 	q := shardedWorkload(ds)[0]
 	opts := Options{K: 5, Tau: 0.5, MaxHops: 3}
 
@@ -359,6 +368,31 @@ func TestDistShardUnavailableTyped(t *testing.T) {
 	}
 }
 
+// TestDistDefaultReplicaPolicy pins the one replica policy every
+// deployment runs: a shard whose only replica dies after validation fails
+// after 1 try + shardRetries retries, having slept the doubling backoff
+// (5 + 10 + 20 ms, each at no less than half under its ±50% jitter).
+func TestDistDefaultReplicaPolicy(t *testing.T) {
+	ds, e := tinyWorld(t, 3)
+	w := distOver(t, e, 2, 1)
+	w.servers[1][0].CloseClientConnections()
+	w.servers[1][0].Close()
+
+	start := time.Now()
+	_, err := w.de.Search(context.Background(), shardedWorkload(ds)[0].Graph, Options{K: 5, Tau: 0.5, MaxHops: 3})
+	elapsed := time.Since(start)
+	var unavail *ShardUnavailableError
+	if !errors.As(err, &unavail) {
+		t.Fatalf("error %v (%T), want *ShardUnavailableError", err, err)
+	}
+	if unavail.Attempts != 4 {
+		t.Fatalf("%d attempts, want 4 (1 try + 3 retries)", unavail.Attempts)
+	}
+	if floor := 17500 * time.Microsecond; elapsed < floor {
+		t.Fatalf("failed after %v, want >= %v of backoff", elapsed, floor)
+	}
+}
+
 // TestDistFailoverDeadReplica: with two replicas per shard, killing one
 // replica of every shard still yields the exact answer — the retry loop
 // rotates to the live sibling.
@@ -385,10 +419,11 @@ func TestDistFailoverDeadReplica(t *testing.T) {
 			}
 		}
 	}
-	de, err := NewDistEngine(e, hosts, DistConfig{Retries: 3, RetryBackoff: time.Millisecond, HedgeAfter: -1})
+	de, err := NewDistEngine(e, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	withPolicy(de, 3, time.Millisecond, -1)
 	for _, hs := range killable {
 		hs.CloseClientConnections()
 		hs.Close()
@@ -439,10 +474,11 @@ func TestDistHedgedSlowReplica(t *testing.T) {
 			hosts[i] = append(hosts[i], hs.URL)
 		}
 	}
-	de, err := NewDistEngine(e, hosts, DistConfig{HedgeAfter: 2 * time.Millisecond})
+	de, err := NewDistEngine(e, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	withPolicy(de, shardRetries, retryBackoff, 2*time.Millisecond)
 	q := shardedWorkload(ds)[1]
 	opts := Options{K: 5, Tau: 0.5, MaxHops: 3}
 	want, err := e.Search(ctx, q.Graph, opts)
@@ -466,7 +502,7 @@ func TestDistHedgedSlowReplica(t *testing.T) {
 
 // proxiedDist builds a 2-shard deployment where every replica sits
 // behind a faultinject proxy, and returns the proxies for scripting.
-func proxiedDist(t *testing.T, e *Engine, replicas int, cfg DistConfig) (*Engine, [][]*faultinject.Proxy) {
+func proxiedDist(t *testing.T, e *Engine, replicas int) (*Engine, [][]*faultinject.Proxy) {
 	t.Helper()
 	set, err := shard.Partition(e.Graph(), shard.Options{Shards: 2})
 	if err != nil {
@@ -495,7 +531,7 @@ func proxiedDist(t *testing.T, e *Engine, replicas int, cfg DistConfig) (*Engine
 			proxies[i] = append(proxies[i], p)
 		}
 	}
-	de, err := NewDistEngine(e, hosts, cfg)
+	de, err := NewDistEngine(e, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +545,8 @@ func proxiedDist(t *testing.T, e *Engine, replicas int, cfg DistConfig) (*Engine
 func TestDistChaosOffsetResume(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 3)
-	de, proxies := proxiedDist(t, e, 1, DistConfig{Retries: 3, RetryBackoff: time.Millisecond})
+	de, proxies := proxiedDist(t, e, 1)
+	withPolicy(de, 3, time.Millisecond, 0)
 	for _, reps := range proxies {
 		for _, p := range reps {
 			var first atomic.Bool
@@ -544,7 +581,8 @@ func TestDistChaosOffsetResume(t *testing.T) {
 // wrong top-k and never a hang past the deadline.
 func TestDistChaosScripted(t *testing.T) {
 	ds, e := tinyWorld(t, 42)
-	de, proxies := proxiedDist(t, e, 2, DistConfig{Retries: 2, RetryBackoff: time.Millisecond, HedgeAfter: 5 * time.Millisecond})
+	de, proxies := proxiedDist(t, e, 2)
+	withPolicy(de, 2, time.Millisecond, 5*time.Millisecond)
 	q := shardedWorkload(ds)[2]
 	opts := Options{K: 5, Tau: 0.5, MaxHops: 3}
 	want, err := e.Search(context.Background(), q.Graph, opts)
@@ -624,7 +662,8 @@ func TestDistChaosScripted(t *testing.T) {
 // engine's documented contract), not as a shard failure and not a hang.
 func TestDistCallerCancellation(t *testing.T) {
 	ds, e := tinyWorld(t, 17)
-	de, proxies := proxiedDist(t, e, 1, DistConfig{Retries: 1, RetryBackoff: time.Millisecond})
+	de, proxies := proxiedDist(t, e, 1)
+	withPolicy(de, 1, time.Millisecond, 0)
 	// Stall every first line long enough that the context fires first.
 	for i := range proxies {
 		proxies[i][0].SetScript(func() *faultinject.Script {
@@ -674,7 +713,7 @@ func TestDistEngineOverLargeStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	de := distOver(t, e, 4, 1, DistConfig{}).de
+	de := distOver(t, e, 4, 1).de
 	for i, q := range datagen.LargeQueries(g, p, 5) {
 		opts := Options{K: 10, Tau: 0.5, MaxHops: 3}
 		want, err := e.Search(ctx, q, opts)

@@ -525,8 +525,8 @@ func (s *liveShard) Shard() int { return 2 }
 // all. Shard 1's search ran dry during the prefetch, so the merger's read
 // of it is exhaustion, not a refusal: past the deadline the assembly still
 // drains shard 2's buffer and answers from it, flagged approximate, each
-// answer at its exact score. The scatter has one worker for two shards, so
-// this also pins that a time-bounded prefetch never queues for the pool.
+// answer at its exact score. The two sources rendezvous inside their
+// prefetches, so this also pins that every prefetch starts at once.
 func TestCutKeepsBufferedMatchesPastDrySource(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 17)
@@ -563,8 +563,7 @@ func TestCutKeepsBufferedMatchesPastDrySource(t *testing.T) {
 			&emptyShard{started: started, full: full, clock: clock},
 			&liveShard{matchSource: whole[0][0], share: 1 + (opts.K-1)/shards, started: started, full: full, clock: clock},
 		}},
-		shards:  shards,
-		workers: 1,
+		shards: shards,
 	}
 	s := &Stream{events: make(chan Event), done: make(chan struct{}), quiet: true}
 	e.run(ctx, s, p, sc, opts, s.deadline(opts), time.Now())

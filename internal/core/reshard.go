@@ -17,12 +17,12 @@
 
 package core
 
-import "fmt"
+import "semkg/internal/shard"
 
 // ReshardConfig configures a background reshard.
 type ReshardConfig struct {
 	// Shard is the partition shape to rebuild.
-	Shard ShardConfig
+	Shard shard.Options
 	// Gate, when non-nil, is called in the background goroutine before
 	// partitioning starts. Tests use it to hold the upgrade back and
 	// observe the pre-upgrade serving path deterministically.
@@ -55,7 +55,7 @@ func (e *Engine) reshard(base, prev *Engine, cfg ReshardConfig) {
 	if cfg.Gate != nil {
 		cfg.Gate()
 	}
-	se, err := buildSharded(base, cfg.Shard)
+	se, err := NewShardedEngine(base, cfg.Shard)
 	if err != nil {
 		if cfg.OnError != nil {
 			cfg.OnError(err)
@@ -70,15 +70,4 @@ func (e *Engine) reshard(base, prev *Engine, cfg ReshardConfig) {
 	if cfg.OnReady != nil {
 		cfg.OnReady(*e.Deployment().Sharded)
 	}
-}
-
-// buildSharded is the fallible half of the background build. Negative
-// shard counts are rejected here rather than silently defaulted —
-// ShardConfig.withDefaults only fills zeros for the synchronous path,
-// where the caller sees the config it passed.
-func buildSharded(base *Engine, cfg ShardConfig) (*Engine, error) {
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("core: reshard: %d shards out of range", cfg.Shards)
-	}
-	return NewShardedEngine(base, cfg)
 }

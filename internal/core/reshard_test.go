@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"semkg/internal/shard"
 )
 
 // TestReshardingServesWhileBuilding is the ingest-latency regression
@@ -17,7 +19,7 @@ func TestReshardingServesWhileBuilding(t *testing.T) {
 	gate := make(chan struct{})
 	ready := make(chan ShardedStats, 1)
 	r := NewResharding(e, nil, ReshardConfig{
-		Shard:   ShardConfig{Shards: 3},
+		Shard:   shard.Options{Shards: 3},
 		Gate:    func() { <-gate },
 		OnReady: func(st ShardedStats) { ready <- st },
 		OnError: func(err error) { t.Errorf("background partition failed: %v", err) },
@@ -110,7 +112,7 @@ func TestReshardingInheritsStats(t *testing.T) {
 
 	ready := make(chan struct{})
 	r := NewResharding(e, prev, ReshardConfig{
-		Shard:   ShardConfig{Shards: 2},
+		Shard:   shard.Options{Shards: 2},
 		OnReady: func(ShardedStats) { close(ready) },
 	})
 	select {
@@ -130,7 +132,7 @@ func TestReshardingBuildFailure(t *testing.T) {
 	ds, e := tinyWorld(t, 3)
 	failed := make(chan error, 1)
 	r := NewResharding(e, nil, ReshardConfig{
-		Shard:   ShardConfig{Shards: -2}, // invalid: Partition rejects it
+		Shard:   shard.Options{Shards: -2}, // invalid: Partition rejects it
 		OnError: func(err error) { failed <- err },
 	})
 	select {

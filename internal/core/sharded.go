@@ -33,7 +33,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"semkg/internal/embed"
 	"semkg/internal/kg"
@@ -41,40 +40,19 @@ import (
 	"semkg/internal/transform"
 )
 
-// ShardConfig sizes a sharded engine. The zero value gives 4 shards with
-// the default halo.
-type ShardConfig struct {
-	// Shards is the number of shard graphs. 0 = default 4.
-	Shards int
-	// Halo is the replication radius in hops (shard.Options.Halo); it
-	// bounds the MaxHops a sharded search can serve — deeper searches
-	// transparently fall back to the whole graph. 0 = shard.DefaultHalo.
-	Halo int
-}
-
-func (c ShardConfig) withDefaults() ShardConfig {
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if c.Halo <= 0 {
-		c.Halo = shard.DefaultHalo
-	}
-	return c
-}
-
 // NewShardedEngine partitions base's graph and derives from base an engine
 // that answers by scatter-gather over the partition: it shares base's
 // world (global compilation, answer rendering) and gathers its runs from
 // one local source per (shard, sub-query). Results are equivalent to
 // base's: same answer set and scores for SGQ, same time-bound contract
 // for TBQ. The partition is deterministic; building it costs one BFS plus
-// one subgraph index build per shard.
-func NewShardedEngine(base *Engine, cfg ShardConfig) (*Engine, error) {
+// one subgraph index build per shard. The halo bounds the MaxHops a
+// sharded search can serve; deeper searches fall back to the whole graph.
+func NewShardedEngine(base *Engine, opts shard.Options) (*Engine, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: nil base engine")
 	}
-	cfg = cfg.withDefaults()
-	set, err := shard.Partition(base.Graph(), shard.Options{Shards: cfg.Shards, Halo: cfg.Halo})
+	set, err := shard.Partition(base.Graph(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -91,22 +69,17 @@ func NewShardedEngineFromSet(base *Engine, set *shard.Set) (*Engine, error) {
 	if set.Base() != base.Graph() {
 		return nil, fmt.Errorf("core: shard set partitions a different graph than the base engine serves")
 	}
-	ss := &sourceSet{
-		backend: shardedBackend{set},
-		shards:  set.Len(),
-		workers: runtime.GOMAXPROCS(0),
-	}
-	return base.over(ss), nil
+	return base.over(&sourceSet{backend: shardedBackend{set}, shards: set.Len()}), nil
 }
 
 // BuildShardedEngine is BuildEngine plus partitioning: the construction
 // path semkgd -shards uses.
-func BuildShardedEngine(g *kg.Graph, model *embed.Model, lib *transform.Library, cfg ShardConfig) (*Engine, error) {
+func BuildShardedEngine(g *kg.Graph, model *embed.Model, lib *transform.Library, opts shard.Options) (*Engine, error) {
 	base, err := BuildEngine(g, model, lib)
 	if err != nil {
 		return nil, err
 	}
-	return NewShardedEngine(base, cfg)
+	return NewShardedEngine(base, opts)
 }
 
 // ShardedStats is a point-in-time summary of an in-process partition,
@@ -115,8 +88,6 @@ type ShardedStats struct {
 	// Shards and Halo echo the partition configuration.
 	Shards int `json:"shards"`
 	Halo   int `json:"halo"`
-	// Workers is the exact-mode scatter pool size.
-	Workers int `json:"workers"`
 	// Searches counts sharded pipeline executions; Fallbacks counts
 	// searches answered from the whole graph because MaxHops exceeded Halo.
 	Searches  uint64 `json:"sharded_searches"`
@@ -168,7 +139,6 @@ func (b shardedBackend) stats(ss *sourceSet) ShardedStats {
 	st := ShardedStats{
 		Shards:    ss.shards,
 		Halo:      b.set.Halo(),
-		Workers:   ss.workers,
 		Searches:  ss.searches.Load(),
 		Fallbacks: ss.fallbacks.Load(),
 		PerShard:  b.set.AllStats(),

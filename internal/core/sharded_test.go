@@ -16,7 +16,7 @@ import (
 // shardedOver derives an engine scattering over a partition of e's graph.
 func shardedOver(t *testing.T, e *Engine, shards int) *Engine {
 	t.Helper()
-	se, err := NewShardedEngine(e, ShardConfig{Shards: shards})
+	se, err := NewShardedEngine(e, shard.Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestShardedTBQRespectsBound(t *testing.T) {
 func TestShardedHaloFallback(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 3)
-	se, err := NewShardedEngine(e, ShardConfig{Shards: 2, Halo: 2})
+	se, err := NewShardedEngine(e, shard.Options{Shards: 2, Halo: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestShardedStats(t *testing.T) {
 // TestShardedEngineValidation covers the constructor contracts.
 func TestShardedEngineValidation(t *testing.T) {
 	_, e := tinyWorld(t, 3)
-	if _, err := NewShardedEngine(nil, ShardConfig{}); err == nil {
+	if _, err := NewShardedEngine(nil, shard.Options{}); err == nil {
 		t.Fatal("nil base accepted")
 	}
 	_, other := tinyWorld(t, 17)

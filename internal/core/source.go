@@ -52,9 +52,6 @@ type backend interface {
 type sourceSet struct {
 	backend
 	shards int
-	// workers bounds the concurrent source prefetches of an exact run's
-	// scatter.
-	workers int
 
 	searches  atomic.Uint64
 	fallbacks atomic.Uint64
@@ -117,9 +114,8 @@ func (e *Engine) WholeGraph() bool { return e.sources.Load() == nil }
 type scatter struct {
 	// sources[sub] lists sub-query sub's sources in shard order.
 	sources [][]matchSource
-	// shards is the partition size, 0 over the whole graph; workers bounds
-	// an exact run's concurrent prefetches across a partition.
-	shards, workers int
+	// shards is the partition size, 0 over the whole graph.
+	shards int
 	// finish is the backend's (see backend.open); nil for local sources.
 	finish func() error
 }
@@ -133,7 +129,7 @@ func (e *Engine) openSources(ctx context.Context, p *Plan, opts Options, shared 
 		if ss.serves(opts) {
 			ss.searches.Add(1)
 			sources, finish, err := ss.open(ctx, p)
-			return &scatter{sources: sources, shards: ss.shards, workers: ss.workers, finish: finish}, err
+			return &scatter{sources: sources, shards: ss.shards, finish: finish}, err
 		}
 		ss.fallbacks.Add(1)
 	}

@@ -400,18 +400,13 @@ func addStats(agg *astar.Stats, st astar.Stats) {
 // mergers only when its L_k/U_max bounds require them, and only from the
 // source whose head is actually competitive — skew (all candidates in one
 // shard) costs lazy pulls, never a restart. Past dl, a prefetch stops and
-// a lazy pull is refused. A time-bounded run starts every prefetch at once
-// rather than through the worker pool: a source still queued for a worker
-// at the deadline would have an empty buffer, and the merger's first read
-// of it would cut its whole sub-query.
+// a lazy pull is refused. Every prefetch starts at once: the serving
+// layer's admission pool already bounds concurrent runs, and a source
+// queued behind others would only sit with an empty buffer.
 func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int, dl *deadline) []ta.Stream {
 	share := k
-	var sem chan struct{}
 	if sc.shards > 1 {
 		share = 1 + (k-1)/sc.shards
-		if dl == nil {
-			sem = make(chan struct{}, sc.workers)
-		}
 	}
 	quiet := s.quiet // hoisted: the per-match emit would otherwise box an event just to drop it
 	resumes := make([][]*resumeStream, len(sc.sources))
@@ -424,10 +419,6 @@ func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int, dl *dead
 			wg.Add(1)
 			go func(sub int, src matchSource) {
 				defer wg.Done()
-				if sem != nil {
-					sem <- struct{}{}
-					defer func() { <-sem }()
-				}
 				for len(r.buf) < share && ctx.Err() == nil && !dl.due() {
 					m, ok := r.pull()
 					if !ok {

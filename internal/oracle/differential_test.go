@@ -297,7 +297,7 @@ func distributed(t *testing.T, e *core.Engine) *core.Engine {
 		t.Cleanup(hs.Close)
 		hosts[i] = []string{hs.URL}
 	}
-	de, err := core.NewDistEngine(e, hosts, core.DistConfig{})
+	de, err := core.NewDistEngine(e, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 
 		checkAll(t, shape("single"), e, w, qs, &st)
 
-		sharded, err := core.NewShardedEngine(e, core.ShardConfig{Shards: 3})
+		sharded, err := core.NewShardedEngine(e, shard.Options{Shards: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 
 		// Halo 2 serves the MaxHops-2 query from the partition and sends
 		// every deeper one back to the whole graph.
-		shallow, err := core.NewShardedEngine(e, core.ShardConfig{Shards: 2, Halo: 2})
+		shallow, err := core.NewShardedEngine(e, shard.Options{Shards: 2, Halo: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 
 		gate, ready := make(chan struct{}), make(chan struct{})
 		resharding := core.NewResharding(e, nil, core.ReshardConfig{
-			Shard:   core.ShardConfig{Shards: 3},
+			Shard:   shard.Options{Shards: 3},
 			Gate:    func() { <-gate },
 			OnReady: func(core.ShardedStats) { close(ready) },
 			OnError: func(err error) { t.Errorf("background partition failed: %v", err) },

@@ -101,19 +101,12 @@ type Follower struct {
 type FollowerConfig struct {
 	// Source is the primary's base URL (e.g. "http://127.0.0.1:8375").
 	Source string
-	// Client is the HTTP client for the stream; nil means a default
-	// with no overall timeout (the stream is long-lived).
-	Client *http.Client
 	// Backoff overrides the reconnect schedule; zero means 50ms..2s.
 	Backoff Backoff
 }
 
 // NewFollower wraps srv as a follower of the primary at cfg.Source.
 func NewFollower(srv *serve.Engine, cfg FollowerConfig) *Follower {
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	bo := cfg.Backoff
 	if bo.Min <= 0 {
 		bo.Min = 50 * time.Millisecond
@@ -124,7 +117,7 @@ func NewFollower(srv *serve.Engine, cfg FollowerConfig) *Follower {
 	return &Follower{
 		srv:      srv,
 		source:   cfg.Source,
-		client:   client,
+		client:   &http.Client{}, // no overall timeout: the stream is long-lived
 		backoff:  bo,
 		progress: make(chan struct{}),
 	}

@@ -38,8 +38,7 @@ type BatchOutcome struct {
 // SearchBatch answers a group of queries. Outcomes are positional —
 // out[i] reports items[i] — and one item's failure never fails its
 // neighbours. The items run concurrently through the full serving path,
-// so common sub-searches are shared and repeated shapes pay compilation
-// once.
+// so common sub-searches are shared.
 func (e *Engine) SearchBatch(ctx context.Context, items []BatchItem) []BatchOutcome {
 	out := make([]BatchOutcome, len(items))
 	var wg sync.WaitGroup

@@ -35,7 +35,7 @@ func distTestEngine(t *testing.T) *core.Engine {
 		t.Cleanup(hs.Close)
 		hosts[i] = []string{hs.URL}
 	}
-	de, err := core.NewDistEngine(e, hosts, core.DistConfig{})
+	de, err := core.NewDistEngine(e, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestDistServeShardFailure(t *testing.T) {
 		t.Cleanup(servers[i].Close)
 		hosts[i] = []string{servers[i].URL}
 	}
-	de, err := core.NewDistEngine(e, hosts, core.DistConfig{Retries: 1, RetryBackoff: 1})
+	de, err := core.NewDistEngine(e, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}

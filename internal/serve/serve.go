@@ -373,12 +373,13 @@ func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options,
 	res, err := e.run(fl, q, opts, key != "", live)
 	if key != "" {
 		g := fl.gen
-		// Publish only complete results: a cancelled flight carries a
-		// partial (anytime) result. Publish before deregistering the
-		// flight, so a request arriving in between finds either the cache
-		// entry or the still-unfinished flight, never a gap that would
-		// re-run the pipeline.
-		if err == nil && res != nil && fl.ctx.Err() == nil {
+		// Publish only complete results: a run cut at its deadline is
+		// flagged approximate, and a cancelled flight carries a partial
+		// (anytime) result. Publish before deregistering the flight, so a
+		// request arriving in between finds either the cache entry or the
+		// still-unfinished flight, never a gap that would re-run the
+		// pipeline.
+		if err == nil && res != nil && !res.Approximate && fl.ctx.Err() == nil {
 			g.results.Add(key, res)
 		}
 		g.fmu.Lock()

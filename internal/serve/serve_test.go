@@ -459,6 +459,37 @@ func TestUncacheableBypass(t *testing.T) {
 	}
 }
 
+// TestCutResultNotCached: a time-bounded run cut at T·r% answers its own
+// request flagged approximate, but is never published to the result
+// cache — an identical later request runs the pipeline again instead of
+// inheriting the cut answer for the rest of the generation.
+func TestCutResultNotCached(t *testing.T) {
+	srv := New(testEngine(t), Config{})
+	ctx := context.Background()
+	opts := testOpts()
+	opts.TimeBound = time.Nanosecond
+
+	for i := 1; i <= 2; i++ {
+		res, err := srv.Search(ctx, q117(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Approximate {
+			t.Fatalf("search %d: a 1ns bound was not cut", i)
+		}
+		if st := srv.Stats(); st.ResultHits != 0 || st.PipelineRuns != uint64(i) || st.ResultEntries != 0 {
+			t.Fatalf("search %d: stats = %+v, want %d pipeline runs and nothing cached", i, st, i)
+		}
+	}
+	exact, err := srv.Search(ctx, q117(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.Approximate || len(exact.Answers) == 0 {
+		t.Fatalf("exact search: %d answers, approximate %v", len(exact.Answers), exact.Approximate)
+	}
+}
+
 // TestAdmissionShedsQueueFull: with one worker and no queue, a request
 // arriving while the worker is busy is shed with a Retry-After hint.
 func TestAdmissionShedsQueueFull(t *testing.T) {

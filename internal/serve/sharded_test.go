@@ -7,13 +7,14 @@ import (
 
 	"semkg/internal/core"
 	"semkg/internal/kg"
+	"semkg/internal/shard"
 )
 
 // shardedTestEngine derives a 2-shard scatter-gather engine from the
 // motivating-example engine.
 func shardedTestEngine(t *testing.T) *core.Engine {
 	t.Helper()
-	se, err := core.NewShardedEngine(testEngine(t), core.ShardConfig{Shards: 2})
+	se, err := core.NewShardedEngine(testEngine(t), shard.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestApplyRebuildsShardedEngine(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return core.NewShardedEngine(eng, core.ShardConfig{Shards: 2})
+			return core.NewShardedEngine(eng, shard.Options{Shards: 2})
 		},
 	})
 	d := srv.NewDelta()

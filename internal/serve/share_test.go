@@ -15,6 +15,7 @@ import (
 	"semkg/internal/core"
 	"semkg/internal/kg"
 	"semkg/internal/query"
+	"semkg/internal/shard"
 )
 
 // manufacturerQuery overlaps q117 in shape but swaps the predicate, so
@@ -460,7 +461,7 @@ func TestShareOverReshardingEngine(t *testing.T) {
 	gate := make(chan struct{})
 	ready := make(chan struct{})
 	r := core.NewResharding(base, nil, core.ReshardConfig{
-		Shard:   core.ShardConfig{Shards: 2},
+		Shard:   shard.Options{Shards: 2},
 		Gate:    func() { <-gate },
 		OnReady: func(core.ShardedStats) { close(ready) },
 		OnError: func(err error) { t.Errorf("background partition failed: %v", err) },

@@ -50,6 +50,7 @@ import (
 	"semkg/internal/kg"
 	"semkg/internal/query"
 	"semkg/internal/serve"
+	"semkg/internal/shard"
 	"semkg/internal/transform"
 )
 
@@ -192,11 +193,10 @@ const (
 	PhaseAssemble = core.PhaseAssemble
 )
 
-// ShardConfig sizes a sharded engine: Shards (default 4) graph
-// partitions and a replication Halo in hops (default 4; bounds the
-// servable MaxHops — deeper searches fall back to the base engine). The
-// scatter worker pool is GOMAXPROCS.
-type ShardConfig = core.ShardConfig
+// ShardConfig sizes a sharded engine: Shards (at least 1) graph
+// partitions and a replication Halo in hops (0 = default 4; bounds the
+// servable MaxHops — deeper searches fall back to the base engine).
+type ShardConfig = shard.Options
 
 // ShardedStats is a snapshot of a sharded engine's partition shape
 // (per-shard sizes, replication factor) and counters (sharded searches,
@@ -225,12 +225,6 @@ func NewShardedEngineFromSnapshot(r io.Reader, model *Model, lib *Library, cfg S
 	return core.NewShardedEngine(base, cfg)
 }
 
-// DistConfig tunes the distributed coordinator: hedge delay (default
-// adaptive, 2x the replica's latency EWMA), retries per shard stream
-// with capped jittered backoff, and the HTTP client. The zero value
-// gives production-ready defaults.
-type DistConfig = core.DistConfig
-
 // DistStats is a snapshot of the coordinator's partition shape and
 // counters (distributed searches, local fallbacks, hedges, retries,
 // failovers, shard errors).
@@ -245,13 +239,14 @@ type ShardUnavailableError = core.ShardUnavailableError
 // over remote shard server processes (semkgd -serve-shard); hosts[s]
 // lists the replica base URLs serving shard s. Queries compile once
 // globally against the base engine, each (shard, sub-query) search
-// streams over HTTP with hedging and mid-stream failover across
-// replicas, and the merged result is equivalent to the single engine's.
-// Every replica is validated against the base graph at construction, so
-// a stale or foreign shard snapshot is rejected instead of producing
-// wrong results.
-func NewDistEngine(base *Engine, hosts [][]string, cfg DistConfig) (*Engine, error) {
-	return core.NewDistEngine(base, hosts, cfg)
+// streams over HTTP with mid-stream failover across replicas — a slow
+// replica is hedged after twice its latency EWMA, a failed stream is
+// retried 3 times with capped jittered backoff — and the merged result is
+// equivalent to the single engine's. Every replica is validated against
+// the base graph at construction, so a stale or foreign shard snapshot is
+// rejected instead of producing wrong results.
+func NewDistEngine(base *Engine, hosts [][]string) (*Engine, error) {
+	return core.NewDistEngine(base, hosts)
 }
 
 // Serving is the engine-level serving layer for heavy concurrent traffic:
