@@ -138,8 +138,8 @@ func hotpathCase(b *testing.B, name string) {
 // search to exhaustion on the arena-backed searcher.
 func BenchmarkAStarNext(b *testing.B) { hotpathCase(b, "AStarNext") }
 
-// BenchmarkNodeMax measures the m(u) bound over every node on the
-// NodePreds-driven paged slab.
+// BenchmarkNodeMax measures the m(u) bound over every node, computed from
+// kg.NodePreds on each call.
 func BenchmarkNodeMax(b *testing.B) { hotpathCase(b, "NodeMax") }
 
 // BenchmarkMatchNode measures φ resolution over a probe battery on the

@@ -7,10 +7,11 @@
 //     same comparison), and the operator-facing total: the seed cold-start
 //     path (TSV parse + index build) against the shipped path (parallel
 //     snapshot load);
-//   - steady-state: the per-sub-search cost of the paged weighter arena
-//     and adaptive end sets. The seed arena it replaced (dense suffix slab
-//   - full-graph bitsets) no longer exists in the engine; its number is
-//     the frozen row of the committed artifact;
+//   - steady-state: the per-sub-search cost of the A* arena and adaptive
+//     end sets (the weighter computes m(u) and keeps no per-node state).
+//     The seed arena they replaced (dense suffix slab plus full-graph
+//     bitsets) no longer exists in the engine; its number is the frozen
+//     row of the committed artifact;
 //   - load: closed-loop clients against the serving layer (internal/serve)
 //     with warmup and measure phases, reporting p50/p95/p99 latency, QPS,
 //     error/shed accounting and heap stats.
@@ -245,9 +246,11 @@ func runColdStart(art *Artifact, g *kg.Graph, p datagen.LargeProfile, cfg LoadCo
 }
 
 // runSteady measures the per-sub-search arena cost on the big world: a
-// weighter and searcher per query, allocated proportionally to the nodes
-// actually visited. The load queries are single anchored edges, so each
-// compiles to exactly one sub-query.
+// weighter and searcher per query, allocated proportionally to the states
+// the search pushes, not to the graph. The load queries are single
+// anchored edges, so each compiles to exactly one sub-query. The row keeps
+// the name it had when the weighter still paged its m(u) cache, so the
+// committed artifact's rows line up.
 func runSteady(art *Artifact, eng *core.Engine, qs []*query.Graph, cfg LoadConfig) error {
 	plans := make([]*core.Plan, len(qs))
 	for i, q := range qs {

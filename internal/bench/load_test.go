@@ -46,7 +46,7 @@ func TestRunLoadShape(t *testing.T) {
 	// compared against is a frozen row of the committed artifact.
 	steady := section(art, "steady-state")
 	if len(steady) != 1 {
-		t.Fatalf("steady-state rows = %d, want 1 (paged arena)", len(steady))
+		t.Fatalf("steady-state rows = %d, want 1 (A* arena + end sets)", len(steady))
 	}
 	if v := steady[0].Values; v["mean_us"] <= 0 || v["alloc_mb_per_query"] <= 0 || v["queries"] != float64(cfg.SteadyQueries) {
 		t.Fatalf("steady row: degenerate measurement %v", v)

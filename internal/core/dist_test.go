@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -726,4 +727,56 @@ func TestDistEngineOverLargeStream(t *testing.T) {
 		}
 		assertTopKEquivalent(t, "large-"+string(rune('a'+i)), got, want)
 	}
+}
+
+// TestDistReusesConnections: the coordinator's HTTP client keeps its
+// connections to the shard servers alive across streams and runs, so the
+// distributed path does not pay a dial per (shard, sub-query) stream. Two
+// shards, the sharded workload five times over: fewer connections are
+// opened than runs are made. K exceeds every answer set, so the assembly
+// drains every stream instead of cancelling it part-read.
+func TestDistReusesConnections(t *testing.T) {
+	ds, e := tinyWorld(t, 3)
+	set, err := shard.Partition(e.Graph(), shard.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns, streams atomic.Int64
+	hosts := make([][]string, set.Len())
+	for i := range hosts {
+		srv, err := shard.NewServer(set.Shard(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			streams.Add(1)
+			h.ServeHTTP(w, r)
+		}))
+		hs.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				conns.Add(1)
+			}
+		}
+		hs.Start()
+		t.Cleanup(hs.Close)
+		hosts[i] = []string{hs.URL}
+	}
+	de, err := NewDistEngine(e, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := 0
+	for pass := 0; pass < 5; pass++ {
+		for _, q := range shardedWorkload(ds) {
+			if _, err := de.Search(context.Background(), q.Graph, Options{K: 1000, Tau: 0.5, MaxHops: 3}); err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+			runs++
+		}
+	}
+	if n := conns.Load(); n >= int64(runs) {
+		t.Fatalf("%d connections opened for %d runs and %d requests, want fewer than the runs", n, runs, streams.Load())
+	}
+	t.Logf("%d connections for %d runs and %d requests", conns.Load(), runs, streams.Load())
 }

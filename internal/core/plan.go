@@ -5,7 +5,7 @@
 // split exists for two callers: the serving layer's sub-search sharing
 // (internal/serve) needs each sub-query's SubqueryKey before the run
 // starts, and a measurement harness times compilation on its own. Each
-// run still gets fresh searcher state (A* arenas and weighter slabs are
+// run still gets fresh searcher state (A* arenas and frontiers are
 // mutable and must not be shared across concurrent runs).
 
 package core

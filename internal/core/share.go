@@ -36,7 +36,7 @@ import (
 // that stops pulling (context cancellation, early TA termination) simply
 // leaves the prefix where it is — there is no partial state to unwind,
 // and the memoized matches keep serving other consumers. Once the
-// enumeration runs dry the searcher — arena, frontier, weighter pages — is
+// enumeration runs dry the searcher — arena and frontier — is
 // released: nothing can pull from it again, and a sub-cache entry would
 // otherwise pin it for the generation.
 type SharedSearch struct {

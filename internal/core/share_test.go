@@ -329,7 +329,7 @@ func drainCursor(cur ta.Stream) []astar.Match {
 }
 
 // TestSharedSearchReleasesExhaustedSearcher: once the enumeration runs dry
-// the searcher (arena, frontier, weighter pages) is dropped — a sub-cache
+// the searcher (arena and frontier) is dropped — a sub-cache
 // entry pins the SharedSearch for a whole generation — while its effort
 // counters, the memoized count and every cursor's sequence stay what they
 // were. Two cursors race to the end, so -race covers the release.

@@ -34,8 +34,8 @@ func randomSpace(t *testing.T, g *kg.Graph, rng *rand.Rand) *embed.Space {
 
 // TestNodeMaxEqualsScanOnWorlds is the NodePreds/adjacency equivalence
 // property: on randomized datagen worlds, every weight must be bitwise the
-// oracle's clamped cosine read straight from the space, and the
-// slab-backed NodeMax (driven by the distinct-predicate CSR) bitwise the
+// oracle's clamped cosine read straight from the space, and NodeMax
+// (computed from the distinct-predicate CSR on every call) bitwise the
 // m(u) bound's definition — the maximum of those weights over u's whole
 // adjacency list and over the current and later segments — for every node
 // and segment.
@@ -88,7 +88,7 @@ func TestNodeMaxEqualsScanOnWorlds(t *testing.T) {
 								}
 							}
 							if a := fast.NodeMax(kg.NodeID(u), seg); a != scan {
-								t.Fatalf("NodeMax(%d, %d) on %s: slab %v, scan %v",
+								t.Fatalf("NodeMax(%d, %d) on %s: NodePreds %v, scan %v",
 									u, seg, g.NodeName(kg.NodeID(u)), a, scan)
 							}
 						}

@@ -2,8 +2,9 @@
 // (Definition 5, Section IV-B) lazily: instead of weighting every edge of
 // the knowledge graph up front, a Weighter computes the semantic weight
 // w = sim(L_Q(e), L(e')) (Eq. 5) on demand while the A* search explores, and
-// caches the per-node maximum adjacent weight m(u_i) used by the heuristic
-// pss estimation (Eq. 7).
+// computes the per-node maximum adjacent weight m(u_i) used by the
+// heuristic pss estimation (Eq. 7) from the node's distinct incident
+// predicates when the search asks for it.
 //
 // The per-predicate weight rows w[seg][pred] depend only on the resolved
 // query predicate, not on the query as a whole, so an engine-lifetime
@@ -12,9 +13,8 @@
 // call (see DESIGN.md, Hot path).
 //
 // A Weighter is bound to one sub-query graph (its sequence of query-edge
-// predicates); create one per sub-query search. It is not safe for
-// concurrent use — each search goroutine owns its Weighter. The RowCache
-// it draws rows from is safe for concurrent use.
+// predicates); create one per sub-query search. It is read-only once
+// built, and the RowCache it draws rows from is safe for concurrent use.
 package semgraph
 
 import (
@@ -119,28 +119,15 @@ func (c *RowCache) rowFor(qp kg.PredID) row {
 	return r
 }
 
-// Weighter computes semantic edge weights for one sub-query graph.
+// Weighter computes semantic edge weights for one sub-query graph. It holds
+// only its weight rows, so building one costs O(segments) whatever the
+// graph's size.
 type Weighter struct {
 	g *kg.Graph
 	// w[seg][pred] is the clamped similarity between the sub-query's
 	// seg-th query edge and graph predicate pred. Rows may be shared
 	// through a RowCache and must not be mutated.
 	w [][]float64
-	// Suffix cache: per node u and segment s, the maximum over segments
-	// s' >= s of the maximum weight among u's incident edges — the m(u_i)
-	// bound of Lemma 1, generalized to multi-edge sub-queries (see
-	// DESIGN.md). Suffixes derive from kg.NodePreds (O(distinct
-	// predicates), not O(degree)).
-	//
-	// The cache is paged: pages[u>>slabPageBits], allocated on first touch
-	// of any node in the page, holds slabPageLen×segs values. A search
-	// visits a vanishing fraction of a million-node graph, so the eager
-	// NumNodes×segs slab + NumNodes seen array the engine used to allocate
-	// per sub-search (~17 MB per query at 1M nodes, two segments) is
-	// replaced by a handful of 64 KB pages. All real suffix values are
-	// >= MinWeight > 0, so a zero first entry marks an uncomputed node —
-	// no seen array at all.
-	pages [][]float64
 }
 
 // NewWeighter builds a Weighter for a sub-query whose query edges carry the
@@ -226,22 +213,8 @@ func NewWeighterFromRows(g *kg.Graph, rows [][]float64) (*Weighter, error) {
 	return wt, nil
 }
 
-// Suffix-cache page geometry: slabPageLen nodes per page, so one page of a
-// two-segment sub-query is 64 KB — big enough to amortize allocation, small
-// enough that sparse visits of a 10M-node graph stay cheap.
-const (
-	slabPageBits = 12
-	slabPageLen  = 1 << slabPageBits
-	slabPageMask = slabPageLen - 1
-)
-
 func newWeighter(g *kg.Graph, segs int) *Weighter {
-	n := g.NumNodes()
-	return &Weighter{
-		g:     g,
-		w:     make([][]float64, segs),
-		pages: make([][]float64, (n+slabPageLen-1)/slabPageLen),
-	}
+	return &Weighter{g: g, w: make([][]float64, segs)}
 }
 
 // ResolvePredicate maps a query predicate name to a graph predicate:
@@ -272,42 +245,20 @@ func (w *Weighter) Weight(p kg.PredID, seg int) float64 { return w.w[seg][p] }
 // NodeMax returns the m(u) bound for a search positioned at node u while
 // matching the seg-th query edge: the maximum semantic weight among u's
 // incident edges, taken over the current and all later query edges. This
-// upper-bounds the weight product of any unexplored path suffix (Lemma 1).
+// upper-bounds the weight product of any unexplored path suffix (Lemma 1,
+// generalized to multi-edge sub-queries; see DESIGN.md). It reads
+// kg.NodePreds, so it costs O(distinct predicates × remaining segments),
+// not O(degree), and allocates nothing.
 func (w *Weighter) NodeMax(u kg.NodeID, seg int) float64 {
-	segs := len(w.w)
-	page := w.pages[u>>slabPageBits]
-	if page == nil {
-		page = make([]float64, slabPageLen*segs)
-		w.pages[u>>slabPageBits] = page
-	}
-	base := int(u&slabPageMask) * segs
-	if page[base] == 0 {
-		// Zero means uncomputed: computeSuffix writes values >= MinWeight
-		// into every segment slot, so the first slot doubles as the mark.
-		w.computeSuffix(u, page[base:base+segs])
-	}
-	return page[base+seg]
-}
-
-func (w *Weighter) computeSuffix(u kg.NodeID, sfx []float64) {
-	segs := len(w.w)
-	for s := range sfx {
-		sfx[s] = MinWeight
-	}
+	m := MinWeight
 	for _, p := range w.g.NodePreds(u) {
-		for s := 0; s < segs; s++ {
-			if wt := w.w[s][p]; wt > sfx[s] {
-				sfx[s] = wt
+		for _, r := range w.w[seg:] {
+			if r[p] > m {
+				m = r[p]
 			}
 		}
 	}
-	// Suffix maximum so that NodeMax(u, s) bounds weights of the current
-	// and all later segments.
-	for s := segs - 2; s >= 0; s-- {
-		if sfx[s+1] > sfx[s] {
-			sfx[s] = sfx[s+1]
-		}
-	}
+	return m
 }
 
 // Row returns the shared weight row of the seg-th query edge, one entry

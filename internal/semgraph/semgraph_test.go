@@ -121,9 +121,9 @@ func TestNodeMaxSingleSegment(t *testing.T) {
 	if got := w.NodeMax(auto, 0); got != want {
 		t.Errorf("NodeMax(Audi) = %v, want %v", got, want)
 	}
-	// Cached path returns the same value.
+	// A repeat call returns the same value: NodeMax keeps no state.
 	if got := w.NodeMax(auto, 0); got != want {
-		t.Errorf("cached NodeMax = %v, want %v", got, want)
+		t.Errorf("repeat NodeMax = %v, want %v", got, want)
 	}
 	// Isolated-looking node: German has one incident edge (language).
 	lang := g.NodeByName("German")
