@@ -62,23 +62,14 @@
 // rename) whenever the graph changed. On SIGTERM/SIGINT the server
 // stops replication and drains in-flight requests up to -drain-timeout.
 //
-// Distributed sharding (see DESIGN.md, "Scatter-gather") splits
-// the scatter-gather pipeline across processes:
+// In-process sharding (see DESIGN.md, "Scatter-gather") partitions the
+// graph and fans every sub-query search out across the shards:
 //
-//	semkgd -graph g.tsv -shards 4 -save-shards dir/        # write shard files, exit
-//	semkgd -serve-shard dir/shard-0-of-4.shard -addr :9001  # shard server
-//	semkgd -graph g.tsv -model m.bin \
-//	       -shard-hosts 'http://a:9001|http://b:9001,http://c:9002'  # coordinator
+//	semkgd -graph g.tsv -model m.bin -shards 4 -shard-halo 4
 //
-// A shard server loads shard snapshot files and answers per-sub-query
-// searches on POST /v1/shard/search (no model needed — semantics stay on
-// the coordinator). The coordinator compiles globally, scatters over the
-// listed hosts (comma-separated shards, '|'-separated replicas of one
-// shard), hedges a slow replica after twice its latency EWMA, retries a
-// failed stream 3 times with capped jittered backoff, and serves the
-// ordinary search API; a shard with no live replica fails the search
-// with 502 rather than a silent partial top-k. The coordinator is
-// read-only (ingest would stale the remote shard snapshots).
+// Partition shape and counters are exported under the "semkgd_shard"
+// expvar key; an ingest serves the committed graph unsharded at once and
+// re-partitions in the background.
 //
 // The streaming endpoint is the wire form of the paper's anytime
 // behaviour (Section VI, Theorem 4): in time-bounded mode clients render
@@ -97,8 +88,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -122,9 +111,6 @@ func main() {
 	maxIngest := flag.Int64("max-ingest-bytes", defaultMaxIngestBytes, "max /v1/ingest request body size in bytes (0 = unlimited)")
 	shards := flag.Int("shards", 0, "partition the graph into N shards and serve scatter-gather searches (0/1 = single engine)")
 	shardHalo := flag.Int("shard-halo", 0, "shard replication radius in hops; bounds servable max_hops (0 = default 4)")
-	saveShards := flag.String("save-shards", "", "partition the loaded graph into -shards pieces, write one shard snapshot per shard into this directory, and exit")
-	serveShard := flag.String("serve-shard", "", "run as a shard server: load these comma-separated shard snapshot files and answer /v1/shard/search (no -model needed)")
-	shardHosts := flag.String("shard-hosts", "", "run as a distributed coordinator over these shard servers: comma-separated shards, '|'-separated replica URLs per shard")
 	addrFile := flag.String("addr-file", "", "write the actual listen address to this file once listening (for -addr :0)")
 	follow := flag.String("follow", "", "run as a read-only follower of the primary at this base URL (e.g. http://host:8375)")
 	advertise := flag.String("advertise", "", "externally reachable base URL announced to followers in the replication hello")
@@ -133,45 +119,11 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max time to drain in-flight requests on SIGTERM/SIGINT")
 	flag.Parse()
 
-	if *serveShard != "" {
-		// Shard-server mode: no graph, no model — the shard files are the
-		// whole world, and semantics stay on the coordinator.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*graphFile != "", "-graph"}, {*snapshotFile != "", "-snapshot"},
-			{*modelFile != "", "-model"}, {*shardHosts != "", "-shard-hosts"},
-			{*shards != 0, "-shards"}, {*follow != "", "-follow"},
-		} {
-			if f.set {
-				fmt.Fprintf(os.Stderr, "semkgd: -serve-shard conflicts with %s\n", f.name)
-				os.Exit(2)
-			}
-		}
-		if err := runShardServer(strings.Split(*serveShard, ","), *addr, *addrFile, *drainTimeout); err != nil {
-			log.Fatalf("semkgd: %v", err)
-		}
-		return
-	}
-	if *shardHosts != "" && (*shards != 0 || *follow != "") {
-		fmt.Fprintln(os.Stderr, "semkgd: -shard-hosts (distributed coordinator) conflicts with -shards and -follow")
-		os.Exit(2)
-	}
-	if *saveShards != "" {
-		if *graphFile == "" && *snapshotFile == "" {
-			fmt.Fprintln(os.Stderr, "semkgd: -save-shards requires -graph or -snapshot")
-			os.Exit(2)
-		}
-		if *shards < 2 {
-			fmt.Fprintln(os.Stderr, "semkgd: -save-shards requires -shards >= 2")
-			os.Exit(2)
-		}
-	} else if *modelFile == "" {
+	if *modelFile == "" {
 		fmt.Fprintln(os.Stderr, "semkgd: -model is required")
 		os.Exit(2)
 	}
-	if *follow == "" && *saveShards == "" && (*graphFile == "") == (*snapshotFile == "") {
+	if *follow == "" && (*graphFile == "") == (*snapshotFile == "") {
 		fmt.Fprintln(os.Stderr, "semkgd: exactly one of -graph / -snapshot is required (a -follow node may omit both and bootstrap from the primary)")
 		os.Exit(2)
 	}
@@ -202,12 +154,6 @@ func main() {
 		}
 		log.Printf("semkgd: wrote snapshot %s", *saveSnapshot)
 	}
-	if *saveShards != "" {
-		if err := writeShardFiles(g, *saveShards, *shards, *shardHalo); err != nil {
-			log.Fatalf("semkgd: %v", err)
-		}
-		return
-	}
 	model, err := loadModel(*modelFile)
 	if err != nil {
 		log.Fatalf("semkgd: %v", err)
@@ -226,16 +172,6 @@ func main() {
 				return nil, err
 			}
 			return core.NewEngine(g2, sp, nil)
-		}
-		if *shardHosts != "" {
-			if rebuild {
-				return nil, fmt.Errorf("distributed coordinator is read-only: the remote shard snapshots cannot follow an ingest; rebuild shard files and restart")
-			}
-			base, err := core.BuildEngine(g2, model, nil)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewDistEngine(base, parseShardHosts(*shardHosts))
 		}
 		if *shards > 1 {
 			if !rebuild {
@@ -279,10 +215,6 @@ func main() {
 	if st := deployed.Sharded; st != nil {
 		log.Printf("semkgd: sharded scatter-gather: %d shards, halo %d, replication factor %.2f",
 			st.Shards, st.Halo, st.ReplicationFactor)
-	}
-	if st := deployed.Dist; st != nil {
-		log.Printf("semkgd: distributed coordinator: %d shards, halo %d, replicas %v (read-only)",
-			st.Shards, st.Halo, st.Replicas)
 	}
 	srv := serve.New(eng, serve.Config{
 		ResultCache: *resultCache,
@@ -368,53 +300,6 @@ func listenAndAnnounce(addr, addrFile string) (net.Listener, error) {
 	}
 	return ln, nil
 }
-
-// parseShardHosts splits "-shard-hosts 'a|b,c'" into per-shard replica
-// URL lists: ',' separates shards, '|' separates replicas of one shard.
-func parseShardHosts(s string) [][]string {
-	var hosts [][]string
-	for _, shardPart := range strings.Split(s, ",") {
-		var reps []string
-		for _, h := range strings.Split(shardPart, "|") {
-			if h = strings.TrimSpace(h); h != "" {
-				reps = append(reps, h)
-			}
-		}
-		hosts = append(hosts, reps)
-	}
-	return hosts
-}
-
-// writeShardFiles partitions g and writes one shard snapshot per shard
-// as dir/shard-<i>-of-<n>.shard (the files -serve-shard loads).
-func writeShardFiles(g *kg.Graph, dir string, shards, halo int) error {
-	set, err := shard.Partition(g, shard.Options{Shards: shards, Halo: halo})
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i := 0; i < set.Len(); i++ {
-		path := filepath.Join(dir, shardFileName(i, set.Len()))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := shard.WriteShard(f, set.Shard(i)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		log.Printf("semkgd: wrote %s (%d nodes, %d owned)", path, set.Shard(i).Graph.NumNodes(), set.Shard(i).OwnedCount())
-	}
-	return nil
-}
-
-// shardFileName is the canonical shard snapshot file name.
-func shardFileName(i, n int) string { return fmt.Sprintf("shard-%d-of-%d.shard", i, n) }
 
 func loadGraph(path string, read func(io.Reader) (*kg.Graph, error)) (*kg.Graph, error) {
 	f, err := os.Open(path)

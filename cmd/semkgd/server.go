@@ -56,10 +56,8 @@ func init() {
 	// The partition shape and counters of whichever engine is serving
 	// now: reads go through the current serving engine, so the numbers
 	// track generation swaps from live ingestion and the background
-	// re-partition that follows each. null when the deployment is not of
-	// that kind.
+	// re-partition that follows each. null over the whole graph.
 	expvar.Publish("semkgd_shard", expvar.Func(func() any { return currentDeployment().Sharded }))
-	expvar.Publish("semkgd_dist", expvar.Func(func() any { return currentDeployment().Dist }))
 }
 
 // currentDeployment describes the serving engine's source set.
@@ -175,14 +173,6 @@ func (s *server) searchError(w http.ResponseWriter, err error) {
 			"error":       err.Error(),
 			"retry_after": strconv.FormatInt(secs, 10),
 		})
-		return
-	}
-	var unavail *core.ShardUnavailableError
-	if errors.As(err, &unavail) {
-		// A distributed search lost a whole shard past the retry budget:
-		// an upstream failure, not a caller or coordinator bug.
-		statErrors.Add(1)
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 		return
 	}
 	statErrors.Add(1)
@@ -320,14 +310,6 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			"error": "read-only follower; ingest on the primary"})
 		return
 	}
-	// A distributed coordinator serves immutable remote shard snapshots;
-	// committing a delta here would fork the coordinator's graph from the
-	// shards' and silently break search exactness.
-	if s.srv.Engine().Deployment().Dist != nil {
-		writeJSON(w, http.StatusForbidden, map[string]string{
-			"error": "read-only coordinator; rebuild shard snapshots from the new graph and restart"})
-		return
-	}
 	if s.maxIngestBytes > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
 	}
@@ -416,9 +398,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	d := eng.Deployment()
 	if d.Shards > 0 {
 		resp["shards"] = d.Shards
-	}
-	if d.Dist != nil {
-		resp["distributed"] = true
 	}
 	if d.Resharding {
 		resp["resharding"] = true

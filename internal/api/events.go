@@ -81,7 +81,7 @@ type Event struct {
 	Result *Result `json:"result,omitempty"`
 
 	// Error is the terminal failure message of a stream that could not
-	// complete (a distributed pipeline losing a whole shard, for
+	// complete (a shared flight whose leader failed admission, for
 	// example). A stream ends in exactly one "result" or "error" event.
 	Error string `json:"error,omitempty"`
 }

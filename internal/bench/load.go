@@ -87,7 +87,7 @@ func loadConfig(short bool) LoadConfig {
 }
 
 // largeWorld generates the large world and the engine and distinct
-// queries the load and distributed-shard experiments drive.
+// queries the load experiment drives.
 func largeWorld(nodes int, seed int64, dim, distinct int) (datagen.LargeProfile, *core.Engine, []*query.Graph, error) {
 	p := datagen.LargeWorld(nodes)
 	p.Seed = seed

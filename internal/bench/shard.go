@@ -1,7 +1,6 @@
-// Shard experiment: scatter-gather scaling of the sharded engine
-// (internal/shard, core.NewShardedEngine) on the multi-sub-query workload,
-// in process and — the "distributed" section, distshard.go — across real
-// shard server processes (BENCH_shard.json).
+// Shard experiment: scatter-gather scaling of the in-process sharded
+// engine (internal/shard, core.NewShardedEngine) on the multi-sub-query
+// workload (BENCH_shard.json).
 //
 // Every number is measured, from real executions: end-to-end per-query
 // latency of the sharded engine on this host against the single-engine
@@ -35,24 +34,18 @@ type ShardConfig struct {
 	K           int `json:"k"`
 	Queries     int `json:"queries"`
 	Repetitions int `json:"repetitions"`
-	// Distributed sizes the multi-process section.
-	Distributed DistShardConfig `json:"distributed"`
 }
 
 // runShard measures the sharded engine at 1/2/4/8 shards against the
-// single-engine baseline on the paper-scale dataset, then the distributed
-// deployment on the generated large world.
+// single-engine baseline on the paper-scale dataset.
 func runShard(ctx context.Context, p Params) (*Artifact, error) {
 	env, err := p.env(datagen.DBpediaLike)
 	if err != nil {
 		return nil, err
 	}
 	art := env.artifact("shard")
-	cfg := ShardConfig{Distributed: distShardConfig(p.Short)}
+	var cfg ShardConfig
 	if err := runInprocShard(ctx, art, &cfg, env, p.Short); err != nil {
-		return nil, err
-	}
-	if err := runDistShard(ctx, art, &cfg.Distributed, nil); err != nil {
 		return nil, err
 	}
 	art.Config = cfg

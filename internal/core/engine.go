@@ -30,9 +30,9 @@ import (
 // predicate semantic space. It is the one engine type of every deployment
 // shape: queries compile globally against the whole graph, and the run
 // gathers its matches from the engine's source set — the whole graph for
-// a plain engine, a partition of it for the engines NewShardedEngine,
-// NewDistEngine and NewResharding derive from one (see source.go;
-// Deployment describes which). It is safe for concurrent use: all mutable
+// a plain engine, a partition of it for the engines NewShardedEngine and
+// NewResharding derive from one (see source.go; Deployment describes
+// which). It is safe for concurrent use: all mutable
 // search state lives per call.
 type Engine struct {
 	g       *kg.Graph
@@ -290,7 +290,7 @@ func (e *Engine) Search(ctx context.Context, q *query.Graph, opts Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return s.outcome()
+	return s.Result(), nil
 }
 
 func (e *Engine) decompose(q *query.Graph, opts Options, memo *transform.Memo) (*query.Decomposition, error) {
@@ -351,7 +351,7 @@ func (r *resumeStream) Next() (astar.Match, bool) {
 }
 
 // pull asks the search for its next match and records a search that ran
-// dry; a remote search that ends because the run was cancelled did not.
+// dry; one that ends once the run is cancelled is not counted as dry.
 func (r *resumeStream) pull() (astar.Match, bool) {
 	m, ok := r.search.Next()
 	r.dry = !ok && r.ctx.Err() == nil

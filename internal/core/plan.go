@@ -16,10 +16,8 @@ import (
 	"fmt"
 
 	"semkg/internal/astar"
-	"semkg/internal/kg"
 	"semkg/internal/query"
 	"semkg/internal/semgraph"
-	"semkg/internal/shardwire"
 	"semkg/internal/transform"
 )
 
@@ -61,8 +59,7 @@ type planSub struct {
 // Plan is a compiled query: the decomposition and per-sub-query searcher
 // blueprints, resolved once against the whole graph. Every deployment
 // shape runs the same plan: a partitioned source set projects the
-// blueprints into its own form (wire, per-shard) each time it opens a
-// run's sources. A Plan is immutable once Compile returns, tied to the
+// blueprints into every shard each time it opens a run's sources. A Plan is immutable once Compile returns, tied to the
 // engine that compiled it, and safe for concurrent reuse — every
 // StreamPlan/SearchPlan call builds fresh searchers from the blueprints.
 type Plan struct {
@@ -167,49 +164,6 @@ func (c compileOpts) searchOptions() astar.Options {
 	}
 }
 
-// WireBlueprints projects the plan's sub-query blueprints into wire form:
-// base-graph ids and predicate-name→weight rows, resolved once globally.
-// It is what every partitioned source set starts from — a remote shard
-// server receives it verbatim, an in-process shard projects it through
-// the same shard.Shard.Project the server runs. Each partitioned run
-// projects afresh, so a plan outlives a resharding swap. A non-compiled
-// plan has none.
-func (p *Plan) WireBlueprints() ([]shardwire.Blueprint, error) {
-	if !p.compiled {
-		return nil, nil
-	}
-	g := p.eng.g
-	out := make([]shardwire.Blueprint, len(p.subs))
-	for i, ps := range p.subs {
-		bp := shardwire.Blueprint{Anchors: make([]uint32, len(ps.sub.Anchors))}
-		for j, a := range ps.sub.Anchors {
-			bp.Anchors[j] = uint32(a)
-		}
-		bp.EndSets = make([][]uint32, len(ps.sub.EndSets))
-		for j, set := range ps.sub.EndSets {
-			es := make([]uint32, len(set.Members()))
-			for k, u := range set.Members() {
-				es[k] = uint32(u)
-			}
-			bp.EndSets[j] = es
-		}
-		rows, err := p.eng.rows.Rows(ps.preds)
-		if err != nil {
-			return nil, err
-		}
-		bp.Rows = make([]map[string]float64, len(rows))
-		for seg, row := range rows {
-			named := make(map[string]float64, len(row))
-			for pid, w := range row {
-				named[g.PredName(kg.PredID(pid))] = w
-			}
-			bp.Rows[seg] = named
-		}
-		out[i] = bp
-	}
-	return out, nil
-}
-
 // Subqueries returns the number of compiled sub-query blueprints (0 for a
 // non-compiled plan).
 func (p *Plan) Subqueries() int {
@@ -263,7 +217,7 @@ func (e *Engine) SearchPlan(ctx context.Context, p *Plan, opts Options) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return s.outcome()
+	return s.Result(), nil
 }
 
 // StreamPlan is Stream over a pre-compiled plan; see SearchPlan.

@@ -31,7 +31,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"semkg/internal/embed"
@@ -56,20 +55,7 @@ func NewShardedEngine(base *Engine, opts shard.Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewShardedEngineFromSet(base, set)
-}
-
-// NewShardedEngineFromSet derives the engine from an existing partition of
-// base's graph — the cold-start path when shards were loaded individually
-// from shard snapshots (shard.ReadShard + shard.Assemble).
-func NewShardedEngineFromSet(base *Engine, set *shard.Set) (*Engine, error) {
-	if base == nil || set == nil {
-		return nil, fmt.Errorf("core: nil base engine or shard set")
-	}
-	if set.Base() != base.Graph() {
-		return nil, fmt.Errorf("core: shard set partitions a different graph than the base engine serves")
-	}
-	return base.over(&sourceSet{backend: shardedBackend{set}, shards: set.Len()}), nil
+	return base.over(&sourceSet{set: set}), nil
 }
 
 // BuildShardedEngine is BuildEngine plus partitioning: the construction
@@ -99,55 +85,53 @@ type ShardedStats struct {
 	PerShard []shard.Stats `json:"per_shard"`
 }
 
-// shardedBackend opens one local match source per (shard, sub-query) of an
-// in-process partition.
-type shardedBackend struct{ set *shard.Set }
-
 // serves: the shard graphs cannot contain paths longer than the halo.
-func (b shardedBackend) serves(opts Options) bool { return opts.MaxHops <= b.set.Halo() }
+func (ss *sourceSet) serves(opts Options) bool { return opts.MaxHops <= ss.set.Halo() }
 
-// open projects the plan's wire blueprints into every shard afresh, so a
-// plan compiled before a resharding swap runs over the partition it finds.
-func (b shardedBackend) open(_ context.Context, p *Plan) ([][]matchSource, func() error, error) {
-	wire, err := p.WireBlueprints()
-	if err != nil {
-		return nil, nil, err
+// open projects the plan's blueprints — base-id φ sets and base-predicate
+// weight rows — into every shard afresh, so a plan compiled before a
+// resharding swap runs over the partition it finds.
+func (ss *sourceSet) open(p *Plan) ([][]matchSource, error) {
+	rows := make([][][]float64, len(p.subs))
+	for i, ps := range p.subs {
+		r, err := p.eng.rows.Rows(ps.preds)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = r
 	}
 	sources := make([][]matchSource, len(p.subs))
 	sopts := p.copts.searchOptions()
-	for s := range b.set.Len() { // shard-major: the merger's tie-break order
-		sh := b.set.Shard(s)
-		for i := range wire {
-			proj, err := sh.Project(&wire[i])
-			if err != nil {
-				return nil, nil, err
-			}
+	for s := range ss.set.Len() { // shard-major: the merger's tie-break order
+		sh := ss.set.Shard(s)
+		for i, ps := range p.subs {
+			proj := sh.Project(ps.sub, rows[i])
 			if proj == nil {
 				continue // this shard cannot contribute to sub-query i
 			}
 			src, err := sh.NewSource(proj, sopts)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			sources[i] = append(sources[i], src)
 		}
 	}
-	return sources, nil, nil
+	return sources, nil
 }
 
-func (b shardedBackend) stats(ss *sourceSet) ShardedStats {
+func (ss *sourceSet) stats() ShardedStats {
 	st := ShardedStats{
-		Shards:    ss.shards,
-		Halo:      b.set.Halo(),
+		Shards:    ss.set.Len(),
+		Halo:      ss.set.Halo(),
 		Searches:  ss.searches.Load(),
 		Fallbacks: ss.fallbacks.Load(),
-		PerShard:  b.set.AllStats(),
+		PerShard:  ss.set.AllStats(),
 	}
 	total := 0
 	for _, s := range st.PerShard {
 		total += s.Nodes
 	}
-	if n := b.set.Base().NumNodes(); n > 0 {
+	if n := ss.set.Base().NumNodes(); n > 0 {
 		st.ReplicationFactor = float64(total) / float64(n)
 	}
 	return st

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -347,52 +346,6 @@ func TestShardedCancellationMidMerge(t *testing.T) {
 	}
 }
 
-// TestShardedEngineFromLoadedSet: shards saved and loaded individually
-// through the snapshot wrapper reassemble into an engine answering
-// identically to the freshly partitioned one.
-func TestShardedEngineFromLoadedSet(t *testing.T) {
-	ctx := context.Background()
-	ds, e := tinyWorld(t, 21)
-	se := shardedOver(t, e, 3)
-	orig, err := shard.Partition(e.Graph(), shard.Options{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var loaded []*shard.Shard
-	for i := 0; i < orig.Len(); i++ {
-		var buf bytes.Buffer
-		if err := shard.WriteShard(&buf, orig.Shard(i)); err != nil {
-			t.Fatal(err)
-		}
-		sh, err := shard.ReadShard(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded = append(loaded, sh)
-	}
-	set, err := shard.Assemble(e.Graph(), loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se2, err := NewShardedEngineFromSet(e, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range shardedWorkload(ds)[:3] {
-		opts := Options{K: 5, Tau: 0.5, MaxHops: 3}
-		want, err := se.Search(ctx, q.Graph, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := se2.Search(ctx, q.Graph, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResultsEqual(t, q.Name+"/loaded-set", got, want)
-	}
-}
-
 // TestShardedStats sanity-checks the monitoring surface.
 func TestShardedStats(t *testing.T) {
 	_, e := tinyWorld(t, 3)
@@ -422,12 +375,7 @@ func TestShardedEngineValidation(t *testing.T) {
 	if _, err := NewShardedEngine(nil, shard.Options{}); err == nil {
 		t.Fatal("nil base accepted")
 	}
-	_, other := tinyWorld(t, 17)
-	set, err := shard.Partition(other.Graph(), shard.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewShardedEngineFromSet(e, set); err == nil {
-		t.Fatal("set over a different graph accepted")
+	if _, err := NewShardedEngine(e, shard.Options{Shards: 0}); err == nil {
+		t.Fatal("zero shards accepted")
 	}
 }

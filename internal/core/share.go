@@ -164,5 +164,5 @@ func (e *Engine) SearchPlanShared(ctx context.Context, p *Plan, opts Options, so
 	if err != nil {
 		return nil, err
 	}
-	return s.outcome()
+	return s.Result(), nil
 }

@@ -1,13 +1,12 @@
 // The match-source seam: the one place the deployment shapes differ.
-// Every engine — whole-graph, in-process sharded, distributed
-// coordinator, resharding — runs the single gather pipeline of stream.go;
-// what varies is only where a (shard, sub-query) stream of matches comes
-// from. See DESIGN.md, "Scatter-gather".
+// Every engine — whole-graph, in-process sharded, resharding — runs the
+// single gather pipeline of stream.go; what varies is only whether a
+// sub-query searches the whole graph or fans out across the shards of a
+// partition. See DESIGN.md, "Scatter-gather".
 
 package core
 
 import (
-	"context"
 	"sync/atomic"
 
 	"semkg/internal/astar"
@@ -15,11 +14,8 @@ import (
 )
 
 // matchSource is one (shard, sub-query) search of a run, yielding matches
-// in base-graph ids. There are exactly two implementations: the local
-// *shard.Source (an A* searcher over the whole graph or over one shard —
-// the same source a shard server streams over the wire) and the HTTP
-// *remoteSource (one shard server's stream, with hedging, retry, failover
-// and offset-resume entirely behind it).
+// in base-graph ids: a *shard.Source, an A* searcher over the whole graph
+// or over one shard.
 type matchSource interface {
 	// Next is the sorted pull: the next match in non-increasing pss order.
 	Next() (astar.Match, bool)
@@ -30,28 +26,11 @@ type matchSource interface {
 	Shard() int
 }
 
-// backend supplies the sources of a partitioned deployment: in-process
-// shards (shardedBackend) or remote shard servers (distBackend). The
-// whole graph needs none — Engine.wholeGraphSources is the fallback every
-// backend shares.
-type backend interface {
-	// serves reports whether the partition can answer a run under opts;
-	// otherwise the run falls back to the whole graph (counted).
-	serves(opts Options) bool
-	// open instantiates one run's sources: sources[sub] lists sub-query
-	// sub's sources in shard order — the merge tie-break order. finish,
-	// when non-nil, must be called once the assembly is done: it stops
-	// sources still running and reports the scatter's failure, if any.
-	open(ctx context.Context, p *Plan) (sources [][]matchSource, finish func() error, err error)
-}
-
-// sourceSet is the swappable half of an engine: a partitioned backend,
-// its shape, and the counters the monitoring surfaces export. An engine
-// without one searches the whole graph; resharding swaps one in
-// atomically.
+// sourceSet is the swappable half of an engine: an in-process partition
+// and the counters the monitoring surfaces export. An engine without one
+// searches the whole graph; resharding swaps one in atomically.
 type sourceSet struct {
-	backend
-	shards int
+	set *shard.Set
 
 	searches  atomic.Uint64
 	fallbacks atomic.Uint64
@@ -78,10 +57,8 @@ type Deployment struct {
 	// Resharding reports a whole-graph phase whose background partition
 	// has not landed (yet, or ever — see ReshardConfig.OnError).
 	Resharding bool
-	// Sharded is set over an in-process partition, Dist over remote shard
-	// servers.
+	// Sharded is set over a partition.
 	Sharded *ShardedStats
-	Dist    *DistStats
 }
 
 // Deployment describes e's current source set.
@@ -90,16 +67,8 @@ func (e *Engine) Deployment() Deployment {
 	if ss == nil {
 		return Deployment{Resharding: e.resharding}
 	}
-	d := Deployment{Shards: ss.shards}
-	switch b := ss.backend.(type) {
-	case shardedBackend:
-		st := b.stats(ss)
-		d.Sharded = &st
-	case *distBackend:
-		st := b.stats(ss)
-		d.Dist = &st
-	}
-	return d
+	st := ss.stats()
+	return Deployment{Shards: st.Shards, Sharded: &st}
 }
 
 // WholeGraph reports whether e is currently answering from the
@@ -116,20 +85,18 @@ type scatter struct {
 	sources [][]matchSource
 	// shards is the partition size, 0 over the whole graph.
 	shards int
-	// finish is the backend's (see backend.open); nil for local sources.
-	finish func() error
 }
 
 // openSources picks where this run's matches come from: the shared
 // enumerations the caller supplied (whole-graph, exact mode), the
 // engine's partitioned source set when it can serve opts, or the whole
 // graph.
-func (e *Engine) openSources(ctx context.Context, p *Plan, opts Options, shared []*SharedSearch) (*scatter, error) {
+func (e *Engine) openSources(p *Plan, opts Options, shared []*SharedSearch) (*scatter, error) {
 	if ss := e.sources.Load(); ss != nil && shared == nil {
 		if ss.serves(opts) {
 			ss.searches.Add(1)
-			sources, finish, err := ss.open(ctx, p)
-			return &scatter{sources: sources, shards: ss.shards, finish: finish}, err
+			sources, err := ss.open(p)
+			return &scatter{sources: sources, shards: ss.set.Len()}, err
 		}
 		ss.fallbacks.Add(1)
 	}

@@ -34,9 +34,10 @@ const (
 	KindPhase
 	// KindResult is the terminal event carrying the final Result.
 	KindResult
-	// KindError is the terminal event of a pipeline that failed mid-run;
-	// only runs over remote shard servers emit it (a shard with no live
-	// replica), after which the stream closes without a ResultEvent.
+	// KindError is the terminal event of a request that failed instead of
+	// answering. A core pipeline never emits it — once started, a run
+	// always ends with a ResultEvent; the serving layer delivers it to the
+	// followers of a flight whose leader failed (internal/serve).
 	KindError
 )
 
@@ -123,11 +124,10 @@ type ResultEvent struct {
 // Kind implements Event.
 func (ResultEvent) Kind() EventKind { return KindResult }
 
-// ErrorEvent is the terminal event of a failed pipeline: the search
-// cannot produce a correct result (a shard scatter lost every replica of
-// some shard), so the stream ends with the typed error instead of a
-// partial — and possibly wrong — top-k. Stream.Err returns the same
-// error.
+// ErrorEvent is the terminal event of a failed request: a serving-layer
+// follower receives it when the flight it joined failed (an admission or
+// compile error, for example) rather than produced a result. A core
+// Stream never emits it.
 type ErrorEvent struct {
 	Err error
 }
@@ -149,7 +149,6 @@ type Stream struct {
 	events chan Event
 	done   chan struct{}
 	res    *Result
-	err    error
 	// quiet disables all event emission: the batch Search path runs the
 	// identical pipeline without paying for events nobody consumes.
 	quiet bool
@@ -171,30 +170,6 @@ func (s *Stream) Events() <-chan Event { return s.events }
 func (s *Stream) Result() *Result {
 	<-s.done
 	return s.res
-}
-
-// Err blocks until the stream terminates and reports the pipeline
-// failure, if any. A non-nil error means no Result was produced (the
-// stream ended with an ErrorEvent); errors happen only on distributed
-// pipelines — in-process engines always terminate with a Result.
-func (s *Stream) Err() error {
-	<-s.done
-	return s.err
-}
-
-// outcome blocks until the stream terminates and returns its result or
-// failure: the batch entry points' view of a quiet run.
-func (s *Stream) outcome() (*Result, error) {
-	<-s.done
-	return s.res, s.err
-}
-
-// fail terminates the stream with err instead of a result.
-func (s *Stream) fail(err error) {
-	s.err = err
-	s.emit(ErrorEvent{Err: err})
-	close(s.events)
-	close(s.done)
 }
 
 // emit delivers ev without ever blocking the pipeline: when the buffer is
@@ -226,8 +201,7 @@ func (s *Stream) emit(ev Event) {
 // provisional top-k snapshots with TA bounds, and a terminal result.
 // Option and query validation errors are returned synchronously (wrapped
 // as BadRequestError — the caller's fault, not the engine's); after a nil
-// error the stream always terminates with a ResultEvent, or — only over
-// remote shard servers, when a shard lost every replica — an ErrorEvent.
+// error the stream always terminates with a ResultEvent.
 // Consuming a Stream to completion yields a Result identical to
 // Engine.Search with the same arguments.
 func (e *Engine) Stream(ctx context.Context, q *query.Graph, opts Options) (*Stream, error) {
@@ -281,7 +255,7 @@ func (e *Engine) start(ctx context.Context, p *Plan, opts Options, shared []*Sha
 	var sc *scatter // a non-compiled plan has nothing to search
 	if p.compiled {
 		var err error
-		if sc, err = e.openSources(ctx, p, opts, shared); err != nil {
+		if sc, err = e.openSources(p, opts, shared); err != nil {
 			return nil, err
 		}
 	}
@@ -346,12 +320,6 @@ func (e *Engine) run(ctx context.Context, s *Stream, p *Plan, sc *scatter, opts 
 			}
 		}
 		finals := asm.Run(onRound)
-		if sc.finish != nil {
-			if err := sc.finish(); err != nil {
-				s.fail(err)
-				return
-			}
-		}
 		res.SearchStats = make([]astar.Stats, len(sc.sources))
 		if sc.shards > 0 {
 			res.ShardEffort = make([]astar.Stats, sc.shards)

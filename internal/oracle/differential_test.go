@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -279,31 +278,6 @@ func checkAll(t *testing.T, shape string, s searcher, w oracle.World, qs []testQ
 	}
 }
 
-// distributed serves every shard of a 3-way partition of e's graph from an
-// httptest shard server and wires a coordinator over them.
-func distributed(t *testing.T, e *core.Engine) *core.Engine {
-	t.Helper()
-	set, err := shard.Partition(e.Graph(), shard.Options{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := make([][]string, set.Len())
-	for i := range hosts {
-		srv, err := shard.NewServer(set.Shard(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := httptest.NewServer(srv.Handler())
-		t.Cleanup(hs.Close)
-		hosts[i] = []string{hs.URL}
-	}
-	de, err := core.NewDistEngine(e, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return de
-}
-
 func TestDifferentialAgainstOracle(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -339,8 +313,6 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 		if hs := shallow.Deployment().Sharded; hs.Fallbacks == 0 || hs.Searches == 0 {
 			t.Errorf("halo-2 partition: %d sharded searches, %d fallbacks; want both", hs.Searches, hs.Fallbacks)
 		}
-
-		checkAll(t, shape("distributed"), distributed(t, e), w, qs, &st)
 
 		gate, ready := make(chan struct{}), make(chan struct{})
 		resharding := core.NewResharding(e, nil, core.ReshardConfig{

@@ -1,6 +1,6 @@
 // Package serve is the engine-level serving layer: it turns one
 // *core.Engine — whichever deployment shape its source set gives it
-// (whole graph, sharded, distributed, resharding) — into a component fit
+// (whole graph, sharded, resharding) — into a component fit
 // for heavy concurrent traffic. It shares results, not event recordings:
 // only a Stream request that starts a pipeline run sees that run's events
 // live; every other request receives the finished result.
@@ -397,9 +397,9 @@ func (e *Engine) lead(fl *flight, key string, q *query.Graph, opts core.Options,
 // compile, admission, then the run itself — quiet, or as the live stream
 // of a flight a Stream request started. cached gates the sub-search
 // sharing layer: a request too nondeterministic to cache is equally too
-// nondeterministic to share. A run may fail instead of answering (a
-// distributed backing engine losing a whole shard, for example); lead()
-// never caches errored flights, so the next request retries the pipeline.
+// nondeterministic to share. A run fails only before its pipeline starts
+// (compile or admission); lead() never caches errored flights, so the
+// next request retries.
 func (e *Engine) run(fl *flight, q *query.Graph, opts core.Options, cached, live bool) (*core.Result, error) {
 	g := fl.gen
 	plan, err := g.eng.Compile(q, opts)
@@ -423,9 +423,6 @@ func (e *Engine) run(fl *flight, q *query.Graph, opts core.Options, cached, live
 	}
 	if !live {
 		return e.searchFor(fl.ctx, g, plan, opts, cached)
-	}
-	if err := fl.live.Err(); err != nil {
-		return nil, err
 	}
 	return fl.live.Result(), nil
 }

@@ -52,6 +52,12 @@ func TestServingOverShardedEngine(t *testing.T) {
 	if st.ResultHits != 1 || st.PipelineRuns != 1 {
 		t.Fatalf("stats = %+v, want 1 result hit and 1 pipeline run", st)
 	}
+	// Sub-search sharing is a whole-graph optimization: over a partition
+	// one sub-query is many per-shard enumerations, so the layer must
+	// bypass the sub-search cache, not fill it.
+	if st.SubHits != 0 || st.SubEntries != 0 {
+		t.Fatalf("sub-search cache active over a partition: %+v", st)
+	}
 }
 
 // TestServingShardedStreamReplay: a sharded execution streams live, with

@@ -15,10 +15,8 @@
 // match has exactly one first hop, the per-shard match streams form an
 // exact, disjoint partition of the global match stream.
 //
-// Shard graphs are ordinary immutable kg.Graphs: they carry their own
-// derived indexes (built by kg.Builder.Build) and serialize through the
-// binary snapshot codec, so shards can be saved and loaded individually
-// (WriteShard/ReadShard) and cold-started in parallel.
+// Shard graphs are ordinary immutable kg.Graphs carrying their own derived
+// indexes (built by kg.Builder.Build); Partition builds them in parallel.
 package shard
 
 import (
@@ -56,7 +54,7 @@ func (o Options) withDefaults() Options {
 
 // Shard is one partition member: an immutable shard graph plus the id
 // mappings back into the base graph. The zero value is unusable; obtain
-// shards from Partition or ReadShard.
+// shards from Partition.
 type Shard struct {
 	// Index is this shard's position in [0, Shards).
 	Index int
@@ -64,8 +62,6 @@ type Shard struct {
 	// to; ownership is derivable from it (a node is owned when its base id
 	// modulo Shards equals Index).
 	Shards int
-	// Halo is the replication radius the shard was built with.
-	Halo int
 	// Graph is the shard subgraph, a self-contained immutable kg.Graph
 	// with its own derived indexes. Node and edge ids are shard-local.
 	Graph *kg.Graph
@@ -76,6 +72,8 @@ type Shard struct {
 	// edgeGlobal[local] is the base-graph id of local edge `local`;
 	// strictly ascending.
 	edgeGlobal []kg.EdgeID
+	// predGlobal[local] is the base-graph id of local predicate `local`.
+	predGlobal []kg.PredID
 	ownedCount int
 }
 
@@ -161,7 +159,7 @@ func (s *Set) AllStats() []Stats {
 
 // Partition splits g into opts.Shards shard graphs. The partition is
 // deterministic: the same graph and options always produce the same
-// shards, bit for bit (shard snapshots of equal inputs are identical).
+// shards, bit for bit.
 func Partition(g *kg.Graph, opts Options) (*Set, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shard: nil graph")
@@ -239,85 +237,20 @@ func buildShard(g *kg.Graph, index int, opts Options) *Shard {
 		b.AddEdge(ls, ld, g.PredName(edge.Pred))
 		edgeGlobal = append(edgeGlobal, kg.EdgeID(e))
 	}
+	sg := b.Build()
+	// Every shard predicate is interned by some kept edge, which names its
+	// base predicate.
+	predGlobal := make([]kg.PredID, sg.NumPredicates())
+	for le, e := range edgeGlobal {
+		predGlobal[sg.EdgeAt(kg.EdgeID(le)).Pred] = g.EdgeAt(e).Pred
+	}
 	return &Shard{
 		Index:      index,
 		Shards:     opts.Shards,
-		Halo:       opts.Halo,
-		Graph:      b.Build(),
+		Graph:      sg,
 		nodeGlobal: nodeGlobal,
 		edgeGlobal: edgeGlobal,
+		predGlobal: predGlobal,
 		ownedCount: ownedCount,
 	}
-}
-
-// Assemble reconstructs a Set from individually loaded shards (ReadShard).
-// The shards must form the complete partition of base: same shard count
-// and halo, one member per index, and mappings that agree with base node
-// names — a shard saved from a different graph (or a stale snapshot after
-// ingestion changed the base) is rejected rather than silently producing
-// wrong search results.
-func Assemble(base *kg.Graph, shards []*Shard) (*Set, error) {
-	if base == nil {
-		return nil, fmt.Errorf("shard: nil base graph")
-	}
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("shard: no shards")
-	}
-	n := len(shards)
-	halo := shards[0].Halo
-	byIndex := make([]*Shard, n)
-	for _, sh := range shards {
-		if sh.Shards != n {
-			return nil, fmt.Errorf("shard: shard %d was partitioned into %d shards, got %d members", sh.Index, sh.Shards, n)
-		}
-		if sh.Halo != halo {
-			return nil, fmt.Errorf("shard: shard %d has halo %d, shard %d has %d", sh.Index, sh.Halo, shards[0].Index, halo)
-		}
-		if sh.Index < 0 || sh.Index >= n {
-			return nil, fmt.Errorf("shard: shard index %d out of range [0,%d)", sh.Index, n)
-		}
-		if byIndex[sh.Index] != nil {
-			return nil, fmt.Errorf("shard: duplicate shard index %d", sh.Index)
-		}
-		if err := sh.validateAgainst(base); err != nil {
-			return nil, err
-		}
-		byIndex[sh.Index] = sh
-	}
-	for i, sh := range byIndex {
-		if sh == nil {
-			return nil, fmt.Errorf("shard: missing shard %d of %d", i, n)
-		}
-	}
-	return &Set{base: base, halo: halo, shards: byIndex}, nil
-}
-
-// validateAgainst checks the shard's mappings identify the same entities
-// and facts in base.
-func (s *Shard) validateAgainst(base *kg.Graph) error {
-	if len(s.nodeGlobal) != s.Graph.NumNodes() || len(s.edgeGlobal) != s.Graph.NumEdges() {
-		return fmt.Errorf("shard %d: mapping sizes disagree with the shard graph", s.Index)
-	}
-	for local, global := range s.nodeGlobal {
-		if int(global) >= base.NumNodes() || global < 0 {
-			return fmt.Errorf("shard %d: node mapping %d -> %d outside the base graph", s.Index, local, global)
-		}
-		if base.NodeName(global) != s.Graph.NodeName(kg.NodeID(local)) {
-			return fmt.Errorf("shard %d: node %d maps to base node %d with a different name (stale shard snapshot?)",
-				s.Index, local, global)
-		}
-	}
-	for local, global := range s.edgeGlobal {
-		if int(global) >= base.NumEdges() || global < 0 {
-			return fmt.Errorf("shard %d: edge mapping %d -> %d outside the base graph", s.Index, local, global)
-		}
-		be, le := base.EdgeAt(global), s.Graph.EdgeAt(kg.EdgeID(local))
-		if base.NodeName(be.Src) != s.Graph.NodeName(le.Src) ||
-			base.NodeName(be.Dst) != s.Graph.NodeName(le.Dst) ||
-			base.PredName(be.Pred) != s.Graph.PredName(le.Pred) {
-			return fmt.Errorf("shard %d: edge %d maps to base edge %d stating a different fact (stale shard snapshot?)",
-				s.Index, local, global)
-		}
-	}
-	return nil
 }

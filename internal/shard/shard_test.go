@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"semkg/internal/kg"
@@ -126,9 +127,7 @@ func TestPartitionHaloCover(t *testing.T) {
 		if sh.Graph.NumEdges() != wantEdges {
 			t.Fatalf("shard %d: %d edges, want %d induced", i, sh.Graph.NumEdges(), wantEdges)
 		}
-		if err := sh.validateAgainst(g); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
+		checkMappings(t, g, sh)
 	}
 }
 
@@ -192,109 +191,44 @@ func TestPartitionDeterministic(t *testing.T) {
 	}
 	for i := 0; i < a.Len(); i++ {
 		var ba, bb bytes.Buffer
-		if err := WriteShard(&ba, a.Shard(i)); err != nil {
+		if err := kg.WriteSnapshot(&ba, a.Shard(i).Graph); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteShard(&bb, b.Shard(i)); err != nil {
+		if err := kg.WriteSnapshot(&bb, b.Shard(i).Graph); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
-			t.Fatalf("shard %d: partitions of the same graph serialized differently", i)
+		sa, sb := a.Shard(i), b.Shard(i)
+		if !bytes.Equal(ba.Bytes(), bb.Bytes()) || !slices.Equal(sa.nodeGlobal, sb.nodeGlobal) ||
+			!slices.Equal(sa.edgeGlobal, sb.edgeGlobal) || !slices.Equal(sa.predGlobal, sb.predGlobal) {
+			t.Fatalf("shard %d: partitions of the same graph differ", i)
 		}
 	}
 }
 
-func TestShardRoundTripAndAssemble(t *testing.T) {
-	g := randomGraph(t, 23, 50, 120)
-	set, err := Partition(g, Options{Shards: 3, Halo: 2})
-	if err != nil {
-		t.Fatal(err)
+// checkMappings asserts that sh's id mappings name the same entities,
+// facts and predicates in base as in the shard graph.
+func checkMappings(t *testing.T, base *kg.Graph, sh *Shard) {
+	t.Helper()
+	g := sh.Graph
+	if len(sh.nodeGlobal) != g.NumNodes() || len(sh.edgeGlobal) != g.NumEdges() || len(sh.predGlobal) != g.NumPredicates() {
+		t.Fatalf("shard %d: mapping sizes disagree with the shard graph", sh.Index)
 	}
-	var loaded []*Shard
-	for i := 0; i < set.Len(); i++ {
-		var buf bytes.Buffer
-		if err := WriteShard(&buf, set.Shard(i)); err != nil {
-			t.Fatal(err)
-		}
-		sh, err := ReadShard(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig := set.Shard(i)
-		if sh.Index != orig.Index || sh.Shards != orig.Shards || sh.Halo != orig.Halo {
-			t.Fatalf("meta mismatch after round trip: %+v", sh)
-		}
-		if sh.OwnedCount() != orig.OwnedCount() {
-			t.Fatalf("owned %d, want %d", sh.OwnedCount(), orig.OwnedCount())
-		}
-		if sh.Graph.NumNodes() != orig.Graph.NumNodes() || sh.Graph.NumEdges() != orig.Graph.NumEdges() {
-			t.Fatalf("graph shape mismatch after round trip")
-		}
-		loaded = append(loaded, sh)
-	}
-	// Load order must not matter.
-	loaded[0], loaded[2] = loaded[2], loaded[0]
-	set2, err := Assemble(g, loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set2.Halo() != set.Halo() || set2.Len() != set.Len() {
-		t.Fatalf("assembled set shape mismatch")
-	}
-	for i := 0; i < set2.Len(); i++ {
-		if set2.Shard(i).Index != i {
-			t.Fatalf("assembled shard %d has index %d", i, set2.Shard(i).Index)
+	for local, global := range sh.nodeGlobal {
+		if base.NodeName(global) != g.NodeName(kg.NodeID(local)) {
+			t.Fatalf("shard %d: node %d maps to base node %d with a different name", sh.Index, local, global)
 		}
 	}
-}
-
-func TestAssembleRejectsMismatches(t *testing.T) {
-	g := randomGraph(t, 29, 40, 100)
-	set, _ := Partition(g, Options{Shards: 2, Halo: 2})
-	all := []*Shard{set.Shard(0), set.Shard(1)}
-
-	if _, err := Assemble(g, all[:1]); err == nil {
-		t.Fatal("missing shard accepted")
-	}
-	if _, err := Assemble(g, []*Shard{set.Shard(0), set.Shard(0)}); err == nil {
-		t.Fatal("duplicate shard accepted")
-	}
-	other := randomGraph(t, 31, 40, 100)
-	if _, err := Assemble(other, all); err == nil {
-		t.Fatal("shards of a different graph accepted")
-	}
-	mixed, _ := Partition(g, Options{Shards: 2, Halo: 3})
-	if _, err := Assemble(g, []*Shard{set.Shard(0), mixed.Shard(1)}); err == nil {
-		t.Fatal("mixed-halo shards accepted")
-	}
-}
-
-func TestReadShardRejectsCorruption(t *testing.T) {
-	g := randomGraph(t, 37, 30, 60)
-	set, _ := Partition(g, Options{Shards: 2, Halo: 2})
-	var buf bytes.Buffer
-	if err := WriteShard(&buf, set.Shard(1)); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	if _, err := ReadShard(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	bad := append([]byte("NOTSHARD"), good[8:]...)
-	if _, err := ReadShard(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	for _, cut := range []int{10, 20, len(good) / 2, len(good) - 1} {
-		if _, err := ReadShard(bytes.NewReader(good[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	for local, global := range sh.edgeGlobal {
+		be, le := base.EdgeAt(global), g.EdgeAt(kg.EdgeID(local))
+		if base.NodeName(be.Src) != g.NodeName(le.Src) || base.NodeName(be.Dst) != g.NodeName(le.Dst) ||
+			be.Pred != sh.predGlobal[le.Pred] {
+			t.Fatalf("shard %d: edge %d maps to base edge %d stating a different fact", sh.Index, local, global)
 		}
 	}
-	// Flip one mapping byte: the header CRC must catch it.
-	flipped := append([]byte(nil), good...)
-	flipped[36] ^= 0x40
-	if _, err := ReadShard(bytes.NewReader(flipped)); err == nil {
-		t.Fatal("flipped mapping byte accepted")
+	for local, global := range sh.predGlobal {
+		if base.PredName(global) != g.PredName(kg.PredID(local)) {
+			t.Fatalf("shard %d: predicate %d maps to base predicate %d with a different name", sh.Index, local, global)
+		}
 	}
 }
 

@@ -1,20 +1,16 @@
 // The local match source: one sub-query's A* search over the whole graph
-// or over one shard, yielding matches in base-graph ids. It is the
-// in-process half of the scatter-gather seam (see DESIGN.md,
-// "Scatter-gather"): the engines in internal/core pull from it directly,
-// and Server streams the very same source over the shardwire protocol —
-// so the blueprint projection and the local→global remap below exist
-// exactly once for both sides of the process boundary.
+// or over one shard, yielding matches in base-graph ids. It is the shard
+// half of the scatter-gather seam (see DESIGN.md, "Scatter-gather"): the
+// engines in internal/core pull from it directly, and the blueprint
+// projection and the local→global remap below are the only places shard
+// ids meet base ids.
 
 package shard
 
 import (
-	"fmt"
-
 	"semkg/internal/astar"
 	"semkg/internal/kg"
 	"semkg/internal/semgraph"
-	"semkg/internal/shardwire"
 )
 
 // Projection is one globally-resolved sub-query blueprint mapped into a
@@ -27,62 +23,55 @@ type Projection struct {
 	rows [][]float64
 }
 
-// Project maps a blueprint into this shard. The shard searches from every
+// Project maps a blueprint compiled against the base graph — anchors and
+// end sets in base node ids, one weight row per segment indexed by base
+// predicate id — into this shard. The shard searches from every
 // replicated anchor but only through first-hop nodes it owns
 // (astar.SubQuery.FirstHop): matches are at least one edge long, so first
 // hops partition the path space exactly — and because anchor fan-out
 // spreads over many neighbors, the work balances across shards even when
 // φ(anchor) is a single entity.
 //
-// A nil projection with a nil error means the shard provably cannot
-// contribute: it replicates none of the anchors (every path from an
-// absent anchor starts through a hop some other shard owns), or some
-// segment's end set has no replica here (any in-halo match would need
-// one). A shard predicate missing from the blueprint's name-keyed rows is
-// an error: the rows cover the coordinator's whole base vocabulary, so the
-// shard was cut from a different graph.
-func (sh *Shard) Project(bp *shardwire.Blueprint) (*Projection, error) {
+// A nil projection means the shard provably cannot contribute: it
+// replicates none of the anchors (every path from an absent anchor starts
+// through a hop some other shard owns), or some segment's end set has no
+// replica here (any in-halo match would need one).
+func (sh *Shard) Project(sub astar.SubQuery, rows [][]float64) *Projection {
 	var anchors []kg.NodeID
-	for _, a := range bp.Anchors {
-		if la, ok := sh.LocalNode(kg.NodeID(a)); ok {
+	for _, a := range sub.Anchors {
+		if la, ok := sh.LocalNode(a); ok {
 			anchors = append(anchors, la)
 		}
 	}
 	if len(anchors) == 0 {
-		return nil, nil
+		return nil
 	}
 	g := sh.Graph
-	endSets := make([]astar.NodeSet, len(bp.EndSets))
+	endSets := make([]astar.NodeSet, len(sub.EndSets))
 	var local []kg.NodeID
-	for i, set := range bp.EndSets {
+	for i := range sub.EndSets {
 		local = local[:0]
-		for _, id := range set {
-			if lid, ok := sh.LocalNode(kg.NodeID(id)); ok {
+		for _, id := range sub.EndSets[i].Members() {
+			if lid, ok := sh.LocalNode(id); ok {
 				local = append(local, lid)
 			}
 		}
 		if len(local) == 0 {
-			return nil, nil
+			return nil
 		}
 		endSets[i] = astar.NewNodeSet(local, g.NumNodes())
 	}
-	rows := make([][]float64, len(bp.Rows))
-	for seg, named := range bp.Rows {
-		row := make([]float64, g.NumPredicates())
-		for p := range row {
-			w, ok := named[g.PredName(kg.PredID(p))]
-			if !ok {
-				return nil, fmt.Errorf("shard: predicate %q not in the blueprint's weight rows (stale shard snapshot?)",
-					g.PredName(kg.PredID(p)))
-			}
-			row[p] = w
+	shardRows := make([][]float64, len(rows))
+	for seg, row := range rows {
+		shardRows[seg] = make([]float64, len(sh.predGlobal))
+		for p, bp := range sh.predGlobal {
+			shardRows[seg][p] = row[bp]
 		}
-		rows[seg] = row
 	}
 	return &Projection{
 		sub:  astar.SubQuery{Anchors: anchors, EndSets: endSets, FirstHop: sh.Owned},
-		rows: rows,
-	}, nil
+		rows: shardRows,
+	}
 }
 
 // remap rewrites a shard-local match into base-graph ids, in place

@@ -34,9 +34,9 @@
 // # Deployment shapes
 //
 // Every engine is one *Engine type. NewEngine searches the whole graph;
-// NewShardedEngine and NewDistEngine return engines that run the same
-// pipeline over an in-process or remote partition, and NewServing wraps
-// any of them in caches and admission control. Engine.Deployment reports
+// NewShardedEngine returns an engine that runs the same pipeline over an
+// in-process partition, and NewServing wraps either in caches and
+// admission control. Engine.Deployment reports
 // an engine's shape and counters.
 package semkg
 
@@ -225,30 +225,6 @@ func NewShardedEngineFromSnapshot(r io.Reader, model *Model, lib *Library, cfg S
 	return core.NewShardedEngine(base, cfg)
 }
 
-// DistStats is a snapshot of the coordinator's partition shape and
-// counters (distributed searches, local fallbacks, hedges, retries,
-// failovers, shard errors).
-type DistStats = core.DistStats
-
-// ShardUnavailableError is returned by a distributed engine's search when
-// a shard has no live replica left within the retry budget: the search
-// fails typed rather than returning a silently partial top-k.
-type ShardUnavailableError = core.ShardUnavailableError
-
-// NewDistEngine derives from a base engine the scatter-gather coordinator
-// over remote shard server processes (semkgd -serve-shard); hosts[s]
-// lists the replica base URLs serving shard s. Queries compile once
-// globally against the base engine, each (shard, sub-query) search
-// streams over HTTP with mid-stream failover across replicas — a slow
-// replica is hedged after twice its latency EWMA, a failed stream is
-// retried 3 times with capped jittered backoff — and the merged result is
-// equivalent to the single engine's. Every replica is validated against
-// the base graph at construction, so a stale or foreign shard snapshot is
-// rejected instead of producing wrong results.
-func NewDistEngine(base *Engine, hosts [][]string) (*Engine, error) {
-	return core.NewDistEngine(base, hosts)
-}
-
 // Serving is the engine-level serving layer for heavy concurrent traffic:
 // an LRU result cache, shared sub-query searches, singleflight
 // deduplication of concurrent identical requests, and a bounded worker
@@ -296,8 +272,8 @@ type BatchItem = serve.BatchItem
 // it shouldn't.
 type BatchOutcome = serve.BatchOutcome
 
-// NewServing wraps an engine — whole-graph, sharded or distributed, it is
-// one *Engine — in a serving layer sized by cfg. The zero ServeConfig
+// NewServing wraps an engine — whole-graph or sharded, it is one *Engine
+// — in a serving layer sized by cfg. The zero ServeConfig
 // gives production-ready defaults.
 func NewServing(e *Engine, cfg ServeConfig) *Serving { return serve.New(e, cfg) }
 
@@ -349,8 +325,8 @@ func AssembleKeywords(g *Graph, input string) *KeywordAssembly {
 
 // Engine answers query graphs over one knowledge graph. It is the one
 // engine type of every deployment shape: NewEngine searches the whole
-// graph, NewShardedEngine and NewDistEngine scatter over a partition, and
-// Deployment reports which. Safe for concurrent use.
+// graph, NewShardedEngine scatters over a partition, and Deployment
+// reports which. Safe for concurrent use.
 type Engine = core.Engine
 
 // Plan is a compiled query (Engine.Compile): reusable across runs with any
@@ -359,8 +335,8 @@ type Engine = core.Engine
 type Plan = core.Plan
 
 // Deployment describes where an engine's runs get their matches: the
-// partition size, a background reshard in progress, and the sharded or
-// distributed stats.
+// partition size, a background reshard in progress, and the sharded
+// stats.
 type Deployment = core.Deployment
 
 // NewEngine builds an engine from a graph, a trained model, and an
