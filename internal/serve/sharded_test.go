@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"semkg/internal/core"
 	"semkg/internal/kg"
+	"semkg/internal/query"
 	"semkg/internal/shard"
 )
 
@@ -57,6 +60,85 @@ func TestServingOverShardedEngine(t *testing.T) {
 	// bypass the sub-search cache, not fill it.
 	if st.SubHits != 0 || st.SubEntries != 0 {
 		t.Fatalf("sub-search cache active over a partition: %+v", st)
+	}
+}
+
+// TestDistServedMixParity extends the zipf served-mix property to the
+// partitioned path: a skewed mix of overlapping requests produces
+// byte-identical answers whether the backing engine is the local engine
+// or the scatter-gather engine over two shards, under concurrency, with
+// result caching live on both. The sub-search sharing layer stays out of
+// the partitioned path by design (it shares raw whole-graph
+// enumerations), which must not change any answer.
+func TestDistServedMixParity(t *testing.T) {
+	queries := []func() *query.Graph{q117, clubQuery, manufacturerQuery}
+	ks := []int{1, 2, 3, 10}
+	taus := []float64{0.6, 0.75}
+
+	rng := rand.New(rand.NewSource(1009))
+	zipf := rand.NewZipf(rng, 1.4, 1.0, uint64(len(queries)*len(ks)*len(taus)-1))
+	type request struct {
+		q    *query.Graph
+		opts core.Options
+	}
+	const n = 48
+	reqs := make([]request, n)
+	for i := range reqs {
+		v := int(zipf.Uint64())
+		reqs[i] = request{
+			q:    queries[v%len(queries)](),
+			opts: core.Options{K: ks[(v/len(queries))%len(ks)], Tau: taus[(v/len(queries)/len(ks))%len(taus)]},
+		}
+	}
+
+	local := New(testEngine(t), Config{Queue: 128})
+	sharded := New(shardedTestEngine(t), Config{Queue: 128})
+
+	type out struct {
+		local, sharded []byte
+		err            error
+	}
+	results := make([]out, n)
+	var wg sync.WaitGroup
+	for i, r := range reqs {
+		wg.Add(1)
+		go func(i int, r request) {
+			defer wg.Done()
+			lres, err := local.Search(context.Background(), r.q, r.opts)
+			if err != nil {
+				results[i].err = err
+				return
+			}
+			sres, err := sharded.Search(context.Background(), r.q, r.opts)
+			if err != nil {
+				results[i].err = err
+				return
+			}
+			results[i].local = answersJSON(t, lres)
+			results[i].sharded = answersJSON(t, sres)
+		}(i, r)
+	}
+	wg.Wait()
+
+	for i, o := range results {
+		if o.err != nil {
+			t.Fatalf("request %d: %v", i, o.err)
+		}
+		if !bytes.Equal(o.local, o.sharded) {
+			t.Errorf("request %d (K=%d tau=%g): sharded answers differ from local:\n%s\nvs\n%s",
+				i, reqs[i].opts.K, reqs[i].opts.Tau, o.sharded, o.local)
+		}
+	}
+
+	lst, sst := local.Stats(), sharded.Stats()
+	// The zipf skew repeats requests, so both layers must be absorbing the
+	// duplicates — via the result cache or via in-flight sharing when the
+	// duplicates arrive concurrently.
+	if lst.ResultHits+lst.FlightShared == 0 || sst.ResultHits+sst.FlightShared == 0 {
+		t.Fatalf("duplicate requests not absorbed under a zipf mix: local %+v, sharded %+v", lst, sst)
+	}
+	if sst.SubHits != 0 || sst.SubEntries != 0 {
+		t.Fatalf("sub-search cache active over a partition: %+v", sst)
 	}
 }
 
