@@ -62,15 +62,6 @@
 // rename) whenever the graph changed. On SIGTERM/SIGINT the server
 // stops replication and drains in-flight requests up to -drain-timeout.
 //
-// In-process sharding (see DESIGN.md, "Scatter-gather") partitions the
-// graph and fans every sub-query search out across the shards:
-//
-//	semkgd -graph g.tsv -model m.bin -shards 4 -shard-halo 4
-//
-// Partition shape and counters are exported under the "semkgd_shard"
-// expvar key; an ingest serves the committed graph unsharded at once and
-// re-partitions in the background.
-//
 // The streaming endpoint is the wire form of the paper's anytime
 // behaviour (Section VI, Theorem 4): in time-bounded mode clients render
 // provisional answers while the search refines them. See DESIGN.md,
@@ -95,7 +86,6 @@ import (
 	"semkg/internal/embed"
 	"semkg/internal/kg"
 	"semkg/internal/serve"
-	"semkg/internal/shard"
 )
 
 func main() {
@@ -109,8 +99,6 @@ func main() {
 	resultCache := flag.Int("result-cache", 0, "result cache entries (0 = 1024×workers, -1 = disabled)")
 	subCache := flag.Int("sub-cache", 0, "shared sub-search cache entries for cross-query sharing (0 = 512×workers, -1 = disabled)")
 	maxIngest := flag.Int64("max-ingest-bytes", defaultMaxIngestBytes, "max /v1/ingest request body size in bytes (0 = unlimited)")
-	shards := flag.Int("shards", 0, "partition the graph into N shards and serve scatter-gather searches (0/1 = single engine)")
-	shardHalo := flag.Int("shard-halo", 0, "shard replication radius in hops; bounds servable max_hops (0 = default 4)")
 	addrFile := flag.String("addr-file", "", "write the actual listen address to this file once listening (for -addr :0)")
 	follow := flag.String("follow", "", "run as a read-only follower of the primary at this base URL (e.g. http://host:8375)")
 	advertise := flag.String("advertise", "", "externally reachable base URL announced to followers in the replication hello")
@@ -158,8 +146,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("semkgd: %v", err)
 	}
-	shardCfg := shard.Options{Shards: *shards, Halo: *shardHalo}
-	buildEngine := func(g2 *kg.Graph, rebuild bool) (*core.Engine, error) {
+	buildEngine := func(g2 *kg.Graph) (*core.Engine, error) {
 		if *follow != "" && g2.NumPredicates() < len(model.Relations) {
 			// Follower bootstrap window: the graph is a replayed prefix
 			// of the primary's, whose predicate intern order is the
@@ -173,48 +160,11 @@ func main() {
 			}
 			return core.NewEngine(g2, sp, nil)
 		}
-		if *shards > 1 {
-			if !rebuild {
-				return core.BuildShardedEngine(g2, model, nil, shardCfg)
-			}
-			// Ingest commit: a synchronous re-partition here would make
-			// commit latency scale with the whole graph (one BFS plus one
-			// index build per shard) instead of the delta. Serve the
-			// committed graph through a plain engine immediately and let
-			// the partition rebuild in the background; correctness is
-			// unaffected — only the scatter-gather speedup lags.
-			base, err := core.BuildEngine(g2, model, nil)
-			if err != nil {
-				return nil, err
-			}
-			// Rebuilds replace the engine wholesale; the new partition
-			// inherits the serving one's counters, keeping the expvar
-			// monotonic across generations.
-			var prev *core.Engine
-			if cur := currentServe.Load(); cur != nil {
-				prev = cur.Engine()
-			}
-			log.Printf("semkgd: re-partitioning %d shards in the background; serving unsharded until ready", shardCfg.Shards)
-			return core.NewResharding(base, prev, core.ReshardConfig{
-				Shard: shardCfg,
-				OnReady: func(st core.ShardedStats) {
-					log.Printf("semkgd: background re-partition ready: %d shards, halo %d", st.Shards, st.Halo)
-				},
-				OnError: func(err error) {
-					log.Printf("semkgd: background re-partition failed: %v; still serving unsharded", err)
-				},
-			}), nil
-		}
 		return core.BuildEngine(g2, model, nil)
 	}
-	eng, err := buildEngine(g, false)
+	eng, err := buildEngine(g)
 	if err != nil {
 		log.Fatalf("semkgd: %v", err)
-	}
-	deployed := eng.Deployment()
-	if st := deployed.Sharded; st != nil {
-		log.Printf("semkgd: sharded scatter-gather: %d shards, halo %d, replication factor %.2f",
-			st.Shards, st.Halo, st.ReplicationFactor)
 	}
 	srv := serve.New(eng, serve.Config{
 		ResultCache: *resultCache,
@@ -222,11 +172,8 @@ func main() {
 		Workers:     *workers,
 		Queue:       *queue,
 		// Live ingestion rebuilds the engine over the committed graph;
-		// SpaceFor pads vectors for predicates the model never saw. When
-		// serving sharded, ingested entities are searchable immediately
-		// through the interim unsharded engine while the partition
-		// rebuilds in the background.
-		Build: func(g2 *kg.Graph) (*core.Engine, error) { return buildEngine(g2, true) },
+		// SpaceFor pads vectors for predicates the model never saw.
+		Build: buildEngine,
 	})
 	var repl *replState
 	if *follow != "" {

@@ -53,19 +53,6 @@ func init() {
 		}
 		return nil
 	}))
-	// The partition shape and counters of whichever engine is serving
-	// now: reads go through the current serving engine, so the numbers
-	// track generation swaps from live ingestion and the background
-	// re-partition that follows each. null over the whole graph.
-	expvar.Publish("semkgd_shard", expvar.Func(func() any { return currentDeployment().Sharded }))
-}
-
-// currentDeployment describes the serving engine's source set.
-func currentDeployment() core.Deployment {
-	if s := currentServe.Load(); s != nil {
-		return s.Engine().Deployment()
-	}
-	return core.Deployment{}
 }
 
 // defaultMaxIngestBytes caps one /v1/ingest request body: the whole
@@ -386,21 +373,13 @@ func (s *server) ingestTooLarge(w http.ResponseWriter, sc *bufio.Scanner) bool {
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	eng := s.srv.Engine()
-	g := eng.Graph()
+	g := s.srv.Engine().Graph()
 	resp := map[string]any{
 		"status":     "ok",
 		"nodes":      g.NumNodes(),
 		"edges":      g.NumEdges(),
 		"predicates": g.NumPredicates(),
 		"generation": s.srv.Generation(),
-	}
-	d := eng.Deployment()
-	if d.Shards > 0 {
-		resp["shards"] = d.Shards
-	}
-	if d.Resharding {
-		resp["resharding"] = true
 	}
 	resp["replication"] = s.repl.healthz()
 	writeJSON(w, http.StatusOK, resp)

@@ -154,8 +154,7 @@ type Options struct {
 	// 0 = default 0.8.
 	Tau float64 `json:"tau,omitempty"`
 	// MaxHops is the path-length bound n̂ in knowledge-graph edges.
-	// 0 = default 4. On a sharded server it must not exceed the shard
-	// halo, or the search transparently falls back to the single engine.
+	// 0 = default 4.
 	MaxHops int `json:"max_hops,omitempty"`
 	// PivotNode forces the decomposition pivot to this query node ID;
 	// empty lets the cost model choose.

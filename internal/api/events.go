@@ -20,7 +20,7 @@ const (
 // "event" discriminator, so every NDJSON line is self-describing. Only the
 // fields of the discriminated kind are populated:
 //
-//   - progress: sub, collected, done, shard
+//   - progress: sub, collected, done
 //   - phase:    phase, plus elapsed/projected (alert) or sizes (assemble)
 //   - topk:     round, lower_k, upper_max, answers
 //   - result:   result
@@ -33,15 +33,10 @@ type Event struct {
 	// pointer so that sub-query 0 still serializes (omitempty would drop
 	// it).
 	Sub *int `json:"sub,omitempty"`
-	// Collected counts the matches the source prefetched so far for the
-	// sub-query.
+	// Collected counts the matches prefetched so far for the sub-query.
 	Collected int `json:"collected,omitempty"`
 	// Done marks the final progress update of a sub-query's search phase.
 	Done bool `json:"done,omitempty"`
-	// Shard attributes a progress update to the shard that produced it,
-	// 1-based, when the serving engine is sharded (semkgd -shards). 0 (and
-	// therefore absent) on the single-engine pipeline.
-	Shard int `json:"shard,omitempty"`
 
 	// Phase names the pipeline stage being entered: "search", "alert" or
 	// "assemble". "alert" means the time-bounded cut was taken: past
@@ -91,7 +86,7 @@ func EventFrom(ev core.Event) (Event, error) {
 	switch e := ev.(type) {
 	case core.ProgressEvent:
 		sub := e.Sub
-		return Event{Event: EventProgress, Sub: &sub, Collected: e.Collected, Done: e.Done, Shard: e.Shard}, nil
+		return Event{Event: EventProgress, Sub: &sub, Collected: e.Collected, Done: e.Done}, nil
 	case core.PhaseEvent:
 		return Event{
 			Event:     EventPhase,

@@ -22,8 +22,8 @@
 // Hot path: search states live in a flat arena ([]state with int32 parent
 // indices) instead of one heap allocation per successor, and the frontier
 // is a 4-ary heap of arena indices; φ end sets are compiled once per plan
-// (NodeSet) and shared read-only by every searcher, shard projection and
-// shared sub-search over it; each match is built in one pass over its
+// (NodeSet) and shared read-only by every searcher and shared sub-search
+// over it; each match is built in one pass over its
 // parent chain; and most τ-pruning decisions skip math.Pow — x^(1/n̂) is
 // monotone in x, so a raw weight product below a precomputed (τ^n̂ minus a
 // safety margin) floor is certainly pruned without evaluating Eq. 7; only
@@ -72,14 +72,6 @@ type SubQuery struct {
 	// query edge; EndSets[len-1] is φ(v_t) of the sub-query's end node.
 	// Searchers read them in place.
 	EndSets []NodeSet
-	// FirstHop, when non-nil, restricts the search to paths whose first
-	// edge leads to a node the predicate accepts. Because every match is
-	// at least one edge long, first-hop nodes partition the path space
-	// exactly: the sharded engine gives each shard the filter "first hop
-	// owned here", so the per-shard searches enumerate disjoint path sets
-	// whose union is the unrestricted search's. nil accepts every
-	// neighbor.
-	FirstHop func(kg.NodeID) bool
 }
 
 // Segments returns the number of query edges.
@@ -171,8 +163,8 @@ func (b bitset) set(i kg.NodeID)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) has(i kg.NodeID) bool { return b[i>>6]>>(uint(i)&63)&1 != 0 }
 
 // NodeSet is one compiled φ end set. It is immutable, so a plan compiles
-// it once and every searcher over the plan — shard projections and shared
-// sub-searches included — reads it in place. φ(v) of a typed query node
+// it once and every searcher over the plan — shared sub-searches
+// included — reads it in place. φ(v) of a typed query node
 // can be a large fraction of the graph, but most end sets are a handful of
 // entities, and a full-graph bitset means zeroing NumNodes/8 bytes (1.25
 // MB at 10M nodes). Small sets therefore probe their sorted members by
@@ -427,9 +419,6 @@ func (s *Searcher) expand(idx int32, emitEager func(Match)) {
 	ends := &s.sub.EndSets[st.seg]
 	row := s.rows[st.seg]
 	for _, h := range s.g.Neighbors(st.node) {
-		if st.hops == 0 && s.sub.FirstHop != nil && !s.sub.FirstHop(h.Neighbor) {
-			continue // another shard owns paths starting through this node
-		}
 		if s.onPath(idx, h.Neighbor) {
 			continue // matches are simple paths (path graphs, Definition 6)
 		}

@@ -280,7 +280,7 @@ func TestRunAblationShape(t *testing.T) {
 // `-exp all` prints, in order, then the eight artifact experiments.
 func TestRegistry(t *testing.T) {
 	want := "table1 fig12 fig13 fig14 fig15 table5 table6 table7 noise table9 table10 ablation |" +
-		" hotpath serve ingest shard replica keyword batch load"
+		" hotpath serve ingest replica keyword batch load"
 	var got []string
 	for i, e := range Experiments {
 		if i > 0 && e.Paper != Experiments[i-1].Paper {

@@ -424,7 +424,6 @@ var Experiments = []Experiment{
 	{"hotpath", false, runHotpath},
 	{"serve", false, runServe},
 	{"ingest", false, runIngest},
-	{"shard", false, runShard},
 	{"replica", false, runReplica},
 	{"keyword", false, runKeyword},
 	{"batch", false, runBatch},

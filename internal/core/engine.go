@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"semkg/internal/astar"
@@ -27,12 +26,7 @@ import (
 )
 
 // Engine answers query graphs over one knowledge graph using one trained
-// predicate semantic space. It is the one engine type of every deployment
-// shape: queries compile globally against the whole graph, and the run
-// gathers its matches from the engine's source set — the whole graph for
-// a plain engine, a partition of it for the engines NewShardedEngine and
-// NewResharding derive from one (see source.go; Deployment describes
-// which). It is safe for concurrent use: all mutable
+// predicate semantic space. It is safe for concurrent use: all mutable
 // search state lives per call.
 type Engine struct {
 	g       *kg.Graph
@@ -42,13 +36,6 @@ type Engine struct {
 	// across concurrent searchers and repeated queries for the engine's
 	// lifetime; the rows are query-independent (see semgraph.RowCache).
 	rows *semgraph.RowCache
-
-	// sources is the partitioned source set runs scatter over; nil
-	// searches the whole graph.
-	sources atomic.Pointer[sourceSet]
-	// resharding marks an engine from NewResharding, whose source set
-	// lands in the background.
-	resharding bool
 }
 
 // Queryer is an alias of *Engine, kept for callers that spell the engine
@@ -70,15 +57,6 @@ func NewEngine(g *kg.Graph, space *embed.Space, lib *transform.Library) (*Engine
 		return nil, err
 	}
 	return &Engine{g: g, space: space, matcher: transform.NewMatcher(g, lib), rows: rows}, nil
-}
-
-// over derives an engine sharing e's world — graph, space, matcher, weight
-// rows — that scatters its runs over ss (nil: the whole graph). The derived
-// engine has its own identity: plans do not cross between it and e.
-func (e *Engine) over(ss *sourceSet) *Engine {
-	d := &Engine{g: e.g, space: e.space, matcher: e.matcher, rows: e.rows}
-	d.sources.Store(ss)
-	return d
 }
 
 // Graph returns the engine's knowledge graph.
@@ -228,11 +206,6 @@ type Result struct {
 	Approximate bool
 	// SearchStats aggregates per-sub-query search effort.
 	SearchStats []astar.Stats
-	// ShardEffort aggregates per-shard search effort, indexed by shard
-	// (runs over a partition only; nil on the whole graph, halo fallbacks
-	// included). The popped/pushed counters measure how the partition
-	// distributed the work.
-	ShardEffort []astar.Stats
 	// Collected counts the matches each sub-query's stream delivered to
 	// the assembly (TBQ mode only).
 	Collected []int

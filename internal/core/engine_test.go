@@ -417,7 +417,7 @@ func (s *stubSearch) Next() (astar.Match, bool) {
 
 // TestResumeStreamRefusal pins which reads past a prefetch buffer take a
 // time-bounded run's cut. A search that ran dry just ends — a finished
-// sub-query, or a shard with no matches, must not cut the run. A search
+// sub-query, or one with no matches, must not cut the run. A search
 // that could go on is refused past the deadline and takes the cut without
 // being asked, and so is any search of a cancelled run.
 func TestResumeStreamRefusal(t *testing.T) {
@@ -469,41 +469,46 @@ func TestResumeStreamRefusal(t *testing.T) {
 	}
 }
 
-// The two shards of TestCutKeepsBufferedMatchesPastDrySource. Their
-// prefetches must run at once: shard 1 has no matches and runs dry only
-// once shard 2 has prefetched its share (full), then opens the clock, so
-// the deadline is due from the assembly's first read on; shard 2 delivers
-// only once shard 1 is searching (started). A prefetch left waiting for
-// the other gives up after rendezvousWait and opens the clock: the
-// deadline passed while it was serialised.
+// The two sub-query searches of TestCutKeepsBufferedMatchesPastDrySource.
+// Their prefetches must run at once: the finished search runs dry only
+// once the live one has prefetched its k matches (full), then opens the
+// clock, so the deadline is due from the assembly's first read on; the
+// live search delivers only once the finished one is searching (started).
+// A prefetch left waiting for the other gives up after rendezvousWait and
+// opens the clock: the deadline passed while it was serialised.
 const rendezvousWait = 10 * time.Second
 
-type emptyShard struct {
-	started, full chan struct{}
-	clock         *gateClock
-}
-
-func (s *emptyShard) Next() (astar.Match, bool) {
-	close(s.started)
-	select {
-	case <-s.full:
-	case <-time.After(rendezvousWait):
-	}
-	s.clock.open.Store(true)
-	return astar.Match{}, false
-}
-
-func (s *emptyShard) Stats() astar.Stats { return astar.Stats{} }
-func (s *emptyShard) Shard() int         { return 1 }
-
-type liveShard struct {
+type finishedSearch struct {
 	matchSource
-	n, share      int
+	begun         bool
 	started, full chan struct{}
 	clock         *gateClock
 }
 
-func (s *liveShard) Next() (astar.Match, bool) {
+func (s *finishedSearch) Next() (astar.Match, bool) {
+	if !s.begun {
+		s.begun = true
+		close(s.started)
+	}
+	m, ok := s.matchSource.Next()
+	if !ok {
+		select {
+		case <-s.full:
+		case <-time.After(rendezvousWait):
+		}
+		s.clock.open.Store(true)
+	}
+	return m, ok
+}
+
+type liveSearch struct {
+	matchSource
+	n, k          int
+	started, full chan struct{}
+	clock         *gateClock
+}
+
+func (s *liveSearch) Next() (astar.Match, bool) {
 	if s.n == 0 {
 		select {
 		case <-s.started:
@@ -512,66 +517,100 @@ func (s *liveShard) Next() (astar.Match, bool) {
 		}
 	}
 	m, ok := s.matchSource.Next()
-	if s.n++; s.n == s.share {
+	if s.n++; s.n == s.k {
 		close(s.full)
 	}
 	return m, ok
 }
 
-func (s *liveShard) Shard() int { return 2 }
+// ends returns the end (pivot) nodes of a search's next n matches; n < 0
+// drains it.
+func ends(src matchSource, n int) map[kg.NodeID]bool {
+	out := make(map[kg.NodeID]bool)
+	for ; n != 0; n-- {
+		m, ok := src.Next()
+		if !ok {
+			break
+		}
+		out[m.End()] = true
+	}
+	return out
+}
 
-// TestCutKeepsBufferedMatchesPastDrySource runs a time-bounded query over a
-// two-shard scatter in which shard 1 has no matches and shard 2 holds them
-// all. Shard 1's search ran dry during the prefetch, so the merger's read
-// of it is exhaustion, not a refusal: past the deadline the assembly still
-// drains shard 2's buffer and answers from it, flagged approximate, each
-// answer at its exact score. The two sources rendezvous inside their
-// prefetches, so this also pins that every prefetch starts at once.
+// TestCutKeepsBufferedMatchesPastDrySource runs a time-bounded query of
+// two sub-queries: one whose search finishes (runs dry) during the
+// prefetch with fewer than k matches, and one that holds more. The
+// finished search's read past the deadline is exhaustion, not a refusal:
+// the assembly still drains the live search's buffer, completes every
+// candidate the two buffers share, and only then takes the cut on the
+// live search — flagged approximate, each answer at its exact score. The
+// two searches rendezvous inside their prefetches, so this also pins that
+// every prefetch starts at once.
 func TestCutKeepsBufferedMatchesPastDrySource(t *testing.T) {
 	ctx := context.Background()
 	ds, e := tinyWorld(t, 17)
-	opts := Options{K: 5, Tau: 0.5, MaxHops: 3}
+	clock := &gateClock{}
+	// Find a two-sub-query plan and a k with a sub-query dry of fewer than
+	// k matches, whose pivots the other's first k matches cover in part.
+	var p *Plan
+	var opts Options
+	var dry, shared int
 	var q *query.Graph
-	for _, gq := range append(append([]datagen.GenQuery(nil), ds.Simple...), ds.Medium...) {
-		res, err := e.Search(ctx, gq.Graph, opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, k := range []int{5, 10, 20, 50} {
+		opts = Options{K: k, Tau: 0.5, MaxHops: 3, TimeBound: time.Minute, Clock: clock}.withDefaults()
+		for _, gq := range ds.Medium {
+			cand, err := e.Compile(gq.Graph, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cand.Subqueries() != 2 {
+				continue
+			}
+			for d := range 2 {
+				a, err := e.subSearcher(cand, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := e.subSearcher(cand, 1-d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				all, head := ends(a, -1), ends(b, k)
+				if len(all) >= k || len(head) < k {
+					continue
+				}
+				in := 0
+				for n := range all {
+					if head[n] {
+						in++
+					}
+				}
+				if in > 0 && in < len(all) && p == nil {
+					p, dry, shared, q = cand, d, in, gq.Graph
+				}
+			}
 		}
-		if len(res.Decomposition.Subs) == 1 && len(res.Answers) == opts.K {
-			q = gq.Graph
+		if p != nil {
 			break
 		}
 	}
-	if q == nil {
-		t.Fatal("no one-sub-query query with k answers in the world")
+	if p == nil {
+		t.Fatal("no two-sub-query query in the world with a sub-query that runs dry below k")
 	}
-	clock := &gateClock{}
-	opts.TimeBound, opts.Clock = time.Minute, clock
-	opts = opts.withDefaults()
-	p, err := e.Compile(q, opts)
+	sources, err := e.openSources(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := e.wholeGraphSources(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shards = 2
 	started, full := make(chan struct{}), make(chan struct{})
-	sc := &scatter{
-		sources: [][]matchSource{{
-			&emptyShard{started: started, full: full, clock: clock},
-			&liveShard{matchSource: whole[0][0], share: 1 + (opts.K-1)/shards, started: started, full: full, clock: clock},
-		}},
-		shards: shards,
-	}
+	sources[dry] = &finishedSearch{matchSource: sources[dry], started: started, full: full, clock: clock}
+	sources[1-dry] = &liveSearch{matchSource: sources[1-dry], k: opts.K, started: started, full: full, clock: clock}
 	s := &Stream{events: make(chan Event), done: make(chan struct{}), quiet: true}
-	e.run(ctx, s, p, sc, opts, s.deadline(opts), time.Now())
+	e.run(ctx, s, p, sources, opts, s.deadline(opts), time.Now())
 	res := s.Result()
-	if !res.Approximate || len(res.Answers) == 0 {
-		t.Fatalf("cut run: %d answers, approximate %v; want the buffered answers, flagged", len(res.Answers), res.Approximate)
+	if !res.Approximate || len(res.Answers) != shared {
+		t.Fatalf("cut run: %d answers, approximate %v; want the %d buffered answers, flagged", len(res.Answers), res.Approximate, shared)
 	}
-	oracleCheck(t, "dry-shard cut", e, ds.Library, q, opts, res)
+	oracleCheck(t, "dry-source cut", e, ds.Library, q, opts, res)
 }
 
 func TestSearchExplicitPivot(t *testing.T) {

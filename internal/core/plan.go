@@ -49,18 +49,16 @@ func compileOptsOf(o Options) compileOpts {
 // planSub is one sub-query's searcher blueprint: the compiled φ sets and
 // the query predicates whose weight rows the per-run weighter materializes.
 // The end sets are compiled once per plan; Anchors and EndSets are
-// read-only after compilation and shared in place by every searcher,
-// shard projection and shared sub-search over the plan.
+// read-only after compilation and shared in place by every searcher and
+// shared sub-search over the plan.
 type planSub struct {
 	sub   astar.SubQuery
 	preds []string
 }
 
 // Plan is a compiled query: the decomposition and per-sub-query searcher
-// blueprints, resolved once against the whole graph. Every deployment
-// shape runs the same plan: a partitioned source set projects the
-// blueprints into every shard each time it opens a run's sources. A Plan is immutable once Compile returns, tied to the
-// engine that compiled it, and safe for concurrent reuse — every
+// blueprints, resolved once against the graph. A Plan is immutable once
+// Compile returns, tied to the engine that compiled it, and safe for concurrent reuse — every
 // StreamPlan/SearchPlan call builds fresh searchers from the blueprints.
 type Plan struct {
 	eng      *Engine

@@ -94,7 +94,9 @@ func (s *SharedSearch) Memoized() int {
 	return len(s.matches)
 }
 
-// sharedCursor is one consumer's position in a SharedSearch.
+// sharedCursor is one consumer's position in a SharedSearch. It has no
+// Restrict method on purpose: the enumeration it reads is shared, so one
+// run's restriction hint (ta.Restricter) must never reach it.
 type sharedCursor struct {
 	s   *SharedSearch
 	pos int
@@ -110,7 +112,7 @@ func (c *sharedCursor) Next() (astar.Match, bool) {
 }
 
 // Stats reports the shared enumeration's effort counters, so a cursor is
-// the pull surface a local match source wraps (shard.WholeGraphSource).
+// a run's match source (matchSource) as it stands.
 func (c *sharedCursor) Stats() astar.Stats { return c.s.SearchStats() }
 
 // NewSubSearch builds a fresh searcher for the i-th sub-query blueprint
@@ -146,13 +148,11 @@ func (e *Engine) Searcher(p *Plan, i int) (*astar.Searcher, error) {
 // time-bounded run shares too: its deadline cuts the run's own reads, and
 // a cut consumer leaves the memoized prefix to the others.
 //
-// A shared cursor is just another local match source of the pipeline, read
-// from the whole graph whatever source set the engine otherwise scatters
-// over — callers gate on WholeGraph. A run with shared sources emits the
-// identical event sequence and terminal result (answers, scores, order,
-// TA bounds) as StreamPlan with the same arguments; only
-// Result.SearchStats differs, reporting the shared enumerations'
-// cumulative effort.
+// A shared cursor is just another match source of the pipeline. A run
+// with shared sources emits the identical event sequence and terminal
+// result (answers, scores, order, TA bounds) as StreamPlan with the same
+// arguments; only Result.SearchStats differs, reporting the shared
+// enumerations' cumulative effort.
 func (e *Engine) StreamPlanShared(ctx context.Context, p *Plan, opts Options, sources []*SharedSearch) (*Stream, error) {
 	return e.streamPlan(ctx, p, opts, sources, false)
 }

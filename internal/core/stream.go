@@ -16,7 +16,6 @@ import (
 
 	"semkg/internal/astar"
 	"semkg/internal/kg"
-	"semkg/internal/merge"
 	"semkg/internal/query"
 	"semkg/internal/ta"
 	"semkg/internal/tbq"
@@ -63,17 +62,13 @@ const (
 	PhaseAssemble Phase = "assemble"
 )
 
-// ProgressEvent reports one match source's search effort: Collected counts
-// the matches the source prefetched so far for sub-query Sub. Done marks
-// the end of the source's prefetch; every source reports it exactly once.
-// Shard identifies the source's shard when the run scatters over a
-// partition (1-based, so shard 1 is the first); it is 0 over the whole
-// graph, which has one source per sub-query.
+// ProgressEvent reports one sub-query search's effort: Collected counts
+// the matches prefetched so far for sub-query Sub. Done marks the end of
+// the prefetch; every sub-query reports it exactly once.
 type ProgressEvent struct {
 	Sub       int
 	Collected int
 	Done      bool
-	Shard     int
 }
 
 // Kind implements Event.
@@ -252,34 +247,32 @@ func (e *Engine) start(ctx context.Context, p *Plan, opts Options, shared []*Sha
 	}
 	s := &Stream{events: make(chan Event, buffer), done: make(chan struct{}), quiet: quiet}
 	dl := s.deadline(opts)
-	var sc *scatter // a non-compiled plan has nothing to search
+	var sources []matchSource // a non-compiled plan has nothing to search
 	if p.compiled {
 		var err error
-		if sc, err = e.openSources(p, opts, shared); err != nil {
+		if sources, err = e.openSources(p, shared); err != nil {
 			return nil, err
 		}
 	}
 	if quiet {
-		e.run(ctx, s, p, sc, opts, dl, start)
+		e.run(ctx, s, p, sources, opts, dl, start)
 	} else {
-		go e.run(ctx, s, p, sc, opts, dl, start)
+		go e.run(ctx, s, p, sources, opts, dl, start)
 	}
 	return s, nil
 }
 
-// run is the one gather pipeline behind every engine's Stream: scatter the
-// search phase over the run's sources (each prefetches its share of k,
-// then feeds a demand-driven sorted stream), merge the sources of each
-// sub-query, run the TA assembly over the merged streams, and close with
-// the stats, the final ranking and the terminal event. A sub-query with
-// one source — the whole-graph engine always, a one-shard partition —
-// skips the merger. A time-bounded run is the same pipeline under a
-// deadline dl (nil in the exact mode) that may cut it short.
-func (e *Engine) run(ctx context.Context, s *Stream, p *Plan, sc *scatter, opts Options, dl *deadline, start time.Time) {
+// run is the one pipeline behind every Stream: the search phase over the
+// run's sources (one per sub-query; each prefetches k matches, then feeds
+// a demand-driven sorted stream), the TA assembly over those streams, and
+// the stats, the final ranking and the terminal event. A time-bounded run
+// is the same pipeline under a deadline dl (nil in the exact mode) that
+// may cut it short.
+func (e *Engine) run(ctx context.Context, s *Stream, p *Plan, sources []matchSource, opts Options, dl *deadline, start time.Time) {
 	res := &Result{Decomposition: p.d}
 	if p.compiled {
 		s.emit(PhaseEvent{Phase: PhaseSearch})
-		streams := prefetchSorted(ctx, s, sc, opts.K, dl)
+		streams := prefetchSorted(ctx, s, sources, opts.K, dl)
 		var cut []*cutStream
 		if dl != nil {
 			cut = make([]*cutStream, len(streams))
@@ -320,18 +313,9 @@ func (e *Engine) run(ctx context.Context, s *Stream, p *Plan, sc *scatter, opts 
 			}
 		}
 		finals := asm.Run(onRound)
-		res.SearchStats = make([]astar.Stats, len(sc.sources))
-		if sc.shards > 0 {
-			res.ShardEffort = make([]astar.Stats, sc.shards)
-		}
-		for sub, srcs := range sc.sources {
-			for _, src := range srcs {
-				st := src.Stats()
-				addStats(&res.SearchStats[sub], st)
-				if sh := src.Shard(); sh > 0 {
-					addStats(&res.ShardEffort[sh-1], st)
-				}
-			}
+		res.SearchStats = make([]astar.Stats, len(sources))
+		for sub, src := range sources {
+			res.SearchStats[sub] = src.Stats()
 		}
 		if dl != nil {
 			res.Approximate = dl.taken()
@@ -353,75 +337,43 @@ func (e *Engine) run(ctx context.Context, s *Stream, p *Plan, sc *scatter, opts 
 	close(s.done)
 }
 
-func addStats(agg *astar.Stats, st astar.Stats) {
-	agg.Popped += st.Popped
-	agg.Pushed += st.Pushed
-	agg.Pruned += st.Pruned
-	agg.Emitted += st.Emitted
-}
-
-// prefetchSorted is the search phase: every source prefetches its
-// proportional share of k concurrently — if the top-k distributes evenly
-// across a partition, each shard contributes about k/N — then resumes
-// lazily behind its buffer. The gather stays demand-driven past the
-// prefetch: the TA assembly pulls further matches through the sorted
-// mergers only when its L_k/U_max bounds require them, and only from the
-// source whose head is actually competitive — skew (all candidates in one
-// shard) costs lazy pulls, never a restart. Past dl, a prefetch stops and
-// a lazy pull is refused. Every prefetch starts at once: the serving
-// layer's admission pool already bounds concurrent runs, and a source
-// queued behind others would only sit with an empty buffer.
-func prefetchSorted(ctx context.Context, s *Stream, sc *scatter, k int, dl *deadline) []ta.Stream {
-	share := k
-	if sc.shards > 1 {
-		share = 1 + (k-1)/sc.shards
-	}
+// prefetchSorted is the search phase: every sub-query's source prefetches
+// k matches concurrently ("each thread represents an A* semantic search
+// for a sub-query graph"), then resumes lazily behind its buffer. The
+// search stays demand-driven past the prefetch: the TA assembly pulls
+// further matches only when its L_k/U_max bounds require them. Past dl, a
+// prefetch stops and a lazy pull is refused. Every prefetch starts at
+// once: the serving layer's admission pool already bounds concurrent
+// runs, and a search queued behind others would only sit with an empty
+// buffer.
+func prefetchSorted(ctx context.Context, s *Stream, sources []matchSource, k int, dl *deadline) []ta.Stream {
 	quiet := s.quiet // hoisted: the per-match emit would otherwise box an event just to drop it
-	resumes := make([][]*resumeStream, len(sc.sources))
+	counts := make([]int, len(sources))
+	streams := make([]ta.Stream, len(sources))
 	var wg sync.WaitGroup
-	for sub, srcs := range sc.sources {
-		resumes[sub] = make([]*resumeStream, len(srcs))
-		for i, src := range srcs {
-			r := &resumeStream{ctx: ctx, dl: dl, search: src}
-			resumes[sub][i] = r
-			wg.Add(1)
-			go func(sub int, src matchSource) {
-				defer wg.Done()
-				for len(r.buf) < share && ctx.Err() == nil && !dl.due() {
-					m, ok := r.pull()
-					if !ok {
-						break
-					}
-					r.buf = append(r.buf, m)
-					if !quiet {
-						s.emit(ProgressEvent{Shard: src.Shard(), Sub: sub, Collected: len(r.buf)})
-					}
+	for sub, src := range sources {
+		r := &resumeStream{ctx: ctx, dl: dl, search: src}
+		streams[sub] = r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for len(r.buf) < k && ctx.Err() == nil && !dl.due() {
+				m, ok := r.pull()
+				if !ok {
+					break
 				}
+				r.buf = append(r.buf, m)
 				if !quiet {
-					s.emit(ProgressEvent{Shard: src.Shard(), Sub: sub, Collected: len(r.buf), Done: true})
+					s.emit(ProgressEvent{Sub: sub, Collected: len(r.buf)})
 				}
-			}(sub, src)
-		}
+			}
+			counts[sub] = len(r.buf)
+			if !quiet {
+				s.emit(ProgressEvent{Sub: sub, Collected: len(r.buf), Done: true})
+			}
+		}()
 	}
 	wg.Wait()
-
-	// Gather: a single source is already the sorted, per-entity-deduplicated
-	// stream the assembly wants; several go through the k-way merger in
-	// shard order.
-	counts := make([]int, len(sc.sources))
-	streams := make([]ta.Stream, len(sc.sources))
-	for sub, rs := range resumes {
-		if len(rs) == 1 {
-			counts[sub], streams[sub] = len(rs[0].buf), rs[0]
-			continue
-		}
-		srcs := make([]merge.Source, len(rs))
-		for i, r := range rs {
-			counts[sub] += len(r.buf)
-			srcs[i] = r
-		}
-		streams[sub] = merge.Sorted(srcs...)
-	}
 	s.emit(PhaseEvent{Phase: PhaseAssemble, Collected: counts})
 	return streams
 }
@@ -493,9 +445,8 @@ func (d *deadline) refuse(ctx context.Context) bool {
 func (d *deadline) taken() bool { return d.cut.Load() }
 
 // cutStream is one sub-query's stream as a time-bounded assembly sees it.
-// Once the cut is taken it yields nothing, and it drops the match of the
-// pull that took it: a merged stream whose source was refused mid-pull may
-// be missing that source's better matches. n counts the matches delivered.
+// Once the cut is taken it yields nothing, not even a match a pull returned
+// as the cut was taken. n counts the matches delivered.
 type cutStream struct {
 	ta.Stream
 	dl *deadline

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"semkg/internal/core"
-	"semkg/internal/merge"
 	"semkg/internal/serve"
 )
 
@@ -206,9 +206,9 @@ func (c *call) respond() *Response {
 }
 
 // blend folds per-candidate result lists into the deduplicated blended
-// top-k via merge.Blend. Within a candidate the blended order equals the
+// top-k via blendRanked. Within a candidate the blended order equals the
 // engine's rank order (one common factor), so the lists are pre-ranked as
-// Blend requires.
+// blendRanked requires.
 func blend(execs []Candidate, results []*core.Result, k int) []RankedAnswer {
 	lists := make([][]RankedAnswer, 0, len(results))
 	for i, res := range results {
@@ -226,12 +226,65 @@ func blend(execs []Candidate, results []*core.Result, k int) []RankedAnswer {
 		}
 		lists = append(lists, l)
 	}
-	return merge.Blend(lists, k, func(a RankedAnswer) string { return a.Entity }, func(a, b RankedAnswer) bool {
+	return blendRanked(lists, k, func(a RankedAnswer) string { return a.Entity }, func(a, b RankedAnswer) bool {
 		if a.Blended != b.Blended {
 			return a.Blended > b.Blended
 		}
 		return a.Entity < b.Entity
 	})
+}
+
+// blendRanked merges several independently ranked lists into one
+// deduplicated top-k ranking: the per-candidate answer lists enter here.
+// Items are
+// compared by before — a STRICT total order over (item, list index, rank
+// within list); ties inside one list fall back to (list, rank), so the
+// output never depends on map iteration or goroutine timing. key
+// identifies the deduplication class (the answer entity): of several
+// items with the same key, only the best survives.
+//
+// k <= 0 means "no truncation". Input lists must each already be ranked
+// best-first under the same order; blendRanked does not re-sort within a list's
+// contribution beyond the global order.
+func blendRanked[T any](lists [][]T, k int, key func(T) string, before func(a T, b T) bool) []T {
+	type tagged struct {
+		item T
+		list int
+		rank int
+	}
+	var all []tagged
+	for li, l := range lists {
+		for ri, it := range l {
+			all = append(all, tagged{item: it, list: li, rank: ri})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if before(a.item, b.item) {
+			return true
+		}
+		if before(b.item, a.item) {
+			return false
+		}
+		if a.list != b.list {
+			return a.list < b.list
+		}
+		return a.rank < b.rank
+	})
+	seen := make(map[string]bool, len(all))
+	out := make([]T, 0, len(all))
+	for _, t := range all {
+		id := key(t.item)
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		out = append(out, t.item)
+		if k > 0 && len(out) == k {
+			break
+		}
+	}
+	return out
 }
 
 // worstError selects the error to surface when every candidate failed:

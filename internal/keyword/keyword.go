@@ -26,7 +26,7 @@
 //     the serving layer (each candidate is one serving request, so result
 //     caching, singleflight and admission control all apply) and the
 //     per-candidate top-k lists blend into one deduplicated ranking via
-//     merge.Blend with a deterministic tie-break.
+//     blendRanked with a deterministic tie-break.
 //
 // Frontend is the serving-side entry point and keeps no cache of its own;
 // Assemble and Suggest are usable standalone (kgbench measures assembly

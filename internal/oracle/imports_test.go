@@ -31,7 +31,7 @@ func importsOf(t *testing.T, path string) []string {
 // TestOracleImportsNothingItJudges: the package's non-test files may
 // import, of this module, only the graph, the embedding space, the query
 // model and the string helpers — in particular none of astar, semgraph,
-// ta, tbq, merge, shard, core, serve, and not transform (whose Matcher is
+// ta, tbq, core, serve, and not transform (whose Matcher is
 // the engine's φ). An oracle that calls the code under test proves
 // nothing.
 func TestOracleImportsNothingItJudges(t *testing.T) {

@@ -15,8 +15,8 @@ import (
 // from Germany, one or two hops away — whose nodes are spread evenly
 // through pad isolated padding nodes, so their ids lie far apart in a
 // graph of about pad nodes. The returned sub-query searches from Germany
-// for the cars along an "assembly" edge; rows are its weight row.
-func paddedWorld(tb testing.TB, pad int) (*kg.Graph, [][]float64, astar.SubQuery) {
+// for the cars along an "assembly" edge; cache holds its weight row.
+func paddedWorld(tb testing.TB, pad int) (*kg.Graph, *semgraph.RowCache, astar.SubQuery) {
 	tb.Helper()
 	type node struct{ name, typ string }
 	nodes := []node{
@@ -68,22 +68,21 @@ func paddedWorld(tb testing.TB, pad int) (*kg.Graph, [][]float64, astar.SubQuery
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rows, err := cache.Rows([]string{"assembly"})
-	if err != nil {
-		tb.Fatal(err)
-	}
 	cars := []kg.NodeID{id["Audi"], id["BMW"], id["Opel"], id["Renault"], id["Porsche"]}
 	sub := astar.SubQuery{
 		Anchors: []kg.NodeID{id["Germany"]},
 		EndSets: []astar.NodeSet{astar.NewNodeSet(cars, g.NumNodes())},
 	}
-	return g, rows, sub
+	return g, cache, sub
 }
+
+// paddedPreds is the padded world's sub-query predicate path.
+var paddedPreds = []string{"assembly"}
 
 // drainPadded builds the weighter and searcher of one sub-search over the
 // padded world and drains it, returning the number of matches.
-func drainPadded(tb testing.TB, g *kg.Graph, rows [][]float64, sub astar.SubQuery) int {
-	w, err := semgraph.NewWeighterFromRows(g, rows)
+func drainPadded(tb testing.TB, g *kg.Graph, cache *semgraph.RowCache, sub astar.SubQuery) int {
+	w, err := semgraph.NewWeighterCached(cache, paddedPreds)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -97,13 +96,13 @@ func drainPadded(tb testing.TB, g *kg.Graph, rows [][]float64, sub astar.SubQuer
 
 // searchBytes is the fewest bytes one drainPadded allocated over a few
 // runs; the minimum discards allocations of anything else in the process.
-func searchBytes(t *testing.T, g *kg.Graph, rows [][]float64, sub astar.SubQuery) (uint64, int) {
+func searchBytes(t *testing.T, g *kg.Graph, cache *semgraph.RowCache, sub astar.SubQuery) (uint64, int) {
 	var least uint64
 	var matches int
 	for i := 0; i < 5; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		matches = drainPadded(t, g, rows, sub)
+		matches = drainPadded(t, g, cache, sub)
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
 			least = n
@@ -117,7 +116,7 @@ func searchBytes(t *testing.T, g *kg.Graph, rows [][]float64, sub astar.SubQuery
 // weighter paged a per-node cache — allocates nothing, even on a weighter
 // that never served a call before.
 func TestNodeMaxAllocatesNothing(t *testing.T) {
-	g, rows, _ := paddedWorld(t, 12*4096)
+	g, cache, _ := paddedWorld(t, 12*4096)
 	var us []kg.NodeID
 	for _, name := range []string{"Germany", "Audi", "BMW", "Porsche", "Peter", "Munich", "German"} {
 		u := g.NodeByName(name)
@@ -129,7 +128,7 @@ func TestNodeMaxAllocatesNothing(t *testing.T) {
 	const runs = 10
 	ws := make([]*semgraph.Weighter, runs+1) // AllocsPerRun adds a warm-up run
 	for i := range ws {
-		w, err := semgraph.NewWeighterFromRows(g, rows)
+		w, err := semgraph.NewWeighterCached(cache, paddedPreds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,13 +157,13 @@ func TestNodeMaxAllocatesNothing(t *testing.T) {
 // isolated padding nodes; a per-search table indexed by node id, or one
 // page of it per node visited, shows here.
 func TestSearchMemoryIndependentOfGraphSize(t *testing.T) {
-	g, rows, sub := paddedWorld(t, 0)
-	small, want := searchBytes(t, g, rows, sub)
+	g, cache, sub := paddedWorld(t, 0)
+	small, want := searchBytes(t, g, cache, sub)
 	if want < 3 {
 		t.Fatalf("the small world yields %d matches; the check needs a real search", want)
 	}
-	g, rows, sub = paddedWorld(t, 1<<20)
-	big, got := searchBytes(t, g, rows, sub)
+	g, cache, sub = paddedWorld(t, 1<<20)
+	big, got := searchBytes(t, g, cache, sub)
 	if got != want {
 		t.Fatalf("padded world yields %d matches, the small world %d", got, want)
 	}
@@ -180,11 +179,11 @@ func TestSearchMemoryIndependentOfGraphSize(t *testing.T) {
 // sub-search's memory follows the states it pushes, not the graph.
 func BenchmarkSearchPaddedGraph(b *testing.B) {
 	for _, pad := range []int{1 << 14, 1 << 20} {
-		g, rows, sub := paddedWorld(b, pad)
+		g, cache, sub := paddedWorld(b, pad)
 		b.Run(fmt.Sprintf("pad=%d", pad), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				drainPadded(b, g, rows, sub)
+				drainPadded(b, g, cache, sub)
 			}
 		})
 	}

@@ -175,9 +175,7 @@ func NewWeighterCached(cache *RowCache, predicates []string) (*Weighter, error) 
 // Rows returns the shared weight rows for the given query predicates, in
 // path order — resolving each predicate (and memoizing the resolution)
 // exactly as NewWeighterCached does. The rows are the cache's own and
-// must not be mutated. The sharded engine projects these whole-graph rows
-// into per-shard predicate spaces, so every shard weights edges with the
-// same globally-resolved similarities the single engine uses.
+// must not be mutated.
 func (c *RowCache) Rows(predicates []string) ([][]float64, error) {
 	if len(predicates) == 0 {
 		return nil, fmt.Errorf("semgraph: sub-query has no predicates")
@@ -191,26 +189,6 @@ func (c *RowCache) Rows(predicates []string) ([][]float64, error) {
 		rows[seg] = c.rowFor(qp)
 	}
 	return rows, nil
-}
-
-// NewWeighterFromRows builds a Weighter over g from externally supplied
-// per-segment weight rows (rows[seg][pred], one entry per predicate of g).
-// No predicate resolution happens: the caller fixes the semantics, which
-// is how shard graphs reuse the base graph's resolutions and similarity
-// rows instead of re-resolving against their truncated vocabularies. The
-// rows are shared, not copied, and must not be mutated afterwards.
-func NewWeighterFromRows(g *kg.Graph, rows [][]float64) (*Weighter, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("semgraph: sub-query has no predicates")
-	}
-	wt := newWeighter(g, len(rows))
-	for seg, r := range rows {
-		if len(r) != g.NumPredicates() {
-			return nil, fmt.Errorf("semgraph: row %d covers %d predicates, graph has %d", seg, len(r), g.NumPredicates())
-		}
-		wt.w[seg] = r
-	}
-	return wt, nil
 }
 
 func newWeighter(g *kg.Graph, segs int) *Weighter {

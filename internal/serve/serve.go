@@ -1,7 +1,5 @@
 // Package serve is the engine-level serving layer: it turns one
-// *core.Engine — whichever deployment shape its source set gives it
-// (whole graph, sharded, resharding) — into a component fit
-// for heavy concurrent traffic. It shares results, not event recordings:
+// *core.Engine into a component fit for heavy concurrent traffic. It shares results, not event recordings:
 // only a Stream request that starts a pipeline run sees that run's events
 // live; every other request receives the finished result.
 //
@@ -61,9 +59,8 @@ type Config struct {
 	// Build constructs an engine over a newly committed graph; it is
 	// required by Apply (live ingestion) and unused otherwise. semkgd
 	// supplies a builder that re-derives the predicate space from the
-	// loaded embedding model (core.BuildEngine, or core.BuildShardedEngine
-	// when serving sharded), padding vectors for predicates the model has
-	// never seen.
+	// loaded embedding model (core.BuildEngine), padding vectors for
+	// predicates the model has never seen.
 	Build func(*kg.Graph) (*core.Engine, error)
 
 	// BeforeRun, when non-nil, is invoked by the flight leader after

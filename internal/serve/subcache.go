@@ -19,14 +19,9 @@
 // singleflight.
 //
 // Sharing is invisible by construction (same match sequence, same TA
-// assembly) and gated to deterministic requests answered from the whole
-// graph (core.Engine.WholeGraph); anything else — random pivot, test
-// hooks — takes the private path. So does a partitioned engine: there a
-// sub-query is one enumeration per shard, each a function of that
-// partition's ownership and halo, so an entry would have to be keyed and
-// invalidated by partition as well as generation, for searches that are
-// already 1/N the size. See DESIGN.md, "Cross-query sharing and batch
-// execution".
+// assembly) and gated to deterministic requests; anything else — random
+// pivot, test hooks — takes the private path. See DESIGN.md, "Cross-query
+// sharing and batch execution".
 
 package serve
 
@@ -72,15 +67,13 @@ func (e *Engine) streamFor(ctx context.Context, g *generation, plan *core.Plan, 
 }
 
 // subSourcesFor resolves, in g's sub-search cache, one shared enumeration
-// per sub-query blueprint of plan when the request qualifies for sharing: deterministic
-// (shareable == cacheable), an engine currently answering from the whole
-// graph (a resharding engine qualifies until its partition lands), and a
-// fully compiled plan. Missing entries are created (a miss per blueprint,
+// per sub-query blueprint of plan when the request qualifies for sharing:
+// deterministic (shareable == cacheable) and a fully compiled plan. Missing entries are created (a miss per blueprint,
 // counted once) and existing ones joined. It returns nil sources — the
 // private path — when the request does not qualify or any entry failed to
 // build: sharing is an optimization, never a new way to fail a request.
 func (e *Engine) subSourcesFor(g *generation, plan *core.Plan, shareable bool) []*core.SharedSearch {
-	if !shareable || !e.sharing() || !g.eng.WholeGraph() || !plan.Compiled() {
+	if !shareable || !e.sharing() || !plan.Compiled() {
 		return nil
 	}
 	n := plan.Subqueries()

@@ -29,15 +29,8 @@
 // (Section VI of the paper): a search still running at the deadline is
 // cut and answers with the complete candidates found so far, at their
 // exact scores, flagged approximate; the result converges to the exact
-// top-k as the budget grows.
-//
-// # Deployment shapes
-//
-// Every engine is one *Engine type. NewEngine searches the whole graph;
-// NewShardedEngine returns an engine that runs the same pipeline over an
-// in-process partition, and NewServing wraps either in caches and
-// admission control. Engine.Deployment reports
-// an engine's shape and counters.
+// top-k as the budget grows. NewServing wraps an engine in caches and
+// admission control.
 package semkg
 
 import (
@@ -50,7 +43,6 @@ import (
 	"semkg/internal/kg"
 	"semkg/internal/query"
 	"semkg/internal/serve"
-	"semkg/internal/shard"
 	"semkg/internal/transform"
 )
 
@@ -193,38 +185,6 @@ const (
 	PhaseAssemble = core.PhaseAssemble
 )
 
-// ShardConfig sizes a sharded engine: Shards (at least 1) graph
-// partitions and a replication Halo in hops (0 = default 4; bounds the
-// servable MaxHops — deeper searches fall back to the base engine).
-type ShardConfig = shard.Options
-
-// ShardedStats is a snapshot of a sharded engine's partition shape
-// (per-shard sizes, replication factor) and counters (sharded searches,
-// halo fallbacks).
-type ShardedStats = core.ShardedStats
-
-// NewShardedEngine builds an engine that answers by scatter-gather over a
-// partitioned knowledge graph: it builds a base engine from a graph, a
-// trained model and an optional library (exactly as NewEngine), then
-// partitions the graph per cfg. One globally compiled plan fans its
-// sub-query searches out across the shards, and a bounds-aware top-k
-// merge preserves the paper's L_k/U_max early termination. Results are
-// equivalent to the single engine's (same top-k set and scores for SGQ;
-// same time-bound contract for TBQ). The partition is deterministic.
-func NewShardedEngine(g *Graph, model *Model, lib *Library, cfg ShardConfig) (*Engine, error) {
-	return core.BuildShardedEngine(g, model, lib, cfg)
-}
-
-// NewShardedEngineFromSnapshot is NewShardedEngine over a binary graph
-// snapshot (SaveSnapshot): the sharded cold-start path.
-func NewShardedEngineFromSnapshot(r io.Reader, model *Model, lib *Library, cfg ShardConfig) (*Engine, error) {
-	base, err := core.EngineFromSnapshot(r, model, lib)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewShardedEngine(base, cfg)
-}
-
 // Serving is the engine-level serving layer for heavy concurrent traffic:
 // an LRU result cache, shared sub-query searches, singleflight
 // deduplication of concurrent identical requests, and a bounded worker
@@ -272,9 +232,8 @@ type BatchItem = serve.BatchItem
 // it shouldn't.
 type BatchOutcome = serve.BatchOutcome
 
-// NewServing wraps an engine — whole-graph or sharded, it is one *Engine
-// — in a serving layer sized by cfg. The zero ServeConfig
-// gives production-ready defaults.
+// NewServing wraps an engine in a serving layer sized by cfg. The zero
+// ServeConfig gives production-ready defaults.
 func NewServing(e *Engine, cfg ServeConfig) *Serving { return serve.New(e, cfg) }
 
 // KeywordFrontend turns bare keywords into ranked answers: it tokenizes
@@ -323,21 +282,14 @@ func AssembleKeywords(g *Graph, input string) *KeywordAssembly {
 	return keyword.Assemble(g, input)
 }
 
-// Engine answers query graphs over one knowledge graph. It is the one
-// engine type of every deployment shape: NewEngine searches the whole
-// graph, NewShardedEngine scatters over a partition, and Deployment
-// reports which. Safe for concurrent use.
+// Engine answers query graphs over one knowledge graph. Safe for
+// concurrent use.
 type Engine = core.Engine
 
 // Plan is a compiled query (Engine.Compile): reusable across runs with any
 // K or time budget (Engine.SearchPlan, Engine.StreamPlan), but only by the
 // engine that compiled it.
 type Plan = core.Plan
-
-// Deployment describes where an engine's runs get their matches: the
-// partition size, a background reshard in progress, and the sharded
-// stats.
-type Deployment = core.Deployment
 
 // NewEngine builds an engine from a graph, a trained model, and an
 // optional library (nil = identical matching plus heuristic
