@@ -1,9 +1,10 @@
-// Ingest experiment: the storage layer's production metrics. Three
+// Ingest experiment: the storage layer's production metrics. Four
 // measurements: cold-start load time of the binary snapshot codec against
 // the TSV parse + index build it replaces, delta-commit latency as a
-// function of delta size, and end-to-end search throughput while a
-// background applier publishes commits through serve.Apply (generation
-// swaps racing live queries).
+// function of delta size, the cost of a chain of consecutive commits on a
+// large world (layer merges included), and end-to-end search throughput
+// while a background applier publishes commits through serve.Apply
+// (generation swaps racing live queries).
 package bench
 
 import (
@@ -36,6 +37,15 @@ func runIngest(ctx context.Context, p Params) (*Artifact, error) {
 	}
 	for _, size := range sizes {
 		if err := measureCommit(art, env.Dataset.Graph, size, p.Short); err != nil {
+			return nil, err
+		}
+	}
+	chainWorlds := []int{100_000, 1_000_000}
+	if p.Short {
+		chainWorlds = chainWorlds[:1]
+	}
+	for _, nodes := range chainWorlds {
+		if err := measureCommitChain(art, nodes); err != nil {
 			return nil, err
 		}
 	}
@@ -139,6 +149,54 @@ func measureCommit(art *Artifact, g *kg.Graph, size int, short bool) error {
 		"new_nodes":   float64(newNodes),
 		"commit_us":   avg,
 		"per_edge_us": avg / float64(size),
+	})
+	return nil
+}
+
+// measureCommitChain commits 100 consecutive batches of the serving
+// benchmark's ingest shape — 100 new nodes, each typed with an existing
+// type and linked to an existing node by an existing predicate — each on
+// the previous commit, over the large world of the given size. Unlike
+// measureCommit it sees what a live server pays: the node-name index
+// grows by one layer per commit and layers merge as they fill (counted
+// from kg.Graph.NameLayers). Allocation is measured per commit, outside
+// the timed region.
+func measureCommitChain(art *Artifact, nodes int) error {
+	const commits, batch = 100, 100
+	g := datagen.GenerateLarge(datagen.LargeWorld(nodes))
+	rng := rand.New(rand.NewSource(int64(nodes)))
+	var h Hist
+	var ms0, ms1 runtime.MemStats
+	var allocated uint64
+	merges := 0
+	for c := 0; c < commits; c++ {
+		d := kg.NewDelta(g)
+		for i := 0; i < batch; i++ {
+			id, err := d.AddNode(fmt.Sprintf("Bench Ingest %d %d", c, i), g.TypeName(kg.TypeID(rng.Intn(g.NumTypes()))))
+			if err == nil {
+				_, err = d.AddEdge(id, kg.NodeID(rng.Intn(nodes)), g.PredName(kg.PredID(rng.Intn(g.NumPredicates()))))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		layers := g.NameLayers()
+		runtime.ReadMemStats(&ms0)
+		_ = h.Time(func() error { g = d.Commit(); return nil })
+		runtime.ReadMemStats(&ms1)
+		allocated += ms1.TotalAlloc - ms0.TotalAlloc
+		merges += layers + 1 - g.NameLayers() // a commit adds one layer, a merge removes one
+	}
+	art.add("commit-chain", fmt.Sprintf("%d nodes", nodes), map[string]float64{
+		"nodes":               float64(nodes),
+		"commits":             commits,
+		"batch_nodes":         batch,
+		"batch_edges":         batch,
+		"mean_commit_us":      us(h.Mean()),
+		"max_commit_us":       us(h.Quantile(1)),
+		"alloc_mb_per_commit": float64(allocated) / commits / (1 << 20),
+		"merges":              float64(merges),
+		"name_layers":         float64(g.NameLayers()),
 	})
 	return nil
 }

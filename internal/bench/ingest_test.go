@@ -28,6 +28,16 @@ func TestRunIngestShape(t *testing.T) {
 			t.Errorf("commit %s: degenerate measurement %v", c.Name, c.Values)
 		}
 	}
+	chain := row(t, art, "commit-chain", "100000 nodes").Values
+	if chain["commits"] != 100 || chain["mean_commit_us"] <= 0 || chain["max_commit_us"] < chain["mean_commit_us"] ||
+		chain["alloc_mb_per_commit"] <= 0 {
+		t.Errorf("commit chain: degenerate measurement %v", chain)
+	}
+	// 100 commits that each add names grow the layer stack like a binary
+	// counter: every commit but those setting a new bit merges.
+	if chain["merges"] != 97 || chain["name_layers"] != 4 {
+		t.Errorf("commit chain: %v merges and %v name layers, want 97 and 4", chain["merges"], chain["name_layers"])
+	}
 	live := row(t, art, "live", "search-while-ingest")
 	if live.Sample.Ops == 0 || live.Sample.QPS <= 0 || live.Sample.Errors != 0 {
 		t.Errorf("live workload made no clean progress: %+v", live.Sample)

@@ -3,8 +3,6 @@ package kg
 import (
 	"fmt"
 	"sort"
-
-	"semkg/internal/strutil"
 )
 
 // Delta accumulates mutations against an immutable base Graph: new nodes,
@@ -28,10 +26,11 @@ type Delta struct {
 	base      *Graph
 	committed bool
 
-	// New nodes, ids base.NumNodes()+i.
-	names     []string
-	types     []TypeID
-	nameIndex map[string]NodeID
+	// New nodes, ids base.NumNodes()+i; nameIDs becomes the committed
+	// graph's newest name layer.
+	names   []string
+	types   []TypeID
+	nameIDs map[string]int32
 
 	// New interned type and predicate names, appended after the base's.
 	typeNames []string
@@ -58,7 +57,7 @@ type Delta struct {
 func NewDelta(base *Graph) *Delta {
 	return &Delta{
 		base:      base,
-		nameIndex: make(map[string]NodeID),
+		nameIDs:   make(map[string]int32),
 		typeIndex: make(map[string]TypeID),
 		predIndex: make(map[string]PredID),
 		retyped:   make(map[NodeID]TypeID),
@@ -102,11 +101,11 @@ func (d *Delta) numNodes() int { return d.base.NumNodes() + len(d.names) }
 
 // nodeByName resolves a name across base and delta.
 func (d *Delta) nodeByName(name string) NodeID {
-	if id, ok := d.base.nameIndex[name]; ok {
+	if id := d.base.NodeByName(name); id != NoNode {
 		return id
 	}
-	if id, ok := d.nameIndex[name]; ok {
-		return id
+	if id, ok := d.nameIDs[name]; ok {
+		return NodeID(id)
 	}
 	return NoNode
 }
@@ -192,7 +191,7 @@ func (d *Delta) AddNode(name, typeName string) (NodeID, error) {
 	id := NodeID(d.numNodes())
 	d.names = append(d.names, name)
 	d.types = append(d.types, t)
-	d.nameIndex[name] = id
+	d.nameIDs[name] = int32(id)
 	if typeName != "" {
 		d.stmts = append(d.stmts, Statement{S: name, P: TypePredicate, O: typeName})
 	} else {
@@ -309,13 +308,19 @@ func (d *Delta) ApplyTriple(subject, predicate, object string) error {
 }
 
 // Commit materializes the delta as a new immutable Graph. The base graph
-// is untouched; the committed graph extends the base's CSR arrays and
-// patches only the affected index buckets — names already indexed are not
-// re-normalized, untouched nodes keep their NodePreds span, and per-type
-// buckets without additions are shared with the base. The result is
-// structurally identical to building the combined triple set from scratch
-// (base insertion order, then delta insertion order), so searches over it
-// are bit-identical to a full rebuild.
+// is untouched. The name lookups cost the delta, not the graph: the
+// committed node-name index shares every layer of the base's and adds one
+// layer indexing only the new names (layers merge by the logarithmic
+// method, see nameIndex), and the type and predicate vocabularies — tens
+// of labels — are re-indexed whole only when the delta adds to them. The
+// arrays are copied at full size, extended by the delta: per-node
+// adjacency spans with the delta halves appended, NodePreds spans (copied
+// verbatim for untouched nodes), and the per-type buckets, of which only
+// those with additions are re-merged (the rest are shared with the base).
+// The result is logically identical to building the combined triple set
+// from scratch (base insertion order, then delta insertion order) — the
+// same ids, arrays and lookup answers, and the same snapshot bytes — so
+// searches over it are bit-identical to a full rebuild.
 //
 // Commit may be called once; it panics on a second call.
 func (d *Delta) Commit() *Graph {
@@ -334,29 +339,17 @@ func (d *Delta) Commit() *Graph {
 	for id, t := range d.retyped {
 		g.types[id] = t
 	}
-	g.nameIndex = make(map[string]NodeID, n)
-	for k, v := range b.nameIndex {
-		g.nameIndex[k] = v
-	}
-	for k, v := range d.nameIndex {
-		g.nameIndex[k] = v
-	}
+	g.nameIdx = b.nameIdx.with(d.names, n0, d.nameIDs)
 
-	g.typeNames = append(append(make([]string, 0, b.NumTypes()+len(d.typeNames)), b.typeNames...), d.typeNames...)
-	g.typeIndex = make(map[string]TypeID, len(g.typeNames))
-	for k, v := range b.typeIndex {
-		g.typeIndex[k] = v
+	g.typeNames, g.typeIdx = b.typeNames, b.typeIdx
+	if len(d.typeNames) > 0 {
+		g.typeNames = append(b.typeNames[:len(b.typeNames):len(b.typeNames)], d.typeNames...)
+		g.typeIdx = newNameIndex(g.typeNames, labelIndex[int32](g.typeNames), 1)
 	}
-	for k, v := range d.typeIndex {
-		g.typeIndex[k] = v
-	}
-	g.predNames = append(append(make([]string, 0, b.NumPredicates()+len(d.predNames)), b.predNames...), d.predNames...)
-	g.predIndex = make(map[string]PredID, len(g.predNames))
-	for k, v := range b.predIndex {
-		g.predIndex[k] = v
-	}
-	for k, v := range d.predIndex {
-		g.predIndex[k] = v
+	g.predNames, g.predIndex = b.predNames, b.predIndex
+	if len(d.predNames) > 0 {
+		g.predNames = append(b.predNames[:len(b.predNames):len(b.predNames)], d.predNames...)
+		g.predIndex = labelIndex[PredID](g.predNames)
 	}
 
 	g.edges = make([]Edge, m)
@@ -441,7 +434,7 @@ func (d *Delta) Commit() *Graph {
 	// touched nodes keep the base distinct-predicate prefix and append the
 	// predicates first seen among their new halves.
 	g.nodePredOff = make([]int32, n+1)
-	g.nodePreds = make([]PredID, 0, len(b.nodePreds)+len(d.preds))
+	g.nodePreds = make([]PredID, 0, len(b.nodePreds)+2*len(d.preds)) // each edge may add a predicate at both ends
 	mark := make([]int32, len(g.predNames))
 	for i := range mark {
 		mark[i] = -1
@@ -468,73 +461,5 @@ func (d *Delta) Commit() *Graph {
 		g.nodePredOff[u+1] = int32(len(g.nodePreds))
 	}
 
-	g.nameIdx = extendNameIndex(b.nameIdx, d.names, n0)
-	g.typeIdx = extendNameIndex(b.typeIdx, d.typeNames, b.NumTypes())
 	return g
-}
-
-// appendCopy appends id to a copy of ids: buckets inherited from the base
-// index are shared and must never be appended to in place.
-func appendCopy(ids []int32, id int32) []int32 {
-	out := make([]int32, len(ids), len(ids)+1)
-	copy(out, ids)
-	return append(out, id)
-}
-
-// extendNameIndex derives the committed graph's nameIndex from the base's:
-// only the new names are normalized and initial-ized, buckets they land in
-// are copy-on-write extended, and the sorted prefix array is merged rather
-// than re-sorted. With no new names the base index is shared as-is.
-func extendNameIndex(base nameIndex, newNames []string, idBase int) nameIndex {
-	if len(newNames) == 0 {
-		return base
-	}
-	ix := nameIndex{
-		norm:     make(map[string][]int32, len(base.norm)+len(newNames)),
-		initials: make(map[string][]int32, len(base.initials)+len(newNames)),
-	}
-	for k, v := range base.norm {
-		ix.norm[k] = v
-	}
-	for k, v := range base.initials {
-		ix.initials[k] = v
-	}
-	var added []string // normalized keys not present in the base
-	for i, name := range newNames {
-		id := int32(idBase + i)
-		nrm := strutil.Normalize(name)
-		if old, ok := ix.norm[nrm]; ok {
-			ix.norm[nrm] = appendCopy(old, id)
-		} else {
-			ix.norm[nrm] = []int32{id}
-			added = append(added, nrm)
-		}
-		// Mirror buildNameIndex's indexing rule: only initials that
-		// strutil.IsAbbreviationOf could accept.
-		all, sig := strutil.Initials(nrm)
-		if len(all) >= 2 && len(all) < len(nrm) {
-			ix.initials[all] = appendCopy(ix.initials[all], id)
-		}
-		if sig != all && len(sig) >= 2 && len(sig) < len(nrm) {
-			ix.initials[sig] = appendCopy(ix.initials[sig], id)
-		}
-	}
-	sort.Strings(added)
-	ix.sorted = make([]string, 0, len(base.sorted)+len(added))
-	i, j := 0, 0
-	for i < len(base.sorted) && j < len(added) {
-		if base.sorted[i] < added[j] {
-			ix.sorted = append(ix.sorted, base.sorted[i])
-			i++
-		} else {
-			ix.sorted = append(ix.sorted, added[j])
-			j++
-		}
-	}
-	ix.sorted = append(append(ix.sorted, base.sorted[i:]...), added[j:]...)
-	ix.sortedIDs = make([][]int32, len(ix.sorted))
-	for i, k := range ix.sorted {
-		ix.sortedIDs[i] = ix.norm[k]
-	}
-	return ix
 }

@@ -83,12 +83,10 @@ type Half struct {
 
 // Graph is an immutable knowledge graph. Build one with a Builder.
 type Graph struct {
-	names     []string
-	types     []TypeID
-	nameIndex map[string]NodeID
+	names []string
+	types []TypeID
 
 	typeNames []string
-	typeIndex map[string]TypeID
 	byType    [][]NodeID
 
 	predNames []string
@@ -104,8 +102,9 @@ type Graph struct {
 	predCount []int // edges per predicate
 
 	// Derived read-only indexes, built once in Build (see index.go):
-	// per-node distinct incident predicates (CSR) and the normalized-name
-	// and initials indexes backing the transformation library's fallback.
+	// per-node distinct incident predicates (CSR) and the name indexes —
+	// name -> id plus the normalized-name, initials and prefix lookups
+	// backing the transformation library's fallback.
 	nodePredOff []int32
 	nodePreds   []PredID
 	nameIdx     nameIndex
@@ -124,6 +123,12 @@ func (g *Graph) NumPredicates() int { return len(g.predNames) }
 // NumTypes returns the number of distinct entity types.
 func (g *Graph) NumTypes() int { return len(g.typeNames) }
 
+// NameLayers returns how many immutable layers the node-name lookups
+// probe: 1 for a graph from a Builder, ReadSnapshot or Empty, more after a
+// chain of delta commits (see Delta.Commit). kgbench -exp ingest reports
+// it to count layer merges.
+func (g *Graph) NameLayers() int { return len(g.nameIdx.layers) }
+
 // NodeName returns the unique name of u.
 func (g *Graph) NodeName(u NodeID) string { return g.names[u] }
 
@@ -132,10 +137,7 @@ func (g *Graph) NodeType(u NodeID) TypeID { return g.types[u] }
 
 // NodeByName returns the node with the given name, or NoNode.
 func (g *Graph) NodeByName(name string) NodeID {
-	if id, ok := g.nameIndex[name]; ok {
-		return id
-	}
-	return NoNode
+	return NodeID(g.nameIdx.lookup(name)) // NoNode is -1
 }
 
 // TypeName returns the name of type t, or "" for NoType.
@@ -148,10 +150,7 @@ func (g *Graph) TypeName(t TypeID) string {
 
 // TypeByName returns the type with the given name, or NoType.
 func (g *Graph) TypeByName(name string) TypeID {
-	if id, ok := g.typeIndex[name]; ok {
-		return id
-	}
-	return NoType
+	return TypeID(g.typeIdx.lookup(name)) // NoType is -1
 }
 
 // NodesOfType returns all nodes with type t. The returned slice is shared;
@@ -232,10 +231,12 @@ func (s Stats) String() string {
 // Node names are unique: AddNode on an existing name returns the existing
 // node (updating its type if previously unknown).
 type Builder struct {
-	g     Graph
-	srcs  []NodeID // parallel to edge list, pre-CSR
-	dsts  []NodeID
-	preds []PredID
+	g       Graph
+	nameIDs map[string]int32 // handed to the graph's name indexes by Build
+	typeIDs map[string]int32
+	srcs    []NodeID // parallel to edge list, pre-CSR
+	dsts    []NodeID
+	preds   []PredID
 }
 
 // NewBuilder returns an empty Builder with capacity hints.
@@ -243,8 +244,8 @@ func NewBuilder(nodeHint, edgeHint int) *Builder {
 	b := &Builder{}
 	b.g.names = make([]string, 0, nodeHint)
 	b.g.types = make([]TypeID, 0, nodeHint)
-	b.g.nameIndex = make(map[string]NodeID, nodeHint)
-	b.g.typeIndex = make(map[string]TypeID)
+	b.nameIDs = make(map[string]int32, nodeHint)
+	b.typeIDs = make(map[string]int32)
 	b.g.predIndex = make(map[string]PredID)
 	b.srcs = make([]NodeID, 0, edgeHint)
 	b.dsts = make([]NodeID, 0, edgeHint)
@@ -267,16 +268,16 @@ func (b *Builder) AddNode(name, typeName string) NodeID {
 	if typeName != "" {
 		t = b.internType(typeName)
 	}
-	if id, ok := b.g.nameIndex[name]; ok {
+	if id, ok := b.nameIDs[name]; ok {
 		if b.g.types[id] == NoType && t != NoType {
 			b.g.types[id] = t
 		}
-		return id
+		return NodeID(id)
 	}
 	id := NodeID(len(b.g.names))
 	b.g.names = append(b.g.names, name)
 	b.g.types = append(b.g.types, t)
-	b.g.nameIndex[name] = id
+	b.nameIDs[name] = int32(id)
 	return id
 }
 
@@ -302,15 +303,15 @@ func (b *Builder) AddTriple(subject, predicate, object string) EdgeID {
 }
 
 func (b *Builder) internType(name string) TypeID {
-	if id, ok := b.g.typeIndex[name]; ok {
-		return id
+	if id, ok := b.typeIDs[name]; ok {
+		return TypeID(id)
 	}
 	if err := ValidLabel(name); err != nil {
 		panic("kg: type name: " + err.Error())
 	}
 	id := TypeID(len(b.g.typeNames))
 	b.g.typeNames = append(b.g.typeNames, name)
-	b.g.typeIndex[name] = id
+	b.typeIDs[name] = int32(id)
 	return id
 }
 
@@ -389,10 +390,20 @@ func (b *Builder) BuildWorkers(workers int) *Graph {
 	})
 	tg.wait()
 
-	g.buildIndexes(workers)
+	g.buildIndexes(workers, b.nameIDs, b.typeIDs)
 
+	b.nameIDs, b.typeIDs = nil, nil
 	b.srcs, b.dsts, b.preds = nil, nil, nil
 	return g
+}
+
+// labelIndex maps each of names to its index.
+func labelIndex[T ~int32](names []string) map[string]T {
+	m := make(map[string]T, len(names))
+	for i, name := range names {
+		m[name] = T(i)
+	}
+	return m
 }
 
 // threadHalves fills g.halves from g.edges and g.adjOff, preserving the

@@ -1,40 +1,69 @@
 package kg
 
 import (
+	"maps"
 	"sort"
 	"strings"
 
 	"semkg/internal/strutil"
 )
 
-// nameIndex accelerates the transformation library's fallback matching
-// (Definition 3: identical / synonym / abbreviation) over one name
-// vocabulary (node names or type names). It is built once in Builder.Build
-// and immutable afterwards, so concurrent searches share it without
-// locking. Three access paths replace the seed's O(|V|) scans:
+// nameIndex serves every string-keyed lookup over one name vocabulary
+// (node names or type names): the exact name -> id map, and the access
+// paths behind the transformation library's fallback matching
+// (Definition 3: identical / synonym / abbreviation), which replace the
+// seed's O(|V|) scans.
 //
+// It is a stack of immutable layers, oldest first; each layer indexes the
+// names of one contiguous id range, and the ranges ascend with the stack.
+// Every lookup is decomposable — its answer is the union of the layers'
+// answers — so a delta commit adds one layer built from the delta's new
+// names alone and shares every older layer with its base (the
+// static-to-dynamic transformation of Bentley & Saxe, J. Algorithms 1980).
+// Layers merge by the logarithmic method: while the newest layer holds at
+// least as many names as the one below it, the two merge. A commit then
+// costs O(delta · log n) amortised and a lookup probes O(log n) layers.
+// Builder, ReadSnapshot and Empty build a single layer, so a graph that
+// never took a commit keeps one-probe lookups.
+type nameIndex struct {
+	layers []*nameLayer
+}
+
+// nameLayer indexes the names of one id range four ways:
+//
+//   - ids:      name -> id;
 //   - norm:     normalized name -> ids, for identity and synonym-class
 //     lookups done on normalized strings rather than exact spellings;
 //   - initials: initials-style abbreviation (both the all-words and the
 //     stop-word-skipping form of strutil.Initials) -> ids of the names it
 //     abbreviates;
-//   - sorted:   sorted distinct normalized names, for prefix-abbreviation
-//     range scans ("ger" -> "germany") by binary search.
-type nameIndex struct {
+//   - sorted:   sorted distinct normalized names (with their norm ids in
+//     sortedIDs), for prefix-abbreviation range scans ("ger" -> "germany")
+//     by binary search.
+//
+// Every id list ascends. A layer is never modified once built.
+type nameLayer struct {
+	ids       map[string]int32
 	norm      map[string][]int32
 	initials  map[string][]int32
 	sorted    []string
 	sortedIDs [][]int32
 }
 
-func buildNameIndex(names []string) nameIndex { return buildNameIndexWorkers(names, 1) }
+// newNameIndex returns the single-layer index of a whole vocabulary; ids
+// is its name -> id map, kept, not copied.
+func newNameIndex(names []string, ids map[string]int32, workers int) nameIndex {
+	return nameIndex{layers: []*nameLayer{buildNameLayer(names, 0, ids, workers)}}
+}
 
-// buildNameIndexWorkers builds the index with the string work — Normalize
-// and Initials over the whole vocabulary, the dominant cost — precomputed
-// across workers. Map assembly stays sequential in ascending id order, so
-// every bucket's id order matches the serial build exactly.
-func buildNameIndexWorkers(names []string, workers int) nameIndex {
-	ix := nameIndex{
+// buildNameLayer indexes names, whose ids run from idBase up and which
+// ids maps to those ids, with the string work — Normalize and Initials, the
+// dominant cost — precomputed across workers. Map assembly stays
+// sequential in ascending id order, so every bucket's id order matches
+// the serial build exactly.
+func buildNameLayer(names []string, idBase int, ids map[string]int32, workers int) *nameLayer {
+	l := &nameLayer{
+		ids:      ids,
 		norm:     make(map[string][]int32, len(names)),
 		initials: make(map[string][]int32),
 	}
@@ -58,46 +87,163 @@ func buildNameIndexWorkers(names []string, workers int) nameIndex {
 			}
 		}
 	})
-	for id, n := range norms {
-		ix.norm[n] = append(ix.norm[n], int32(id))
-		if alls[id] != "" {
-			ix.initials[alls[id]] = append(ix.initials[alls[id]], int32(id))
+	for i, n := range norms {
+		id := int32(idBase + i)
+		l.norm[n] = append(l.norm[n], id)
+		if alls[i] != "" {
+			l.initials[alls[i]] = append(l.initials[alls[i]], id)
 		}
-		if sigs[id] != "" {
-			ix.initials[sigs[id]] = append(ix.initials[sigs[id]], int32(id))
+		if sigs[i] != "" {
+			l.initials[sigs[i]] = append(l.initials[sigs[i]], id)
 		}
 	}
-	ix.sorted = make([]string, 0, len(ix.norm))
-	for n := range ix.norm {
-		ix.sorted = append(ix.sorted, n)
+	l.sorted = make([]string, 0, len(l.norm))
+	for n := range l.norm {
+		l.sorted = append(l.sorted, n)
 	}
-	sort.Strings(ix.sorted)
-	ix.sortedIDs = make([][]int32, len(ix.sorted))
-	for i, n := range ix.sorted {
-		ix.sortedIDs[i] = ix.norm[n]
+	sort.Strings(l.sorted)
+	l.sortedIDs = make([][]int32, len(l.sorted))
+	for i, n := range l.sorted {
+		l.sortedIDs[i] = l.norm[n]
 	}
-	return ix
+	return l
 }
 
-// properPrefix returns the ids of all names that have p as a strict prefix
-// (normalized name longer than p), by range scan over the sorted names.
-func (ix *nameIndex) properPrefix(p string) []int32 {
-	var out []int32
-	for i := sort.SearchStrings(ix.sorted, p); i < len(ix.sorted) && strings.HasPrefix(ix.sorted[i], p); i++ {
-		if len(ix.sorted[i]) > len(p) {
-			out = append(out, ix.sortedIDs[i]...)
+// with returns ix extended by names, whose ids run from idBase up; ids
+// maps each of them to its id and is kept, not copied. Every layer of ix is
+// shared with the result; the new layer merges down while it is at least
+// as large as the layer below it.
+func (ix nameIndex) with(names []string, idBase int, ids map[string]int32) nameIndex {
+	if len(names) == 0 {
+		return ix
+	}
+	top := buildNameLayer(names, idBase, ids, 1)
+	layers := append(make([]*nameLayer, 0, len(ix.layers)+1), ix.layers...)
+	for len(layers) > 0 && len(top.ids) >= len(layers[len(layers)-1].ids) {
+		top = mergeLayers(layers[len(layers)-1], top)
+		layers = layers[:len(layers)-1]
+	}
+	return nameIndex{layers: append(layers, top)}
+}
+
+// mergeLayers merges two adjacent layers, a below b, into one. Every id
+// of b exceeds every id of a, so a key's merged id list is a's followed
+// by b's and stays ascending.
+func mergeLayers(a, b *nameLayer) *nameLayer {
+	m := &nameLayer{
+		ids:      make(map[string]int32, len(a.ids)+len(b.ids)),
+		norm:     mergeTable(a.norm, b.norm),
+		initials: mergeTable(a.initials, b.initials),
+		sorted:   make([]string, 0, len(a.sorted)+len(b.sorted)),
+	}
+	maps.Copy(m.ids, a.ids)
+	maps.Copy(m.ids, b.ids)
+	i, j := 0, 0
+	for i < len(a.sorted) || j < len(b.sorted) {
+		switch {
+		case j == len(b.sorted) || i < len(a.sorted) && a.sorted[i] < b.sorted[j]:
+			m.sorted = append(m.sorted, a.sorted[i])
+			i++
+		case i == len(a.sorted) || b.sorted[j] < a.sorted[i]:
+			m.sorted = append(m.sorted, b.sorted[j])
+			j++
+		default:
+			m.sorted = append(m.sorted, a.sorted[i])
+			i++
+			j++
+		}
+	}
+	m.sortedIDs = make([][]int32, len(m.sorted))
+	for i, k := range m.sorted {
+		m.sortedIDs[i] = m.norm[k]
+	}
+	return m
+}
+
+// mergeTable is one table of mergeLayers. A key in both gets a fresh id
+// list: the layers' own lists are shared with older graphs.
+func mergeTable(a, b map[string][]int32) map[string][]int32 {
+	m := make(map[string][]int32, len(a)+len(b))
+	maps.Copy(m, a)
+	for k, v := range b {
+		if old, ok := m[k]; ok {
+			v = append(old[:len(old):len(old)], v...)
+		}
+		m[k] = v
+	}
+	return m
+}
+
+// flat returns the whole vocabulary as one layer — the logical tables a
+// from-scratch build holds, which WriteSnapshot stores. Merging from the
+// newest layer down keeps it O(names).
+func (ix nameIndex) flat() *nameLayer {
+	top := len(ix.layers) - 1
+	l := ix.layers[top]
+	for i := top - 1; i >= 0; i-- {
+		l = mergeLayers(ix.layers[i], l)
+	}
+	return l
+}
+
+// lookup returns the id of name, or -1.
+func (ix nameIndex) lookup(name string) int32 {
+	for _, l := range ix.layers {
+		if id, ok := l.ids[name]; ok {
+			return id
+		}
+	}
+	return -1
+}
+
+// gather concatenates one key's id lists over the layers, oldest first,
+// so the result ascends.
+func gather[T ~int32](ix nameIndex, key string, table func(*nameLayer) map[string][]int32) []T {
+	var out []T
+	for _, l := range ix.layers {
+		ids := table(l)[key]
+		if len(ids) == 0 {
+			continue
+		}
+		if out == nil {
+			out = make([]T, 0, len(ids))
+		}
+		for _, id := range ids {
+			out = append(out, T(id))
 		}
 	}
 	return out
 }
 
-func convertIDs[T ~int32](ids []int32) []T {
-	if len(ids) == 0 {
-		return nil
+func normTable(l *nameLayer) map[string][]int32     { return l.norm }
+func initialsTable(l *nameLayer) map[string][]int32 { return l.initials }
+
+// properPrefix returns the ids of all names that have p as a strict prefix
+// (normalized name longer than p), in the order one layer's range scan
+// gives: by normalized name, then by id. Each layer contributes its keys
+// in the prefix range; a stable sort by key merges the layers' runs, so
+// an equal key emits the older layer's ids first.
+func properPrefix[T ~int32](ix nameIndex, p string) []T {
+	type hit struct {
+		key string
+		ids []int32
 	}
-	out := make([]T, len(ids))
-	for i, id := range ids {
-		out[i] = T(id)
+	var hits []hit
+	for _, l := range ix.layers {
+		for i := sort.SearchStrings(l.sorted, p); i < len(l.sorted) && strings.HasPrefix(l.sorted[i], p); i++ {
+			if len(l.sorted[i]) > len(p) {
+				hits = append(hits, hit{l.sorted[i], l.sortedIDs[i]})
+			}
+		}
+	}
+	if len(ix.layers) > 1 {
+		sort.SliceStable(hits, func(i, j int) bool { return hits[i].key < hits[j].key })
+	}
+	var out []T
+	for _, h := range hits {
+		for _, id := range h.ids {
+			out = append(out, T(id))
+		}
 	}
 	return out
 }
@@ -105,7 +251,7 @@ func convertIDs[T ~int32](ids []int32) []T {
 // NodesByNormName returns the nodes whose strutil.Normalize'd name equals
 // norm (norm must already be normalized), in ascending NodeID order.
 func (g *Graph) NodesByNormName(norm string) []NodeID {
-	return convertIDs[NodeID](g.nameIdx.norm[norm])
+	return gather[NodeID](g.nameIdx, norm, normTable)
 }
 
 // NodesByInitials returns the nodes whose name abbreviates to initials per
@@ -113,30 +259,30 @@ func (g *Graph) NodesByNormName(norm string) []NodeID {
 // in ascending NodeID order. Initials shorter than 2 bytes are never
 // indexed, mirroring strutil.IsAbbreviationOf.
 func (g *Graph) NodesByInitials(initials string) []NodeID {
-	return convertIDs[NodeID](g.nameIdx.initials[initials])
+	return gather[NodeID](g.nameIdx, initials, initialsTable)
 }
 
 // NodesByProperNormPrefix returns the nodes whose normalized name has the
 // given strict prefix (the node name is longer), in ascending NodeID order
 // per prefix-range; callers needing global NodeID order must sort.
 func (g *Graph) NodesByProperNormPrefix(prefix string) []NodeID {
-	return convertIDs[NodeID](g.nameIdx.properPrefix(prefix))
+	return properPrefix[NodeID](g.nameIdx, prefix)
 }
 
 // TypesByNormName is NodesByNormName over the type vocabulary.
 func (g *Graph) TypesByNormName(norm string) []TypeID {
-	return convertIDs[TypeID](g.typeIdx.norm[norm])
+	return gather[TypeID](g.typeIdx, norm, normTable)
 }
 
 // TypesByInitials is NodesByInitials over the type vocabulary.
 func (g *Graph) TypesByInitials(initials string) []TypeID {
-	return convertIDs[TypeID](g.typeIdx.initials[initials])
+	return gather[TypeID](g.typeIdx, initials, initialsTable)
 }
 
 // TypesByProperNormPrefix is NodesByProperNormPrefix over the type
 // vocabulary.
 func (g *Graph) TypesByProperNormPrefix(prefix string) []TypeID {
-	return convertIDs[TypeID](g.typeIdx.properPrefix(prefix))
+	return properPrefix[TypeID](g.typeIdx, prefix)
 }
 
 // NodePreds returns the distinct predicates incident to u (either
@@ -149,14 +295,15 @@ func (g *Graph) NodePreds(u NodeID) []PredID {
 	return g.nodePreds[g.nodePredOff[u]:g.nodePredOff[u+1]]
 }
 
-// buildIndexes computes the derived read-only indexes; called by Build.
-// The three indexes are independent, so they build concurrently; the two
-// big ones (NodePreds CSR, node-name index) also parallelize internally.
-func (g *Graph) buildIndexes(workers int) {
+// buildIndexes computes the derived read-only indexes; called by Build
+// with the builder's name -> id maps, which the name indexes keep. The
+// three indexes are independent, so they build concurrently; the two big
+// ones (NodePreds CSR, node-name index) also parallelize internally.
+func (g *Graph) buildIndexes(workers int, nameIDs, typeIDs map[string]int32) {
 	tg := newTaskGroup(workers)
 	tg.run(func() { g.buildNodePreds(workers) })
-	tg.run(func() { g.nameIdx = buildNameIndexWorkers(g.names, workers) })
-	tg.run(func() { g.typeIdx = buildNameIndex(g.typeNames) }) // type vocabulary is tiny
+	tg.run(func() { g.nameIdx = newNameIndex(g.names, nameIDs, workers) })
+	tg.run(func() { g.typeIdx = newNameIndex(g.typeNames, typeIDs, 1) }) // type vocabulary is tiny
 	tg.wait()
 }
 

@@ -156,10 +156,12 @@ func (e *snapEncoder) strings(ss []string) {
 	}
 }
 
-// nameIndex writes the norm table in ix.sorted order (its exact key set)
-// and the initials table in sorted key order, keeping output deterministic
+// nameIndex writes the vocabulary's logical tables, whatever layers hold
+// them: the norm table in sorted key order (its exact key set) and the
+// initials table in sorted key order, keeping output deterministic
 // despite map iteration.
-func (e *snapEncoder) nameIndex(ix nameIndex) {
+func (e *snapEncoder) nameIndex(index nameIndex) {
+	ix := index.flat()
 	e.u32(uint32(len(ix.sorted)))
 	for i, key := range ix.sorted {
 		e.str(key)
@@ -533,22 +535,9 @@ func decodeSnapshot(payload []byte, workers int) (*Graph, error) {
 	// They are mutually independent, so a cold start uses every core;
 	// workers == 1 runs them strictly in sequence.
 	tg := newTaskGroup(workers)
-	tg.run(func() {
-		g.nameIndex = make(map[string]NodeID, n)
-		for id, name := range g.names {
-			g.nameIndex[name] = NodeID(id)
-		}
-	})
-	tg.run(func() {
-		g.typeIndex = make(map[string]TypeID, nTypes)
-		for id, name := range g.typeNames {
-			g.typeIndex[name] = TypeID(id)
-		}
-		g.predIndex = make(map[string]PredID, nPreds)
-		for id, name := range g.predNames {
-			g.predIndex[name] = PredID(id)
-		}
-	})
+	var nameIDs map[string]int32
+	tg.run(func() { nameIDs = labelIndex[int32](g.names) })
+	tg.run(func() { g.predIndex = labelIndex[PredID](g.predNames) })
 	tg.run(func() {
 		g.byType = make([][]NodeID, nTypes)
 		for id, t := range g.types {
@@ -569,25 +558,27 @@ func decodeSnapshot(payload []byte, workers int) (*Graph, error) {
 		// Index ids flow straight into g.names/g.typeNames lookups at
 		// query time; an out-of-range id must fail the load, not a later
 		// search.
-		ix, err := decodeIdxMaps(payload, idxStart[0], idxStart[1], n)
+		l, err := decodeIdxMaps(payload, idxStart[0], idxStart[1], n)
 		if err != nil {
 			corrupt.set(err)
 			return
 		}
-		g.nameIdx = ix
+		g.nameIdx = nameIndex{layers: []*nameLayer{l}}
 	})
 	tg.run(func() {
-		ix, err := decodeIdxMaps(payload, idxStart[2], idxStart[3], nTypes)
+		l, err := decodeIdxMaps(payload, idxStart[2], idxStart[3], nTypes)
 		if err != nil {
 			corrupt.set(err)
 			return
 		}
-		g.typeIdx = ix
+		l.ids = labelIndex[int32](g.typeNames)
+		g.typeIdx = nameIndex{layers: []*nameLayer{l}}
 	})
 	tg.wait()
 	if err := corrupt.get(); err != nil {
 		return nil, err
 	}
+	g.nameIdx.layers[0].ids = nameIDs
 	return g, nil
 }
 
@@ -628,23 +619,24 @@ func (d *snapDecoder) spanIdxTable() (int, error) {
 
 // decodeIdxMaps parses the norm and initials tables starting at the given
 // payload offsets (located by spanIdxTable), validates every id against
-// the vocabulary size, and assembles the nameIndex maps.
-func decodeIdxMaps(payload []byte, normStart, initStart, limit int) (nameIndex, error) {
+// the vocabulary size, and assembles them into a layer; the caller adds
+// the layer's name -> id map.
+func decodeIdxMaps(payload []byte, normStart, initStart, limit int) (*nameLayer, error) {
 	nd := &snapDecoder{data: payload, off: normStart}
 	norm, err := nd.idxEntries()
 	if err != nil {
-		return nameIndex{}, err
+		return nil, err
 	}
 	id := &snapDecoder{data: payload, off: initStart}
 	initials, err := id.idxEntries()
 	if err != nil {
-		return nameIndex{}, err
+		return nil, err
 	}
 	if err := checkIdxIDs(norm, limit); err != nil {
-		return nameIndex{}, err
+		return nil, err
 	}
 	if err := checkIdxIDs(initials, limit); err != nil {
-		return nameIndex{}, err
+		return nil, err
 	}
 	return buildIdxMaps(norm, initials), nil
 }
@@ -696,11 +688,11 @@ func threadHalvesChecked(g *Graph, workers int) error {
 	return ferr.get()
 }
 
-// buildIdxMaps turns parsed index tables into a nameIndex. The norm
-// entries arrive in sorted key order, so they double as the prefix-scan
-// array without re-sorting.
-func buildIdxMaps(norm, initials []idxEntry) nameIndex {
-	ix := nameIndex{
+// buildIdxMaps turns parsed index tables into a layer. The norm entries
+// arrive in sorted key order, so they double as the prefix-scan array
+// without re-sorting.
+func buildIdxMaps(norm, initials []idxEntry) *nameLayer {
+	ix := &nameLayer{
 		norm:      make(map[string][]int32, len(norm)),
 		initials:  make(map[string][]int32, len(initials)),
 		sorted:    make([]string, len(norm)),

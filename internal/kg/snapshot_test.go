@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -39,7 +40,7 @@ func eqIDTable(a, b map[string][]int32) bool {
 // from want: same ids, same CSR layout, same derived indexes. This is the
 // strong form of equivalence — searches over the two graphs are
 // bit-identical because every array a searcher touches is equal.
-func assertGraphsIdentical(t *testing.T, got, want *Graph) {
+func assertGraphsIdentical(t testing.TB, got, want *Graph) {
 	t.Helper()
 	if !eqSlices(got.names, want.names) {
 		t.Errorf("names differ:\n got %v\nwant %v", got.names, want.names)
@@ -80,35 +81,76 @@ func assertGraphsIdentical(t *testing.T, got, want *Graph) {
 	if !eqSlices(got.nodePreds, want.nodePreds) {
 		t.Errorf("nodePreds differ:\n got %v\nwant %v", got.nodePreds, want.nodePreds)
 	}
-	for k, v := range want.nameIndex {
-		if got.nameIndex[k] != v {
-			t.Errorf("nameIndex[%q] = %v, want %v", k, got.nameIndex[k], v)
-		}
-	}
-	if len(got.nameIndex) != len(want.nameIndex) {
-		t.Errorf("nameIndex size %d vs %d", len(got.nameIndex), len(want.nameIndex))
-	}
-	assertNameIndexEqual(t, "nameIdx", got.nameIdx, want.nameIdx)
-	assertNameIndexEqual(t, "typeIdx", got.typeIdx, want.typeIdx)
+	assertNamesEqual(t, "node names", logicalNames(got.nameIdx), logicalNames(want.nameIdx))
+	assertNamesEqual(t, "type names", logicalNames(got.typeIdx), logicalNames(want.typeIdx))
 }
 
-func assertNameIndexEqual(t *testing.T, label string, got, want nameIndex) {
+// namesView is a vocabulary's name index as logical tables, whatever
+// layers hold it: every name with its id, every norm and initials key with
+// its ids, and the sorted norm key list with its id lists.
+type namesView struct {
+	ids            map[string]int32
+	norm, initials map[string][]int32
+	sorted         []string
+	sortedIDs      [][]int32
+}
+
+// logicalNames reads ix into a namesView. Keys are the union over the
+// layers; ids come through the lookups the accessors use, and the sorted
+// list is the union of the layers' sorted lists with each key's id lists
+// concatenated oldest layer first.
+func logicalNames(ix nameIndex) namesView {
+	v := namesView{ids: map[string]int32{}, norm: map[string][]int32{}, initials: map[string][]int32{}}
+	sortedIDs := map[string][]int32{}
+	for _, l := range ix.layers {
+		for k := range l.ids {
+			v.ids[k] = ix.lookup(k)
+		}
+		for k := range l.norm {
+			v.norm[k] = gather[int32](ix, k, normTable)
+		}
+		for k := range l.initials {
+			v.initials[k] = gather[int32](ix, k, initialsTable)
+		}
+		for i, k := range l.sorted {
+			sortedIDs[k] = append(sortedIDs[k], l.sortedIDs[i]...)
+		}
+	}
+	for k := range sortedIDs {
+		v.sorted = append(v.sorted, k)
+	}
+	sort.Strings(v.sorted)
+	for _, k := range v.sorted {
+		v.sortedIDs = append(v.sortedIDs, sortedIDs[k])
+	}
+	return v
+}
+
+func assertNamesEqual(t testing.TB, label string, got, want namesView) {
 	t.Helper()
+	if len(got.ids) != len(want.ids) {
+		t.Errorf("%s: %d names, want %d", label, len(got.ids), len(want.ids))
+	}
+	for k, id := range want.ids {
+		if gid, ok := got.ids[k]; !ok || gid != id {
+			t.Errorf("%s: name %q -> %v (present %v), want %v", label, k, gid, ok, id)
+		}
+	}
 	if !eqIDTable(got.norm, want.norm) {
-		t.Errorf("%s.norm differ:\n got %v\nwant %v", label, got.norm, want.norm)
+		t.Errorf("%s: norm tables differ:\n got %v\nwant %v", label, got.norm, want.norm)
 	}
 	if !eqIDTable(got.initials, want.initials) {
-		t.Errorf("%s.initials differ:\n got %v\nwant %v", label, got.initials, want.initials)
+		t.Errorf("%s: initials tables differ:\n got %v\nwant %v", label, got.initials, want.initials)
 	}
 	if !eqSlices(got.sorted, want.sorted) {
-		t.Errorf("%s.sorted differ:\n got %v\nwant %v", label, got.sorted, want.sorted)
+		t.Errorf("%s: sorted keys differ:\n got %v\nwant %v", label, got.sorted, want.sorted)
 	}
 	if len(got.sortedIDs) != len(want.sortedIDs) {
-		t.Errorf("%s.sortedIDs length %d vs %d", label, len(got.sortedIDs), len(want.sortedIDs))
+		t.Errorf("%s: %d sorted id lists, want %d", label, len(got.sortedIDs), len(want.sortedIDs))
 	} else {
 		for i := range want.sortedIDs {
 			if !eqSlices(got.sortedIDs[i], want.sortedIDs[i]) {
-				t.Errorf("%s.sortedIDs[%d] differ", label, i)
+				t.Errorf("%s: sorted id list %d (%q) differs", label, i, want.sorted[i])
 			}
 		}
 	}
@@ -293,8 +335,10 @@ func TestSnapshotTypedErrors(t *testing.T) {
 		// vocabulary must fail the load, not a later search.
 		g := figure2Graph()
 		mutated := *g
-		mutated.nameIdx.sortedIDs = append([][]int32(nil), g.nameIdx.sortedIDs...)
-		mutated.nameIdx.sortedIDs[0] = []int32{int32(g.NumNodes()) + 7}
+		l := *g.nameIdx.layers[0]
+		l.sortedIDs = append([][]int32(nil), l.sortedIDs...)
+		l.sortedIDs[0] = []int32{int32(g.NumNodes()) + 7}
+		mutated.nameIdx = nameIndex{layers: []*nameLayer{&l}}
 		data := snapshotBytes(t, &mutated)
 		if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
