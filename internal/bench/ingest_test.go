@@ -4,10 +4,11 @@ import "testing"
 
 // TestRunIngestShape runs the storage-layer experiment end to end and
 // checks its shape and counters: both cold-start paths measured, commit
-// latency measured per delta size, and the live workload completing
+// latency measured per delta size, the 100k-node commit chain measured
+// with its layer merges counted, and the live workload completing
 // queries, error-free, while generations swap. The snapshot-vs-TSV
 // speedup is recorded in the artifact (BENCH_ingest.json, committed:
-// 11x), not asserted — it is a ratio of two timings. Skipped in -short
+// 8x), not asserted — it is a ratio of two timings. Skipped in -short
 // mode (the environment trains an embedding).
 func TestRunIngestShape(t *testing.T) {
 	art := run(t, "ingest")

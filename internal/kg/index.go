@@ -220,29 +220,58 @@ func initialsTable(l *nameLayer) map[string][]int32 { return l.initials }
 
 // properPrefix returns the ids of all names that have p as a strict prefix
 // (normalized name longer than p), in the order one layer's range scan
-// gives: by normalized name, then by id. Each layer contributes its keys
-// in the prefix range; a stable sort by key merges the layers' runs, so
-// an equal key emits the older layer's ids first.
+// gives: by normalized name, then by id. Each layer contributes the run
+// of its sorted names in the prefix range; the runs merge by key, and an
+// equal key emits the older layer's ids first.
 func properPrefix[T ~int32](ix nameIndex, p string) []T {
-	type hit struct {
-		key string
-		ids []int32
+	type run struct {
+		keys []string
+		ids  [][]int32
 	}
-	var hits []hit
+	var buf [8]run
+	runs, total := buf[:0], 0
 	for _, l := range ix.layers {
-		for i := sort.SearchStrings(l.sorted, p); i < len(l.sorted) && strings.HasPrefix(l.sorted[i], p); i++ {
-			if len(l.sorted[i]) > len(p) {
-				hits = append(hits, hit{l.sorted[i], l.sortedIDs[i]})
-			}
+		lo := sort.SearchStrings(l.sorted, p)
+		if lo < len(l.sorted) && l.sorted[lo] == p {
+			lo++ // not a strict prefix
+		}
+		hi := lo
+		for ; hi < len(l.sorted) && strings.HasPrefix(l.sorted[hi], p); hi++ {
+			total += len(l.sortedIDs[hi])
+		}
+		if hi > lo {
+			runs = append(runs, run{l.sorted[lo:hi], l.sortedIDs[lo:hi]})
 		}
 	}
-	if len(ix.layers) > 1 {
-		sort.SliceStable(hits, func(i, j int) bool { return hits[i].key < hits[j].key })
+	if total == 0 {
+		return nil
 	}
-	var out []T
-	for _, h := range hits {
-		for _, id := range h.ids {
+	out := make([]T, 0, total)
+	emit := func(ids []int32) {
+		for _, id := range ids {
 			out = append(out, T(id))
+		}
+	}
+	for len(runs) > 1 {
+		key := runs[0].keys[0]
+		for _, r := range runs[1:] {
+			key = min(key, r.keys[0])
+		}
+		live := runs[:0]
+		for _, r := range runs {
+			if r.keys[0] == key {
+				emit(r.ids[0])
+				r.keys, r.ids = r.keys[1:], r.ids[1:]
+			}
+			if len(r.keys) > 0 {
+				live = append(live, r)
+			}
+		}
+		runs = live
+	}
+	for _, r := range runs { // the last run needs no merging
+		for _, ids := range r.ids {
+			emit(ids)
 		}
 	}
 	return out
