@@ -36,7 +36,7 @@ func runIngest(ctx context.Context, p Params) (*Artifact, error) {
 		sizes = []int{10, 100}
 	}
 	for _, size := range sizes {
-		if err := measureCommit(art, env.Dataset.Graph, size, p.Short); err != nil {
+		if err := measureCommit(art, env.Dataset.Graph, size); err != nil {
 			return nil, err
 		}
 	}
@@ -126,29 +126,35 @@ func ingestDelta(g *kg.Graph, size int, seed int64) (*kg.Delta, error) {
 	return d, nil
 }
 
-// measureCommit times Delta.Commit for one delta size (averaged; a fresh
-// delta is built per iteration, untimed, since deltas are single-shot).
-func measureCommit(art *Artifact, g *kg.Graph, size int, short bool) error {
-	iters := 7
-	if short {
-		iters = 3
-	}
+// measureCommit times Delta.Commit for one delta size: one untimed
+// warm-up commit, then the median of 31, each on a fresh delta (deltas
+// are single-shot) built untimed and preceded by a collection, so the
+// rows rank delta sizes rather than GC cycles and cold caches. Every
+// commit is on the same base, so the sample is identically distributed.
+func measureCommit(art *Artifact, g *kg.Graph, size int) error {
+	const commits = 31
 	var h Hist
 	var newNodes int
-	for i := 0; i < iters; i++ {
+	for i := 0; i <= commits; i++ {
 		d, err := ingestDelta(g, size, int64(1000+i))
 		if err != nil {
 			return err
 		}
 		newNodes = d.AddedNodes()
+		runtime.GC()
+		if i == 0 {
+			d.Commit() // warm-up
+			continue
+		}
 		_ = h.Time(func() error { d.Commit(); return nil })
 	}
-	avg := us(h.Mean())
+	med := us(h.Quantile(0.5))
 	art.add("commit", fmt.Sprintf("%d edges", size), map[string]float64{
 		"delta_edges": float64(size),
 		"new_nodes":   float64(newNodes),
-		"commit_us":   avg,
-		"per_edge_us": avg / float64(size),
+		"commits":     commits,
+		"commit_us":   med,
+		"per_edge_us": med / float64(size),
 	})
 	return nil
 }

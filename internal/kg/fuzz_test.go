@@ -2,6 +2,9 @@ package kg
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -108,6 +111,68 @@ func FuzzNameRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzReadSnapshot is the decoder's property over arbitrary payloads. The
+// harness frames each payload with the magic, the version and a
+// recomputed CRC, so the fuzzer reaches the structural checks rather than
+// the checksum. The decoder must never panic; a graph it accepts must
+// answer the name lookups for every stored table key with exactly that
+// key's stored ids, and must re-encode to the very bytes it was read from.
+func FuzzReadSnapshot(f *testing.F) {
+	for _, g := range []*Graph{figure2Graph(), randomWorld(7, 40, 100), NewBuilder(0, 0).Build()} {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		data := buf.Bytes()
+		f.Add(data[len(snapshotMagic)+4 : len(data)-4])
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		framed := append([]byte(snapshotMagic), 0, 0, 0, 0)
+		binary.LittleEndian.PutUint32(framed[len(snapshotMagic):], snapshotVersion)
+		framed = append(framed, payload...)
+		framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum(payload, castagnoli))
+		g, err := ReadSnapshot(bytes.NewReader(framed))
+		if err != nil {
+			if !isSnapshotError(err) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		lookups := []struct {
+			name string
+			t    table
+			get  func(string) []int32
+		}{
+			{"NodesByNormName", g.nameIdx.layers[0].norm, func(k string) []int32 { return toInt32(g.NodesByNormName(k)) }},
+			{"NodesByInitials", g.nameIdx.layers[0].initials, func(k string) []int32 { return toInt32(g.NodesByInitials(k)) }},
+			{"TypesByNormName", g.typeIdx.layers[0].norm, func(k string) []int32 { return toInt32(g.TypesByNormName(k)) }},
+			{"TypesByInitials", g.typeIdx.layers[0].initials, func(k string) []int32 { return toInt32(g.TypesByInitials(k)) }},
+		}
+		for _, l := range lookups {
+			for i, k := range l.t.keys {
+				if got := l.get(k); !slices.Equal(got, l.t.ids[i]) {
+					t.Fatalf("%s(%q) = %v, stored %v", l.name, k, got, l.t.ids[i])
+				}
+			}
+		}
+		var again bytes.Buffer
+		if err := WriteSnapshot(&again, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), framed) {
+			t.Fatalf("an accepted snapshot of %d bytes re-encodes to %d different bytes", len(framed), again.Len())
+		}
+	})
+}
+
+func toInt32[T ~int32](ids []T) []int32 {
+	out := make([]int32, len(ids))
+	for i, id := range ids {
+		out[i] = int32(id)
+	}
+	return out
 }
 
 // TestBuilderPanicsOnInvalidName pins the Builder's programmer-error

@@ -359,17 +359,7 @@ func (b *Builder) BuildWorkers(workers int) *Graph {
 		}
 	})
 
-	// Degree count (each edge contributes to both endpoints; self-loops
-	// contribute twice to the same node, once per direction).
-	deg := make([]int32, n+1)
-	for i := 0; i < m; i++ {
-		deg[b.srcs[i]+1]++
-		deg[b.dsts[i]+1]++
-	}
-	for i := 1; i <= n; i++ {
-		deg[i] += deg[i-1]
-	}
-	g.adjOff = deg
+	g.adjOff = adjOffsets(n, g.edges)
 	g.halves = make([]Half, 2*m)
 
 	tg := newTaskGroup(workers)
@@ -404,6 +394,21 @@ func labelIndex[T ~int32](names []string) map[string]T {
 		m[name] = T(i)
 	}
 	return m
+}
+
+// adjOffsets returns the adjacency CSR offsets of edges over n nodes: the
+// prefix sum of the node degrees, where each edge counts at both endpoints
+// and a self-loop twice at its one node, once per direction.
+func adjOffsets(n int, edges []Edge) []int32 {
+	off := make([]int32, n+1)
+	for _, e := range edges {
+		off[e.Src+1]++
+		off[e.Dst+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	return off
 }
 
 // threadHalves fills g.halves from g.edges and g.adjOff, preserving the

@@ -1,8 +1,9 @@
 package kg
 
 import (
+	"cmp"
 	"maps"
-	"sort"
+	"slices"
 	"strings"
 
 	"semkg/internal/strutil"
@@ -29,25 +30,73 @@ type nameIndex struct {
 	layers []*nameLayer
 }
 
-// nameLayer indexes the names of one id range four ways:
+// nameLayer indexes the names of one id range three ways:
 //
 //   - ids:      name -> id;
 //   - norm:     normalized name -> ids, for identity and synonym-class
-//     lookups done on normalized strings rather than exact spellings;
+//     lookups done on normalized strings rather than exact spellings, and
+//     for prefix-abbreviation range scans ("ger" -> "germany") over its
+//     sorted keys;
 //   - initials: initials-style abbreviation (both the all-words and the
 //     stop-word-skipping form of strutil.Initials) -> ids of the names it
-//     abbreviates;
-//   - sorted:   sorted distinct normalized names (with their norm ids in
-//     sortedIDs), for prefix-abbreviation range scans ("ger" -> "germany")
-//     by binary search.
+//     abbreviates.
 //
-// Every id list ascends. A layer is never modified once built.
+// norm and initials are sorted tables, the form a snapshot stores them
+// in. A layer is never modified once built.
 type nameLayer struct {
-	ids       map[string]int32
-	norm      map[string][]int32
-	initials  map[string][]int32
-	sorted    []string
-	sortedIDs [][]int32
+	ids            map[string]int32
+	norm, initials table
+}
+
+// table is a sorted multi-valued lookup: ascending distinct keys, each
+// with its strictly ascending, non-empty id list in ids.
+type table struct {
+	keys []string
+	ids  [][]int32
+}
+
+// get returns key's id list, or nil.
+func (t *table) get(key string) []int32 {
+	if i, ok := slices.BinarySearch(t.keys, key); ok {
+		return t.ids[i]
+	}
+	return nil
+}
+
+// pair is one (key, id) entry of a table under construction.
+type pair struct {
+	key string
+	id  int32
+}
+
+// newTable groups distinct pairs into a table by one sort on (key, id).
+// All id lists share one backing array, each capped at its own length so
+// that an append never writes into its neighbour.
+func newTable(pairs []pair) table {
+	slices.SortFunc(pairs, func(a, b pair) int {
+		if c := strings.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	n := 0
+	for i := range pairs {
+		if i == 0 || pairs[i].key != pairs[i-1].key {
+			n++
+		}
+	}
+	t := table{keys: make([]string, 0, n), ids: make([][]int32, 0, n)}
+	arena := make([]int32, len(pairs))
+	start := 0
+	for i, p := range pairs {
+		arena[i] = p.id
+		if i+1 == len(pairs) || pairs[i+1].key != p.key {
+			t.keys = append(t.keys, p.key)
+			t.ids = append(t.ids, arena[start:i+1:i+1])
+			start = i + 1
+		}
+	}
+	return t
 }
 
 // newNameIndex returns the single-layer index of a whole vocabulary; ids
@@ -57,55 +106,38 @@ func newNameIndex(names []string, ids map[string]int32, workers int) nameIndex {
 }
 
 // buildNameLayer indexes names, whose ids run from idBase up and which
-// ids maps to those ids, with the string work — Normalize and Initials, the
-// dominant cost — precomputed across workers. Map assembly stays
-// sequential in ascending id order, so every bucket's id order matches
-// the serial build exactly.
+// ids maps to those ids. The string work — Normalize and Initials, the
+// dominant cost — runs across workers, and the two tables sort
+// concurrently; the sort's (key, id) order makes every worker count build
+// the same tables.
 func buildNameLayer(names []string, idBase int, ids map[string]int32, workers int) *nameLayer {
-	l := &nameLayer{
-		ids:      ids,
-		norm:     make(map[string][]int32, len(names)),
-		initials: make(map[string][]int32),
-	}
-	norms := make([]string, len(names))
-	alls := make([]string, len(names))
-	sigs := make([]string, len(names))
+	norms := make([]pair, len(names))
+	// Two initials slots per name, all-words then significant-words. Only
+	// initials that strutil.IsAbbreviationOf could ever accept are
+	// indexed: at least 2 bytes and strictly shorter than the full name.
+	// A slot failing the rule keeps the empty key and is dropped below
+	// (Initials of a non-empty word is never empty).
+	abbrs := make([]pair, 2*len(names))
 	parspan(workers, len(names), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
+			id := int32(idBase + i)
 			n := strutil.Normalize(names[i])
-			norms[i] = n
-			// Only initials that strutil.IsAbbreviationOf could ever accept
-			// are indexed: at least 2 bytes and strictly shorter than the
-			// full name. Entries failing the rule stay "", never indexed
-			// (Initials of a non-empty word is never empty).
+			norms[i] = pair{n, id}
 			all, sig := strutil.Initials(n)
 			if len(all) >= 2 && len(all) < len(n) {
-				alls[i] = all
+				abbrs[2*i] = pair{all, id}
 			}
 			if sig != all && len(sig) >= 2 && len(sig) < len(n) {
-				sigs[i] = sig
+				abbrs[2*i+1] = pair{sig, id}
 			}
 		}
 	})
-	for i, n := range norms {
-		id := int32(idBase + i)
-		l.norm[n] = append(l.norm[n], id)
-		if alls[i] != "" {
-			l.initials[alls[i]] = append(l.initials[alls[i]], id)
-		}
-		if sigs[i] != "" {
-			l.initials[sigs[i]] = append(l.initials[sigs[i]], id)
-		}
-	}
-	l.sorted = make([]string, 0, len(l.norm))
-	for n := range l.norm {
-		l.sorted = append(l.sorted, n)
-	}
-	sort.Strings(l.sorted)
-	l.sortedIDs = make([][]int32, len(l.sorted))
-	for i, n := range l.sorted {
-		l.sortedIDs[i] = l.norm[n]
-	}
+	abbrs = slices.DeleteFunc(abbrs, func(p pair) bool { return p.key == "" })
+	l := &nameLayer{ids: ids}
+	tg := newTaskGroup(workers)
+	tg.run(func() { l.norm = newTable(norms) })
+	tg.run(func() { l.initials = newTable(abbrs) })
+	tg.wait()
 	return l
 }
 
@@ -126,64 +158,56 @@ func (ix nameIndex) with(names []string, idBase int, ids map[string]int32) nameI
 	return nameIndex{layers: append(layers, top)}
 }
 
-// mergeLayers merges two adjacent layers, a below b, into one. Every id
-// of b exceeds every id of a, so a key's merged id list is a's followed
-// by b's and stays ascending.
+// mergeLayers merges two adjacent layers, a below b, into one.
 func mergeLayers(a, b *nameLayer) *nameLayer {
 	m := &nameLayer{
 		ids:      make(map[string]int32, len(a.ids)+len(b.ids)),
-		norm:     mergeTable(a.norm, b.norm),
-		initials: mergeTable(a.initials, b.initials),
-		sorted:   make([]string, 0, len(a.sorted)+len(b.sorted)),
+		norm:     mergeTables(a.norm, b.norm),
+		initials: mergeTables(a.initials, b.initials),
 	}
 	maps.Copy(m.ids, a.ids)
 	maps.Copy(m.ids, b.ids)
+	return m
+}
+
+// mergeTables merges a table with the next layer's, b, by one sorted
+// merge. Every id of b exceeds every id of a, so a key in both gets a's
+// list followed by b's, in a fresh list: the layers' own lists are shared
+// with older graphs. A key in one table keeps sharing its list.
+func mergeTables(a, b table) table {
+	n := len(a.keys) + len(b.keys)
+	m := table{keys: make([]string, 0, n), ids: make([][]int32, 0, n)}
 	i, j := 0, 0
-	for i < len(a.sorted) || j < len(b.sorted) {
+	for i < len(a.keys) || j < len(b.keys) {
 		switch {
-		case j == len(b.sorted) || i < len(a.sorted) && a.sorted[i] < b.sorted[j]:
-			m.sorted = append(m.sorted, a.sorted[i])
+		case j == len(b.keys) || i < len(a.keys) && a.keys[i] < b.keys[j]:
+			m.keys, m.ids = append(m.keys, a.keys[i]), append(m.ids, a.ids[i])
 			i++
-		case i == len(a.sorted) || b.sorted[j] < a.sorted[i]:
-			m.sorted = append(m.sorted, b.sorted[j])
+		case i == len(a.keys) || b.keys[j] < a.keys[i]:
+			m.keys, m.ids = append(m.keys, b.keys[j]), append(m.ids, b.ids[j])
 			j++
 		default:
-			m.sorted = append(m.sorted, a.sorted[i])
+			old := a.ids[i]
+			m.keys, m.ids = append(m.keys, a.keys[i]), append(m.ids, append(old[:len(old):len(old)], b.ids[j]...))
 			i++
 			j++
 		}
 	}
-	m.sortedIDs = make([][]int32, len(m.sorted))
-	for i, k := range m.sorted {
-		m.sortedIDs[i] = m.norm[k]
-	}
 	return m
 }
 
-// mergeTable is one table of mergeLayers. A key in both gets a fresh id
-// list: the layers' own lists are shared with older graphs.
-func mergeTable(a, b map[string][]int32) map[string][]int32 {
-	m := make(map[string][]int32, len(a)+len(b))
-	maps.Copy(m, a)
-	for k, v := range b {
-		if old, ok := m[k]; ok {
-			v = append(old[:len(old):len(old)], v...)
-		}
-		m[k] = v
-	}
-	return m
-}
-
-// flat returns the whole vocabulary as one layer — the logical tables a
-// from-scratch build holds, which WriteSnapshot stores. Merging from the
-// newest layer down keeps it O(names).
-func (ix nameIndex) flat() *nameLayer {
+// flat returns the vocabulary's norm and initials tables as one layer
+// would hold them — the logical tables a from-scratch build holds, which
+// WriteSnapshot stores. Merging from the newest layer down keeps it
+// O(names).
+func (ix nameIndex) flat() (norm, initials table) {
 	top := len(ix.layers) - 1
-	l := ix.layers[top]
+	norm, initials = ix.layers[top].norm, ix.layers[top].initials
 	for i := top - 1; i >= 0; i-- {
-		l = mergeLayers(ix.layers[i], l)
+		norm = mergeTables(ix.layers[i].norm, norm)
+		initials = mergeTables(ix.layers[i].initials, initials)
 	}
-	return l
+	return norm, initials
 }
 
 // lookup returns the id of name, or -1.
@@ -196,12 +220,17 @@ func (ix nameIndex) lookup(name string) int32 {
 	return -1
 }
 
-// gather concatenates one key's id lists over the layers, oldest first,
-// so the result ascends.
-func gather[T ~int32](ix nameIndex, key string, table func(*nameLayer) map[string][]int32) []T {
+// gather concatenates one key's id lists in the norm table (or, with
+// initials set, the initials table) over the layers, oldest first, so the
+// result ascends.
+func gather[T ~int32](ix nameIndex, key string, initials bool) []T {
 	var out []T
 	for _, l := range ix.layers {
-		ids := table(l)[key]
+		t := &l.norm
+		if initials {
+			t = &l.initials
+		}
+		ids := t.get(key)
 		if len(ids) == 0 {
 			continue
 		}
@@ -215,32 +244,26 @@ func gather[T ~int32](ix nameIndex, key string, table func(*nameLayer) map[strin
 	return out
 }
 
-func normTable(l *nameLayer) map[string][]int32     { return l.norm }
-func initialsTable(l *nameLayer) map[string][]int32 { return l.initials }
-
 // properPrefix returns the ids of all names that have p as a strict prefix
 // (normalized name longer than p), in the order one layer's range scan
 // gives: by normalized name, then by id. Each layer contributes the run
-// of its sorted names in the prefix range; the runs merge by key, and an
+// of its norm keys in the prefix range; the runs merge by key, and an
 // equal key emits the older layer's ids first.
 func properPrefix[T ~int32](ix nameIndex, p string) []T {
-	type run struct {
-		keys []string
-		ids  [][]int32
-	}
-	var buf [8]run
+	var buf [8]table
 	runs, total := buf[:0], 0
 	for _, l := range ix.layers {
-		lo := sort.SearchStrings(l.sorted, p)
-		if lo < len(l.sorted) && l.sorted[lo] == p {
+		keys := l.norm.keys
+		lo, found := slices.BinarySearch(keys, p)
+		if found {
 			lo++ // not a strict prefix
 		}
 		hi := lo
-		for ; hi < len(l.sorted) && strings.HasPrefix(l.sorted[hi], p); hi++ {
-			total += len(l.sortedIDs[hi])
+		for ; hi < len(keys) && strings.HasPrefix(keys[hi], p); hi++ {
+			total += len(l.norm.ids[hi])
 		}
 		if hi > lo {
-			runs = append(runs, run{l.sorted[lo:hi], l.sortedIDs[lo:hi]})
+			runs = append(runs, table{keys[lo:hi], l.norm.ids[lo:hi]})
 		}
 	}
 	if total == 0 {
@@ -280,7 +303,7 @@ func properPrefix[T ~int32](ix nameIndex, p string) []T {
 // NodesByNormName returns the nodes whose strutil.Normalize'd name equals
 // norm (norm must already be normalized), in ascending NodeID order.
 func (g *Graph) NodesByNormName(norm string) []NodeID {
-	return gather[NodeID](g.nameIdx, norm, normTable)
+	return gather[NodeID](g.nameIdx, norm, false)
 }
 
 // NodesByInitials returns the nodes whose name abbreviates to initials per
@@ -288,7 +311,7 @@ func (g *Graph) NodesByNormName(norm string) []NodeID {
 // in ascending NodeID order. Initials shorter than 2 bytes are never
 // indexed, mirroring strutil.IsAbbreviationOf.
 func (g *Graph) NodesByInitials(initials string) []NodeID {
-	return gather[NodeID](g.nameIdx, initials, initialsTable)
+	return gather[NodeID](g.nameIdx, initials, true)
 }
 
 // NodesByProperNormPrefix returns the nodes whose normalized name has the
@@ -300,12 +323,12 @@ func (g *Graph) NodesByProperNormPrefix(prefix string) []NodeID {
 
 // TypesByNormName is NodesByNormName over the type vocabulary.
 func (g *Graph) TypesByNormName(norm string) []TypeID {
-	return gather[TypeID](g.typeIdx, norm, normTable)
+	return gather[TypeID](g.typeIdx, norm, false)
 }
 
 // TypesByInitials is NodesByInitials over the type vocabulary.
 func (g *Graph) TypesByInitials(initials string) []TypeID {
-	return gather[TypeID](g.typeIdx, initials, initialsTable)
+	return gather[TypeID](g.typeIdx, initials, true)
 }
 
 // TypesByProperNormPrefix is NodesByProperNormPrefix over the type

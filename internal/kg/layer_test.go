@@ -167,17 +167,17 @@ func checkNameLookups(t *testing.T, rng *rand.Rand, got, want *Graph) {
 		}
 	}
 	base := want.nameIdx.layers[0]
-	for _, key := range append(misses, base.sorted...) {
+	for _, key := range append(misses, base.norm.keys...) {
 		if g, w := got.NodesByNormName(key), want.NodesByNormName(key); !eqSlices(g, w) {
 			t.Fatalf("NodesByNormName(%q) = %v, want %v", key, g, w)
 		}
 	}
-	for key := range base.initials {
+	for _, key := range base.initials.keys {
 		if g, w := got.NodesByInitials(key), want.NodesByInitials(key); !eqSlices(g, w) {
 			t.Fatalf("NodesByInitials(%q) = %v, want %v", key, g, w)
 		}
 	}
-	for _, key := range append(misses, base.sorted[rng.Intn(len(base.sorted))], base.sorted[rng.Intn(len(base.sorted))]) {
+	for _, key := range append(misses, base.norm.keys[rng.Intn(len(base.norm.keys))], base.norm.keys[rng.Intn(len(base.norm.keys))]) {
 		for n := 0; n <= len(key); n++ {
 			p := key[:n]
 			if g, w := got.NodesByProperNormPrefix(p), want.NodesByProperNormPrefix(p); !eqSlices(g, w) {
@@ -327,7 +327,7 @@ func dropOneKey[V any](m map[string]V) map[string]V {
 
 // TestAssertGraphsIdenticalRejectsMissingKey: the logical-table check
 // rejects a layered graph missing any one key of any name table — a name,
-// a norm key, an initials key or a sorted-list key — from its newest layer.
+// a norm key or an initials key — from its newest layer.
 func TestAssertGraphsIdenticalRejectsMissingKey(t *testing.T) {
 	batches := chainStream(5, 12)
 	var all []triple
@@ -345,9 +345,8 @@ func TestAssertGraphsIdenticalRejectsMissingKey(t *testing.T) {
 		drop  func(l *nameLayer)
 	}{
 		{"ids", func(l *nameLayer) { l.ids = dropOneKey(top.ids) }},
-		{"norm", func(l *nameLayer) { l.norm = dropOneKey(top.norm) }},
-		{"initials", func(l *nameLayer) { l.initials = dropOneKey(top.initials) }},
-		{"sorted", func(l *nameLayer) { l.sorted, l.sortedIDs = top.sorted[1:], top.sortedIDs[1:] }},
+		{"norm", func(l *nameLayer) { l.norm = table{top.norm.keys[1:], top.norm.ids[1:]} }},
+		{"initials", func(l *nameLayer) { l.initials = table{top.initials.keys[1:], top.initials.ids[1:]} }},
 	} {
 		l := *top
 		tc.drop(&l)

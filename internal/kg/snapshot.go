@@ -9,7 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -20,8 +20,10 @@ import (
 // (NodePreds CSR, normalized-name/initials/prefix), serialized so that a
 // load is a few large sequential reads plus integer decoding — no TSV
 // parsing, no strutil.Normalize/Initials over the vocabulary, no sort.
-// The only per-entry work on load is rebuilding the Go maps (hash inserts)
-// and re-threading the adjacency halves from the edge list, both pure
+// The normalized-name and initials tables load as they are stored, sorted
+// tables checked for order as they are parsed. The only per-entry work
+// beyond that is rebuilding the exact-name maps (hash inserts) and
+// re-threading the adjacency halves from the edge list, both pure
 // integer/hash work that benchmarks an order of magnitude faster than
 // ReadTriples + Build (see kgbench -exp ingest).
 //
@@ -37,8 +39,8 @@ import (
 // uint32 length plus bytes); per-node types; the edge list (src, dst, pred
 // per edge); the adjacency offsets; the NodePreds CSR; and the two name
 // indexes (normalized-name and initials tables for nodes, then for types),
-// each written in sorted key order so identical graphs serialize to
-// identical bytes.
+// each written in strictly ascending key order with strictly ascending id
+// lists, so identical graphs serialize to identical bytes.
 const (
 	snapshotMagic   = "SEMKGSNP"
 	snapshotVersion = 1
@@ -60,7 +62,8 @@ var (
 	// ErrSnapshotChecksum: the payload does not match its CRC.
 	ErrSnapshotChecksum = errors.New("kg: snapshot checksum mismatch")
 	// ErrSnapshotCorrupt: the payload decoded but violates structural
-	// invariants (out-of-range ids, non-monotone offsets).
+	// invariants (out-of-range ids, non-monotone offsets, index tables
+	// out of order).
 	ErrSnapshotCorrupt = errors.New("kg: corrupt snapshot")
 )
 
@@ -157,33 +160,19 @@ func (e *snapEncoder) strings(ss []string) {
 }
 
 // nameIndex writes the vocabulary's logical tables, whatever layers hold
-// them: the norm table in sorted key order (its exact key set) and the
-// initials table in sorted key order, keeping output deterministic
-// despite map iteration.
+// them: the norm table, then the initials table, each in its sorted key
+// order, so identical graphs serialize to identical bytes.
 func (e *snapEncoder) nameIndex(index nameIndex) {
-	ix := index.flat()
-	e.u32(uint32(len(ix.sorted)))
-	for i, key := range ix.sorted {
+	norm, initials := index.flat()
+	e.table(norm)
+	e.table(initials)
+}
+
+func (e *snapEncoder) table(t table) {
+	e.u32(uint32(len(t.keys)))
+	for i, key := range t.keys {
 		e.str(key)
-		ids := ix.sortedIDs[i]
-		e.u32(uint32(len(ids)))
-		for _, id := range ids {
-			e.i32(id)
-		}
-	}
-	keys := make([]string, 0, len(ix.initials))
-	for k := range ix.initials {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.u32(uint32(len(keys)))
-	for _, key := range keys {
-		e.str(key)
-		ids := ix.initials[key]
-		e.u32(uint32(len(ids)))
-		for _, id := range ids {
-			e.i32(id)
-		}
+		e.i32s(t.ids[i])
 	}
 }
 
@@ -363,19 +352,16 @@ func (d *snapDecoder) strings(n int) ([]string, error) {
 	return out, nil
 }
 
-// idxEntry is one parsed (key, ids) pair of a serialized index table; the
-// maps themselves are built in parallel after the sequential parse.
-type idxEntry struct {
-	key string
-	ids []int32
-}
-
-func (d *snapDecoder) idxEntries() ([]idxEntry, error) {
+// table parses one serialized table straight into its in-memory form.
+// Index ids flow straight into g.names/g.typeNames lookups at query time
+// and the lookups binary-search the keys, so it rejects what WriteSnapshot
+// never writes: keys not in strictly ascending order, and id lists that
+// are empty, not strictly ascending or outside [0, limit).
+func (d *snapDecoder) table(limit int) (table, error) {
 	n, err := d.count(8) // key len + id count per entry
 	if err != nil {
-		return nil, err
+		return table{}, err
 	}
-	out := make([]idxEntry, n)
 	// All id lists of one table share a single arena allocation, and all
 	// keys share one backing string (a strings.Builder, so the integer id
 	// bytes are not pinned). Offsets are recorded first because append
@@ -384,42 +370,68 @@ func (d *snapDecoder) idxEntries() ([]idxEntry, error) {
 	arena := make([]int32, 0, n)
 	keyEnds := make([]int, n)
 	var keys strings.Builder
+	var prev []byte
 	data, off := d.data, d.off
-	for i := range out {
+	for i := 0; i < n; i++ {
 		if off+4 > len(data) {
-			return nil, fmt.Errorf("%w: index table ends at entry %d", ErrSnapshotTruncated, i)
+			return table{}, fmt.Errorf("%w: index table ends at entry %d", ErrSnapshotTruncated, i)
 		}
 		l := int(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
 		if l < 0 || l > len(data)-off {
-			return nil, fmt.Errorf("%w: index key of %d bytes at offset %d", ErrSnapshotTruncated, l, off)
+			return table{}, fmt.Errorf("%w: index key of %d bytes at offset %d", ErrSnapshotTruncated, l, off)
 		}
-		keys.Write(data[off : off+l])
+		key := data[off : off+l]
+		if i > 0 && bytes.Compare(prev, key) >= 0 {
+			return table{}, fmt.Errorf("%w: index key %q does not follow %q", ErrSnapshotCorrupt, key, prev)
+		}
+		prev = key
+		keys.Write(key)
 		keyEnds[i] = keys.Len()
 		off += l
 		if off+4 > len(data) {
-			return nil, fmt.Errorf("%w: index entry %d has no id count", ErrSnapshotTruncated, i)
+			return table{}, fmt.Errorf("%w: index entry %d has no id count", ErrSnapshotTruncated, i)
 		}
 		c := int(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
 		if c < 0 || c > (len(data)-off)/4 {
-			return nil, fmt.Errorf("%w: index entry %d claims %d ids", ErrSnapshotTruncated, i, c)
+			return table{}, fmt.Errorf("%w: index entry %d claims %d ids", ErrSnapshotTruncated, i, c)
+		}
+		if c == 0 {
+			return table{}, fmt.Errorf("%w: index key %q has no ids", ErrSnapshotCorrupt, key)
 		}
 		for j := 0; j < c; j++ {
-			arena = append(arena, int32(binary.LittleEndian.Uint32(data[off+4*j:])))
+			id := int32(binary.LittleEndian.Uint32(data[off+4*j:]))
+			if id < 0 || int(id) >= limit || j > 0 && id <= arena[len(arena)-1] {
+				return table{}, fmt.Errorf("%w: index key %q holds id %d of %d out of order or range",
+					ErrSnapshotCorrupt, key, id, limit)
+			}
+			arena = append(arena, id)
 		}
 		off += 4 * c
 		offs[i+1] = int32(len(arena))
 	}
 	d.off = off
 	blob := keys.String()
-	prev := 0
-	for i := range out {
-		out[i].key = blob[prev:keyEnds[i]]
-		prev = keyEnds[i]
-		out[i].ids = arena[offs[i]:offs[i+1]:offs[i+1]]
+	t := table{keys: make([]string, n), ids: make([][]int32, n)}
+	start := 0
+	for i := range t.keys {
+		t.keys[i] = blob[start:keyEnds[i]]
+		start = keyEnds[i]
+		t.ids[i] = arena[offs[i]:offs[i+1]:offs[i+1]]
 	}
-	return out, nil
+	return t, nil
+}
+
+// nameLayer parses one vocabulary's norm and initials tables into a layer
+// over ids [0, limit); the caller adds the layer's name -> id map.
+func (d *snapDecoder) nameLayer(limit int) (*nameLayer, error) {
+	l := &nameLayer{}
+	var err error
+	if l.norm, err = d.table(limit); err == nil {
+		l.initials, err = d.table(limit)
+	}
+	return l, err
 }
 
 func decodeSnapshot(payload []byte, workers int) (*Graph, error) {
@@ -489,9 +501,6 @@ func decodeSnapshot(payload []byte, workers int) (*Graph, error) {
 	if g.adjOff, err = d.i32s(); err != nil {
 		return nil, err
 	}
-	if err := checkOffsets(g.adjOff, n, 2*m); err != nil {
-		return nil, fmt.Errorf("adjacency %w", err)
-	}
 	if g.nodePredOff, err = d.i32s(); err != nil {
 		return nil, err
 	}
@@ -516,24 +525,13 @@ func decodeSnapshot(payload []byte, workers int) (*Graph, error) {
 	if err := corrupt.get(); err != nil {
 		return nil, err
 	}
-	// The four index tables are framed by length prefixes, so a cheap
-	// skip-scan locates each table's start; the expensive parse (key blob,
-	// id arenas, map inserts) then runs per-table in parallel below.
-	var idxStart [4]int
-	for i := range idxStart {
-		if idxStart[i], err = d.spanIdxTable(); err != nil {
-			return nil, err
-		}
-	}
-	if d.off != len(d.data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(d.data)-d.off)
-	}
 
 	// Derived structures that are cheaper to re-thread than to store:
 	// lookup maps (hash inserts), the per-type node lists, the predicate
 	// edge counts and the adjacency halves (cursor fill, as in Build).
-	// They are mutually independent, so a cold start uses every core;
-	// workers == 1 runs them strictly in sequence.
+	// They are mutually independent, and independent of the four index
+	// tables, which one task parses in order; so a cold start uses every
+	// core, and workers == 1 runs them strictly in sequence.
 	tg := newTaskGroup(workers)
 	var nameIDs map[string]int32
 	tg.run(func() { nameIDs = labelIndex[int32](g.names) })
@@ -551,175 +549,39 @@ func decodeSnapshot(payload []byte, workers int) (*Graph, error) {
 		}
 	})
 	tg.run(func() {
+		// The stored offsets must be the degree prefix sum of the edge
+		// list: threadHalves writes each node's halves from its offset on.
+		if !slices.Equal(g.adjOff, adjOffsets(n, g.edges)) {
+			corrupt.set(fmt.Errorf("%w: adjacency offsets inconsistent with the edge list's degrees", ErrSnapshotCorrupt))
+			return
+		}
 		g.halves = make([]Half, 2*m)
-		corrupt.set(threadHalvesChecked(g, workers))
+		threadHalves(g, workers)
 	})
 	tg.run(func() {
-		// Index ids flow straight into g.names/g.typeNames lookups at
-		// query time; an out-of-range id must fail the load, not a later
-		// search.
-		l, err := decodeIdxMaps(payload, idxStart[0], idxStart[1], n)
+		nodes, err := d.nameLayer(n)
 		if err != nil {
 			corrupt.set(err)
 			return
 		}
-		g.nameIdx = nameIndex{layers: []*nameLayer{l}}
-	})
-	tg.run(func() {
-		l, err := decodeIdxMaps(payload, idxStart[2], idxStart[3], nTypes)
+		types, err := d.nameLayer(nTypes)
 		if err != nil {
 			corrupt.set(err)
 			return
 		}
-		l.ids = labelIndex[int32](g.typeNames)
-		g.typeIdx = nameIndex{layers: []*nameLayer{l}}
+		types.ids = labelIndex[int32](g.typeNames)
+		g.nameIdx = nameIndex{layers: []*nameLayer{nodes}}
+		g.typeIdx = nameIndex{layers: []*nameLayer{types}}
 	})
 	tg.wait()
 	if err := corrupt.get(); err != nil {
 		return nil, err
 	}
+	if d.off != len(d.data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(d.data)-d.off)
+	}
 	g.nameIdx.layers[0].ids = nameIDs
 	return g, nil
-}
-
-// spanIdxTable advances past one serialized index table, validating only
-// its framing (counts and length prefixes fit the payload) and returning
-// the offset where the table starts. The full parse happens later, in
-// parallel across tables.
-func (d *snapDecoder) spanIdxTable() (int, error) {
-	start := d.off
-	n, err := d.count(8) // key len + id count per entry
-	if err != nil {
-		return 0, err
-	}
-	data, off := d.data, d.off
-	for i := 0; i < n; i++ {
-		if off+4 > len(data) {
-			return 0, fmt.Errorf("%w: index table ends at entry %d", ErrSnapshotTruncated, i)
-		}
-		l := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if l < 0 || l > len(data)-off {
-			return 0, fmt.Errorf("%w: index key of %d bytes at offset %d", ErrSnapshotTruncated, l, off)
-		}
-		off += l
-		if off+4 > len(data) {
-			return 0, fmt.Errorf("%w: index entry %d has no id count", ErrSnapshotTruncated, i)
-		}
-		c := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if c < 0 || c > (len(data)-off)/4 {
-			return 0, fmt.Errorf("%w: index entry %d claims %d ids", ErrSnapshotTruncated, i, c)
-		}
-		off += 4 * c
-	}
-	d.off = off
-	return start, nil
-}
-
-// decodeIdxMaps parses the norm and initials tables starting at the given
-// payload offsets (located by spanIdxTable), validates every id against
-// the vocabulary size, and assembles them into a layer; the caller adds
-// the layer's name -> id map.
-func decodeIdxMaps(payload []byte, normStart, initStart, limit int) (*nameLayer, error) {
-	nd := &snapDecoder{data: payload, off: normStart}
-	norm, err := nd.idxEntries()
-	if err != nil {
-		return nil, err
-	}
-	id := &snapDecoder{data: payload, off: initStart}
-	initials, err := id.idxEntries()
-	if err != nil {
-		return nil, err
-	}
-	if err := checkIdxIDs(norm, limit); err != nil {
-		return nil, err
-	}
-	if err := checkIdxIDs(initials, limit); err != nil {
-		return nil, err
-	}
-	return buildIdxMaps(norm, initials), nil
-}
-
-// threadHalvesChecked is threadHalves over untrusted input: every write
-// is bounds-checked against the owning node's adjacency span and a short
-// fill is rejected. Monotone offsets alone are not enough — the cursors
-// index by adjOff[u] + (edges seen so far at u), so a span differing from
-// the node's true degree must yield ErrSnapshotCorrupt, not an
-// out-of-range write or a silently misthreaded list.
-func threadHalvesChecked(g *Graph, workers int) error {
-	n := len(g.adjOff) - 1
-	var ferr firstErr
-	parspan(workers, n, func(lo, hi int) {
-		cursor := make([]int32, hi-lo)
-		copy(cursor, g.adjOff[lo:hi])
-		place := func(u NodeID, h Half) bool {
-			c := cursor[int(u)-lo]
-			if c >= g.adjOff[u+1] {
-				ferr.set(fmt.Errorf("%w: node %d has adjacency span %d but a larger degree",
-					ErrSnapshotCorrupt, u, g.adjOff[u+1]-g.adjOff[u]))
-				return false
-			}
-			g.halves[c] = h
-			cursor[int(u)-lo] = c + 1
-			return true
-		}
-		for i := range g.edges {
-			ed := &g.edges[i]
-			if s := int(ed.Src); s >= lo && s < hi {
-				if !place(ed.Src, Half{Edge: EdgeID(i), Neighbor: ed.Dst, Pred: ed.Pred, Out: true}) {
-					return
-				}
-			}
-			if d := int(ed.Dst); d >= lo && d < hi {
-				if !place(ed.Dst, Half{Edge: EdgeID(i), Neighbor: ed.Src, Pred: ed.Pred, Out: false}) {
-					return
-				}
-			}
-		}
-		for u := lo; u < hi; u++ {
-			if cursor[u-lo] != g.adjOff[u+1] {
-				ferr.set(fmt.Errorf("%w: node %d has adjacency span %d but degree %d",
-					ErrSnapshotCorrupt, u, g.adjOff[u+1]-g.adjOff[u], cursor[u-lo]-g.adjOff[u]))
-				return
-			}
-		}
-	})
-	return ferr.get()
-}
-
-// buildIdxMaps turns parsed index tables into a layer. The norm entries
-// arrive in sorted key order, so they double as the prefix-scan array
-// without re-sorting.
-func buildIdxMaps(norm, initials []idxEntry) *nameLayer {
-	ix := &nameLayer{
-		norm:      make(map[string][]int32, len(norm)),
-		initials:  make(map[string][]int32, len(initials)),
-		sorted:    make([]string, len(norm)),
-		sortedIDs: make([][]int32, len(norm)),
-	}
-	for i, e := range norm {
-		ix.sorted[i] = e.key
-		ix.sortedIDs[i] = e.ids
-		ix.norm[e.key] = e.ids
-	}
-	for _, e := range initials {
-		ix.initials[e.key] = e.ids
-	}
-	return ix
-}
-
-// checkIdxIDs validates that every id of an index table addresses an
-// existing vocabulary entry.
-func checkIdxIDs(entries []idxEntry, limit int) error {
-	for _, e := range entries {
-		for _, id := range e.ids {
-			if id < 0 || int(id) >= limit {
-				return fmt.Errorf("%w: index key %q holds id %d of %d", ErrSnapshotCorrupt, e.key, id, limit)
-			}
-		}
-	}
-	return nil
 }
 
 // checkOffsets validates one CSR offset array: length n+1, starting at 0,

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -86,42 +86,27 @@ func assertGraphsIdentical(t testing.TB, got, want *Graph) {
 }
 
 // namesView is a vocabulary's name index as logical tables, whatever
-// layers hold it: every name with its id, every norm and initials key with
-// its ids, and the sorted norm key list with its id lists.
+// layers hold it: every name with its id, and every norm and initials key
+// with its ids.
 type namesView struct {
 	ids            map[string]int32
 	norm, initials map[string][]int32
-	sorted         []string
-	sortedIDs      [][]int32
 }
 
 // logicalNames reads ix into a namesView. Keys are the union over the
-// layers; ids come through the lookups the accessors use, and the sorted
-// list is the union of the layers' sorted lists with each key's id lists
-// concatenated oldest layer first.
+// layers; ids come through the lookups the accessors use.
 func logicalNames(ix nameIndex) namesView {
 	v := namesView{ids: map[string]int32{}, norm: map[string][]int32{}, initials: map[string][]int32{}}
-	sortedIDs := map[string][]int32{}
 	for _, l := range ix.layers {
 		for k := range l.ids {
 			v.ids[k] = ix.lookup(k)
 		}
-		for k := range l.norm {
-			v.norm[k] = gather[int32](ix, k, normTable)
+		for _, k := range l.norm.keys {
+			v.norm[k] = gather[int32](ix, k, false)
 		}
-		for k := range l.initials {
-			v.initials[k] = gather[int32](ix, k, initialsTable)
+		for _, k := range l.initials.keys {
+			v.initials[k] = gather[int32](ix, k, true)
 		}
-		for i, k := range l.sorted {
-			sortedIDs[k] = append(sortedIDs[k], l.sortedIDs[i]...)
-		}
-	}
-	for k := range sortedIDs {
-		v.sorted = append(v.sorted, k)
-	}
-	sort.Strings(v.sorted)
-	for _, k := range v.sorted {
-		v.sortedIDs = append(v.sortedIDs, sortedIDs[k])
 	}
 	return v
 }
@@ -141,18 +126,6 @@ func assertNamesEqual(t testing.TB, label string, got, want namesView) {
 	}
 	if !eqIDTable(got.initials, want.initials) {
 		t.Errorf("%s: initials tables differ:\n got %v\nwant %v", label, got.initials, want.initials)
-	}
-	if !eqSlices(got.sorted, want.sorted) {
-		t.Errorf("%s: sorted keys differ:\n got %v\nwant %v", label, got.sorted, want.sorted)
-	}
-	if len(got.sortedIDs) != len(want.sortedIDs) {
-		t.Errorf("%s: %d sorted id lists, want %d", label, len(got.sortedIDs), len(want.sortedIDs))
-	} else {
-		for i := range want.sortedIDs {
-			if !eqSlices(got.sortedIDs[i], want.sortedIDs[i]) {
-				t.Errorf("%s: sorted id list %d (%q) differs", label, i, want.sorted[i])
-			}
-		}
 	}
 }
 
@@ -336,14 +309,44 @@ func TestSnapshotTypedErrors(t *testing.T) {
 		g := figure2Graph()
 		mutated := *g
 		l := *g.nameIdx.layers[0]
-		l.sortedIDs = append([][]int32(nil), l.sortedIDs...)
-		l.sortedIDs[0] = []int32{int32(g.NumNodes()) + 7}
+		l.norm.ids = append([][]int32(nil), l.norm.ids...)
+		l.norm.ids[0] = []int32{int32(g.NumNodes()) + 7}
 		mutated.nameIdx = nameIndex{layers: []*nameLayer{&l}}
 		data := snapshotBytes(t, &mutated)
 		if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
 		}
 	})
+	// The lookups binary-search the stored tables and the prefix scan
+	// reads the norm keys in stored order, so a table out of order must
+	// fail the load, not silently miss names later. Each graph is written
+	// with a valid checksum.
+	for _, tc := range []struct {
+		name   string
+		mutate func(l *nameLayer)
+	}{
+		{"adjacent norm keys swapped", func(l *nameLayer) {
+			l.norm.keys[0], l.norm.keys[1] = l.norm.keys[1], l.norm.keys[0]
+			l.norm.ids[0], l.norm.ids[1] = l.norm.ids[1], l.norm.ids[0]
+		}},
+		{"id list reversed", func(l *nameLayer) {
+			i := slices.IndexFunc(l.initials.ids, func(ids []int32) bool { return len(ids) > 1 })
+			slices.Reverse(l.initials.ids[i])
+		}},
+		{"duplicated norm key", func(l *nameLayer) {
+			l.norm.keys = slices.Insert(l.norm.keys, 1, l.norm.keys[0])
+			l.norm.ids = slices.Insert(l.norm.ids, 1, l.norm.ids[0])
+		}},
+		{"empty id list", func(l *nameLayer) { l.initials.ids[0] = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := randomWorld(7, 200, 600) // fresh, so its layer may be mutated in place
+			tc.mutate(g.nameIdx.layers[0])
+			if _, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, g))); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
+			}
+		})
+	}
 }
 
 // TestReadGraphAutoDetect: ReadGraph dispatches on the magic bytes.

@@ -115,21 +115,6 @@ func TestMatchEqualsScanOnWorlds(t *testing.T) {
 							}
 						}
 					}
-					// With the fallback off only the exact pass remains: the
-					// scan's matches that an expansion term names outright.
-					m.FallbackScan = false
-					for _, probe := range nameProbes[:10] {
-						var want []kg.NodeID
-						for _, u := range oracle.Names(g, expand(probe)) {
-							if slices.Contains(expand(probe), g.NodeName(u)) {
-								want = append(want, u)
-							}
-						}
-						if got := m.MatchName(probe); !reflect.DeepEqual(got, want) {
-							t.Fatalf("MatchName(%q) with FallbackScan off: %v, want %v", probe, got, want)
-						}
-					}
-					m.FallbackScan = true
 				}
 			})
 		}

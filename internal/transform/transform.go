@@ -111,10 +111,6 @@ func (l *Library) Same(a, b string) bool {
 type Matcher struct {
 	g   *kg.Graph
 	lib *Library
-	// FallbackScan enables the heuristic abbreviation detection pass over
-	// graph names/types when the library yields no match. Default true in
-	// NewMatcher.
-	FallbackScan bool
 }
 
 // NewMatcher returns a Matcher over g using lib (nil lib means an empty
@@ -123,7 +119,7 @@ func NewMatcher(g *kg.Graph, lib *Library) *Matcher {
 	if lib == nil {
 		lib = NewLibrary()
 	}
-	return &Matcher{g: g, lib: lib, FallbackScan: true}
+	return &Matcher{g: g, lib: lib}
 }
 
 // MatchTypes returns the graph types matching typeName per Definition 3
@@ -145,7 +141,7 @@ func (m *Matcher) MatchTypes(typeName string) []kg.TypeID {
 	for _, term := range m.lib.Expand(typeName) {
 		add(m.g.TypeByName(term))
 	}
-	if len(out) == 0 && m.FallbackScan {
+	if len(out) == 0 {
 		var cands []kg.TypeID
 		// lib.Same(typeName, t): t normalizes identically to typeName or to
 		// any member of its synonym class (Expand covers the whole class).
@@ -186,7 +182,7 @@ func (m *Matcher) MatchName(name string) []kg.NodeID {
 	for _, term := range m.lib.Expand(name) {
 		add(m.g.NodeByName(term))
 	}
-	if len(out) == 0 && m.FallbackScan {
+	if len(out) == 0 {
 		for _, u := range dedupeSorted(abbreviationCandidates(name,
 			m.g.NodesByNormName, m.g.NodesByInitials, m.g.NodesByProperNormPrefix)) {
 			add(u)

@@ -96,10 +96,6 @@ func TestMatchNameAbbreviationFallback(t *testing.T) {
 	if len(got) != 1 || g.NodeName(got[0]) != "Germany" {
 		t.Fatalf("MatchName(GER) = %v, want [Germany]", names(g, got))
 	}
-	m.FallbackScan = false
-	if got := m.MatchName("GER"); len(got) != 0 {
-		t.Errorf("MatchName(GER) without fallback = %v, want none", names(g, got))
-	}
 }
 
 func TestMatchNodeSpecific(t *testing.T) {
