@@ -107,8 +107,9 @@ func TestReadSnapshotWorkersTypedErrors(t *testing.T) {
 		}
 	}
 
-	// Wrong per-node spans behind a correct checksum: the checked parallel
-	// halves threading must reject them (see threadHalvesChecked).
+	// Wrong per-node spans behind a correct checksum: the decoder must
+	// reject offsets that differ from the edge list's degree prefix sum
+	// at every worker count, before threading the halves.
 	g := randomWorld(13, 40, 120)
 	mutated := *g
 	mutated.adjOff = append([]int32(nil), g.adjOff...)
