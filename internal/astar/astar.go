@@ -193,10 +193,6 @@ func NewNodeSet(ids []kg.NodeID, numNodes int) NodeSet {
 	return s
 }
 
-// Members returns the set's ids in ascending order. The slice is shared
-// and must not be modified.
-func (s *NodeSet) Members() []kg.NodeID { return s.members }
-
 func (s *NodeSet) has(u kg.NodeID) bool {
 	if s.bits != nil {
 		return s.bits.has(u)

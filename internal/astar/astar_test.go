@@ -80,7 +80,7 @@ func TestNodeSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 4096 // the crossover is at 16 members
 	var zero NodeSet
-	if zero.has(0) || len(zero.Members()) != 0 {
+	if zero.has(0) || len(zero.members) != 0 {
 		t.Fatal("the zero NodeSet is not empty")
 	}
 	sawSparse, sawDense := false, false
@@ -112,7 +112,7 @@ func TestNodeSet(t *testing.T) {
 					t.Fatalf("%s: has(%d) = %v, want %v (bitset %v)", where, u, s.has(u), want[u], dense)
 				}
 			}
-			m := s.Members()
+			m := s.members
 			if len(m) != len(want) {
 				t.Fatalf("%s: %d members listed, want %d", where, len(m), len(want))
 			}

@@ -63,7 +63,7 @@ func oracleSub(tw *testWeighter, sub SubQuery) oracle.Sub {
 		Weight:  func(seg int, p kg.PredID) float64 { return tw.Weight(p, seg) },
 	}
 	for _, set := range sub.EndSets {
-		o.Ends = append(o.Ends, set.Members())
+		o.Ends = append(o.Ends, set.members)
 	}
 	return o
 }

@@ -40,12 +40,12 @@ func runIngest(ctx context.Context, p Params) (*Artifact, error) {
 			return nil, err
 		}
 	}
-	chainWorlds := []int{100_000, 1_000_000}
+	chainWorlds, chains := []int{100_000, 1_000_000}, 5
 	if p.Short {
-		chainWorlds = chainWorlds[:1]
+		chainWorlds, chains = chainWorlds[:1], 3
 	}
 	for _, nodes := range chainWorlds {
-		if err := measureCommitChain(art, nodes); err != nil {
+		if err := measureCommitChain(art, nodes, chains); err != nil {
 			return nil, err
 		}
 	}
@@ -165,44 +165,59 @@ func measureCommit(art *Artifact, g *kg.Graph, size int) error {
 // the previous commit, over the large world of the given size. Unlike
 // measureCommit it sees what a live server pays: the node-name index
 // grows by one layer per commit and layers merge as they fill (counted
-// from kg.Graph.NameLayers). Allocation is measured per commit, outside
-// the timed region.
-func measureCommitChain(art *Artifact, nodes int) error {
+// from kg.Graph.NameLayers). One chain's mean moves ±15% between runs,
+// so the chain runs `chains` times from the same base with the same
+// batches, each after an untimed collection, and the row reports the
+// median chain mean with the smallest and largest. Allocation is measured
+// per commit, outside the timed region.
+func measureCommitChain(art *Artifact, nodes, chains int) error {
 	const commits, batch = 100, 100
-	g := datagen.GenerateLarge(datagen.LargeWorld(nodes))
-	rng := rand.New(rand.NewSource(int64(nodes)))
-	var h Hist
+	base := datagen.GenerateLarge(datagen.LargeWorld(nodes))
+	var all, means Hist
 	var ms0, ms1 runtime.MemStats
 	var allocated uint64
-	merges := 0
-	for c := 0; c < commits; c++ {
-		d := kg.NewDelta(g)
-		for i := 0; i < batch; i++ {
-			id, err := d.AddNode(fmt.Sprintf("Bench Ingest %d %d", c, i), g.TypeName(kg.TypeID(rng.Intn(g.NumTypes()))))
-			if err == nil {
-				_, err = d.AddEdge(id, kg.NodeID(rng.Intn(nodes)), g.PredName(kg.PredID(rng.Intn(g.NumPredicates()))))
+	var merges, layers int // the same in every chain
+	for range chains {
+		g := base
+		rng := rand.New(rand.NewSource(int64(nodes)))
+		var h Hist
+		merges = 0
+		runtime.GC()
+		for c := 0; c < commits; c++ {
+			d := kg.NewDelta(g)
+			for i := 0; i < batch; i++ {
+				id, err := d.AddNode(fmt.Sprintf("Bench Ingest %d %d", c, i), g.TypeName(kg.TypeID(rng.Intn(g.NumTypes()))))
+				if err == nil {
+					_, err = d.AddEdge(id, kg.NodeID(rng.Intn(nodes)), g.PredName(kg.PredID(rng.Intn(g.NumPredicates()))))
+				}
+				if err != nil {
+					return err
+				}
 			}
-			if err != nil {
-				return err
-			}
+			before := g.NameLayers()
+			runtime.ReadMemStats(&ms0)
+			_ = h.Time(func() error { g = d.Commit(); return nil })
+			runtime.ReadMemStats(&ms1)
+			allocated += ms1.TotalAlloc - ms0.TotalAlloc
+			merges += before + 1 - g.NameLayers() // a commit adds one layer, a merge removes one
 		}
-		layers := g.NameLayers()
-		runtime.ReadMemStats(&ms0)
-		_ = h.Time(func() error { g = d.Commit(); return nil })
-		runtime.ReadMemStats(&ms1)
-		allocated += ms1.TotalAlloc - ms0.TotalAlloc
-		merges += layers + 1 - g.NameLayers() // a commit adds one layer, a merge removes one
+		layers = g.NameLayers()
+		all.Merge(&h)
+		means.Add(h.Mean())
 	}
 	art.add("commit-chain", fmt.Sprintf("%d nodes", nodes), map[string]float64{
 		"nodes":               float64(nodes),
+		"chains":              float64(chains),
 		"commits":             commits,
 		"batch_nodes":         batch,
 		"batch_edges":         batch,
-		"mean_commit_us":      us(h.Mean()),
-		"max_commit_us":       us(h.Quantile(1)),
-		"alloc_mb_per_commit": float64(allocated) / commits / (1 << 20),
+		"mean_commit_us":      us(means.Quantile(0.5)),
+		"min_chain_mean_us":   us(means.Quantile(0)),
+		"max_chain_mean_us":   us(means.Quantile(1)),
+		"max_commit_us":       us(all.Quantile(1)),
+		"alloc_mb_per_commit": float64(allocated) / float64(chains*commits) / (1 << 20),
 		"merges":              float64(merges),
-		"name_layers":         float64(g.NameLayers()),
+		"name_layers":         float64(layers),
 	})
 	return nil
 }

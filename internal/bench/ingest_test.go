@@ -5,7 +5,7 @@ import "testing"
 // TestRunIngestShape runs the storage-layer experiment end to end and
 // checks its shape and counters: both cold-start paths measured, commit
 // latency measured per delta size, the 100k-node commit chain measured
-// with its layer merges counted, and the live workload completing
+// over several chains with its layer merges counted, and the live workload completing
 // queries, error-free, while generations swap. The snapshot-vs-TSV
 // speedup is recorded in the artifact (BENCH_ingest.json, committed:
 // 8x), not asserted — it is a ratio of two timings. Skipped in -short
@@ -30,9 +30,12 @@ func TestRunIngestShape(t *testing.T) {
 		}
 	}
 	chain := row(t, art, "commit-chain", "100000 nodes").Values
-	if chain["commits"] != 100 || chain["mean_commit_us"] <= 0 || chain["max_commit_us"] < chain["mean_commit_us"] ||
+	if chain["commits"] != 100 || chain["chains"] < 3 || chain["mean_commit_us"] <= 0 || chain["max_commit_us"] < chain["max_chain_mean_us"] ||
 		chain["alloc_mb_per_commit"] <= 0 {
 		t.Errorf("commit chain: degenerate measurement %v", chain)
+	}
+	if chain["min_chain_mean_us"] > chain["mean_commit_us"] || chain["mean_commit_us"] > chain["max_chain_mean_us"] {
+		t.Errorf("commit chain: median chain mean outside the chains' range: %v", chain)
 	}
 	// 100 commits that each add names grow the layer stack like a binary
 	// counter: every commit but those setting a new bit merges.

@@ -4,7 +4,9 @@
 // StreamPlan/SearchPlan then run the pipeline from the compiled form. The
 // split exists for two callers: the serving layer's sub-search sharing
 // (internal/serve) needs each sub-query's SubqueryKey before the run
-// starts, and a measurement harness times compilation on its own. Each
+// starts, and a measurement harness times compilation on its own. A
+// blueprint also keeps the path it was compiled from, so the key hashes
+// the compile inputs (O(|sub-query|)), never the compiled φ sets. Each
 // run still gets fresh searcher state (A* arenas and frontiers are
 // mutable and must not be shared across concurrent runs).
 
@@ -46,13 +48,15 @@ func compileOptsOf(o Options) compileOpts {
 	}
 }
 
-// planSub is one sub-query's searcher blueprint: the compiled φ sets and
-// the query predicates whose weight rows the per-run weighter materializes.
-// The end sets are compiled once per plan; Anchors and EndSets are
-// read-only after compilation and shared in place by every searcher and
-// shared sub-search over the plan.
+// planSub is one sub-query's searcher blueprint: the compiled φ sets, the
+// query predicates whose weight rows the per-run weighter materializes,
+// and a copy of the path's query nodes, which SubqueryKey hashes. The end
+// sets are compiled once per plan; Anchors and EndSets are read-only after
+// compilation and shared in place by every searcher and shared sub-search
+// over the plan.
 type planSub struct {
 	sub   astar.SubQuery
+	path  []query.Node
 	preds []string
 }
 
@@ -108,19 +112,21 @@ func (e *Engine) Compile(q *query.Graph, opts Options) (*Plan, error) {
 func (e *Engine) compileSubs(q *query.Graph, d *query.Decomposition, memo *transform.Memo) ([]planSub, bool, error) {
 	subs := make([]planSub, 0, len(d.Subs))
 	for _, sub := range d.Subs {
-		anchorNode, _ := q.NodeByID(sub.Anchor())
-		anchors := memo.MatchNode(anchorNode.Name, anchorNode.Type)
+		path := make([]query.Node, len(sub.NodeIDs))
+		for i, id := range sub.NodeIDs {
+			path[i], _ = q.NodeByID(id)
+		}
+		anchors := memo.MatchNode(path[0].Name, path[0].Type)
 		if len(anchors) == 0 {
 			return nil, false, nil
 		}
 		endSets := make([]astar.NodeSet, sub.Len())
-		for i := 1; i < len(sub.NodeIDs); i++ {
-			n, _ := q.NodeByID(sub.NodeIDs[i])
+		for i, n := range path[1:] {
 			ids := memo.MatchNode(n.Name, n.Type)
 			if len(ids) == 0 {
 				return nil, false, nil
 			}
-			endSets[i-1] = astar.NewNodeSet(ids, e.g.NumNodes())
+			endSets[i] = astar.NewNodeSet(ids, e.g.NumNodes())
 		}
 		preds := make([]string, sub.Len())
 		for i, edge := range sub.Edges {
@@ -134,6 +140,7 @@ func (e *Engine) compileSubs(q *query.Graph, d *query.Decomposition, memo *trans
 		}
 		subs = append(subs, planSub{
 			sub:   astar.SubQuery{Anchors: anchors, EndSets: endSets},
+			path:  path,
 			preds: preds,
 		})
 	}
@@ -171,40 +178,27 @@ func (p *Plan) Subqueries() int {
 	return len(p.subs)
 }
 
-// SubqueryKey returns a stable content hash identifying the i-th
-// sub-query's searcher blueprint together with every option that shapes
-// its enumeration: the anchors in push order (the frontier breaks equal
-// priorities by insertion order, so order is semantic), the per-segment φ
-// end sets as sets (membership-only), the per-segment query predicates
-// whose weight rows the searcher materializes, and the search-relevant
-// compile options (τ, n̂, heuristic and visited-pruning switches).
+// SubqueryKey returns a stable hash of the i-th sub-query's compile
+// inputs: its path's query-node names and types in path order, its edge
+// predicates (query.AppendPathKey), and the search-relevant compile
+// options (τ, n̂, heuristic and visited-pruning switches). Within one
+// engine, φ (anchors in push order, end sets) and the weight rows are
+// deterministic functions of these inputs, so two plans — from different
+// queries, or the same query under different runtime options — whose
+// sub-queries share a key enumerate the identical match sequence, and one
+// A* search can serve both. Node IDs and K are excluded. Paths that are
+// spelled differently but compile to the same φ sets (a synonym, another
+// type name) get different keys and do not share.
 //
-// Two plans — from different queries, or the same query under different
-// runtime options — whose sub-queries share a key enumerate the identical
-// match sequence on the same engine, so one A* search can serve both.
 // The key deliberately excludes engine identity: a cross-query sharing
 // layer must additionally gate on the engine/generation it compiled
 // against, exactly as internal/serve's caches do.
 func (p *Plan) SubqueryKey(i int) string {
 	ps := p.subs[i]
-	h := sha256.New()
-	fmt.Fprintf(h, "tau=%g|hops=%d|nh=%t|pv=%t|",
+	b := fmt.Appendf(nil, "tau=%g|hops=%d|nh=%t|pv=%t|",
 		p.copts.tau, p.copts.maxHops, p.copts.noHeuristic, p.copts.pruneVisited)
-	fmt.Fprintf(h, "a%d:", len(ps.sub.Anchors))
-	for _, a := range ps.sub.Anchors {
-		fmt.Fprintf(h, "%d,", a)
-	}
-	for seg, set := range ps.sub.EndSets {
-		ids := set.Members()
-		fmt.Fprintf(h, "e%d:%d:", seg, len(ids))
-		for _, id := range ids {
-			fmt.Fprintf(h, "%d,", id)
-		}
-	}
-	for _, pred := range ps.preds {
-		fmt.Fprintf(h, "p%d:%s", len(pred), pred)
-	}
-	return string(h.Sum(nil))
+	sum := sha256.Sum256(query.AppendPathKey(b, ps.path, ps.preds))
+	return string(sum[:])
 }
 
 // SearchPlan is Search over a pre-compiled plan: the same pipeline with

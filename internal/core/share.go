@@ -1,8 +1,9 @@
 // Cross-query execution sharing: the sub-query-level counterpart of the
 // compile/run split. A compiled plan's sub-query blueprints are immutable
-// and content-addressable (Plan.SubqueryKey), and the A* enumeration over
-// a blueprint is deterministic — so when concurrent plans share a
-// blueprint, one enumeration can feed all of them.
+// and keyed by what compiled them (Plan.SubqueryKey: the path's node
+// names and types, its predicates and the search options), and the A*
+// enumeration over a blueprint is deterministic — so when concurrent
+// plans share a key, one enumeration can feed all of them.
 // SharedSearch memoizes such an enumeration behind a mutex: each consumer
 // reads through the memoized prefix with its own cursor and extends the
 // prefix on demand, which makes the in-flight case (two runs pulling at

@@ -11,6 +11,7 @@ import (
 
 	"semkg/internal/astar"
 	"semkg/internal/datagen"
+	"semkg/internal/query"
 	"semkg/internal/ta"
 	"semkg/internal/tbq"
 )
@@ -417,26 +418,6 @@ func TestSubqueryKeyStability(t *testing.T) {
 		}
 	}
 
-	// φ is a set: the same ids given in another order and with repeats
-	// compile to the same end sets and the same key.
-	shuffled := &Plan{eng: e, d: p1.d, compiled: true, copts: p1.copts}
-	for _, ps := range p1.subs {
-		ends := make([]astar.NodeSet, len(ps.sub.EndSets))
-		for seg, set := range ps.sub.EndSets {
-			ids := slices.Clone(set.Members())
-			slices.Reverse(ids)
-			ids = append(ids, ids[len(ids)/2], ids[0])
-			ends[seg] = astar.NewNodeSet(ids, e.g.NumNodes())
-		}
-		ps.sub.EndSets = ends
-		shuffled.subs = append(shuffled.subs, ps)
-	}
-	for i := 0; i < p1.Subqueries(); i++ {
-		if p1.SubqueryKey(i) != shuffled.SubqueryKey(i) {
-			t.Errorf("sub %d: reordered, repeated φ changed the key", i)
-		}
-	}
-
 	// A different predicate changes the blueprint and the key.
 	p3, err := e.Compile(q117("manufacturer"), opts)
 	if err != nil {
@@ -462,6 +443,100 @@ func TestSubqueryKeyStability(t *testing.T) {
 	}
 	if p1.SubqueryKey(0) != p5.SubqueryKey(0) {
 		t.Error("runtime K changed the sub-query key")
+	}
+}
+
+// TestSubqueryKeyEqualMeansEqualEnumeration is sharing's soundness
+// property: over generated worlds and their whole workloads, under two
+// option sets, every two sub-queries with equal SubqueryKey drain to
+// identical match sequences. Pairs from two different queries must occur,
+// or the property saw nothing that sharing across queries relies on.
+func TestSubqueryKeyEqualMeansEqualEnumeration(t *testing.T) {
+	type drained struct {
+		query   string
+		matches []astar.Match
+	}
+	subs, crossQuery := 0, 0
+	for seed := int64(1); seed <= 4; seed++ {
+		ds, e := tinyWorld(t, seed)
+		first := map[string]drained{}
+		queries := slices.Concat(ds.Simple, ds.Medium, ds.Complex, ds.Table1)
+		for _, opts := range []Options{{Tau: 0.5, MaxHops: 3}, {Tau: 0.7, MaxHops: 2, PruneVisited: true}} {
+			for _, q := range queries {
+				p, err := e.Compile(q.Graph, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < p.Subqueries(); i++ {
+					sr, err := e.Searcher(p, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got []astar.Match
+					for m, ok := sr.Next(); ok; m, ok = sr.Next() {
+						got = append(got, m)
+					}
+					subs++
+					key := p.SubqueryKey(i)
+					prev, ok := first[key]
+					if !ok {
+						first[key] = drained{q.Name, got}
+						continue
+					}
+					if prev.query != q.Name {
+						crossQuery++
+					}
+					if !reflect.DeepEqual(got, prev.matches) {
+						t.Errorf("seed %d: %s sub %d shares a key with a sub-query of %s, but its enumeration differs (%d matches against %d)",
+							seed, q.Name, i, prev.query, len(got), len(prev.matches))
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d sub-queries drained, %d equal-key pairs across queries", subs, crossQuery)
+	if crossQuery == 0 {
+		t.Fatal("no two different queries shared a sub-query key: the property was never exercised")
+	}
+}
+
+// TestSubqueryKeyIgnoresNodeIDs: a sub-query's key names its path by what
+// the nodes are, not what the query calls them — the same query with
+// renamed node IDs and reversed declarations keeps every sub-query key.
+func TestSubqueryKeyIgnoresNodeIDs(t *testing.T) {
+	ds, e := tinyWorld(t, 3)
+	opts := Options{Tau: 0.5, MaxHops: 3}
+	compared := 0
+	for _, q := range slices.Concat(ds.Simple, ds.Medium, ds.Complex, ds.Table1) {
+		renamed := &query.Graph{}
+		for _, n := range slices.Backward(q.Graph.Nodes) {
+			n.ID = "renamed_" + n.ID
+			renamed.Nodes = append(renamed.Nodes, n)
+		}
+		for _, ed := range slices.Backward(q.Graph.Edges) {
+			ed.From, ed.To = "renamed_"+ed.From, "renamed_"+ed.To
+			renamed.Edges = append(renamed.Edges, ed)
+		}
+		keys := func(g *query.Graph) []string {
+			p, err := e.Compile(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]string, p.Subqueries())
+			for i := range out {
+				out[i] = p.SubqueryKey(i)
+			}
+			slices.Sort(out)
+			return out
+		}
+		want, got := keys(q.Graph), keys(renamed)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: renaming and reordering the query changed its sub-query keys", q.Name)
+		}
+		compared += len(want)
+	}
+	if compared == 0 {
+		t.Fatal("no query compiled: nothing was compared")
 	}
 }
 

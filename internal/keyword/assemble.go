@@ -33,8 +33,8 @@ type Candidate struct {
 	Selectivity float64
 	// Explain is a one-line human-readable account of the assembly.
 	Explain string
-	// Key is the canonical rendering of Query (dedup and deterministic
-	// tie-break).
+	// Key is Query's canonical encoding (query.Graph.AppendKey), for
+	// dedup and deterministic tie-break.
 	Key string
 }
 
@@ -306,7 +306,7 @@ func buildOne(g *kg.Graph, entities []Interp, focusInterp *Interp, focus kg.Type
 		Structure:   structure,
 		Selectivity: sel,
 		Explain:     fmt.Sprintf("focus %s; %s", focusLabel, strings.Join(expl, "; ")),
-		Key:         canonKey(q),
+		Key:         string(q.AppendKey(nil)),
 	}, true
 }
 

@@ -33,13 +33,7 @@
 // without a server).
 package keyword
 
-import (
-	"fmt"
-	"strings"
-
-	"semkg/internal/core"
-	"semkg/internal/query"
-)
+import "semkg/internal/core"
 
 // Assembly and execution bounds. Each keeps assembly latency
 // index-shaped (microseconds, never a graph scan).
@@ -61,21 +55,6 @@ const (
 	// evidenceScan caps the adjacency halves scanned per inspected entity.
 	evidenceScan = 256
 )
-
-// canonKey renders a query graph canonically (length-prefixed, like the
-// serving layer's cache keys) for candidate dedup and deterministic
-// tie-breaks.
-func canonKey(q *query.Graph) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "q:%d,%d;", len(q.Nodes), len(q.Edges))
-	for _, n := range q.Nodes {
-		fmt.Fprintf(&b, "n%d:%s%d:%s%d:%s", len(n.ID), n.ID, len(n.Name), n.Name, len(n.Type), n.Type)
-	}
-	for _, e := range q.Edges {
-		fmt.Fprintf(&b, "e%d:%s%d:%s%d:%s", len(e.From), e.From, len(e.To), e.To, len(e.Predicate), e.Predicate)
-	}
-	return b.String()
-}
 
 // normalizedScore maps an engine answer score (a sum of per-sub-query PSS
 // values, each in (0,1]) back into (0,1] so answers from candidates with

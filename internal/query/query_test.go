@@ -466,3 +466,32 @@ func describe(d *Decomposition) string {
 	}
 	return b.String()
 }
+
+// keyQuery has a multi-byte ID, a name holding the field separator and an
+// untyped node: the cases a length-prefixed encoding must get right.
+func keyQuery() *Graph {
+	return &Graph{
+		Nodes: []Node{{ID: "v1", Type: "Automobile"}, {ID: "v2", Name: "Germany", Type: "Country"}, {ID: "né", Name: "a:b"}},
+		Edges: []Edge{{From: "v1", To: "v2", Predicate: "assembly"}, {From: "v1", To: "né", Predicate: "designer"}},
+	}
+}
+
+// TestAppendKeyBytes pins the canonical encodings byte for byte: result
+// cache keys hash the query form and keyword candidates sort on it, so a
+// change to it would silently reorder candidates.
+func TestAppendKeyBytes(t *testing.T) {
+	const want = "q:3,2;n2:v10:10:Automobilen2:v27:Germany7:Countryn3:né3:a:b0:e2:v12:v28:assemblye2:v13:né8:designer"
+	if got := string(keyQuery().AppendKey(nil)); got != want {
+		t.Fatalf("AppendKey = %q\nwant        %q", got, want)
+	}
+	q := keyQuery()
+	path := []Node{q.Nodes[1], q.Nodes[0], q.Nodes[2]}
+	const wantPath = "p:3;n7:Germany7:Countryn0:10:Automobilen3:a:b0:e8:assemblye8:designer"
+	if got := string(AppendPathKey(nil, path, []string{"assembly", "designer"})); got != wantPath {
+		t.Fatalf("AppendPathKey = %q\nwant            %q", got, wantPath)
+	}
+	path[0].ID = "renamed"
+	if got := string(AppendPathKey(nil, path, []string{"assembly", "designer"})); got != wantPath {
+		t.Fatalf("a renamed node ID changed the path key: %q", got)
+	}
+}

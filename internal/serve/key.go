@@ -3,31 +3,14 @@ package serve
 import (
 	"crypto/sha256"
 	"fmt"
-	"hash"
 
 	"semkg/internal/core"
 	"semkg/internal/query"
 	"semkg/internal/tbq"
 )
 
-// Cache keys are SHA-256 digests over a canonical, length-prefixed
-// serialization of the query graph and the normalized options — length
-// prefixes make the encoding injective (no separator-injection
-// collisions). Node and edge declaration order is deliberately preserved:
-// decomposition walks the query in declaration order, so two documents
-// that differ only in ordering may legally decompose differently and must
-// not share an entry.
-
-// writeQuery serializes q canonically into h.
-func writeQuery(h hash.Hash, q *query.Graph) {
-	fmt.Fprintf(h, "q:%d,%d;", len(q.Nodes), len(q.Edges))
-	for _, n := range q.Nodes {
-		fmt.Fprintf(h, "n%d:%s%d:%s%d:%s", len(n.ID), n.ID, len(n.Name), n.Name, len(n.Type), n.Type)
-	}
-	for _, e := range q.Edges {
-		fmt.Fprintf(h, "e%d:%s%d:%s%d:%s", len(e.From), e.From, len(e.To), e.To, len(e.Predicate), e.Predicate)
-	}
-}
+// Cache keys are SHA-256 digests over the query's canonical encoding
+// (query.Graph.AppendKey) and the normalized options.
 
 // canonOpts normalizes the options for hashing so that requests which run
 // the identical pipeline share keys: engine defaults applied (K unset ==
@@ -54,7 +37,7 @@ func canonOpts(opts core.Options) core.Options {
 func resultKey(q *query.Graph, opts core.Options) string {
 	o := canonOpts(opts)
 	h := sha256.New()
-	writeQuery(h, q)
+	h.Write(q.AppendKey(nil))
 	fmt.Fprintf(h, "|k=%d|tau=%g|hops=%d|strat=%d|pivot=%d:%s|pv=%t|nh=%t|tb=%d|ar=%g",
 		o.K, o.Tau, o.MaxHops, o.Strategy, len(o.PivotNode), o.PivotNode,
 		o.PruneVisited, o.NoHeuristic, int64(o.TimeBound), o.AlertRatio)

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"encoding/hex"
 	"testing"
+	"time"
 
 	"semkg/internal/core"
+	"semkg/internal/query"
 )
 
 func TestLRUEviction(t *testing.T) {
@@ -72,5 +75,26 @@ func TestKeysDistinguishRequests(t *testing.T) {
 	optsB = core.Options{K: 0, Tau: 0.75}
 	if resultKey(a, optsA) != resultKey(a, optsB) {
 		t.Fatal("normalized options should share a key")
+	}
+}
+
+// TestResultKeyBytes pins two result keys byte for byte: a cache key that
+// drifts only costs hits, so nothing else would notice.
+func TestResultKeyBytes(t *testing.T) {
+	q := &query.Graph{
+		Nodes: []query.Node{{ID: "v1", Type: "Automobile"}, {ID: "v2", Name: "Germany", Type: "Country"}, {ID: "né", Name: "a:b"}},
+		Edges: []query.Edge{{From: "v1", To: "v2", Predicate: "assembly"}, {From: "v1", To: "né", Predicate: "designer"}},
+	}
+	for _, c := range []struct {
+		opts core.Options
+		want string
+	}{
+		{core.Options{}, "8e40a94759dc5833735d173aca889f4cd3abd816c9c75f03b782ba67d02f778e"},
+		{core.Options{K: 5, Tau: 0.6, MaxHops: 3, TimeBound: 20 * time.Millisecond, PivotNode: "v1", PruneVisited: true},
+			"354290c28477e1583e50633132d47baf083b6abef1b1863cc7a2aa872bb133c2"},
+	} {
+		if got := hex.EncodeToString([]byte(resultKey(q, c.opts))); got != c.want {
+			t.Errorf("resultKey(%+v) = %s, want %s", c.opts, got, c.want)
+		}
 	}
 }

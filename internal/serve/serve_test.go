@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -23,14 +24,15 @@ import (
 // schemas, plus French distractors.
 func testEngine(t testing.TB) *core.Engine {
 	t.Helper()
-	return buildEngine(t, true)
+	return buildEngine(t, true, 0)
 }
 
 // buildEngine optionally drops one schema so Rebuild tests can observe a
-// changed graph through the cache.
-func buildEngine(t testing.TB, withX6 bool) *core.Engine {
+// changed graph through the cache, and adds pad isolated Automobile nodes,
+// which grow φ(?Automobile) without changing any search.
+func buildEngine(t testing.TB, withX6 bool, pad int) *core.Engine {
 	t.Helper()
-	b := kg.NewBuilder(32, 64)
+	b := kg.NewBuilder(32+pad, 64)
 	ger := b.AddNode("Germany", "Country")
 	france := b.AddNode("France", "Country")
 	munich := b.AddNode("Munich", "City")
@@ -47,6 +49,9 @@ func buildEngine(t testing.TB, withX6 bool) *core.Engine {
 		b.AddEdge(b.AddNode("BMW_X6", "Automobile"), france, "assembly")
 	}
 	b.AddEdge(b.AddNode("Clio", "Automobile"), france, "assembly")
+	for i := 0; i < pad; i++ {
+		b.AddNode(fmt.Sprintf("Pad_%d", i), "Automobile")
+	}
 	g := b.Build()
 
 	vecs := map[string]embed.Vector{
@@ -375,9 +380,12 @@ func TestStreamJoiningSearchIsSettled(t *testing.T) {
 }
 
 // TestServeMissAllocs pins what the serving layer adds to a pipeline run
-// when every cache misses: with the result and sub-search caches off, a
+// when every cache misses. With the result and sub-search caches off, a
 // serve.Search allocates at most 30 objects more than the
-// core.Engine.Search it wraps.
+// core.Engine.Search it wraps. With the default config, where each miss
+// keys its sub-query and shares its search through the sub-cache, a miss
+// allocates the same over a 100-member and a 10k-member φ(?Automobile):
+// the key costs the sub-query, not its end set.
 func TestServeMissAllocs(t *testing.T) {
 	eng := testEngine(t)
 	srv := New(eng, Config{ResultCache: -1, SubCache: -1})
@@ -398,12 +406,35 @@ func TestServeMissAllocs(t *testing.T) {
 		t.Fatalf("serve.Search allocates %.0f objects, core.Engine.Search %.0f: the serving layer adds %.0f, want ≤ 30",
 			served, base, served-base)
 	}
+
+	// Every request a new τ: the result, plan and sub-search caches all
+	// miss, in the same sequence at both sizes.
+	defaultMiss := func(pad int) float64 {
+		srv := New(buildEngine(t, true, pad), Config{})
+		i := 0
+		return testing.AllocsPerRun(50, func() {
+			i++
+			o := testOpts()
+			o.Tau = 0.5 + 1e-3*float64(i)
+			if _, err := srv.Search(ctx, q, o); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Equal in a plain build; the slack of 2 absorbs the ±1 the counts
+	// wander by under the race detector. A key that walks φ adds
+	// thousands at 10k.
+	small, large := defaultMiss(100), defaultMiss(10_000)
+	t.Logf("default config, miss: %.0f allocs at |φ| ≈ 100, %.0f at |φ| ≈ 10k", small, large)
+	if large > small+2 || small > large+2 {
+		t.Fatalf("a default-config miss allocates %.0f objects at |φ| ≈ 100 and %.0f at |φ| ≈ 10k, want equal", small, large)
+	}
 }
 
 // TestRebuildInvalidates: swapping the engine starts a generation with
 // empty caches, and the next identical request answers from the new graph.
 func TestRebuildInvalidates(t *testing.T) {
-	srv := New(buildEngine(t, true), Config{})
+	srv := New(buildEngine(t, true, 0), Config{})
 	ctx := context.Background()
 
 	before, err := srv.Search(ctx, q117(), testOpts())
@@ -413,7 +444,7 @@ func TestRebuildInvalidates(t *testing.T) {
 	if !hasAnswer(before, "BMW_X6") {
 		t.Fatalf("expected BMW_X6 via manufacturer schema, got %v", before.Entities())
 	}
-	srv.Rebuild(buildEngine(t, false)) // X6 now assembled in France
+	srv.Rebuild(buildEngine(t, false, 0)) // X6 now assembled in France
 	after, err := srv.Search(ctx, q117(), testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -742,7 +773,7 @@ func TestStreamResultWithoutDraining(t *testing.T) {
 // next identical request hits the new generation's entry.
 func TestRebuildNotJoinedMidFlight(t *testing.T) {
 	release := make(chan struct{})
-	srv := New(buildEngine(t, true), Config{Workers: 2, BeforeRun: func() { <-release }})
+	srv := New(buildEngine(t, true, 0), Config{Workers: 2, BeforeRun: func() { <-release }})
 
 	oldDone := make(chan *core.Result, 1)
 	go func() {
@@ -754,7 +785,7 @@ func TestRebuildNotJoinedMidFlight(t *testing.T) {
 	}()
 	waitBusy(t, srv, 1)
 
-	srv.Rebuild(buildEngine(t, false)) // X6 moves to France
+	srv.Rebuild(buildEngine(t, false, 0)) // X6 moves to France
 
 	newDone := make(chan *core.Result, 1)
 	go func() {

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"semkg/internal/core"
+	"semkg/internal/datagen"
+	"semkg/internal/embed"
 	"semkg/internal/kg"
 	"semkg/internal/query"
 )
@@ -155,23 +157,52 @@ func TestShareTimeBounded(t *testing.T) {
 	}
 }
 
-// BenchmarkServeSearchMiss measures the serving layer's miss path with
-// every cache on, as under never-repeating traffic: no two requests share
-// a (τ, K) pair, and a τ repeats only after 100k requests, long after the
-// plan and sub-search caches evicted it.
+// BenchmarkServeSearchMiss replays never-repeating single-edge requests
+// on a 100k-node large world, the request shape of the http-pipeline
+// benchmark workload: datagen.LargeQueries (12 focus types, hub-band
+// anchors, the 8 most frequent predicates), K 10, τ 0.55, n̂ 2, every
+// other request bounded at 100 ms, 500 warm-up requests. τ steps by 1e-9
+// each time the 3,072 queries wrap, so no request repeats and every cache
+// misses. "sub-cache off" is the private path; "default" shares each
+// sub-search through the sub-cache, as semkgd does unless told otherwise.
 func BenchmarkServeSearchMiss(b *testing.B) {
-	srv := New(testEngine(b), Config{})
-	ctx := context.Background()
-	q := q117()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts := testOpts()
-		opts.Tau = 0.5 + 4e-6*float64(i%100000)
-		opts.K = 10 + i/100000
-		if _, err := srv.Search(ctx, q, opts); err != nil {
-			b.Fatal(err)
-		}
+	p := datagen.LargeWorld(100_000)
+	g := datagen.GenerateLarge(p)
+	space, err := (&embed.Model{Cfg: embed.Config{Dim: 32}}).SpaceFor(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.NewEngine(g, space, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := datagen.LargeQueries(g, p, 3072)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"sub-cache off", Config{SubCache: -1}}, {"default", Config{}}} {
+		b.Run(c.name, func(b *testing.B) {
+			srv := New(eng, c.cfg)
+			ctx := context.Background()
+			search := func(i int) {
+				opts := core.Options{K: 10, Tau: 0.55 + 1e-9*float64(i/len(queries)), MaxHops: 2}
+				if i%2 == 1 {
+					opts.TimeBound = 100 * time.Millisecond
+				}
+				if _, err := srv.Search(ctx, queries[i%len(queries)], opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			const warm = 500
+			for i := 0; i < warm; i++ {
+				search(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				search(warm + i)
+			}
+		})
 	}
 }
 

@@ -1,18 +1,19 @@
 // Sub-query sharing: the serving-layer cache of shared A* enumerations.
 // The result cache and singleflight dedup only byte-identical requests;
 // real traffic overlaps partially — different K over one decomposition,
-// distinct queries whose decompositions share a sub-query blueprint. The
+// distinct queries whose decompositions share a sub-query path. The
 // compile/run split makes that overlap addressable: core.Plan exposes a
-// stable content hash per sub-query blueprint (Plan.SubqueryKey), and
-// the sorted enumeration over a blueprint is deterministic, so one
+// stable hash of each sub-query's compile inputs (Plan.SubqueryKey, which
+// costs the sub-query, not its φ sets), and the sorted enumeration they
+// compile to is deterministic within one engine, so one
 // memoized search (core.SharedSearch) can feed every concurrent and
 // future run that shares the blueprint — exact or time-bounded alike,
 // since a time-bounded run reads the same sorted stream and its deadline
 // refuses pulls above the shared source.
 //
-// Keying and invalidation: entries are keyed by blueprint hash alone. The
-// cache belongs to one engine generation, like the result cache, so
-// Rebuild retires it whole and a racing leader can only insert into a
+// Keying and invalidation: entries are keyed by that hash alone, which
+// names no graph, so the cache belongs to one engine generation, like the
+// result cache: Rebuild retires it whole and a racing leader can only insert into a
 // cache no new request reaches. Entry bodies build lazily under a
 // sync.Once so the cache critical section stays O(1) and concurrent misses
 // on one blueprint share a single search — the sub-query-level
